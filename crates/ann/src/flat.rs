@@ -3,7 +3,7 @@
 //! version is used).
 
 use crate::distance::{l2_sq_rows, l2_sq_rows_x4q, l2_sq_rows_x8q};
-use crate::{assert_finite, Neighbor, VectorIndex};
+use crate::{assert_finite, assert_resumable, Neighbor, VectorIndex};
 
 /// Flat (brute-force) index over row-major vectors.
 #[derive(Debug, Clone)]
@@ -12,12 +12,13 @@ pub struct FlatIndex {
     data: Vec<f32>,
 }
 
-/// Queries interleaved per index block in [`FlatIndex::search_batch`]. The
-/// stored-vector block is streamed once and reused for every query in the
-/// group while it is still cache-hot, dividing index memory traffic by the
-/// group width — the exhaustive scan is bandwidth-bound, so this is the
-/// whole win. 16 queries × a 64-row block keeps the working set in L1/L2
-/// at FlexER's embedding widths.
+/// Queries interleaved per index block in
+/// [`FlatIndex::search_batch_since`]. The stored-vector block is streamed
+/// once and reused for every query in the group while it is still
+/// cache-hot, dividing index memory traffic by the group width — the
+/// exhaustive scan is bandwidth-bound, so this is the whole win. 16 queries
+/// × a 64-row block keeps the working set in L1/L2 at FlexER's embedding
+/// widths.
 const QUERY_GROUP: usize = 16;
 
 impl FlatIndex {
@@ -53,22 +54,45 @@ impl FlatIndex {
         &self.data
     }
 
-    /// One pass over the stored vectors for a group of queries. Each query
-    /// sees the index blocks in the same order as [`FlatIndex::search`];
-    /// eights (then quads, then singles) of queries stream every block
-    /// through the multi-chain `l2_sq_rows_x8q`/`l2_sq_rows_x4q` kernels
-    /// (each (query, row) pair an independent exact-order fold — bitwise
-    /// the single-query distances), then each query's distances feed the
-    /// same bounded-insertion top-k. Every
-    /// per-query result is bitwise equal to a standalone `search` call;
-    /// only traversal interleaving (and cache/ILP behaviour) differs.
-    fn search_group(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<Neighbor>> {
+    fn check_query(&self, query: &[f32], k: usize, since: usize, prior: &[Neighbor]) {
+        assert_eq!(query.len(), self.dim, "query dimension mismatch");
+        assert_finite(query, "FlatIndex::search");
+        assert_resumable(self.len(), k, since, prior);
+    }
+
+    /// The one scan of this index: a pass over the stored rows `since..n`
+    /// for a group of queries, each continuing from its `prior` top-k (the
+    /// scan's state after rows `0..since`; `k ≥ 1` is already clamped to
+    /// `n`). Rows are visited in id order, so bounded insertion after the
+    /// last equal distance breaks ties by ascending id.
+    ///
+    /// Eights (then quads, then singles) of queries stream every 64-row
+    /// block through the multi-chain `l2_sq_rows_x8q`/`l2_sq_rows_x4q`
+    /// kernels (each (query, row) pair an independent exact-order fold —
+    /// bitwise the single-query distances), then each query's distances
+    /// feed its own bounded-insertion top-k: O(n·k) worst case, but k ≤ 10
+    /// in FlexER and the distance scan dominates. A query's result does
+    /// not depend on which queries share its group; only traversal
+    /// interleaving (and cache/ILP behaviour) differs.
+    fn search_group(
+        &self,
+        queries: &[&[f32]],
+        k: usize,
+        since: usize,
+        priors: &[&[Neighbor]],
+    ) -> Vec<Vec<Neighbor>> {
         let n = self.len();
         let nq = queries.len();
-        let mut tops: Vec<Vec<Neighbor>> =
-            queries.iter().map(|_| Vec::with_capacity(k + 1)).collect();
+        let mut tops: Vec<Vec<Neighbor>> = priors
+            .iter()
+            .map(|prior| {
+                let mut top = Vec::with_capacity(k + 1);
+                top.extend_from_slice(prior);
+                top
+            })
+            .collect();
         let mut dists = [[0.0f32; 64]; 8];
-        let mut base = 0;
+        let mut base = since;
         while base < n {
             let m = (n - base).min(64);
             let rows = &self.data[base * self.dim..(base + m) * self.dim];
@@ -132,50 +156,36 @@ impl VectorIndex for FlatIndex {
         self.dim
     }
 
-    fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        assert_finite(query, "FlatIndex::search");
-        let n = self.len();
-        let k = k.min(n);
+    fn search_since(
+        &self,
+        query: &[f32],
+        k: usize,
+        since: usize,
+        prior: &[Neighbor],
+    ) -> Vec<Neighbor> {
+        self.check_query(query, k, since, prior);
+        let k = k.min(self.len());
         if k == 0 {
             return Vec::new();
         }
-        // Bounded insertion into a sorted top-k buffer: O(n·k) worst case but
-        // k ≤ 10 in FlexER, and the distance scan dominates anyway — so the
-        // scan runs through the blocked kernel (bit-identical distances,
-        // ~4× the throughput of a row-at-a-time fold), a stack block of
-        // distances at a time.
-        let mut top: Vec<Neighbor> = Vec::with_capacity(k + 1);
-        let mut dists = [0.0f32; 64];
-        let mut base = 0;
-        while base < n {
-            let m = (n - base).min(dists.len());
-            l2_sq_rows(query, &self.data[base * self.dim..(base + m) * self.dim], &mut dists[..m]);
-            for (j, &dist) in dists[..m].iter().enumerate() {
-                if top.len() == k && dist >= top[k - 1].dist {
-                    continue;
-                }
-                let id = base + j;
-                let pos = top.iter().position(|nb| dist < nb.dist).unwrap_or(top.len());
-                top.insert(pos, Neighbor { id, dist });
-                if top.len() > k {
-                    top.pop();
-                }
-            }
-            base += m;
-        }
-        top
+        self.search_group(&[query], k, since, &[prior]).pop().expect("one result per query")
     }
 
     /// Query-blocked exhaustive scan: groups of [`QUERY_GROUP`] queries
-    /// share each pass over the stored vectors (groups fan out across the
-    /// `flexer-par` thread budget). Bit-identical to calling
-    /// [`search`](FlatIndex::search) per query — see
+    /// share each pass over the stored rows `since..n` (groups fan out
+    /// across the `flexer-par` thread budget). Bit-identical to calling
+    /// [`search_since`](VectorIndex::search_since) per query — both are
     /// [`FlatIndex::search_group`].
-    fn search_batch(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<Neighbor>> {
-        for query in queries {
-            assert_eq!(query.len(), self.dim, "query dimension mismatch");
-            assert_finite(query, "FlatIndex::search");
+    fn search_batch_since(
+        &self,
+        queries: &[&[f32]],
+        k: usize,
+        since: usize,
+        priors: &[&[Neighbor]],
+    ) -> Vec<Vec<Neighbor>> {
+        assert_eq!(queries.len(), priors.len(), "one prior top-k per query required");
+        for (query, prior) in queries.iter().zip(priors) {
+            self.check_query(query, k, since, prior);
         }
         let k = k.min(self.len());
         if k == 0 {
@@ -183,9 +193,8 @@ impl VectorIndex for FlatIndex {
         }
         let n_groups = queries.len().div_ceil(QUERY_GROUP);
         let per_group: Vec<Vec<Vec<Neighbor>>> = flexer_par::parallel_map(n_groups, |g| {
-            let q0 = g * QUERY_GROUP;
-            let group = &queries[q0..(q0 + QUERY_GROUP).min(queries.len())];
-            self.search_group(group, k)
+            let group = g * QUERY_GROUP..((g + 1) * QUERY_GROUP).min(queries.len());
+            self.search_group(&queries[group.clone()], k, since, &priors[group])
         });
         per_group.into_iter().flatten().collect()
     }

@@ -7,7 +7,7 @@
 
 use crate::distance::{l2_sq, l2_sq_x4};
 use crate::kmeans::KMeans;
-use crate::{assert_finite, Neighbor, VectorIndex};
+use crate::{assert_finite, assert_resumable, Neighbor, VectorIndex};
 
 /// IVF construction parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,8 +106,8 @@ impl IvfIndex {
     }
 
     /// Reassembles an index from its snapshot parts. Panics unless the
-    /// parts are mutually consistent (every id in exactly one list, data a
-    /// whole number of rows, centroid dims matching).
+    /// parts are mutually consistent (every id in exactly one list, each
+    /// list ascending, data a whole number of rows, centroid dims matching).
     pub fn from_parts(
         dim: usize,
         quantizer: KMeans,
@@ -123,6 +123,10 @@ impl IvfIndex {
         assert_eq!(lists.len(), quantizer.k.max(1), "one inverted list per centroid required");
         let mut seen = vec![false; n];
         for list in &lists {
+            assert!(
+                list.windows(2).all(|w| w[0] < w[1]),
+                "inverted lists must ascend (they are cut by binary search)"
+            );
             for &id in list {
                 assert!(id < n, "inverted list references vector {id} of {n}");
                 assert!(!seen[id], "vector {id} appears in two inverted lists");
@@ -161,19 +165,33 @@ impl VectorIndex for IvfIndex {
         self.dim
     }
 
-    fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
+    /// Scans the ids at or past `since` of the `nprobe` nearest lists and
+    /// merges them into `prior` under the (distance, id) order. The frozen
+    /// quantizer probes the same lists for a query at every index length
+    /// and lists only grow at their ascending tails, so the candidate set
+    /// of a search from scratch is the prefix's candidates (of which
+    /// `prior` kept the best `k`) plus exactly the ids scanned here.
+    fn search_since(
+        &self,
+        query: &[f32],
+        k: usize,
+        since: usize,
+        prior: &[Neighbor],
+    ) -> Vec<Neighbor> {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
         assert_finite(query, "IvfIndex::search");
+        assert_resumable(self.n, k, since, prior);
         if self.n == 0 || k == 0 {
             return Vec::new();
         }
         let order = self.quantizer.centroids_by_distance(query);
-        let mut hits: Vec<Neighbor> = Vec::new();
+        let mut hits: Vec<Neighbor> = prior.to_vec();
         for &c in order.iter().take(self.nprobe.min(order.len())) {
             // Inverted-list rows are gathered four at a time: identical
             // distance bits, but the four fold chains overlap instead of
             // serializing on f32 add latency.
             let list = &self.lists[c];
+            let list = &list[list.partition_point(|&id| id < since)..];
             let whole = list.len() - list.len() % 4;
             for ids in list[..whole].chunks_exact(4) {
                 let d = l2_sq_x4(

@@ -113,17 +113,29 @@ impl VectorIndex for AnyIndex {
         }
     }
 
-    fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
+    fn search_since(
+        &self,
+        query: &[f32],
+        k: usize,
+        since: usize,
+        prior: &[Neighbor],
+    ) -> Vec<Neighbor> {
         match self {
-            AnyIndex::Flat(i) => i.search(query, k),
-            AnyIndex::Ivf(i) => i.search(query, k),
+            AnyIndex::Flat(i) => i.search_since(query, k, since, prior),
+            AnyIndex::Ivf(i) => i.search_since(query, k, since, prior),
         }
     }
 
-    fn search_batch(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<Neighbor>> {
+    fn search_batch_since(
+        &self,
+        queries: &[&[f32]],
+        k: usize,
+        since: usize,
+        priors: &[&[Neighbor]],
+    ) -> Vec<Vec<Neighbor>> {
         match self {
-            AnyIndex::Flat(i) => i.search_batch(queries, k),
-            AnyIndex::Ivf(i) => i.search_batch(queries, k),
+            AnyIndex::Flat(i) => i.search_batch_since(queries, k, since, priors),
+            AnyIndex::Ivf(i) => i.search_batch_since(queries, k, since, priors),
         }
     }
 }
@@ -161,23 +173,75 @@ pub trait VectorIndex {
     }
     /// Vector dimensionality.
     fn dim(&self) -> usize;
+    /// The one scan entry point: resumes a search from row watermark
+    /// `since`. `prior` is what this index answered for (`query`, `k`) when
+    /// it held only its first `since` rows; the result is what a search
+    /// from scratch answers now — up to `k` nearest stored vectors,
+    /// ascending by distance, ties broken by ascending id — to the bit.
+    /// Indexes are append-only, so a scan's state after rows `0..since`
+    /// *is* that prior top-k and only the rows appended since need
+    /// visiting. `since = 0` with an empty prior is a search from scratch.
+    fn search_since(
+        &self,
+        query: &[f32],
+        k: usize,
+        since: usize,
+        prior: &[Neighbor],
+    ) -> Vec<Neighbor>;
+
     /// Returns up to `k` nearest stored vectors to `query`, ascending by
     /// distance, ties broken by ascending id.
-    fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor>;
+    fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
+        self.search_since(query, k, 0, &[])
+    }
 
-    /// Multi-query search: one result list per query, in query order.
-    /// Queries are independent, so they fan out across the `flexer-par`
-    /// thread budget; each query runs the exact single-query [`search`],
-    /// making the result bit-identical to a serial loop at any thread
-    /// count.
+    /// Multi-query [`search_since`] from one shared watermark: one result
+    /// list per query, in query order, each resumed from its own entry of
+    /// `priors`. Queries are independent, so they fan out across the
+    /// `flexer-par` thread budget; each query's result is bit-identical to
+    /// its single-query call at any thread count.
     ///
-    /// [`search`]: VectorIndex::search
+    /// [`search_since`]: VectorIndex::search_since
+    fn search_batch_since(
+        &self,
+        queries: &[&[f32]],
+        k: usize,
+        since: usize,
+        priors: &[&[Neighbor]],
+    ) -> Vec<Vec<Neighbor>>
+    where
+        Self: Sync + Sized,
+    {
+        assert_eq!(queries.len(), priors.len(), "one prior top-k per query required");
+        flexer_par::parallel_map(queries.len(), |q| {
+            self.search_since(queries[q], k, since, priors[q])
+        })
+    }
+
+    /// Multi-query [`search`](VectorIndex::search): one result list per
+    /// query, in query order.
     fn search_batch(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<Neighbor>>
     where
         Self: Sync + Sized,
     {
-        flexer_par::parallel_map(queries.len(), |q| self.search(queries[q], k))
+        self.search_batch_since(queries, k, 0, &vec![&[][..]; queries.len()])
     }
+}
+
+/// Panics unless `prior` can be the top-`k` of an index's first `since`
+/// rows: the precondition of [`VectorIndex::search_since`].
+pub(crate) fn assert_resumable(len: usize, k: usize, since: usize, prior: &[Neighbor]) {
+    assert!(since <= len, "watermark {since} is past the index length {len}");
+    assert!(
+        prior.len() <= k.min(since),
+        "a prior top-{k} of {since} rows cannot hold {} neighbours",
+        prior.len()
+    );
+    debug_assert!(prior.iter().all(|nb| nb.id < since), "prior neighbour past the watermark");
+    debug_assert!(
+        prior.windows(2).all(|w| (w[0].dist, w[0].id) < (w[1].dist, w[1].id)),
+        "prior top-k must ascend by (distance, id)"
+    );
 }
 
 #[cfg(test)]

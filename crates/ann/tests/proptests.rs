@@ -3,7 +3,7 @@
 //! graph respects its structural contract.
 
 use flexer_ann::knn_graph::knn_graph;
-use flexer_ann::{l2_sq, FlatIndex, IvfConfig, IvfIndex, Neighbor, VectorIndex};
+use flexer_ann::{l2_sq, AnyIndex, FlatIndex, IvfConfig, IvfIndex, Neighbor, VectorIndex};
 use proptest::prelude::*;
 
 fn rows_strategy(n: usize, dim: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -18,6 +18,37 @@ fn brute_force(rows: &[f32], dim: usize, query: &[f32], k: usize) -> Vec<Neighbo
     all.sort_by(|a, b| a.dist.partial_cmp(&b.dist).unwrap().then(a.id.cmp(&b.id)));
     all.truncate(k);
     all
+}
+
+/// Rows on a coarse integer grid: many exactly duplicated vectors and tied
+/// distances, so the tie-break by id is exercised, not just the ordering.
+fn grid_rows_strategy(n: usize, dim: usize) -> impl Strategy<Value = Vec<f32>> {
+    prop::collection::vec(0u8..3, n * dim).prop_map(|v| v.into_iter().map(f32::from).collect())
+}
+
+fn bits(hits: &[Neighbor]) -> Vec<(usize, u32)> {
+    hits.iter().map(|h| (h.id, h.dist.to_bits())).collect()
+}
+
+/// The resumable-search contract, at **every** watermark `0..=n`: resuming
+/// from the top-k of the index's first `w` rows over the rows appended
+/// since equals a search from scratch, bit for bit — single-query and
+/// query-blocked, for `k` below and above the watermark.
+fn assert_resume_equals_search(index: &AnyIndex, queries: &[&[f32]], k: usize) {
+    let want: Vec<Vec<Neighbor>> = queries.iter().map(|q| index.search(q, k)).collect();
+    assert_eq!(index.search_batch(queries, k), want, "search_batch is the since = 0 case");
+    for w in 0..=index.len() {
+        let prefix = index.truncated(w);
+        let priors: Vec<Vec<Neighbor>> = queries.iter().map(|q| prefix.search(q, k)).collect();
+        let prior_refs: Vec<&[Neighbor]> = priors.iter().map(Vec::as_slice).collect();
+        let batched = index.search_batch_since(queries, k, w, &prior_refs);
+        for ((q, prior), (got, want)) in queries.iter().zip(&priors).zip(batched.iter().zip(&want))
+        {
+            assert_eq!(bits(got), bits(want), "batched, watermark {w}, k {k}");
+            let single = index.search_since(q, k, w, prior);
+            assert_eq!(bits(&single), bits(want), "single, watermark {w}, k {k}");
+        }
+    }
 }
 
 proptest! {
@@ -171,5 +202,43 @@ proptest! {
             let b: Vec<usize> = flat.search(query, 10).iter().map(|h| h.id).collect();
             prop_assert_eq!(a, b);
         }
+    }
+
+    /// Flat: cached top-k + tail scan ≡ full scan. 21 queries cover an
+    /// eight, a quad, singles and a second query group.
+    #[test]
+    fn flat_resumed_search_is_bit_identical(
+        rows in grid_rows_strategy(70, 2),
+        queries in grid_rows_strategy(21, 2),
+        k in 1usize..9,
+    ) {
+        let index = AnyIndex::Flat(FlatIndex::from_rows(2, &rows));
+        let queries: Vec<&[f32]> = queries.chunks(2).collect();
+        assert_resume_equals_search(&index, &queries, k);
+    }
+
+    /// IVF at any probe width, over rows both built in and added later:
+    /// the frozen quantizer probes the same lists at every watermark, so
+    /// resuming over their tails equals a search from scratch.
+    #[test]
+    fn ivf_resumed_search_is_bit_identical(
+        rows in grid_rows_strategy(60, 2),
+        queries in grid_rows_strategy(5, 2),
+        k in 1usize..9,
+        nlist in 1usize..7,
+        nprobe in 1usize..7,
+        split in 20usize..60,
+    ) {
+        let (train, tail) = rows.split_at(split * 2);
+        let mut ivf = IvfIndex::build(
+            2,
+            train,
+            IvfConfig { nlist, nprobe, train_iters: 6, ..Default::default() },
+        );
+        for v in tail.chunks(2) {
+            ivf.add(v);
+        }
+        let queries: Vec<&[f32]> = queries.chunks(2).collect();
+        assert_resume_equals_search(&AnyIndex::Ivf(ivf), &queries, k);
     }
 }

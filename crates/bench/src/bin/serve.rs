@@ -24,10 +24,10 @@
 //! implementation: the reference kernel here already shares this tier's
 //! Arc'd embedding cache, hashed cache keys, blocked ANN scans and
 //! zero-copy arena gathers, and differs only in its per-candidate
-//! P·(1+k)-row forwards and gather allocations. Both kernels also pay the
-//! same per-candidate ANN localization, which caps the end-to-end ratio
-//! well below both the ~7× kernel FLOP gap (k = 6) and the ~38×
-//! allocation gap.
+//! P·(1+k)-row forwards, its gather allocations and its uncached
+//! per-candidate ANN localization (the batched path's warm queries take
+//! their neighbour lists from the cache beside the embeddings; the
+//! reference kernel stays the uncached oracle).
 //!
 //! Two observability bars ride along (see `flexer-obs`): the four
 //! `resolve.*` stage spans must cover 90–105% of the warm window's
@@ -432,9 +432,9 @@ fn parse_args() -> (usize, u64, bool) {
                     .unwrap_or_else(|| usage("--seed expects an integer"));
             }
             "--json" => json = true,
-            // Pre-PR hot-path emulation (naive GEMM + per-candidate ANN
-            // localization) — for generating a "before" report that
-            // `compare` can gate a kernel change against.
+            // Pre-packing hot-path emulation (naive GEMM) — for generating
+            // a "before" report that `compare` can gate a kernel change
+            // against.
             "--no-packed-kernels" => no_packed = true,
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown argument {other}")),

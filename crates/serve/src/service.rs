@@ -25,6 +25,19 @@
 //! [`AnyIndex::add`]), their per-depth node states extend the pinned state
 //! matrices, and their scores become servable corpus pairs.
 //!
+//! # The hot-pair cache
+//!
+//! A pair's inductive inputs — its per-intent embedding and its k nearest
+//! served pairs in every layer — depend only on the two titles and, for
+//! the neighbour lists, on the index rows present. Both sit in one LRU
+//! entry. The lists carry the pair-index length they were computed at:
+//! indexes only grow, so a list is never wrong, only *behind*, and a
+//! lookup either reuses it, or resumes each layer's scan over the rows
+//! appended since ([`VectorIndex::search_batch_since`]) — bit-identical to
+//! searching from scratch, which is what a cache miss does. Ingest bypasses
+//! the cache (its keys are one-shot) and the reference kernel localizes
+//! uncached, as the oracle.
+//!
 //! # Candidate generation
 //!
 //! The service keeps the snapshot's incremental blocker
@@ -41,7 +54,7 @@ use crate::arena::PinnedArena;
 use crate::cache::LruCache;
 use crate::error::ServeError;
 use crate::metrics::{MetricsInner, ServeMetrics};
-use flexer_ann::{AnyIndex, VectorIndex};
+use flexer_ann::{AnyIndex, Neighbor, VectorIndex};
 use flexer_block::{BlockerState, ShardedBlocker};
 use flexer_graph::{BatchInductiveTrace, InductiveTrace, NeighborArena, RowSource};
 use flexer_nn::{Matrix, SparseMatrix};
@@ -59,12 +72,8 @@ use std::time::Instant;
 /// Tunables of the serving tier.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Capacity of the hot pair-embedding LRU cache.
+    /// Capacity of the hot-pair LRU cache (embedding + neighbour lists).
     pub cache_capacity: usize,
-    /// Unused since the latency window became a cumulative streaming
-    /// histogram (`flexer-obs`); retained so existing config literals keep
-    /// compiling.
-    pub latency_window: usize,
     /// Bypass the blocker and pair new titles against **every** stored
     /// record (quadratic). The explicit fallback for parity testing the
     /// blocked path against; off by default.
@@ -80,12 +89,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self {
-            cache_capacity: 1024,
-            latency_window: 1024,
-            exhaustive: false,
-            reference_scoring: false,
-        }
+        Self { cache_capacity: 1024, exhaustive: false, reference_scoring: false }
     }
 }
 
@@ -119,6 +123,56 @@ pub struct IngestReport {
 /// whose row `p` is the intent-`p` representation — one allocation per
 /// pair, shared by reference through the LRU cache.
 type PairEmbedding = Matrix;
+
+/// Pads a layer's neighbour list that holds fewer pair ids than its stride
+/// (an IVF probe over sparse lists).
+const NO_NEIGHBOR: u32 = u32::MAX;
+
+/// The hot-pair cache's value: a pair's embedding and where it sits in
+/// every intent layer — the cheap and the expensive half of what a
+/// repeated pair would recompute.
+///
+/// Neighbours are wired from the initial representations only (§4.1.3) and
+/// the indexes are append-only, so the lists are a pure function of the
+/// embedding and the index rows present: nothing invalidates them, rows
+/// appended past `watermark` can only displace entries, and resuming each
+/// layer's scan from `watermark` ([`VectorIndex::search_batch_since`])
+/// brings them up to date bit-identically to a search from scratch.
+#[derive(Debug, Clone)]
+struct LocatedPair {
+    emb: Arc<PairEmbedding>,
+    /// Per intent layer the ids of the k nearest served pairs in rank
+    /// order: P lists of one stride (`min(k, watermark)`), back to back,
+    /// short ones padded with [`NO_NEIGHBOR`]. Empty until the pair is
+    /// first localized. Distances are not kept (they would double the
+    /// entry): a resume recomputes its k prior distances with the exact
+    /// fold every scan kernel reproduces ([`flexer_ann::l2_sq`]).
+    hood: Arc<[u32]>,
+    /// Pair-index length `hood` was computed at.
+    watermark: usize,
+}
+
+impl LocatedPair {
+    /// Layer `q` of `p_layers`' list, padding trimmed.
+    fn layer(&self, q: usize, p_layers: usize) -> &[u32] {
+        let stride = self.hood.len() / p_layers;
+        let list = &self.hood[q * stride..(q + 1) * stride];
+        &list[..list.iter().position(|&id| id == NO_NEIGHBOR).unwrap_or(stride)]
+    }
+}
+
+/// One candidate batch between its cache lookup and its write-back.
+struct PairBatch {
+    pairs: Vec<LocatedPair>,
+    /// One cache key per pair, hashed once for the lookup and the
+    /// write-back; empty when the batch bypasses the cache (ingest).
+    keys: Vec<PairKey>,
+    /// The lookup's misses, ascending: no cache entry yet.
+    missed: Vec<usize>,
+    /// The lookup's hits whose lists [`ResolutionService::localize`]
+    /// brought forward: their cache entry is behind.
+    relocated: Vec<usize>,
+}
 
 /// Inductive scores of one candidate batch, in whichever shape the
 /// configured kernel produces them.
@@ -187,7 +241,7 @@ pub struct ResolutionService {
     /// intent `p`; the transductive warm-forward values for training
     /// pairs, inductive values for ingested ones.
     scores: Vec<Vec<f32>>,
-    cache: Mutex<LruCache<PairKey, Arc<PairEmbedding>>>,
+    cache: Mutex<LruCache<PairKey, LocatedPair>>,
     metrics: Mutex<MetricsInner>,
     /// Span/counter aggregator for the per-stage breakdown. A clone of the
     /// process-global recorder by default, so the blocking and store tiers'
@@ -199,6 +253,15 @@ pub struct ResolutionService {
     ctr_forward_rows: Counter,
     /// Candidate records considered across record-level resolves.
     ctr_resolve_candidates: Counter,
+    /// Per-(candidate, layer) neighbour lists the batched path took from
+    /// the cache as they were, brought up to date over the appended tail,
+    /// and searched from scratch.
+    ctr_localize_reused: Counter,
+    ctr_localize_resumed: Counter,
+    ctr_localize_searched: Counter,
+    /// Index rows appended past the resumed lists' watermarks, summed over
+    /// the lists: what the resumes scanned instead of the whole index.
+    ctr_localize_tail_rows: Counter,
 }
 
 impl ResolutionService {
@@ -289,6 +352,10 @@ impl ResolutionService {
         let recorder = flexer_obs::global().clone();
         let ctr_forward_rows = recorder.counter("serve.forward.rows");
         let ctr_resolve_candidates = recorder.counter("serve.resolve.candidates");
+        let ctr_localize_reused = recorder.counter("serve.localize.reused");
+        let ctr_localize_resumed = recorder.counter("serve.localize.resumed");
+        let ctr_localize_searched = recorder.counter("serve.localize.searched");
+        let ctr_localize_tail_rows = recorder.counter("serve.localize.tail_rows");
         Ok(Self {
             n_train_pairs: n_pairs,
             n_train_records: snapshot.records.len(),
@@ -309,6 +376,10 @@ impl ResolutionService {
             flood_rejections: AtomicU64::new(0),
             ctr_forward_rows,
             ctr_resolve_candidates,
+            ctr_localize_reused,
+            ctr_localize_resumed,
+            ctr_localize_searched,
+            ctr_localize_tail_rows,
             snapshot,
             config,
         })
@@ -603,23 +674,21 @@ impl ResolutionService {
     fn score_candidates(&self, title: &str, candidates: &[usize]) -> ScoredCandidates {
         let titles: Vec<(&str, &str)> =
             candidates.iter().map(|&other| (self.records[other].as_str(), title)).collect();
-        let embeddings = self.embed_pairs(&titles, false);
+        let mut batch = self.embed_pairs(&titles, false);
         let intents: Vec<IntentId> = (0..self.n_intents()).collect();
         let scored = if self.config.reference_scoring {
             // Independent per candidate: fan out, each candidate runs the
             // exact serial scoring kernel, so results are bit-identical at
             // any thread count.
-            ScoredBatch::Reference(flexer_par::parallel_map(embeddings.len(), |j| {
-                let neighbors = self.neighbors_of(&embeddings[j]);
-                intents
-                    .iter()
-                    .map(|&p| self.score_pair_inductive(&embeddings[j], &neighbors, p))
-                    .collect()
+            ScoredBatch::Reference(flexer_par::parallel_map(batch.pairs.len(), |j| {
+                let emb = &batch.pairs[j].emb;
+                let neighbors = self.neighbors_of(emb);
+                intents.iter().map(|&p| self.score_pair_inductive(emb, &neighbors, p)).collect()
             }))
         } else {
-            ScoredBatch::Batched(self.score_pairs_batched(&embeddings, &intents))
+            ScoredBatch::Batched(self.score_pairs_batched(&mut batch, &intents))
         };
-        (embeddings, scored)
+        (batch.pairs.into_iter().map(|pair| pair.emb).collect(), scored)
     }
 
     /// Phase-2 worker: appends one scored record's pairs to the serving
@@ -748,31 +817,23 @@ impl ResolutionService {
                     .collect())
             }
             ResolveQuery::TitlePair(a, b) => {
-                let embs = {
+                let mut batch = {
                     let _span = self.recorder.span("resolve.embed");
                     self.embed_pairs(&[(a.as_str(), b.as_str())], true)
                 };
-                let _span = self.recorder.span("resolve.forward");
-                let scores: Vec<f32> = if self.config.reference_scoring {
-                    let neighbors = self.neighbors_of(&embs[0]);
-                    intents
-                        .iter()
-                        .map(|&p| self.score_pair_inductive(&embs[0], &neighbors, p).0)
-                        .collect()
-                } else {
-                    let traces = self.score_pairs_batched(&embs, intents);
-                    traces.iter().zip(intents).map(|(t, &p)| t.score(0, p)).collect()
+                let scores = {
+                    let _span = self.recorder.span("resolve.forward");
+                    self.score_resolve_batch(&mut batch, intents)
                 };
-                drop(_span);
                 Ok(intents
                     .iter()
                     .zip(scores)
-                    .map(|(&p, score)| ResolveResponse {
+                    .map(|(&p, scores)| ResolveResponse {
                         intent: p,
                         matches: vec![RankedMatch {
                             target: MatchTarget::AdHoc,
-                            score,
-                            matched: score > 0.5,
+                            score: scores[0],
+                            matched: scores[0] > 0.5,
                         }],
                     })
                     .collect())
@@ -794,40 +855,14 @@ impl ResolutionService {
                     .iter()
                     .map(|&r| (self.records[r].as_str(), title.as_str()))
                     .collect();
-                let embeddings = {
+                let mut batch = {
                     let _span = self.recorder.span("resolve.embed");
                     self.embed_pairs(&titles, true)
                 };
-                // `scores[pi][j]`: requested intent `pi`, candidate `j`.
-                let fwd_span = self.recorder.span("resolve.forward");
-                let scores: Vec<Vec<f32>> = if self.config.reference_scoring {
-                    // Independent per candidate: fan out, each candidate
-                    // runs the exact serial scoring, so results are
-                    // bit-identical at any thread count.
-                    let per_candidate: Vec<Vec<f32>> =
-                        flexer_par::parallel_map(embeddings.len(), |j| {
-                            let neighbors = self.neighbors_of(&embeddings[j]);
-                            intents
-                                .iter()
-                                .map(|&p| {
-                                    self.score_pair_inductive(&embeddings[j], &neighbors, p).0
-                                })
-                                .collect()
-                        });
-                    (0..intents.len())
-                        .map(|pi| per_candidate.iter().map(|s| s[pi]).collect())
-                        .collect()
-                } else {
-                    let traces = self.score_pairs_batched(&embeddings, intents);
-                    traces
-                        .iter()
-                        .zip(intents)
-                        .map(|(trace, &p)| {
-                            (0..candidates.len()).map(|j| trace.score(j, p)).collect()
-                        })
-                        .collect()
+                let scores = {
+                    let _span = self.recorder.span("resolve.forward");
+                    self.score_resolve_batch(&mut batch, intents)
                 };
-                drop(fwd_span);
                 let _span = self.recorder.span("resolve.rank");
                 Ok(intents
                     .iter()
@@ -856,31 +891,63 @@ impl ResolutionService {
         }
     }
 
+    /// Match likelihoods of a resolve's candidate batch under the configured
+    /// kernel — `scores[pi][j]`: requested intent `pi`, candidate `j` —
+    /// and the batch's one cache write-back.
+    fn score_resolve_batch(&self, batch: &mut PairBatch, intents: &[IntentId]) -> Vec<Vec<f32>> {
+        let scores = if self.config.reference_scoring {
+            // Independent per candidate: fan out, each candidate runs the
+            // exact serial scoring, so results are bit-identical at any
+            // thread count.
+            let per_candidate: Vec<Vec<f32>> = flexer_par::parallel_map(batch.pairs.len(), |j| {
+                let emb = &batch.pairs[j].emb;
+                let neighbors = self.neighbors_of(emb);
+                intents.iter().map(|&p| self.score_pair_inductive(emb, &neighbors, p).0).collect()
+            });
+            (0..intents.len()).map(|pi| per_candidate.iter().map(|s| s[pi]).collect()).collect()
+        } else {
+            let traces = self.score_pairs_batched(batch, intents);
+            traces
+                .iter()
+                .zip(intents)
+                .map(|(trace, &p)| (0..batch.pairs.len()).map(|j| trace.score(j, p)).collect())
+                .collect()
+        };
+        self.write_back(batch);
+        scores
+    }
+
     /// Per-intent embeddings of title pairs; misses are featurized and run
     /// through all P matchers as one batch. Takes borrowed titles so
     /// corpus-sized callers (ingest, record queries) never clone the
     /// stored record strings.
     ///
     /// `use_cache` routes the batch through the hot-pair LRU (resolve
-    /// traffic, where repeats are the point). Ingest passes `false`: its
-    /// `(stored record, new title)` keys are one-shot — the new title is
-    /// about to *become* a record, so the same pairing never recurs as a
-    /// query — and caching them both serialized parallel phase-1 workers
-    /// on the cache lock and evicted the genuinely hot entries. That
-    /// eviction churn is why blocked ingest used to *lose* to exhaustive
-    /// at small corpus sizes.
-    fn embed_pairs(&self, titles: &[(&str, &str)], use_cache: bool) -> Vec<Arc<PairEmbedding>> {
-        let mut out: Vec<Option<Arc<PairEmbedding>>> = vec![None; titles.len()];
+    /// traffic, where repeats are the point): a hit brings its neighbour
+    /// lists along, a miss starts unlocated, and [`Self::write_back`]
+    /// stores what the batch computed once it is localized. Ingest passes
+    /// `false`: its `(stored record, new title)` keys are one-shot — the
+    /// new title is about to *become* a record, so the same pairing never
+    /// recurs as a query — and caching them both serialized parallel
+    /// phase-1 workers on the cache lock and evicted the genuinely hot
+    /// entries. That eviction churn is why blocked ingest used to *lose*
+    /// to exhaustive at small corpus sizes.
+    fn embed_pairs(&self, titles: &[(&str, &str)], use_cache: bool) -> PairBatch {
+        let mut pairs: Vec<Option<LocatedPair>> = vec![None; titles.len()];
         let mut misses: Vec<usize> = Vec::new();
+        let mut keys: Vec<PairKey> = Vec::new();
         if use_cache {
+            // Both FNV streams run over every title pair once, before the
+            // lock is taken; the write-back reuses the keys.
+            keys = titles.iter().map(|(a, b)| PairKey::new(a, b)).collect();
             // One lock pass covers the lookups *and* the hit/miss counters
             // (the cache counts its own traffic); an all-hit batch touches
-            // no other lock and allocates nothing — keys are fixed-width
-            // hashes and values are shared `Arc`s.
+            // no other lock — keys are fixed-width hashes and values are
+            // shared `Arc`s.
             let mut cache = self.cache.lock().expect("cache lock");
-            for (i, (a, b)) in titles.iter().enumerate() {
-                match cache.get(&PairKey::new(a, b)) {
-                    Some(emb) => out[i] = Some(Arc::clone(emb)),
+            for (i, key) in keys.iter().enumerate() {
+                match cache.get(key) {
+                    Some(hit) => pairs[i] = Some(hit.clone()),
                     None => misses.push(i),
                 }
             }
@@ -914,36 +981,122 @@ impl ResolutionService {
             let per_intent: Vec<Matrix> =
                 self.snapshot.matchers.iter().map(|m| m.infer(&features).embeddings).collect();
             let dim = self.snapshot.graph.dim;
-            let built: Vec<Arc<PairEmbedding>> = (0..misses.len())
-                .map(|j| {
-                    let mut emb = Matrix::zeros(per_intent.len(), dim);
-                    for (q, e) in per_intent.iter().enumerate() {
-                        emb.row_mut(q).copy_from_slice(e.row(j));
-                    }
-                    Arc::new(emb)
-                })
-                .collect();
-            // Flood guard: a miss batch that would occupy more than half
-            // the cache (a corpus-sized record query) would evict the
-            // entire hot set for entries of mostly one-shot keys — compute
-            // but skip caching those. The capacity is config, so the guard
-            // itself needs no lock.
-            if use_cache {
-                if misses.len() <= self.config.cache_capacity / 2 {
-                    let mut cache = self.cache.lock().expect("cache lock");
-                    for (&i, emb) in misses.iter().zip(&built) {
-                        let (a, b) = &titles[i];
-                        cache.insert(PairKey::new(a, b), Arc::clone(emb));
-                    }
-                } else {
-                    self.flood_rejections.fetch_add(misses.len() as u64, Ordering::Relaxed);
+            // Never localized: every layer's scan state before row 0 (one
+            // shared empty list, not an allocation per miss).
+            let unlocated: Arc<[u32]> = Arc::new([]);
+            for (j, &i) in misses.iter().enumerate() {
+                let mut emb = Matrix::zeros(per_intent.len(), dim);
+                for (q, e) in per_intent.iter().enumerate() {
+                    emb.row_mut(q).copy_from_slice(e.row(j));
                 }
-            }
-            for (&i, emb) in misses.iter().zip(built) {
-                out[i] = Some(emb);
+                pairs[i] =
+                    Some(LocatedPair { emb: Arc::new(emb), hood: unlocated.clone(), watermark: 0 });
             }
         }
-        out.into_iter().map(|e| e.expect("every slot filled")).collect()
+        PairBatch {
+            pairs: pairs.into_iter().map(|pair| pair.expect("every slot filled")).collect(),
+            keys,
+            missed: misses,
+            relocated: Vec::new(),
+        }
+    }
+
+    /// Stores what a batch computed — embeddings of the lookup's misses,
+    /// brought-forward neighbour lists of its hits — in one lock pass.
+    fn write_back(&self, batch: &PairBatch) {
+        if batch.keys.is_empty() {
+            return;
+        }
+        let mut missed = &batch.missed[..];
+        // Flood guard: a miss batch that would occupy more than half the
+        // cache (a corpus-sized record query) would evict the entire hot
+        // set for entries of mostly one-shot keys — compute but skip
+        // caching those. The capacity is config, so the guard itself needs
+        // no lock.
+        if missed.len() > self.config.cache_capacity / 2 {
+            self.flood_rejections.fetch_add(missed.len() as u64, Ordering::Relaxed);
+            missed = &[];
+        }
+        if missed.is_empty() && batch.relocated.is_empty() {
+            return;
+        }
+        let mut cache = self.cache.lock().expect("cache lock");
+        for &i in missed.iter().chain(&batch.relocated) {
+            cache.insert(batch.keys[i], batch.pairs[i].clone());
+        }
+    }
+
+    /// Brings every pair's neighbour lists up to the current pair-index
+    /// length. Lists already there are reused as they are; the rest resume
+    /// from their watermark over the appended tail only — from row 0, a
+    /// search from scratch, for a pair that was never localized. Pairs that
+    /// share a watermark go through each layer's index as one query-blocked
+    /// pass (groups of candidates share every cache-hot index block), and
+    /// every list is bitwise what the reference path's single-query
+    /// `search` returns — the `search_batch_since` contract.
+    fn localize(&self, batch: &mut PairBatch) {
+        let n = self.pairs.len();
+        let k = self.snapshot.k;
+        let p_total = self.n_intents();
+        let mut behind: Vec<(usize, usize)> = batch
+            .pairs
+            .iter()
+            .enumerate()
+            .filter(|(_, pair)| pair.watermark < n)
+            .map(|(i, pair)| (pair.watermark, i))
+            .collect();
+        self.ctr_localize_reused.add(((batch.pairs.len() - behind.len()) * p_total) as u64);
+        behind.sort_unstable();
+        let stride = k.min(n);
+        let mut rest = &behind[..];
+        while let Some(&(since, _)) = rest.first() {
+            let (group, tail) = rest.split_at(rest.partition_point(|&(w, _)| w == since));
+            rest = tail;
+            // The group's new lists: member-major, layer-minor.
+            let mut hoods = vec![NO_NEIGHBOR; group.len() * p_total * stride];
+            for (q, index) in self.indexes.iter().enumerate() {
+                let queries: Vec<&[f32]> =
+                    group.iter().map(|&(_, i)| batch.pairs[i].emb.row(q)).collect();
+                let priors: Vec<Vec<Neighbor>> = group
+                    .iter()
+                    .zip(&queries)
+                    .map(|(&(_, i), query)| {
+                        let prior = batch.pairs[i].layer(q, p_total);
+                        let hit = |&id: &u32| {
+                            let id = id as usize;
+                            Neighbor { id, dist: flexer_ann::l2_sq(query, index.vector(id)) }
+                        };
+                        prior.iter().map(hit).collect()
+                    })
+                    .collect();
+                let priors: Vec<&[Neighbor]> = priors.iter().map(Vec::as_slice).collect();
+                let lists = index.search_batch_since(&queries, k, since, &priors);
+                for (g, list) in lists.iter().enumerate() {
+                    let at = (g * p_total + q) * stride;
+                    for (slot, hit) in hoods[at..at + stride].iter_mut().zip(list) {
+                        *slot = hit.id as u32;
+                    }
+                }
+            }
+            // Sliced by index, not `chunks`: the stride is 0 when k is.
+            let per_pair = p_total * stride;
+            for (g, &(_, i)) in group.iter().enumerate() {
+                batch.pairs[i].hood = Arc::from(&hoods[g * per_pair..(g + 1) * per_pair]);
+                batch.pairs[i].watermark = n;
+                // A hit whose entry fell behind (`missed` ascends); the
+                // write-back stores the lookup's misses anyway.
+                if batch.missed.binary_search(&i).is_err() {
+                    batch.relocated.push(i);
+                }
+            }
+            let lists = (group.len() * p_total) as u64;
+            if since == 0 {
+                self.ctr_localize_searched.add(lists);
+            } else {
+                self.ctr_localize_resumed.add(lists);
+                self.ctr_localize_tail_rows.add(lists * (n - since) as u64);
+            }
+        }
     }
 
     /// Per-layer k-NN pair ids of a new pair's embedding (rank order).
@@ -957,60 +1110,30 @@ impl ResolutionService {
     }
 
     /// Scores a batch of new pairs under every requested intent with one
-    /// GNN forward per intent — the data-oriented hot path. Per-candidate
-    /// ANN localization runs as one query-blocked pass over each layer's
-    /// index (groups of candidates share every cache-hot index block; each
-    /// per-query result is bitwise equal to the single-query kernel — the
-    /// flat batch-search contract), the neighbour ids are flattened into
-    /// one arena, the candidates' embeddings are stacked into one
-    /// `(B·P) × dim` feature matrix, and stored states are *sliced* from
-    /// the pinned arenas and index buffers — no per-candidate gather
-    /// matrices, no per-candidate graph builds. Bit-identical to the
-    /// reference kernel for every candidate (`flexer-graph`'s batch
-    /// contract).
+    /// GNN forward per intent — the data-oriented hot path. The batch is
+    /// localized through the cache ([`Self::localize`]; the resolve that
+    /// owns the batch writes it back, so the next call — the router's next
+    /// intent of the same title — finds it), the neighbour ids are copied
+    /// flat out of the cached lists into one arena, the candidates'
+    /// embeddings are stacked into one `(B·P) × dim` feature matrix, and
+    /// stored states are *sliced* from the pinned arenas and index buffers
+    /// — no per-candidate gather matrices, no per-candidate graph builds.
+    /// Bit-identical to the reference kernel for every candidate
+    /// (`flexer-graph`'s batch contract).
     fn score_pairs_batched(
         &self,
-        embeddings: &[Arc<PairEmbedding>],
+        batch: &mut PairBatch,
         intents: &[IntentId],
     ) -> Vec<BatchInductiveTrace> {
         let p_total = self.n_intents();
         let dim = self.snapshot.graph.dim;
-        let b = embeddings.len();
+        let b = batch.pairs.len();
         self.ctr_forward_rows.add((b * p_total) as u64);
-        // Localize the whole batch one layer at a time: each layer's index
-        // is streamed once per group of candidates instead of once per
-        // candidate, and every per-query result stays bitwise equal to the
-        // reference path's single-query `search`. The kernel toggle gates
-        // this too, so toggling it off reproduces the full reference hot
-        // path (per-candidate scans + naive matmul) for benchmarking.
-        let k = self.snapshot.k;
         // Explicit flat paths (not nested spans): a dotted child of
         // `resolve.forward` would be double-counted by the prefix-summing
         // `span_sum_ns` the stage-coverage checks rely on.
         let t_localize = std::time::Instant::now();
-        let neighbors: Vec<Vec<Vec<usize>>> = if flexer_nn::kernels::packed_kernels_enabled() {
-            let mut by_layer: Vec<std::vec::IntoIter<Vec<usize>>> = self
-                .indexes
-                .iter()
-                .enumerate()
-                .map(|(q, index)| {
-                    let queries: Vec<&[f32]> = embeddings.iter().map(|e| e.row(q)).collect();
-                    index
-                        .search_batch(&queries, k)
-                        .into_iter()
-                        .map(|hits| hits.into_iter().map(|h| h.id).collect::<Vec<usize>>())
-                        .collect::<Vec<_>>()
-                        .into_iter()
-                })
-                .collect();
-            (0..b)
-                .map(|_| {
-                    by_layer.iter_mut().map(|it| it.next().expect("b lists per layer")).collect()
-                })
-                .collect()
-        } else {
-            flexer_par::parallel_map(b, |j| self.neighbors_of(&embeddings[j]))
-        };
+        self.localize(batch);
         self.recorder.record_span_ns("forward.localize", t_localize.elapsed().as_nanos() as u64);
         SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
@@ -1023,16 +1146,16 @@ impl ResolutionService {
             offsets.clear();
             offsets.reserve(b * p_total + 1);
             offsets.push(0);
-            for per_layer in &neighbors {
-                for list in per_layer {
-                    ids.extend(list.iter().map(|&id| id as u32));
+            for pair in &batch.pairs {
+                for q in 0..p_total {
+                    ids.extend_from_slice(pair.layer(q, p_total));
                     offsets.push(ids.len());
                 }
             }
             features.clear();
             features.reserve(b * p_total * dim);
-            for emb in embeddings {
-                features.extend_from_slice(emb.data());
+            for pair in &batch.pairs {
+                features.extend_from_slice(pair.emb.data());
             }
             let stacked = Matrix::from_vec(b * p_total, dim, std::mem::take(features));
             let arena = NeighborArena::new(ids, offsets, p_total);

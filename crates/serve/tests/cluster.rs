@@ -160,6 +160,38 @@ fn networked_router_is_bit_identical_to_in_process_sharded_service() {
     client.shutdown().unwrap();
 }
 
+/// The wire protocol has one intent per request, so a client resolves a
+/// title with P calls. Calls 2…P find the first call's embeddings *and*
+/// neighbour lists in the router's cache; after an ingest the first call
+/// resumes them over the appended index tail. Either way the P answers
+/// equal one in-process all-intents resolve on the uncached reference
+/// kernel.
+#[test]
+fn per_intent_wire_calls_equal_one_all_intents_resolve_across_an_ingest() {
+    let mut reference = ShardedResolutionService::new(
+        sharded_snapshot().clone(),
+        ServeConfig::reference(),
+        ShardConfig::of(2),
+    )
+    .unwrap();
+    let (mut client, _, _) = boot_cluster();
+    let title = reference.record_title(1).to_string();
+    let query = ResolveQuery::record(title.clone());
+    for round in ["before", "after"] {
+        let over_wire: Vec<_> = (0..reference.n_intents())
+            .map(|intent| client.resolve(query.clone(), intent, 10).unwrap().unwrap())
+            .collect();
+        let in_process = reference.resolve_all_intents(&query, 10).unwrap();
+        assert_eq!(over_wire, in_process, "{round} the ingest");
+        if round == "before" {
+            let listing = format!("{title} second listing");
+            let over_wire = client.ingest_batch(vec![listing.clone()]).unwrap();
+            assert_eq!(over_wire, as_wire(&reference.ingest_batch(&[&listing])));
+        }
+    }
+    client.shutdown().unwrap();
+}
+
 #[test]
 fn dead_shard_degrades_its_candidates_only() {
     let (mut client, _, shard_addrs) = boot_cluster();

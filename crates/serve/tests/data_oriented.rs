@@ -8,38 +8,48 @@ use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
 use flexer_datasets::AmazonMiConfig;
 use flexer_serve::{ResolutionService, ServeConfig, ShardedResolutionService};
 use flexer_store::{IndexKind, ModelSnapshot};
-use flexer_types::{ResolveQuery, Scale, ShardConfig};
+use flexer_types::{MatchTarget, ResolveQuery, ResolveResponse, Scale, ShardConfig};
+
+/// Trains on the tiny AmazonMI benchmark and snapshots the result.
+fn fit_snapshot(config: &FlexErConfig, kind: IndexKind) -> ModelSnapshot {
+    let bench = AmazonMiConfig::at_scale(Scale::Tiny).with_seed(23).generate();
+    let ctx = PipelineContext::new(bench, &config.matcher).unwrap();
+    let base = InParallelModel::fit(&ctx, &config.matcher).unwrap();
+    let model = FlexErModel::fit_from_embeddings(&ctx, &base.embeddings(), config).unwrap();
+    model.to_snapshot(&ctx, &base, config, kind).unwrap()
+}
 
 /// One shared training run per index backend for the whole test binary.
 fn trained_snapshot(kind: IndexKind) -> ModelSnapshot {
     static FLAT: std::sync::OnceLock<ModelSnapshot> = std::sync::OnceLock::new();
     static IVF: std::sync::OnceLock<ModelSnapshot> = std::sync::OnceLock::new();
-    let build = || {
-        let bench = AmazonMiConfig::at_scale(Scale::Tiny).with_seed(23).generate();
-        let config = FlexErConfig::fast();
-        let ctx = PipelineContext::new(bench, &config.matcher).unwrap();
-        let base = InParallelModel::fit(&ctx, &config.matcher).unwrap();
-        let model = FlexErModel::fit_from_embeddings(&ctx, &base.embeddings(), &config).unwrap();
-        (ctx, base, model, config)
+    let cell = match kind {
+        IndexKind::Flat => &FLAT,
+        IndexKind::Ivf(_) => &IVF,
     };
-    match kind {
-        IndexKind::Flat => FLAT
-            .get_or_init(|| {
-                let (ctx, base, model, config) = build();
-                model.to_snapshot(&ctx, &base, &config, IndexKind::Flat).unwrap()
-            })
-            .clone(),
-        IndexKind::Ivf(_) => IVF
-            .get_or_init(|| {
-                let (ctx, base, model, config) = build();
-                model.to_snapshot(&ctx, &base, &config, kind).unwrap()
-            })
-            .clone(),
-    }
+    cell.get_or_init(|| fit_snapshot(&FlexErConfig::fast(), kind)).clone()
 }
 
 fn ivf_kind() -> IndexKind {
     IndexKind::Ivf(flexer_ann::IvfConfig { nlist: 4, nprobe: 2, ..Default::default() })
+}
+
+/// The flat snapshot re-indexed as an IVF so sparse (many lists, one
+/// probed) that some searches find fewer than `k` neighbours — the short
+/// lists the neighbour-list cache has to pad.
+fn sparse_ivf_snapshot() -> ModelSnapshot {
+    use flexer_ann::{AnyIndex, IvfConfig, IvfIndex, VectorIndex};
+    let mut snapshot = trained_snapshot(IndexKind::Flat);
+    let config = IvfConfig { nlist: 64, nprobe: 1, ..Default::default() };
+    for index in &mut snapshot.indexes {
+        *index = AnyIndex::Ivf(IvfIndex::build(index.dim(), index.data(), config));
+    }
+    let (index, k) = (&snapshot.indexes[0], snapshot.k);
+    assert!(
+        (0..index.len()).any(|id| index.search(index.vector(id), k).len() < k),
+        "the sparse IVF must produce short neighbour lists"
+    );
+    snapshot
 }
 
 /// The query mix every parity test drives: ad-hoc pairs, repeated titles
@@ -197,5 +207,125 @@ fn snapshot_round_trip_survives_batched_ingest() {
             original,
             "ingest must not leak into the exported training-time snapshot"
         );
+    }
+}
+
+/// Either deployment shape behind the calls the localization-cache
+/// scenario makes.
+enum Deployed {
+    Single(ResolutionService),
+    Sharded(ShardedResolutionService),
+}
+
+impl Deployed {
+    fn boot(snapshot: ModelSnapshot, config: ServeConfig, n_shards: Option<usize>) -> Self {
+        match n_shards {
+            None => Deployed::Single(ResolutionService::new(snapshot, config).unwrap()),
+            Some(n) => Deployed::Sharded(
+                ShardedResolutionService::new(snapshot, config, ShardConfig::of(n)).unwrap(),
+            ),
+        }
+    }
+
+    fn service(&self) -> &ResolutionService {
+        match self {
+            Deployed::Single(s) => s,
+            Deployed::Sharded(s) => s.service(),
+        }
+    }
+
+    fn resolve_all(&self, query: &ResolveQuery) -> Vec<ResolveResponse> {
+        match self {
+            Deployed::Single(s) => s.resolve_all_intents(query, 10).unwrap(),
+            Deployed::Sharded(s) => s.resolve_all_intents(query, 10).unwrap(),
+        }
+    }
+
+    fn resolve_one(&self, query: &ResolveQuery, intent: usize) -> ResolveResponse {
+        match self {
+            Deployed::Single(s) => s.resolve(query, intent, 10).unwrap(),
+            Deployed::Sharded(s) => s.resolve(query, intent, 10).unwrap(),
+        }
+    }
+
+    fn ingest(&mut self, title: &str) -> flexer_serve::IngestReport {
+        match self {
+            Deployed::Single(s) => s.ingest(title),
+            Deployed::Sharded(s) => s.ingest(title),
+        }
+    }
+}
+
+/// Resolve → ingest → resolve the same title, arranged so that the last
+/// record resolve's one candidate batch holds all three localization
+/// outcomes: the pair a title-pair query brought up to date after the
+/// ingest (reused as it is), the other pre-ingest candidates (resumed over
+/// the appended index tail) and the freshly ingested near-duplicate
+/// (searched from scratch). Ends with the router's call shape, one
+/// resolve per intent. Returns every answer in order.
+fn resolve_ingest_resolve(svc: &mut Deployed) -> Vec<ResolveResponse> {
+    let title = svc.service().record_title(0).to_string();
+    let query = ResolveQuery::record(title.clone());
+    let mut out = svc.resolve_all(&query);
+    let MatchTarget::Record(best) = out[0].matches[0].target else {
+        panic!("a record query ranks records");
+    };
+    let before = svc.service().metrics();
+    let report = svc.ingest(&format!("{title} second listing"));
+    assert!(report.n_pairs > 0, "the ingest must grow the pair indexes");
+    out.extend(svc.resolve_all(&ResolveQuery::pair(svc.service().record_title(best), &title)));
+    out.extend(svc.resolve_all(&query));
+    let after = svc.service().metrics();
+    if svc.service().config().cache_capacity > 0 {
+        // The title-pair query and every pre-ingest candidate hit the
+        // cache; the ingested record's pair is the batch's one miss.
+        assert!(after.cache_hits > before.cache_hits + 1, "pre-ingest pairs must be cache hits");
+        assert_eq!(after.cache_misses, before.cache_misses + 1, "the new record's pair is new");
+    }
+    for intent in 0..svc.service().n_intents() {
+        out.push(svc.resolve_one(&query, intent));
+    }
+    assert_eq!(out[out.len() - svc.service().n_intents()..], svc.resolve_all(&query)[..]);
+    out
+}
+
+/// The localization cache changes no answer: reused, resumed and
+/// searched-from-scratch neighbour lists are bit-identical to the
+/// uncached per-candidate reference kernel and to a service that caches
+/// nothing — over both index backends (and an IVF sparse enough to return
+/// short lists, and `k = 0`, Table 8's no-intra-layer-edges ablation,
+/// where every list is empty), unsharded and for every shard count, and
+/// again on a service rebuilt from the exported snapshot.
+#[test]
+fn cached_localization_is_invisible_across_ingest_backends_and_shards() {
+    let snapshots = [
+        trained_snapshot(IndexKind::Flat),
+        trained_snapshot(ivf_kind()),
+        sparse_ivf_snapshot(),
+        fit_snapshot(&FlexErConfig::fast().with_k(0), IndexKind::Flat),
+    ];
+    for snapshot in snapshots {
+        let run = |config: ServeConfig, n_shards: Option<usize>| {
+            let mut svc = Deployed::boot(snapshot.clone(), config, n_shards);
+            let answers = resolve_ingest_resolve(&mut svc);
+            (answers, svc)
+        };
+        let (want, _) = run(ServeConfig::reference(), None);
+        let (uncached, _) = run(ServeConfig { cache_capacity: 0, ..Default::default() }, None);
+        assert_eq!(uncached, want, "cache_capacity 0 diverges from the reference kernel");
+        let (cached, svc) = run(ServeConfig::default(), None);
+        assert_eq!(cached, want, "cached localization diverges from the reference kernel");
+        for n_shards in [1usize, 2, 5] {
+            let (sharded, _) = run(ServeConfig::default(), Some(n_shards));
+            assert_eq!(sharded, want, "{n_shards}-shard cached localization diverges");
+        }
+        // The cache is serving-tier state: none of it reaches the exported
+        // snapshot, and a service booted from the export starts cold and
+        // answers the same.
+        let exported = svc.service().to_snapshot();
+        assert_eq!(exported.to_bytes(), snapshot.to_bytes());
+        let reloaded = ModelSnapshot::from_bytes(&exported.to_bytes()).unwrap();
+        let mut again = Deployed::boot(reloaded, ServeConfig::default(), None);
+        assert_eq!(resolve_ingest_resolve(&mut again), want, "reloaded service diverges");
     }
 }

@@ -328,6 +328,10 @@ impl Codec for IvfIndex {
         let n = data.len() / dim;
         let mut seen = vec![false; n];
         for list in &lists {
+            // Resumable search and `truncated` cut lists by binary search.
+            if !list.windows(2).all(|w| w[0] < w[1]) {
+                return malformed("IVF inverted list is not ascending");
+            }
             for &id in list {
                 if id >= n || seen[id] {
                     return malformed("IVF inverted lists are not a partition of the vectors");
@@ -731,6 +735,31 @@ mod tests {
         );
         let got = roundtrip(&AnyIndex::Ivf(ivf.clone()));
         assert_eq!(got.search(&rows[6..9], 5), ivf.search(&rows[6..9], 5));
+    }
+
+    #[test]
+    fn ivf_with_a_descending_list_is_rejected() {
+        // Resumed searches and `truncated` cut inverted lists by binary
+        // search; bytes that hold a valid partition in the wrong order must
+        // not load.
+        let rows: Vec<f32> = (0..12).map(|i| i as f32).collect();
+        let ivf = IvfIndex::build(
+            2,
+            &rows,
+            flexer_ann::IvfConfig { nlist: 1, nprobe: 1, ..Default::default() },
+        );
+        let mut w = Writer::new();
+        w.put_usize(2);
+        ivf.quantizer().encode(&mut w);
+        w.put_usize(1);
+        w.put_usize_slice(&[5, 4, 3, 2, 1, 0]);
+        w.put_f32_slice(&rows);
+        w.put_usize(1);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            IvfIndex::decode(&mut Reader::new(&bytes)),
+            Err(StoreError::Malformed(_))
+        ));
     }
 
     #[test]

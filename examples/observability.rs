@@ -50,7 +50,8 @@ fn main() {
     // process-global recorder but is not what this smoke asserts).
     recorder.reset();
 
-    // 2. The instrumented workload: save → load → resolve ×3 → ingest ×2.
+    // 2. The instrumented workload: save → load → resolve ×3 → ingest ×2 →
+    //    resolve (its cached neighbour lists are now behind the indexes).
     let path = std::env::temp_dir().join("flexer_observability_example.flexer");
     snapshot.save(&path).expect("save snapshot");
     let mut svc = ResolutionService::load(&path, ServeConfig::default()).expect("load service");
@@ -60,6 +61,7 @@ fn main() {
     }
     svc.ingest(&(svc.record_title(1).to_string() + " (2nd listing)"));
     svc.ingest(&(svc.record_title(2).to_string() + " (2nd listing)"));
+    svc.resolve_all_intents(&query, 5).expect("resolve after ingest");
 
     // 3. Assert the full span inventory recorded, with real time in it.
     let snap = svc.obs_snapshot();
@@ -76,6 +78,17 @@ fn main() {
             snap.counter("serve.forward.rows").unwrap_or(0) > 0,
             "forward-row counter never incremented"
         );
+        // The localization cache's hit and resume rates: first resolve and
+        // ingests search from scratch, repeats reuse, the resolve after the
+        // ingests resumes over the appended index tail.
+        for counter in [
+            "serve.localize.searched",
+            "serve.localize.reused",
+            "serve.localize.resumed",
+            "serve.localize.tail_rows",
+        ] {
+            assert!(snap.counter(counter).unwrap_or(0) > 0, "{counter} never incremented");
+        }
         assert!(snap.gauge("serve.records").unwrap_or(0.0) > 0.0, "records gauge unset");
         assert!(
             snap.gauge("serve.cache.hit_rate").unwrap_or(0.0) > 0.0,
