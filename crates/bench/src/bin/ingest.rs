@@ -170,7 +170,7 @@ fn measure(n_records: usize, seed: u64) -> Measurement {
     // each have been recorded once per ingest.
     let snap = blocked.obs_snapshot();
     let stage_ns: Vec<(&'static str, u64)> =
-        INGEST_STAGES.iter().map(|&stage| (stage, snap.span_sum_ns(stage))).collect();
+        INGEST_STAGES.iter().map(|&stage| (stage, snap.span(stage).map_or(0, |s| s.sum))).collect();
     let stage_sum_ns: u64 = stage_ns.iter().map(|(_, ns)| ns).sum();
     let stage_coverage = stage_sum_ns as f64 / (blocked_secs * 1e9);
     if obs_on {

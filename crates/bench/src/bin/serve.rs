@@ -225,8 +225,10 @@ fn main() {
     let m_warm1 = svc.metrics();
     let resolve_sum_ns = m_warm1.latency_sum_ns - m_warm0.latency_sum_ns;
     let stage_snap = svc.obs_snapshot();
-    let stage_ns: Vec<(&str, u64)> =
-        RESOLVE_STAGES.iter().map(|&stage| (stage, stage_snap.span_sum_ns(stage))).collect();
+    let stage_ns: Vec<(&str, u64)> = RESOLVE_STAGES
+        .iter()
+        .map(|&stage| (stage, stage_snap.span(stage).map_or(0, |s| s.sum)))
+        .collect();
     let stage_sum_ns: u64 = stage_ns.iter().map(|(_, ns)| ns).sum();
     let stage_coverage = stage_sum_ns as f64 / resolve_sum_ns.max(1) as f64;
     if obs_on {

@@ -94,21 +94,14 @@ impl BinaryMatcher {
             for batch in minibatches(train_idx, config.batch_size, &mut rng) {
                 // Assemble the batch, optionally doubled with augmented
                 // copies (same labels).
-                let mut rows: Vec<Vec<(u32, f32)>> = batch
-                    .iter()
-                    .map(|&i| {
-                        let (cols, vals) = corpus.features.row(i);
-                        cols.iter().copied().zip(vals.iter().copied()).collect()
-                    })
-                    .collect();
+                let mut x = corpus.features.select_rows(&batch);
                 let mut targets: Vec<usize> = batch.iter().map(|&i| labels[i] as usize).collect();
                 if config.augment {
                     for &i in &batch {
-                        rows.push(corpus.augmented_row(i, &mut rng));
+                        x.push_row_unsorted(&mut corpus.augmented_row(i, &mut rng));
                         targets.push(labels[i] as usize);
                     }
                 }
-                let x = SparseMatrix::from_rows(corpus.featurizer.total_dim(), &rows);
 
                 // Forward.
                 let mut h = input.forward_sparse(&x);
@@ -149,16 +142,24 @@ impl BinaryMatcher {
         self.infer(&sub)
     }
 
-    /// Runs inference on every row of a feature matrix. The head runs its
-    /// batched row-parallel forward pass (bit-identical to the serial
+    /// Intent-based representation of every row of a feature matrix: the
+    /// sparse input layer and the head up to its embedding layer, nothing
+    /// of the logits head — what a serving cache miss needs. The head runs
+    /// its batched row-parallel forward pass (bit-identical to the serial
     /// trace at any thread count).
-    pub fn infer(&self, features: &SparseMatrix) -> MatcherOutput {
+    pub fn embed(&self, features: &SparseMatrix) -> Matrix {
         // Sparse input layer: the matmul has no dense B to pack, but the
         // bias + ReLU passes fuse into one sweep over the hidden states.
         let mut h = features.matmul_dense(&self.input.w);
         flexer_nn::kernels::bias_relu_inplace(&mut h, &self.input.b, true);
-        let (embeddings, logits) = self.head.forward_batch(&h);
-        let probs = softmax_rows(&logits);
+        self.head.embed_batch(&h)
+    }
+
+    /// Runs inference on every row of a feature matrix:
+    /// [`embed`](Self::embed) plus the logits head.
+    pub fn infer(&self, features: &SparseMatrix) -> MatcherOutput {
+        let embeddings = self.embed(features);
+        let probs = softmax_rows(&self.head.logits(&embeddings));
         let scores: Vec<f32> = (0..probs.rows()).map(|i| probs.get(i, 1)).collect();
         let preds: Vec<bool> = scores.iter().map(|&s| s > 0.5).collect();
         MatcherOutput { scores, preds, embeddings }
@@ -212,6 +213,12 @@ mod tests {
             assert!((0.0..=1.0).contains(&s));
             assert!(s.is_finite());
         }
+    }
+
+    #[test]
+    fn embed_is_infer_without_the_logits_head() {
+        let (corpus, matcher, _) = trained_on_eq();
+        assert_eq!(matcher.embed(&corpus.features), matcher.infer(&corpus.features).embeddings);
     }
 
     #[test]

@@ -62,22 +62,15 @@ impl MultiTaskMatcher {
         let mut best: Option<(f64, Self)> = None;
         for _epoch in 0..config.epochs {
             for batch in minibatches(train_idx, config.batch_size, &mut rng) {
-                let mut rows: Vec<Vec<(u32, f32)>> = batch
-                    .iter()
-                    .map(|&i| {
-                        let (cols, vals) = corpus.features.row(i);
-                        cols.iter().copied().zip(vals.iter().copied()).collect()
-                    })
-                    .collect();
+                let mut x = corpus.features.select_rows(&batch);
                 let mut row_ids: Vec<usize> = batch.clone();
                 if config.augment {
                     for &i in &batch {
-                        rows.push(corpus.augmented_row(i, &mut rng));
+                        x.push_row_unsorted(&mut corpus.augmented_row(i, &mut rng));
                         row_ids.push(i);
                     }
                 }
-                let x = SparseMatrix::from_rows(fdim, &rows);
-                let n = rows.len();
+                let n = x.rows();
 
                 // Forward trunk.
                 let mut h = trunk.forward_sparse(&x);

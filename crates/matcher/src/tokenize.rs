@@ -28,20 +28,38 @@ pub enum TokenKind {
 /// Lower-cases and splits a title into typed word tokens; punctuation is
 /// separated except inside codes (`tg-6660tr` stays whole).
 pub fn tokenize(text: &str) -> Vec<Token> {
+    const EDGE: [char; 2] = ['-', '\''];
     let mut out = Vec::new();
     for raw in text.split_whitespace() {
-        let cleaned: String = raw
-            .chars()
-            .filter(|c| c.is_alphanumeric() || *c == '-' || *c == '\'')
-            .collect::<String>()
-            .to_lowercase();
-        let trimmed = cleaned.trim_matches(['-', '\'']);
-        if trimmed.is_empty() {
+        // The token's one `String`: kept characters are lower-cased
+        // straight into it, then the edge punctuation is cut off in place.
+        let mut token = String::with_capacity(raw.len());
+        let mut final_sigma = false;
+        for c in raw.chars().filter(|&c| keep(c)) {
+            final_sigma |= c == 'Σ';
+            token.extend(c.to_lowercase());
+        }
+        if final_sigma {
+            // `str::to_lowercase` maps `Σ` by its position in the word —
+            // the one contextual mapping, so only the whole-string
+            // conversion gets it right.
+            token = raw.chars().filter(|&c| keep(c)).collect::<String>().to_lowercase();
+        }
+        let start = token.len() - token.trim_start_matches(EDGE).len();
+        let end = token.trim_end_matches(EDGE).len();
+        if start >= end {
             continue;
         }
-        out.push(Token { text: trimmed.to_string(), kind: classify(trimmed) });
+        token.truncate(end);
+        token.drain(..start);
+        let kind = classify(&token);
+        out.push(Token { text: token, kind });
     }
     out
+}
+
+fn keep(c: char) -> bool {
+    c.is_alphanumeric() || c == '-' || c == '\''
 }
 
 fn classify(token: &str) -> TokenKind {
@@ -56,20 +74,10 @@ fn classify(token: &str) -> TokenKind {
     }
 }
 
-/// Character n-grams (of `n` chars) of a token list, joined with `_`
-/// boundaries — the sub-word signal that absorbs typos.
-pub fn char_ngrams(tokens: &[Token], n: usize) -> Vec<String> {
-    let joined = tokens.iter().map(|t| t.text.as_str()).collect::<Vec<_>>().join("_");
-    let chars: Vec<char> = format!("_{joined}_").chars().collect();
-    if chars.len() < n {
-        return vec![chars.iter().collect()];
-    }
-    chars.windows(n).map(|w| w.iter().collect()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn lowercases_and_splits() {
@@ -100,27 +108,53 @@ mod tests {
         assert!(tokenize("  ,,, ").is_empty());
     }
 
-    #[test]
-    fn char_ngrams_cover_token_boundaries() {
-        let toks = tokenize("ab cd");
-        let grams = char_ngrams(&toks, 3);
-        assert!(grams.contains(&"_ab".to_string()));
-        assert!(grams.contains(&"b_c".to_string()));
-        assert!(grams.contains(&"cd_".to_string()));
+    /// The three-`String` tokenizer this module shipped with, kept as the
+    /// oracle for [`tokenize`].
+    fn tokenize_reference(text: &str) -> Vec<Token> {
+        let mut out = Vec::new();
+        for raw in text.split_whitespace() {
+            let cleaned: String = raw
+                .chars()
+                .filter(|c| c.is_alphanumeric() || *c == '-' || *c == '\'')
+                .collect::<String>()
+                .to_lowercase();
+            let trimmed = cleaned.trim_matches(['-', '\'']);
+            if trimmed.is_empty() {
+                continue;
+            }
+            out.push(Token { text: trimmed.to_string(), kind: classify(trimmed) });
+        }
+        out
     }
 
     #[test]
-    fn char_ngrams_short_input() {
-        let toks = tokenize("a");
-        let grams = char_ngrams(&toks, 5);
-        assert_eq!(grams, vec!["_a_".to_string()]);
+    fn unicode_lowercasing_matches_the_reference() {
+        // Multi-char expansion, final vs medial sigma, edge punctuation
+        // that only shows after filtering, tokens that trim to nothing.
+        for title in ["İstanbul İ", "ΟΔΟΣ ΣΟΦΙΑ Σ ΑΣ-", "(-'x'-) --- '' -a- ǅ", "ẞ ß ŉ 2016-Σ"]
+        {
+            assert_eq!(tokenize(title), tokenize_reference(title), "{title:?}");
+        }
+        assert_eq!(tokenize("İ")[0].text, "i\u{307}");
+        assert_eq!(tokenize("ΟΔΟΣ")[0].text, "οδος");
     }
 
-    #[test]
-    fn typo_changes_few_ngrams() {
-        let a = char_ngrams(&tokenize("duckboot"), 3);
-        let b = char_ngrams(&tokenize("duckobot"), 3); // adjacent swap
-        let shared = a.iter().filter(|g| b.contains(g)).count();
-        assert!(shared * 2 >= a.len() - 2, "typo should preserve most n-grams");
+    /// Letters with one-to-many and contextual lowercase mappings, digits,
+    /// kept and dropped punctuation, several kinds of whitespace.
+    const ALPHABET: &[char] = &[
+        'a', 'b', 'Z', 'Q', '0', '7', '-', '\'', ' ', ' ', '\t', '\u{a0}', ',', '/', '_', 'İ', 'Σ',
+        'σ', 'ς', 'ß', 'ẞ', 'É', 'ǅ', 'ŉ', '\u{307}', '٣', '中',
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn tokenize_matches_the_reference(
+            picks in prop::collection::vec(0usize..ALPHABET.len(), 0..48),
+        ) {
+            let title: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+            prop_assert_eq!(tokenize(&title), tokenize_reference(&title), "{:?}", title);
+        }
     }
 }

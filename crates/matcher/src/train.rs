@@ -56,9 +56,12 @@ impl PairCorpus {
             .iter()
             .map(|(a, b)| (featurizer.prepare(a, &df), featurizer.prepare(b, &df)))
             .collect();
-        let rows: Vec<Vec<(u32, f32)>> =
-            tokens.iter().map(|(a, b)| featurizer.features(a, b)).collect();
-        let features = SparseMatrix::from_rows(featurizer.total_dim(), &rows);
+        let mut features = SparseMatrix::with_cols(featurizer.total_dim());
+        let mut row = Vec::new();
+        for (a, b) in &tokens {
+            featurizer.features_into(a, b, &mut row);
+            features.push_row_unsorted(&mut row);
+        }
         Self { tokens, df, featurizer, features }
     }
 

@@ -48,14 +48,6 @@ impl MlpTrace {
     pub fn embedding(&self) -> &Matrix {
         &self.post[self.post.len() - 2]
     }
-
-    /// Consumes the trace, moving out `(embedding, logits)` without
-    /// cloning.
-    pub fn into_embedding_and_output(mut self) -> (Matrix, Matrix) {
-        let output = self.post.pop().expect("trace always has the input");
-        let embedding = self.post.pop().expect("trace has input + >= 1 layer output");
-        (embedding, output)
-    }
 }
 
 impl Mlp {
@@ -113,17 +105,18 @@ impl Mlp {
         self.forward_trace(x).output().clone()
     }
 
-    /// Batched inference returning `(embedding, logits)` for every input
-    /// row. Rows are split into one contiguous block per available thread
-    /// and each block runs the whole layer stack independently — a single
-    /// fan-out for the full network instead of one per matmul. Every row is
-    /// produced by the serial kernels, so the result is bit-identical to
-    /// [`Mlp::forward_trace`] at any thread count.
-    pub fn forward_batch(&self, x: &Matrix) -> (Matrix, Matrix) {
+    /// Batched inference up to the embedding layer: every layer but the
+    /// output one (the input itself for a network with no hidden layers).
+    /// Rows are split into one contiguous block per available thread and
+    /// each block runs the layer stack independently — a single fan-out
+    /// for the network instead of one per matmul. Every row is produced by
+    /// the serial kernels, so the result is bit-identical to
+    /// [`MlpTrace::embedding`] at any thread count.
+    pub fn embed_batch(&self, x: &Matrix) -> Matrix {
         let rows = x.rows();
         let blocks = flexer_par::max_threads().min(rows.max(1));
         if blocks <= 1 {
-            return self.forward_trace(x).into_embedding_and_output();
+            return self.embed_rows(x);
         }
         let per = rows.div_ceil(blocks);
         let parts = flexer_par::parallel_map(rows.div_ceil(per), |b| {
@@ -133,18 +126,36 @@ impl Mlp {
                 x.cols(),
                 x.data()[r0 * x.cols()..r1 * x.cols()].to_vec(),
             );
-            self.forward_trace(&sub).into_embedding_and_output()
+            self.embed_rows(&sub)
         });
-        // Blocks are contiguous row ranges in order, so stitching is two
-        // flat concatenations of the moved-out buffers.
-        let (emb_cols, out_cols) = (parts[0].0.cols(), parts[0].1.cols());
-        let mut emb_data = Vec::with_capacity(rows * emb_cols);
-        let mut out_data = Vec::with_capacity(rows * out_cols);
-        for (e, o) in parts {
-            emb_data.extend_from_slice(e.data());
-            out_data.extend_from_slice(o.data());
+        // Blocks are contiguous row ranges in order, so stitching is a
+        // flat concatenation.
+        let cols = parts[0].cols();
+        let mut data = Vec::with_capacity(rows * cols);
+        for part in parts {
+            data.extend_from_slice(part.data());
         }
-        (Matrix::from_vec(rows, emb_cols, emb_data), Matrix::from_vec(rows, out_cols, out_data))
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    fn embed_rows(&self, x: &Matrix) -> Matrix {
+        let hidden = self.layers.len() - 1;
+        let mut post: Option<Matrix> = None;
+        for (layer, pack) in self.layers[..hidden].iter().zip(&self.packs) {
+            let mut y = Matrix::zeros(0, 0);
+            dense_forward_into(post.as_ref().unwrap_or(x), layer, pack, true, &mut y);
+            post = Some(y);
+        }
+        post.unwrap_or_else(|| x.clone())
+    }
+
+    /// The output layer over [`embed_batch`](Self::embed_batch)'s
+    /// embeddings: bit-identical to [`MlpTrace::output`].
+    pub fn logits(&self, embedding: &Matrix) -> Matrix {
+        let last = self.layers.len() - 1;
+        let mut y = Matrix::zeros(0, 0);
+        dense_forward_into(embedding, &self.layers[last], &self.packs[last], false, &mut y);
+        y
     }
 
     /// Backward pass from `d loss / d logits`; accumulates layer gradients
@@ -297,16 +308,16 @@ mod tests {
     }
 
     #[test]
-    fn forward_batch_bit_identical_to_trace_at_any_thread_count() {
+    fn embed_batch_and_logits_bit_identical_to_trace_at_any_thread_count() {
         let mut rng = StdRng::seed_from_u64(17);
         let mlp =
             Mlp::new(&mut rng, &MlpConfig { input_dim: 6, hidden: vec![9, 4], output_dim: 2 });
         let x = Matrix::from_fn(37, 6, |i, j| ((i * 7 + j * 3) % 13) as f32 * 0.17 - 1.0);
         let trace = mlp.forward_trace(&x);
         for threads in [1usize, 2, 3, 8] {
-            let (emb, logits) = flexer_par::with_threads(threads, || mlp.forward_batch(&x));
+            let emb = flexer_par::with_threads(threads, || mlp.embed_batch(&x));
             assert_eq!(&emb, trace.embedding(), "embedding, {threads} threads");
-            assert_eq!(&logits, trace.output(), "logits, {threads} threads");
+            assert_eq!(&mlp.logits(&emb), trace.output(), "logits, {threads} threads");
         }
     }
 }

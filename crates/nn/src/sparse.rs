@@ -20,6 +20,9 @@ pub struct SparseMatrix {
     values: Vec<f32>,
 }
 
+/// Longest row whose sort keys live on the stack.
+const INLINE_ROW: usize = 256;
+
 impl SparseMatrix {
     /// Builds a CSR matrix from per-row `(column, value)` lists. Entries in
     /// a row are sorted and duplicate columns are summed.
@@ -51,27 +54,61 @@ impl SparseMatrix {
         self.values.reserve(nnz);
     }
 
-    /// Appends one row from an unsorted `(column, value)` list. The caller's
-    /// buffer is sorted in place (so it can be reused across rows without
-    /// reallocating) and duplicate columns are summed, exactly as in
-    /// [`from_rows`](Self::from_rows).
+    /// Appends one row from an unsorted `(column, value)` list; duplicate
+    /// columns are summed, exactly as in [`from_rows`](Self::from_rows).
+    /// The caller's buffer is scratch (reusable across rows without
+    /// reallocating) and is left in no particular order.
+    ///
+    /// The entries are sorted as packed integers, column above value bits,
+    /// which is faster than sorting the pairs by key. A column hit once or
+    /// twice sums to the same bits in any order; a column hit three times
+    /// or more does not, so such a row takes the pair sort this method has
+    /// always used — the sum order trained weights were produced under.
     pub fn push_row_unsorted(&mut self, entries: &mut [(u32, f32)]) {
-        entries.sort_unstable_by_key(|e| e.0);
-        let row_start = self.indices.len();
-        for &(c, v) in entries.iter() {
-            assert!((c as usize) < self.cols, "column {c} out of range {}", self.cols);
-            match self.indices.last() {
-                Some(&last) if self.indices.len() > row_start && last == c => {
-                    *self.values.last_mut().expect("values align with indices") += v;
-                }
-                _ => {
-                    self.indices.push(c);
-                    self.values.push(v);
-                }
+        let mut inline = [0u64; INLINE_ROW];
+        let mut spilled = Vec::new();
+        let keys = match inline.get_mut(..entries.len()) {
+            Some(keys) => keys,
+            None => {
+                spilled.resize(entries.len(), 0);
+                &mut spilled[..]
             }
+        };
+        let pack = |keys: &mut [u64], entries: &[(u32, f32)]| {
+            for (key, &(c, v)) in keys.iter_mut().zip(entries) {
+                *key = (c as u64) << 32 | v.to_bits() as u64;
+            }
+        };
+        pack(keys, entries);
+        keys.sort_unstable();
+        if keys.windows(3).any(|w| w[0] >> 32 == w[2] >> 32) {
+            entries.sort_unstable_by_key(|e| e.0);
+            pack(keys, entries);
+        }
+        if let Some(&max) = keys.last() {
+            let c = max >> 32;
+            assert!((c as usize) < self.cols, "column {c} out of range {}", self.cols);
+        }
+        let row_start = self.indices.len();
+        for &key in keys.iter() {
+            self.push_summed(row_start, (key >> 32) as u32, f32::from_bits(key as u32));
         }
         self.indptr.push(self.indices.len());
         self.rows += 1;
+    }
+
+    /// Appends `(c, v)` to the row starting at `row_start`, or adds `v` to
+    /// the row's last entry when that is column `c` already.
+    fn push_summed(&mut self, row_start: usize, c: u32, v: f32) {
+        match self.indices.last() {
+            Some(&last) if self.indices.len() > row_start && last == c => {
+                *self.values.last_mut().expect("values align with indices") += v;
+            }
+            _ => {
+                self.indices.push(c);
+                self.values.push(v);
+            }
+        }
     }
 
     /// Number of rows.
@@ -146,14 +183,17 @@ impl SparseMatrix {
 
     /// Gathers rows into a new sparse matrix.
     pub fn select_rows(&self, rows: &[usize]) -> SparseMatrix {
-        let picked: Vec<Vec<(u32, f32)>> = rows
-            .iter()
-            .map(|&i| {
-                let (cols, vals) = self.row(i);
-                cols.iter().copied().zip(vals.iter().copied()).collect()
-            })
-            .collect();
-        SparseMatrix::from_rows(self.cols, &picked)
+        let mut out = Self::with_cols(self.cols);
+        out.indptr.reserve(rows.len());
+        // Stored rows are sorted and summed already: copy them as they are.
+        for &i in rows {
+            let (cols, vals) = self.row(i);
+            out.indices.extend_from_slice(cols);
+            out.values.extend_from_slice(vals);
+            out.indptr.push(out.indices.len());
+        }
+        out.rows = rows.len();
+        out
     }
 
     /// Densifies (tests / tiny inputs only).
@@ -266,5 +306,50 @@ mod tests {
         // row 2 ended on.
         assert_eq!(built.row(2), (&[0u32, 4][..], &[-1.0f32, 4.0][..]));
         assert_eq!(built.row(3), (&[4u32][..], &[1.0f32][..]));
+    }
+
+    /// The row build as it was before the packed-key sort: the oracle for
+    /// the sum order of colliding columns.
+    fn push_row_reference(m: &mut SparseMatrix, entries: &mut [(u32, f32)]) {
+        entries.sort_unstable_by_key(|e| e.0);
+        let row_start = m.indices.len();
+        for &(c, v) in entries.iter() {
+            m.push_summed(row_start, c, v);
+        }
+        m.indptr.push(m.indices.len());
+        m.rows += 1;
+    }
+
+    #[test]
+    fn packed_key_sort_keeps_the_sum_order_of_the_pair_sort() {
+        // Values whose sums round differently in different orders, columns
+        // drawn from few enough buckets to collide in pairs, triples and
+        // more, rows on both sides of the inline key buffer.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut built, mut reference) =
+            (SparseMatrix::with_cols(512), SparseMatrix::with_cols(512));
+        for row in 0..400 {
+            let len = if row % 7 == 0 { 300 + row } else { row % 130 };
+            let buckets = [16, 128, 512][row % 3];
+            let entries: Vec<(u32, f32)> = (0..len)
+                .map(|_| {
+                    let h = next();
+                    let v = [0.093_250_48, -0.093_250_48, 0.3, 1.0e-3][(h >> 40) as usize % 4];
+                    ((h % buckets) as u32, v)
+                })
+                .collect();
+            built.push_row_unsorted(&mut entries.clone());
+            push_row_reference(&mut reference, &mut entries.clone());
+        }
+        let bits = |m: &SparseMatrix| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(built.indptr, reference.indptr);
+        assert_eq!(built.indices, reference.indices);
+        assert_eq!(bits(&built), bits(&reference));
     }
 }

@@ -57,6 +57,7 @@ use crate::metrics::{MetricsInner, ServeMetrics};
 use flexer_ann::{AnyIndex, Neighbor, VectorIndex};
 use flexer_block::{BlockerState, ShardedBlocker};
 use flexer_graph::{BatchInductiveTrace, InductiveTrace, NeighborArena, RowSource};
+use flexer_matcher::{PairScratch, PreparedSide};
 use flexer_nn::{Matrix, SparseMatrix};
 use flexer_obs::{Counter, MetricsSnapshot, Recorder};
 use flexer_store::{ModelSnapshot, ShardFrames};
@@ -958,28 +959,35 @@ impl ResolutionService {
             let featurizer = &self.snapshot.featurizer;
             let df = &self.snapshot.df;
             let mut features = SparseMatrix::with_cols(featurizer.total_dim());
-            // Pre-size from the candidate count: a feature row lands well
-            // under 128 non-zeros, so one reservation covers the batch.
-            features.reserve(misses.len(), misses.len() * 128);
-            let mut row: Vec<(u32, f32)> = Vec::with_capacity(128);
-            // The right-hand title is the same across a record query's (or
-            // an ingest's) whole candidate batch — prepare and hash its
-            // side once per candidate set, not once per probe.
-            // `prepare_side` is a pure function of the title, so memoizing
-            // by string equality cannot change any feature.
-            let mut prepared_b: Option<(&str, flexer_matcher::PreparedSide)> = None;
-            for &i in &misses {
-                let (a, b) = titles[i];
-                let ta = featurizer.prepare(a, df);
-                if prepared_b.as_ref().map(|(t, _)| *t) != Some(b) {
-                    prepared_b = Some((b, featurizer.prepare_side(b, df)));
+            {
+                let _span = self.recorder.span("featurize");
+                // Pre-size from the candidate count. A feature row of two
+                // catalogue titles averages ≈115 non-zeros and long titles
+                // pass 128, so this is an estimate that saves most of the
+                // incremental growth, not a bound.
+                features.reserve(misses.len(), misses.len() * 128);
+                let mut row: Vec<(u32, f32)> = Vec::new();
+                let mut scratch = PairScratch::default();
+                // The right-hand title is the same across a record query's
+                // (or an ingest's) whole candidate batch — prepare it and
+                // hash its slots once per candidate set, not once per probe.
+                // `prepare_side` is a pure function of the title, so
+                // memoizing by string equality cannot change any feature.
+                let mut prepared_b: Option<(&str, PreparedSide)> = None;
+                for &i in &misses {
+                    let (a, b) = titles[i];
+                    if prepared_b.as_ref().map(|(t, _)| *t) != Some(b) {
+                        prepared_b = Some((b, featurizer.prepare_side(b, df)));
+                    }
+                    let (_, side) = prepared_b.as_ref().expect("just filled");
+                    featurizer.features_of_title(a, df, side, &mut scratch, &mut row);
+                    features.push_row_unsorted(&mut row);
                 }
-                let (_, side) = prepared_b.as_ref().expect("just filled");
-                featurizer.features_into_prepared(&ta, side, &mut row);
-                features.push_row_unsorted(&mut row);
             }
-            let per_intent: Vec<Matrix> =
-                self.snapshot.matchers.iter().map(|m| m.infer(&features).embeddings).collect();
+            let per_intent: Vec<Matrix> = {
+                let _span = self.recorder.span("infer");
+                self.snapshot.matchers.iter().map(|m| m.embed(&features)).collect()
+            };
             let dim = self.snapshot.graph.dim;
             // Never localized: every layer's scan state before row 0 (one
             // shared empty list, not an allocation per miss).
@@ -1131,7 +1139,7 @@ impl ResolutionService {
         self.ctr_forward_rows.add((b * p_total) as u64);
         // Explicit flat paths (not nested spans): a dotted child of
         // `resolve.forward` would be double-counted by the prefix-summing
-        // `span_sum_ns` the stage-coverage checks rely on.
+        // `span_sum_ns` the kernels bench reads the stage through.
         let t_localize = std::time::Instant::now();
         self.localize(batch);
         self.recorder.record_span_ns("forward.localize", t_localize.elapsed().as_nanos() as u64);

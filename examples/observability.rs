@@ -19,9 +19,11 @@ use std::time::Instant;
 /// Every span path the serve → store → block pipeline must have recorded
 /// after the workload below (ngram blocking is the `ServeConfig::default`
 /// backend, so the blocking-tier spans are expected too).
-const EXPECTED_SPANS: [&str; 10] = [
+const EXPECTED_SPANS: [&str; 12] = [
     "resolve.block",
     "resolve.embed",
+    "resolve.embed.featurize",
+    "resolve.embed.infer",
     "resolve.forward",
     "resolve.rank",
     "ingest.block",
