@@ -91,64 +91,61 @@ pub fn l2_sq_x8x4(queries: [&[f32]; 8], rows: [&[f32]; 4]) -> [[f32; 4]; 8] {
     acc
 }
 
-/// Squared L2 distances from each of four queries to `m` consecutive rows
-/// of a row-major buffer: `outs[q][j]` is query `q` against row `j`.
-/// Bit-identical to four [`l2_sq_rows`] calls (every (query, row) pair is
-/// an independent exact-order fold); the win is the 16-chain ILP of
-/// [`l2_sq_x4x4`] plus 4× register reuse of every loaded row element.
-pub fn l2_sq_rows_x4q(queries: [&[f32]; 4], rows: &[f32], outs: &mut [&mut [f32]; 4]) {
-    let dim = queries[0].len();
-    let m = outs[0].len();
+/// Squared L2 distances from every query to the rows `ids` of a row-major
+/// buffer, query-major: `out[c * ids.len() + j]` is query `c` against row
+/// `ids[j]`. Eights, then quads, then singles of queries take the rows four
+/// at a time through [`l2_sq_x8x4`] / [`l2_sq_x4x4`] / [`l2_sq_x4`]; every
+/// (query, row) pair is an independent exact-order fold, so each distance
+/// is bitwise [`l2_sq`] whatever else shares its block. The rows need not
+/// be adjacent: at FlexER's embedding widths a row is a cache line or two,
+/// and the kernels only ever held four row *slices*.
+pub fn l2_sq_gather(queries: &[&[f32]], data: &[f32], ids: &[u32], out: &mut [f32]) {
+    let Some(first) = queries.first() else { return };
+    let dim = first.len();
+    let m = ids.len();
     debug_assert!(queries.iter().all(|q| q.len() == dim), "query dimension mismatch");
-    debug_assert!(outs.iter().all(|o| o.len() == m), "output length mismatch");
-    debug_assert_eq!(rows.len(), m * dim, "whole rows");
-    if dim == 0 {
-        for o in outs.iter_mut() {
-            o.fill(0.0);
-        }
-        return;
-    }
-    let (blocks, tail) = flexer_nn::kernels::split_rows4(rows, dim);
-    let m4 = blocks.len() / (4 * dim) * 4;
-    for (b, block) in blocks.chunks_exact(4 * dim).enumerate() {
-        let d = l2_sq_x4x4(queries, flexer_nn::kernels::block4(block, dim));
-        for (o, dq) in outs.iter_mut().zip(&d) {
-            o[4 * b..4 * b + 4].copy_from_slice(dq);
+    debug_assert_eq!(out.len(), queries.len() * m, "one distance per (query, row)");
+    let row = |id: u32| &data[id as usize * dim..][..dim];
+    fn scatter<const Q: usize>(d: [[f32; 4]; Q], out: &mut [f32], m: usize, at: usize) {
+        for (c, dq) in d.iter().enumerate() {
+            out[c * m + at..c * m + at + 4].copy_from_slice(dq);
         }
     }
-    for (t, row) in tail.chunks_exact(dim).enumerate() {
-        for (o, q) in outs.iter_mut().zip(&queries) {
-            o[m4 + t] = l2_sq(q, row);
+    let mut q0 = 0;
+    while q0 < queries.len() {
+        let qn = match queries.len() - q0 {
+            8.. => 8,
+            4.. => 4,
+            _ => 1,
+        };
+        let out = &mut out[q0 * m..(q0 + qn) * m];
+        for (b, quad) in ids.chunks(4).enumerate() {
+            if let [i0, i1, i2, i3] = *quad {
+                let rows = [row(i0), row(i1), row(i2), row(i3)];
+                match qn {
+                    8 => scatter(
+                        l2_sq_x8x4(std::array::from_fn(|c| queries[q0 + c]), rows),
+                        out,
+                        m,
+                        4 * b,
+                    ),
+                    4 => scatter(
+                        l2_sq_x4x4(std::array::from_fn(|c| queries[q0 + c]), rows),
+                        out,
+                        m,
+                        4 * b,
+                    ),
+                    _ => scatter([l2_sq_x4(queries[q0], rows)], out, m, 4 * b),
+                }
+            } else {
+                for (t, &id) in quad.iter().enumerate() {
+                    for (c, query) in queries[q0..q0 + qn].iter().enumerate() {
+                        out[c * m + 4 * b + t] = l2_sq(query, row(id));
+                    }
+                }
+            }
         }
-    }
-}
-
-/// The eight-query analogue of [`l2_sq_rows_x4q`], built on
-/// [`l2_sq_x8x4`]. Bit-identical to eight [`l2_sq_rows`] calls.
-pub fn l2_sq_rows_x8q(queries: [&[f32]; 8], rows: &[f32], outs: &mut [&mut [f32]; 8]) {
-    let dim = queries[0].len();
-    let m = outs[0].len();
-    debug_assert!(queries.iter().all(|q| q.len() == dim), "query dimension mismatch");
-    debug_assert!(outs.iter().all(|o| o.len() == m), "output length mismatch");
-    debug_assert_eq!(rows.len(), m * dim, "whole rows");
-    if dim == 0 {
-        for o in outs.iter_mut() {
-            o.fill(0.0);
-        }
-        return;
-    }
-    let (blocks, tail) = flexer_nn::kernels::split_rows4(rows, dim);
-    let m4 = blocks.len() / (4 * dim) * 4;
-    for (b, block) in blocks.chunks_exact(4 * dim).enumerate() {
-        let d = l2_sq_x8x4(queries, flexer_nn::kernels::block4(block, dim));
-        for (o, dq) in outs.iter_mut().zip(&d) {
-            o[4 * b..4 * b + 4].copy_from_slice(dq);
-        }
-    }
-    for (t, row) in tail.chunks_exact(dim).enumerate() {
-        for (o, q) in outs.iter_mut().zip(&queries) {
-            o[m4 + t] = l2_sq(q, row);
-        }
+        q0 += qn;
     }
 }
 
@@ -238,6 +235,23 @@ mod tests {
             for (id, &got) in out.iter().enumerate() {
                 let want = l2_sq(&query, &rows[id * dim..(id + 1) * dim]);
                 assert!(got.to_bits() == want.to_bits(), "row {id} of {n}x{dim}: {got} != {want}");
+            }
+            // The gathered kernel: rows out of order and repeated, every
+            // query-block shape (an eight, a quad, singles).
+            let ids: Vec<u32> = (0..n + 3).map(|j| (j * 7 % n) as u32).collect();
+            for nq in [1usize, 3, 4, 6, 8, 13] {
+                let queries: Vec<Vec<f32>> =
+                    (0..nq).map(|_| (0..dim).map(|_| next()).collect()).collect();
+                let queries: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
+                let mut out = vec![0.0f32; nq * ids.len()];
+                l2_sq_gather(&queries, &rows, &ids, &mut out);
+                for (c, query) in queries.iter().enumerate() {
+                    for (j, &id) in ids.iter().enumerate() {
+                        let want = l2_sq(query, &rows[id as usize * dim..][..dim]);
+                        let got = out[c * ids.len() + j];
+                        assert!(got.to_bits() == want.to_bits(), "query {c} of {nq}, row {id}");
+                    }
+                }
             }
         }
     }

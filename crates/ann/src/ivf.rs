@@ -156,33 +156,27 @@ impl IvfIndex {
     }
 }
 
-impl VectorIndex for IvfIndex {
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
+impl IvfIndex {
     /// Scans the ids at or past `since` of the `nprobe` nearest lists and
     /// merges them into `prior` under the (distance, id) order. The frozen
     /// quantizer probes the same lists for a query at every index length
     /// and lists only grow at their ascending tails, so the candidate set
     /// of a search from scratch is the prefix's candidates (of which
     /// `prior` kept the best `k`) plus exactly the ids scanned here.
-    fn search_since(
+    /// Returns the list and the number of distances evaluated (centroids
+    /// included).
+    fn scan_since(
         &self,
         query: &[f32],
         k: usize,
         since: usize,
         prior: &[Neighbor],
-    ) -> Vec<Neighbor> {
+    ) -> (Vec<Neighbor>, u64) {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
         assert_finite(query, "IvfIndex::search");
         assert_resumable(self.n, k, since, prior);
         if self.n == 0 || k == 0 {
-            return Vec::new();
+            return (Vec::new(), 0);
         }
         let order = self.quantizer.centroids_by_distance(query);
         let mut hits: Vec<Neighbor> = prior.to_vec();
@@ -212,8 +206,44 @@ impl VectorIndex for IvfIndex {
             }
         }
         hits.sort_by(|a, b| a.dist.partial_cmp(&b.dist).unwrap().then(a.id.cmp(&b.id)));
+        let scanned = order.len() + hits.len() - prior.len();
         hits.truncate(k);
-        hits
+        (hits, scanned as u64)
+    }
+}
+
+impl VectorIndex for IvfIndex {
+    fn len(&self) -> usize {
+        self.n
+    }
+
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
+    fn search_since(
+        &self,
+        query: &[f32],
+        k: usize,
+        since: usize,
+        prior: &[Neighbor],
+    ) -> Vec<Neighbor> {
+        self.scan_since(query, k, since, prior).0
+    }
+
+    fn scan_batch_since(
+        &self,
+        queries: &[&[f32]],
+        k: usize,
+        since: usize,
+        priors: &[&[Neighbor]],
+    ) -> (Vec<Vec<Neighbor>>, u64) {
+        assert_eq!(queries.len(), priors.len(), "one prior top-k per query required");
+        let scans = flexer_par::parallel_map(queries.len(), |q| {
+            self.scan_since(queries[q], k, since, priors[q])
+        });
+        let scanned = scans.iter().map(|(_, scanned)| scanned).sum();
+        (scans.into_iter().map(|(list, _)| list).collect(), scanned)
     }
 }
 

@@ -3,7 +3,7 @@
 //! neighbours, self excluded, computed once over the initial representation
 //! and fixed thereafter.
 
-use crate::{Neighbor, VectorIndex};
+use crate::VectorIndex;
 
 /// For each of the `n` stored vectors of `index`, returns the ids of its
 /// `k` nearest *other* vectors (ascending by distance). `k` is clamped to
@@ -11,22 +11,23 @@ use crate::{Neighbor, VectorIndex};
 /// `i ∈ out[j]` — matching the paper's note that intra-layer edges are not
 /// symmetric.
 ///
-/// The per-node searches are independent and fan out across the
-/// `flexer-par` thread budget; each node runs the exact serial search, so
-/// the edge lists are identical at any thread count.
-pub fn knn_graph<I: VectorIndex + StoredVectors + Sync>(index: &I, k: usize) -> Vec<Vec<usize>> {
+/// Every stored vector is a query of one [`VectorIndex::search_batch`], so
+/// the nodes go through the index's query-grouped sweep and fan out across
+/// the `flexer-par` thread budget; a query's result does not depend on its
+/// group, so the edge lists are identical at any thread count.
+pub fn knn_graph<I: VectorIndex + StoredVectors>(index: &I, k: usize) -> Vec<Vec<usize>> {
     let n = index.len();
     let k = k.min(n.saturating_sub(1));
     if k == 0 {
         return vec![Vec::new(); n];
     }
-    flexer_par::parallel_map(n, |i| {
-        // Ask for k+1 to absorb the self hit, then drop it.
-        let hits: Vec<Neighbor> = index.search(index.stored(i), k + 1);
-        let mut ids: Vec<usize> = hits.into_iter().map(|h| h.id).filter(|&id| id != i).collect();
-        ids.truncate(k);
-        ids
-    })
+    let nodes: Vec<&[f32]> = (0..n).map(|i| index.stored(i)).collect();
+    // Ask for k+1 to absorb the self hit, then drop it.
+    let hits = index.search_batch(&nodes, k + 1);
+    hits.into_iter()
+        .enumerate()
+        .map(|(i, hits)| hits.into_iter().map(|h| h.id).filter(|&id| id != i).take(k).collect())
+        .collect()
 }
 
 /// Indexes that expose their stored vectors (needed to query each point

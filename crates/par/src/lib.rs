@@ -105,6 +105,12 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    // One item has nothing to fan out, and asking for the budget (two
+    // environment lookups and `available_parallelism`, ≈13 µs unpinned)
+    // would cost more than a cheap item does.
+    if n <= 1 {
+        return (0..n).map(f).collect();
+    }
     let budget = max_threads();
     let threads = budget.min(n).max(1);
     if threads <= 1 {

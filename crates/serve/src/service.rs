@@ -261,8 +261,12 @@ pub struct ResolutionService {
     ctr_localize_resumed: Counter,
     ctr_localize_searched: Counter,
     /// Index rows appended past the resumed lists' watermarks, summed over
-    /// the lists: what the resumes scanned instead of the whole index.
+    /// the lists: what the resumes had to cover instead of the whole index.
     ctr_localize_tail_rows: Counter,
+    /// Distances the searched and resumed lists actually evaluated (pivot
+    /// and centroid distances included), as the indexes report them: the
+    /// work to hold against `searched × index rows` and `tail_rows`.
+    ctr_localize_rows_scanned: Counter,
 }
 
 impl ResolutionService {
@@ -357,6 +361,7 @@ impl ResolutionService {
         let ctr_localize_resumed = recorder.counter("serve.localize.resumed");
         let ctr_localize_searched = recorder.counter("serve.localize.searched");
         let ctr_localize_tail_rows = recorder.counter("serve.localize.tail_rows");
+        let ctr_localize_rows_scanned = recorder.counter("serve.localize.rows_scanned");
         Ok(Self {
             n_train_pairs: n_pairs,
             n_train_records: snapshot.records.len(),
@@ -381,6 +386,7 @@ impl ResolutionService {
             ctr_localize_resumed,
             ctr_localize_searched,
             ctr_localize_tail_rows,
+            ctr_localize_rows_scanned,
             snapshot,
             config,
         })
@@ -1078,7 +1084,8 @@ impl ResolutionService {
                     })
                     .collect();
                 let priors: Vec<&[Neighbor]> = priors.iter().map(Vec::as_slice).collect();
-                let lists = index.search_batch_since(&queries, k, since, &priors);
+                let (lists, scanned) = index.scan_batch_since(&queries, k, since, &priors);
+                self.ctr_localize_rows_scanned.add(scanned);
                 for (g, list) in lists.iter().enumerate() {
                     let at = (g * p_total + q) * stride;
                     for (slot, hit) in hoods[at..at + stride].iter_mut().zip(list) {

@@ -329,3 +329,59 @@ fn cached_localization_is_invisible_across_ingest_backends_and_shards() {
         assert_eq!(resolve_ingest_resolve(&mut again), want, "reloaded service diverges");
     }
 }
+
+/// The flat index answers from a partition it grows itself: a list splits
+/// when it passes 64 members, so an index of more than `64 · L` rows holds
+/// more than `L` lists. Ingest until every layer has split at least eight
+/// times, then: (a) the batched and the per-candidate reference kernel
+/// still agree on every answer bit, (b) lists cached at the training
+/// watermark and resumed across all those splits equal lists searched from
+/// scratch, (c) the grown indexes cut back by `AnyIndex::truncated` answer
+/// as indexes built from the prefix rows, and (d) the partition never
+/// reaches the snapshot: save → load → save is byte-identical.
+#[test]
+fn pruned_localization_is_invisible_after_every_layer_has_split_many_times() {
+    use flexer_ann::{AnyIndex, FlatIndex, VectorIndex};
+    let snapshot = trained_snapshot(IndexKind::Flat);
+    let boot = |config: ServeConfig| ResolutionService::new(snapshot.clone(), config).unwrap();
+    let mut batched = boot(ServeConfig::default());
+    let mut uncached = boot(ServeConfig { cache_capacity: 0, ..Default::default() });
+    let mut reference = boot(ServeConfig::reference());
+    // Caches the query mix's neighbour lists at the training watermark.
+    assert_eq!(drive(&batched), drive(&reference));
+    let mut listing = 0;
+    while batched.n_pairs() <= 64 * 9 {
+        let of = listing * 3 % batched.n_train_records();
+        let title = format!("{} listing {listing}", batched.record_title(of));
+        let report = batched.ingest(&title);
+        assert_eq!(report, reference.ingest(&title), "ingest {listing} diverges");
+        assert_eq!(report, uncached.ingest(&title));
+        listing += 1;
+    }
+    let resumed =
+        |svc: &ResolutionService| svc.obs_snapshot().counter("serve.localize.resumed").unwrap_or(0);
+    let before = resumed(&batched);
+    let want = drive(&reference);
+    assert_eq!(drive(&batched), want, "resumed lists diverge from the reference kernel");
+    assert!(
+        resumed(&batched) > before || !batched.recorder().is_enabled(),
+        "the lists cached before the ingests must have been resumed"
+    );
+    assert_eq!(drive(&uncached), want, "from-scratch lists diverge from the reference kernel");
+
+    let exported = batched.to_snapshot();
+    for (cut, trained) in exported.indexes.iter().zip(&snapshot.indexes) {
+        let rebuilt = AnyIndex::Flat(FlatIndex::from_rows(trained.dim(), trained.data()));
+        for id in 0..trained.len() {
+            let query = trained.vector(id);
+            let bits = |index: &AnyIndex| -> Vec<(usize, u32)> {
+                let hits = index.search(query, snapshot.k + 1);
+                hits.iter().map(|hit| (hit.id, hit.dist.to_bits())).collect()
+            };
+            assert_eq!(bits(cut), bits(&rebuilt), "truncated index diverges on row {id}");
+        }
+    }
+    let bytes = exported.to_bytes();
+    assert_eq!(bytes, snapshot.to_bytes(), "the partition must not reach the snapshot");
+    assert_eq!(ModelSnapshot::from_bytes(&bytes).unwrap().to_bytes(), bytes);
+}

@@ -88,9 +88,21 @@ fn main() {
             "serve.localize.reused",
             "serve.localize.resumed",
             "serve.localize.tail_rows",
+            "serve.localize.rows_scanned",
         ] {
             assert!(snap.counter(counter).unwrap_or(0) > 0, "{counter} never incremented");
         }
+        // What the pruned search saves: distances evaluated (pivots
+        // included) against a whole scan per searched list. The resumes'
+        // few tail distances are in the numerator too, and the index grew
+        // by the two ingests, so this reads a little high.
+        let scanned = snap.counter("serve.localize.rows_scanned").unwrap_or(0) as f64;
+        let searched = snap.counter("serve.localize.searched").unwrap_or(0) as f64;
+        println!(
+            "localize: {scanned} distances over {searched} searched lists x {} index rows = {:.3} of a whole scan",
+            svc.n_pairs(),
+            scanned / (searched * svc.n_pairs() as f64)
+        );
         assert!(snap.gauge("serve.records").unwrap_or(0.0) > 0.0, "records gauge unset");
         assert!(
             snap.gauge("serve.cache.hit_rate").unwrap_or(0.0) > 0.0,

@@ -73,3 +73,34 @@ fn subset_fit_borrows_and_stays_deterministic() {
     assert_eq!(preds_1, preds_4);
     assert_eq!(scores_1, scores_4);
 }
+
+/// The fit-time k-NN graph goes through the index's query-grouped,
+/// pruned search. Its edge lists are the exact k nearest under the
+/// (distance, id) order, so they are a property of the embeddings alone:
+/// the same at every thread count, and pinned so that a change to the
+/// index that moves one edge is a decision, not a side effect.
+#[test]
+fn knn_edge_lists_are_pinned_at_any_thread_count() {
+    let bench = AmazonMiConfig::at_scale(Scale::Tiny).with_seed(11).generate();
+    let config = FlexErConfig::fast().with_seed(11);
+    let ctx = PipelineContext::new(bench, &config.matcher).expect("valid benchmark");
+    let base = InParallelModel::fit(&ctx, &config.matcher).expect("in-parallel fits");
+    for threads in [1usize, 4] {
+        let graph = with_threads(threads, || {
+            flexer::graph::build_intent_graph(&base.embeddings(), config.k)
+        });
+        // FNV-1a over every node's in-degree and neighbour ids.
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        let mut eat = |x: u32| {
+            for b in x.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01B3);
+            }
+        };
+        for v in 0..graph.n_nodes() {
+            let hood = graph.intra.in_neighbors(v);
+            eat(hood.len() as u32);
+            hood.iter().copied().for_each(&mut eat);
+        }
+        assert_eq!((graph.n_intra_edges(), h), (7_720, 0x472E_FB51_67C2_D230), "{threads} threads");
+    }
+}
