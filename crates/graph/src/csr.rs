@@ -3,7 +3,9 @@
 //! Rows store *incoming* neighbours: `in_neighbors(v)` are the nodes whose
 //! messages `v` receives (the paper's `N(v)`, "connected by incoming
 //! edges"). Mean aggregation and its backward pass are the only two kernels
-//! the GNN needs.
+//! the GNN needs, both per destination node: a caller that wants them for
+//! some of the nodes (the training pass, for its target layer) asks for
+//! those nodes and gets the arithmetic of the whole-graph loop.
 
 use flexer_nn::Matrix;
 
@@ -74,27 +76,36 @@ impl CsrGraph {
     /// Eq. 3 with a mean aggregator.
     pub fn mean_aggregate(&self, h: &Matrix) -> Matrix {
         assert_eq!(h.rows(), self.n_nodes(), "feature/node count mismatch");
-        let dim = h.cols();
-        let mut out = Matrix::zeros(self.n_nodes(), dim);
+        let mut out = Matrix::zeros(self.n_nodes(), h.cols());
         for v in 0..self.n_nodes() {
-            let neighbors = self.in_neighbors(v);
-            if neighbors.is_empty() {
-                continue;
-            }
-            let inv = 1.0 / neighbors.len() as f32;
-            let row = out.row_mut(v);
-            for &u in neighbors {
-                for (o, &x) in row.iter_mut().zip(h.row(u as usize)) {
-                    *o += x * inv;
-                }
-            }
+            self.mean_into(v, h, out.row_mut(v));
         }
         out
     }
 
+    /// One row of [`CsrGraph::mean_aggregate`], written over `out`: the
+    /// mean of `h` over `N(v)`. The training pass builds a layer's input
+    /// for a *range* of nodes from this, so a restricted row and a
+    /// whole-graph row are the same arithmetic.
+    pub(crate) fn mean_into(&self, v: usize, h: &Matrix, out: &mut [f32]) {
+        let neighbors = self.in_neighbors(v);
+        mean_over(neighbors.iter(), neighbors.len(), h, out);
+    }
+
+    /// Backward of [`CsrGraph::mean_into`] for node `v`: adds
+    /// `d_out / deg(v)` to row `u` of `dh` for every source `u ∈ N(v)`.
+    /// Called for ascending `v`, each row of `dh` accumulates in the order
+    /// the whole-graph backward visits it.
+    pub(crate) fn scatter_mean(&self, v: usize, d_out: &[f32], dh: &mut Matrix) {
+        let neighbors = self.in_neighbors(v);
+        scatter_over(neighbors.iter(), neighbors.len(), d_out, dh);
+    }
+
     /// Backward of [`CsrGraph::mean_aggregate`]: scatters `d_out[v]/deg(v)`
-    /// back to every source `u ∈ N(v)`.
-    pub fn mean_aggregate_backward(&self, d_out: &Matrix) -> Matrix {
+    /// back to every source `u ∈ N(v)`. The whole-graph loop the training
+    /// pass is diffed against.
+    #[cfg(test)]
+    pub(crate) fn mean_aggregate_backward(&self, d_out: &Matrix) -> Matrix {
         assert_eq!(d_out.rows(), self.n_nodes(), "gradient/node count mismatch");
         let dim = d_out.cols();
         let mut dh = Matrix::zeros(self.n_nodes(), dim);
@@ -112,6 +123,47 @@ impl CsrGraph {
             }
         }
         dh
+    }
+}
+
+/// Writes over `out` the mean of `h`'s rows `sources` (`deg` of them; the
+/// zero vector for none), accumulated as `Σ h[u] · (1/deg)` in source
+/// order from zero — the one mean-aggregation arithmetic, whichever
+/// relation or union of relations supplies the sources.
+pub(crate) fn mean_over<'a>(
+    sources: impl Iterator<Item = &'a u32>,
+    deg: usize,
+    h: &Matrix,
+    out: &mut [f32],
+) {
+    out.fill(0.0);
+    if deg == 0 {
+        return;
+    }
+    let inv = 1.0 / deg as f32;
+    for &u in sources {
+        for (o, &x) in out.iter_mut().zip(h.row(u as usize)) {
+            *o += x * inv;
+        }
+    }
+}
+
+/// Backward of [`mean_over`]: adds `d_out · (1/deg)` to row `u` of `dh` for
+/// every source `u`, in source order.
+pub(crate) fn scatter_over<'a>(
+    sources: impl Iterator<Item = &'a u32>,
+    deg: usize,
+    d_out: &[f32],
+    dh: &mut Matrix,
+) {
+    if deg == 0 {
+        return;
+    }
+    let inv = 1.0 / deg as f32;
+    for &u in sources {
+        for (s, &g) in dh.row_mut(u as usize).iter_mut().zip(d_out) {
+            *s += g * inv;
+        }
     }
 }
 

@@ -1,6 +1,48 @@
-//! The stacked GNN with a per-intent prediction head (Eqs. 4–5), plus the
-//! inductive forward pass the serving tier uses to score *new* pairs
-//! against frozen weights.
+//! The stacked GNN with a per-intent prediction head (Eqs. 4–5), its
+//! training pass, and the inductive forward pass the serving tier uses to
+//! score *new* pairs against frozen weights.
+//!
+//! # The training pass
+//!
+//! [`train_for_intent`](crate::train_for_intent) reads one thing from a
+//! forward pass: the head's logits on the **target intent's** rows
+//! ([`MultiplexGraph::layer_nodes`], a contiguous range of N of the N·P
+//! nodes). And it updates one thing from a backward pass: the parameters.
+//! [`GnnModel::train_forward`] / [`GnnModel::train_backward`] compute
+//! exactly that, in three cuts against the whole-graph
+//! [`GnnModel::forward`] and the whole-graph backward it used to be paired
+//! with (kept under `#[cfg(test)]` as the reference):
+//!
+//! * **The first layer's input is built once per fit.**
+//!   `[X ; mean_intra(X) ; mean_inter(X)]` is a function of the graph and
+//!   the fixed initial representations; no parameter enters it, so
+//!   [`TrainPass`] holds it for every epoch.
+//! * **Nothing is backpropagated into the leaves.** Node features are not
+//!   parameters: the first layer accumulates `grad_w` / `grad_b` and stops.
+//!   `grad_out · Wᵀ` and its two scatters through the aggregates were
+//!   computed and dropped.
+//! * **The last layer runs where the head reads it.** Its concat rows,
+//!   GEMM, parameter gradients and input gradient are taken over the
+//!   target range only. Every other row of the whole-graph pass carried a
+//!   loss gradient of exactly `+0.0`; with finite activations and weights
+//!   its terms are `±0.0` products added to accumulators that started at
+//!   `+0.0`, which never change a bit (an accumulator that starts at
+//!   `+0.0` cannot reach `-0.0` under round-to-nearest). Skipping them
+//!   leaves each sum's remaining terms in their order.
+//!
+//! The layers **below** the last stay whole-graph, forward and backward:
+//! a target row aggregates its intra-layer neighbours and its peers in
+//! every other intent layer, so one hop down every node is read, and the
+//! gradient that comes back is dense. The cost of an epoch still grows
+//! linearly in N·P for those layers; the cut is what sat on top of that.
+//! A one-layer model is the case where the last layer *is* the first: a
+//! target-range slice of the hoisted input, parameter gradients only.
+//!
+//! Weights after any number of epochs are those of the whole-graph pass,
+//! bit for bit (`train.rs` diffs the two over layer counts, aggregation
+//! modes, targets, `k` and `P`).
+//!
+//! # The inductive pass
 //!
 //! The inductive pass exploits a structural property of the multiplex
 //! graph: edges point **into** a node, and inserting a new pair never
@@ -14,11 +56,12 @@
 use crate::batch::{BatchInductiveTrace, NeighborArena, RowSource};
 use crate::csr::CsrGraph;
 use crate::multiplex::MultiplexGraph;
-use crate::sage::{Aggregation, SageCache, SageLayer};
+use crate::sage::{Aggregation, SageLayer};
 use flexer_nn::activation::{relu_backward_inplace, relu_inplace, softmax_rows};
 use flexer_nn::kernels::dense_forward_into;
 use flexer_nn::{Linear, Matrix, Optimizer, PackedB};
 use rand::Rng;
+use std::ops::Range;
 
 /// A q-layer multiplex GraphSAGE network plus the fully connected
 /// prediction head of Eq. 5. The head weights are kept packed
@@ -31,27 +74,57 @@ pub struct GnnModel {
     head_pack: PackedB,
 }
 
-/// Forward cache of the whole network.
+/// Node states of the whole graph after every GNN layer.
 #[derive(Debug, Clone)]
 pub struct GnnTrace {
-    caches: Vec<SageCache>,
+    hidden: Vec<Matrix>,
 }
 
 impl GnnTrace {
     /// Final hidden states `h(q)` of all nodes.
     pub fn final_hidden(&self) -> &Matrix {
-        &self.caches.last().expect("at least one layer").output
+        self.hidden.last().expect("at least one layer")
     }
 
     /// Post-activation node states after GNN layer `t` (the input to layer
     /// `t + 1`) — the pinned neighbour states of the inductive pass.
     pub fn hidden(&self, t: usize) -> &Matrix {
-        &self.caches[t].output
+        &self.hidden[t]
     }
 
     /// Number of cached layer outputs.
     pub fn n_layers(&self) -> usize {
-        self.caches.len()
+        self.hidden.len()
+    }
+}
+
+/// What one fit's training passes keep between epochs: the target range,
+/// every layer's input rows (the first layer's built once, here) and every
+/// layer's output rows, reused as buffers. Made by
+/// [`GnnModel::train_pass`], for that model's shape and that graph.
+#[derive(Debug)]
+pub struct TrainPass {
+    /// Node ids of the target intent's layer — the rows the loss reads.
+    target: Range<usize>,
+    /// `concat[t]`: layer `t`'s `[self ; …]` input, one row per node of
+    /// `rows(t)`.
+    concat: Vec<Matrix>,
+    /// `hidden[t]`: layer `t`'s output over the same rows (post-ReLU
+    /// except the last).
+    hidden: Vec<Matrix>,
+    /// The backward's node-state-gradient accumulators, kept allocated.
+    input_grad: [Matrix; 3],
+}
+
+impl TrainPass {
+    /// The nodes layer `t` is evaluated on: the target range for the last
+    /// layer, every node below it.
+    fn rows(&self, t: usize, n_nodes: usize) -> Range<usize> {
+        if t + 1 == self.concat.len() {
+            self.target.clone()
+        } else {
+            0..n_nodes
+        }
     }
 }
 
@@ -139,17 +212,93 @@ impl GnnModel {
     /// Full forward pass: ReLU between layers, none after the last
     /// (§5.2.1).
     pub fn forward(&self, graph: &MultiplexGraph) -> GnnTrace {
-        let mut caches: Vec<SageCache> = Vec::with_capacity(self.layers.len());
-        let mut h = graph.features.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
-            let mut cache = layer.forward(graph, &h);
-            if i + 1 < self.layers.len() {
-                relu_inplace(&mut cache.output);
+        let mut hidden: Vec<Matrix> = Vec::with_capacity(self.layers.len());
+        for (t, layer) in self.layers.iter().enumerate() {
+            let mut out = layer.forward(graph, hidden.last().unwrap_or(&graph.features));
+            if t + 1 < self.layers.len() {
+                relu_inplace(&mut out);
             }
-            h = cache.output.clone();
-            caches.push(cache);
+            hidden.push(out);
         }
-        GnnTrace { caches }
+        GnnTrace { hidden }
+    }
+
+    /// Starts the training passes of one fit towards `target_layer`'s
+    /// loss: sizes the buffers and builds the first layer's input, which
+    /// no parameter enters, once.
+    pub fn train_pass(&self, graph: &MultiplexGraph, target_layer: usize) -> TrainPass {
+        assert!(target_layer < graph.n_layers, "target layer out of range");
+        let n_layers = self.layers.len();
+        let mut pass = TrainPass {
+            target: graph.layer_nodes(target_layer),
+            concat: vec![Matrix::zeros(0, 0); n_layers],
+            hidden: vec![Matrix::zeros(0, 0); n_layers],
+            input_grad: [(); 3].map(|_| Matrix::zeros(0, 0)),
+        };
+        let rows = pass.rows(0, graph.n_nodes());
+        self.layers[0].concat_rows_into(
+            &graph.intra,
+            &graph.inter,
+            &graph.features,
+            rows,
+            &mut pass.concat[0],
+        );
+        pass
+    }
+
+    /// The forward half of a training pass: the head's logits on the
+    /// target layer's pairs — bit for bit
+    /// [`GnnModel::intent_logits`] of [`GnnModel::forward`] — leaving in
+    /// `pass` what [`GnnModel::train_backward`] needs. Layers below the
+    /// last run over every node from the previous layer's states (the
+    /// first from the hoisted input); the last runs over the target range.
+    pub fn train_forward(&self, graph: &MultiplexGraph, pass: &mut TrainPass) -> Matrix {
+        let last = self.layers.len() - 1;
+        for (t, layer) in self.layers.iter().enumerate() {
+            if t > 0 {
+                let rows = pass.rows(t, graph.n_nodes());
+                let below = &pass.hidden[t - 1];
+                layer.concat_rows_into(
+                    &graph.intra,
+                    &graph.inter,
+                    below,
+                    rows,
+                    &mut pass.concat[t],
+                );
+            }
+            layer.forward_concat_into(&pass.concat[t], t < last, &mut pass.hidden[t]);
+        }
+        self.head_forward(&pass.hidden[last])
+    }
+
+    /// The backward half of a training pass, given the gradient of the
+    /// loss w.r.t. [`GnnModel::train_forward`]'s logits: leaves every
+    /// parameter gradient as the whole-graph backward would, and computes
+    /// no gradient that is not on the way to one (see the module docs).
+    pub fn train_backward(
+        &mut self,
+        graph: &MultiplexGraph,
+        pass: &mut TrainPass,
+        grad_logits: &Matrix,
+    ) {
+        let last = self.layers.len() - 1;
+        self.head.zero_grad();
+        // Gradient w.r.t. the output rows of the layer being visited.
+        let mut grad = self.head.backward(&pass.hidden[last], grad_logits);
+        for t in (0..=last).rev() {
+            if t < last {
+                relu_backward_inplace(&mut grad, &pass.hidden[t]);
+            }
+            let layer = &mut self.layers[t];
+            layer.zero_grad();
+            if t == 0 {
+                layer.backward_params(&pass.concat[0], &grad);
+            } else {
+                let rows = pass.rows(t, graph.n_nodes());
+                layer.backward_rows(graph, &pass.concat[t], &grad, rows, &mut pass.input_grad);
+                std::mem::swap(&mut grad, &mut pass.input_grad[0]);
+            }
+        }
     }
 
     /// Per-pair logits of one intent layer (Eq. 5 before softmax): the head
@@ -312,9 +461,12 @@ impl GnnModel {
         self.forward_inductive(new_features, &neighbor_inputs)
     }
 
-    /// Backward pass given the gradient of the loss w.r.t. the logits of
-    /// one intent layer. Accumulates every parameter gradient.
-    pub fn backward(
+    /// The whole-graph backward [`GnnModel::train_backward`] replaced, over
+    /// a [`GnnModel::forward`] trace — the reference the training pass is
+    /// diffed against. Accumulates every parameter gradient, and every
+    /// node-state gradient on the way, the leaves' included.
+    #[cfg(test)]
+    pub(crate) fn backward(
         &mut self,
         graph: &MultiplexGraph,
         trace: &GnnTrace,
@@ -336,10 +488,11 @@ impl GnnModel {
 
         for i in (0..self.layers.len()).rev() {
             if i + 1 < self.layers.len() {
-                relu_backward_inplace(&mut grad, &trace.caches[i].output);
+                relu_backward_inplace(&mut grad, trace.hidden(i));
             }
             self.layers[i].zero_grad();
-            grad = self.layers[i].backward(graph, &trace.caches[i], &grad);
+            let input = if i == 0 { &graph.features } else { trace.hidden(i - 1) };
+            grad = self.layers[i].backward(graph, input, &grad);
         }
     }
 

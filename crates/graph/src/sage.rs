@@ -11,12 +11,22 @@
 //!
 //! The `ablation` bench compares this against pooling both relations
 //! together (plain GraphSAGE on the union graph).
+//!
+//! A layer works on a **contiguous range of nodes**: it builds the
+//! `[self ; …]` rows of that range (`concat_rows_into`), maps them, and on
+//! the way back turns the gradient of those rows into the gradient of
+//! every node state they read (`backward_rows`).
+//! The whole graph is the range `0..n`; the training pass hands the last
+//! layer its target intent's range instead. Each row is the same
+//! arithmetic either way, so a restricted evaluation returns the bits of
+//! the whole-graph one for the rows it covers.
 
-use crate::csr::CsrGraph;
+use crate::csr::{mean_over, scatter_over, CsrGraph};
 use crate::multiplex::MultiplexGraph;
 use flexer_nn::kernels::dense_forward_into;
 use flexer_nn::{Linear, Matrix, Optimizer, PackedB};
 use rand::Rng;
+use std::ops::Range;
 
 /// Whether relations are aggregated separately (the FlexER adjustment) or
 /// pooled (plain GraphSAGE on the union graph) — the ablation switch.
@@ -37,15 +47,6 @@ pub struct SageLayer {
     pack: PackedB,
     aggregation: Aggregation,
     in_dim: usize,
-}
-
-/// Forward-pass cache needed by backprop.
-#[derive(Debug, Clone)]
-pub struct SageCache {
-    input: Matrix,
-    concat: Matrix,
-    /// Layer output (post-activation if the caller applied one).
-    pub output: Matrix,
 }
 
 impl SageLayer {
@@ -105,19 +106,18 @@ impl SageLayer {
 
     /// Forward pass over all nodes (no activation — the caller applies
     /// ReLU between layers, none on the last, per §5.2.1).
-    pub fn forward(&self, graph: &MultiplexGraph, h: &Matrix) -> SageCache {
-        let concat = self.concat_states(&graph.intra, &graph.inter, h);
-        let mut output = Matrix::zeros(0, 0);
-        self.forward_concat_into(&concat, false, &mut output);
-        SageCache { input: h.clone(), concat, output }
+    pub fn forward(&self, graph: &MultiplexGraph, h: &Matrix) -> Matrix {
+        self.forward_states(&graph.intra, &graph.inter, h)
     }
 
-    /// Cache-free forward over explicit relation adjacencies — the kernel
-    /// behind both the transductive pass and the serving tier's inductive
+    /// Forward over explicit relation adjacencies — the kernel behind both
+    /// the transductive pass and the serving tier's per-candidate inductive
     /// pass over a local subgraph (same math, any node set).
     pub fn forward_states(&self, intra: &CsrGraph, inter: &CsrGraph, h: &Matrix) -> Matrix {
+        let mut concat = Matrix::zeros(0, 0);
+        self.concat_rows_into(intra, inter, h, 0..h.rows(), &mut concat);
         let mut out = Matrix::zeros(0, 0);
-        self.forward_concat_into(&self.concat_states(intra, inter, h), false, &mut out);
+        self.forward_concat_into(&concat, false, &mut out);
         out
     }
 
@@ -130,34 +130,110 @@ impl SageLayer {
         dense_forward_into(concat, &self.linear, &self.pack, relu, out);
     }
 
-    /// `[self ; …]` concatenation per aggregation mode.
-    fn concat_states(&self, intra: &CsrGraph, inter: &CsrGraph, h: &Matrix) -> Matrix {
-        match self.aggregation {
-            Aggregation::RelationTyped => {
-                let intra = intra.mean_aggregate(h);
-                let inter = inter.mean_aggregate(h);
-                Matrix::hconcat(&[h, &intra, &inter])
-            }
-            Aggregation::Pooled => {
-                // Union adjacency: average the two relation aggregates
-                // weighted by their degrees (equivalent to aggregating the
-                // union multiset of neighbours).
-                let union = pooled_aggregate(intra, inter, h);
-                Matrix::hconcat(&[h, &union])
+    /// Builds the `[self ; …]` concat rows of nodes `rows` (per aggregation
+    /// mode) from the node states `h` of the *whole* graph, into `out`
+    /// (reshaped, allocation reused): row `i` of `out` belongs to node
+    /// `rows.start + i`, and its aggregates accumulate in neighbour order
+    /// from zero — `CsrGraph::mean_into` — whatever the range.
+    pub(crate) fn concat_rows_into(
+        &self,
+        intra: &CsrGraph,
+        inter: &CsrGraph,
+        h: &Matrix,
+        rows: Range<usize>,
+        out: &mut Matrix,
+    ) {
+        let d = self.in_dim;
+        assert_eq!(h.rows(), intra.n_nodes(), "feature/node count mismatch");
+        assert_eq!(h.cols(), d, "state width must match the layer");
+        assert!(rows.end <= h.rows(), "node range out of bounds");
+        let width = self.linear.in_dim();
+        // Every element of every row is stored below.
+        out.reset_overwrite(rows.len(), width);
+        for (v, row) in rows.zip(out.data_mut().chunks_exact_mut(width)) {
+            let (own, aggregates) = row.split_at_mut(d);
+            own.copy_from_slice(h.row(v));
+            match self.aggregation {
+                Aggregation::RelationTyped => {
+                    let (from_intra, from_inter) = aggregates.split_at_mut(d);
+                    intra.mean_into(v, h, from_intra);
+                    inter.mean_into(v, h, from_inter);
+                }
+                Aggregation::Pooled => pooled_mean_into(intra, inter, v, h, aggregates),
             }
         }
     }
 
-    /// Backward pass: accumulates the layer's parameter gradients and
-    /// returns the gradient w.r.t. the input node states.
-    pub fn backward(
+    /// Parameter-only backward for a layer whose input states are leaves
+    /// (the first layer: node features are not parameters). `concat` and
+    /// `grad_out` cover the same rows.
+    pub(crate) fn backward_params(&mut self, concat: &Matrix, grad_out: &Matrix) {
+        self.linear.backward_params(concat, grad_out);
+    }
+
+    /// Backward pass over the rows the forward evaluated: `concat` and
+    /// `grad_out` hold nodes `rows`. Accumulates the layer's parameter
+    /// gradients and leaves in `acc[0]` the gradient w.r.t. the input
+    /// states of **every** node — a row's own state, and the neighbours
+    /// its aggregates read, which lie anywhere in the graph. `acc` is
+    /// three caller-kept buffers (reshaped and zeroed here), so an epoch
+    /// does not map and fault in three node-state-sized matrices.
+    ///
+    /// The own-state part (`acc[0]`) and each relation's scatter
+    /// (`acc[1]`, `acc[2]`) are summed apart and added up at the end (`own
+    /// + intra + inter`, in that order). A node outside `rows` contributes
+    /// nothing to any of them: its row of `grad_out` would be zero, and
+    /// with finite weights so would its row of `grad_out · Wᵀ`, and adding
+    /// `±0.0` to an accumulator that started at `+0.0` never changes its
+    /// bits. So the result is that of the whole-graph pass over a
+    /// `grad_out` that is zero outside `rows`.
+    pub(crate) fn backward_rows(
         &mut self,
         graph: &MultiplexGraph,
-        cache: &SageCache,
+        concat: &Matrix,
+        grad_out: &Matrix,
+        rows: Range<usize>,
+        acc: &mut [Matrix; 3],
+    ) {
+        assert_eq!(concat.rows(), rows.len(), "one concat row per node of the range");
+        let d_concat = self.linear.backward(concat, grad_out);
+        let d = self.in_dim;
+        let [own, from_a, from_b] = acc;
+        for m in [&mut *own, &mut *from_a, &mut *from_b] {
+            m.reset(graph.n_nodes(), d);
+        }
+        for (v, g) in rows.zip(d_concat.data().chunks_exact(d_concat.cols())) {
+            own.row_mut(v).copy_from_slice(&g[..d]);
+            match self.aggregation {
+                Aggregation::RelationTyped => {
+                    graph.intra.scatter_mean(v, &g[d..2 * d], from_a);
+                    graph.inter.scatter_mean(v, &g[2 * d..], from_b);
+                }
+                Aggregation::Pooled => {
+                    pooled_scatter(&graph.intra, &graph.inter, v, &g[d..], from_a)
+                }
+            }
+        }
+        own.add_scaled(from_a, 1.0);
+        if self.aggregation == Aggregation::RelationTyped {
+            own.add_scaled(from_b, 1.0);
+        }
+    }
+
+    /// The whole-graph backward the training pass replaced, kept as the
+    /// reference it is diffed against: every layer evaluated and
+    /// differentiated for every node, input gradient included, through
+    /// whole-graph aggregates and `hconcat` / `hsplit` temporaries.
+    #[cfg(test)]
+    pub(crate) fn backward(
+        &mut self,
+        graph: &MultiplexGraph,
+        input: &Matrix,
         grad_out: &Matrix,
     ) -> Matrix {
-        let d_concat = self.linear.backward(&cache.concat, grad_out);
-        let d_in = cache.input.cols();
+        let concat = self.concat_states(&graph.intra, &graph.inter, input);
+        let d_concat = self.linear.backward(&concat, grad_out);
+        let d_in = input.cols();
         match self.aggregation {
             Aggregation::RelationTyped => {
                 let parts = d_concat.hsplit(&[d_in, d_in, d_in]);
@@ -178,6 +254,20 @@ impl SageLayer {
         }
     }
 
+    /// The whole-graph `[self ; …]` concatenation [`SageLayer::backward`]
+    /// differentiates, from whole-graph aggregates.
+    #[cfg(test)]
+    fn concat_states(&self, intra: &CsrGraph, inter: &CsrGraph, h: &Matrix) -> Matrix {
+        match self.aggregation {
+            Aggregation::RelationTyped => {
+                let intra = intra.mean_aggregate(h);
+                let inter = inter.mean_aggregate(h);
+                Matrix::hconcat(&[h, &intra, &inter])
+            }
+            Aggregation::Pooled => Matrix::hconcat(&[h, &pooled_aggregate(intra, inter, h)]),
+        }
+    }
+
     /// Clears parameter gradients.
     pub fn zero_grad(&mut self) {
         self.linear.zero_grad();
@@ -192,7 +282,23 @@ impl SageLayer {
     }
 }
 
-/// Mean over the union of intra- and inter-neighbours.
+/// Mean of `h` over the union of `v`'s intra- and inter-neighbours (the
+/// union multiset: one degree, intra neighbours first), written over `out`.
+fn pooled_mean_into(intra: &CsrGraph, inter: &CsrGraph, v: usize, h: &Matrix, out: &mut [f32]) {
+    let (intra, inter) = (intra.in_neighbors(v), inter.in_neighbors(v));
+    mean_over(intra.iter().chain(inter), intra.len() + inter.len(), h, out);
+}
+
+/// Backward of [`pooled_mean_into`] for node `v`: adds `d_out / deg(v)` to
+/// the row of `dh` of every source in the union.
+fn pooled_scatter(intra: &CsrGraph, inter: &CsrGraph, v: usize, d_out: &[f32], dh: &mut Matrix) {
+    let (intra, inter) = (intra.in_neighbors(v), inter.in_neighbors(v));
+    scatter_over(intra.iter().chain(inter), intra.len() + inter.len(), d_out, dh);
+}
+
+/// Whole-graph mean over the union of intra- and inter-neighbours (the
+/// reference's forward).
+#[cfg(test)]
 fn pooled_aggregate(intra_g: &CsrGraph, inter_g: &CsrGraph, h: &Matrix) -> Matrix {
     let n = intra_g.n_nodes();
     let dim = h.cols();
@@ -215,6 +321,7 @@ fn pooled_aggregate(intra_g: &CsrGraph, inter_g: &CsrGraph, h: &Matrix) -> Matri
     out
 }
 
+#[cfg(test)]
 fn pooled_aggregate_backward(intra_g: &CsrGraph, inter_g: &CsrGraph, d_out: &Matrix) -> Matrix {
     let n = intra_g.n_nodes();
     let dim = d_out.cols();
@@ -258,9 +365,9 @@ mod tests {
         let g = toy_graph();
         let mut rng = StdRng::seed_from_u64(0);
         let layer = SageLayer::new(&mut rng, 3, 5, Aggregation::RelationTyped);
-        let cache = layer.forward(&g, &g.features);
-        assert_eq!(cache.output.rows(), 6);
-        assert_eq!(cache.output.cols(), 5);
+        let out = layer.forward(&g, &g.features);
+        assert_eq!(out.rows(), 6);
+        assert_eq!(out.cols(), 5);
         assert_eq!(layer.in_dim(), 3);
         assert_eq!(layer.out_dim(), 5);
     }
@@ -274,8 +381,8 @@ mod tests {
         let typed = SageLayer::new(&mut rng, 3, 4, Aggregation::RelationTyped);
         let mut rng2 = StdRng::seed_from_u64(1);
         let pooled = SageLayer::new(&mut rng2, 3, 4, Aggregation::Pooled);
-        let a = typed.forward(&g, &g.features).output;
-        let b = pooled.forward(&g, &g.features).output;
+        let a = typed.forward(&g, &g.features);
+        let b = pooled.forward(&g, &g.features);
         assert_ne!(a, b);
     }
 
@@ -287,10 +394,19 @@ mod tests {
         for agg in [Aggregation::RelationTyped, Aggregation::Pooled] {
             let mut layer = SageLayer::new(&mut rng, 3, 2, agg);
             let h = g.features.clone();
-            let cache = layer.forward(&g, &h);
             let ones = Matrix::from_fn(6, 2, |_, _| 1.0);
-            let dh = layer.backward(&g, &cache, &ones);
-            let loss = |h: &Matrix| -> f32 { layer.forward(&g, h).output.data().iter().sum() };
+            // The ranged backward over every node, checked against finite
+            // differences itself and against the whole-graph reference.
+            let mut concat = Matrix::zeros(0, 0);
+            layer.concat_rows_into(&g.intra, &g.inter, &h, 0..6, &mut concat);
+            assert_eq!(concat, layer.concat_states(&g.intra, &g.inter, &h));
+            let mut acc = [(); 3].map(|_| Matrix::zeros(0, 0));
+            layer.backward_rows(&g, &concat, &ones, 0..6, &mut acc);
+            let dh = &acc[0];
+            let mut reference = layer.clone();
+            reference.zero_grad();
+            assert_eq!(&reference.backward(&g, &h, &ones), dh);
+            let loss = |h: &Matrix| -> f32 { layer.forward(&g, h).data().iter().sum() };
             let eps = 1e-2;
             for &(i, j) in &[(0usize, 0usize), (2, 1), (5, 2)] {
                 let mut hp = h.clone();
@@ -307,6 +423,44 @@ mod tests {
         }
     }
 
+    /// A layer evaluated and differentiated on a node range is the
+    /// whole-graph layer under a gradient that is zero outside the range:
+    /// same concat rows, same parameter gradients, same input gradient for
+    /// every node — ranges that do and do not align with an intent layer,
+    /// on a graph with isolated nodes and unequal degrees.
+    #[test]
+    fn a_node_range_is_the_whole_graph_under_a_masked_gradient() {
+        let g = toy_graph();
+        let mut rng = StdRng::seed_from_u64(8);
+        let h = Matrix::from_fn(6, 3, |i, j| ((i * 5 + j * 2) % 7) as f32 * 0.3 - 0.8);
+        for agg in [Aggregation::RelationTyped, Aggregation::Pooled] {
+            let layer = SageLayer::new(&mut rng, 3, 4, agg);
+            let whole_concat = layer.concat_states(&g.intra, &g.inter, &h);
+            // Reused across ranges, as across epochs: stale sums must not
+            // leak from one backward into the next.
+            let mut acc = [(); 3].map(|_| Matrix::zeros(0, 0));
+            for rows in [0..3, 3..6, 2..5, 1..2, 0..6, 4..4] {
+                let grad = Matrix::from_fn(rows.len(), 4, |i, j| (i * 4 + j) as f32 * 0.1 - 0.7);
+                let mut masked = Matrix::zeros(6, 4);
+                for (i, v) in rows.clone().enumerate() {
+                    masked.row_mut(v).copy_from_slice(grad.row(i));
+                }
+                let mut whole = layer.clone();
+                let want = whole.backward(&g, &h, &masked);
+
+                let mut ranged = layer.clone();
+                let mut concat = Matrix::zeros(0, 0);
+                ranged.concat_rows_into(&g.intra, &g.inter, &h, rows.clone(), &mut concat);
+                let picked: Vec<usize> = rows.clone().collect();
+                assert_eq!(concat, whole_concat.select_rows(&picked), "{agg:?} {rows:?}");
+                ranged.backward_rows(&g, &concat, &grad, rows.clone(), &mut acc);
+                assert_eq!(acc[0], want, "{agg:?} {rows:?}: input gradient");
+                assert_eq!(ranged.linear.grad_w, whole.linear.grad_w, "{agg:?} {rows:?}");
+                assert_eq!(ranged.linear.grad_b, whole.linear.grad_b, "{agg:?} {rows:?}");
+            }
+        }
+    }
+
     #[test]
     fn from_parts_roundtrips_layer() {
         let g = toy_graph();
@@ -316,10 +470,7 @@ mod tests {
             let rebuilt = SageLayer::from_parts(layer.linear().clone(), layer.aggregation());
             assert_eq!(rebuilt.in_dim(), 3);
             assert_eq!(rebuilt.out_dim(), 4);
-            assert_eq!(
-                layer.forward(&g, &g.features).output,
-                rebuilt.forward(&g, &g.features).output
-            );
+            assert_eq!(layer.forward(&g, &g.features), rebuilt.forward(&g, &g.features));
         }
     }
 
@@ -328,9 +479,9 @@ mod tests {
         let g = toy_graph();
         let mut rng = StdRng::seed_from_u64(6);
         let layer = SageLayer::new(&mut rng, 3, 4, Aggregation::RelationTyped);
-        let via_cache = layer.forward(&g, &g.features).output;
+        let via_graph = layer.forward(&g, &g.features);
         let direct = layer.forward_states(&g.intra, &g.inter, &g.features);
-        assert_eq!(via_cache, direct);
+        assert_eq!(via_graph, direct);
     }
 
     #[test]
@@ -347,8 +498,8 @@ mod tests {
         let g = MultiplexGraph::assemble(2, 1, features, &[vec![vec![], vec![]]]);
         let mut rng = StdRng::seed_from_u64(3);
         let layer = SageLayer::new(&mut rng, 2, 2, Aggregation::RelationTyped);
-        let cache = layer.forward(&g, &g.features);
+        let out = layer.forward(&g, &g.features);
         // Output exists and is finite; neighbourhood contributions are zero.
-        assert!(cache.output.all_finite());
+        assert!(out.all_finite());
     }
 }

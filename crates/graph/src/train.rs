@@ -6,6 +6,19 @@
 //! reported predictions come from the best epoch. "FlexER is trained over
 //! P versions of the same graph, one for each intent" — callers invoke
 //! this once per target intent.
+//!
+//! An epoch is one full-batch pass: [`GnnModel::train_forward`] yields the
+//! target layer's logits (scored for selection before the update, from the
+//! forward the update needs anyway), [`GnnModel::train_backward`] leaves
+//! the parameter gradients, Adam applies them. That pass computes only
+//! what this loss reads — the first layer's input once per fit, no
+//! gradient into the node features, the last layer on the target layer's
+//! rows — and returns the weights of the whole-graph forward and backward
+//! it replaced, bit for bit; `model.rs` says why each skipped term is dead
+//! or exactly zero, and why the layers below the last stay whole-graph.
+//! The whole-graph pass survives in this crate's tests as the reference
+//! every combination of layer count, aggregation, target, `k` and `P` is
+//! diffed against.
 
 use crate::model::GnnModel;
 use crate::multiplex::MultiplexGraph;
@@ -118,18 +131,15 @@ pub fn train_for_intent(
     });
 
     let targets: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
-    let mut train_weight = vec![0.0f32; graph.n_pairs];
-    for &i in train_pairs {
-        train_weight[i] = 1.0;
-    }
+    let train_weight = train_mask(graph.n_pairs, train_pairs);
 
+    let mut pass = model.train_pass(graph, target_layer);
     let mut best: Option<TrainedGnn> = None;
     let mut since_best = 0usize;
     let mut epochs_run = 0usize;
     for _epoch in 0..config.epochs {
         epochs_run += 1;
-        let trace = model.forward(graph);
-        let logits = model.intent_logits(graph, &trace, target_layer);
+        let logits = model.train_forward(graph, &mut pass);
         // Evaluate the pre-update state this forward pass already computed,
         // then update — one full-batch pass per epoch.
         let scores = {
@@ -137,9 +147,7 @@ pub fn train_for_intent(
             (0..probs.rows()).map(|i| probs.get(i, 1)).collect::<Vec<f32>>()
         };
         let preds: Vec<bool> = scores.iter().map(|&s| s > 0.5).collect();
-        let valid_preds: Vec<bool> = valid_pairs.iter().map(|&i| preds[i]).collect();
-        let valid_labels: Vec<bool> = valid_pairs.iter().map(|&i| labels[i]).collect();
-        let f1 = f1_binary(&valid_preds, &valid_labels);
+        let f1 = f1_binary(valid_pairs.iter().map(|&i| (preds[i], labels[i])));
         let improved = best.as_ref().map_or(true, |b| f1 > b.best_valid_f1);
         if improved {
             best = Some(TrainedGnn {
@@ -158,7 +166,7 @@ pub fn train_for_intent(
         }
 
         let (_, grad_logits) = softmax_cross_entropy(&logits, &targets, Some(&train_weight));
-        model.backward(graph, &trace, target_layer, &grad_logits);
+        model.train_backward(graph, &mut pass, &grad_logits);
         opt.begin_step();
         model.apply(&mut opt);
     }
@@ -167,11 +175,27 @@ pub fn train_for_intent(
     out
 }
 
-/// Binary F1 (local copy to keep the crate decoupled from `flexer-eval`).
-fn f1_binary(preds: &[bool], labels: &[bool]) -> f64 {
-    let tp = preds.iter().zip(labels).filter(|(&p, &l)| p && l).count() as f64;
-    let fp = preds.iter().zip(labels).filter(|(&p, &l)| p && !l).count() as f64;
-    let fn_ = preds.iter().zip(labels).filter(|(&p, &l)| !p && l).count() as f64;
+/// The loss's sample weights: 1 on the training pairs, 0 elsewhere.
+fn train_mask(n_pairs: usize, train_pairs: &[usize]) -> Vec<f32> {
+    let mut weight = vec![0.0f32; n_pairs];
+    for &i in train_pairs {
+        weight[i] = 1.0;
+    }
+    weight
+}
+
+/// Binary F1 over `(prediction, label)` pairs (local copy to keep the crate
+/// decoupled from `flexer-eval`).
+fn f1_binary(pairs: impl Iterator<Item = (bool, bool)>) -> f64 {
+    let (mut tp, mut fp, mut fn_) = (0.0f64, 0.0f64, 0.0f64);
+    for pair in pairs {
+        match pair {
+            (true, true) => tp += 1.0,
+            (true, false) => fp += 1.0,
+            (false, true) => fn_ += 1.0,
+            (false, false) => {}
+        }
+    }
     if tp == 0.0 {
         return 0.0;
     }
@@ -182,6 +206,7 @@ fn f1_binary(preds: &[bool], labels: &[bool]) -> f64 {
 mod tests {
     use super::*;
     use crate::build::build_intent_graph;
+    use crate::model::TrainPass;
     use flexer_nn::Matrix;
     use rand::Rng;
 
@@ -215,9 +240,7 @@ mod tests {
     fn learns_from_cross_layer_signal() {
         let (graph, labels, train, valid, test) = synthetic();
         let trained = train_for_intent(&graph, 0, &labels, &train, &valid, &GnnConfig::fast());
-        let test_preds: Vec<bool> = test.iter().map(|&i| trained.preds[i]).collect();
-        let test_labels: Vec<bool> = test.iter().map(|&i| labels[i]).collect();
-        let f1 = f1_binary(&test_preds, &test_labels);
+        let f1 = f1_binary(test.iter().map(|&i| (trained.preds[i], labels[i])));
         assert!(f1 > 0.8, "test F1 = {f1:.3}");
         assert!(trained.best_valid_f1 > 0.8);
     }
@@ -256,6 +279,313 @@ mod tests {
         assert_eq!(trained.scores.len(), graph.n_pairs);
         for (p, s) in trained.preds.iter().zip(&trained.scores) {
             assert_eq!(*p, *s > 0.5);
+        }
+    }
+
+    /// `train_for_intent` as it stood before the training pass: every
+    /// epoch a whole-graph `forward`, `intent_logits`, and the whole-graph
+    /// `backward` — the reference. Also returns the state after the last
+    /// update, which `TrainedGnn` (the best epoch's clone) does not show.
+    fn reference_fit(
+        graph: &MultiplexGraph,
+        target_layer: usize,
+        labels: &[bool],
+        train_pairs: &[usize],
+        valid_pairs: &[usize],
+        config: &GnnConfig,
+    ) -> (TrainedGnn, GnnModel, Adam) {
+        let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(0x6E4E));
+        let mut model =
+            GnnModel::new(&mut rng, graph.dim, &config.layer_dims(), config.aggregation);
+        let mut opt = Adam::new(AdamConfig {
+            lr: config.learning_rate,
+            weight_decay: config.weight_decay,
+            ..Default::default()
+        });
+        let targets: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
+        let train_weight = train_mask(graph.n_pairs, train_pairs);
+        let mut best: Option<TrainedGnn> = None;
+        let mut since_best = 0usize;
+        let mut epochs_run = 0usize;
+        for _epoch in 0..config.epochs {
+            epochs_run += 1;
+            let trace = model.forward(graph);
+            let logits = model.intent_logits(graph, &trace, target_layer);
+            let scores = {
+                let probs = flexer_nn::activation::softmax_rows(&logits);
+                (0..probs.rows()).map(|i| probs.get(i, 1)).collect::<Vec<f32>>()
+            };
+            let preds: Vec<bool> = scores.iter().map(|&s| s > 0.5).collect();
+            let valid_preds: Vec<bool> = valid_pairs.iter().map(|&i| preds[i]).collect();
+            let valid_labels: Vec<bool> = valid_pairs.iter().map(|&i| labels[i]).collect();
+            let f1 = {
+                let both = || valid_preds.iter().zip(&valid_labels);
+                let tp = both().filter(|(&p, &l)| p && l).count() as f64;
+                let fp = both().filter(|(&p, &l)| p && !l).count() as f64;
+                let fn_ = both().filter(|(&p, &l)| !p && l).count() as f64;
+                if tp == 0.0 {
+                    0.0
+                } else {
+                    2.0 * tp / (2.0 * tp + fp + fn_)
+                }
+            };
+            let improved = best.as_ref().map_or(true, |b| f1 > b.best_valid_f1);
+            if improved {
+                best = Some(TrainedGnn {
+                    model: model.clone(),
+                    best_valid_f1: f1,
+                    scores,
+                    preds,
+                    epochs_run,
+                });
+                since_best = 0;
+            } else {
+                since_best += 1;
+                if since_best >= config.patience {
+                    break;
+                }
+            }
+            let (_, grad_logits) = softmax_cross_entropy(&logits, &targets, Some(&train_weight));
+            model.backward(graph, &trace, target_layer, &grad_logits);
+            opt.begin_step();
+            model.apply(&mut opt);
+        }
+        let mut out = best.expect("epochs >= 1");
+        out.epochs_run = epochs_run;
+        (out, model, opt)
+    }
+
+    /// Weights, biases and the gradients behind them, every layer and the
+    /// head, under `==`.
+    fn assert_same_parameters(got: &GnnModel, want: &GnnModel, what: &str) {
+        let linears = |m: &GnnModel| {
+            let mut all: Vec<flexer_nn::Linear> =
+                m.sage_layers().iter().map(|l| l.linear().clone()).collect();
+            all.push(m.head().clone());
+            all
+        };
+        for (i, (g, w)) in linears(got).iter().zip(&linears(want)).enumerate() {
+            assert_eq!(g.w, w.w, "{what}: weights of linear {i}");
+            assert_eq!(g.b, w.b, "{what}: bias of linear {i}");
+            assert_eq!(g.grad_w, w.grad_w, "{what}: weight gradient of linear {i}");
+            assert_eq!(g.grad_b, w.grad_b, "{what}: bias gradient of linear {i}");
+        }
+    }
+
+    /// `n` pairs under `p_layers` intents: a k-NN multiplex graph over
+    /// random representations (`k = 0`: inter-layer edges only), or — for
+    /// `k = None` — hand-assembled ragged lists with isolated nodes,
+    /// unequal degrees and a repeated neighbour, so a wrong degree or a
+    /// wrong node shows. Labels follow the first coordinate, noisily.
+    fn fixture(
+        p_layers: usize,
+        k: Option<usize>,
+        seed: u64,
+    ) -> (MultiplexGraph, Vec<bool>, Vec<usize>, Vec<usize>) {
+        let (n, dim) = (26usize, 5usize);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let labels: Vec<bool> = (0..n).map(|i| (i * 7 + seed as usize) % 3 != 0).collect();
+        let embeddings: Vec<Matrix> = (0..p_layers)
+            .map(|_| {
+                Matrix::from_fn(n, dim, |i, j| {
+                    let center = if labels[i] && j == 0 { 0.8 } else { -0.2 };
+                    center + rng.gen_range(-1.0f32..1.0)
+                })
+            })
+            .collect();
+        let graph = match k {
+            Some(k) => build_intent_graph(&embeddings, k),
+            None => {
+                let lists: Vec<Vec<Vec<usize>>> = (0..p_layers)
+                    .map(|q| {
+                        (0..n)
+                            .map(|i| match (i + q) % 5 {
+                                0 => vec![],
+                                1 => vec![(i + 1) % n],
+                                2 => vec![(i + 3) % n, (i + 3) % n, (i + 9) % n],
+                                _ => (1..=(i % 4) + 2).map(|s| (i + s * 5) % n).collect(),
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let refs: Vec<&Matrix> = embeddings.iter().collect();
+                MultiplexGraph::assemble(n, p_layers, Matrix::vconcat(&refs), &lists)
+            }
+        };
+        let train: Vec<usize> = (0..n).filter(|i| i % 4 < 2).collect();
+        let valid: Vec<usize> = (0..n).filter(|i| i % 4 == 2).collect();
+        (graph, labels, train, valid)
+    }
+
+    /// Every combination the pass has to cover: 1-, 2- and 3-layer models,
+    /// both aggregations, `P ∈ {1, 2, 3}`, `k ∈ {0, 4}` plus the ragged
+    /// graph — the caller loops the target layers.
+    fn for_each_setting(mut f: impl FnMut(&GnnConfig, Option<usize>, usize, &str)) {
+        for n_layers in 1..=3usize {
+            for aggregation in [Aggregation::RelationTyped, Aggregation::Pooled] {
+                for p_layers in 1..=3usize {
+                    for k in [Some(0), Some(4), None] {
+                        let config = GnnConfig {
+                            hidden_dim: 6,
+                            n_layers,
+                            aggregation,
+                            seed: (n_layers * 10 + p_layers) as u64,
+                            ..GnnConfig::fast()
+                        };
+                        let what = format!("{n_layers}L {aggregation:?} P={p_layers} k={k:?}");
+                        f(&config, k, p_layers, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Step by step against the whole-graph reference: the same logits
+    /// going in, and the same weights, biases, gradients and Adam moments
+    /// coming out, after each of ten epochs (so after 1, 2 and 10), from
+    /// one `TrainPass` whose first-layer input was built before the first.
+    #[test]
+    fn training_pass_steps_are_bitwise_the_whole_graph_pass() {
+        for_each_setting(|config, k, p_layers, what| {
+            let (graph, labels, train, _) = fixture(p_layers, k, 5);
+            let targets: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
+            let weight = train_mask(graph.n_pairs, &train);
+            for target in 0..p_layers {
+                let mut rng = StdRng::seed_from_u64(config.seed);
+                let mut want =
+                    GnnModel::new(&mut rng, graph.dim, &config.layer_dims(), config.aggregation);
+                let mut got = want.clone();
+                let adam = AdamConfig { lr: 0.01, weight_decay: 5e-4, ..Default::default() };
+                let (mut want_opt, mut got_opt) = (Adam::new(adam), Adam::new(adam));
+                let mut pass = got.train_pass(&graph, target);
+                for epoch in 1..=10 {
+                    let what = format!("{what} target {target} epoch {epoch}");
+                    let trace = want.forward(&graph);
+                    let want_logits = want.intent_logits(&graph, &trace, target);
+                    let (_, grad) = softmax_cross_entropy(&want_logits, &targets, Some(&weight));
+                    want.backward(&graph, &trace, target, &grad);
+                    want_opt.begin_step();
+                    want.apply(&mut want_opt);
+
+                    let got_logits = got.train_forward(&graph, &mut pass);
+                    assert_eq!(got_logits, want_logits, "{what}: logits");
+                    let (_, grad) = softmax_cross_entropy(&got_logits, &targets, Some(&weight));
+                    got.train_backward(&graph, &mut pass, &grad);
+                    got_opt.begin_step();
+                    got.apply(&mut got_opt);
+
+                    assert_same_parameters(&got, &want, &what);
+                    assert_eq!(got_opt, want_opt, "{what}: Adam moments");
+                }
+            }
+        });
+    }
+
+    /// Whole fits against the reference fit: scores, predictions, selected
+    /// epoch's F1 and weights, epochs run, and the state after the last
+    /// update — for 1, 2 and 10 epochs and with early stopping cutting in.
+    #[test]
+    fn fits_are_bitwise_the_whole_graph_fits() {
+        let mut stopped_early = false;
+        for_each_setting(|config, k, p_layers, what| {
+            let (graph, labels, train, valid) = fixture(p_layers, k, 9);
+            let stopping = [(1, 1), (2, 2), (10, 10), (40, 2)];
+            for target in 0..p_layers {
+                for (epochs, patience) in stopping {
+                    // The ragged graph and the long runs on one target only.
+                    if (k.is_none() || epochs == 40) && target + 1 != p_layers {
+                        continue;
+                    }
+                    let config = GnnConfig { epochs, patience, ..config.clone() };
+                    let what = format!("{what} target {target} epochs {epochs}/{patience}");
+                    let got = train_for_intent(&graph, target, &labels, &train, &valid, &config);
+                    let (want, ..) =
+                        reference_fit(&graph, target, &labels, &train, &valid, &config);
+                    assert_eq!(got.scores, want.scores, "{what}: scores");
+                    assert_eq!(got.preds, want.preds, "{what}: preds");
+                    assert_eq!(got.best_valid_f1, want.best_valid_f1, "{what}: F1");
+                    assert_eq!(got.epochs_run, want.epochs_run, "{what}: epochs run");
+                    assert_same_parameters(&got.model, &want.model, &what);
+                    stopped_early |= epochs == 40 && got.epochs_run < 40;
+                }
+            }
+        });
+        assert!(stopped_early, "no setting exercised early stopping");
+    }
+
+    /// An optimizer that moves one parameter by a fixed amount and reads no
+    /// gradient: `GnnModel::apply` with it perturbs a weight *and*
+    /// refreshes the packs the forward reads.
+    struct Nudge {
+        slot: usize,
+        index: usize,
+        delta: f32,
+    }
+
+    impl Optimizer for Nudge {
+        fn begin_step(&mut self) {}
+
+        fn update(&mut self, slot: usize, value: &mut [f32], _grad: &[f32]) {
+            if slot == self.slot {
+                value[self.index] += self.delta;
+            }
+        }
+    }
+
+    /// The training pass's gradients are the derivative of the masked
+    /// target-layer loss its own forward computes — central differences on
+    /// every parameter of every layer and the head, not a comparison with
+    /// the reference.
+    #[test]
+    fn training_pass_gradients_match_finite_differences() {
+        for (n_layers, aggregation) in [
+            (1usize, Aggregation::RelationTyped),
+            (2, Aggregation::RelationTyped),
+            (3, Aggregation::RelationTyped),
+            (2, Aggregation::Pooled),
+        ] {
+            let (graph, labels, train, _) = fixture(3, None, 21);
+            let target = 1;
+            let targets: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
+            let weight = train_mask(graph.n_pairs, &train);
+            let config = GnnConfig { hidden_dim: 4, n_layers, aggregation, ..GnnConfig::fast() };
+            let mut rng = StdRng::seed_from_u64(31);
+            let mut model = GnnModel::new(&mut rng, graph.dim, &config.layer_dims(), aggregation);
+            let mut pass = model.train_pass(&graph, target);
+            let loss_of = |model: &GnnModel, pass: &mut TrainPass| {
+                let logits = model.train_forward(&graph, pass);
+                softmax_cross_entropy(&logits, &targets, Some(&weight))
+            };
+            let (_, grad_logits) = loss_of(&model, &mut pass);
+            model.train_backward(&graph, &mut pass, &grad_logits);
+
+            // Slot order of `GnnModel::apply`: each layer's weights then
+            // bias, then the head's.
+            let mut analytic: Vec<Vec<f32>> = Vec::new();
+            for layer in model.sage_layers() {
+                analytic.push(layer.linear().grad_w.data().to_vec());
+                analytic.push(layer.linear().grad_b.clone());
+            }
+            analytic.push(model.head().grad_w.data().to_vec());
+            analytic.push(model.head().grad_b.clone());
+
+            let eps = 1e-2f32;
+            for (slot, grads) in analytic.iter().enumerate() {
+                let scale = grads.iter().fold(0.0f32, |m, g| m.max(g.abs()));
+                assert!(scale > 1e-4, "{n_layers}L {aggregation:?}: slot {slot} has no gradient");
+                for (index, &want) in grads.iter().enumerate() {
+                    let mut up = model.clone();
+                    up.apply(&mut Nudge { slot, index, delta: eps });
+                    let mut down = model.clone();
+                    down.apply(&mut Nudge { slot, index, delta: -eps });
+                    let numeric =
+                        (loss_of(&up, &mut pass).0 - loss_of(&down, &mut pass).0) / (2.0 * eps);
+                    assert!(
+                        (numeric - want).abs() <= 0.03 * scale + 2e-3,
+                        "{n_layers}L {aggregation:?} slot {slot}[{index}]: {numeric} vs {want}"
+                    );
+                }
+            }
         }
     }
 

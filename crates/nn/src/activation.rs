@@ -16,10 +16,10 @@ pub fn relu_inplace(x: &mut Matrix) {
 pub fn relu_backward_inplace(grad: &mut Matrix, forward_output: &Matrix) {
     debug_assert_eq!(grad.rows(), forward_output.rows());
     debug_assert_eq!(grad.cols(), forward_output.cols());
+    // A select, not a conditional store: it vectorizes, and a gradient
+    // over ReLU outputs is zeroed in no predictable pattern.
     for (g, &y) in grad.data_mut().iter_mut().zip(forward_output.data()) {
-        if y <= 0.0 {
-            *g = 0.0;
-        }
+        *g = if y <= 0.0 { 0.0 } else { *g };
     }
 }
 

@@ -67,25 +67,35 @@ impl Linear {
     /// Backward pass: accumulates `grad_w`/`grad_b` from the batch and
     /// returns the gradient w.r.t. the input.
     pub fn backward(&mut self, x: &Matrix, grad_out: &Matrix) -> Matrix {
+        self.backward_params(x, grad_out);
+        grad_out.matmul_transpose_b(&self.w)
+    }
+
+    /// The parameter half of [`Linear::backward`]: accumulates
+    /// `grad_w`/`grad_b` and computes no input gradient — for a layer
+    /// whose input is a leaf (fixed features), where `grad_out · Wᵀ`
+    /// would be dropped unread.
+    pub fn backward_params(&mut self, x: &Matrix, grad_out: &Matrix) {
         self.grad_w.add_scaled(&x.matmul_transpose_a(grad_out), 1.0);
         accumulate_bias(&mut self.grad_b, grad_out);
-        grad_out.matmul_transpose_b(&self.w)
     }
 
     /// Backward pass for a sparse input; the input gradient is not needed
     /// (the hashed features are leaves), so only parameter gradients are
-    /// accumulated.
+    /// accumulated — straight into `grad_w`, which after
+    /// [`Linear::zero_grad`] holds the same bits as a zeroed temporary
+    /// added in afterwards.
     pub fn backward_sparse(&mut self, x: &SparseMatrix, grad_out: &Matrix) {
-        self.grad_w.add_scaled(&x.transpose_matmul_dense(grad_out), 1.0);
+        x.transpose_matmul_dense_acc(grad_out, &mut self.grad_w);
         accumulate_bias(&mut self.grad_b, grad_out);
     }
 
-    /// Clears accumulated gradients.
+    /// Clears accumulated gradients. Assigns rather than scales: a
+    /// non-finite gradient times zero is still NaN, and would survive
+    /// every later clear.
     pub fn zero_grad(&mut self) {
-        self.grad_w.scale(0.0);
-        for g in &mut self.grad_b {
-            *g = 0.0;
-        }
+        self.grad_w.data_mut().fill(0.0);
+        self.grad_b.fill(0.0);
     }
 
     /// Applies an optimizer to this layer's parameters using `slot_base` and
@@ -187,6 +197,32 @@ mod tests {
         assert_eq!(a.grad_b, b.grad_b);
     }
 
+    /// In-place accumulation against the zeroed temporary it replaced
+    /// (`grad_w += 1.0 · xᵀ·g`), bit for bit, with repeated columns,
+    /// empty rows and `-0.0` products in the batch.
+    #[test]
+    fn sparse_backward_in_place_is_bitwise_the_temporary() {
+        let mut l = layer();
+        let s = SparseMatrix::from_rows(
+            3,
+            &[
+                vec![(0, 1.5), (2, -0.25)],
+                vec![],
+                vec![(2, 3.0), (1, -0.0)],
+                vec![(0, -2.0), (1, 1e-30), (2, 0.5)],
+            ],
+        );
+        let g = Matrix::from_vec(4, 2, vec![1.0, -1.0, 9.0, 9.0, -0.0, 2.0, 1e-30, -0.5]);
+        for _ in 0..2 {
+            l.zero_grad();
+            l.backward_sparse(&s, &g);
+            let mut want = Matrix::zeros(3, 2);
+            want.add_scaled(&s.transpose_matmul_dense(&g), 1.0);
+            let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(bits(&l.grad_w), bits(&want));
+        }
+    }
+
     #[test]
     fn zero_grad_clears() {
         let mut l = layer();
@@ -197,6 +233,47 @@ mod tests {
         l.zero_grad();
         assert_eq!(l.grad_w.frobenius_norm(), 0.0);
         assert!(l.grad_b.iter().all(|&g| g == 0.0));
+    }
+
+    /// One overflowed step must not poison the rest of a fit: `NaN × 0`
+    /// and `∞ × 0` are NaN, so clearing has to assign.
+    #[test]
+    fn zero_grad_clears_non_finite_gradients() {
+        let mut l = layer();
+        let x = Matrix::from_vec(2, 3, vec![1.0, f32::INFINITY, -1.0, 0.5, 1.0, f32::NAN]);
+        let g = Matrix::from_vec(2, 2, vec![1.0, f32::NEG_INFINITY, f32::NAN, 1.0]);
+        let _ = l.backward(&x, &g);
+        assert!(!l.grad_w.all_finite() && l.grad_b.iter().any(|g| !g.is_finite()));
+        l.zero_grad();
+        assert!(l.grad_w.data().iter().chain(&l.grad_b).all(|g| g.to_bits() == 0));
+    }
+
+    /// Clearing by assignment leaves an ordinary fit where scaling by zero
+    /// left it: the same weights after every step, to the bit.
+    #[test]
+    fn zero_grad_by_assignment_trains_the_same_weights() {
+        let x = Matrix::from_fn(12, 3, |i, j| ((i * 5 + j * 3) % 7) as f32 * 0.4 - 1.1);
+        let g_of = |y: &Matrix| Matrix::from_fn(12, 2, |i, j| y.get(i, j) - ((i + j) % 2) as f32);
+        let (mut a, mut b) = (layer(), layer());
+        let (mut opt_a, mut opt_b) = (Sgd::new(0.05), Sgd::new(0.05));
+        for _ in 0..30 {
+            a.zero_grad();
+            let grad = g_of(&a.forward(&x));
+            let _ = a.backward(&x, &grad);
+            opt_a.begin_step();
+            a.apply(&mut opt_a, 0);
+
+            // The clear this layer used to run.
+            b.grad_w.scale(0.0);
+            b.grad_b.fill(0.0);
+            let grad = g_of(&b.forward(&x));
+            let _ = b.backward(&x, &grad);
+            opt_b.begin_step();
+            b.apply(&mut opt_b, 0);
+
+            assert_eq!(a.w, b.w);
+            assert_eq!(a.b, b.b);
+        }
     }
 
     #[test]

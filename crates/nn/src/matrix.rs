@@ -163,22 +163,26 @@ impl Matrix {
     }
 
     /// `self × otherᵀ` — `[m,k] × [n,k]ᵀ → [m,n]`. Used by backprop to
-    /// compute input gradients without materializing transposes.
+    /// compute input gradients (`other` is a layer's `[n,k]` weights).
+    ///
+    /// Each output element is the dot product of a row of `self` and a
+    /// row of `other`, folded from `+0.0` in ascending `k`. The kernel
+    /// runs that fold for a whole output row at once — `out[i] += a[i][k]
+    /// · otherᵀ[k]` for ascending `k`, over one transposed copy of `other`
+    /// — so `n` chains advance in step and vectorize, where one
+    /// `k`-long scalar dot per element is a serial chain of additions.
     pub fn matmul_transpose_b(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_transpose_b shape mismatch");
         let mut out = Matrix::zeros(self.rows, other.rows);
         if other.rows == 0 {
             return out;
         }
+        let other_t = other.transpose();
         let kernel = |i: usize, out_row: &mut [f32]| {
-            let a_row = self.row(i);
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = other.row(j);
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
+            for (&a, b_row) in self.row(i).iter().zip(other_t.data.chunks_exact(other.rows)) {
+                for (o, &b) in out_row.iter_mut().zip(b_row) {
+                    *o += a * b;
                 }
-                *o = acc;
             }
         };
         if self.rows * self.cols * other.rows >= PAR_MIN_WORK {
@@ -192,33 +196,51 @@ impl Matrix {
     }
 
     /// `selfᵀ × other` — `[m,k]ᵀ × [m,n] → [k,n]`. Used by backprop to
-    /// compute weight gradients. Parallelized over *output* rows so each
-    /// accumulator is owned by one thread; the per-element accumulation
-    /// order (ascending batch index) matches the serial kernel exactly.
+    /// compute weight gradients, where `m` is the batch (thousands of
+    /// rows) and the `k × n` output is a weight matrix that fits in L1.
+    ///
+    /// The kernel streams `self` and `other` once, row by row, and adds
+    /// row `i`'s contribution `a[i][k] · other[i]` to output row `k` for
+    /// every non-zero `a[i][k]`: each output element is one chain in
+    /// ascending batch index, the order a per-output-row sweep down a
+    /// column of `self` produces, without its `k` strided passes over the
+    /// batch. Large operands split the *output* rows into one contiguous
+    /// block per thread, each block streaming all of `self`, so every
+    /// accumulator has one owner and the thread count cannot change a bit.
     pub fn matmul_transpose_a(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "matmul_transpose_a shape mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        if other.cols == 0 {
+        let (k, n) = (self.cols, other.cols);
+        let mut out = Matrix::zeros(k, n);
+        if k == 0 || n == 0 {
             return out;
         }
-        let kernel = |k: usize, out_row: &mut [f32]| {
-            for i in 0..self.rows {
-                let aik = self.data[i * self.cols + k];
-                if aik == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(i);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += aik * b;
+        // Output rows `k0 .. k0 + block.len() / n`.
+        let kernel = |k0: usize, block: &mut [f32]| {
+            let width = block.len() / n;
+            for (a_row, b_row) in self.data.chunks_exact(k).zip(other.data.chunks_exact(n)) {
+                for (&aik, out_row) in a_row[k0..k0 + width].iter().zip(block.chunks_exact_mut(n)) {
+                    if aik == 0.0 {
+                        continue;
+                    }
+                    for (o, &b) in out_row.iter_mut().zip(b_row) {
+                        *o += aik * b;
+                    }
                 }
             }
         };
-        if self.rows * self.cols * other.cols >= PAR_MIN_WORK {
-            flexer_par::for_each_row_mut(&mut out.data, other.cols, kernel);
+        let threads =
+            if self.rows * k * n >= PAR_MIN_WORK { flexer_par::max_threads().min(k) } else { 1 };
+        if threads <= 1 {
+            kernel(0, &mut out.data);
         } else {
-            for (k, out_row) in out.data.chunks_mut(other.cols).enumerate() {
-                kernel(k, out_row);
-            }
+            let per_block = k.div_ceil(threads);
+            out.data = flexer_par::parallel_map(k.div_ceil(per_block), |b| {
+                let k0 = b * per_block;
+                let mut block = vec![0.0; (k - k0).min(per_block) * n];
+                kernel(k0, &mut block);
+                block
+            })
+            .concat();
         }
         out
     }
@@ -402,6 +424,104 @@ mod tests {
         for (x, y) in direct.data().iter().zip(via_t.data()) {
             assert!((x - y).abs() < 1e-5);
         }
+    }
+
+    /// The kernel `matmul_transpose_a` replaced: one sweep down column `k`
+    /// of `a` per output row. Kept as the bitwise reference.
+    fn matmul_transpose_a_strided(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols(), b.cols());
+        for k in 0..a.cols() {
+            for i in 0..a.rows() {
+                let aik = a.get(i, k);
+                if aik == 0.0 {
+                    continue;
+                }
+                for (o, &x) in out.row_mut(k).iter_mut().zip(b.row(i)) {
+                    *o += aik * x;
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn transpose_matmuls_are_bitwise_the_loops_they_replaced() {
+        // Values with exact zeros, `-0.0`, all-zero rows and all-zero
+        // columns mixed in (the ReLU'd activations and masked gradients
+        // the kernel sees in training).
+        let fill = |rows: usize, cols: usize, salt: u64| {
+            let mut s = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let (zero_row, zero_col) = (salt as usize % 7, salt as usize % 5);
+            Matrix::from_fn(rows, cols, |i, j| {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let r = (s >> 33) % 16;
+                if i % 7 == zero_row || j % 5 == zero_col || r == 0 {
+                    0.0
+                } else if r == 1 {
+                    -0.0
+                } else {
+                    ((s >> 40) % 2001) as f32 / 500.0 - 2.0
+                }
+            })
+        };
+        // The last three shapes are past `PAR_MIN_WORK`, so a 4-thread
+        // budget splits their output rows (evenly, raggedly, and with
+        // fewer rows than threads).
+        let shapes = [
+            (1, 1, 1),
+            (1, 80, 30),
+            (200, 1, 1),
+            (3, 2, 30),
+            (37, 5, 7),
+            (64, 48, 24),
+            (200, 80, 30),
+            (131, 72, 24),
+            (1100, 72, 24),
+            (1500, 31, 30),
+            (180_000, 3, 2),
+        ];
+        for (salt, &(m, k, n)) in shapes.iter().enumerate() {
+            let a = fill(m, k, 2 * salt as u64);
+            let b = fill(m, n, 2 * salt as u64 + 1);
+            let want = matmul_transpose_a_strided(&a, &b);
+            for threads in [1usize, 4] {
+                let got = flexer_par::with_threads(threads, || a.matmul_transpose_a(&b));
+                let same =
+                    got.data().iter().zip(want.data()).all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(
+                    same && (got.rows(), got.cols()) == (k, n),
+                    "{m}x{k}x{n} at {threads} threads"
+                );
+            }
+        }
+        // `matmul_transpose_b` on the same operands, against the scalar
+        // dot per output element it replaced.
+        for (salt, &(m, k, n)) in shapes.iter().enumerate() {
+            let a = fill(m, k, 2 * salt as u64);
+            let b = fill(n, k, 2 * salt as u64 + 1);
+            let want = Matrix::from_fn(m, n, |i, j| {
+                a.row(i).iter().zip(b.row(j)).fold(0.0f32, |acc, (&x, &y)| acc + x * y)
+            });
+            for threads in [1usize, 4] {
+                let got = flexer_par::with_threads(threads, || a.matmul_transpose_b(&b));
+                let same =
+                    got.data().iter().zip(want.data()).all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(same, "transpose_b {m}x{k}x{n} at {threads} threads");
+            }
+        }
+        // Degenerate shapes: no batch rows, no columns on either side.
+        assert_eq!(
+            Matrix::zeros(0, 3).matmul_transpose_a(&Matrix::zeros(0, 2)),
+            Matrix::zeros(3, 2)
+        );
+        assert_eq!(
+            Matrix::zeros(4, 0).matmul_transpose_a(&Matrix::zeros(4, 2)),
+            Matrix::zeros(0, 2)
+        );
+        assert_eq!(
+            Matrix::zeros(4, 3).matmul_transpose_a(&Matrix::zeros(4, 0)),
+            Matrix::zeros(3, 0)
+        );
     }
 
     #[test]

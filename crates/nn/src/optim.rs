@@ -50,7 +50,7 @@ impl AdamConfig {
 }
 
 /// Adam optimizer state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
     config: AdamConfig,
     t: i32,
@@ -85,13 +85,16 @@ impl Optimizer for Adam {
         let c = self.config;
         let bc1 = 1.0 - c.beta1.powi(self.t.max(1));
         let bc2 = 1.0 - c.beta2.powi(self.t.max(1));
-        for i in 0..value.len() {
-            let g = grad[i] + c.weight_decay * value[i];
-            m[i] = c.beta1 * m[i] + (1.0 - c.beta1) * g;
-            v[i] = c.beta2 * v[i] + (1.0 - c.beta2) * g * g;
-            let m_hat = m[i] / bc1;
-            let v_hat = v[i] / bc2;
-            value[i] -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
+        // Zipped, so the four slices are walked without bounds checks and
+        // the body vectorizes; `+ − × ÷ √` round the same packed or scalar,
+        // so the expression tree below is the whole contract.
+        for (((w, &g), m), v) in value.iter_mut().zip(grad).zip(m.iter_mut()).zip(v.iter_mut()) {
+            let g = g + c.weight_decay * *w;
+            *m = c.beta1 * *m + (1.0 - c.beta1) * g;
+            *v = c.beta2 * *v + (1.0 - c.beta2) * g * g;
+            let m_hat = *m / bc1;
+            let v_hat = *v / bc2;
+            *w -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
         }
     }
 }
@@ -138,6 +141,79 @@ mod tests {
             opt.update(0, &mut x, &g);
         }
         assert!((x[0] - 3.0).abs() < 1e-2, "x = {}", x[0]);
+    }
+
+    /// The indexed loop `Adam::update` replaced, kept as the bitwise
+    /// reference: one slot's `(m, v)` at step `t`.
+    fn update_indexed(
+        c: AdamConfig,
+        t: i32,
+        (m, v): (&mut [f32], &mut [f32]),
+        value: &mut [f32],
+        grad: &[f32],
+    ) {
+        let bc1 = 1.0 - c.beta1.powi(t);
+        let bc2 = 1.0 - c.beta2.powi(t);
+        for i in 0..value.len() {
+            let g = grad[i] + c.weight_decay * value[i];
+            m[i] = c.beta1 * m[i] + (1.0 - c.beta1) * g;
+            v[i] = c.beta2 * v[i] + (1.0 - c.beta2) * g * g;
+            let m_hat = m[i] / bc1;
+            let v_hat = v[i] / bc2;
+            value[i] -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
+        }
+    }
+
+    #[test]
+    fn adam_update_is_bitwise_the_indexed_loop() {
+        // Gradients spanning exact zeros, 1e-22 (its second moment
+        // underflows to zero), 1e-20 (a subnormal one) and 1e3, signs
+        // mixed; slot lengths on both sides of the vector widths.
+        let magnitudes = [0.0f32, -0.0, 1e-22, -1e-20, 3e-5, -0.25, 1.0, 1e3, -1e3];
+        for weight_decay in [0.0f32, 5e-4] {
+            let config = AdamConfig { lr: 0.01, weight_decay, ..Default::default() };
+            let mut opt = Adam::new(config);
+            let lens = [1usize, 2, 7, 8, 33, 4104];
+            let mut values: Vec<Vec<f32>> = lens
+                .iter()
+                .map(|&n| (0..n).map(|i| (i % 13) as f32 * 0.05 - 0.3).collect())
+                .collect();
+            let mut want = values.clone();
+            let mut moments: Vec<(Vec<f32>, Vec<f32>)> =
+                lens.iter().map(|&n| (vec![0.0; n], vec![0.0; n])).collect();
+            let mut saw_subnormal = false;
+            for step in 1..=200 {
+                opt.begin_step();
+                for (slot, &n) in lens.iter().enumerate() {
+                    // Every third element only ever sees the first four
+                    // (zero and tiny) gradients, so its moments stay tiny.
+                    let grad: Vec<f32> = (0..n)
+                        .map(|i| {
+                            let span = if i % 3 == 0 { 4 } else { magnitudes.len() };
+                            magnitudes[(i * 7 + step * 3 + slot) % span]
+                        })
+                        .collect();
+                    opt.update(slot, &mut values[slot], &grad);
+                    let (m, v) = &mut moments[slot];
+                    update_indexed(config, step as i32, (m, v), &mut want[slot], &grad);
+                    saw_subnormal |= v.iter().any(|x| x.is_subnormal());
+                    let got = opt.moments[slot].as_ref().expect("slot sized on first use");
+                    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+                    assert_eq!(
+                        bits(&values[slot]),
+                        bits(&want[slot]),
+                        "w, slot {slot} step {step}"
+                    );
+                    assert_eq!(bits(&got.0), bits(m), "m, slot {slot} step {step}");
+                    assert_eq!(bits(&got.1), bits(v), "v, slot {slot} step {step}");
+                }
+            }
+            // With weight decay the gradient is `grad + wd·w`, never tiny.
+            assert!(
+                saw_subnormal || weight_decay > 0.0,
+                "the tiny gradients must reach subnormal second moments"
+            );
+        }
     }
 
     #[test]

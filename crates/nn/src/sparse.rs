@@ -165,9 +165,16 @@ impl SparseMatrix {
     /// `selfᵀ × dense` — `[m,k]ᵀ × [m,n] → [k,n]`. The weight-gradient
     /// kernel of a sparse input layer.
     pub fn transpose_matmul_dense(&self, dense: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, dense.cols());
+        self.transpose_matmul_dense_acc(dense, &mut out);
+        out
+    }
+
+    /// `out += selfᵀ × dense`, batch rows in ascending order — the form a
+    /// layer accumulates its `k × n` weight gradient with, no temporary.
+    pub(crate) fn transpose_matmul_dense_acc(&self, dense: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, dense.rows(), "spmmT shape mismatch");
-        let n = dense.cols();
-        let mut out = Matrix::zeros(self.cols, n);
+        assert_eq!((out.rows(), out.cols()), (self.cols, dense.cols()), "spmmT output shape");
         for i in 0..self.rows {
             let (cols, vals) = self.row(i);
             let d_row = dense.row(i);
@@ -178,7 +185,6 @@ impl SparseMatrix {
                 }
             }
         }
-        out
     }
 
     /// Gathers rows into a new sparse matrix.

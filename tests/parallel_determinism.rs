@@ -74,6 +74,21 @@ fn subset_fit_borrows_and_stays_deterministic() {
     assert_eq!(scores_1, scores_4);
 }
 
+/// FNV-1a over a sequence of lists: each list's length, then its items.
+fn fnv1a<L: ExactSizeIterator<Item = u32>>(lists: impl Iterator<Item = L>) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut eat = |x: u32| {
+        for b in x.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01B3);
+        }
+    };
+    for list in lists {
+        eat(list.len() as u32);
+        list.for_each(&mut eat);
+    }
+    h
+}
+
 /// The fit-time k-NN graph goes through the index's query-grouped,
 /// pruned search. Its edge lists are the exact k nearest under the
 /// (distance, id) order, so they are a property of the embeddings alone:
@@ -89,18 +104,48 @@ fn knn_edge_lists_are_pinned_at_any_thread_count() {
         let graph = with_threads(threads, || {
             flexer::graph::build_intent_graph(&base.embeddings(), config.k)
         });
-        // FNV-1a over every node's in-degree and neighbour ids.
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        let mut eat = |x: u32| {
-            for b in x.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01B3);
-            }
-        };
-        for v in 0..graph.n_nodes() {
-            let hood = graph.intra.in_neighbors(v);
-            eat(hood.len() as u32);
-            hood.iter().copied().for_each(&mut eat);
-        }
-        assert_eq!((graph.n_intra_edges(), h), (7_720, 0x472E_FB51_67C2_D230), "{threads} threads");
+        // Every node's in-degree and neighbour ids.
+        let hoods = (0..graph.n_nodes()).map(|v| graph.intra.in_neighbors(v).iter().copied());
+        assert_eq!(
+            (graph.n_intra_edges(), fnv1a(hoods)),
+            (7_720, 0x472E_FB51_67C2_D230),
+            "{threads} threads"
+        );
+    }
+}
+
+/// Every trained number downstream of a fit — the five intents' GNN scores
+/// and the matcher representations they were trained on — pinned by
+/// digest at 1 and 4 threads. The values were taken before the GNN
+/// training pass, the streaming weight-gradient kernel and the zipped Adam
+/// step replaced the whole-graph pass and the loops they had been, and did
+/// not move: a rewrite of any of them that changes one bit of one score is
+/// a decision, not a side effect.
+#[test]
+fn trained_scores_and_embeddings_are_pinned_at_any_thread_count() {
+    let bench = AmazonMiConfig::at_scale(Scale::Tiny).with_seed(11).generate();
+    let config = FlexErConfig::fast().with_seed(11);
+    for threads in [1usize, 4] {
+        let (embeddings, scores) = with_threads(threads, || {
+            let ctx =
+                PipelineContext::new(bench.clone(), &config.matcher).expect("valid benchmark");
+            let base = InParallelModel::fit(&ctx, &config.matcher).expect("in-parallel fits");
+            let flexer =
+                FlexErModel::fit_from_embeddings(&ctx, &base.embeddings(), &config).expect("fits");
+            let scores: Vec<Vec<f32>> = flexer.trained.iter().map(|t| t.scores.clone()).collect();
+            let embeddings: Vec<Vec<f32>> =
+                base.embeddings().iter().map(|m| m.data().to_vec()).collect();
+            (embeddings, scores)
+        });
+        let digest =
+            |vectors: &[Vec<f32>]| fnv1a(vectors.iter().map(|v| v.iter().map(|x| x.to_bits())));
+        assert_eq!(scores.len(), 5, "AmazonMI has five intents");
+        assert_eq!(
+            (digest(&embeddings), digest(&scores)),
+            (0x6997_BDCC_9DCB_E7E9, 0xAC43_53F3_ECA5_03EF),
+            "{threads} threads: (embeddings, scores) digests {:#X} {:#X}",
+            digest(&embeddings),
+            digest(&scores)
+        );
     }
 }
