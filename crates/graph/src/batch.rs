@@ -11,21 +11,40 @@
 //!   below).
 //! * [`NeighborArena`] — every candidate's per-intent-layer neighbour ids
 //!   as one flat id buffer plus `B·P + 1` offsets.
-//! * [`BatchInductiveTrace`] — all candidates' per-depth states stacked in
-//!   one `(B·P) × d_t` matrix per layer, plus one `(B·P) × 2` logit block.
+//! * [`BatchInductiveTrace`] — one GNN's per-depth states of all
+//!   candidates, one matrix per layer, plus its logit block.
+//!
+//! # What a pass computes
+//!
+//! FlexER trains one GNN per intent and reads intent `p`'s prediction from
+//! its layer-`p` node only (§4.2), so a batch goes through up to P GNNs in
+//! one call ([`GnnModel::forward_inductive_passes`]), and:
+//!
+//! * **The first layer's concat is shared.** `[self ; intra ; inter]` of
+//!   the new nodes is a function of the stacked features, the neighbour
+//!   arena and the depth-0 stored rows. No weight enters it, so GNNs whose
+//!   first layers have one input width and [`Aggregation`] (those of one
+//!   model) build it once; a GNN of another shape builds its own.
+//! * **The last layer is restricted.** Under a target intent layer `p` the
+//!   last SAGE layer and the head run on row `c·P + p` of each candidate
+//!   only: `B` concat, GEMM and logit rows, not `B·P`. (A one-layer GNN's
+//!   first layer is its last: target rows, nothing shared.)
+//! * **The layers below the last stay whole**: a node's inter-layer
+//!   aggregate reads its P − 1 peers one layer down, and ingest pins every
+//!   new node's state entering each deeper layer.
 //!
 //! Bit-identity: each output row of every stage is produced by exactly the
 //! serial kernel the per-candidate path runs — mean aggregation replays
 //! [`CsrGraph::mean_aggregate`](crate::CsrGraph::mean_aggregate)'s
 //! accumulation order (intra neighbours in rank order, inter peers in
 //! ascending layer order), and the per-layer matmul computes each row
-//! independently — so batched scores equal per-candidate scores to the
-//! bit at any thread count and any batch composition.
+//! independently — so every evaluated row equals the per-candidate pass's
+//! to the bit at any thread count, batch composition and row restriction.
 //!
 //! [`GnnModel::forward_inductive`]: crate::GnnModel::forward_inductive
+//! [`GnnModel::forward_inductive_passes`]: crate::GnnModel::forward_inductive_passes
 
 use crate::sage::{Aggregation, SageLayer};
-use flexer_nn::activation::softmax_rows;
 use flexer_nn::Matrix;
 
 /// Below this many written f32s the row-blocked aggregation stays on the
@@ -108,24 +127,42 @@ impl<'a> NeighborArena<'a> {
     }
 }
 
-/// Per-depth states and final logits of one **batched** inductive forward:
-/// candidate `c`'s intent-layer-`q` node occupies row `c·P + q` of every
-/// matrix.
+/// Per-depth states and final logits of one GNN's **batched** inductive
+/// forward: candidate `c`'s intent-layer-`q` node occupies row `c·P + q` —
+/// under a `target`, row `c` of the last layer's output and the logits.
 #[derive(Debug, Clone)]
 pub struct BatchInductiveTrace {
     /// Number of intent layers `P`.
     pub p_layers: usize,
-    /// Output of each GNN layer, `(B·P) × d_t`, post-ReLU except the last
-    /// (mirroring [`InductiveTrace`](crate::InductiveTrace)).
+    /// The intent layer the last GNN layer and the head ran on; `None`: all.
+    pub target: Option<usize>,
+    /// Output of each GNN layer, post-ReLU except the last (mirroring
+    /// [`InductiveTrace`](crate::InductiveTrace)).
     pub hidden: Vec<Matrix>,
-    /// `(B·P) × 2` logits of the prediction head.
+    /// Logits of the prediction head over the last layer's rows.
     pub logits: Matrix,
+    /// `[self ; aggregates]` rows this pass built (a first-layer concat
+    /// taken over from an earlier pass of the call counts there).
+    pub concat_rows: usize,
 }
 
 impl BatchInductiveTrace {
     /// Number of candidates in the batch.
     pub fn n_candidates(&self) -> usize {
-        self.logits.rows() / self.p_layers
+        self.logits.rows() / if self.target.is_some() { 1 } else { self.p_layers }
+    }
+
+    /// Row of a candidate's layer-`q` node in layer `t`'s output (the last
+    /// `t`: and the logits); panics if the pass did not evaluate that node.
+    fn row_of(&self, t: usize, candidate: usize, q: usize) -> usize {
+        assert!(q < self.p_layers, "intent layer {q} out of range ({} layers)", self.p_layers);
+        match self.target {
+            Some(target) if t + 1 == self.hidden.len() => {
+                assert_eq!(q, target, "this pass evaluated intent layer {target} only");
+                candidate
+            }
+            _ => candidate * self.p_layers + q,
+        }
     }
 
     /// Match likelihood of candidate `candidate` under intent layer
@@ -133,7 +170,7 @@ impl BatchInductiveTrace {
     /// [`InductiveTrace::scores`](crate::InductiveTrace::scores)`[intent]`
     /// of the per-candidate pass (same per-row softmax arithmetic).
     pub fn score(&self, candidate: usize, intent: usize) -> f32 {
-        let row = self.logits.row(candidate * self.p_layers + intent);
+        let row = self.logits.row(self.row_of(self.hidden.len() - 1, candidate, intent));
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0f32;
         for &v in row {
@@ -142,27 +179,20 @@ impl BatchInductiveTrace {
         (row[1] - max).exp() / sum
     }
 
-    /// All P match likelihoods of one candidate (softmax over its rows).
-    pub fn candidate_scores(&self, candidate: usize) -> Vec<f32> {
-        let p = self.p_layers;
-        let rows: Vec<usize> = (0..p).map(|q| candidate * p + q).collect();
-        let probs = softmax_rows(&self.logits.select_rows(&rows));
-        (0..p).map(|q| probs.get(q, 1)).collect()
-    }
-
     /// The depth-`t` state of candidate `candidate`'s intent-layer-`q`
     /// node — the row the serving tier pins on ingest.
     #[inline]
     pub fn candidate_hidden(&self, t: usize, candidate: usize, q: usize) -> &[f32] {
-        self.hidden[t].row(candidate * self.p_layers + q)
+        self.hidden[t].row(self.row_of(t, candidate, q))
     }
 }
 
-/// Builds one layer's `[self ; aggregates]` concat rows for the whole
-/// batch, writing into `out` (reshaped, allocation reused).
+/// Builds one layer's `[self ; aggregates]` concat rows for the whole batch
+/// (row `c·P + q`), or for a `target` layer's nodes only (row `c`), writing
+/// into `out` (reshaped, allocation reused).
 ///
-/// Row `c·P + q` replays exactly what the per-candidate local subgraph
-/// produces for the new node of intent layer `q`: the node's own state,
+/// A row replays exactly what the per-candidate local subgraph produces
+/// for the new node of intent layer `q`: the node's own state,
 /// then the mean over its pinned intra-layer neighbours (gathered from
 /// `sources[q]` in rank order), then the mean over its P−1 peer nodes in
 /// ascending layer order — per [`Aggregation`] mode. Rows are independent,
@@ -173,6 +203,7 @@ pub(crate) fn batch_concat_states(
     input: &Matrix,
     neighbors: &NeighborArena,
     sources: &[RowSource],
+    target: Option<usize>,
     out: &mut Matrix,
 ) {
     let d = layer.in_dim();
@@ -181,6 +212,7 @@ pub(crate) fn batch_concat_states(
     assert_eq!(input.rows(), b * p, "one input row per (candidate, layer)");
     assert_eq!(input.cols(), d, "input width must match the layer");
     assert_eq!(sources.len(), p, "one pinned-state source per intent layer");
+    assert!(target.map_or(true, |q| q < p), "target intent layer out of range");
     for s in sources {
         assert_eq!(s.dim(), d, "pinned state width mismatch");
     }
@@ -194,12 +226,12 @@ pub(crate) fn batch_concat_states(
     // pass re-touches megabytes per forward for no reason. Accumulation
     // starts from an explicit `fill(0.0)` in the same element order as the
     // zeroed-matrix path, so results are bit-identical.
-    out.reset_overwrite(b * p, factor * d);
+    let per = if target.is_some() { 1 } else { p };
+    out.reset_overwrite(b * per, factor * d);
     let aggregation = layer.aggregation();
     let kernel = |r: usize, row: &mut [f32]| {
-        let c = r / p;
-        let q = r % p;
-        row[..d].copy_from_slice(input.row(r));
+        let (c, q) = (r / per, target.unwrap_or(r % p));
+        row[..d].copy_from_slice(input.row(c * p + q));
         let ids = neighbors.neighbors(c, q);
         let src = &sources[q];
         match aggregation {

@@ -28,7 +28,7 @@ pub mod train;
 pub use batch::{BatchInductiveTrace, NeighborArena, RowSource};
 pub use build::build_intent_graph;
 pub use csr::CsrGraph;
-pub use model::{GnnModel, GnnTrace, InductiveTrace, TrainPass};
+pub use model::{BatchPass, GnnModel, GnnTrace, InductiveTrace, TrainPass};
 pub use multiplex::MultiplexGraph;
 pub use sage::{Aggregation, SageLayer};
 pub use train::{train_for_intent, GnnConfig, TrainedGnn};

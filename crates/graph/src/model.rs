@@ -53,7 +53,7 @@
 //! neighbour states are *pinned* from a cached [`GnnTrace`] — replaying an
 //! existing pair through this path is bit-identical to the batch forward.
 
-use crate::batch::{BatchInductiveTrace, NeighborArena, RowSource};
+use crate::batch::{batch_concat_states, BatchInductiveTrace, NeighborArena, RowSource};
 use crate::csr::CsrGraph;
 use crate::multiplex::MultiplexGraph;
 use crate::sage::{Aggregation, SageLayer};
@@ -146,6 +146,18 @@ impl InductiveTrace {
         let probs = softmax_rows(&self.logits);
         (0..probs.rows()).map(|i| probs.get(i, 1)).collect()
     }
+}
+
+/// One GNN's part of [`GnnModel::forward_inductive_passes`].
+#[derive(Debug, Clone, Copy)]
+pub struct BatchPass<'a> {
+    /// The frozen GNN.
+    pub model: &'a GnnModel,
+    /// `deeper[t - 1][q]`: this GNN's pinned states entering layer `t ≥ 1`.
+    pub deeper: &'a [Vec<RowSource<'a>>],
+    /// The intent layer this GNN's prediction is read from (§4.2): the last
+    /// SAGE layer and the head run on its nodes only. `None`: every node.
+    pub target: Option<usize>,
 }
 
 impl GnnModel {
@@ -389,50 +401,76 @@ impl GnnModel {
         InductiveTrace { hidden, logits }
     }
 
-    /// Batched inductive forward: scores `B` candidate pairs in one pass,
-    /// walking all `B·P` new nodes through each SAGE layer as one blocked
-    /// matmul instead of `B` per-candidate small matmuls.
-    ///
-    /// `new_features` stacks every candidate's `P × dim` block (row
-    /// `c·P + q` is candidate `c`'s intent-layer-`q` representation);
-    /// `neighbors` holds the flat per-candidate k-NN id lists; and
-    /// `sources[t][q]` is the contiguous pinned-state buffer intra-layer
-    /// ids resolve against when entering GNN layer `t` (depth-0 = the
-    /// initial representations, deeper = the owner's pinned arenas). Rows
-    /// are sliced from the sources, never copied into per-candidate
-    /// gather matrices.
-    ///
-    /// **Bit-identical** to `B` independent
-    /// [`GnnModel::forward_inductive`] calls at any thread count: every
-    /// aggregation row replays the per-candidate accumulation order
-    /// exactly, and the matmul/bias/ReLU/softmax kernels are all
-    /// row-independent (see `crate::batch`). Unlike the per-candidate
-    /// path it also never evaluates the neighbour slots' discarded rows,
-    /// which is where the ~(1+k)× FLOP saving comes from.
+    /// [`GnnModel::forward_inductive_passes`] for this GNN alone over every
+    /// new node: `sources[0]` is its `first`, `sources[1..]` the `deeper`.
     pub fn forward_inductive_batch(
         &self,
         new_features: &Matrix,
         neighbors: &NeighborArena<'_>,
         sources: &[Vec<RowSource<'_>>],
     ) -> BatchInductiveTrace {
+        let pass = BatchPass { model: self, deeper: &sources[1..], target: None };
+        Self::forward_inductive_passes(new_features, neighbors, &sources[0], &[pass]).remove(0)
+    }
+
+    /// Batched inductive forward: scores `B` candidate pairs in one call,
+    /// walking their new nodes through each SAGE layer as one blocked
+    /// matmul instead of `B` per-candidate small matmuls, through one GNN
+    /// per pass, each computing what is read from it — `crate::batch` has
+    /// what is shared, what is restricted and why the lower layers are not.
+    ///
+    /// `features` stacks every candidate's `P × dim` block (row `c·P + q`
+    /// is candidate `c`'s intent-layer-`q` representation); `neighbors`
+    /// holds the flat per-candidate k-NN id lists; `first[q]` is the
+    /// contiguous buffer intra-layer ids resolve against when entering the
+    /// first GNN layer (the initial representations, whichever the GNN) and
+    /// each pass's `deeper` the owner's pinned arenas below. Rows are
+    /// sliced from the sources, never copied into per-candidate gathers.
+    ///
+    /// Every row evaluated is **bit-identical** to that row of an
+    /// independent [`GnnModel::forward_inductive`] call at any thread count
+    /// (see `crate::batch`), without its discarded neighbour-slot rows.
+    pub fn forward_inductive_passes(
+        features: &Matrix,
+        neighbors: &NeighborArena<'_>,
+        first: &[RowSource<'_>],
+        passes: &[BatchPass<'_>],
+    ) -> Vec<BatchInductiveTrace> {
         let p_layers = neighbors.p_layers();
-        let b = neighbors.n_candidates();
-        assert_eq!(new_features.rows(), b * p_layers, "one feature row per (candidate, layer)");
-        assert_eq!(sources.len(), self.layers.len(), "one source set per GNN layer");
-        let mut hidden: Vec<Matrix> = Vec::with_capacity(self.layers.len());
+        // The first layer's concat, and the layer shape and rows it is of:
+        // no weight enters it, so a pass that asks for the same reuses it.
+        let (mut shared, mut shared_for) = (Matrix::zeros(0, 0), None);
         let mut concat = Matrix::zeros(0, 0);
-        for (t, layer) in self.layers.iter().enumerate() {
-            let input = if t == 0 { new_features } else { &hidden[t - 1] };
-            crate::batch::batch_concat_states(layer, input, neighbors, &sources[t], &mut concat);
-            let mut out = Matrix::zeros(0, 0);
-            // Bias + inter-layer ReLU fused into the packed matmul's
-            // epilogue: one pass over the B·P × d_t output instead of
-            // three.
-            layer.forward_concat_into(&concat, t + 1 < self.layers.len(), &mut out);
-            hidden.push(out);
-        }
-        let logits = self.head_forward(hidden.last().expect("at least one layer"));
-        BatchInductiveTrace { p_layers, hidden, logits }
+        let run = |pass: &BatchPass<'_>| {
+            let layers = &pass.model.layers;
+            assert_eq!(pass.deeper.len() + 1, layers.len(), "one source set per GNN layer");
+            let last = layers.len() - 1;
+            let rows = |t: usize| if t == last { pass.target } else { None };
+            let mut concat_rows = 0;
+            let wanted = Some((layers[0].in_dim(), layers[0].aggregation(), rows(0)));
+            if shared_for != wanted {
+                batch_concat_states(&layers[0], features, neighbors, first, rows(0), &mut shared);
+                shared_for = wanted;
+                concat_rows += shared.rows();
+            }
+            let mut hidden: Vec<Matrix> = Vec::with_capacity(layers.len());
+            for (t, layer) in layers.iter().enumerate() {
+                if t > 0 {
+                    let (below, stored) = (&hidden[t - 1], &pass.deeper[t - 1]);
+                    batch_concat_states(layer, below, neighbors, stored, rows(t), &mut concat);
+                    concat_rows += concat.rows();
+                }
+                let mut out = Matrix::zeros(0, 0);
+                // Bias + inter-layer ReLU fused into the packed matmul's
+                // epilogue: one pass over the output instead of three.
+                let input = if t == 0 { &shared } else { &concat };
+                layer.forward_concat_into(input, t < last, &mut out);
+                hidden.push(out);
+            }
+            let logits = pass.model.head_forward(&hidden[last]);
+            BatchInductiveTrace { p_layers, target: pass.target, hidden, logits, concat_rows }
+        };
+        passes.iter().map(run).collect()
     }
 
     /// [`GnnModel::forward_inductive`] with neighbour states gathered from

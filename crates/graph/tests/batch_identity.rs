@@ -2,9 +2,12 @@
 //! independent per-candidate [`GnnModel::forward_inductive`] calls — the
 //! correctness contract of the data-oriented serving hot path — for any
 //! layer stack, aggregation mode, intent count, neighbour-list shape and
-//! thread count.
+//! thread count. And the pass the serving tier runs — several GNNs over one
+//! batch, the first concat shared, each last layer restricted to its target
+//! intent layer — must return the bits of the every-row pass on every row
+//! it evaluates.
 
-use flexer_graph::{Aggregation, GnnModel, NeighborArena, RowSource};
+use flexer_graph::{Aggregation, BatchPass, GnnModel, NeighborArena, RowSource};
 use flexer_nn::Matrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -145,9 +148,7 @@ fn assert_batch_matches(model: &GnnModel, fx: &Fixture) {
             }
         }
         let batch_scores: Vec<f32> = (0..fx.p_layers).map(|q| batch.score(c, q)).collect();
-        let single_scores = single.scores();
-        assert_eq!(batch_scores, single_scores, "scores diverge: candidate {c}");
-        assert_eq!(batch.candidate_scores(c), single_scores);
+        assert_eq!(batch_scores, single.scores(), "scores diverge: candidate {c}");
     }
 }
 
@@ -237,6 +238,149 @@ fn batched_forward_is_bit_identical_with_packed_kernels_disabled() {
         assert_eq!(packed.logits, n.logits, "naive run {i}");
         assert_eq!(packed.hidden, n.hidden, "naive run {i}");
     }
+}
+
+/// Runs `models[i]` restricted to `targets[i]` as one shared call and
+/// asserts every evaluated row against the model's own every-row pass and
+/// against the per-candidate oracle: lower layers whole, last layer and
+/// logits on the target rows. Returns the traces for the caller's counts.
+fn assert_passes_match(
+    models: &[&GnnModel],
+    targets: &[usize],
+    fx: &Fixture,
+) -> Vec<flexer_graph::BatchInductiveTrace> {
+    let (p, b) = (fx.p_layers, fx.neighbors.len());
+    let (ids, offsets) = fx.flat_arena();
+    let arena = NeighborArena::new(&ids, &offsets, p);
+    let sources = fx.sources(models[0].n_layers());
+    let passes: Vec<BatchPass<'_>> = models
+        .iter()
+        .zip(targets)
+        .map(|(&model, &q)| BatchPass { model, deeper: &sources[1..], target: Some(q) })
+        .collect();
+    let traces = GnnModel::forward_inductive_passes(&fx.new_features, &arena, &sources[0], &passes);
+    assert_eq!(traces.len(), models.len());
+    for ((trace, &model), &q) in traces.iter().zip(models).zip(targets) {
+        let last = model.n_layers() - 1;
+        let whole = model.forward_inductive_batch(&fx.new_features, &arena, &sources);
+        assert_eq!(trace.n_candidates(), b);
+        assert_eq!(trace.target, Some(q));
+        assert_eq!(trace.hidden[..last], whole.hidden[..last], "lower layers must stay whole");
+        assert_eq!(trace.hidden[last].rows(), b, "last layer: one row per candidate");
+        assert_eq!(trace.logits.rows(), b, "logits: one row per candidate");
+        for c in 0..b {
+            assert_eq!(trace.candidate_hidden(last, c, q), whole.candidate_hidden(last, c, q));
+            assert_eq!(trace.logits.row(c), whole.logits.row(c * p + q));
+            assert_eq!(trace.score(c, q).to_bits(), whole.score(c, q).to_bits());
+            let rows: Vec<usize> = (0..p).map(|r| c * p + r).collect();
+            let single = model.forward_inductive(
+                &fx.new_features.select_rows(&rows),
+                &fx.per_candidate_inputs(c, model.n_layers()),
+            );
+            assert_eq!(trace.logits.row(c), single.logits.row(q), "candidate {c}, target {q}");
+            assert_eq!(trace.score(c, q).to_bits(), single.scores()[q].to_bits());
+            for t in 0..last {
+                for r in 0..p {
+                    assert_eq!(trace.candidate_hidden(t, c, r), single.hidden[t].row(r));
+                }
+            }
+            assert_eq!(trace.candidate_hidden(last, c, q), single.hidden[last].row(q));
+        }
+    }
+    traces
+}
+
+/// Layer count × aggregation × P × k × B (B % 4 ≠ 0 runs the GEMM's tail
+/// kernel) × every target, the P GNNs of one "model" in one call: the
+/// restricted pass equals the matching rows of the every-row pass and of
+/// `forward_inductive`, and the first concat is built once for all of them
+/// (a one-layer GNN's first layer is its last: target rows, built per GNN).
+#[test]
+fn restricted_shared_pass_matches_every_row_pass() {
+    let dim = 4;
+    for dims in [vec![6usize], vec![5, 5], vec![6, 3, 3]] {
+        for agg in [Aggregation::RelationTyped, Aggregation::Pooled] {
+            for p in 1..=5usize {
+                let mut rng = StdRng::seed_from_u64(77 + p as u64);
+                let gnns: Vec<GnnModel> =
+                    (0..p).map(|_| GnnModel::new(&mut rng, dim, &dims, agg)).collect();
+                let models: Vec<&GnnModel> = gnns.iter().collect();
+                let targets: Vec<usize> = (0..p).collect();
+                for max_k in [0usize, 1, 6] {
+                    for b in [0usize, 1, 5, 16] {
+                        let seed = (dims.len() * 1000 + p * 100 + max_k * 10 + b) as u64;
+                        let fx = Fixture::generate(dim, &dims, p, 19, b, max_k, seed);
+                        let traces = assert_passes_match(&models, &targets, &fx);
+                        // The first concat once (a one-layer GNN builds
+                        // its `b` target rows per pass: as many), every
+                        // middle layer whole per pass, `b` rows on top.
+                        let last = dims.len() - 1;
+                        let built: usize = traces.iter().map(|t| t.concat_rows).sum();
+                        let middle = last.saturating_sub(1) * p * (b * p);
+                        let top = if last == 0 { 0 } else { p * b };
+                        assert_eq!(built, b * p + middle + top, "{dims:?} {agg:?} P={p} B={b}");
+                        // One intent per call (the router's shape), and the
+                        // passes in another order: same bits.
+                        for (q, &model) in models.iter().enumerate() {
+                            assert_passes_match(&[model], &[q], &fx);
+                        }
+                        let rev: Vec<usize> = targets.iter().rev().copied().collect();
+                        let rev_models: Vec<&GnnModel> = models.iter().rev().copied().collect();
+                        assert_passes_match(&rev_models, &rev, &fx);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Sharing is decided from the first layers' shapes: GNNs that differ in
+/// aggregation (a `3d`- against a `2d`-wide concat) each build their own,
+/// in whichever order they come, and each still returns its own bits.
+#[test]
+fn gnns_with_different_first_layers_do_not_share_a_concat() {
+    let (dim, p, b) = (4, 3, 5);
+    let dims = [5usize, 5];
+    let mut rng = StdRng::seed_from_u64(404);
+    let typed = GnnModel::new(&mut rng, dim, &dims, Aggregation::RelationTyped);
+    let typed_too = GnnModel::new(&mut rng, dim, &dims, Aggregation::RelationTyped);
+    let pooled = GnnModel::new(&mut rng, dim, &dims, Aggregation::Pooled);
+    let fx = Fixture::generate(dim, &dims, p, 19, b, 4, 0xD1FF);
+    let first_layer_rows = |models: &[&GnnModel]| -> Vec<usize> {
+        let targets: Vec<usize> = (0..models.len()).collect();
+        let traces = assert_passes_match(models, &targets, &fx);
+        // Every pass builds its last layer's `b` rows itself.
+        traces.iter().map(|t| t.concat_rows - b).collect()
+    };
+    assert_eq!(first_layer_rows(&[&typed, &typed_too, &pooled]), [b * p, 0, b * p]);
+    assert_eq!(first_layer_rows(&[&typed, &pooled, &typed_too]), [b * p, b * p, b * p]);
+    assert_eq!(first_layer_rows(&[&pooled, &typed]), [b * p, b * p]);
+}
+
+/// A restricted trace holds one intent layer's logits, one row per
+/// candidate: asking it for another layer must not read a neighbouring
+/// candidate's row.
+#[test]
+#[should_panic(expected = "evaluated intent layer 1 only")]
+fn restricted_trace_refuses_another_intent() {
+    let mut rng = StdRng::seed_from_u64(8);
+    let model = GnnModel::new(&mut rng, 4, &[5, 5], Aggregation::RelationTyped);
+    let fx = Fixture::generate(4, &[5, 5], 3, 11, 4, 3, 99);
+    let trace = assert_passes_match(&[&model], &[1], &fx).pop().unwrap();
+    let _ = trace.score(0, 2);
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn trace_refuses_an_intent_past_the_last_layer() {
+    let mut rng = StdRng::seed_from_u64(8);
+    let model = GnnModel::new(&mut rng, 4, &[5, 5], Aggregation::RelationTyped);
+    let fx = Fixture::generate(4, &[5, 5], 3, 11, 4, 3, 99);
+    let (ids, offsets) = fx.flat_arena();
+    let arena = NeighborArena::new(&ids, &offsets, 3);
+    let trace = model.forward_inductive_batch(&fx.new_features, &arena, &fx.sources(2));
+    // Row 0·3 + 3 exists: it is candidate 1's layer-0 node.
+    let _ = trace.score(0, 3);
 }
 
 proptest! {

@@ -77,6 +77,12 @@ impl PinnedArena {
         RowSource::new(&self.bufs[self.slot(depth, q)], self.dims[depth])
     }
 
+    /// Every buffer as a source, `[depth][q]`: a batched pass's `deeper`.
+    pub fn sources(&self) -> Vec<Vec<RowSource<'_>>> {
+        let at = |depth| (0..self.p_layers).map(|q| self.source(depth, q)).collect();
+        (0..self.depths()).map(at).collect()
+    }
+
     /// Bulk-appends whole rows into one buffer — the warm-forward load
     /// path, copying each layer's contiguous block straight out of the
     /// transductive trace. Callers must append the same number of rows to

@@ -56,7 +56,7 @@ use crate::error::ServeError;
 use crate::metrics::{MetricsInner, ServeMetrics};
 use flexer_ann::{AnyIndex, Neighbor, VectorIndex};
 use flexer_block::{BlockerState, ShardedBlocker};
-use flexer_graph::{BatchInductiveTrace, InductiveTrace, NeighborArena, RowSource};
+use flexer_graph::{BatchInductiveTrace, BatchPass, GnnModel, NeighborArena, RowSource};
 use flexer_matcher::{PairScratch, PreparedSide};
 use flexer_nn::{Matrix, SparseMatrix};
 use flexer_obs::{Counter, MetricsSnapshot, Recorder};
@@ -180,7 +180,7 @@ struct PairBatch {
 enum ScoredBatch {
     /// Per-candidate, per-intent `(score, trace)` pairs — the reference
     /// kernel ([`ServeConfig::reference_scoring`]).
-    Reference(Vec<Vec<(f32, InductiveTrace)>>),
+    Reference(Vec<Vec<(f32, flexer_graph::InductiveTrace)>>),
     /// One batched trace per intent, all candidates at once — the
     /// data-oriented default.
     Batched(Vec<BatchInductiveTrace>),
@@ -250,7 +250,7 @@ pub struct ResolutionService {
     recorder: Recorder,
     /// Embeddings the flood guard computed but refused to cache.
     flood_rejections: AtomicU64,
-    /// Rows fed through `forward_inductive_batch` (B·P per batched call).
+    /// New nodes handed to the batched forward (B·P per call).
     ctr_forward_rows: Counter,
     /// Candidate records considered across record-level resolves.
     ctr_resolve_candidates: Counter,
@@ -803,6 +803,9 @@ impl ResolutionService {
                 return Err(ServeError::IntentOutOfRange(p, p_total));
             }
         }
+        if intents.is_empty() {
+            return Ok(Vec::new());
+        }
         match query {
             ResolveQuery::CorpusPair(pair) => {
                 if *pair >= self.pairs.len() {
@@ -858,6 +861,10 @@ impl ResolutionService {
                     }
                 };
                 self.ctr_resolve_candidates.add(candidates.len() as u64);
+                if candidates.is_empty() {
+                    let none = |&p| ResolveResponse { intent: p, matches: Vec::new() };
+                    return Ok(intents.iter().map(none).collect());
+                }
                 let titles: Vec<(&str, &str)> = candidates
                     .iter()
                     .map(|&r| (self.records[r].as_str(), title.as_str()))
@@ -1124,8 +1131,8 @@ impl ResolutionService {
             .collect()
     }
 
-    /// Scores a batch of new pairs under every requested intent with one
-    /// GNN forward per intent — the data-oriented hot path. The batch is
+    /// Scores a batch of new pairs under every requested intent in one
+    /// batched GNN forward — the data-oriented hot path. The batch is
     /// localized through the cache ([`Self::localize`]; the resolve that
     /// owns the batch writes it back, so the next call — the router's next
     /// intent of the same title — finds it), the neighbour ids are copied
@@ -1133,6 +1140,8 @@ impl ResolutionService {
     /// embeddings are stacked into one `(B·P) × dim` feature matrix, and
     /// stored states are *sliced* from the pinned arenas and index buffers
     /// — no per-candidate gather matrices, no per-candidate graph builds.
+    /// Intent `p`'s GNN evaluates what is read from it: every node below its
+    /// last layer (ingest pins them), the layer-`p` nodes there (the score).
     /// Bit-identical to the reference kernel for every candidate
     /// (`flexer-graph`'s batch contract).
     fn score_pairs_batched(
@@ -1175,27 +1184,21 @@ impl ResolutionService {
             let stacked = Matrix::from_vec(b * p_total, dim, std::mem::take(features));
             let arena = NeighborArena::new(ids, offsets, p_total);
             let t_gnn = std::time::Instant::now();
-            let traces = intents
-                .iter()
-                .map(|&p| {
-                    let model = &self.snapshot.trained[p].model;
-                    let sources: Vec<Vec<RowSource<'_>>> = (0..model.n_layers())
-                        .map(|t| {
-                            (0..p_total)
-                                .map(|q| {
-                                    if t == 0 {
-                                        RowSource::new(self.indexes[q].data(), dim)
-                                    } else {
-                                        self.pinned[p].source(t - 1, q)
-                                    }
-                                })
-                                .collect()
-                        })
-                        .collect();
-                    model.forward_inductive_batch(&stacked, &arena, &sources)
-                })
-                .collect();
+            let first: Vec<RowSource<'_>> =
+                self.indexes.iter().map(|index| RowSource::new(index.data(), dim)).collect();
+            let deeper: Vec<_> = intents.iter().map(|&p| self.pinned[p].sources()).collect();
+            let mut passes = Vec::with_capacity(intents.len());
+            for (&p, deeper) in intents.iter().zip(&deeper) {
+                let model = &self.snapshot.trained[p].model;
+                passes.push(BatchPass { model, deeper, target: Some(p) });
+            }
+            let traces = GnnModel::forward_inductive_passes(&stacked, &arena, &first, &passes);
             self.recorder.record_span_ns("forward.gnn", t_gnn.elapsed().as_nanos() as u64);
+            // Aggregate rows the kernel built; rows through a SAGE GEMM.
+            let concat_rows: usize = traces.iter().map(|t| t.concat_rows).sum();
+            let gemm_rows: usize = traces.iter().flat_map(|t| &t.hidden).map(Matrix::rows).sum();
+            self.recorder.add("serve.forward.concat_rows", concat_rows as u64);
+            self.recorder.add("serve.forward.gemm_rows", gemm_rows as u64);
             *features = stacked.into_vec();
             traces
         })
@@ -1276,5 +1279,56 @@ impl TargetKey for MatchTarget {
             MatchTarget::Pair(p) => *p,
             MatchTarget::AdHoc => usize::MAX,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
+    use flexer_datasets::AmazonMiConfig;
+    use flexer_store::IndexKind;
+    use flexer_types::Scale;
+
+    /// A record query nothing blocks with, and a call that asks for no
+    /// intent, answer without embedding, localizing or scoring anything.
+    #[test]
+    fn degenerate_batches_skip_the_forward() {
+        let bench = AmazonMiConfig::at_scale(Scale::Tiny).with_seed(5).generate();
+        let config = FlexErConfig::fast();
+        let ctx = PipelineContext::new(bench, &config.matcher).unwrap();
+        let base = InParallelModel::fit(&ctx, &config.matcher).unwrap();
+        let model = FlexErModel::fit_from_embeddings(&ctx, &base.embeddings(), &config).unwrap();
+        let snapshot = model.to_snapshot(&ctx, &base, &config, IndexKind::Flat).unwrap();
+        let mut svc = ResolutionService::new(snapshot, ServeConfig::default()).unwrap();
+        let work = |svc: &ResolutionService| {
+            let rows = svc.obs_snapshot().counter("serve.forward.rows").unwrap_or(0);
+            (rows, svc.metrics().cache_misses)
+        };
+
+        let known = ResolveQuery::record(svc.record_title(0));
+        assert!(!svc.resolve_all_intents(&known, 5).unwrap()[0].matches.is_empty());
+        let before = work(&svc);
+
+        // No gram in common with any product title.
+        let alien = ResolveQuery::record("§§§§§§ ¶¶¶¶¶¶");
+        let answers = svc.resolve_all_intents(&alien, 5).unwrap();
+        assert_eq!(answers.len(), svc.n_intents());
+        for (p, answer) in answers.iter().enumerate() {
+            assert_eq!((answer.intent, answer.matches.len()), (p, 0));
+        }
+        assert_eq!(svc.resolve(&alien, 1, 5).unwrap().matches, []);
+
+        for query in [&known, &alien, &ResolveQuery::pair("alpha widget", "beta gadget")] {
+            assert_eq!(svc.resolve_intents_with(query, &[], 5, None).unwrap(), []);
+        }
+        assert_eq!(work(&svc), before, "a degenerate resolve must not reach the forward");
+
+        // An ingest nothing blocks with creates no pair.
+        let report = svc.ingest("§§§§§§ ¶¶¶¶¶¶");
+        assert_eq!((report.n_pairs, svc.n_pairs()), (0, svc.n_train_pairs()));
+        assert_eq!(work(&svc), before);
+        // And the record it became is now a candidate of itself.
+        assert_eq!(svc.resolve_all_intents(&alien, 5).unwrap()[0].matches.len(), 1);
     }
 }

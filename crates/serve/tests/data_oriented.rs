@@ -129,6 +129,50 @@ fn batched_ingest_reproduces_reference_state_exactly() {
     }
 }
 
+/// The served forward asks each intent's GNN for what is read from it —
+/// every node below the last layer, the intent's own nodes at the last —
+/// and that shape depends on the GNN's: a one-layer GNN's first layer is
+/// its last, a three-layer one has a whole middle layer, a pooled one a
+/// narrower concat. For each: identical resolves for every query shape,
+/// one intent per call (the router's shape) equal to that intent of the
+/// all-intents call, identical ingest reports and ingested scores, and
+/// the exported snapshot byte-identical after the ingests.
+#[test]
+fn batched_and_reference_kernels_agree_for_every_gnn_shape() {
+    use flexer_graph::{Aggregation, GnnConfig};
+    let shapes = [
+        GnnConfig { n_layers: 1, ..GnnConfig::fast() },
+        GnnConfig { n_layers: 3, ..GnnConfig::fast() },
+        GnnConfig { aggregation: Aggregation::Pooled, ..GnnConfig::fast() },
+    ];
+    let titles = ["BrandNew UltraWidget 9000 Pro Edition", "Nike Air Max 2016 second listing"];
+    for gnn in shapes {
+        let shape = format!("{} layers, {:?}", gnn.n_layers, gnn.aggregation);
+        let snapshot = fit_snapshot(&FlexErConfig { gnn, ..FlexErConfig::fast() }, IndexKind::Flat);
+        let bytes = snapshot.to_bytes();
+        let mut batched = ResolutionService::new(snapshot.clone(), ServeConfig::default()).unwrap();
+        let mut reference = ResolutionService::new(snapshot, ServeConfig::reference()).unwrap();
+        assert_eq!(drive(&batched), drive(&reference), "{shape}: responses diverge");
+        for query in query_mix(&batched) {
+            let all = batched.resolve_all_intents(&query, 10).unwrap();
+            for (p, want) in all.iter().enumerate() {
+                assert_eq!(&batched.resolve(&query, p, 10).unwrap(), want, "{shape}: intent {p}");
+            }
+        }
+        assert_eq!(batched.ingest_batch(&titles), reference.ingest_batch(&titles), "{shape}");
+        for pair in batched.n_train_pairs()..batched.n_pairs() {
+            assert_eq!(
+                batched.resolve_all_intents(&ResolveQuery::CorpusPair(pair), 1).unwrap(),
+                reference.resolve_all_intents(&ResolveQuery::CorpusPair(pair), 1).unwrap(),
+                "{shape}: ingested pair {pair} scores diverge"
+            );
+        }
+        assert_eq!(drive(&batched), drive(&reference), "{shape}: post-ingest queries diverge");
+        assert_eq!(batched.to_snapshot().to_bytes(), bytes, "{shape}: batched export diverges");
+        assert_eq!(reference.to_snapshot().to_bytes(), bytes, "{shape}: reference export");
+    }
+}
+
 #[test]
 fn batched_path_is_thread_count_invariant() {
     let snapshot = trained_snapshot(IndexKind::Flat);

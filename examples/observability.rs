@@ -76,10 +76,20 @@ fn main() {
             snap.counter("serve.resolve.candidates").unwrap_or(0) > 0,
             "candidate counter never incremented"
         );
-        assert!(
-            snap.counter("serve.forward.rows").unwrap_or(0) > 0,
-            "forward-row counter never incremented"
-        );
+        let rows = snap.counter("serve.forward.rows").unwrap_or(0);
+        assert!(rows > 0, "forward-row counter never incremented");
+        // What the forward evaluated for those B·P new nodes per call. Every
+        // call above scores all P intents through two-layer GNNs: the first
+        // layer's concat once for all of them (B·P rows) and each GNN's
+        // last layer on its own intent's B nodes; P first-layer GEMMs over
+        // B·P rows and P last-layer GEMMs over B. (Every layer of every GNN
+        // on every node would be 2·P times `rows`, both.)
+        let p = svc.n_intents() as u64;
+        let concat_rows = snap.counter("serve.forward.concat_rows").unwrap_or(0);
+        let gemm_rows = snap.counter("serve.forward.gemm_rows").unwrap_or(0);
+        println!("forward: {rows} new nodes, {concat_rows} concat rows, {gemm_rows} GEMM rows");
+        assert_eq!(concat_rows, 2 * rows, "first concat shared, last layer on target rows");
+        assert_eq!(gemm_rows, (p + 1) * rows, "last-layer GEMM on target rows");
         // The localization cache's hit and resume rates: first resolve and
         // ingests search from scratch, repeats reuse, the resolve after the
         // ingests resumes over the appended index tail.
