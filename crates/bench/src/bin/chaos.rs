@@ -36,9 +36,9 @@
 //! within `budget + one I/O quantum` (plus scheduling grace): a fault may
 //! cost latency, never a hang. Exit codes are asserted zero for every
 //! child except the deliberately killed ones, and the whole harness must
-//! finish under a hard wall-clock cap. `--json` writes `BENCH_chaos.json`
-//! (scenario throughputs, fault-latency percentiles, router fault
-//! counters) for the `compare` gate.
+//! finish under a hard wall-clock cap. `--json` writes
+//! `target/bench/chaos.json` (scenario throughputs, fault-latency
+//! percentiles, router fault counters).
 
 use flexer_bench::json::{write_bench_json, JsonObject};
 use flexer_core::{FlexErModel, InParallelModel, PipelineContext};
@@ -372,7 +372,7 @@ fn main() {
             .int("insert_replayed", get("router.shard.insert_replayed"))
             .int("degraded", get("router.shard.degraded"))
             .render();
-        let path = write_bench_json("chaos", &doc).expect("write BENCH_chaos.json");
+        let path = write_bench_json("chaos", &doc).expect("write target/bench/chaos.json");
         eprintln!("[chaos] wrote {}", path.display());
     }
 }

@@ -84,7 +84,7 @@ fn main() {
             .int("seed", args.seed)
             .raw("datasets", array(json_datasets))
             .render();
-        let path = write_bench_json("table5", &doc).expect("write BENCH_table5.json");
+        let path = write_bench_json("table5", &doc).expect("write target/bench/table5.json");
         eprintln!("[table5] wrote {}", path.display());
     }
 }

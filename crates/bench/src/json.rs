@@ -2,9 +2,8 @@
 //!
 //! The environment is offline (no serde), and bench output only needs
 //! objects, arrays, strings and numbers — so this is a tiny, dependency-
-//! free builder. Harness binaries call it behind `--json` to drop
-//! `BENCH_<name>.json` files that a perf-trajectory collector can diff
-//! across commits.
+//! free builder. `chaos` and `table5` call it behind `--json` to drop
+//! `target/bench/<name>.json`.
 
 use std::io;
 use std::path::PathBuf;
@@ -84,10 +83,13 @@ impl JsonObject {
     }
 }
 
-/// Writes `BENCH_<name>.json` into the current directory and returns its
-/// path.
+/// Writes `target/bench/<name>.json` (relative to the current directory,
+/// created if missing — build output, never a tracked file) and returns
+/// its path.
 pub fn write_bench_json(name: &str, rendered: &str) -> io::Result<PathBuf> {
-    let path = PathBuf::from(format!("BENCH_{name}.json"));
+    let dir = PathBuf::from("target/bench");
+    std::fs::create_dir_all(&dir)?;
+    let path = dir.join(format!("{name}.json"));
     std::fs::write(&path, format!("{rendered}\n"))?;
     Ok(path)
 }

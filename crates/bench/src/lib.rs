@@ -1,15 +1,16 @@
 //! # flexer-bench
 //!
 //! The experiment harness: one binary per table/figure of the FlexER
-//! paper's evaluation (§5), plus Criterion micro-benches. Every binary
-//! accepts `--scale tiny|small|paper` (default varies by experiment cost)
-//! and `--seed N`, prints the paper's reported numbers next to ours, and
-//! is deterministic for a given scale/seed.
+//! paper's evaluation (§5), the `chaos` fault-injection smoke, and
+//! Criterion micro-benches. Every table/figure binary accepts
+//! `--scale tiny|small|paper` (default varies by experiment cost) and
+//! `--seed N`, prints the paper's reported numbers next to ours, and is
+//! deterministic for a given scale/seed. The repo's one benchmark, the
+//! `ladder`, is a package of its own under `src/bin/ladder/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compare;
 pub mod json;
 
 use flexer_core::prelude::*;
@@ -24,7 +25,7 @@ pub struct HarnessArgs {
     pub scale: Scale,
     /// Generation/training seed.
     pub seed: u64,
-    /// Whether to also write machine-readable `BENCH_*.json` results.
+    /// Whether to also write machine-readable results under `target/bench/`.
     pub json: bool,
 }
 

@@ -193,7 +193,7 @@ impl ShardedBlocker {
         // Group-by-shard, parallel shard-local ingest: each shard absorbs
         // its titles in input order, exactly as serial inserts would. Each
         // shard's wall time aggregates under `shard.ingest.local.<s>`, the
-        // balance evidence the shard bench reports (max/mean imbalance).
+        // balance evidence (max/mean imbalance across shards).
         flexer_par::for_each_row_mut(&mut self.shards, 1, |s, shard| {
             let rec = flexer_obs::global();
             let t0 = rec.is_enabled().then(std::time::Instant::now);

@@ -476,7 +476,8 @@ impl GnnModel {
     /// [`GnnModel::forward_inductive`] with neighbour states gathered from
     /// a cached transductive trace: `intra_pairs[q]` lists the new pair's
     /// k-NN *pair indices* within layer `q`, in neighbour rank order.
-    pub fn forward_inductive_on(
+    #[cfg(test)]
+    pub(crate) fn forward_inductive_on(
         &self,
         graph: &MultiplexGraph,
         trace: &GnnTrace,

@@ -209,37 +209,6 @@ fn batched_forward_is_thread_count_invariant() {
     assert_eq!(serial.hidden, parallel.hidden);
 }
 
-/// The packed/fused kernels and the pre-packing naive sequence must
-/// produce byte-equal end-to-end batched traces at any thread count —
-/// the differential gate for `flexer_nn::kernels`. (Flipping the global
-/// toggle is safe under concurrent tests precisely because both paths
-/// are bit-identical.)
-#[test]
-fn batched_forward_is_bit_identical_with_packed_kernels_disabled() {
-    let mut rng = StdRng::seed_from_u64(91);
-    let dims = vec![6usize, 6];
-    let model = GnnModel::new(&mut rng, 5, &dims, Aggregation::RelationTyped);
-    let fx = Fixture::generate(5, &dims, 3, 40, 32, 6, 4321);
-    let (ids, offsets) = fx.flat_arena();
-    let arena = NeighborArena::new(&ids, &offsets, fx.p_layers);
-    let sources = fx.sources(model.n_layers());
-    let packed = model.forward_inductive_batch(&fx.new_features, &arena, &sources);
-    flexer_nn::kernels::set_packed_kernels(false);
-    let naive: Vec<_> = [1usize, 3, 8]
-        .iter()
-        .map(|&threads| {
-            flexer_par::with_threads(threads, || {
-                model.forward_inductive_batch(&fx.new_features, &arena, &sources)
-            })
-        })
-        .collect();
-    flexer_nn::kernels::set_packed_kernels(true);
-    for (i, n) in naive.iter().enumerate() {
-        assert_eq!(packed.logits, n.logits, "naive run {i}");
-        assert_eq!(packed.hidden, n.hidden, "naive run {i}");
-    }
-}
-
 /// Runs `models[i]` restricted to `targets[i]` as one shared call and
 /// asserts every evaluated row against the model's own every-row pass and
 /// against the per-candidate oracle: lower layers whole, last layer and

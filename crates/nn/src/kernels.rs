@@ -36,30 +36,12 @@
 //! `flexer_par::for_each_row_mut` — the same splitting the naive kernel
 //! uses, bit-identical at any thread count.
 //!
-//! A process-wide toggle ([`set_packed_kernels`]) routes
-//! [`dense_forward_into`] back to the exact pre-packing sequence
-//! (`matmul_into` → `add_row_broadcast` → `relu_inplace`). Differential
-//! tests and the `kernels` bench bin use it to prove bit-identity and
-//! measure before/after on the same live service.
+//! [`dense_forward_into`] is the one dense-layer forward. The unfused
+//! sequence it replaced (`matmul_into` → `add_row_broadcast` →
+//! `relu_inplace`) is what this module's tests diff it against.
 
 use crate::linear::Linear;
 use crate::matrix::{Matrix, PAR_MIN_WORK};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static PACKED_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Globally enables or disables the packed kernels. When disabled,
-/// [`dense_forward_into`] falls back to the naive unfused sequence the
-/// packed path replaced. Safe to flip at any time: both paths produce
-/// bit-identical results, so in-flight work is unaffected.
-pub fn set_packed_kernels(enabled: bool) {
-    PACKED_ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the packed kernels are currently enabled (the default).
-pub fn packed_kernels_enabled() -> bool {
-    PACKED_ENABLED.load(Ordering::Relaxed)
-}
 
 /// Column-panel width of [`PackedB`]: the register tile is 4 rows ×
 /// `PANEL` columns.
@@ -257,9 +239,10 @@ fn write_tile(dst: &mut [f32], acc: &[f32], j0: usize, epilogue: Epilogue<'_>) {
 }
 
 /// A full dense layer forward — `out = act(x · w + b)` — through the
-/// packed kernels, or through the pre-packing naive sequence when
-/// [`set_packed_kernels`]`(false)` is in effect. `pack` must be the
-/// packing of `layer.w` (owners repack after every optimizer step).
+/// packed kernels: bit-identical to `x.matmul_into(&layer.w, out)`, then
+/// `add_row_broadcast(&layer.b)`, then `relu_inplace` when `relu`. `pack`
+/// must be the packing of `layer.w` (owners repack after every optimizer
+/// step).
 pub fn dense_forward_into(
     x: &Matrix,
     layer: &Linear,
@@ -269,16 +252,8 @@ pub fn dense_forward_into(
 ) {
     debug_assert_eq!(pack.rows, layer.w.rows(), "stale pack: rows");
     debug_assert_eq!(pack.cols, layer.w.cols(), "stale pack: cols");
-    if packed_kernels_enabled() {
-        let epilogue = if relu { Epilogue::BiasRelu(&layer.b) } else { Epilogue::Bias(&layer.b) };
-        matmul_packed_into(x, pack, epilogue, out);
-    } else {
-        x.matmul_into(&layer.w, out);
-        out.add_row_broadcast(&layer.b);
-        if relu {
-            crate::activation::relu_inplace(out);
-        }
-    }
+    let epilogue = if relu { Epilogue::BiasRelu(&layer.b) } else { Epilogue::Bias(&layer.b) };
+    matmul_packed_into(x, pack, epilogue, out);
 }
 
 /// Fused bias-add + optional ReLU over a freshly materialized matmul
@@ -486,23 +461,28 @@ mod tests {
     }
 
     #[test]
-    fn toggle_routes_dense_forward_through_both_paths_identically() {
-        let layer = Linear {
-            w: Matrix::from_vec(6, 5, lcg_values(31, 30)),
-            b: lcg_values(32, 5),
-            grad_w: Matrix::zeros(6, 5),
-            grad_b: vec![0.0; 5],
-        };
-        let pack = PackedB::pack(&layer.w);
-        let x = Matrix::from_vec(9, 6, lcg_values(33, 54));
-        let mut packed = Matrix::zeros(0, 0);
-        let mut naive = Matrix::zeros(0, 0);
-        assert!(packed_kernels_enabled());
-        dense_forward_into(&x, &layer, &pack, true, &mut packed);
-        set_packed_kernels(false);
-        dense_forward_into(&x, &layer, &pack, true, &mut naive);
-        set_packed_kernels(true);
-        assert_bits_eq(&packed, &naive, "toggle differential");
+    fn dense_forward_equals_the_unfused_sequence_it_documents() {
+        for &(m, k, n) in &[(1, 1, 1), (3, 5, 5), (4, 4, 4), (5, 9, 7), (9, 6, 5), (11, 96, 48)] {
+            let layer = Linear {
+                w: Matrix::from_vec(k, n, lcg_values(31 + k as u64, k * n)),
+                b: lcg_values(32 + n as u64, n),
+                grad_w: Matrix::zeros(k, n),
+                grad_b: vec![0.0; n],
+            };
+            let pack = PackedB::pack(&layer.w);
+            let x = Matrix::from_vec(m, k, lcg_values(33 + m as u64, m * k));
+            for relu in [true, false] {
+                let mut got = Matrix::zeros(0, 0);
+                dense_forward_into(&x, &layer, &pack, relu, &mut got);
+                let mut want = Matrix::zeros(0, 0);
+                x.matmul_into(&layer.w, &mut want);
+                want.add_row_broadcast(&layer.b);
+                if relu {
+                    crate::activation::relu_inplace(&mut want);
+                }
+                assert_bits_eq(&got, &want, &format!("{m}x{k}x{n}/relu={relu}"));
+            }
+        }
     }
 
     #[test]

@@ -82,22 +82,6 @@ impl MetricsSnapshot {
         self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
-    /// Sum of `sum` over every span whose path starts with `prefix`
-    /// followed by a `.` (or equals `prefix`). Used by the bench bins to
-    /// roll a stage family (e.g. every `resolve.*` stage) into one number.
-    pub fn span_sum_ns(&self, prefix: &str) -> u64 {
-        self.spans
-            .iter()
-            .filter(|s| {
-                s.name == prefix
-                    || (s.name.len() > prefix.len()
-                        && s.name.starts_with(prefix)
-                        && s.name.as_bytes()[prefix.len()] == b'.')
-            })
-            .map(|s| s.sum)
-            .sum()
-    }
-
     /// JSON object with `spans` / `values` / `counters` / `gauges` keys.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
@@ -270,19 +254,6 @@ mod tests {
         assert!(text.contains("flexer_span_ns_count{path=\"resolve.forward\"} 1"));
         assert!(text.contains("flexer_counter{name=\"cache.hits\"} 3"));
         assert!(text.contains("flexer_gauge{name=\"arena.rows\"} 12"));
-    }
-
-    #[cfg(feature = "enabled")]
-    #[test]
-    fn span_sum_rolls_up_prefix_families() {
-        let snap = sample_snapshot();
-        assert_eq!(snap.span_sum_ns("resolve"), 450);
-        assert_eq!(snap.span_sum_ns("resolve.block"), 400);
-        // `resolve` must not match a hypothetical `resolvex` sibling.
-        let rec = Recorder::new();
-        rec.record_span_ns("resolvex", 1000);
-        rec.record_span_ns("resolve.a", 1);
-        assert_eq!(rec.snapshot().span_sum_ns("resolve"), 1);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   instance is available via [`global`] for low-level crates.
 //! * [`MetricsSnapshot`] — deterministic point-in-time export with
 //!   [`MetricsSnapshot::to_json`] and a Prometheus-style
-//!   [`MetricsSnapshot::to_prometheus`] text exposition; consumed by the
-//!   bench bins to break `BENCH_*.json` down per stage.
+//!   [`MetricsSnapshot::to_prometheus`] text exposition; the serving
+//!   tier's `obs_snapshot()` returns one.
 //!
 //! ## Usage
 //!

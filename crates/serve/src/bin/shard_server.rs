@@ -71,8 +71,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // The parent (cluster bench, CI smoke) parses this line to learn the
-    // ephemeral port.
+    // The parent (the chaos harness, an operator's launcher) parses this
+    // line to learn the ephemeral port.
     println!("LISTEN {}", server.local_addr());
     server.run();
     ExitCode::SUCCESS

@@ -581,7 +581,8 @@ fn shutdown_replica(addr: &str, net: &NetConfig, deadline: Instant) -> Option<()
 }
 
 /// A blocking client for one router connection — the typed counterpart of
-/// the wire protocol, used by the cluster bench and the smoke tests.
+/// the wire protocol, used by the ladder's `cluster_mixed` rung, the chaos
+/// harness and the cluster tests.
 pub struct RouterClient {
     stream: TcpStream,
 }

@@ -35,8 +35,9 @@
 //! lookup either reuses it, or resumes each layer's scan over the rows
 //! appended since ([`VectorIndex::search_batch_since`]) — bit-identical to
 //! searching from scratch, which is what a cache miss does. Ingest bypasses
-//! the cache (its keys are one-shot) and the reference kernel localizes
-//! uncached, as the oracle.
+//! the cache (its keys are one-shot), and the per-candidate reference
+//! kernel this path is tested against (`service/reference.rs`, compiled
+//! into test builds only) localizes uncached, as the oracle.
 //!
 //! # Candidate generation
 //!
@@ -79,18 +80,11 @@ pub struct ServeConfig {
     /// record (quadratic). The explicit fallback for parity testing the
     /// blocked path against; off by default.
     pub exhaustive: bool,
-    /// Route inductive scoring through the per-candidate reference kernel
-    /// (one gather + GNN forward per candidate) instead of the batched
-    /// data-oriented path. The two produce bit-identical scores; the
-    /// reference path exists for differential tests and as the baseline
-    /// the serve bench measures the batched speedup against. Off by
-    /// default.
-    pub reference_scoring: bool,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self { cache_capacity: 1024, exhaustive: false, reference_scoring: false }
+        Self { cache_capacity: 1024, exhaustive: false }
     }
 }
 
@@ -98,11 +92,6 @@ impl ServeConfig {
     /// Config with the blocker bypassed (all-pairs candidate generation).
     pub fn exhaustive() -> Self {
         Self { exhaustive: true, ..Self::default() }
-    }
-
-    /// Config with the per-candidate reference scoring kernel.
-    pub fn reference() -> Self {
-        Self { reference_scoring: true, ..Self::default() }
     }
 }
 
@@ -175,14 +164,15 @@ struct PairBatch {
     relocated: Vec<usize>,
 }
 
-/// Inductive scores of one candidate batch, in whichever shape the
-/// configured kernel produces them.
+/// Inductive scores of one candidate batch, in the shape the kernel that
+/// scored it produces them.
 enum ScoredBatch {
     /// Per-candidate, per-intent `(score, trace)` pairs — the reference
-    /// kernel ([`ServeConfig::reference_scoring`]).
+    /// kernel of test builds.
+    #[cfg(test)]
     Reference(Vec<Vec<(f32, flexer_graph::InductiveTrace)>>),
-    /// One batched trace per intent, all candidates at once — the
-    /// data-oriented default.
+    /// One batched trace per intent, all candidates at once — what the
+    /// service ships.
     Batched(Vec<BatchInductiveTrace>),
 }
 
@@ -210,6 +200,10 @@ thread_local! {
 pub struct ResolutionService {
     snapshot: ModelSnapshot,
     config: ServeConfig,
+    /// Score through the per-candidate reference kernel; set by
+    /// [`ResolutionService::reference`] only.
+    #[cfg(test)]
+    reference_kernel: bool,
     /// Pairs the loaded snapshot was trained on (ingested pairs live past
     /// this watermark).
     n_train_pairs: usize,
@@ -389,6 +383,8 @@ impl ResolutionService {
             ctr_localize_rows_scanned,
             snapshot,
             config,
+            #[cfg(test)]
+            reference_kernel: false,
         })
     }
 
@@ -683,18 +679,13 @@ impl ResolutionService {
             candidates.iter().map(|&other| (self.records[other].as_str(), title)).collect();
         let mut batch = self.embed_pairs(&titles, false);
         let intents: Vec<IntentId> = (0..self.n_intents()).collect();
-        let scored = if self.config.reference_scoring {
-            // Independent per candidate: fan out, each candidate runs the
-            // exact serial scoring kernel, so results are bit-identical at
-            // any thread count.
-            ScoredBatch::Reference(flexer_par::parallel_map(batch.pairs.len(), |j| {
-                let emb = &batch.pairs[j].emb;
-                let neighbors = self.neighbors_of(emb);
-                intents.iter().map(|&p| self.score_pair_inductive(emb, &neighbors, p)).collect()
-            }))
-        } else {
-            ScoredBatch::Batched(self.score_pairs_batched(&mut batch, &intents))
-        };
+        #[cfg(test)]
+        {
+            if self.reference_kernel {
+                return self.score_candidates_reference(batch, &intents);
+            }
+        }
+        let scored = ScoredBatch::Batched(self.score_pairs_batched(&mut batch, &intents));
         (batch.pairs.into_iter().map(|pair| pair.emb).collect(), scored)
     }
 
@@ -713,19 +704,9 @@ impl ResolutionService {
         let first_pair = self.pairs.len();
         let p_intents = self.n_intents();
         match scored {
+            #[cfg(test)]
             ScoredBatch::Reference(per_pair) => {
-                for (j, (per_intent, &other)) in per_pair.into_iter().zip(candidates).enumerate() {
-                    for (p, (score, trace)) in per_intent.into_iter().enumerate() {
-                        self.scores[p].push(score);
-                        for t in 0..self.pinned[p].depths() {
-                            for q in 0..p_intents {
-                                self.pinned[p].push_row(t, q, trace.hidden[t].row(q));
-                            }
-                        }
-                        self.pinned[p].add_rows(1);
-                    }
-                    self.append_pair(other, record, &embeddings[j]);
-                }
+                self.apply_reference(per_pair, candidates, record, &embeddings)
             }
             ScoredBatch::Batched(traces) => {
                 for (j, &other) in candidates.iter().enumerate() {
@@ -905,28 +886,24 @@ impl ResolutionService {
         }
     }
 
-    /// Match likelihoods of a resolve's candidate batch under the configured
-    /// kernel — `scores[pi][j]`: requested intent `pi`, candidate `j` —
-    /// and the batch's one cache write-back.
+    /// Match likelihoods of a resolve's candidate batch — `scores[pi][j]`:
+    /// requested intent `pi`, candidate `j` — and the batch's one cache
+    /// write-back.
     fn score_resolve_batch(&self, batch: &mut PairBatch, intents: &[IntentId]) -> Vec<Vec<f32>> {
-        let scores = if self.config.reference_scoring {
-            // Independent per candidate: fan out, each candidate runs the
-            // exact serial scoring, so results are bit-identical at any
-            // thread count.
-            let per_candidate: Vec<Vec<f32>> = flexer_par::parallel_map(batch.pairs.len(), |j| {
-                let emb = &batch.pairs[j].emb;
-                let neighbors = self.neighbors_of(emb);
-                intents.iter().map(|&p| self.score_pair_inductive(emb, &neighbors, p).0).collect()
-            });
-            (0..intents.len()).map(|pi| per_candidate.iter().map(|s| s[pi]).collect()).collect()
-        } else {
-            let traces = self.score_pairs_batched(batch, intents);
-            traces
-                .iter()
-                .zip(intents)
-                .map(|(trace, &p)| (0..batch.pairs.len()).map(|j| trace.score(j, p)).collect())
-                .collect()
-        };
+        #[cfg(test)]
+        {
+            if self.reference_kernel {
+                let scores = self.score_resolve_reference(batch, intents);
+                self.write_back(batch);
+                return scores;
+            }
+        }
+        let traces = self.score_pairs_batched(batch, intents);
+        let scores = traces
+            .iter()
+            .zip(intents)
+            .map(|(trace, &p)| (0..batch.pairs.len()).map(|j| trace.score(j, p)).collect())
+            .collect();
         self.write_back(batch);
         scores
     }
@@ -1053,8 +1030,8 @@ impl ResolutionService {
     /// search from scratch, for a pair that was never localized. Pairs that
     /// share a watermark go through each layer's index as one query-blocked
     /// pass (groups of candidates share every cache-hot index block), and
-    /// every list is bitwise what the reference path's single-query
-    /// `search` returns — the `search_batch_since` contract.
+    /// every list is bitwise what a single-query `search` returns — the
+    /// `search_batch_since` contract.
     fn localize(&self, batch: &mut PairBatch) {
         let n = self.pairs.len();
         let k = self.snapshot.k;
@@ -1121,16 +1098,6 @@ impl ResolutionService {
         }
     }
 
-    /// Per-layer k-NN pair ids of a new pair's embedding (rank order).
-    fn neighbors_of(&self, emb: &PairEmbedding) -> Vec<Vec<usize>> {
-        let k = self.snapshot.k;
-        self.indexes
-            .iter()
-            .enumerate()
-            .map(|(q, index)| index.search(emb.row(q), k).into_iter().map(|h| h.id).collect())
-            .collect()
-    }
-
     /// Scores a batch of new pairs under every requested intent in one
     /// batched GNN forward — the data-oriented hot path. The batch is
     /// localized through the cache ([`Self::localize`]; the resolve that
@@ -1142,8 +1109,8 @@ impl ResolutionService {
     /// — no per-candidate gather matrices, no per-candidate graph builds.
     /// Intent `p`'s GNN evaluates what is read from it: every node below its
     /// last layer (ingest pins them), the layer-`p` nodes there (the score).
-    /// Bit-identical to the reference kernel for every candidate
-    /// (`flexer-graph`'s batch contract).
+    /// Bit-identical to the per-candidate `forward_inductive` for every
+    /// candidate (`flexer-graph`'s batch contract).
     fn score_pairs_batched(
         &self,
         batch: &mut PairBatch,
@@ -1153,9 +1120,11 @@ impl ResolutionService {
         let dim = self.snapshot.graph.dim;
         let b = batch.pairs.len();
         self.ctr_forward_rows.add((b * p_total) as u64);
-        // Explicit flat paths (not nested spans): a dotted child of
-        // `resolve.forward` would be double-counted by the prefix-summing
-        // `span_sum_ns` the kernels bench reads the stage through.
+        // Explicit flat paths (not nested spans): resolves and ingest's
+        // phase-1 workers share this call, and a nested guard would file
+        // the stage under a different parent on each (`resolve.forward` on
+        // a resolve, whatever a `flexer-par` worker thread's stack holds on
+        // an ingest). One name per stage totals it across both.
         let t_localize = std::time::Instant::now();
         self.localize(batch);
         self.recorder.record_span_ns("forward.localize", t_localize.elapsed().as_nanos() as u64);
@@ -1203,44 +1172,6 @@ impl ResolutionService {
             traces
         })
     }
-
-    /// Scores one new pair under one intent's frozen GNN — the reference
-    /// kernel ([`ServeConfig::reference_scoring`]) the batched path is
-    /// verified against; returns the match likelihood and the full
-    /// inductive trace (for ingest).
-    fn score_pair_inductive(
-        &self,
-        emb: &PairEmbedding,
-        neighbors: &[Vec<usize>],
-        intent: IntentId,
-    ) -> (f32, flexer_graph::InductiveTrace) {
-        let p_total = self.n_intents();
-        let dim = self.snapshot.graph.dim;
-        let model = &self.snapshot.trained[intent].model;
-        let neighbor_inputs: Vec<Vec<Matrix>> = (0..model.n_layers())
-            .map(|t| {
-                (0..p_total)
-                    .map(|q| {
-                        let ids = &neighbors[q];
-                        let d = if t == 0 { dim } else { self.pinned[intent].dim(t - 1) };
-                        let mut m = Matrix::zeros(ids.len(), d);
-                        for (row, &id) in ids.iter().enumerate() {
-                            let src = if t == 0 {
-                                self.indexes[q].vector(id)
-                            } else {
-                                self.pinned[intent].row(t - 1, q, id)
-                            };
-                            m.row_mut(row).copy_from_slice(src);
-                        }
-                        m
-                    })
-                    .collect()
-            })
-            .collect();
-        let trace = model.forward_inductive(emb, &neighbor_inputs);
-        let score = trace.scores()[intent];
-        (score, trace)
-    }
 }
 
 /// Fixed-width hashed cache key of a title pair: two independent 64-bit
@@ -1281,6 +1212,9 @@ impl TargetKey for MatchTarget {
         }
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -1,0 +1,547 @@
+//! The per-candidate reference kernel — one uncached single-query
+//! localization, one gather and one [`GnnModel::forward_inductive`] per
+//! candidate and intent — and the differential tests that hold the shipped
+//! batched path to it. Test builds only: a service booted through
+//! [`ResolutionService::reference`] scores resolves and ingests through
+//! this kernel, and every case below demands **bit-identical** responses,
+//! ingest reports and served state from the two — for every query shape
+//! and GNN shape, at any thread count, under any shard layout, over both
+//! index backends, and with cached, resumed and pruned localization.
+//!
+//! [`GnnModel::forward_inductive`]: flexer_graph::GnnModel::forward_inductive
+
+use super::{PairBatch, PairEmbedding, ScoredBatch, ScoredCandidates};
+use crate::{ResolutionService, ServeConfig, ServeError};
+use flexer_ann::VectorIndex;
+use flexer_graph::InductiveTrace;
+use flexer_nn::Matrix;
+use flexer_store::ModelSnapshot;
+use flexer_types::IntentId;
+use std::sync::Arc;
+
+impl ResolutionService {
+    /// A default-configured service that scores through the reference
+    /// kernel.
+    pub(crate) fn reference(snapshot: ModelSnapshot) -> Result<Self, ServeError> {
+        let mut svc = Self::new(snapshot, ServeConfig::default())?;
+        svc.reference_kernel = true;
+        Ok(svc)
+    }
+
+    /// `(score, trace)` per candidate and requested intent. Candidates are
+    /// independent: each runs the exact serial scoring, so the fan-out is
+    /// bit-identical at any thread count.
+    fn reference_traces(
+        &self,
+        batch: &PairBatch,
+        intents: &[IntentId],
+    ) -> Vec<Vec<(f32, InductiveTrace)>> {
+        flexer_par::parallel_map(batch.pairs.len(), |j| {
+            let emb = &batch.pairs[j].emb;
+            let neighbors = self.neighbors_of(emb);
+            intents.iter().map(|&p| self.score_pair_inductive(emb, &neighbors, p)).collect()
+        })
+    }
+
+    /// Ingest phase 1 on the reference kernel.
+    pub(super) fn score_candidates_reference(
+        &self,
+        batch: PairBatch,
+        intents: &[IntentId],
+    ) -> ScoredCandidates {
+        let per_pair = self.reference_traces(&batch, intents);
+        (batch.pairs.into_iter().map(|pair| pair.emb).collect(), ScoredBatch::Reference(per_pair))
+    }
+
+    /// A resolve's `scores[pi][j]` on the reference kernel.
+    pub(super) fn score_resolve_reference(
+        &self,
+        batch: &PairBatch,
+        intents: &[IntentId],
+    ) -> Vec<Vec<f32>> {
+        let per_pair = self.reference_traces(batch, intents);
+        (0..intents.len()).map(|pi| per_pair.iter().map(|s| s[pi].0).collect()).collect()
+    }
+
+    /// Ingest phase 2 from reference traces: the [`ScoredBatch::Reference`]
+    /// arm of `apply_scored`.
+    pub(super) fn apply_reference(
+        &mut self,
+        per_pair: Vec<Vec<(f32, InductiveTrace)>>,
+        candidates: &[usize],
+        record: usize,
+        embeddings: &[Arc<PairEmbedding>],
+    ) {
+        let p_intents = self.n_intents();
+        for (j, (per_intent, &other)) in per_pair.into_iter().zip(candidates).enumerate() {
+            for (p, (score, trace)) in per_intent.into_iter().enumerate() {
+                self.scores[p].push(score);
+                for t in 0..self.pinned[p].depths() {
+                    for q in 0..p_intents {
+                        self.pinned[p].push_row(t, q, trace.hidden[t].row(q));
+                    }
+                }
+                self.pinned[p].add_rows(1);
+            }
+            self.append_pair(other, record, &embeddings[j]);
+        }
+    }
+
+    /// Per-layer k-NN pair ids of a new pair's embedding (rank order).
+    fn neighbors_of(&self, emb: &PairEmbedding) -> Vec<Vec<usize>> {
+        let k = self.snapshot.k;
+        self.indexes
+            .iter()
+            .enumerate()
+            .map(|(q, index)| index.search(emb.row(q), k).into_iter().map(|h| h.id).collect())
+            .collect()
+    }
+
+    /// Scores one new pair under one intent's frozen GNN; returns the match
+    /// likelihood and the full inductive trace (for ingest).
+    fn score_pair_inductive(
+        &self,
+        emb: &PairEmbedding,
+        neighbors: &[Vec<usize>],
+        intent: IntentId,
+    ) -> (f32, InductiveTrace) {
+        let p_total = self.n_intents();
+        let dim = self.snapshot.graph.dim;
+        let model = &self.snapshot.trained[intent].model;
+        let neighbor_inputs: Vec<Vec<Matrix>> = (0..model.n_layers())
+            .map(|t| {
+                (0..p_total)
+                    .map(|q| {
+                        let ids = &neighbors[q];
+                        let d = if t == 0 { dim } else { self.pinned[intent].dim(t - 1) };
+                        let mut m = Matrix::zeros(ids.len(), d);
+                        for (row, &id) in ids.iter().enumerate() {
+                            let src = if t == 0 {
+                                self.indexes[q].vector(id)
+                            } else {
+                                self.pinned[intent].row(t - 1, q, id)
+                            };
+                            m.row_mut(row).copy_from_slice(src);
+                        }
+                        m
+                    })
+                    .collect()
+            })
+            .collect();
+        let trace = model.forward_inductive(emb, &neighbor_inputs);
+        let score = trace.scores()[intent];
+        (score, trace)
+    }
+}
+
+mod tests {
+    use crate::{IngestReport, ResolutionService, ServeConfig, ShardedResolutionService};
+    use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
+    use flexer_datasets::AmazonMiConfig;
+    use flexer_store::{IndexKind, ModelSnapshot};
+    use flexer_types::{MatchTarget, ResolveQuery, ResolveResponse, Scale, ShardConfig};
+
+    /// Trains on the tiny AmazonMI benchmark and snapshots the result.
+    fn fit_snapshot(config: &FlexErConfig, kind: IndexKind) -> ModelSnapshot {
+        let bench = AmazonMiConfig::at_scale(Scale::Tiny).with_seed(23).generate();
+        let ctx = PipelineContext::new(bench, &config.matcher).unwrap();
+        let base = InParallelModel::fit(&ctx, &config.matcher).unwrap();
+        let model = FlexErModel::fit_from_embeddings(&ctx, &base.embeddings(), config).unwrap();
+        model.to_snapshot(&ctx, &base, config, kind).unwrap()
+    }
+
+    /// One shared training run per index backend for the whole test binary.
+    fn trained_snapshot(kind: IndexKind) -> ModelSnapshot {
+        static FLAT: std::sync::OnceLock<ModelSnapshot> = std::sync::OnceLock::new();
+        static IVF: std::sync::OnceLock<ModelSnapshot> = std::sync::OnceLock::new();
+        let cell = match kind {
+            IndexKind::Flat => &FLAT,
+            IndexKind::Ivf(_) => &IVF,
+        };
+        cell.get_or_init(|| fit_snapshot(&FlexErConfig::fast(), kind)).clone()
+    }
+
+    fn ivf_kind() -> IndexKind {
+        IndexKind::Ivf(flexer_ann::IvfConfig { nlist: 4, nprobe: 2, ..Default::default() })
+    }
+
+    /// The flat snapshot re-indexed as an IVF so sparse (many lists, one
+    /// probed) that some searches find fewer than `k` neighbours — the short
+    /// lists the neighbour-list cache has to pad.
+    fn sparse_ivf_snapshot() -> ModelSnapshot {
+        use flexer_ann::{AnyIndex, IvfConfig, IvfIndex, VectorIndex};
+        let mut snapshot = trained_snapshot(IndexKind::Flat);
+        let config = IvfConfig { nlist: 64, nprobe: 1, ..Default::default() };
+        for index in &mut snapshot.indexes {
+            *index = AnyIndex::Ivf(IvfIndex::build(index.dim(), index.data(), config));
+        }
+        let (index, k) = (&snapshot.indexes[0], snapshot.k);
+        assert!(
+            (0..index.len()).any(|id| index.search(index.vector(id), k).len() < k),
+            "the sparse IVF must produce short neighbour lists"
+        );
+        snapshot
+    }
+
+    /// The query mix every parity test drives: ad-hoc pairs, repeated titles
+    /// (cache hits), record queries over known and novel titles.
+    fn query_mix(svc: &ResolutionService) -> Vec<ResolveQuery> {
+        let mut queries = vec![
+            ResolveQuery::pair("Nike Air Max 2016", "NIKE air max 2016"),
+            ResolveQuery::pair("alpha widget", "beta gadget"),
+            ResolveQuery::record("BrandNew UltraWidget 9000 Pro Edition"),
+        ];
+        for i in (0..svc.n_records()).step_by(7).take(6) {
+            queries.push(ResolveQuery::record(svc.record_title(i)));
+        }
+        // Repeats: the second occurrence is served from the embedding cache.
+        queries.push(ResolveQuery::record(svc.record_title(0)));
+        queries.push(ResolveQuery::pair("Nike Air Max 2016", "NIKE air max 2016"));
+        queries
+    }
+
+    fn drive(svc: &ResolutionService) -> Vec<flexer_types::ResolveResponse> {
+        let mut out = Vec::new();
+        for q in query_mix(svc) {
+            out.extend(svc.resolve_all_intents(&q, 10).unwrap());
+        }
+        out
+    }
+
+    /// Like [`drive`], but resolving through the shard wrapper so record
+    /// queries use the sharded blocking tier (the inner service's own blocker
+    /// slot is exhaustive by construction).
+    fn drive_sharded(svc: &ShardedResolutionService) -> Vec<flexer_types::ResolveResponse> {
+        let mut out = Vec::new();
+        for q in query_mix(svc.service()) {
+            out.extend(svc.resolve_all_intents(&q, 10).unwrap());
+        }
+        out
+    }
+
+    #[test]
+    fn batched_and_reference_kernels_agree_on_every_query_shape() {
+        for kind in [IndexKind::Flat, ivf_kind()] {
+            let snapshot = trained_snapshot(kind);
+            let batched = ResolutionService::new(snapshot.clone(), ServeConfig::default()).unwrap();
+            let reference = ResolutionService::reference(snapshot).unwrap();
+            assert_eq!(
+                drive(&batched),
+                drive(&reference),
+                "batched responses diverge from the reference kernel"
+            );
+        }
+    }
+
+    #[test]
+    fn batched_ingest_reproduces_reference_state_exactly() {
+        let titles = [
+            "BrandNew UltraWidget 9000 Pro Edition",
+            "Nike Air Max 2016 second listing",
+            "totally unrelated garden hose 5m",
+        ];
+        for kind in [IndexKind::Flat, ivf_kind()] {
+            let snapshot = trained_snapshot(kind);
+            let mut batched =
+                ResolutionService::new(snapshot.clone(), ServeConfig::default()).unwrap();
+            let mut reference = ResolutionService::reference(snapshot).unwrap();
+            let rb = batched.ingest_batch(&titles.iter().map(|t| &**t).collect::<Vec<_>>());
+            let rr = reference.ingest_batch(&titles.iter().map(|t| &**t).collect::<Vec<_>>());
+            assert_eq!(rb, rr, "ingest reports diverge");
+            // Every ingested pair's served score must be bit-identical, and the
+            // pinned state must feed later queries identically.
+            for pair in batched.n_train_pairs()..batched.n_pairs() {
+                assert_eq!(
+                    batched.resolve_all_intents(&ResolveQuery::CorpusPair(pair), 1).unwrap(),
+                    reference.resolve_all_intents(&ResolveQuery::CorpusPair(pair), 1).unwrap(),
+                    "ingested pair {pair} scores diverge"
+                );
+            }
+            assert_eq!(drive(&batched), drive(&reference), "post-ingest queries diverge");
+        }
+    }
+
+    /// The served forward asks each intent's GNN for what is read from it —
+    /// every node below the last layer, the intent's own nodes at the last —
+    /// and that shape depends on the GNN's: a one-layer GNN's first layer is
+    /// its last, a three-layer one has a whole middle layer, a pooled one a
+    /// narrower concat. For each: identical resolves for every query shape,
+    /// one intent per call (the router's shape) equal to that intent of the
+    /// all-intents call, identical ingest reports and ingested scores, and
+    /// the exported snapshot byte-identical after the ingests.
+    #[test]
+    fn batched_and_reference_kernels_agree_for_every_gnn_shape() {
+        use flexer_graph::{Aggregation, GnnConfig};
+        let shapes = [
+            GnnConfig { n_layers: 1, ..GnnConfig::fast() },
+            GnnConfig { n_layers: 3, ..GnnConfig::fast() },
+            GnnConfig { aggregation: Aggregation::Pooled, ..GnnConfig::fast() },
+        ];
+        let titles = ["BrandNew UltraWidget 9000 Pro Edition", "Nike Air Max 2016 second listing"];
+        for gnn in shapes {
+            let shape = format!("{} layers, {:?}", gnn.n_layers, gnn.aggregation);
+            let snapshot =
+                fit_snapshot(&FlexErConfig { gnn, ..FlexErConfig::fast() }, IndexKind::Flat);
+            let bytes = snapshot.to_bytes();
+            let mut batched =
+                ResolutionService::new(snapshot.clone(), ServeConfig::default()).unwrap();
+            let mut reference = ResolutionService::reference(snapshot).unwrap();
+            assert_eq!(drive(&batched), drive(&reference), "{shape}: responses diverge");
+            for query in query_mix(&batched) {
+                let all = batched.resolve_all_intents(&query, 10).unwrap();
+                for (p, want) in all.iter().enumerate() {
+                    assert_eq!(
+                        &batched.resolve(&query, p, 10).unwrap(),
+                        want,
+                        "{shape}: intent {p}"
+                    );
+                }
+            }
+            assert_eq!(batched.ingest_batch(&titles), reference.ingest_batch(&titles), "{shape}");
+            for pair in batched.n_train_pairs()..batched.n_pairs() {
+                assert_eq!(
+                    batched.resolve_all_intents(&ResolveQuery::CorpusPair(pair), 1).unwrap(),
+                    reference.resolve_all_intents(&ResolveQuery::CorpusPair(pair), 1).unwrap(),
+                    "{shape}: ingested pair {pair} scores diverge"
+                );
+            }
+            assert_eq!(drive(&batched), drive(&reference), "{shape}: post-ingest queries diverge");
+            assert_eq!(batched.to_snapshot().to_bytes(), bytes, "{shape}: batched export diverges");
+            assert_eq!(reference.to_snapshot().to_bytes(), bytes, "{shape}: reference export");
+        }
+    }
+
+    #[test]
+    fn batched_path_is_thread_count_invariant() {
+        let snapshot = trained_snapshot(IndexKind::Flat);
+        let svc = ResolutionService::new(snapshot, ServeConfig::default()).unwrap();
+        let serial = flexer_par::with_threads(1, || drive(&svc));
+        let parallel = flexer_par::with_threads(8, || drive(&svc));
+        assert_eq!(serial, parallel, "thread budget must not change any response bit");
+    }
+
+    #[test]
+    fn sharded_service_matches_reference_for_every_shard_count() {
+        let snapshot = trained_snapshot(IndexKind::Flat);
+        let mut reference = ResolutionService::reference(snapshot.clone()).unwrap();
+        let titles = ["BrandNew UltraWidget 9000 Pro Edition", "Nike Air Max 2016 second listing"];
+        let ref_reports = titles.map(|t| reference.ingest(t));
+        let ref_responses = drive(&reference);
+        for n_shards in [1usize, 2, 5] {
+            let mut sharded = ShardedResolutionService::new(
+                snapshot.clone(),
+                ServeConfig::default(),
+                ShardConfig::of(n_shards),
+            )
+            .unwrap();
+            let reports = titles.map(|t| sharded.ingest(t));
+            assert_eq!(reports, ref_reports, "{n_shards}-shard ingest reports diverge");
+            assert_eq!(
+                drive_sharded(&sharded),
+                ref_responses,
+                "{n_shards}-shard batched responses diverge from the unsharded reference kernel"
+            );
+        }
+    }
+
+    #[test]
+    fn snapshot_round_trip_survives_batched_ingest() {
+        // `to_snapshot` truncates the grown indexes back to the training
+        // watermark via the slice-borrowing `AnyIndex::truncated`; the result
+        // must stay byte-identical to the loaded snapshot.
+        for kind in [IndexKind::Flat, ivf_kind()] {
+            let snapshot = trained_snapshot(kind);
+            let original = snapshot.to_bytes();
+            let mut svc = ResolutionService::new(snapshot, ServeConfig::default()).unwrap();
+            svc.ingest("BrandNew UltraWidget 9000 Pro Edition");
+            svc.ingest("another listing entirely");
+            assert_eq!(
+                svc.to_snapshot().to_bytes(),
+                original,
+                "ingest must not leak into the exported training-time snapshot"
+            );
+        }
+    }
+
+    /// Either deployment shape behind the calls the localization-cache
+    /// scenario makes.
+    enum Deployed {
+        Single(ResolutionService),
+        Sharded(ShardedResolutionService),
+    }
+
+    impl Deployed {
+        fn boot(snapshot: ModelSnapshot, config: ServeConfig, n_shards: Option<usize>) -> Self {
+            match n_shards {
+                None => Deployed::Single(ResolutionService::new(snapshot, config).unwrap()),
+                Some(n) => Deployed::Sharded(
+                    ShardedResolutionService::new(snapshot, config, ShardConfig::of(n)).unwrap(),
+                ),
+            }
+        }
+
+        fn service(&self) -> &ResolutionService {
+            match self {
+                Deployed::Single(s) => s,
+                Deployed::Sharded(s) => s.service(),
+            }
+        }
+
+        fn resolve_all(&self, query: &ResolveQuery) -> Vec<ResolveResponse> {
+            match self {
+                Deployed::Single(s) => s.resolve_all_intents(query, 10).unwrap(),
+                Deployed::Sharded(s) => s.resolve_all_intents(query, 10).unwrap(),
+            }
+        }
+
+        fn resolve_one(&self, query: &ResolveQuery, intent: usize) -> ResolveResponse {
+            match self {
+                Deployed::Single(s) => s.resolve(query, intent, 10).unwrap(),
+                Deployed::Sharded(s) => s.resolve(query, intent, 10).unwrap(),
+            }
+        }
+
+        fn ingest(&mut self, title: &str) -> IngestReport {
+            match self {
+                Deployed::Single(s) => s.ingest(title),
+                Deployed::Sharded(s) => s.ingest(title),
+            }
+        }
+    }
+
+    /// Resolve → ingest → resolve the same title, arranged so that the last
+    /// record resolve's one candidate batch holds all three localization
+    /// outcomes: the pair a title-pair query brought up to date after the
+    /// ingest (reused as it is), the other pre-ingest candidates (resumed over
+    /// the appended index tail) and the freshly ingested near-duplicate
+    /// (searched from scratch). Ends with the router's call shape, one
+    /// resolve per intent. Returns every answer in order.
+    fn resolve_ingest_resolve(svc: &mut Deployed) -> Vec<ResolveResponse> {
+        let title = svc.service().record_title(0).to_string();
+        let query = ResolveQuery::record(title.clone());
+        let mut out = svc.resolve_all(&query);
+        let MatchTarget::Record(best) = out[0].matches[0].target else {
+            panic!("a record query ranks records");
+        };
+        let before = svc.service().metrics();
+        let report = svc.ingest(&format!("{title} second listing"));
+        assert!(report.n_pairs > 0, "the ingest must grow the pair indexes");
+        out.extend(svc.resolve_all(&ResolveQuery::pair(svc.service().record_title(best), &title)));
+        out.extend(svc.resolve_all(&query));
+        let after = svc.service().metrics();
+        if svc.service().config().cache_capacity > 0 {
+            // The title-pair query and every pre-ingest candidate hit the
+            // cache; the ingested record's pair is the batch's one miss.
+            assert!(
+                after.cache_hits > before.cache_hits + 1,
+                "pre-ingest pairs must be cache hits"
+            );
+            assert_eq!(after.cache_misses, before.cache_misses + 1, "the new record's pair is new");
+        }
+        for intent in 0..svc.service().n_intents() {
+            out.push(svc.resolve_one(&query, intent));
+        }
+        assert_eq!(out[out.len() - svc.service().n_intents()..], svc.resolve_all(&query)[..]);
+        out
+    }
+
+    /// The localization cache changes no answer: reused, resumed and
+    /// searched-from-scratch neighbour lists are bit-identical to the
+    /// uncached per-candidate reference kernel and to a service that caches
+    /// nothing — over both index backends (and an IVF sparse enough to return
+    /// short lists, and `k = 0`, Table 8's no-intra-layer-edges ablation,
+    /// where every list is empty), unsharded and for every shard count, and
+    /// again on a service rebuilt from the exported snapshot.
+    #[test]
+    fn cached_localization_is_invisible_across_ingest_backends_and_shards() {
+        let snapshots = [
+            trained_snapshot(IndexKind::Flat),
+            trained_snapshot(ivf_kind()),
+            sparse_ivf_snapshot(),
+            fit_snapshot(&FlexErConfig::fast().with_k(0), IndexKind::Flat),
+        ];
+        for snapshot in snapshots {
+            let run = |config: ServeConfig, n_shards: Option<usize>| {
+                let mut svc = Deployed::boot(snapshot.clone(), config, n_shards);
+                let answers = resolve_ingest_resolve(&mut svc);
+                (answers, svc)
+            };
+            let mut oracle =
+                Deployed::Single(ResolutionService::reference(snapshot.clone()).unwrap());
+            let want = resolve_ingest_resolve(&mut oracle);
+            let (uncached, _) = run(ServeConfig { cache_capacity: 0, ..Default::default() }, None);
+            assert_eq!(uncached, want, "cache_capacity 0 diverges from the reference kernel");
+            let (cached, svc) = run(ServeConfig::default(), None);
+            assert_eq!(cached, want, "cached localization diverges from the reference kernel");
+            for n_shards in [1usize, 2, 5] {
+                let (sharded, _) = run(ServeConfig::default(), Some(n_shards));
+                assert_eq!(sharded, want, "{n_shards}-shard cached localization diverges");
+            }
+            // The cache is serving-tier state: none of it reaches the exported
+            // snapshot, and a service booted from the export starts cold and
+            // answers the same.
+            let exported = svc.service().to_snapshot();
+            assert_eq!(exported.to_bytes(), snapshot.to_bytes());
+            let reloaded = ModelSnapshot::from_bytes(&exported.to_bytes()).unwrap();
+            let mut again = Deployed::boot(reloaded, ServeConfig::default(), None);
+            assert_eq!(resolve_ingest_resolve(&mut again), want, "reloaded service diverges");
+        }
+    }
+
+    /// The flat index answers from a partition it grows itself: a list splits
+    /// when it passes 64 members, so an index of more than `64 · L` rows holds
+    /// more than `L` lists. Ingest until every layer has split at least eight
+    /// times, then: (a) the batched and the per-candidate reference kernel
+    /// still agree on every answer bit, (b) lists cached at the training
+    /// watermark and resumed across all those splits equal lists searched from
+    /// scratch, (c) the grown indexes cut back by `AnyIndex::truncated` answer
+    /// as indexes built from the prefix rows, and (d) the partition never
+    /// reaches the snapshot: save → load → save is byte-identical.
+    #[test]
+    fn pruned_localization_is_invisible_after_every_layer_has_split_many_times() {
+        use flexer_ann::{AnyIndex, FlatIndex, VectorIndex};
+        let snapshot = trained_snapshot(IndexKind::Flat);
+        let boot = |config: ServeConfig| ResolutionService::new(snapshot.clone(), config).unwrap();
+        let mut batched = boot(ServeConfig::default());
+        let mut uncached = boot(ServeConfig { cache_capacity: 0, ..Default::default() });
+        let mut reference = ResolutionService::reference(snapshot.clone()).unwrap();
+        // Caches the query mix's neighbour lists at the training watermark.
+        assert_eq!(drive(&batched), drive(&reference));
+        let mut listing = 0;
+        while batched.n_pairs() <= 64 * 9 {
+            let of = listing * 3 % batched.n_train_records();
+            let title = format!("{} listing {listing}", batched.record_title(of));
+            let report = batched.ingest(&title);
+            assert_eq!(report, reference.ingest(&title), "ingest {listing} diverges");
+            assert_eq!(report, uncached.ingest(&title));
+            listing += 1;
+        }
+        let resumed = |svc: &ResolutionService| {
+            svc.obs_snapshot().counter("serve.localize.resumed").unwrap_or(0)
+        };
+        let before = resumed(&batched);
+        let want = drive(&reference);
+        assert_eq!(drive(&batched), want, "resumed lists diverge from the reference kernel");
+        assert!(
+            resumed(&batched) > before || !batched.recorder().is_enabled(),
+            "the lists cached before the ingests must have been resumed"
+        );
+        assert_eq!(drive(&uncached), want, "from-scratch lists diverge from the reference kernel");
+
+        let exported = batched.to_snapshot();
+        for (cut, trained) in exported.indexes.iter().zip(&snapshot.indexes) {
+            let rebuilt = AnyIndex::Flat(FlatIndex::from_rows(trained.dim(), trained.data()));
+            for id in 0..trained.len() {
+                let query = trained.vector(id);
+                let bits = |index: &AnyIndex| -> Vec<(usize, u32)> {
+                    let hits = index.search(query, snapshot.k + 1);
+                    hits.iter().map(|hit| (hit.id, hit.dist.to_bits())).collect()
+                };
+                assert_eq!(bits(cut), bits(&rebuilt), "truncated index diverges on row {id}");
+            }
+        }
+        let bytes = exported.to_bytes();
+        assert_eq!(bytes, snapshot.to_bytes(), "the partition must not reach the snapshot");
+        assert_eq!(ModelSnapshot::from_bytes(&bytes).unwrap().to_bytes(), bytes);
+    }
+}

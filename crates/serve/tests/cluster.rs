@@ -164,13 +164,13 @@ fn networked_router_is_bit_identical_to_in_process_sharded_service() {
 /// title with P calls. Calls 2…P find the first call's embeddings *and*
 /// neighbour lists in the router's cache; after an ingest the first call
 /// resumes them over the appended index tail. Either way the P answers
-/// equal one in-process all-intents resolve on the uncached reference
-/// kernel.
+/// equal one in-process all-intents resolve on a service that caches
+/// nothing.
 #[test]
 fn per_intent_wire_calls_equal_one_all_intents_resolve_across_an_ingest() {
     let mut reference = ShardedResolutionService::new(
         sharded_snapshot().clone(),
-        ServeConfig::reference(),
+        ServeConfig { cache_capacity: 0, ..Default::default() },
         ShardConfig::of(2),
     )
     .unwrap();

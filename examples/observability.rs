@@ -1,8 +1,9 @@
 //! Observability smoke: train a tiny model, serve it, and exercise every
 //! instrumented path — snapshot save/load, record resolution, online
 //! ingest — then assert that each expected span path, counter and gauge
-//! actually recorded, dump both export formats, and bound the cost of the
-//! disabled recorder path.
+//! actually recorded, that the four `resolve.*` stage spans account for
+//! 90–105 % of resolve time over a warm window, dump both export formats,
+//! and bound the cost of the disabled recorder path.
 //!
 //! ```sh
 //! cargo run --release --example observability
@@ -10,7 +11,8 @@
 //!
 //! CI runs this as the obs gate: if an instrumentation point is dropped
 //! in a refactor, the presence asserts below fail rather than the span
-//! silently vanishing from `BENCH_*.json`.
+//! silently vanishing, and a stage that stops being timed shows up as lost
+//! coverage rather than as a quietly shrinking number.
 
 use flexer::obs;
 use flexer::prelude::*;
@@ -33,6 +35,13 @@ const EXPECTED_SPANS: [&str; 12] = [
     "store.load",
     "block.ngram.query",
 ];
+
+/// The stages that tile a record resolve end to end.
+const RESOLVE_STAGES: [&str; 4] =
+    ["resolve.block", "resolve.embed", "resolve.forward", "resolve.rank"];
+
+/// Warm resolves in the stage-coverage window.
+const WARM_REPEATS: usize = 200;
 
 fn main() {
     let recorder = obs::global();
@@ -124,7 +133,34 @@ fn main() {
         println!("obs disabled (--no-default-features): recorder stayed empty, as required");
     }
 
-    // 4. Both export formats, as a service endpoint would emit them.
+    // 4. Stage coverage. The four `resolve.*` stages are timed inside the
+    //    window the latency histogram sums, so over a warm window (the
+    //    recorder reset, the histogram's running sum diffed around it) they
+    //    must account for nearly all of it.
+    recorder.reset();
+    let before = svc.metrics();
+    for _ in 0..WARM_REPEATS {
+        svc.resolve_all_intents(&query, 5).expect("warm resolve");
+    }
+    let resolve_ns = svc.metrics().latency_sum_ns - before.latency_sum_ns;
+    if obs_on {
+        let warm = svc.obs_snapshot();
+        let stage_ns: u64 =
+            RESOLVE_STAGES.iter().map(|stage| warm.span(stage).map_or(0, |s| s.sum)).sum();
+        let coverage = stage_ns as f64 / resolve_ns.max(1) as f64;
+        println!(
+            "stage coverage: resolve.* spans sum to {:.1}% of {WARM_REPEATS} warm resolves ({:.0} us each)",
+            100.0 * coverage,
+            resolve_ns as f64 / WARM_REPEATS as f64 / 1e3
+        );
+        assert!(
+            (0.9..=1.05).contains(&coverage),
+            "resolve stage spans cover {:.1}% of end-to-end resolve time (need 90-105%)",
+            100.0 * coverage
+        );
+    }
+
+    // 5. Both export formats, as a service endpoint would emit them.
     println!("\nspans (sum ns / count → p50 ns):");
     for s in &snap.spans {
         println!("  {:<22} {:>12} / {:<4} -> p50 {}", s.name, s.sum, s.count, s.p50);
@@ -137,7 +173,7 @@ fn main() {
         println!("  {line}");
     }
 
-    // 5. The disabled path must be branch-cheap: time a span guard on a
+    // 6. The disabled path must be branch-cheap: time a span guard on a
     //    disabled recorder (black_box stops the loop being deleted).
     let disabled = obs::Recorder::disabled();
     let t0 = Instant::now();
