@@ -21,13 +21,43 @@
 //! What it buys depends on the rows. FlexER's pair embeddings are clustered
 //! (a search evaluates ≈22 % of the rows of a 600-row layer, ≈10 % at 14k,
 //! pivots counted); rows with no structure — uniform in 16 dimensions —
-//! admit nearly every list, and a search then costs 4–27 % more than the
-//! whole scan did. It is a constant-factor cut either way: the admitted
-//! rows still grow about linearly with the index.
+//! admit nearly every list, and a search is then the whole scan taken list
+//! by list, plus the pivot ranking. It is a constant-factor cut either way:
+//! the admitted rows still grow about linearly with the index.
 //!
 //! The cap is a constant, not a knob: on the serving stream the pruned
 //! search was sized on, caps of 48 / 64 / 96 / 128 differ by under 20 % in
 //! distances evaluated and 64 vs 128 by under 6 % in time.
+//!
+//! # The blocks
+//!
+//! A search reads a list's rows from a second copy, laid out for the
+//! distance kernel: per list one block of `LIST_CAP / LANES` (4) chunks,
+//! each chunk the coordinates of [`LANES`] (16) consecutive members
+//! *dimension-major* — `chunk[d * LANES + j]` is coordinate `d` of the
+//! chunk's `j`-th member. Members ascend by id, so the rows at or past a
+//! `since` watermark are the lanes from one offset on. The pivots are kept
+//! the same way, 16 lists to a chunk, and only so. The blocks are derived
+//! state like the lists: [`FlatIndex::add`] writes one lane, a split
+//! rewrites two blocks, nothing of them is serialized, and the row-major
+//! rows ([`FlatIndex::data`], [`FlatIndex::vector`]) are what they were.
+//! They cost `dim × 4 B × 64` per list, about 1.5× the rows at the usual
+//! fill.
+//!
+//! [`l2_sq_lanes`] takes a query and a chunk and keeps 16 accumulators, one
+//! per lane; lane `j` adds `(q[d] − x_j[d])²` for `d = 0, 1, …` in turn,
+//! which is the fold [`l2_sq`](crate::l2_sq()) runs on that row alone — the
+//! same operations on the same values in the same order, so the same bits.
+//! No lane ever meets another lane's values; what the layout changes is
+//! that the 16 folds advance together, each step a few vector instructions
+//! across the lanes, where a row-major scan has one serial chain per row.
+//!
+//! A lane no member occupies holds NaN, so its distance is NaN. A chunk
+//! goes to the top-k only if some lane is `<=` the query's k-th distance,
+//! and NaN never is; the lanes that do go are then bounded by the member
+//! count (and by the watermark), so neither a padding lane nor a row below
+//! `since` can reach a result. Padding lanes of the pivots hold zeros and
+//! are never read as a list.
 //!
 //! # The bound
 //!
@@ -38,7 +68,9 @@
 //! tied row with a smaller id must still displace. Every visited row's
 //! distance is the same exact-order [`l2_sq`](crate::l2_sq()) fold the whole
 //! scan computed, and the top-k is kept under the explicit (distance, id)
-//! order, since rows no longer arrive in id order.
+//! order, since rows no longer arrive in id order: as one integer per
+//! neighbour, the distance's bits above the id (a squared distance is never
+//! negative, so its bits ascend with it).
 //!
 //! # The slack
 //!
@@ -48,8 +80,9 @@
 //! `l2_sq` is the true squared distance times `1 ± (dim + 2)u` (the terms
 //! are non-negative, so nothing cancels), and its square root is off by
 //! half that plus a rounding. The search therefore shrinks `‖q − p‖` and
-//! grows every radius by the relative `slack = (dim + 8)·2u`, which leaves `fl(‖q − p‖ − r) ≤ √(computed l2_sq(q, x))·(1 − (dim +
-//! 11)u)` for every member `x` — strictly below the square root of any
+//! grows every radius by the relative `slack = (dim + 8)·2u`, which leaves
+//! `fl(‖q − p‖ − r) ≤ √(computed l2_sq(q, x))·(1 − (dim + 11)u)` for every
+//! member `x` — strictly below the square root of any
 //! distance the whole scan could have kept, whichever way the remaining
 //! roundings (the subtraction, `√d_k`) fall (`tests/proptests.rs` pins a
 //! family of tied rows that a slack of zero loses). Two corners sit outside the
@@ -59,17 +92,19 @@
 //! says only "≥ `f32::MAX`", so it is clamped there before the root; an
 //! overflowed radius makes the bound `−∞`, which admits.
 
-use crate::distance::{l2_sq, l2_sq_gather, l2_sq_rows};
+use crate::distance::{l2_sq, l2_sq_lanes, LANES};
 use crate::{assert_finite, assert_resumable, Neighbor, VectorIndex};
 
 /// Queries that share one sweep in [`FlatIndex::scan_batch_since`]: the
-/// pivots are ranked for the whole group and each admitted list is read
-/// once for every query that still needs it, through the 8- and 4-query
-/// multi-chain kernels.
+/// pivots are ranked for the whole group and the admitted lists are taken
+/// in one order for every query that still needs them.
 const QUERY_GROUP: usize = 16;
 
 /// Members a list may hold; one more and it splits.
 const LIST_CAP: usize = 64;
+
+/// Chunks of [`LANES`] members in a list's block.
+const CHUNKS_PER_LIST: usize = LIST_CAP / LANES;
 
 /// Lloyd steps of a split's 2-means.
 const LLOYD_STEPS: usize = 4;
@@ -83,20 +118,32 @@ const TINY: f32 = 1e-15;
 pub struct FlatIndex {
     dim: usize,
     data: Vec<f32>,
-    /// One pivot per list, list-major.
+    /// The pivots, [`LANES`] to a dimension-major chunk: list `l` is lane
+    /// `l % LANES` of chunk `l / LANES`.
     pivots: Vec<f32>,
     /// Per list: at least every member's computed distance to the pivot,
     /// grown by the slack.
     radii: Vec<f32>,
     /// Per list: member ids, ascending. Never empty.
     lists: Vec<Vec<u32>>,
+    /// Per list: its members' rows again, as `CHUNKS_PER_LIST`
+    /// dimension-major chunks — member `j` is lane `j % LANES` of chunk
+    /// `j / LANES`; lanes past the last member hold NaN.
+    blocks: Vec<Vec<f32>>,
 }
 
 impl FlatIndex {
     /// Empty index of the given dimensionality.
     pub fn new(dim: usize) -> Self {
         assert!(dim > 0, "dimension must be positive");
-        Self { dim, data: Vec::new(), pivots: Vec::new(), radii: Vec::new(), lists: Vec::new() }
+        Self {
+            dim,
+            data: Vec::new(),
+            pivots: Vec::new(),
+            radii: Vec::new(),
+            lists: Vec::new(),
+            blocks: Vec::new(),
+        }
     }
 
     /// Builds an index directly from `n × dim` row-major data.
@@ -141,8 +188,48 @@ impl FlatIndex {
         d.sqrt() * (1.0 + self.slack())
     }
 
-    fn pivot(&self, list: usize) -> &[f32] {
-        &self.pivots[list * self.dim..(list + 1) * self.dim]
+    /// Floats of one dimension-major chunk.
+    fn chunk_len(&self) -> usize {
+        self.dim * LANES
+    }
+
+    /// Chunk `c` of the pivots: lists `c * LANES..(c + 1) * LANES`.
+    fn pivot_chunk(&self, c: usize) -> &[f32] {
+        &self.pivots[c * self.chunk_len()..][..self.chunk_len()]
+    }
+
+    /// Chunk `c` of `list`'s block: its members `c * LANES..(c + 1) * LANES`.
+    fn list_chunk(&self, list: usize, c: usize) -> &[f32] {
+        &self.blocks[list][c * self.chunk_len()..][..self.chunk_len()]
+    }
+
+    /// Makes `pivot` the pivot of `list`, which is an existing list or the
+    /// next one.
+    fn set_pivot(&mut self, list: usize, pivot: &[f32]) {
+        let at = list / LANES * self.chunk_len();
+        if self.pivots.len() <= at {
+            self.pivots.resize(at + self.chunk_len(), 0.0);
+        }
+        write_lane(&mut self.pivots[at..], list % LANES, pivot);
+    }
+
+    /// Copies stored row `id` into the lane of `list`'s `j`-th member.
+    fn set_lane(&mut self, list: usize, j: usize, id: usize) {
+        let at = j / LANES * self.chunk_len();
+        let row = &self.data[id * self.dim..][..self.dim];
+        write_lane(&mut self.blocks[list][at..], j % LANES, row);
+    }
+
+    /// Rewrites the block of `list` — an existing list or the next one —
+    /// from its member ids: NaN in every lane no member has.
+    fn set_block(&mut self, list: usize) {
+        if self.blocks.len() == list {
+            self.blocks.push(vec![f32::NAN; CHUNKS_PER_LIST * self.chunk_len()]);
+        }
+        self.blocks[list].fill(f32::NAN);
+        for j in 0..self.lists[list].len() {
+            self.set_lane(list, j, self.lists[list][j] as usize);
+        }
     }
 
     /// Puts stored row `id` — the newest — into the list of its nearest
@@ -150,22 +237,29 @@ impl FlatIndex {
     fn route(&mut self, id: usize) {
         let member = u32::try_from(id).expect("a FlatIndex holds fewer than 2^32 rows");
         if self.lists.is_empty() {
-            self.pivots.extend_from_slice(&self.data[..self.dim]);
             self.radii.push(0.0);
             self.lists.push(vec![member]);
+            let first = self.data[..self.dim].to_vec();
+            self.set_pivot(0, &first);
+            self.set_block(0);
             return;
         }
-        let mut dists = vec![0.0f32; self.lists.len()];
-        l2_sq_rows(self.vector(id), &self.pivots, &mut dists);
-        let (list, &d) = dists
-            .iter()
-            .enumerate()
-            .reduce(|best, next| if next.1 < best.1 { next } else { best })
-            .expect("at least one list");
+        // The first nearest pivot; lanes past the last list are skipped.
+        let mut nearest = (f32::INFINITY, 0);
+        for c in 0..self.lists.len().div_ceil(LANES) {
+            let lanes = l2_sq_lanes(self.vector(id), self.pivot_chunk(c));
+            for (l, &d) in (c * LANES..self.lists.len()).zip(&lanes) {
+                if d < nearest.0 {
+                    nearest = (d, l);
+                }
+            }
+        }
+        let (d, list) = nearest;
         self.lists[list].push(member);
         self.radii[list] = self.radii[list].max(self.cover(d));
-        if self.lists[list].len() > LIST_CAP {
-            self.split(list);
+        match self.lists[list].len() - 1 {
+            LIST_CAP => self.split(list),
+            j => self.set_lane(list, j, id),
         }
     }
 
@@ -192,7 +286,8 @@ impl FlatIndex {
             mean.iter_mut().for_each(|m| *m /= ids.len() as f32);
             mean
         };
-        let seed = farthest_from(self.pivot(list));
+        let pivot: Vec<f32> = lane(self.pivot_chunk(list / LANES), list % LANES).collect();
+        let seed = farthest_from(&pivot);
         let mut pivots = [seed.to_vec(), farthest_from(seed).to_vec()];
         let mut halves = [Vec::new(), Vec::new()];
         for _ in 0..LLOYD_STEPS {
@@ -213,12 +308,15 @@ impl FlatIndex {
         };
         let radii = [radius(&halves[0], &pivots[0]), radius(&halves[1], &pivots[1])];
         let [first, second] = halves;
-        self.pivots[list * dim..(list + 1) * dim].copy_from_slice(&pivots[0]);
-        self.pivots.extend_from_slice(&pivots[1]);
+        let new = self.lists.len();
         self.radii[list] = radii[0];
         self.radii.push(radii[1]);
         self.lists[list] = first;
         self.lists.push(second);
+        for (l, pivot) in [list, new].into_iter().zip(&pivots) {
+            self.set_pivot(l, pivot);
+            self.set_block(l);
+        }
     }
 
     fn check_query(&self, query: &[f32], k: usize, since: usize, prior: &[Neighbor]) {
@@ -230,11 +328,13 @@ impl FlatIndex {
     /// The one search of this index, for a group of at most
     /// [`QUERY_GROUP`] queries, each continuing from its `prior` top-k
     /// (the search's state after rows `0..since`; `k ≥ 1` is already
-    /// clamped to `n`). Returns the lists and the number of distances
-    /// evaluated, pivots included.
+    /// clamped to `n`). `active` are the lists with a row at or past
+    /// `since`, ascending, and `radii` their radii. Returns the lists and
+    /// the number of rows and pivots the searches needed a distance to
+    /// (a lane that holds neither is computed with its chunk, not counted).
     ///
-    /// The pivots of the `active` lists — those with a row at or past
-    /// `since` — are ranked for the whole group at once. A query that has no k-th distance yet
+    /// The pivots of the active lists are ranked for the whole group at
+    /// once. A query that has no k-th distance yet
     /// first scans the list of its nearest pivot (together with every
     /// other query that starts there); then the lists are taken in
     /// ascending order of their smallest bound over the group, each read
@@ -251,68 +351,93 @@ impl FlatIndex {
         since: usize,
         priors: &[&[Neighbor]],
         active: &[u32],
+        radii: &[f32],
     ) -> (Vec<Vec<Neighbor>>, u64) {
         let nq = queries.len();
-        let mut tops: Vec<Vec<Neighbor>> = priors
-            .iter()
-            .map(|prior| {
-                let mut top = Vec::with_capacity(k + 1);
-                top.extend_from_slice(prior);
-                top
-            })
-            .collect();
+        // Every query's top-k: `k` ascending keys, `EMPTY` past the last.
+        let mut tops = vec![EMPTY; nq * k];
+        for (top, prior) in tops.chunks_exact_mut(k).zip(priors) {
+            for (slot, nb) in top.iter_mut().zip(*prior) {
+                *slot = key(nb.dist, nb.id);
+            }
+        }
         // √d_k per query: what a list's bound is held against.
         let mut kth = [0.0f32; QUERY_GROUP];
-        for (root, top) in kth.iter_mut().zip(&tops) {
-            *root = kth_root(top, k);
+        for (root, top) in kth.iter_mut().zip(tops.chunks_exact(k)) {
+            *root = worst_dist(top).sqrt();
         }
         let kth = &mut kth[..nq];
         let la = active.len();
-        let mut bounds = vec![0.0f32; nq * la];
-        l2_sq_gather(queries, &self.pivots, active, &mut bounds);
+        // Query-major bounds, then one more row: each list's least bound.
+        let mut bounds = vec![f32::INFINITY; (nq + 1) * la];
+        let (bounds, least) = bounds.split_at_mut(nq * la);
+        // Active lists ascend, so those of one pivot chunk are a run.
+        let mut run = 0;
+        while run < la {
+            let c = active[run] as usize / LANES;
+            let end = run + active[run..].partition_point(|&l| l as usize / LANES == c);
+            for (query, bounds) in queries.iter().zip(bounds.chunks_exact_mut(la)) {
+                let lanes = l2_sq_lanes(query, self.pivot_chunk(c));
+                for (bound, &l) in bounds[run..end].iter_mut().zip(&active[run..end]) {
+                    *bound = lanes[l as usize % LANES];
+                }
+            }
+            run = end;
+        }
         let mut scanned = (nq * la) as u64;
         let shrink = 1.0 - self.slack();
         let mut starts = [usize::MAX; QUERY_GROUP];
         for (q, bounds) in bounds.chunks_exact_mut(la.max(1)).enumerate() {
-            let mut nearest = (f32::INFINITY, 0);
-            for (a, (bound, &l)) in bounds.iter_mut().zip(active).enumerate() {
-                if *bound < nearest.0 {
-                    nearest = (*bound, a);
+            if tops[q * k + k - 1] == EMPTY {
+                let mut nearest = (f32::INFINITY, 0);
+                for (a, &d) in bounds.iter().enumerate() {
+                    if d < nearest.0 {
+                        nearest = (d, a);
+                    }
                 }
-                let gap = bound.min(f32::MAX).sqrt() * shrink - self.radii[l as usize];
-                *bound = if gap < TINY { gap.min(0.0) } else { gap };
-            }
-            if tops[q].len() < k {
                 starts[q] = nearest.1;
             }
-        }
-        let mut dists = [0.0f32; QUERY_GROUP * LIST_CAP];
-        let mut scan = |a: usize, members: &[usize], kth: &mut [f32]| {
-            let list = &self.lists[active[a] as usize];
-            let ids = &list[list.partition_point(|&id| (id as usize) < since)..];
-            let m = ids.len();
-            let mut group = [queries[0]; QUERY_GROUP];
-            for (slot, &q) in group.iter_mut().zip(members) {
-                *slot = queries[q];
+            for ((bound, least), &radius) in bounds.iter_mut().zip(least.iter_mut()).zip(radii) {
+                let gap = bound.min(f32::MAX).sqrt() * shrink - radius;
+                *bound = if gap < TINY { gap.min(0.0) } else { gap };
+                *least = least.min(*bound);
             }
-            let dists = &mut dists[..members.len() * m];
-            l2_sq_gather(&group[..members.len()], &self.data, ids, dists);
-            for (&q, dists) in members.iter().zip(dists.chunks_exact(m)) {
-                let top = &mut tops[q];
-                for (&id, &dist) in ids.iter().zip(dists) {
-                    let hit = (dist, id as usize);
-                    if top.len() == k && hit >= (top[k - 1].dist, top[k - 1].id) {
+        }
+        // One list for the queries `members`. Of a chunk's lanes only those
+        // within the k-th distance are offered (NaN lanes never are), and
+        // of those only members at or past `since`.
+        let mut scan = |a: usize, members: &[usize], kth: &mut [f32]| {
+            let list = active[a] as usize;
+            let ids = &self.lists[list];
+            let start = ids.partition_point(|&id| (id as usize) < since);
+            for &q in members {
+                let top = &mut tops[q * k..(q + 1) * k];
+                // Every chunk's distances before the first branch on one.
+                let chunks = start / LANES..ids.len().div_ceil(LANES);
+                let mut dists = [[0.0f32; LANES]; CHUNKS_PER_LIST];
+                for c in chunks.clone() {
+                    dists[c] = l2_sq_lanes(queries[q], self.list_chunk(list, c));
+                }
+                for c in chunks {
+                    let reach = worst_dist(top);
+                    if !dists[c].iter().any(|&dist| dist <= reach) {
                         continue;
                     }
-                    let pos = top.iter().position(|nb| hit < (nb.dist, nb.id)).unwrap_or(top.len());
-                    top.insert(pos, Neighbor { id: hit.1, dist });
-                    if top.len() > k {
-                        top.pop();
+                    // The lanes within reach, packed without a branch.
+                    let from = start.max(c * LANES);
+                    let mut hits = [EMPTY; LANES];
+                    let mut n = 0;
+                    for (&id, &dist) in ids[from..].iter().zip(&dists[c][from - c * LANES..]) {
+                        hits[n] = key(dist, id as usize);
+                        n += usize::from(dist <= reach);
+                    }
+                    for &hit in &hits[..n] {
+                        offer(top, hit);
                     }
                 }
-                kth[q] = kth_root(top, k);
+                kth[q] = worst_dist(top).sqrt();
             }
-            scanned += (members.len() * m) as u64;
+            scanned += (members.len() * (ids.len() - start)) as u64;
         };
         let mut members = [0; QUERY_GROUP];
         for q in 0..nq {
@@ -324,10 +449,8 @@ impl FlatIndex {
         }
         let widest = |kth: &[f32]| kth.iter().copied().fold(0.0f32, f32::max);
         let reach = widest(kth);
-        let mut order: Vec<(f32, usize)> = (0..la)
-            .map(|a| ((0..nq).map(|q| bounds[q * la + a]).fold(f32::INFINITY, f32::min), a))
-            .filter(|&(bound, _)| bound <= reach)
-            .collect();
+        let mut order = Vec::with_capacity(la);
+        order.extend(least.iter().copied().zip(0..).filter(|&(bound, _)| bound <= reach));
         order.sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
         for (bound, a) in order {
             if bound > widest(kth) {
@@ -339,7 +462,63 @@ impl FlatIndex {
                 scan(a, members, kth);
             }
         }
-        (tops, scanned)
+        let lists = tops
+            .chunks_exact(k)
+            .map(|top| {
+                let hits = &top[..top.partition_point(|&key| key != EMPTY)];
+                hits.iter()
+                    .map(|&key| Neighbor { id: key as u32 as usize, dist: key_dist(key) })
+                    .collect()
+            })
+            .collect();
+        (lists, scanned)
+    }
+}
+
+/// Lane `j` of a dimension-major chunk: one row, or one pivot.
+fn lane(chunk: &[f32], j: usize) -> impl Iterator<Item = f32> + '_ {
+    chunk[j..].iter().step_by(LANES).copied()
+}
+
+/// Writes `row` into lane `j` of the dimension-major chunk `chunk` starts
+/// with.
+fn write_lane(chunk: &mut [f32], j: usize, row: &[f32]) {
+    for (d, &x) in row.iter().enumerate() {
+        chunk[d * LANES + j] = x;
+    }
+}
+
+/// An unused slot of a top-k: above every key.
+const EMPTY: u64 = u64::MAX;
+
+/// A (distance, id) pair as one integer that orders as the pair does: a
+/// squared distance is never negative or NaN, so its bits ascend with it,
+/// and an id fits the low half.
+fn key(dist: f32, id: usize) -> u64 {
+    u64::from(dist.to_bits()) << 32 | id as u64
+}
+
+/// The k-th distance of a top-k of keys; `∞` while a slot is unused.
+fn worst_dist(top: &[u64]) -> f32 {
+    match top[top.len() - 1] {
+        EMPTY => f32::INFINITY,
+        worst => key_dist(worst),
+    }
+}
+
+/// The distance of a key.
+fn key_dist(key: u64) -> f32 {
+    f32::from_bits((key >> 32) as u32)
+}
+
+/// Offers `hit` to an ascending top-k: one pass that carries the larger
+/// key of each slot on, and drops what falls off the end. No branch
+/// depends on the keys.
+#[inline]
+fn offer(top: &mut [u64], hit: u64) {
+    let mut carry = hit;
+    for slot in top {
+        (*slot, carry) = ((*slot).min(carry), (*slot).max(carry));
     }
 }
 
@@ -352,11 +531,6 @@ fn members_into(buf: &mut [usize; QUERY_GROUP], queries: impl Iterator<Item = us
         len += 1;
     }
     &buf[..len]
-}
-
-/// `√d_k` of a top-k; `∞` while fewer than `k` rows are known.
-fn kth_root(top: &[Neighbor], k: usize) -> f32 {
-    top.get(k - 1).map_or(f32::INFINITY, |worst| worst.dist.sqrt())
 }
 
 impl VectorIndex for FlatIndex {
@@ -399,12 +573,13 @@ impl VectorIndex for FlatIndex {
         }
         // Ids ascend within a list, so its last member says whether the
         // list has a row at or past the watermark.
-        let active: Vec<u32> = (0..self.lists.len() as u32)
+        let (active, radii): (Vec<u32>, Vec<f32>) = (0..self.lists.len() as u32)
             .filter(|&l| self.lists[l as usize].last().is_some_and(|&id| id as usize >= since))
-            .collect();
+            .map(|l| (l, self.radii[l as usize]))
+            .unzip();
         let per_group = flexer_par::parallel_map(queries.len().div_ceil(QUERY_GROUP), |g| {
             let group = g * QUERY_GROUP..((g + 1) * QUERY_GROUP).min(queries.len());
-            self.search_group(&queries[group.clone()], k, since, &priors[group], &active)
+            self.search_group(&queries[group.clone()], k, since, &priors[group], &active, &radii)
         });
         let scanned = per_group.iter().map(|(_, scanned)| scanned).sum();
         (per_group.into_iter().flat_map(|(lists, _)| lists).collect(), scanned)
@@ -472,6 +647,37 @@ mod tests {
             assert_eq!(list, &index.search(query, k));
         }
         assert!(scanned > 0 && (scanned as usize) < 40 * n / 4, "{scanned} distances");
+    }
+
+    #[test]
+    fn blocks_mirror_the_lists_and_pad_with_nan() {
+        // Checked after every add of a stream that splits lists dozens of
+        // times: a split leaves no lane of the old, longer list behind.
+        let dim = 5;
+        let rows = clustered_index(700, dim).data;
+        let mut index = FlatIndex::new(dim);
+        for row in rows.chunks(dim) {
+            index.add(row);
+            assert_eq!(index.blocks.len(), index.lists.len());
+            for (l, ids) in index.lists.iter().enumerate() {
+                assert!(!ids.is_empty() && ids.len() <= LIST_CAP);
+                assert!(ids.windows(2).all(|w| w[0] < w[1]));
+                for j in 0..LIST_CAP {
+                    let mut lane = lane(index.list_chunk(l, j / LANES), j % LANES);
+                    match ids.get(j) {
+                        Some(&id) => assert!(lane.eq(index.vector(id as usize).iter().copied())),
+                        None => assert!(lane.all(f32::is_nan), "list {l}, lane {j}"),
+                    }
+                }
+            }
+        }
+        assert!(index.lists.len() > 700 / LIST_CAP);
+        // k past every list: lanes without a member would surface here.
+        let all = index.search(index.vector(3), 700);
+        let mut ids: Vec<usize> = all.iter().map(|nb| nb.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..700).collect::<Vec<_>>());
+        assert!(all.iter().all(|nb| nb.dist.is_finite()));
     }
 
     fn grid_index() -> FlatIndex {

@@ -51,9 +51,13 @@ fn assert_resume_equals_search(index: &AnyIndex, queries: &[&[f32]], k: usize) {
     }
 }
 
+/// Widths around the distance kernel's shapes: one coordinate, an odd
+/// count, FlexER's serving width, one past it, the matcher's default.
+const DIMS: [usize; 5] = [1, 7, 16, 17, 64];
+
 /// Rows for the pruned-search proptest, drawn from `seed`. Every shape but
-/// the last holds several times the partition's list cap, so lists split
-/// (and split again) while the rows arrive.
+/// the last two holds several times the partition's list cap (64), so
+/// lists split (and split again) while the rows arrive.
 fn shaped_rows(shape: usize, dim: usize, seed: u64) -> Vec<f32> {
     let mut s = seed | 1;
     let mut unit = move || {
@@ -94,7 +98,11 @@ fn shaped_rows(shape: usize, dim: usize, seed: u64) -> Vec<f32> {
         // No structure: every list borders others, neighbours straddle.
         4 => rows.extend((0..280 * dim).map(|_| unit() * 2.0 - 1.0)),
         // A handful of rows (one included): a single list, k above n.
-        _ => rows.extend((0..(1 + seed as usize % 4) * dim).map(|_| unit() * 2.0 - 1.0)),
+        5 => rows.extend((0..(1 + seed as usize % 4) * dim).map(|_| unit() * 2.0 - 1.0)),
+        // One list filled to the cap exactly (every lane of its block a
+        // member), or one row more: the split is the last thing that
+        // happened to the index.
+        _ => rows.extend((0..(64 + seed as usize % 2) * dim).map(|_| unit() * 2.0 - 1.0)),
     }
     rows
 }
@@ -254,23 +262,25 @@ proptest! {
 
     /// The pruned search is the whole scan, ids **and** distance bits:
     /// rows added one at a time (so the partition splits mid-stream) with
-    /// searches in between, then every watermark of `search_since`, single
-    /// and batched, against brute force sorted by (distance, id).
+    /// searches in between, then every watermark of `search_since` (each
+    /// cuts some list's block, most of them inside a 16-lane chunk),
+    /// single and batched, against brute force sorted by (distance, id).
     #[test]
     fn pruned_search_equals_whole_scan(
         seed in any::<u64>(),
-        shape in 0usize..6,
-        dim in 1usize..17,
+        shape in 0usize..7,
+        dim in (0..DIMS.len()).prop_map(|i| DIMS[i]),
         k in 1usize..13,
     ) {
         // Identical rows tie at distance 0 across lists; the tie only
-        // decides a result once k is past what one list holds.
-        let k = if shape == 2 { k * 7 } else { k };
+        // decides a result once k is past what one list holds. Around the
+        // cap, k runs past a list as well.
+        let k = if shape == 2 || shape == 6 { k * 7 } else { k };
         let rows = shaped_rows(shape, dim, seed);
         let n = rows.len() / dim;
         // A point between two rows, one far outside every list, and 19
         // stored rows (distance 0, ties with their duplicates): 21 queries
-        // are an eight, a quad, singles and a second query group.
+        // are a full query group and part of a second.
         let mut queries: Vec<Vec<f32>> = vec![
             rows[..dim].iter().zip(&rows[(n - 1) * dim..]).map(|(a, b)| (a + b) / 2.0).collect(),
             rows[..dim].iter().map(|x| x * 3.0 + 50.0).collect(),
@@ -319,16 +329,20 @@ proptest! {
         }
     }
 
-    /// Flat: cached top-k + tail scan ≡ full scan. 21 queries cover an
-    /// eight, a quad, singles and a second query group.
+    /// Flat: cached top-k + tail scan ≡ full scan, at every watermark of
+    /// one list at its cap, one row past it (just split) and a few more;
+    /// `k` up to past a split half and past the cap. 21 queries are a full
+    /// query group and part of a second.
     #[test]
     fn flat_resumed_search_is_bit_identical(
-        rows in grid_rows_strategy(70, 2),
-        queries in grid_rows_strategy(21, 2),
-        k in 1usize..9,
+        dim in (0..DIMS.len()).prop_map(|i| DIMS[i]),
+        n in (0usize..3).prop_map(|i| [64, 65, 70][i]),
+        rows in grid_rows_strategy(70, 64),
+        queries in grid_rows_strategy(21, 64),
+        k in (0usize..6).prop_map(|i| [1, 3, 6, 8, 33, 66][i]),
     ) {
-        let index = AnyIndex::Flat(FlatIndex::from_rows(2, &rows));
-        let queries: Vec<&[f32]> = queries.chunks(2).collect();
+        let index = AnyIndex::Flat(FlatIndex::from_rows(dim, &rows[..n * dim]));
+        let queries: Vec<&[f32]> = queries[..21 * dim].chunks(dim).collect();
         assert_resume_equals_search(&index, &queries, k);
     }
 

@@ -1,9 +1,11 @@
 //! Criterion bench for the nearest-neighbour computation (Table 9's NN
 //! column): the exact pruned flat search against index size — single-query
 //! and as one 16-query group — on clustered rows, which is what pair
-//! embeddings are and what the pruning bound feeds on (uniform rows in 16
-//! dimensions have no lists to skip), and the IVF heuristic the paper
-//! alludes to beside it.
+//! embeddings are and what the pruning bound feeds on, at 16 dimensions
+//! (the serving workloads' width) and at 64 (the default
+//! `MatcherConfig::embedding_dim`); the same search on uniform rows, which
+//! have no lists to skip, so it times the scan itself; and the IVF
+//! heuristic the paper alludes to beside it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flexer_ann::{FlatIndex, IvfConfig, IvfIndex, VectorIndex};
@@ -30,15 +32,26 @@ fn clustered_rows(n: usize, dim: usize, seed: u64) -> Vec<f32> {
     rows
 }
 
+/// `n` rows uniform in [-1, 1]^dim: no structure for the bound to use.
+fn uniform_rows(n: usize, dim: usize, seed: u64) -> Vec<f32> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n * dim).map(|_| rng.gen_range(-1.0..1.0)).collect()
+}
+
 fn bench_knn(c: &mut Criterion) {
-    let dim = 16;
     let mut group = c.benchmark_group("knn");
     group.sample_size(10);
-    for &n in &[600usize, 5_000, 15_000] {
-        let rows = clustered_rows(n, dim, 7);
+    type Rows = fn(usize, usize, u64) -> Vec<f32>;
+    let cases: [(&str, usize, usize, Rows); 5] = [
+        ("", 16, 600, clustered_rows),
+        ("", 16, 5_000, clustered_rows),
+        ("", 16, 15_000, clustered_rows),
+        ("dim64_", 64, 5_000, clustered_rows),
+        ("uniform_", 16, 5_000, uniform_rows),
+    ];
+    for (shape, dim, n, rows) in cases {
+        let rows = rows(n, dim, 7);
         let flat = FlatIndex::from_rows(dim, &rows);
-        let mut ivf = IvfIndex::build(dim, &rows, IvfConfig { nlist: 32, ..Default::default() });
-        ivf.set_nprobe(4);
         // Perturbed stored rows, spread over the index.
         let mut rng = StdRng::seed_from_u64(11);
         let queries: Vec<Vec<f32>> = (0..64)
@@ -49,12 +62,24 @@ fn bench_knn(c: &mut Criterion) {
             .collect();
         let queries: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
 
-        group.bench_with_input(BenchmarkId::new("flat_single_x64", n), &n, |b, _| {
-            b.iter(|| queries.iter().map(|q| flat.search(q, 6).len()).sum::<usize>())
-        });
-        group.bench_with_input(BenchmarkId::new("flat_group16_x4", n), &n, |b, _| {
-            b.iter(|| queries.chunks(16).map(|g| flat.search_batch(g, 6).len()).sum::<usize>())
-        });
+        group.bench_with_input(
+            BenchmarkId::new(format!("{shape}flat_single_x64"), n),
+            &n,
+            |b, _| b.iter(|| queries.iter().map(|q| flat.search(q, 6).len()).sum::<usize>()),
+        );
+        group.bench_with_input(
+            BenchmarkId::new(format!("{shape}flat_group16_x4"), n),
+            &n,
+            |b, _| {
+                b.iter(|| queries.chunks(16).map(|g| flat.search_batch(g, 6).len()).sum::<usize>())
+            },
+        );
+        // IVF beside the three base cases only.
+        if !shape.is_empty() {
+            continue;
+        }
+        let mut ivf = IvfIndex::build(dim, &rows, IvfConfig { nlist: 32, ..Default::default() });
+        ivf.set_nprobe(4);
         group.bench_with_input(BenchmarkId::new("ivf_nprobe4_x64", n), &n, |b, _| {
             b.iter(|| queries.iter().map(|q| ivf.search(q, 6).len()).sum::<usize>())
         });

@@ -16,7 +16,7 @@
 //!   the whole k-fold — the output is touched once per tile instead of
 //!   once per k. Each output element's k-fold stays a single chain in
 //!   ascending k order (the same discipline `flexer-ann` uses for
-//!   `l2_sq_x4`). The naive kernel's `a[i][k] == 0.0` skip needs no
+//!   its distance kernels). The naive kernel's `a[i][k] == 0.0` skip needs no
 //!   branch here: the accumulator starts at `+0.0` and round-to-nearest
 //!   addition can only produce `-0.0` from `(-0.0) + (-0.0)`, so the
 //!   chain never sits at `-0.0` — which makes `acc += 0.0 * s` (the
@@ -280,23 +280,6 @@ pub fn bias_relu_inplace(x: &mut Matrix, bias: &[f32], relu: bool) {
     }
 }
 
-/// Splits a flat row-major buffer into a 4-row-aligned prefix and a
-/// remainder, the block shape shared by the packed matmul kernels and
-/// `flexer-ann`'s blocked distance scans. `dim` must be non-zero and
-/// divide `data.len()`.
-pub fn split_rows4(data: &[f32], dim: usize) -> (&[f32], &[f32]) {
-    debug_assert!(dim > 0 && data.len() % dim == 0, "data must be whole rows");
-    let rows = data.len() / dim;
-    data.split_at((rows - rows % 4) * dim)
-}
-
-/// Views one 4-row block (as produced by [`split_rows4`]) as four
-/// row slices.
-pub fn block4(block: &[f32], dim: usize) -> [&[f32]; 4] {
-    debug_assert_eq!(block.len(), 4 * dim, "block must hold exactly four rows");
-    [&block[..dim], &block[dim..2 * dim], &block[2 * dim..3 * dim], &block[3 * dim..]]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,16 +466,5 @@ mod tests {
                 assert_bits_eq(&got, &want, &format!("{m}x{k}x{n}/relu={relu}"));
             }
         }
-    }
-
-    #[test]
-    fn row_block_helpers_split_cleanly() {
-        let data: Vec<f32> = (0..30).map(|i| i as f32).collect();
-        let (blocks, tail) = split_rows4(&data, 3);
-        assert_eq!(blocks.len(), 24);
-        assert_eq!(tail.len(), 6);
-        let rows = block4(&blocks[..12], 3);
-        assert_eq!(rows[0], &[0.0, 1.0, 2.0]);
-        assert_eq!(rows[3], &[9.0, 10.0, 11.0]);
     }
 }
