@@ -14,31 +14,6 @@ pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
         .sum()
 }
 
-/// Four [`l2_sq`] evaluations with their dependency chains in flight at
-/// once. Each row's accumulation runs in exactly the [`l2_sq`] fold order
-/// — the returned bits are identical — but interleaving four rows hides
-/// the f32 add latency the one-row-at-a-time scan serializes on (the sum
-/// is a strict fold, so LLVM cannot reorder it; it *can* overlap four
-/// independent folds).
-#[inline]
-pub fn l2_sq_x4(query: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
-    let dim = query.len();
-    let [r0, r1, r2, r3] = rows;
-    debug_assert!(rows.iter().all(|r| r.len() == dim), "row dimension mismatch");
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    for (i, &q) in query.iter().enumerate() {
-        let d0 = q - r0[i];
-        let d1 = q - r1[i];
-        let d2 = q - r2[i];
-        let d3 = q - r3[i];
-        s0 += d0 * d0;
-        s1 += d1 * d1;
-        s2 += d2 * d2;
-        s3 += d3 * d3;
-    }
-    [s0, s1, s2, s3]
-}
-
 /// Rows of one dimension-major block: the lanes of [`l2_sq_lanes`].
 pub const LANES: usize = 16;
 
@@ -63,23 +38,6 @@ pub fn l2_sq_lanes(query: &[f32], block: &[f32]) -> [f32; LANES] {
     acc
 }
 
-/// Dot product.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
-}
-
-/// Cosine distance (`1 − cos`), safe for zero vectors (distance 1).
-pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
-    let na = dot(a, a).sqrt();
-    let nb = dot(b, b).sqrt();
-    if na == 0.0 || nb == 0.0 {
-        return 1.0;
-    }
-    1.0 - dot(a, b) / (na * nb)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,19 +53,6 @@ mod tests {
         let a = [1.0, -2.0, 0.5];
         let b = [0.0, 3.0, 1.5];
         assert_eq!(l2_sq(&a, &b), l2_sq(&b, &a));
-    }
-
-    #[test]
-    fn dot_and_cosine() {
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert!((cosine_distance(&[1.0, 0.0], &[1.0, 0.0])).abs() < 1e-6);
-        assert!((cosine_distance(&[1.0, 0.0], &[0.0, 1.0]) - 1.0).abs() < 1e-6);
-        assert!((cosine_distance(&[1.0, 0.0], &[-1.0, 0.0]) - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cosine_zero_vector_is_max() {
-        assert_eq!(cosine_distance(&[0.0, 0.0], &[1.0, 2.0]), 1.0);
     }
 
     #[test]
@@ -139,14 +84,6 @@ mod tests {
                     } else {
                         // NaN compares false: a padding lane is never within a k-th distance.
                         assert!(got.is_nan(), "lane {id} of {n}x{dim}");
-                    }
-                }
-                // IVF's four-row kernel.
-                for quad in 0..n / 4 {
-                    let got = l2_sq_x4(&query, std::array::from_fn(|t| row(quad * 4 + t)));
-                    for (t, got) in got.iter().enumerate() {
-                        let want = l2_sq(&query, row(quad * 4 + t));
-                        assert!(got.to_bits() == want.to_bits(), "row {t} of quad {quad}");
                     }
                 }
             }

@@ -43,12 +43,6 @@ impl StoredVectors for crate::flat::FlatIndex {
     }
 }
 
-impl StoredVectors for crate::ivf::IvfIndex {
-    fn stored(&self, id: usize) -> &[f32] {
-        self.vector(id)
-    }
-}
-
 impl StoredVectors for crate::AnyIndex {
     fn stored(&self, id: usize) -> &[f32] {
         self.vector(id)

@@ -6,16 +6,15 @@
 //! representation, using Faiss's exhaustive search; "Faiss offers multiple
 //! heuristics that can reduce the computational effort" (§5.7).
 //!
-//! Accordingly this crate provides:
+//! No such heuristic is provided: against the pruned exact search below, an
+//! inverted-file approximate index measured 1.5–19× *slower* at every
+//! setting (ROADMAP, "Recent"). This crate provides one index:
 //! * [`FlatIndex`] — exact L2 search: the answers of the exhaustive scan
 //!   the paper runs, to the bit, from a *pruned* scan. The index keeps its
 //!   rows in self-splitting pivot lists and skips every list a
 //!   triangle-inequality bound (conservative in floating point) puts past
 //!   the current k-th distance; on FlexER's pair embeddings a search
-//!   evaluates ≈10–20 % of the rows (see [`flat`]), and
-//! * [`IvfIndex`] — an inverted-file *approximate* index over a k-means
-//!   coarse quantizer (the heuristic alternative: it trades recall for
-//!   probing only `nprobe` lists),
+//!   evaluates ≈10–20 % of the rows (see [`flat`]),
 //!
 //! plus [`knn_graph()`](knn_graph::knn_graph), which turns an index into the directed k-NN edge
 //! lists the multiplex graph consumes.
@@ -25,98 +24,60 @@
 
 pub mod distance;
 pub mod flat;
-pub mod ivf;
-pub mod kmeans;
 pub mod knn_graph;
 
 pub use distance::l2_sq;
 pub use flat::FlatIndex;
-pub use ivf::{IvfConfig, IvfIndex};
 pub use knn_graph::knn_graph;
 
-/// A runtime-selected index: exact (pruned) flat search or approximate IVF. The
-/// serving tier stores one per intent layer and the snapshot format tags
-/// which variant was exported, so operators can trade recall for latency
-/// without a recompile.
+/// The index a serving snapshot stores per intent layer. [`FlatIndex`] is
+/// the only backend; the one-variant enum is what the pinned `ladder`
+/// benchmark names (`AnyIndex::Flat(..)`) and goes when that does.
 #[derive(Debug, Clone)]
 pub enum AnyIndex {
     /// Exact search (the answers of the exhaustive scan the paper runs).
     Flat(FlatIndex),
-    /// Inverted-file approximate search (the §5.7 heuristic).
-    Ivf(IvfIndex),
 }
 
 impl AnyIndex {
+    fn flat(&self) -> &FlatIndex {
+        let AnyIndex::Flat(i) = self;
+        i
+    }
+
     /// Appends one vector; returns its id (incremental ingest).
     pub fn add(&mut self, v: &[f32]) -> usize {
-        match self {
-            AnyIndex::Flat(i) => i.add(v),
-            AnyIndex::Ivf(i) => i.add(v),
-        }
+        let AnyIndex::Flat(i) = self;
+        i.add(v)
     }
 
     /// Stored vector by id, in insertion order.
     pub fn vector(&self, id: usize) -> &[f32] {
-        match self {
-            AnyIndex::Flat(i) => i.vector(id),
-            AnyIndex::Ivf(i) => i.vector(id),
-        }
+        self.flat().vector(id)
     }
 
     /// The full row-major vector buffer, id-major in insertion order —
     /// the zero-copy row source of the serving tier's batched gathers.
     pub fn data(&self) -> &[f32] {
-        match self {
-            AnyIndex::Flat(i) => i.data(),
-            AnyIndex::Ivf(i) => i.data(),
-        }
+        self.flat().data()
     }
 
     /// A copy of the index truncated to its first `n` vectors — the
-    /// training-time prefix a serving snapshot restores. Flat data is a
-    /// prefix slice (its partition is derived state, regrown from the rows). IVF adds only ever *append* to list tails, so each
-    /// inverted list is ascending and the cut point is found by binary
-    /// search instead of filtering every id; the data buffer is a single
-    /// exact-capacity prefix copy, never the full grown vector.
+    /// training-time prefix a serving snapshot restores: a prefix slice of
+    /// the rows (the partition is derived state, regrown from them).
     pub fn truncated(&self, n: usize) -> AnyIndex {
-        match self {
-            AnyIndex::Flat(f) => {
-                AnyIndex::Flat(FlatIndex::from_rows(f.dim(), &f.data()[..n * f.dim()]))
-            }
-            AnyIndex::Ivf(i) => {
-                let lists: Vec<Vec<usize>> = i
-                    .lists()
-                    .iter()
-                    .map(|l| {
-                        debug_assert!(l.windows(2).all(|w| w[0] < w[1]), "IVF lists are ascending");
-                        l[..l.partition_point(|&id| id < n)].to_vec()
-                    })
-                    .collect();
-                AnyIndex::Ivf(IvfIndex::from_parts(
-                    i.dim(),
-                    i.quantizer().clone(),
-                    lists,
-                    i.data()[..n * i.dim()].to_vec(),
-                    i.nprobe(),
-                ))
-            }
-        }
+        let f = self.flat();
+        AnyIndex::Flat(FlatIndex::from_rows(f.dim(), &f.data()[..n * f.dim()]))
     }
 }
 
 impl VectorIndex for AnyIndex {
     fn len(&self) -> usize {
-        match self {
-            AnyIndex::Flat(i) => i.len(),
-            AnyIndex::Ivf(i) => i.len(),
-        }
+        self.flat().len()
     }
 
     fn dim(&self) -> usize {
-        match self {
-            AnyIndex::Flat(i) => i.dim(),
-            AnyIndex::Ivf(i) => i.dim(),
-        }
+        self.flat().dim()
     }
 
     fn search_since(
@@ -126,10 +87,7 @@ impl VectorIndex for AnyIndex {
         since: usize,
         prior: &[Neighbor],
     ) -> Vec<Neighbor> {
-        match self {
-            AnyIndex::Flat(i) => i.search_since(query, k, since, prior),
-            AnyIndex::Ivf(i) => i.search_since(query, k, since, prior),
-        }
+        self.flat().search_since(query, k, since, prior)
     }
 
     fn scan_batch_since(
@@ -139,10 +97,7 @@ impl VectorIndex for AnyIndex {
         since: usize,
         priors: &[&[Neighbor]],
     ) -> (Vec<Vec<Neighbor>>, u64) {
-        match self {
-            AnyIndex::Flat(i) => i.scan_batch_since(queries, k, since, priors),
-            AnyIndex::Ivf(i) => i.scan_batch_since(queries, k, since, priors),
-        }
+        self.flat().scan_batch_since(queries, k, since, priors)
     }
 }
 
@@ -169,7 +124,7 @@ pub struct Neighbor {
     pub dist: f32,
 }
 
-/// Common interface of the exact and approximate indexes.
+/// The search interface of an index.
 pub trait VectorIndex {
     /// Number of stored vectors.
     fn len(&self) -> usize;
@@ -204,7 +159,7 @@ pub trait VectorIndex {
     /// Multi-query [`search_since`] from one shared watermark — one result
     /// list per query, in query order, each resumed from its own entry of
     /// `priors` — together with the number of distances the searches
-    /// evaluated (pivot and centroid distances included): the work a caller
+    /// evaluated (pivot distances included): the work a caller
     /// can hold against `queries × rows`. Queries are independent, so they
     /// fan out across the `flexer-par` thread budget; each query's result is
     /// bit-identical to its single-query call at any thread count.
@@ -255,7 +210,6 @@ pub(crate) fn assert_resumable(len: usize, k: usize, since: usize, prior: &[Neig
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ivf::IvfConfig;
 
     fn rows(n: usize, dim: usize) -> Vec<f32> {
         let mut s = 0x9E3779B97F4A7C15u64;
@@ -272,25 +226,17 @@ mod tests {
         let dim = 4;
         let data = rows(80, dim);
         let (train, extra) = data.split_at(60 * dim);
-        for mut index in [
-            AnyIndex::Flat(FlatIndex::from_rows(dim, train)),
-            AnyIndex::Ivf(IvfIndex::build(
-                dim,
-                train,
-                IvfConfig { nlist: 5, nprobe: 5, ..Default::default() },
-            )),
-        ] {
-            let before = index.clone();
-            for v in extra.chunks(dim) {
-                index.add(v);
-            }
-            assert_eq!(index.len(), 80);
-            let cut = index.truncated(60);
-            assert_eq!(cut.len(), 60);
-            assert_eq!(cut.data(), before.data());
-            let q = &data[3 * dim..4 * dim];
-            assert_eq!(cut.search(q, 7), before.search(q, 7));
+        let mut index = AnyIndex::Flat(FlatIndex::from_rows(dim, train));
+        let before = index.clone();
+        for v in extra.chunks(dim) {
+            index.add(v);
         }
+        assert_eq!(index.len(), 80);
+        let cut = index.truncated(60);
+        assert_eq!(cut.len(), 60);
+        assert_eq!(cut.data(), before.data());
+        let q = &data[3 * dim..4 * dim];
+        assert_eq!(cut.search(q, 7), before.search(q, 7));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Property-based tests for the ANN substrate: the flat index's pruned
-//! search must be *exactly* brute force; IVF with full probing must equal flat; the k-NN
-//! graph respects its structural contract.
+//! search must be *exactly* brute force; the k-NN graph respects its
+//! structural contract.
 
 use flexer_ann::knn_graph::knn_graph;
-use flexer_ann::{l2_sq, AnyIndex, FlatIndex, IvfConfig, IvfIndex, Neighbor, VectorIndex};
+use flexer_ann::{l2_sq, AnyIndex, FlatIndex, Neighbor, VectorIndex};
 use proptest::prelude::*;
 
 fn rows_strategy(n: usize, dim: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -138,20 +138,6 @@ proptest! {
         }
     }
 
-    /// IVF probing every list returns exactly the flat result.
-    #[test]
-    fn ivf_full_probe_equals_flat(rows in rows_strategy(30, 3), k in 1usize..6) {
-        let dim = 3;
-        let nlist = 5;
-        let mut ivf = IvfIndex::build(dim, &rows, IvfConfig { nlist, ..Default::default() });
-        ivf.set_nprobe(nlist);
-        let flat = FlatIndex::from_rows(dim, &rows);
-        let query = &rows[dim..2 * dim];
-        let a: Vec<usize> = ivf.search(query, k).iter().map(|h| h.id).collect();
-        let b: Vec<usize> = flat.search(query, k).iter().map(|h| h.id).collect();
-        prop_assert_eq!(a, b);
-    }
-
     /// The k-NN graph: no self-loops, correct out-degrees, and each
     /// neighbour list really is the k nearest others.
     #[test]
@@ -190,74 +176,6 @@ proptest! {
         let mut ids: Vec<usize> = hits.iter().map(|h| h.id).collect();
         ids.sort_unstable();
         prop_assert_eq!(ids, (0..12).collect::<Vec<_>>());
-    }
-
-    /// IVF recall@10 against the flat ground truth, swept across every
-    /// `nprobe` setting: recall lives in [0,1], never *drops* when the
-    /// probe width grows (probed lists at nprobe=a are a prefix of those
-    /// at nprobe=b ≥ a, so the candidate set only gains members), and hits
-    /// 1.0 with identical ordering at full probe.
-    #[test]
-    fn ivf_recall_at_10_monotone_in_nprobe(
-        rows in rows_strategy(90, 3),
-        nlist in 2usize..9,
-        seed in any::<u64>(),
-    ) {
-        let dim = 3;
-        let flat = FlatIndex::from_rows(dim, &rows);
-        let mut ivf = IvfIndex::build(
-            dim,
-            &rows,
-            IvfConfig { nlist, train_iters: 8, seed, ..Default::default() },
-        );
-        for q in 0..6usize {
-            let query = &rows[q * dim..(q + 1) * dim];
-            let exact: Vec<usize> = flat.search(query, 10).iter().map(|h| h.id).collect();
-            let mut prev = 0.0f64;
-            for nprobe in 1..=ivf.nlist() {
-                ivf.set_nprobe(nprobe);
-                let approx: Vec<usize> = ivf.search(query, 10).iter().map(|h| h.id).collect();
-                let hit = exact.iter().filter(|id| approx.contains(id)).count();
-                let recall = hit as f64 / exact.len() as f64;
-                prop_assert!((0.0..=1.0).contains(&recall));
-                prop_assert!(
-                    recall + 1e-12 >= prev,
-                    "recall dropped {prev} -> {recall} as nprobe grew to {nprobe}"
-                );
-                prev = recall;
-            }
-            prop_assert!((prev - 1.0).abs() < 1e-12, "full probe recall {prev} != 1");
-            let full: Vec<usize> = ivf.search(query, 10).iter().map(|h| h.id).collect();
-            prop_assert_eq!(&full, &exact, "full probe must equal the flat ordering");
-        }
-    }
-
-    /// Incremental `add` keeps full-probe search exact: vectors inserted
-    /// after `build` are routed to their nearest centroid's list and are
-    /// found exactly where a from-scratch flat scan finds them.
-    #[test]
-    fn ivf_incremental_add_stays_exact_at_full_probe(
-        rows in rows_strategy(70, 3),
-        split in 30usize..60,
-    ) {
-        let dim = 3;
-        let (train, tail) = rows.split_at(split * dim);
-        let mut ivf = IvfIndex::build(
-            dim,
-            train,
-            IvfConfig { nlist: 5, train_iters: 6, ..Default::default() },
-        );
-        for v in tail.chunks(dim) {
-            ivf.add(v);
-        }
-        ivf.set_nprobe(ivf.nlist());
-        let flat = FlatIndex::from_rows(dim, &rows);
-        for q in [0usize, split - 1, 69] {
-            let query = &rows[q * dim..(q + 1) * dim];
-            let a: Vec<usize> = ivf.search(query, 10).iter().map(|h| h.id).collect();
-            let b: Vec<usize> = flat.search(query, 10).iter().map(|h| h.id).collect();
-            prop_assert_eq!(a, b);
-        }
     }
 
     /// The pruned search is the whole scan, ids **and** distance bits:
@@ -344,31 +262,6 @@ proptest! {
         let index = AnyIndex::Flat(FlatIndex::from_rows(dim, &rows[..n * dim]));
         let queries: Vec<&[f32]> = queries[..21 * dim].chunks(dim).collect();
         assert_resume_equals_search(&index, &queries, k);
-    }
-
-    /// IVF at any probe width, over rows both built in and added later:
-    /// the frozen quantizer probes the same lists at every watermark, so
-    /// resuming over their tails equals a search from scratch.
-    #[test]
-    fn ivf_resumed_search_is_bit_identical(
-        rows in grid_rows_strategy(60, 2),
-        queries in grid_rows_strategy(5, 2),
-        k in 1usize..9,
-        nlist in 1usize..7,
-        nprobe in 1usize..7,
-        split in 20usize..60,
-    ) {
-        let (train, tail) = rows.split_at(split * 2);
-        let mut ivf = IvfIndex::build(
-            2,
-            train,
-            IvfConfig { nlist, nprobe, train_iters: 6, ..Default::default() },
-        );
-        for v in tail.chunks(2) {
-            ivf.add(v);
-        }
-        let queries: Vec<&[f32]> = queries.chunks(2).collect();
-        assert_resume_equals_search(&AnyIndex::Ivf(ivf), &queries, k);
     }
 }
 

@@ -3,12 +3,11 @@
 //! and as one 16-query group — on clustered rows, which is what pair
 //! embeddings are and what the pruning bound feeds on, at 16 dimensions
 //! (the serving workloads' width) and at 64 (the default
-//! `MatcherConfig::embedding_dim`); the same search on uniform rows, which
-//! have no lists to skip, so it times the scan itself; and the IVF
-//! heuristic the paper alludes to beside it.
+//! `MatcherConfig::embedding_dim`); and the same search on uniform rows,
+//! which have no lists to skip, so it times the scan itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use flexer_ann::{FlatIndex, IvfConfig, IvfIndex, VectorIndex};
+use flexer_ann::{FlatIndex, VectorIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,15 +73,6 @@ fn bench_knn(c: &mut Criterion) {
                 b.iter(|| queries.chunks(16).map(|g| flat.search_batch(g, 6).len()).sum::<usize>())
             },
         );
-        // IVF beside the three base cases only.
-        if !shape.is_empty() {
-            continue;
-        }
-        let mut ivf = IvfIndex::build(dim, &rows, IvfConfig { nlist: 32, ..Default::default() });
-        ivf.set_nprobe(4);
-        group.bench_with_input(BenchmarkId::new("ivf_nprobe4_x64", n), &n, |b, _| {
-            b.iter(|| queries.iter().map(|q| ivf.search(q, 6).len()).sum::<usize>())
-        });
     }
     group.finish();
 }

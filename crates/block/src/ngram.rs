@@ -181,11 +181,6 @@ impl NGramIndex {
         self.n_records == 0
     }
 
-    /// Number of distinct grams indexed.
-    pub fn n_grams(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Indexes one record title; returns its id (sequential).
     pub fn insert(&mut self, title: &str) -> RecordId {
         let id = self.n_records;

@@ -1,8 +1,5 @@
-//! The baselines of §3 and §5.2.4 — Naïve, In-parallel and Multi-label —
-//! plus the classifier-chain extension (Read et al. \[48\]'s other
-//! decomposition).
+//! The baselines of §3 and §5.2.4: Naïve, In-parallel and Multi-label.
 
-pub mod chain;
 pub mod in_parallel;
 pub mod multi_label;
 pub mod naive;

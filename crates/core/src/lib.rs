@@ -39,7 +39,6 @@ pub mod pipeline;
 pub mod snapshot;
 pub mod union_find;
 
-pub use baselines::chain::ChainModel;
 pub use baselines::in_parallel::InParallelModel;
 pub use baselines::multi_label::MultiLabelModel;
 pub use baselines::naive::NaiveModel;
@@ -52,7 +51,6 @@ pub use pipeline::{evaluate_intent_on_split, evaluate_on_split};
 
 /// Single-import surface.
 pub mod prelude {
-    pub use crate::baselines::chain::ChainModel;
     pub use crate::baselines::in_parallel::InParallelModel;
     pub use crate::baselines::multi_label::MultiLabelModel;
     pub use crate::baselines::naive::NaiveModel;

@@ -16,7 +16,7 @@ use crate::config::FlexErConfig;
 use crate::context::PipelineContext;
 use crate::error::CoreError;
 use crate::flexer::FlexErModel;
-use flexer_ann::{AnyIndex, FlatIndex, IvfIndex};
+use flexer_ann::{AnyIndex, FlatIndex};
 use flexer_block::BlockerState;
 use flexer_store::{IndexKind, ModelSnapshot};
 
@@ -24,9 +24,8 @@ impl FlexErModel {
     /// Packages this trained model (plus its representation stage and
     /// corpus context) into a self-contained snapshot.
     ///
-    /// `index` selects the per-layer ANN variant: [`IndexKind::Flat`] for
-    /// exact search (the paper's default) or [`IndexKind::Ivf`] for the
-    /// §5.7 heuristic at scale.
+    /// `index` names the per-layer index; [`IndexKind::Flat`], exact search
+    /// as in the paper, is the only kind.
     pub fn to_snapshot(
         &self,
         ctx: &PipelineContext,
@@ -47,15 +46,11 @@ impl FlexErModel {
         // One index per intent layer over that layer's block of the
         // stacked initial representations (rows are layer-major, so each
         // block is contiguous).
+        let IndexKind::Flat = index;
         let indexes: Vec<AnyIndex> = (0..p)
             .map(|q| {
                 let block = &self.graph.features.data()[q * n_pairs * dim..(q + 1) * n_pairs * dim];
-                match index {
-                    IndexKind::Flat => AnyIndex::Flat(FlatIndex::from_rows(dim, block)),
-                    IndexKind::Ivf(ivf_config) => {
-                        AnyIndex::Ivf(IvfIndex::build(dim, block, ivf_config))
-                    }
-                }
+                AnyIndex::Flat(FlatIndex::from_rows(dim, block))
             })
             .collect();
 
@@ -132,16 +127,5 @@ mod tests {
             assert_eq!(a.scores, b.scores);
             assert_eq!(a.preds, b.preds);
         }
-    }
-
-    #[test]
-    fn export_with_ivf_indexes() {
-        let (ctx, base, model, config) = trained();
-        let ivf = flexer_ann::IvfConfig { nlist: 8, nprobe: 4, ..Default::default() };
-        let snapshot = model.to_snapshot(&ctx, &base, &config, IndexKind::Ivf(ivf)).unwrap();
-        snapshot.validate().unwrap();
-        assert!(snapshot.indexes.iter().all(|i| matches!(i, AnyIndex::Ivf(_))));
-        let bytes = snapshot.to_bytes();
-        assert_eq!(ModelSnapshot::from_bytes(&bytes).unwrap().to_bytes(), bytes);
     }
 }

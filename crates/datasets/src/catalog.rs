@@ -12,7 +12,6 @@ use crate::vocab;
 use flexer_types::{Dataset, Record, RecordId};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::HashMap;
 
 /// One product (entity).
 #[derive(Debug, Clone)]
@@ -85,7 +84,6 @@ pub struct Catalog {
     by_family: Vec<Vec<usize>>,
     by_main: Vec<Vec<usize>>,
     by_general: Vec<Vec<usize>>,
-    by_brand: HashMap<String, Vec<usize>>,
 }
 
 impl Catalog {
@@ -147,27 +145,15 @@ impl Catalog {
         let mut by_main = vec![Vec::new(); taxonomy.mains.len()];
         let n_generals = taxonomy.generals.len();
         let mut by_general = vec![Vec::new(); n_generals];
-        let mut by_brand: HashMap<String, Vec<usize>> = HashMap::new();
         for p in &products {
             by_family[p.family].push(p.id);
             by_main[p.main].push(p.id);
             if p.general != usize::MAX {
                 by_general[p.general].push(p.id);
             }
-            by_brand.entry(p.brand.clone()).or_default().push(p.id);
         }
 
-        Self {
-            taxonomy,
-            products,
-            records_of,
-            product_of,
-            dataset,
-            by_family,
-            by_main,
-            by_general,
-            by_brand,
-        }
+        Self { taxonomy, products, records_of, product_of, dataset, by_family, by_main, by_general }
     }
 
     /// Number of products.
@@ -193,11 +179,6 @@ impl Catalog {
     /// Products of a general category.
     pub fn products_in_general(&self, general: usize) -> &[usize] {
         &self.by_general[general]
-    }
-
-    /// Products of a brand.
-    pub fn products_of_brand(&self, brand: &str) -> &[usize] {
-        self.by_brand.get(brand).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
     /// A uniformly random record of a product.

@@ -169,16 +169,6 @@ impl Taxonomy {
         }
         Self { generals, mains, general_of, families }
     }
-
-    /// Families belonging to main category `m`.
-    pub fn families_of_main(&self, m: usize) -> Vec<usize> {
-        self.families.iter().filter(|f| f.main == m).map(|f| f.id).collect()
-    }
-
-    /// Number of main categories.
-    pub fn n_mains(&self) -> usize {
-        self.mains.len()
-    }
 }
 
 fn main_short(name: &str) -> &str {

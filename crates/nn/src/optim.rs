@@ -41,12 +41,6 @@ impl AdamConfig {
     pub fn paper_gnn() -> Self {
         Self { lr: 0.01, weight_decay: 5e-4, ..Self::default() }
     }
-
-    /// Sets the learning rate.
-    pub fn with_lr(mut self, lr: f32) -> Self {
-        self.lr = lr;
-        self
-    }
 }
 
 /// Adam optimizer state.

@@ -231,11 +231,6 @@ impl Recorder {
         self.shared.spans.lock().unwrap().get(path).cloned()
     }
 
-    /// Clone of the value histogram named `name`, if present.
-    pub fn value_histogram(&self, name: &str) -> Option<Histogram> {
-        self.shared.values.lock().unwrap().get(name).cloned()
-    }
-
     /// Fold another recorder's aggregates into this one: histograms merge
     /// bucket-wise (exact), counters add, gauges take the other's value.
     pub fn merge_from(&self, other: &Recorder) {

@@ -115,7 +115,7 @@ pub struct IngestReport {
 type PairEmbedding = Matrix;
 
 /// Pads a layer's neighbour list that holds fewer pair ids than its stride
-/// (an IVF probe over sparse lists).
+/// (an index with fewer than `k` rows).
 const NO_NEIGHBOR: u32 = u32::MAX;
 
 /// The hot-pair cache's value: a pair's embedding and where it sits in

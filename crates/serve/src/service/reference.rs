@@ -5,8 +5,8 @@
 //! [`ResolutionService::reference`] scores resolves and ingests through
 //! this kernel, and every case below demands **bit-identical** responses,
 //! ingest reports and served state from the two — for every query shape
-//! and GNN shape, at any thread count, under any shard layout, over both
-//! index backends, and with cached, resumed and pruned localization.
+//! and GNN shape, at any thread count, under any shard layout, and with
+//! cached, resumed and pruned localization.
 //!
 //! [`GnnModel::forward_inductive`]: flexer_graph::GnnModel::forward_inductive
 
@@ -142,45 +142,22 @@ mod tests {
     use flexer_types::{MatchTarget, ResolveQuery, ResolveResponse, Scale, ShardConfig};
 
     /// Trains on the tiny AmazonMI benchmark and snapshots the result.
-    fn fit_snapshot(config: &FlexErConfig, kind: IndexKind) -> ModelSnapshot {
-        let bench = AmazonMiConfig::at_scale(Scale::Tiny).with_seed(23).generate();
+    fn fit_snapshot(config: &FlexErConfig) -> ModelSnapshot {
+        fit_snapshot_on(AmazonMiConfig::at_scale(Scale::Tiny), config)
+    }
+
+    fn fit_snapshot_on(corpus: AmazonMiConfig, config: &FlexErConfig) -> ModelSnapshot {
+        let bench = corpus.with_seed(23).generate();
         let ctx = PipelineContext::new(bench, &config.matcher).unwrap();
         let base = InParallelModel::fit(&ctx, &config.matcher).unwrap();
         let model = FlexErModel::fit_from_embeddings(&ctx, &base.embeddings(), config).unwrap();
-        model.to_snapshot(&ctx, &base, config, kind).unwrap()
+        model.to_snapshot(&ctx, &base, config, IndexKind::Flat).unwrap()
     }
 
-    /// One shared training run per index backend for the whole test binary.
-    fn trained_snapshot(kind: IndexKind) -> ModelSnapshot {
-        static FLAT: std::sync::OnceLock<ModelSnapshot> = std::sync::OnceLock::new();
-        static IVF: std::sync::OnceLock<ModelSnapshot> = std::sync::OnceLock::new();
-        let cell = match kind {
-            IndexKind::Flat => &FLAT,
-            IndexKind::Ivf(_) => &IVF,
-        };
-        cell.get_or_init(|| fit_snapshot(&FlexErConfig::fast(), kind)).clone()
-    }
-
-    fn ivf_kind() -> IndexKind {
-        IndexKind::Ivf(flexer_ann::IvfConfig { nlist: 4, nprobe: 2, ..Default::default() })
-    }
-
-    /// The flat snapshot re-indexed as an IVF so sparse (many lists, one
-    /// probed) that some searches find fewer than `k` neighbours — the short
-    /// lists the neighbour-list cache has to pad.
-    fn sparse_ivf_snapshot() -> ModelSnapshot {
-        use flexer_ann::{AnyIndex, IvfConfig, IvfIndex, VectorIndex};
-        let mut snapshot = trained_snapshot(IndexKind::Flat);
-        let config = IvfConfig { nlist: 64, nprobe: 1, ..Default::default() };
-        for index in &mut snapshot.indexes {
-            *index = AnyIndex::Ivf(IvfIndex::build(index.dim(), index.data(), config));
-        }
-        let (index, k) = (&snapshot.indexes[0], snapshot.k);
-        assert!(
-            (0..index.len()).any(|id| index.search(index.vector(id), k).len() < k),
-            "the sparse IVF must produce short neighbour lists"
-        );
-        snapshot
+    /// One shared training run for the whole test binary.
+    fn trained_snapshot() -> ModelSnapshot {
+        static SHARED: std::sync::OnceLock<ModelSnapshot> = std::sync::OnceLock::new();
+        SHARED.get_or_init(|| fit_snapshot(&FlexErConfig::fast())).clone()
     }
 
     /// The query mix every parity test drives: ad-hoc pairs, repeated titles
@@ -221,16 +198,14 @@ mod tests {
 
     #[test]
     fn batched_and_reference_kernels_agree_on_every_query_shape() {
-        for kind in [IndexKind::Flat, ivf_kind()] {
-            let snapshot = trained_snapshot(kind);
-            let batched = ResolutionService::new(snapshot.clone(), ServeConfig::default()).unwrap();
-            let reference = ResolutionService::reference(snapshot).unwrap();
-            assert_eq!(
-                drive(&batched),
-                drive(&reference),
-                "batched responses diverge from the reference kernel"
-            );
-        }
+        let snapshot = trained_snapshot();
+        let batched = ResolutionService::new(snapshot.clone(), ServeConfig::default()).unwrap();
+        let reference = ResolutionService::reference(snapshot).unwrap();
+        assert_eq!(
+            drive(&batched),
+            drive(&reference),
+            "batched responses diverge from the reference kernel"
+        );
     }
 
     #[test]
@@ -240,25 +215,22 @@ mod tests {
             "Nike Air Max 2016 second listing",
             "totally unrelated garden hose 5m",
         ];
-        for kind in [IndexKind::Flat, ivf_kind()] {
-            let snapshot = trained_snapshot(kind);
-            let mut batched =
-                ResolutionService::new(snapshot.clone(), ServeConfig::default()).unwrap();
-            let mut reference = ResolutionService::reference(snapshot).unwrap();
-            let rb = batched.ingest_batch(&titles.iter().map(|t| &**t).collect::<Vec<_>>());
-            let rr = reference.ingest_batch(&titles.iter().map(|t| &**t).collect::<Vec<_>>());
-            assert_eq!(rb, rr, "ingest reports diverge");
-            // Every ingested pair's served score must be bit-identical, and the
-            // pinned state must feed later queries identically.
-            for pair in batched.n_train_pairs()..batched.n_pairs() {
-                assert_eq!(
-                    batched.resolve_all_intents(&ResolveQuery::CorpusPair(pair), 1).unwrap(),
-                    reference.resolve_all_intents(&ResolveQuery::CorpusPair(pair), 1).unwrap(),
-                    "ingested pair {pair} scores diverge"
-                );
-            }
-            assert_eq!(drive(&batched), drive(&reference), "post-ingest queries diverge");
+        let snapshot = trained_snapshot();
+        let mut batched = ResolutionService::new(snapshot.clone(), ServeConfig::default()).unwrap();
+        let mut reference = ResolutionService::reference(snapshot).unwrap();
+        let rb = batched.ingest_batch(&titles.iter().map(|t| &**t).collect::<Vec<_>>());
+        let rr = reference.ingest_batch(&titles.iter().map(|t| &**t).collect::<Vec<_>>());
+        assert_eq!(rb, rr, "ingest reports diverge");
+        // Every ingested pair's served score must be bit-identical, and the
+        // pinned state must feed later queries identically.
+        for pair in batched.n_train_pairs()..batched.n_pairs() {
+            assert_eq!(
+                batched.resolve_all_intents(&ResolveQuery::CorpusPair(pair), 1).unwrap(),
+                reference.resolve_all_intents(&ResolveQuery::CorpusPair(pair), 1).unwrap(),
+                "ingested pair {pair} scores diverge"
+            );
         }
+        assert_eq!(drive(&batched), drive(&reference), "post-ingest queries diverge");
     }
 
     /// The served forward asks each intent's GNN for what is read from it —
@@ -280,8 +252,7 @@ mod tests {
         let titles = ["BrandNew UltraWidget 9000 Pro Edition", "Nike Air Max 2016 second listing"];
         for gnn in shapes {
             let shape = format!("{} layers, {:?}", gnn.n_layers, gnn.aggregation);
-            let snapshot =
-                fit_snapshot(&FlexErConfig { gnn, ..FlexErConfig::fast() }, IndexKind::Flat);
+            let snapshot = fit_snapshot(&FlexErConfig { gnn, ..FlexErConfig::fast() });
             let bytes = snapshot.to_bytes();
             let mut batched =
                 ResolutionService::new(snapshot.clone(), ServeConfig::default()).unwrap();
@@ -313,7 +284,7 @@ mod tests {
 
     #[test]
     fn batched_path_is_thread_count_invariant() {
-        let snapshot = trained_snapshot(IndexKind::Flat);
+        let snapshot = trained_snapshot();
         let svc = ResolutionService::new(snapshot, ServeConfig::default()).unwrap();
         let serial = flexer_par::with_threads(1, || drive(&svc));
         let parallel = flexer_par::with_threads(8, || drive(&svc));
@@ -322,7 +293,7 @@ mod tests {
 
     #[test]
     fn sharded_service_matches_reference_for_every_shard_count() {
-        let snapshot = trained_snapshot(IndexKind::Flat);
+        let snapshot = trained_snapshot();
         let mut reference = ResolutionService::reference(snapshot.clone()).unwrap();
         let titles = ["BrandNew UltraWidget 9000 Pro Edition", "Nike Air Max 2016 second listing"];
         let ref_reports = titles.map(|t| reference.ingest(t));
@@ -349,18 +320,16 @@ mod tests {
         // `to_snapshot` truncates the grown indexes back to the training
         // watermark via the slice-borrowing `AnyIndex::truncated`; the result
         // must stay byte-identical to the loaded snapshot.
-        for kind in [IndexKind::Flat, ivf_kind()] {
-            let snapshot = trained_snapshot(kind);
-            let original = snapshot.to_bytes();
-            let mut svc = ResolutionService::new(snapshot, ServeConfig::default()).unwrap();
-            svc.ingest("BrandNew UltraWidget 9000 Pro Edition");
-            svc.ingest("another listing entirely");
-            assert_eq!(
-                svc.to_snapshot().to_bytes(),
-                original,
-                "ingest must not leak into the exported training-time snapshot"
-            );
-        }
+        let snapshot = trained_snapshot();
+        let original = snapshot.to_bytes();
+        let mut svc = ResolutionService::new(snapshot, ServeConfig::default()).unwrap();
+        svc.ingest("BrandNew UltraWidget 9000 Pro Edition");
+        svc.ingest("another listing entirely");
+        assert_eq!(
+            svc.to_snapshot().to_bytes(),
+            original,
+            "ingest must not leak into the exported training-time snapshot"
+        );
     }
 
     /// Either deployment shape behind the calls the localization-cache
@@ -448,18 +417,21 @@ mod tests {
     /// The localization cache changes no answer: reused, resumed and
     /// searched-from-scratch neighbour lists are bit-identical to the
     /// uncached per-candidate reference kernel and to a service that caches
-    /// nothing — over both index backends (and an IVF sparse enough to return
-    /// short lists, and `k = 0`, Table 8's no-intra-layer-edges ablation,
-    /// where every list is empty), unsharded and for every shard count, and
-    /// again on a service rebuilt from the exported snapshot.
+    /// nothing — at the trained `k`, at a `k` past the index's rows (every
+    /// search returns a short list, which the cache has to pad) and at
+    /// `k = 0`, Table 8's no-intra-layer-edges ablation, where every list is
+    /// empty; unsharded and for every shard count, and again on a service
+    /// rebuilt from the exported snapshot.
     #[test]
     fn cached_localization_is_invisible_across_ingest_backends_and_shards() {
-        let snapshots = [
-            trained_snapshot(IndexKind::Flat),
-            trained_snapshot(ivf_kind()),
-            sparse_ivf_snapshot(),
-            fit_snapshot(&FlexErConfig::fast().with_k(0), IndexKind::Flat),
-        ];
+        use flexer_ann::VectorIndex;
+        // A sixth of the tiny corpus's pairs keeps a `k` past the rows cheap.
+        let few = AmazonMiConfig { n_pairs: 64, ..AmazonMiConfig::at_scale(Scale::Tiny) };
+        let short = fit_snapshot_on(few, &FlexErConfig::fast().with_k(64 + 3));
+        let index = &short.indexes[0];
+        let found = index.search(index.vector(0), short.k).len();
+        assert!(0 < found && found < short.k, "k past the rows must produce short lists");
+        let snapshots = [trained_snapshot(), short, fit_snapshot(&FlexErConfig::fast().with_k(0))];
         for snapshot in snapshots {
             let run = |config: ServeConfig, n_shards: Option<usize>| {
                 let mut svc = Deployed::boot(snapshot.clone(), config, n_shards);
@@ -500,7 +472,7 @@ mod tests {
     #[test]
     fn pruned_localization_is_invisible_after_every_layer_has_split_many_times() {
         use flexer_ann::{AnyIndex, FlatIndex, VectorIndex};
-        let snapshot = trained_snapshot(IndexKind::Flat);
+        let snapshot = trained_snapshot();
         let boot = |config: ServeConfig| ResolutionService::new(snapshot.clone(), config).unwrap();
         let mut batched = boot(ServeConfig::default());
         let mut uncached = boot(ServeConfig { cache_capacity: 0, ..Default::default() });

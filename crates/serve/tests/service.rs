@@ -113,33 +113,7 @@ fn saved_snapshot_stays_byte_identical_even_after_ingest() {
     svc.ingest("Ingested Gadget Two");
     // Ingested state is serving-tier only: the reconstructed training
     // snapshot (indexes truncated to the training watermark) must match
-    // the loaded bytes exactly, for both index variants.
-    assert_eq!(svc.to_snapshot().to_bytes(), original);
-
-    let (snapshot, _) = trained_snapshot();
-    let ivf_snapshot = {
-        // Rebuild the same model state with IVF indexes to cover the
-        // list-filtering truncation path.
-        use flexer_ann::{AnyIndex, IvfConfig, IvfIndex, VectorIndex};
-        let mut s = snapshot;
-        s.indexes = s
-            .indexes
-            .iter()
-            .map(|i| {
-                let (dim, n) = (i.dim(), i.len());
-                let data: Vec<f32> = (0..n).flat_map(|id| i.vector(id).to_vec()).collect();
-                AnyIndex::Ivf(IvfIndex::build(
-                    dim,
-                    &data,
-                    IvfConfig { nlist: 8, nprobe: 8, ..Default::default() },
-                ))
-            })
-            .collect();
-        s
-    };
-    let original = ivf_snapshot.to_bytes();
-    let mut svc = ResolutionService::new(ivf_snapshot, ServeConfig::default()).unwrap();
-    svc.ingest("Ingested Gadget Three");
+    // the loaded bytes exactly.
     assert_eq!(svc.to_snapshot().to_bytes(), original);
 }
 

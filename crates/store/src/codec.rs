@@ -7,8 +7,7 @@
 //! instead of panicking on corrupted but checksum-valid input.
 
 use crate::format::{Reader, StoreError, Writer};
-use flexer_ann::kmeans::KMeans;
-use flexer_ann::{AnyIndex, FlatIndex, IvfIndex};
+use flexer_ann::{AnyIndex, FlatIndex};
 use flexer_block::{AnnRecordIndex, BlockerState, NGramIndex};
 use flexer_graph::{Aggregation, CsrGraph, GnnModel, MultiplexGraph, SageLayer, TrainedGnn};
 use flexer_matcher::summarize::DfTable;
@@ -250,29 +249,6 @@ impl Codec for TrainedGnn {
     }
 }
 
-impl Codec for KMeans {
-    fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.k);
-        w.put_usize(self.dim);
-        w.put_f32_slice(&self.centroids);
-        w.put_usize_slice(&self.assignments);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let k = r.get_usize()?;
-        let dim = r.get_usize()?;
-        let centroids = r.get_f32_slice()?;
-        let assignments = r.get_usize_slice()?;
-        if k.checked_mul(dim) != Some(centroids.len()) {
-            return malformed("k-means centroid buffer shape mismatch");
-        }
-        if assignments.iter().any(|&a| a >= k.max(1)) {
-            return malformed("k-means assignment out of range");
-        }
-        Ok(KMeans { k, dim, centroids, assignments })
-    }
-}
-
 impl Codec for FlatIndex {
     fn encode(&self, w: &mut Writer) {
         use flexer_ann::VectorIndex;
@@ -293,77 +269,20 @@ impl Codec for FlatIndex {
     }
 }
 
-impl Codec for IvfIndex {
-    fn encode(&self, w: &mut Writer) {
-        use flexer_ann::VectorIndex;
-        w.put_usize(self.dim());
-        self.quantizer().encode(w);
-        w.put_usize(self.lists().len());
-        for list in self.lists() {
-            w.put_usize_slice(list);
-        }
-        w.put_f32_slice(self.data());
-        w.put_usize(self.nprobe());
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let dim = r.get_usize()?;
-        let quantizer = KMeans::decode(r)?;
-        let n_lists = r.get_count(8)?;
-        let mut lists = Vec::with_capacity(n_lists);
-        for _ in 0..n_lists {
-            lists.push(r.get_usize_slice()?);
-        }
-        let data = r.get_f32_slice()?;
-        let nprobe = r.get_usize()?;
-        if dim == 0 || data.len() % dim != 0 {
-            return malformed("IVF index data is not whole rows");
-        }
-        if data.iter().any(|v| !v.is_finite()) {
-            return malformed("IVF index holds non-finite values");
-        }
-        if quantizer.dim != dim || lists.len() != quantizer.k.max(1) {
-            return malformed("IVF quantizer/list shape mismatch");
-        }
-        let n = data.len() / dim;
-        let mut seen = vec![false; n];
-        for list in &lists {
-            // Resumable search and `truncated` cut lists by binary search.
-            if !list.windows(2).all(|w| w[0] < w[1]) {
-                return malformed("IVF inverted list is not ascending");
-            }
-            for &id in list {
-                if id >= n || seen[id] {
-                    return malformed("IVF inverted lists are not a partition of the vectors");
-                }
-                seen[id] = true;
-            }
-        }
-        if !seen.iter().all(|&s| s) {
-            return malformed("IVF inverted lists are not a partition of the vectors");
-        }
-        Ok(IvfIndex::from_parts(dim, quantizer, lists, data, nprobe))
-    }
-}
-
 impl Codec for AnyIndex {
     fn encode(&self, w: &mut Writer) {
-        match self {
-            AnyIndex::Flat(i) => {
-                w.put_u8(0);
-                i.encode(w);
-            }
-            AnyIndex::Ivf(i) => {
-                w.put_u8(1);
-                i.encode(w);
-            }
-        }
+        let AnyIndex::Flat(i) = self;
+        w.put_u8(0);
+        i.encode(w);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         match r.get_u8()? {
             0 => Ok(AnyIndex::Flat(FlatIndex::decode(r)?)),
-            1 => Ok(AnyIndex::Ivf(IvfIndex::decode(r)?)),
+            1 => malformed(
+                "index tag 1: IVF indexes were removed in this version; \
+                 re-export the snapshot from its model",
+            ),
             t => malformed(format!("unknown index tag {t}")),
         }
     }
@@ -728,38 +647,10 @@ mod tests {
         use flexer_ann::VectorIndex;
         assert_eq!(got.search(&rows[0..3], 4), flat.search(&rows[0..3], 4));
 
-        let ivf = IvfIndex::build(
-            3,
-            &rows,
-            flexer_ann::IvfConfig { nlist: 4, nprobe: 2, ..Default::default() },
-        );
-        let got = roundtrip(&AnyIndex::Ivf(ivf.clone()));
-        assert_eq!(got.search(&rows[6..9], 5), ivf.search(&rows[6..9], 5));
-    }
-
-    #[test]
-    fn ivf_with_a_descending_list_is_rejected() {
-        // Resumed searches and `truncated` cut inverted lists by binary
-        // search; bytes that hold a valid partition in the wrong order must
-        // not load.
-        let rows: Vec<f32> = (0..12).map(|i| i as f32).collect();
-        let ivf = IvfIndex::build(
-            2,
-            &rows,
-            flexer_ann::IvfConfig { nlist: 1, nprobe: 1, ..Default::default() },
-        );
+        // The on-disk tag of the flat index: existing snapshots load unchanged.
         let mut w = Writer::new();
-        w.put_usize(2);
-        ivf.quantizer().encode(&mut w);
-        w.put_usize(1);
-        w.put_usize_slice(&[5, 4, 3, 2, 1, 0]);
-        w.put_f32_slice(&rows);
-        w.put_usize(1);
-        let bytes = w.into_bytes();
-        assert!(matches!(
-            IvfIndex::decode(&mut Reader::new(&bytes)),
-            Err(StoreError::Malformed(_))
-        ));
+        got.encode(&mut w);
+        assert_eq!(w.into_bytes()[0], 0);
     }
 
     #[test]

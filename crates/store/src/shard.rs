@@ -58,12 +58,6 @@ impl ShardFrames {
         self.n_records
     }
 
-    /// The raw frame of one shard (size accounting, shipping a single
-    /// shard over the wire).
-    pub fn frame_bytes(&self, shard: usize) -> &[u8] {
-        &self.frames[shard]
-    }
-
     /// Decodes **one** shard — its global-id member list and blocker
     /// state — without touching any other frame. This is the lazy-loading
     /// path a shard server boots through.

@@ -21,7 +21,7 @@ use flexer_matcher::{BinaryMatcher, PairFeaturizer};
 use flexer_nn::{Linear, Matrix, Mlp, MlpConfig};
 use flexer_store::{
     decode_frame, frame_message, seal, seal_frame, unseal, unseal_frame, Codec, ModelSnapshot,
-    Writer,
+    StoreError, Writer,
 };
 use flexer_types::{
     CandidateGenConfig, Intent, IntentSet, LabelMatrix, MatchTarget, NGramBlockerConfig,
@@ -249,6 +249,32 @@ fn forged_length_fields_error_on_every_entry_point() {
             flexer_store::read_message::<RouterResponse>(&mut &frame[..]).is_err(),
             "stream len {forged:#x}"
         );
+    }
+}
+
+/// Index tag `1` was the IVF backend. A snapshot that carries it (behind a
+/// valid checksum) must say what happened and what to do, not "unknown tag".
+#[test]
+fn removed_ivf_index_tag_is_a_malformed_snapshot_that_says_so() {
+    // The payload ends with its one index (tag first), the blocker and the
+    // sharding.
+    let snapshot = tiny_snapshot();
+    let mut suffix = Writer::new();
+    snapshot.indexes[0].encode(&mut suffix);
+    snapshot.blocker.encode(&mut suffix);
+    snapshot.sharding.encode(&mut suffix);
+    let suffix = suffix.into_bytes();
+    let mut payload = snapshot_payload().clone();
+    let at = payload.len() - suffix.len();
+    assert_eq!(payload[at..], suffix[..]);
+    assert_eq!(payload[at], 0, "the flat index's tag");
+    payload[at] = 1;
+    match ModelSnapshot::from_bytes(&seal(&payload)) {
+        Err(StoreError::Malformed(msg)) => {
+            assert!(msg.contains("IVF indexes were removed"), "{msg}");
+            assert!(msg.contains("re-export"), "{msg}");
+        }
+        other => panic!("expected Malformed, got {other:?}"),
     }
 }
 

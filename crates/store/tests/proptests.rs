@@ -2,7 +2,7 @@
 //! models — encode → decode → encode yields the same bytes, and decoded
 //! models compute the same outputs to the bit.
 
-use flexer_ann::{AnyIndex, FlatIndex, IvfConfig, IvfIndex, VectorIndex};
+use flexer_ann::{AnyIndex, FlatIndex, VectorIndex};
 use flexer_block::BlockerState;
 use flexer_graph::{Aggregation, GnnModel};
 use flexer_nn::{Linear, Matrix, Mlp, MlpConfig};
@@ -96,20 +96,10 @@ proptest! {
     fn random_indexes_roundtrip_bitexact(
         n in 1usize..60,
         dim in 1usize..5,
-        flat in any::<bool>(),
-        nlist in 1usize..6,
         seed in any::<u64>(),
     ) {
         let rows = pseudo_rows(n, dim, seed);
-        let index = if flat {
-            AnyIndex::Flat(FlatIndex::from_rows(dim, &rows))
-        } else {
-            AnyIndex::Ivf(IvfIndex::build(
-                dim,
-                &rows,
-                IvfConfig { nlist, train_iters: 5, seed, ..Default::default() },
-            ))
-        };
+        let index = AnyIndex::Flat(FlatIndex::from_rows(dim, &rows));
         let got = roundtrip(&index);
         prop_assert_eq!(got.len(), n);
         let hits_a = got.search(&rows[0..dim], 5);

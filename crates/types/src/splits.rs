@@ -113,11 +113,6 @@ impl SplitAssignment {
         self.assignment.is_empty()
     }
 
-    /// Split of pair `idx`.
-    pub fn split_of(&self, idx: usize) -> Split {
-        self.assignment[idx]
-    }
-
     /// Pair indices belonging to a split, ascending.
     pub fn indices_of(&self, split: Split) -> Vec<usize> {
         self.assignment.iter().enumerate().filter_map(|(i, &s)| (s == split).then_some(i)).collect()
