@@ -36,7 +36,7 @@ pub mod shard;
 
 pub use ann::{AnnBlocker, AnnRecordIndex};
 pub use ngram::{NGramBlocker, NGramIndex};
-pub use shard::{local_answer, merge_candidates, plan_query, ShardedBlocker};
+pub use shard::{local_answer, GlobalBlocking, ShardedBlocker};
 
 use flexer_types::{
     BlockingReport, CandidateGenConfig, CandidateSet, Dataset, EntityMap, PairRef, RecordId,
@@ -239,10 +239,18 @@ impl BlockerState {
 
     /// Short backend name for logs and bench output.
     pub fn kind_name(&self) -> &'static str {
+        self.gen_config().name()
+    }
+
+    /// `(gram, bucket size)` of every q-gram bucket, ascending by gram
+    /// (empty for the other backends) — one shard's contribution to the
+    /// global stop-gram counts ([`GlobalBlocking::new`]).
+    pub fn bucket_sizes(&self) -> Vec<(u64, u32)> {
         match self {
-            BlockerState::Exhaustive => "exhaustive",
-            BlockerState::NGram(_) => "ngram",
-            BlockerState::Ann(_) => "ann",
+            BlockerState::NGram(ix) => {
+                ix.sorted_buckets().into_iter().map(|(g, ids)| (g, ids.len() as u32)).collect()
+            }
+            _ => Vec::new(),
         }
     }
 

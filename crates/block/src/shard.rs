@@ -36,29 +36,125 @@ use flexer_types::{
 };
 use std::collections::HashMap;
 
-/// Plans the shard-local half of a candidate query from the *global*
-/// blocker state: the stop-gram-filtered gram list (q-gram) or the
-/// embedded query vector (ANN). `None` means no fan-out is needed — the
-/// exhaustive backend pairs against every record without consulting
-/// shards. This is the piece a networked router executes locally before
-/// fanning [`local_answer`] out to shard servers; the in-process
-/// [`ShardedBlocker::candidates`] runs the exact same function, so both
-/// deployments answer bit-identically by construction.
-pub fn plan_query(
-    gen: &CandidateGenConfig,
-    gram_counts: &HashMap<u64, u32>,
-    title: &str,
-) -> Option<WireQuery> {
-    match gen {
-        CandidateGenConfig::Exhaustive => None,
-        CandidateGenConfig::NGram(c) => {
-            let kept: Vec<u64> = gram_vec(title, c.q)
-                .into_iter()
-                .filter(|g| gram_counts.get(g).map_or(true, |&n| n as usize <= c.max_bucket))
-                .collect();
-            Some(WireQuery::Grams(kept))
+/// The **global** half of sharded blocking — everything a candidate query
+/// needs that no shard can decide alone: the backend configuration, the
+/// title router, the corpus-wide gram counts behind the stop-gram decision
+/// and the number of records placed so far. Both deployments hold exactly
+/// this state — [`ShardedBlocker`] beside its in-process shards, the
+/// networked router beside its replica sets — and run these methods around
+/// their own fan-out of [`local_answer`], so they answer bit-identically
+/// by construction.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GlobalBlocking {
+    gen: CandidateGenConfig,
+    router: ShardRouter,
+    /// Global gram → total bucket size across shards (q-gram backend only):
+    /// the corpus-level stop-gram signal per-shard buckets cannot provide.
+    gram_counts: HashMap<u64, u32>,
+    n_records: usize,
+}
+
+impl GlobalBlocking {
+    /// Global state over `n_records` records already placed on their
+    /// shards. `bucket_sizes` lists every shard's `(gram, bucket size)`
+    /// pairs: buckets partition the corpus by record, so summed across
+    /// shards they are exactly the global gram counts.
+    pub fn new(
+        gen: &CandidateGenConfig,
+        config: ShardConfig,
+        bucket_sizes: impl IntoIterator<Item = (u64, u32)>,
+        n_records: usize,
+    ) -> Self {
+        let mut gram_counts: HashMap<u64, u32> = HashMap::new();
+        for (g, n) in bucket_sizes {
+            *gram_counts.entry(g).or_insert(0) += n;
         }
-        CandidateGenConfig::Ann(c) => Some(WireQuery::Embedding(crate::ann::embed_title(title, c))),
+        Self { gen: *gen, router: ShardRouter::new(config), gram_counts, n_records }
+    }
+
+    /// Plans the shard-local half of a candidate query: the
+    /// stop-gram-filtered gram list (q-gram) or the embedded query vector
+    /// (ANN). `None` means no fan-out is needed — the exhaustive backend
+    /// pairs against every record without consulting shards.
+    pub fn plan(&self, title: &str) -> Option<WireQuery> {
+        match &self.gen {
+            CandidateGenConfig::Exhaustive => None,
+            CandidateGenConfig::NGram(c) => {
+                let kept: Vec<u64> = gram_vec(title, c.q)
+                    .into_iter()
+                    .filter(|g| {
+                        self.gram_counts.get(g).map_or(true, |&n| n as usize <= c.max_bucket)
+                    })
+                    .collect();
+                Some(WireQuery::Grams(kept))
+            }
+            CandidateGenConfig::Ann(c) => {
+                Some(WireQuery::Embedding(crate::ann::embed_title(title, c)))
+            }
+        }
+    }
+
+    /// Merges per-shard answers back into the global candidate set,
+    /// exactly as the monolithic blocker would have produced it: q-gram
+    /// survivor sets are disjoint across shards, so their union sorted
+    /// ascending is the global set; ANN hits merge by `(distance, global
+    /// id)` — the monolithic insertion-id ordering — and truncate to the
+    /// backend's `k`. Non-finite distances (impossible locally,
+    /// conceivable from a corrupt peer) are dropped rather than trusted
+    /// into the sort.
+    pub fn merge(&self, answers: impl IntoIterator<Item = WireCandidates>) -> Vec<RecordId> {
+        let mut ids: Vec<u32> = Vec::new();
+        let mut hits: Vec<(f32, u32)> = Vec::new();
+        for answer in answers {
+            match answer {
+                WireCandidates::Ids(v) => ids.extend(v),
+                WireCandidates::Hits(v) => hits.extend(v),
+            }
+        }
+        if let CandidateGenConfig::Ann(c) = &self.gen {
+            hits.retain(|(d, _)| d.is_finite());
+            hits.sort_unstable_by(|a, b| {
+                a.0.partial_cmp(&b.0).expect("finite after retain").then_with(|| a.1.cmp(&b.1))
+            });
+            hits.truncate(c.k);
+            ids.extend(hits.into_iter().map(|(_, g)| g));
+        }
+        let mut out: Vec<RecordId> = ids.into_iter().map(|g| g as RecordId).collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// Places one more record: counts its grams into the stop-gram state
+    /// and returns `(owning shard, global id)`. Global ids are assigned
+    /// sequentially, so callers must admit in record-id order.
+    pub fn admit(&mut self, title: &str) -> (usize, RecordId) {
+        if let CandidateGenConfig::NGram(c) = &self.gen {
+            for g in gram_vec(title, c.q) {
+                *self.gram_counts.entry(g).or_insert(0) += 1;
+            }
+        }
+        self.n_records += 1;
+        (self.router.route(title), self.n_records - 1)
+    }
+
+    /// Number of records placed across all shards.
+    pub fn n_records(&self) -> usize {
+        self.n_records
+    }
+
+    /// The shard configuration.
+    pub fn shard_config(&self) -> ShardConfig {
+        self.router.config()
+    }
+
+    /// The candidate-generation backend every shard runs.
+    pub fn gen_config(&self) -> CandidateGenConfig {
+        self.gen
+    }
+
+    /// The shard a title routes to.
+    pub fn shard_of(&self, title: &str) -> usize {
+        self.router.route(title)
     }
 }
 
@@ -84,38 +180,6 @@ pub fn local_answer(
     }
 }
 
-/// Merges per-shard answers back into the global candidate set, exactly
-/// as the monolithic blocker would have produced it: q-gram survivor sets
-/// are disjoint across shards, so their union sorted ascending is the
-/// global set; ANN hits merge by `(distance, global id)` — the monolithic
-/// insertion-id ordering — and truncate to the backend's `k`. Non-finite
-/// distances (impossible locally, conceivable from a corrupt peer) are
-/// dropped rather than trusted into the sort.
-pub fn merge_candidates(
-    gen: &CandidateGenConfig,
-    answers: impl IntoIterator<Item = WireCandidates>,
-) -> Vec<RecordId> {
-    let mut ids: Vec<u32> = Vec::new();
-    let mut hits: Vec<(f32, u32)> = Vec::new();
-    for answer in answers {
-        match answer {
-            WireCandidates::Ids(v) => ids.extend(v),
-            WireCandidates::Hits(v) => hits.extend(v),
-        }
-    }
-    if let CandidateGenConfig::Ann(c) = gen {
-        hits.retain(|(d, _)| d.is_finite());
-        hits.sort_unstable_by(|a, b| {
-            a.0.partial_cmp(&b.0).expect("finite after retain").then_with(|| a.1.cmp(&b.1))
-        });
-        hits.truncate(c.k);
-        ids.extend(hits.into_iter().map(|(_, g)| g));
-    }
-    let mut out: Vec<RecordId> = ids.into_iter().map(|g| g as RecordId).collect();
-    out.sort_unstable();
-    out
-}
-
 /// Whole nanoseconds since `t0` (saturating into `u64`).
 fn elapsed_ns(t0: std::time::Instant) -> u64 {
     t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
@@ -124,32 +188,31 @@ fn elapsed_ns(t0: std::time::Instant) -> u64 {
 /// An incremental blocker partitioned across N shards (see module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedBlocker {
-    router: ShardRouter,
-    gen: CandidateGenConfig,
+    /// Derived state, never serialized: `from_parts` and `truncated`
+    /// rebuild it from the shards.
+    global: GlobalBlocking,
     /// Shard-local blocker state; local record ids are per-shard sequential.
     shards: Vec<BlockerState>,
     /// `members[s][local] = global` record id, ascending by construction.
     members: Vec<Vec<u32>>,
-    /// Global gram → total bucket size across shards (q-gram backend only):
-    /// the corpus-level stop-gram signal per-shard buckets cannot provide.
-    gram_counts: HashMap<u64, u32>,
-    n_records: usize,
+}
+
+/// Every shard's `(gram, bucket size)` pairs — what [`GlobalBlocking::new`]
+/// sums into the global gram counts.
+fn bucket_sizes(shards: &[BlockerState]) -> impl Iterator<Item = (u64, u32)> + '_ {
+    shards.iter().flat_map(BlockerState::bucket_sizes)
 }
 
 impl ShardedBlocker {
     /// Empty sharded blocker for a candidate-generation backend.
     pub fn new(gen: &CandidateGenConfig, config: ShardConfig) -> Self {
-        let router = ShardRouter::new(config);
         let shards = (0..config.n_shards)
             .map(|_| BlockerState::build(gen, std::iter::empty::<&str>()))
             .collect();
         Self {
-            router,
-            gen: *gen,
+            global: GlobalBlocking::new(gen, config, [], 0),
             shards,
             members: vec![Vec::new(); config.n_shards],
-            gram_counts: HashMap::new(),
-            n_records: 0,
         }
     }
 
@@ -171,31 +234,36 @@ impl ShardedBlocker {
     /// Global ids are assigned sequentially, so callers must insert in
     /// record-id order (the same contract as [`BlockerState::insert`]).
     pub fn insert(&mut self, title: &str) -> (usize, RecordId) {
-        let shard = self.router.route(title);
-        let global = self.n_records;
+        let (shard, global) = self.global.admit(title);
         self.shards[shard].insert(title);
         self.members[shard].push(global as u32);
-        self.count_grams(title);
-        self.n_records += 1;
         (shard, global)
     }
 
-    /// Batched insert: routes every title, fans the shard-local index
-    /// updates out across shards in parallel (shards are independent), and
-    /// applies the global bookkeeping serially in input order. The final
-    /// state is identical to inserting the titles one by one.
+    /// Batched insert: places every title globally (ids, member lists and
+    /// gram counts, serially in input order), then fans the shard-local
+    /// index updates out across shards in parallel (shards are
+    /// independent). The final state is identical to inserting the titles
+    /// one by one.
     pub fn insert_batch(&mut self, titles: &[&str]) -> Vec<(usize, RecordId)> {
-        let routes: Vec<usize> = titles.iter().map(|t| self.router.route(t)).collect();
+        let rec = flexer_obs::global();
+        let t0 = rec.is_enabled().then(std::time::Instant::now);
         let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, &s) in routes.iter().enumerate() {
-            per_shard[s].push(i);
+        let mut out = Vec::with_capacity(titles.len());
+        for (i, title) in titles.iter().enumerate() {
+            let (shard, global) = self.global.admit(title);
+            self.members[shard].push(global as u32);
+            per_shard[shard].push(i);
+            out.push((shard, global));
+        }
+        if let Some(t0) = t0 {
+            rec.record_span_ns("shard.ingest.merge", elapsed_ns(t0));
         }
         // Group-by-shard, parallel shard-local ingest: each shard absorbs
         // its titles in input order, exactly as serial inserts would. Each
         // shard's wall time aggregates under `shard.ingest.local.<s>`, the
         // balance evidence (max/mean imbalance across shards).
         flexer_par::for_each_row_mut(&mut self.shards, 1, |s, shard| {
-            let rec = flexer_obs::global();
             let t0 = rec.is_enabled().then(std::time::Instant::now);
             for &i in &per_shard[s] {
                 shard[0].insert(titles[i]);
@@ -204,31 +272,7 @@ impl ShardedBlocker {
                 rec.record_span_ns_indexed("shard.ingest.local", s, elapsed_ns(t0));
             }
         });
-        // Single merge step: global ids, member lists and gram counts, in
-        // input order.
-        let rec = flexer_obs::global();
-        let t0 = rec.is_enabled().then(std::time::Instant::now);
-        let base = self.n_records;
-        let mut out = Vec::with_capacity(titles.len());
-        for (i, (&shard, title)) in routes.iter().zip(titles).enumerate() {
-            let global = base + i;
-            self.members[shard].push(global as u32);
-            self.count_grams(title);
-            out.push((shard, global));
-        }
-        self.n_records += titles.len();
-        if let Some(t0) = t0 {
-            rec.record_span_ns("shard.ingest.merge", elapsed_ns(t0));
-        }
         out
-    }
-
-    fn count_grams(&mut self, title: &str) {
-        if let CandidateGenConfig::NGram(c) = self.gen {
-            for g in gram_vec(title, c.q) {
-                *self.gram_counts.entry(g).or_insert(0) += 1;
-            }
-        }
     }
 
     /// Candidate record ids (global, ascending) for a new title: the fan
@@ -238,11 +282,11 @@ impl ShardedBlocker {
     /// any shard count.
     pub fn candidates(&self, title: &str) -> Option<Vec<RecordId>> {
         let rec = flexer_obs::global();
-        let query = plan_query(&self.gen, &self.gram_counts, title)?;
+        let query = self.global.plan(title)?;
         let t0 = rec.is_enabled().then(std::time::Instant::now);
         let answers = self.fan_out(&query);
         let t1 = rec.is_enabled().then(std::time::Instant::now);
-        let out = merge_candidates(&self.gen, answers);
+        let out = self.global.merge(answers);
         if let (Some(t0), Some(t1)) = (t0, t1) {
             rec.record_span_ns("shard.fanout", (t1 - t0).as_nanos() as u64);
             rec.record_span_ns("shard.merge", elapsed_ns(t1));
@@ -267,9 +311,9 @@ impl ShardedBlocker {
     /// top-k attributed back to the owning shards. `None` for the
     /// exhaustive backend (shards hold no state).
     pub fn local_candidate_counts(&self, title: &str) -> Option<Vec<usize>> {
-        let query = plan_query(&self.gen, &self.gram_counts, title)?;
+        let query = self.global.plan(title)?;
         let answers = self.fan_out(&query);
-        match &self.gen {
+        match self.global.gen_config() {
             CandidateGenConfig::Exhaustive => None,
             CandidateGenConfig::NGram(_) => Some(
                 answers
@@ -283,7 +327,7 @@ impl ShardedBlocker {
             CandidateGenConfig::Ann(_) => {
                 // Attribute each record of the merged top-k back to its
                 // owning shard (every global id lives on exactly one).
-                let merged = merge_candidates(&self.gen, answers.iter().cloned());
+                let merged = self.global.merge(answers.iter().cloned());
                 Some(
                     answers
                         .iter()
@@ -303,22 +347,15 @@ impl ShardedBlocker {
     /// A copy truncated back to the first `n_records` global records — the
     /// exact inverse of the inserts past that watermark, shard by shard.
     pub fn truncated(&self, n_records: usize) -> Self {
-        let n = n_records.min(self.n_records);
+        let n = n_records.min(self.len());
         let limit = n as u32;
         let members: Vec<Vec<u32>> =
             self.members.iter().map(|m| m[..m.partition_point(|&g| g < limit)].to_vec()).collect();
         let shards: Vec<BlockerState> =
             self.shards.iter().zip(&members).map(|(s, m)| s.truncated(m.len())).collect();
-        let mut out = Self {
-            router: self.router,
-            gen: self.gen,
-            shards,
-            members,
-            gram_counts: HashMap::new(),
-            n_records: n,
-        };
-        out.recount_grams();
-        out
+        let global =
+            GlobalBlocking::new(&self.gen_config(), self.shard_config(), bucket_sizes(&shards), n);
+        Self { global, shards, members }
     }
 
     /// Reassembles the monolithic [`BlockerState`] the shards partition —
@@ -326,7 +363,7 @@ impl ShardedBlocker {
     /// global id order (tested). Used when an unsharded service loads a
     /// sharded snapshot.
     pub fn merged(&self) -> BlockerState {
-        match &self.gen {
+        match &self.gen_config() {
             CandidateGenConfig::Exhaustive => BlockerState::Exhaustive,
             CandidateGenConfig::NGram(c) => {
                 let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
@@ -350,12 +387,12 @@ impl ShardedBlocker {
                     .collect();
                 parts.sort_unstable_by_key(|&(g, _)| g);
                 BlockerState::NGram(
-                    NGramIndex::from_parts(*c, self.n_records, parts)
+                    NGramIndex::from_parts(*c, self.len(), parts)
                         .expect("merged shards form a valid index"),
                 )
             }
             CandidateGenConfig::Ann(c) => {
-                let mut data = vec![0.0f32; self.n_records * c.dim];
+                let mut data = vec![0.0f32; self.len() * c.dim];
                 for (s, shard) in self.shards.iter().enumerate() {
                     let BlockerState::Ann(ix) = shard else {
                         unreachable!("ANN config implies ANN shards")
@@ -417,39 +454,18 @@ impl ShardedBlocker {
         if all.len() != n_records || all.iter().enumerate().any(|(i, &g)| g as usize != i) {
             return Err(format!("shard members do not partition 0..{n_records} exactly"));
         }
-        let mut out = Self {
-            router: ShardRouter::new(config),
-            gen,
-            shards,
-            members,
-            gram_counts: HashMap::new(),
-            n_records,
-        };
-        out.recount_grams();
-        Ok(out)
-    }
-
-    /// Rebuilds the global gram counts from the per-shard buckets (they
-    /// are derived state, never serialized).
-    fn recount_grams(&mut self) {
-        self.gram_counts.clear();
-        for shard in &self.shards {
-            if let BlockerState::NGram(ix) = shard {
-                for (g, ids) in ix.sorted_buckets() {
-                    *self.gram_counts.entry(g).or_insert(0) += ids.len() as u32;
-                }
-            }
-        }
+        let global = GlobalBlocking::new(&gen, config, bucket_sizes(&shards), n_records);
+        Ok(Self { global, shards, members })
     }
 
     /// Number of records indexed across all shards.
     pub fn len(&self) -> usize {
-        self.n_records
+        self.global.n_records()
     }
 
     /// Whether no records are indexed.
     pub fn is_empty(&self) -> bool {
-        self.n_records == 0
+        self.len() == 0
     }
 
     /// Number of shards.
@@ -459,22 +475,17 @@ impl ShardedBlocker {
 
     /// The shard configuration.
     pub fn shard_config(&self) -> ShardConfig {
-        self.router.config()
+        self.global.shard_config()
     }
 
     /// The candidate-generation backend every shard runs.
     pub fn gen_config(&self) -> CandidateGenConfig {
-        self.gen
-    }
-
-    /// Short backend name for logs and bench output.
-    pub fn kind_name(&self) -> &'static str {
-        self.gen.name()
+        self.global.gen_config()
     }
 
     /// The shard a title routes to.
     pub fn shard_of(&self, title: &str) -> usize {
-        self.router.route(title)
+        self.global.shard_of(title)
     }
 
     /// Per-shard blocker states (serialization / inspection).

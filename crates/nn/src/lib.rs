@@ -8,8 +8,7 @@
 //!
 //! Everything is `f32` and deterministic under a seed — the substrate the
 //! matcher (`flexer-matcher`) and the GNN (`flexer-graph`) are built on.
-//! With the default `parallel` feature, large matmuls and batched forward
-//! passes are row-blocked across the `flexer-par` thread budget
+//! Large matmuls and batched forward passes are row-blocked across the `flexer-par` thread budget
 //! (`RAYON_NUM_THREADS`); every row runs the exact serial kernel, so
 //! results stay bit-identical for any thread count.
 

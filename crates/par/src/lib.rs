@@ -12,8 +12,7 @@
 //! * **Determinism.** Work items are split into contiguous blocks and every
 //!   item is computed by exactly the same code as the serial path, in the
 //!   same per-item floating-point order. Results are therefore bit-identical
-//!   for any thread count, including 1 and including the `parallel` feature
-//!   being disabled entirely.
+//!   for any thread count, including 1.
 //! * **Rayon-compatible configuration.** The thread budget honours
 //!   `RAYON_NUM_THREADS` (and `FLEXER_NUM_THREADS`) so operators can pin the
 //!   pool exactly as they would with rayon. This crate is the in-tree stand-in
@@ -24,8 +23,9 @@
 //!   closures may borrow from the caller's stack — no `'static` bounds, no
 //!   `Arc` plumbing.
 //!
-//! With the `parallel` feature disabled (or a budget of one thread) every
-//! function here is a plain serial loop.
+//! With a budget of one thread (`RAYON_NUM_THREADS=1`, or
+//! `with_threads(1, …)`) every function here is a plain serial loop: the
+//! run-time budget is the only serial switch there is.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,12 +40,8 @@ thread_local! {
 /// Returns the maximum number of worker threads a parallel region may use:
 /// the innermost [`with_threads`] override if one is active, otherwise
 /// `RAYON_NUM_THREADS` / `FLEXER_NUM_THREADS` from the environment,
-/// otherwise [`std::thread::available_parallelism`]. Always at least 1, and
-/// exactly 1 when the `parallel` feature is off.
+/// otherwise [`std::thread::available_parallelism`]. Always at least 1.
 pub fn max_threads() -> usize {
-    if !cfg!(feature = "parallel") {
-        return 1;
-    }
     if let Some(n) = THREAD_OVERRIDE.with(Cell::get) {
         return n.max(1);
     }
@@ -249,7 +245,7 @@ mod tests {
     fn with_threads_is_scoped_and_workers_split_the_budget() {
         assert!(max_threads() >= 1);
         with_threads(3, || {
-            assert_eq!(max_threads(), if cfg!(feature = "parallel") { 3 } else { 1 });
+            assert_eq!(max_threads(), 3);
             // Workers observe the budget divided across the region, so
             // nested regions cannot oversubscribe the configured total.
             let seen = parallel_map(3, |_| max_threads());
@@ -260,16 +256,13 @@ mod tests {
         with_threads(8, || {
             let seen = parallel_map(2, |_| max_threads());
             for s in seen {
-                assert_eq!(s, if cfg!(feature = "parallel") { 4 } else { 1 });
+                assert_eq!(s, 4);
             }
         });
     }
 
     #[test]
     fn override_restored_after_worker_panic() {
-        if !cfg!(feature = "parallel") {
-            return;
-        }
         let before = max_threads();
         let result = std::panic::catch_unwind(|| {
             with_threads(2, || {
@@ -289,9 +282,8 @@ mod tests {
         assert_eq!(b, "xy");
         with_threads(8, || {
             let (ba, bb) = join(max_threads, max_threads);
-            let want = if cfg!(feature = "parallel") { 4 } else { 1 };
-            assert_eq!(ba, want, "caller-side closure must not keep the full budget");
-            assert_eq!(bb, want);
+            assert_eq!(ba, 4, "caller-side closure must not keep the full budget");
+            assert_eq!(bb, 4);
         });
     }
 

@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod arena;
+pub mod blocking;
 pub mod cache;
 pub mod chaos;
 pub mod error;
@@ -41,6 +42,7 @@ pub mod service;
 pub mod shard;
 
 pub use arena::PinnedArena;
+pub use blocking::{BlockingTier, Monolithic};
 pub use cache::LruCache;
 pub use chaos::{FaultMode, FaultProxy};
 pub use error::ServeError;
@@ -48,5 +50,5 @@ pub use metrics::ServeMetrics;
 pub use replica::NetConfig;
 pub use router::{Router, RouterClient};
 pub use server::{ServerConfig, ShardServer};
-pub use service::{IngestReport, ResolutionService, ServeConfig};
+pub use service::{IngestReport, ResolutionService, ServeConfig, Service};
 pub use shard::ShardedResolutionService;

@@ -358,15 +358,16 @@ impl ReplicaSet {
     }
 
     /// Sends one idempotent request (query/ping/hello) to the healthiest
-    /// replica that answers before `deadline`, failing over to siblings.
-    /// `None` ⇒ the shard degrades for this request (every replica failed
-    /// or the budget ran out; counters record which).
+    /// replica that gives a `usable` answer before `deadline`, failing
+    /// over to siblings. `None` ⇒ the shard degrades for this request
+    /// (every replica failed or the budget ran out; counters record which).
     pub(crate) fn call_with_failover(
         &self,
         request: &ShardRequest,
         net: &NetConfig,
         deadline: Instant,
         stats: &FaultStats,
+        usable: impl Fn(&ShardResponse) -> bool,
     ) -> Option<ShardResponse> {
         for (tried, i) in self.ranked().into_iter().enumerate() {
             if Instant::now() >= deadline {
@@ -377,9 +378,10 @@ impl ReplicaSet {
                 FaultStats::bump(&stats.failover, "router.shard.failover");
             }
             match self.replicas[i].call(request, net, deadline, true) {
-                CallOutcome::Ok(ShardResponse::Error(_)) => continue,
-                CallOutcome::Ok(response) => return Some(response),
-                CallOutcome::Failed => continue,
+                CallOutcome::Ok(response) if usable(&response) => return Some(response),
+                // An error reply, or an answer the caller cannot use (it
+                // arrives from outside the program): a sibling may do better.
+                CallOutcome::Ok(_) | CallOutcome::Failed => continue,
                 CallOutcome::Deadline => {
                     FaultStats::bump(&stats.timeout, "router.shard.timeout");
                     return None;

@@ -2,21 +2,22 @@
 //!
 //! # Topology
 //!
-//! The router owns everything *global*: the shared scoring tier (the same
-//! [`ResolutionService`] the in-process [`crate::ShardedResolutionService`]
-//! wraps, with its blocker slot holding the `Exhaustive` sentinel), the
-//! global stop-gram counts, and the cross-shard candidate merge. Each of
-//! the N shard slots is served by **R replicas** — shard-server processes
-//! that all booted the same shard of the same snapshot — behind a
-//! [`ReplicaSet`]. A candidate query is planned once against global state
-//! ([`flexer_block::plan_query`]), fanned out concurrently — one thread
-//! per shard, one framed request to the healthiest replica with failover
-//! to its siblings — and merged back ([`flexer_block::merge_candidates`]).
-//! Those are the exact functions the in-process service runs, so router
-//! answers are **bit-identical** to `ShardedResolutionService` over the
-//! same snapshot and call sequence whenever at least one in-sync replica
-//! per shard answers (asserted in `tests/cluster.rs` and the chaos
-//! bench).
+//! The router owns everything *global*: the one [`Service`] every
+//! deployment runs — scoring tier, corpus, caches — instantiated over the
+//! `Remote` blocking tier, which holds the global half of sharded
+//! blocking ([`flexer_block::GlobalBlocking`]: backend config, title
+//! router, stop-gram counts; plan a query, merge the answers) beside the
+//! shard servers that hold the shard-local half. Each of the N shard slots
+//! is served by **R replicas** — shard-server processes that all booted
+//! the same shard of the same snapshot — behind a [`ReplicaSet`]. A
+//! candidate query is planned once against global state, fanned out
+//! concurrently — one thread per shard, one framed request to the
+//! healthiest replica with failover to its siblings — and merged back.
+//! Planning and merging are the very methods the in-process
+//! `ShardedBlocker` runs around *its* fan-out, so router answers are
+//! **bit-identical** to `ShardedResolutionService` over the same snapshot
+//! and call sequence whenever at least one in-sync replica per shard
+//! answers (asserted in `tests/cluster.rs` and the chaos bench).
 //!
 //! # Deadlines
 //!
@@ -37,53 +38,43 @@
 //! order. All ingest therefore funnels through one writer thread fed by a
 //! **bounded** channel: concurrent client batches queue in arrival order,
 //! a full lane blocks further ingest connections (backpressure) without
-//! slowing reads, and each batch is applied exactly like one in-process
-//! `ingest_batch` call — pre-batched shard queries (one `QueryBatch`
-//! round trip per shard), one `ingest_batch_core`, then sequenced
+//! slowing reads, and each batch is one `ingest_batch` call on the
+//! service under the core's write lock — which, over the `Remote` tier,
+//! means pre-batched shard queries (one `QueryBatch` round trip per
+//! shard), the scoring and merge every deployment runs, then a sequenced
 //! per-shard `Insert` fan-out to **every** replica.
 //!
 //! # Failure semantics
 //!
 //! A replica that fails a call backs off (capped exponential) and its
 //! siblings absorb the traffic (`router.shard.failover`). A shard whose
-//! every replica is unreachable degrades **its own** candidates only:
-//! the fan-out substitutes an empty answer and the query proceeds over
-//! the surviving shards (`router.shard.degraded`). Inserts an unreachable
-//! replica misses are queued in that replica's replay lane and replayed
-//! in original arrival order when it comes back — sequence numbers make
-//! replay idempotent, so a recovered replica converges to exactly the
-//! state it would have had. A background janitor thread replays pending
-//! lanes and probes failed replicas with `Ping` so recovery does not wait
-//! for query traffic.
+//! every replica is unreachable — or answers with something unusable: a
+//! shard reply is outside input, checked for length and id range where it
+//! enters — degrades **its own** candidates only: the fan-out substitutes
+//! an empty answer and the query proceeds over the surviving shards
+//! (`router.shard.degraded`). Inserts an unreachable replica misses are
+//! queued in that replica's replay lane and replayed in original arrival
+//! order when it comes back — sequence numbers make replay idempotent, so
+//! a recovered replica converges to exactly the state it would have had.
+//! A background janitor thread replays pending lanes and probes failed
+//! replicas with `Ping` so recovery does not wait for query traffic.
 
+use crate::blocking::{BlockingTier, StoredBlocking};
 use crate::error::ServeError;
 use crate::replica::{FaultStats, NetConfig, ReplicaSet};
-use crate::service::{IngestReport, ResolutionService, ServeConfig};
-use flexer_block::{merge_candidates, plan_query, BlockerState};
+use crate::service::{IngestReport, ServeConfig, Service};
+use flexer_block::GlobalBlocking;
 use flexer_store::{read_message, read_message_bounded, write_message, ModelSnapshot, WireError};
 use flexer_types::{
     CandidateGenConfig, IntentId, ResolveQuery, ResolveResponse, RouterRequest, RouterResponse,
-    ShardConfig, ShardRequest, ShardResponse, ShardRouter, WireCandidates, WireIngestReport,
-    WireQuery,
+    ShardConfig, ShardRequest, ShardResponse, WireCandidates, WireIngestReport, WireQuery,
 };
-use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Short backend name of a candidate-generation config (matches
-/// `BlockerState::kind_name`, which shard servers report in their
-/// handshake).
-fn gen_kind(gen: &CandidateGenConfig) -> &'static str {
-    match gen {
-        CandidateGenConfig::Exhaustive => "exhaustive",
-        CandidateGenConfig::NGram(_) => "ngram",
-        CandidateGenConfig::Ann(_) => "ann",
-    }
-}
 
 /// Ingest batches that may queue in the single-writer lane before further
 /// ingest connections block (the backpressure bound).
@@ -100,24 +91,30 @@ const CLIENT_IDLE: Duration = Duration::from_secs(300);
 /// client stalling mid-frame would otherwise pin its thread forever).
 const CLIENT_IO: Duration = Duration::from_secs(30);
 
-/// The global (router-side) serving state: the shared scoring tier plus
-/// the global blocking decisions the shards cannot make alone.
-struct Core {
-    service: ResolutionService,
-    gen: CandidateGenConfig,
-    gram_counts: HashMap<u64, u32>,
-    title_router: ShardRouter,
-}
-
-struct Inner {
-    core: RwLock<Core>,
+/// The shard servers as the router reaches them. Shared between the
+/// serving core (whose blocking tier queries and feeds them) and the
+/// lanes that work beside it (janitor, stats, shutdown).
+struct Fleet {
     sets: Vec<ReplicaSet>,
     net: NetConfig,
     stats: FaultStats,
-    stop: AtomicBool,
     /// Serializes writer-lane and janitor insert traffic so sequenced
     /// batches leave in order even while the janitor is replaying.
     ingest_mutex: Mutex<()>,
+}
+
+/// The router's blocking tier: the global half of sharded blocking held
+/// locally, the shard-local half behind the fleet's replica sets.
+pub(crate) struct Remote {
+    global: GlobalBlocking,
+    fleet: Arc<Fleet>,
+}
+
+struct Inner {
+    /// The one service every deployment runs, over the [`Remote`] tier.
+    core: RwLock<Service<Remote>>,
+    fleet: Arc<Fleet>,
+    stop: AtomicBool,
 }
 
 struct IngestJob {
@@ -153,110 +150,26 @@ impl Router {
 
     /// [`Self::load`] from an already-loaded snapshot.
     pub fn from_snapshot(
-        mut snapshot: ModelSnapshot,
+        snapshot: ModelSnapshot,
         config: ServeConfig,
         shards: Vec<Vec<String>>,
         addr: impl ToSocketAddrs,
         net: NetConfig,
     ) -> Result<Self, ServeError> {
-        let shard_config = ShardConfig::of(shards.len());
-        shard_config.validate().map_err(ServeError::InconsistentSnapshot)?;
+        ShardConfig::of(shards.len()).validate().map_err(ServeError::InconsistentSnapshot)?;
         if shards.iter().any(Vec::is_empty) {
             return Err(ServeError::InconsistentSnapshot(
                 "every shard slot needs at least one replica address".into(),
             ));
         }
-        // The router needs only the backend *configuration* locally — the
-        // blocking state itself lives in the shard servers.
-        let gen = match snapshot.sharding.take() {
-            Some(frames) if frames.n_shards() == shards.len() => {
-                frames.decode_shard(0)?.1.gen_config()
-            }
-            Some(_) => {
-                return Err(ServeError::InconsistentSnapshot(
-                    "snapshot shard count != shard server count".into(),
-                ))
-            }
-            None => std::mem::replace(&mut snapshot.blocker, BlockerState::Exhaustive).gen_config(),
-        };
-        snapshot.blocker = BlockerState::Exhaustive;
-        let n_records = snapshot.records.len();
-        let service = ResolutionService::build(snapshot, config, false)?;
-        let n_slots = shards.len();
-        let mut sets = Vec::with_capacity(n_slots);
-        let mut gram_counts: HashMap<u64, u32> = HashMap::new();
-        let mut shard_records = 0u64;
-        for (s, replica_addrs) in shards.into_iter().enumerate() {
-            let set = ReplicaSet::new(replica_addrs);
-            let mut agreed_records: Option<u64> = None;
-            for (r, replica) in set.replicas().iter().enumerate() {
-                // Ask this specific replica (not the set) so a dead
-                // sibling cannot mask a dead replica at boot.
-                let Some(ShardResponse::Hello {
-                    shard,
-                    n_shards,
-                    n_records,
-                    backend,
-                    gram_counts: gc,
-                }) = replica_hello(replica.addr(), &net)
-                else {
-                    return Err(ServeError::InconsistentSnapshot(format!(
-                        "shard {s} replica {r} ({}): no handshake reply",
-                        replica.addr()
-                    )));
-                };
-                if shard != s as u64 || n_shards != n_slots as u64 {
-                    return Err(ServeError::InconsistentSnapshot(format!(
-                        "shard {s} replica {r}: server identifies as shard {shard} of {n_shards}"
-                    )));
-                }
-                if backend != gen_kind(&gen) {
-                    return Err(ServeError::InconsistentSnapshot(format!(
-                        "shard {s} replica {r}: backend {backend} != router's {}",
-                        gen_kind(&gen)
-                    )));
-                }
-                match agreed_records {
-                    None => agreed_records = Some(n_records),
-                    Some(expected) if expected != n_records => {
-                        return Err(ServeError::InconsistentSnapshot(format!(
-                            "shard {s}: replicas disagree on record count ({expected} vs {n_records})"
-                        )));
-                    }
-                    Some(_) => {}
-                }
-                if r == 0 {
-                    shard_records += n_records;
-                    // Summed across shards, the per-shard bucket sizes are
-                    // exactly the global stop-gram counts (buckets
-                    // partition the corpus by record).
-                    for (g, n) in gc {
-                        *gram_counts.entry(g).or_insert(0) += n;
-                    }
-                }
-            }
-            sets.push(set);
-        }
-        if !matches!(gen, CandidateGenConfig::Exhaustive) && shard_records != n_records as u64 {
-            return Err(ServeError::InconsistentSnapshot(format!(
-                "shards hold {shard_records} records, snapshot lists {n_records}"
-            )));
-        }
+        let core = Service::build(snapshot, config, |stored, titles| {
+            Remote::connect(&stored, titles.len(), shards, net)
+        })?;
+        let fleet = Arc::clone(&core.tier.fleet);
         let listener = TcpListener::bind(addr).map_err(flexer_store::StoreError::Io)?;
         let addr = listener.local_addr().map_err(flexer_store::StoreError::Io)?;
-        let inner = Arc::new(Inner {
-            core: RwLock::new(Core {
-                service,
-                gen,
-                gram_counts,
-                title_router: ShardRouter::new(shard_config),
-            }),
-            sets,
-            net,
-            stats: FaultStats::default(),
-            stop: AtomicBool::new(false),
-            ingest_mutex: Mutex::new(()),
-        });
+        let inner =
+            Arc::new(Inner { core: RwLock::new(core), fleet, stop: AtomicBool::new(false) });
         let (ingest_tx, ingest_rx) = sync_channel::<IngestJob>(INGEST_LANE_DEPTH);
         let writer = {
             let inner = Arc::clone(&inner);
@@ -318,12 +231,137 @@ fn replica_hello(addr: &str, net: &NetConfig) -> Option<ShardResponse> {
     read_message_bounded::<ShardResponse>(&mut stream, net.io_timeout, net.io_timeout).ok()?
 }
 
+impl Remote {
+    /// Handshakes with every replica of every shard slot and assembles the
+    /// global blocking state from what they report. The router needs only
+    /// the backend *configuration* from the snapshot — the blocking state
+    /// itself lives in the shard servers.
+    fn connect(
+        stored: &StoredBlocking,
+        n_records: usize,
+        shards: Vec<Vec<String>>,
+        net: NetConfig,
+    ) -> Result<Self, ServeError> {
+        let n_slots = shards.len();
+        if matches!(stored, StoredBlocking::Sharded(frames) if frames.n_shards() != n_slots) {
+            return Err(ServeError::InconsistentSnapshot(
+                "snapshot shard count != shard server count".into(),
+            ));
+        }
+        let gen = stored.gen_config()?;
+        let mut sets = Vec::with_capacity(n_slots);
+        let mut bucket_sizes: Vec<(u64, u32)> = Vec::new();
+        let mut shard_records = 0u64;
+        for (s, replica_addrs) in shards.into_iter().enumerate() {
+            let set = ReplicaSet::new(replica_addrs);
+            let mut agreed_records: Option<u64> = None;
+            for (r, replica) in set.replicas().iter().enumerate() {
+                // Ask this specific replica (not the set) so a dead
+                // sibling cannot mask a dead replica at boot.
+                let Some(ShardResponse::Hello { shard, n_shards, n_records, backend, gram_counts }) =
+                    replica_hello(replica.addr(), &net)
+                else {
+                    return Err(ServeError::InconsistentSnapshot(format!(
+                        "shard {s} replica {r} ({}): no handshake reply",
+                        replica.addr()
+                    )));
+                };
+                if shard != s as u64 || n_shards != n_slots as u64 {
+                    return Err(ServeError::InconsistentSnapshot(format!(
+                        "shard {s} replica {r}: server identifies as shard {shard} of {n_shards}"
+                    )));
+                }
+                if backend != gen.name() {
+                    return Err(ServeError::InconsistentSnapshot(format!(
+                        "shard {s} replica {r}: backend {backend} != router's {}",
+                        gen.name()
+                    )));
+                }
+                match agreed_records {
+                    None => agreed_records = Some(n_records),
+                    Some(expected) if expected != n_records => {
+                        return Err(ServeError::InconsistentSnapshot(format!(
+                            "shard {s}: replicas disagree on record count ({expected} vs {n_records})"
+                        )));
+                    }
+                    Some(_) => {}
+                }
+                if r == 0 {
+                    shard_records += n_records;
+                    bucket_sizes.extend(gram_counts);
+                }
+            }
+            sets.push(set);
+        }
+        if !matches!(gen, CandidateGenConfig::Exhaustive) && shard_records != n_records as u64 {
+            return Err(ServeError::InconsistentSnapshot(format!(
+                "shards hold {shard_records} records, snapshot lists {n_records}"
+            )));
+        }
+        let stats = FaultStats::default();
+        Ok(Self {
+            global: GlobalBlocking::new(&gen, ShardConfig::of(n_slots), bucket_sizes, n_records),
+            fleet: Arc::new(Fleet { sets, net, stats, ingest_mutex: Mutex::new(()) }),
+        })
+    }
+}
+
+impl BlockingTier for Remote {
+    fn candidates(&self, title: &str, t0: Instant) -> Option<Vec<usize>> {
+        self.candidates_batch(&[title], t0).pop().expect("one answer per title")
+    }
+
+    /// Every title's query is planned against the current global state,
+    /// shipped as one `QueryBatch` round trip per shard, and merged per
+    /// title. The whole fan-out, failover included, is budgeted from `t0`.
+    fn candidates_batch(&self, titles: &[&str], t0: Instant) -> Vec<Option<Vec<usize>>> {
+        let Some(queries) = titles.iter().map(|t| self.global.plan(t)).collect::<Option<Vec<_>>>()
+        else {
+            // The exhaustive backend: no fan-out happens at all.
+            return vec![None; titles.len()];
+        };
+        let deadline = t0 + self.fleet.net.request_budget;
+        let mut per_shard: Vec<_> = self
+            .fleet
+            .fan_out_batches(&queries, deadline, self.global.n_records())
+            .into_iter()
+            .map(Vec::into_iter)
+            .collect();
+        let merge_next = |_| {
+            let answers = per_shard.iter_mut().map(|a| a.next().expect("one answer per query"));
+            Some(self.global.merge(answers))
+        };
+        titles.iter().map(merge_next).collect()
+    }
+
+    /// Grows the global blocking state locally and the records themselves
+    /// in their owning shards, as one sequenced `Insert` per shard to
+    /// **every** replica.
+    fn absorb(&mut self, titles: &[&str]) {
+        let mut rows_by_shard: Vec<Vec<(u64, String)>> = vec![Vec::new(); self.fleet.sets.len()];
+        for title in titles {
+            let (shard, id) = self.global.admit(title);
+            rows_by_shard[shard].push((id as u64, title.to_string()));
+        }
+        let _lane = self.fleet.ingest_mutex.lock().expect("ingest order lock");
+        for (set, rows) in self.fleet.sets.iter().zip(rows_by_shard) {
+            if !rows.is_empty() {
+                set.insert(rows, &self.fleet.net, &self.fleet.stats);
+            }
+        }
+    }
+
+    fn backend(&self) -> &'static str {
+        self.global.gen_config().name()
+    }
+}
+
 /// The single-writer ingest lane: applies queued batches strictly in
-/// arrival order, one at a time, each exactly like one in-process
-/// `ingest_batch` call.
+/// arrival order, one at a time, each one `ingest_batch` call on the core.
 fn writer_lane(inner: &Inner, jobs: &Receiver<IngestJob>) {
     while let Ok(job) = jobs.recv() {
-        let reports = apply_ingest(inner, &job.titles);
+        let titles: Vec<&str> = job.titles.iter().map(String::as_str).collect();
+        let reports = inner.core.write().expect("router core lock").ingest_batch(&titles);
         let _ = job.reply.send(reports);
     }
 }
@@ -336,127 +374,70 @@ fn janitor_lane(inner: &Inner) {
         if inner.stop.load(Ordering::SeqCst) {
             return;
         }
-        let _lane = inner.ingest_mutex.lock().expect("ingest order lock");
-        for set in &inner.sets {
-            set.flush_pending(&inner.net, &inner.stats);
+        let fleet = &inner.fleet;
+        let _lane = fleet.ingest_mutex.lock().expect("ingest order lock");
+        for set in &fleet.sets {
+            set.flush_pending(&fleet.net, &fleet.stats);
         }
     }
 }
 
-fn apply_ingest(inner: &Inner, titles: &[String]) -> Vec<IngestReport> {
-    let mut core = inner.core.write().expect("router core lock");
-    let title_refs: Vec<&str> = titles.iter().map(String::as_str).collect();
-    // Pre-batch candidate generation, exactly like the in-process batched
-    // ingest: every title's query is planned against the *pre-batch*
-    // global state, shipped as one QueryBatch round trip per shard, and
-    // merged per title.
-    let candidates: Vec<Vec<usize>> = {
-        let _span = core.service.recorder().span("ingest.block");
-        let plan =
-            if core.service.config().exhaustive { None } else { plan_all(&core, &title_refs) };
-        match plan {
-            None => {
-                let n = core.service.n_records();
-                title_refs.iter().map(|_| (0..n).collect()).collect()
-            }
-            Some(queries) => {
-                let deadline = Instant::now() + inner.net.request_budget;
-                let per_shard = fan_out_batches(inner, &queries, deadline);
-                (0..titles.len())
-                    .map(|i| {
-                        merge_candidates(
-                            &core.gen,
-                            per_shard.iter().map(|answers| answers[i].clone()),
-                        )
-                    })
-                    .collect()
-            }
-        }
-    };
-    let reports = core.service.ingest_batch_core(&title_refs, candidates, false);
-    // Grow the global blocking state: stop-gram counts locally, the
-    // records themselves in their owning shards (global ids are the ones
-    // the scoring tier just assigned).
-    let mut rows_by_shard: Vec<Vec<(u64, String)>> = vec![Vec::new(); inner.sets.len()];
-    for (title, report) in titles.iter().zip(&reports) {
-        if let CandidateGenConfig::NGram(c) = &core.gen {
-            for g in flexer_block::ngram::gram_vec(title, c.q) {
-                *core.gram_counts.entry(g).or_insert(0) += 1;
-            }
-        }
-        rows_by_shard[core.title_router.route(title)].push((report.record as u64, title.clone()));
-    }
-    let _lane = inner.ingest_mutex.lock().expect("ingest order lock");
-    for (s, rows) in rows_by_shard.into_iter().enumerate() {
-        if rows.is_empty() {
-            continue;
-        }
-        inner.sets[s].insert(rows, &inner.net, &inner.stats);
-    }
-    reports
-}
-
-/// Plans every title's shard query against the current global state.
-/// `None` means the backend is exhaustive and no fan-out happens at all.
-fn plan_all(core: &Core, titles: &[&str]) -> Option<Vec<WireQuery>> {
-    titles.iter().map(|t| plan_query(&core.gen, &core.gram_counts, t)).collect()
-}
-
-/// Fans one `QueryBatch` out to every shard concurrently (one thread per
-/// shard slot, failover across that shard's replicas, everything bounded
-/// by `deadline`). A shard that cannot answer — every replica dead,
-/// desynced, stalled or out of budget — contributes empty answers for the
-/// whole batch: its records drop out of the candidate set, the query
-/// survives.
-fn fan_out_batches(
-    inner: &Inner,
-    queries: &[WireQuery],
-    deadline: Instant,
-) -> Vec<Vec<WireCandidates>> {
-    let empty = || vec![WireCandidates::Ids(Vec::new()); queries.len()];
-    let request = ShardRequest::QueryBatch(queries.to_vec());
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..inner.sets.len())
-            .map(|s| {
-                let request = &request;
-                scope.spawn(move || {
-                    match inner.sets[s].call_with_failover(
-                        request,
-                        &inner.net,
-                        deadline,
-                        &inner.stats,
-                    ) {
-                        Some(ShardResponse::CandidatesBatch(answers))
-                            if answers.len() == queries.len() =>
-                        {
-                            answers
-                        }
-                        _ => {
-                            FaultStats::bump(&inner.stats.degraded, "router.shard.degraded");
-                            empty()
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap_or_else(|_| empty())).collect()
+/// Whether every record id a shard returned names a record the router
+/// holds. The merged ids index the corpus, so a reply carrying one that
+/// does not is as unusable as a reply of the wrong length.
+fn ids_in_range(answers: &[WireCandidates], n_records: usize) -> bool {
+    answers.iter().all(|answer| match answer {
+        WireCandidates::Ids(ids) => ids.iter().all(|&g| (g as usize) < n_records),
+        WireCandidates::Hits(hits) => hits.iter().all(|&(_, g)| (g as usize) < n_records),
     })
 }
 
-/// The record ids a title is paired against: the networked fan-out/merge,
-/// or every record under exhaustive blocking.
-fn candidate_records(inner: &Inner, core: &Core, title: &str, deadline: Instant) -> Vec<usize> {
-    if core.service.config().exhaustive {
-        return (0..core.service.n_records()).collect();
-    }
-    match plan_query(&core.gen, &core.gram_counts, title) {
-        None => (0..core.service.n_records()).collect(),
-        Some(query) => {
-            let answers = fan_out_batches(inner, std::slice::from_ref(&query), deadline)
-                .into_iter()
-                .map(|mut batch| batch.pop().expect("one answer per query"));
-            merge_candidates(&core.gen, answers)
-        }
+impl Fleet {
+    /// Fans one `QueryBatch` out to every shard concurrently (one thread
+    /// per shard slot, failover across that shard's replicas, everything
+    /// bounded by `deadline`). This is where remote answers enter: a reply
+    /// is usable when it answers every query with ids below `n_records`,
+    /// anything else fails over like an error reply. A shard that cannot
+    /// answer — every replica dead, desynced, stalled, lying or out of
+    /// budget — contributes empty answers for the whole batch: its records
+    /// drop out of the candidate set, the query survives.
+    fn fan_out_batches(
+        &self,
+        queries: &[WireQuery],
+        deadline: Instant,
+        n_records: usize,
+    ) -> Vec<Vec<WireCandidates>> {
+        let empty = || vec![WireCandidates::Ids(Vec::new()); queries.len()];
+        let request = ShardRequest::QueryBatch(queries.to_vec());
+        let usable = |response: &ShardResponse| {
+            matches!(response, ShardResponse::CandidatesBatch(answers)
+                if answers.len() == queries.len() && ids_in_range(answers, n_records))
+        };
+        thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .sets
+                .iter()
+                .map(|set| {
+                    let (request, usable) = (&request, &usable);
+                    scope.spawn(move || {
+                        match set.call_with_failover(
+                            request,
+                            &self.net,
+                            deadline,
+                            &self.stats,
+                            usable,
+                        ) {
+                            Some(ShardResponse::CandidatesBatch(answers)) => answers,
+                            _ => {
+                                FaultStats::bump(&self.stats.degraded, "router.shard.degraded");
+                                empty()
+                            }
+                        }
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap_or_else(|_| empty())).collect()
+        })
     }
 }
 
@@ -466,18 +447,10 @@ fn resolve_one(
     intent: IntentId,
     top_k: usize,
 ) -> Result<ResolveResponse, ServeError> {
+    // The budget and the latency sample start here, before the core lock.
     let t0 = Instant::now();
-    let deadline = t0 + inner.net.request_budget;
     let core = inner.core.read().expect("router core lock");
-    let record_candidates = match query {
-        ResolveQuery::Record(title) => {
-            let _span = core.service.recorder().span("resolve.block");
-            Some(candidate_records(inner, &core, title, deadline))
-        }
-        _ => None,
-    };
-    let out = core.service.resolve_intents_with(query, &[intent], top_k, record_candidates);
-    core.service.note_resolve(t0);
+    let out = core.resolve_from(t0, query, &[intent], top_k);
     Ok(out?.pop().expect("one response per requested intent"))
 }
 
@@ -502,9 +475,9 @@ fn serve_connection(
             RouterRequest::Hello => {
                 let core = inner.core.read().expect("router core lock");
                 RouterResponse::Hello {
-                    n_shards: inner.sets.len() as u64,
-                    n_records: core.service.n_records() as u64,
-                    n_intents: core.service.n_intents() as u64,
+                    n_shards: inner.fleet.sets.len() as u64,
+                    n_records: core.n_records() as u64,
+                    n_intents: core.n_intents() as u64,
                 }
             }
             RouterRequest::Resolve { query, intent, top_k } => RouterResponse::Resolve(
@@ -543,14 +516,15 @@ fn serve_connection(
                 }
             }
             RouterRequest::Stats => {
-                let pending: usize = inner.sets.iter().map(ReplicaSet::pending_total).sum();
-                RouterResponse::Stats(inner.stats.snapshot(pending as u64))
+                let pending: usize = inner.fleet.sets.iter().map(ReplicaSet::pending_total).sum();
+                RouterResponse::Stats(inner.fleet.stats.snapshot(pending as u64))
             }
             RouterRequest::Shutdown => {
-                let deadline = Instant::now() + inner.net.io_timeout;
-                for set in &inner.sets {
+                let net = &inner.fleet.net;
+                let deadline = Instant::now() + net.io_timeout;
+                for set in &inner.fleet.sets {
                     for replica in set.replicas() {
-                        let _ = shutdown_replica(replica.addr(), &inner.net, deadline);
+                        let _ = shutdown_replica(replica.addr(), net, deadline);
                     }
                 }
                 let _ = write_message(&mut stream, &RouterResponse::Shutdown);

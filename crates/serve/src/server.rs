@@ -296,18 +296,12 @@ fn serve_connection(inner: &Inner, mut stream: TcpStream, addr: SocketAddr) {
 
 fn hello(inner: &Inner) -> ShardResponse {
     let state = inner.state.read().expect("shard state lock");
-    let gram_counts = match &state.state {
-        BlockerState::NGram(ix) => {
-            ix.sorted_buckets().into_iter().map(|(g, ids)| (g, ids.len() as u32)).collect()
-        }
-        _ => Vec::new(),
-    };
     ShardResponse::Hello {
         shard: inner.shard as u64,
         n_shards: inner.n_shards as u64,
         n_records: state.members.len() as u64,
         backend: state.state.kind_name().to_string(),
-        gram_counts,
+        gram_counts: state.state.bucket_sizes(),
     }
 }
 

@@ -1,5 +1,7 @@
-//! [`ResolutionService`] — online multi-intent resolution over a frozen
-//! model snapshot.
+//! [`Service`] — online multi-intent resolution over a frozen model
+//! snapshot, generic over where its candidates come from
+//! ([`BlockingTier`]). [`ResolutionService`] is the instantiation with one
+//! resident blocker; `crate::shard` and `crate::router` hold the other two.
 //!
 //! # Two serving paths
 //!
@@ -20,7 +22,7 @@
 //!   the initial representations (§4.1.3), so inserting a node never
 //!   perturbs stored predictions — ingest is strictly additive.
 //!
-//! [`ResolutionService::ingest`] makes the inductive path durable: the new
+//! [`Service::ingest`] makes the inductive path durable: the new
 //! record's candidate pairs join the ANN indexes (incremental
 //! [`AnyIndex::add`]), their per-depth node states extend the pinned state
 //! matrices, and their scores become servable corpus pairs.
@@ -41,29 +43,34 @@
 //!
 //! # Candidate generation
 //!
-//! The service keeps the snapshot's incremental blocker
-//! ([`BlockerState`]) resident alongside the model. `ingest()` and
-//! record-level `resolve()` pair a new title only against its *blocked
-//! candidates* — O(candidates) instead of O(records) — and the blocker
-//! grows with every ingest. Blocking only selects which pairs are scored:
-//! a surviving pair's score is bit-identical to what the exhaustive path
-//! would produce, because both paths score against the same pre-ingest
-//! state. Set [`ServeConfig::exhaustive`] to bypass the blocker (the
-//! all-pairs parity baseline).
+//! Resolution has one shape — title → candidates → score → rank —
+//! wherever the candidates come from, so the service is written once over
+//! a [`BlockingTier`]: the snapshot's incremental blocker kept resident
+//! ([`Monolithic`]), the same blocker partitioned over in-process shards,
+//! or shard servers behind the router. `ingest()` and record-level
+//! `resolve()` pair a new title only against the tier's *blocked
+//! candidates* — O(candidates) instead of O(records) — and the tier
+//! absorbs every ingested title. Blocking only selects which pairs are
+//! scored: a surviving pair's score is bit-identical to what the
+//! exhaustive path would produce, because both paths score against the
+//! same pre-ingest state, and every tier returns the same candidate set.
+//! Set [`ServeConfig::exhaustive`] to bypass the tier (the all-pairs parity
+//! baseline).
 
 use crate::arena::PinnedArena;
+use crate::blocking::{BlockingTier, Monolithic, StoredBlocking};
 use crate::cache::LruCache;
 use crate::error::ServeError;
 use crate::metrics::{MetricsInner, ServeMetrics};
 use flexer_ann::{AnyIndex, Neighbor, VectorIndex};
-use flexer_block::{BlockerState, ShardedBlocker};
+use flexer_block::ShardedBlocker;
 use flexer_graph::{BatchInductiveTrace, BatchPass, GnnModel, NeighborArena, RowSource};
 use flexer_matcher::{PairScratch, PreparedSide};
 use flexer_nn::{Matrix, SparseMatrix};
 use flexer_obs::{Counter, MetricsSnapshot, Recorder};
 use flexer_store::{ModelSnapshot, ShardFrames};
 use flexer_types::{
-    DenseRecordId, IntentId, MatchTarget, RankedMatch, ResolveQuery, ResolveResponse, ShardConfig,
+    DenseRecordId, IntentId, MatchTarget, RankedMatch, ResolveQuery, ResolveResponse,
 };
 use std::cell::RefCell;
 use std::path::Path;
@@ -95,7 +102,7 @@ impl ServeConfig {
     }
 }
 
-/// What one [`ResolutionService::ingest`] call added.
+/// What one [`Service::ingest`] call added.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestReport {
     /// Id of the newly ingested record.
@@ -159,7 +166,7 @@ struct PairBatch {
     keys: Vec<PairKey>,
     /// The lookup's misses, ascending: no cache entry yet.
     missed: Vec<usize>,
-    /// The lookup's hits whose lists [`ResolutionService::localize`]
+    /// The lookup's hits whose lists [`Service::localize`]
     /// brought forward: their cache entry is behind.
     relocated: Vec<usize>,
 }
@@ -195,13 +202,13 @@ thread_local! {
     static SCRATCH: RefCell<BatchScratch> = RefCell::new(BatchScratch::default());
 }
 
-/// The online resolution service.
+/// The online resolution service over blocking tier `B`.
 #[derive(Debug)]
-pub struct ResolutionService {
+pub struct Service<B> {
     snapshot: ModelSnapshot,
     config: ServeConfig,
     /// Score through the per-candidate reference kernel; set by
-    /// [`ResolutionService::reference`] only.
+    /// `ResolutionService::reference` only.
     #[cfg(test)]
     reference_kernel: bool,
     /// Pairs the loaded snapshot was trained on (ingested pairs live past
@@ -212,14 +219,8 @@ pub struct ResolutionService {
     n_train_records: usize,
     /// Serving-tier corpus: snapshot records plus everything ingested.
     records: Vec<String>,
-    /// The candidate-generation tier: incremental blocker over `records`;
-    /// grows with ingest.
-    blocker: BlockerState,
-    /// The shard layout the loaded snapshot carried (v3), if any. The
-    /// frames themselves are **not** kept resident — that would hold a
-    /// second, serialized copy of the blocker tier — they are regenerated
-    /// deterministically by `to_snapshot`.
-    train_sharding: Option<ShardConfig>,
+    /// The candidate-generation tier over `records`; grows with ingest.
+    pub(crate) tier: B,
     /// Serving-tier candidate pairs (dense record-id refs), pair-id order.
     pairs: Vec<(DenseRecordId, DenseRecordId)>,
     /// Per intent layer: ANN index over initial representations; grows
@@ -263,6 +264,9 @@ pub struct ResolutionService {
     ctr_localize_rows_scanned: Counter,
 }
 
+/// The service over one resident blocker — the unsharded deployment.
+pub type ResolutionService = Service<Monolithic>;
+
 impl ResolutionService {
     /// Builds a service from a validated snapshot: runs the warm forward
     /// per intent, pins the per-depth node states, and verifies the
@@ -273,16 +277,54 @@ impl ResolutionService {
     /// blocker (the merge is exact — see `flexer_block::ShardedBlocker`).
     /// Use `ShardedResolutionService` to keep the partitioned layout.
     pub fn new(snapshot: ModelSnapshot, config: ServeConfig) -> Result<Self, ServeError> {
-        Self::build(snapshot, config, true)
+        Self::build(snapshot, config, |stored, _| Monolithic::unpack(stored))
     }
 
-    /// `new`, with the frame merge optional: the sharded wrapper keeps the
-    /// blocking tier in its own `ShardedBlocker` and must not pay for (or
-    /// hold) a second, monolithic copy.
+    /// Loads a `.flexer` snapshot file and builds the service over it.
+    pub fn load(path: impl AsRef<Path>, config: ServeConfig) -> Result<Self, ServeError> {
+        Self::new(ModelSnapshot::load(path)?, config)
+    }
+
+    /// Reassembles the complete training-time snapshot. Ingested
+    /// records/pairs are serving-tier state and are *not* part of it
+    /// (index and blocker contents are truncated back to the training
+    /// watermarks), so the result is always byte-identical to the
+    /// snapshot loaded.
+    pub fn to_snapshot(&self) -> ModelSnapshot {
+        let mut snapshot = self.export_model();
+        // Shard-aware snapshots carry the blocker tier only as per-shard
+        // frames (the monolithic field stays the `Exhaustive` sentinel the
+        // unpacking left). The frames are regenerated, not kept resident:
+        // routing the training-time titles reproduces the loaded layout —
+        // and therefore the loaded bytes — exactly.
+        match self.tier.train_sharding {
+            Some(config) => {
+                let sharded = ShardedBlocker::build(
+                    &self.tier.blocker.gen_config(),
+                    config,
+                    self.train_titles().iter().map(String::as_str),
+                );
+                snapshot.sharding = Some(ShardFrames::from_blocker(&sharded));
+            }
+            None => snapshot.blocker = self.tier.blocker.truncated(self.train_titles().len()),
+        }
+        snapshot
+    }
+
+    /// Persists the training-time snapshot (see [`Self::to_snapshot`]).
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ServeError> {
+        Ok(self.to_snapshot().save(path)?)
+    }
+}
+
+impl<B: BlockingTier> Service<B> {
+    /// The constructor behind every deployment: validation and the warm
+    /// forward are the same everywhere; `unpack` makes the blocking tier
+    /// from what the snapshot stored and the corpus titles.
     pub(crate) fn build(
         mut snapshot: ModelSnapshot,
         config: ServeConfig,
-        merge_sharding: bool,
+        unpack: impl FnOnce(StoredBlocking, &[String]) -> Result<B, ServeError>,
     ) -> Result<Self, ServeError> {
         snapshot.validate()?;
         let p_intents = snapshot.n_intents();
@@ -329,25 +371,12 @@ impl ResolutionService {
             scores.push(recomputed);
         }
 
-        // The service takes ownership of the ANN indexes and the blocker
-        // (they grow with ingest); `to_snapshot` reconstructs the
+        // The service takes ownership of the ANN indexes and the blocking
+        // tier (they grow with ingest); `to_snapshot` reconstructs the
         // training-time prefix on demand. Keeping second copies inside
         // `self.snapshot` would double the dominant memory cost at scale.
         let indexes = std::mem::take(&mut snapshot.indexes);
-        let mut blocker = std::mem::replace(&mut snapshot.blocker, BlockerState::Exhaustive);
-        // The frames are not kept resident either — they are a serialized
-        // second copy of the blocker tier; `to_snapshot` regenerates them
-        // from the live state and the remembered layout.
-        let train_sharding = match snapshot.sharding.take() {
-            Some(frames) => {
-                let config = frames.config();
-                if merge_sharding {
-                    blocker = frames.decode_all()?.merged();
-                }
-                Some(config)
-            }
-            None => None,
-        };
+        let tier = unpack(StoredBlocking::take(&mut snapshot), &snapshot.records)?;
         let recorder = flexer_obs::global().clone();
         let ctr_forward_rows = recorder.counter("serve.forward.rows");
         let ctr_resolve_candidates = recorder.counter("serve.resolve.candidates");
@@ -360,8 +389,7 @@ impl ResolutionService {
             n_train_pairs: n_pairs,
             n_train_records: snapshot.records.len(),
             records: snapshot.records.clone(),
-            blocker,
-            train_sharding,
+            tier,
             pairs: snapshot
                 .pairs
                 .iter()
@@ -388,11 +416,6 @@ impl ResolutionService {
         })
     }
 
-    /// Loads a `.flexer` snapshot file and builds the service over it.
-    pub fn load(path: impl AsRef<Path>, config: ServeConfig) -> Result<Self, ServeError> {
-        Self::new(ModelSnapshot::load(path)?, config)
-    }
-
     /// The serving configuration in effect.
     pub fn config(&self) -> &ServeConfig {
         &self.config
@@ -400,47 +423,26 @@ impl ResolutionService {
 
     /// The training-time model state this service was built from (graph,
     /// matchers, trained GNNs, corpus metadata). The `indexes` field is
-    /// **empty** here and `sharding` is `None` — the service owns the
-    /// growing ANN indexes and blocker tier; use [`Self::to_snapshot`] or
-    /// [`Self::save`] for a complete snapshot.
+    /// **empty** here, `blocker` is the `Exhaustive` sentinel and `sharding`
+    /// is `None` — the service owns the growing ANN indexes and the
+    /// blocking tier; `to_snapshot` reassembles a complete snapshot.
     pub fn snapshot(&self) -> &ModelSnapshot {
         &self.snapshot
     }
 
-    /// Reassembles the complete training-time snapshot. Ingested
-    /// records/pairs are serving-tier state and are *not* part of it
-    /// (index and blocker contents are truncated back to the training
-    /// watermarks), so the result is always byte-identical to the
-    /// snapshot loaded.
-    pub fn to_snapshot(&self) -> ModelSnapshot {
+    /// The training-time snapshot without its blocking tier: what
+    /// `to_snapshot` is on every deployment before the tier writes itself
+    /// in. Ingested records/pairs are serving-tier state and are *not*
+    /// part of it (indexes are cut back to the training watermark).
+    pub(crate) fn export_model(&self) -> ModelSnapshot {
         let mut snapshot = self.snapshot.clone();
         snapshot.indexes = self.indexes.iter().map(|i| i.truncated(self.n_train_pairs)).collect();
-        // Shard-aware snapshots carry the blocker tier only as per-shard
-        // frames (the monolithic field stays the canonical Exhaustive
-        // sentinel). The frames are regenerated, not kept resident:
-        // routing the training-time titles reproduces the loaded layout —
-        // and therefore the loaded bytes — exactly.
-        match self.train_sharding {
-            Some(config) => {
-                let sharded = ShardedBlocker::build(
-                    &self.blocker.gen_config(),
-                    config,
-                    self.records[..self.n_train_records].iter().map(|r| r.as_str()),
-                );
-                snapshot.sharding = Some(ShardFrames::from_blocker(&sharded));
-                snapshot.blocker = BlockerState::Exhaustive;
-            }
-            None => {
-                snapshot.sharding = None;
-                snapshot.blocker = self.blocker.truncated(self.n_train_records);
-            }
-        }
         snapshot
     }
 
-    /// Persists the training-time snapshot (see [`Self::to_snapshot`]).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ServeError> {
-        Ok(self.to_snapshot().save(path)?)
+    /// The titles the loaded snapshot shipped, id order.
+    pub(crate) fn train_titles(&self) -> &[String] {
+        &self.records[..self.n_train_records]
     }
 
     /// Number of served records (snapshot + ingested).
@@ -469,11 +471,13 @@ impl ResolutionService {
     /// (`"exhaustive"` when [`ServeConfig::exhaustive`] bypasses the
     /// snapshot's blocker).
     pub fn blocker_kind(&self) -> &'static str {
-        if self.config.exhaustive {
-            "exhaustive"
-        } else {
-            self.blocker.kind_name()
-        }
+        self.blocking().map_or("exhaustive", B::backend)
+    }
+
+    /// The tier candidates come from; `None` when
+    /// [`ServeConfig::exhaustive`] bypasses it.
+    fn blocking(&self) -> Option<&B> {
+        (!self.config.exhaustive).then_some(&self.tier)
     }
 
     /// Number of intents `P`.
@@ -529,12 +533,6 @@ impl ResolutionService {
         self.recorder.snapshot()
     }
 
-    /// Records one resolve latency sample (the sharded front-end times its
-    /// own fan-out/merge and reports through the shared counters).
-    pub(crate) fn note_resolve(&self, t0: Instant) {
-        self.metrics.lock().expect("metrics lock").record_resolve(t0.elapsed());
-    }
-
     /// Resolves one query under one intent, returning up to `top_k`
     /// ranked candidates (pair queries return a single candidate).
     pub fn resolve(
@@ -543,11 +541,7 @@ impl ResolutionService {
         intent: IntentId,
         top_k: usize,
     ) -> Result<ResolveResponse, ServeError> {
-        let t0 = Instant::now();
-        // Errors count as resolves too (same as the all-intents path), so
-        // the counters stay comparable across endpoints.
-        let out = self.resolve_intents(query, &[intent], top_k);
-        self.metrics.lock().expect("metrics lock").record_resolve(t0.elapsed());
+        let out = self.resolve_from(Instant::now(), query, &[intent], top_k);
         Ok(out?.pop().expect("one response per requested intent"))
     }
 
@@ -558,9 +552,24 @@ impl ResolutionService {
         query: &ResolveQuery,
         top_k: usize,
     ) -> Result<Vec<ResolveResponse>, ServeError> {
-        let t0 = Instant::now();
         let intents: Vec<IntentId> = (0..self.n_intents()).collect();
-        let out = self.resolve_intents(query, &intents, top_k);
+        self.resolve_from(Instant::now(), query, &intents, top_k)
+    }
+
+    /// One timed resolve of a request that started at `t0`: the latency
+    /// sample and a networked tier's fan-out budget both run from there,
+    /// so a front-end that waited before calling (the router takes its
+    /// core lock) passes the instant it read the request.
+    pub(crate) fn resolve_from(
+        &self,
+        t0: Instant,
+        query: &ResolveQuery,
+        intents: &[IntentId],
+        top_k: usize,
+    ) -> Result<Vec<ResolveResponse>, ServeError> {
+        // Errors count as resolves too, so the counters stay comparable
+        // across endpoints.
+        let out = self.resolve_intents(t0, query, intents, top_k);
         self.metrics.lock().expect("metrics lock").record_resolve(t0.elapsed());
         out
     }
@@ -582,22 +591,16 @@ impl ResolutionService {
     /// [`ServeConfig::exhaustive`]), embeds the pairs per intent,
     /// **incrementally** inserts the embeddings into the per-layer ANN
     /// indexes, scores each pair inductively under every intent, and makes
-    /// the pairs servable. The blocker itself then absorbs the new record.
+    /// the pairs servable. The blocking tier then absorbs the new record.
     ///
     /// Scoring is two-phase: every candidate pair is embedded, localized
     /// and scored against the *pre-ingest* state before anything mutates.
     /// That makes a surviving pair's score independent of which other
     /// pairs this ingest creates — so blocked and exhaustive ingests from
     /// the same service state produce bit-identical scores on the pairs
-    /// both create.
+    /// both create. Exactly a singleton [`Self::ingest_batch`].
     pub fn ingest(&mut self, title: &str) -> IngestReport {
-        let candidates = {
-            let _span = self.recorder.span("ingest.block");
-            self.candidate_records(title)
-        };
-        self.ingest_batch_core(&[title], vec![candidates], true)
-            .pop()
-            .expect("one report per ingested title")
+        self.ingest_batch(&[title]).pop().expect("one report per ingested title")
     }
 
     /// Ingests a batch of records that arrived **together**: every title's
@@ -607,30 +610,16 @@ impl ResolutionService {
     /// serial merge step applies the mutations in input order.
     ///
     /// The batch is *simultaneous*, not a shorthand for sequential
-    /// [`ResolutionService::ingest`] calls: scoring against the pre-batch
-    /// state is what makes every title's phase-1 work independent (hence
-    /// parallel), and it is the semantics the sharded service reproduces
-    /// bit-identically for any shard count. Results are bit-identical at
-    /// any thread count, and a singleton batch is exactly `ingest`.
+    /// [`Self::ingest`] calls: scoring against the pre-batch state is what
+    /// makes every title's phase-1 work independent (hence parallel), and
+    /// it is the semantics every blocking tier reproduces bit-identically
+    /// (any shard count, in process or over the wire). Results are
+    /// bit-identical at any thread count.
     pub fn ingest_batch(&mut self, titles: &[&str]) -> Vec<IngestReport> {
-        let candidates: Vec<Vec<usize>> = {
+        let candidates = {
             let _span = self.recorder.span("ingest.block");
-            flexer_par::parallel_map(titles.len(), |i| self.candidate_records(titles[i]))
+            self.candidate_records(titles, Instant::now())
         };
-        self.ingest_batch_core(titles, candidates, true)
-    }
-
-    /// Shared ingest machinery: phase 1 scores every title's candidate
-    /// pairs against the pre-batch state in parallel; phase 2 applies the
-    /// mutations serially in input order. `update_blocker` is false when
-    /// the caller owns the blocking tier (the sharded service).
-    pub(crate) fn ingest_batch_core(
-        &mut self,
-        titles: &[&str],
-        candidates: Vec<Vec<usize>>,
-        update_blocker: bool,
-    ) -> Vec<IngestReport> {
-        debug_assert_eq!(titles.len(), candidates.len());
         let pre_batch_records = self.records.len();
         self.recorder.record_value("ingest.batch_titles", titles.len() as u64);
 
@@ -658,12 +647,11 @@ impl ResolutionService {
             for ((&title, cands), (embeddings, batch)) in titles.iter().zip(&candidates).zip(scored)
             {
                 reports.push(self.apply_scored(title, cands, embeddings, batch, pre_batch_records));
-                if update_blocker {
-                    self.blocker.insert(title);
-                }
                 self.metrics.lock().expect("metrics lock").record_ingest();
             }
         }
+        // The records now have their ids; the blocking tier indexes them.
+        self.tier.absorb(titles);
         self.recorder
             .set_gauge("serve.arena.rows", self.pinned.first().map_or(0.0, |a| a.n_rows() as f64));
         reports
@@ -745,38 +733,24 @@ impl ResolutionService {
     // Internals
     // ------------------------------------------------------------------
 
-    /// The record ids a new title is paired against: the blocker's
-    /// candidates, or every stored record when the blocker is exhaustive
-    /// or bypassed by [`ServeConfig::exhaustive`].
-    pub(crate) fn candidate_records(&self, title: &str) -> Vec<usize> {
-        if self.config.exhaustive {
-            return (0..self.records.len()).collect();
-        }
-        match self.blocker.candidates(title) {
-            None => (0..self.records.len()).collect(),
-            Some(c) => c,
-        }
+    /// The record ids each new title is paired against: the blocking
+    /// tier's candidates, or every stored record when the tier is
+    /// exhaustive or bypassed by [`ServeConfig::exhaustive`]. `t0` is when
+    /// the request asking started.
+    fn candidate_records(&self, titles: &[&str], t0: Instant) -> Vec<Vec<usize>> {
+        let found = match self.blocking() {
+            Some(tier) => tier.candidates_batch(titles, t0),
+            None => vec![None; titles.len()],
+        };
+        found.into_iter().map(|c| c.unwrap_or_else(|| (0..self.records.len()).collect())).collect()
     }
 
     fn resolve_intents(
         &self,
+        t0: Instant,
         query: &ResolveQuery,
         intents: &[IntentId],
         top_k: usize,
-    ) -> Result<Vec<ResolveResponse>, ServeError> {
-        self.resolve_intents_with(query, intents, top_k, None)
-    }
-
-    /// [`Self::resolve_intents`] with the record-query candidate set
-    /// optionally supplied by the caller — the sharded service passes its
-    /// fan-out/merge result here, which is bit-identical to this service's
-    /// own blocker for any shard count. Pair queries ignore the override.
-    pub(crate) fn resolve_intents_with(
-        &self,
-        query: &ResolveQuery,
-        intents: &[IntentId],
-        top_k: usize,
-        record_candidates: Option<Vec<usize>>,
     ) -> Result<Vec<ResolveResponse>, ServeError> {
         let p_total = self.n_intents();
         for &p in intents {
@@ -832,14 +806,10 @@ impl ResolutionService {
             ResolveQuery::Record(title) => {
                 // Query-driven collective ER: pair the query against its
                 // blocked candidates (every served record when exhaustive)
-                // and rank. The sharded front-end passes its own fan-out
-                // result in (and times it under the same span path).
-                let candidates = match record_candidates {
-                    Some(c) => c,
-                    None => {
-                        let _span = self.recorder.span("resolve.block");
-                        self.candidate_records(title)
-                    }
+                // and rank. Every tier is timed under the same span path.
+                let candidates = {
+                    let _span = self.recorder.span("resolve.block");
+                    self.candidate_records(&[title.as_str()], t0).pop().expect("one set per title")
                 };
                 self.ctr_resolve_candidates.add(candidates.len() as u64);
                 if candidates.is_empty() {
@@ -1254,7 +1224,7 @@ mod tests {
         assert_eq!(svc.resolve(&alien, 1, 5).unwrap().matches, []);
 
         for query in [&known, &alien, &ResolveQuery::pair("alpha widget", "beta gadget")] {
-            assert_eq!(svc.resolve_intents_with(query, &[], 5, None).unwrap(), []);
+            assert_eq!(svc.resolve_intents(Instant::now(), query, &[], 5).unwrap(), []);
         }
         assert_eq!(work(&svc), before, "a degenerate resolve must not reach the forward");
 

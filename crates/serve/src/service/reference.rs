@@ -10,8 +10,8 @@
 //!
 //! [`GnnModel::forward_inductive`]: flexer_graph::GnnModel::forward_inductive
 
-use super::{PairBatch, PairEmbedding, ScoredBatch, ScoredCandidates};
-use crate::{ResolutionService, ServeConfig, ServeError};
+use super::{PairBatch, PairEmbedding, ScoredBatch, ScoredCandidates, Service};
+use crate::{BlockingTier, ResolutionService, ServeConfig, ServeError};
 use flexer_ann::VectorIndex;
 use flexer_graph::InductiveTrace;
 use flexer_nn::Matrix;
@@ -27,7 +27,9 @@ impl ResolutionService {
         svc.reference_kernel = true;
         Ok(svc)
     }
+}
 
+impl<B: BlockingTier> Service<B> {
     /// `(score, trace)` per candidate and requested intent. Candidates are
     /// independent: each runs the exact serial scoring, so the fan-out is
     /// bit-identical at any thread count.
@@ -135,7 +137,7 @@ impl ResolutionService {
 }
 
 mod tests {
-    use crate::{IngestReport, ResolutionService, ServeConfig, ShardedResolutionService};
+    use crate::{BlockingTier, ResolutionService, ServeConfig, Service, ShardedResolutionService};
     use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
     use flexer_datasets::AmazonMiConfig;
     use flexer_store::{IndexKind, ModelSnapshot};
@@ -162,7 +164,7 @@ mod tests {
 
     /// The query mix every parity test drives: ad-hoc pairs, repeated titles
     /// (cache hits), record queries over known and novel titles.
-    fn query_mix(svc: &ResolutionService) -> Vec<ResolveQuery> {
+    fn query_mix<B: BlockingTier>(svc: &Service<B>) -> Vec<ResolveQuery> {
         let mut queries = vec![
             ResolveQuery::pair("Nike Air Max 2016", "NIKE air max 2016"),
             ResolveQuery::pair("alpha widget", "beta gadget"),
@@ -177,20 +179,10 @@ mod tests {
         queries
     }
 
-    fn drive(svc: &ResolutionService) -> Vec<flexer_types::ResolveResponse> {
+    /// Every answer to the query mix, whichever blocking tier serves it.
+    fn drive<B: BlockingTier>(svc: &Service<B>) -> Vec<ResolveResponse> {
         let mut out = Vec::new();
         for q in query_mix(svc) {
-            out.extend(svc.resolve_all_intents(&q, 10).unwrap());
-        }
-        out
-    }
-
-    /// Like [`drive`], but resolving through the shard wrapper so record
-    /// queries use the sharded blocking tier (the inner service's own blocker
-    /// slot is exhaustive by construction).
-    fn drive_sharded(svc: &ShardedResolutionService) -> Vec<flexer_types::ResolveResponse> {
-        let mut out = Vec::new();
-        for q in query_mix(svc.service()) {
             out.extend(svc.resolve_all_intents(&q, 10).unwrap());
         }
         out
@@ -308,7 +300,7 @@ mod tests {
             let reports = titles.map(|t| sharded.ingest(t));
             assert_eq!(reports, ref_reports, "{n_shards}-shard ingest reports diverge");
             assert_eq!(
-                drive_sharded(&sharded),
+                drive(&sharded),
                 ref_responses,
                 "{n_shards}-shard batched responses diverge from the unsharded reference kernel"
             );
@@ -332,52 +324,6 @@ mod tests {
         );
     }
 
-    /// Either deployment shape behind the calls the localization-cache
-    /// scenario makes.
-    enum Deployed {
-        Single(ResolutionService),
-        Sharded(ShardedResolutionService),
-    }
-
-    impl Deployed {
-        fn boot(snapshot: ModelSnapshot, config: ServeConfig, n_shards: Option<usize>) -> Self {
-            match n_shards {
-                None => Deployed::Single(ResolutionService::new(snapshot, config).unwrap()),
-                Some(n) => Deployed::Sharded(
-                    ShardedResolutionService::new(snapshot, config, ShardConfig::of(n)).unwrap(),
-                ),
-            }
-        }
-
-        fn service(&self) -> &ResolutionService {
-            match self {
-                Deployed::Single(s) => s,
-                Deployed::Sharded(s) => s.service(),
-            }
-        }
-
-        fn resolve_all(&self, query: &ResolveQuery) -> Vec<ResolveResponse> {
-            match self {
-                Deployed::Single(s) => s.resolve_all_intents(query, 10).unwrap(),
-                Deployed::Sharded(s) => s.resolve_all_intents(query, 10).unwrap(),
-            }
-        }
-
-        fn resolve_one(&self, query: &ResolveQuery, intent: usize) -> ResolveResponse {
-            match self {
-                Deployed::Single(s) => s.resolve(query, intent, 10).unwrap(),
-                Deployed::Sharded(s) => s.resolve(query, intent, 10).unwrap(),
-            }
-        }
-
-        fn ingest(&mut self, title: &str) -> IngestReport {
-            match self {
-                Deployed::Single(s) => s.ingest(title),
-                Deployed::Sharded(s) => s.ingest(title),
-            }
-        }
-    }
-
     /// Resolve → ingest → resolve the same title, arranged so that the last
     /// record resolve's one candidate batch holds all three localization
     /// outcomes: the pair a title-pair query brought up to date after the
@@ -385,20 +331,21 @@ mod tests {
     /// the appended index tail) and the freshly ingested near-duplicate
     /// (searched from scratch). Ends with the router's call shape, one
     /// resolve per intent. Returns every answer in order.
-    fn resolve_ingest_resolve(svc: &mut Deployed) -> Vec<ResolveResponse> {
-        let title = svc.service().record_title(0).to_string();
+    fn resolve_ingest_resolve<B: BlockingTier>(svc: &mut Service<B>) -> Vec<ResolveResponse> {
+        let title = svc.record_title(0).to_string();
         let query = ResolveQuery::record(title.clone());
-        let mut out = svc.resolve_all(&query);
+        let mut out = svc.resolve_all_intents(&query, 10).unwrap();
         let MatchTarget::Record(best) = out[0].matches[0].target else {
             panic!("a record query ranks records");
         };
-        let before = svc.service().metrics();
+        let before = svc.metrics();
         let report = svc.ingest(&format!("{title} second listing"));
         assert!(report.n_pairs > 0, "the ingest must grow the pair indexes");
-        out.extend(svc.resolve_all(&ResolveQuery::pair(svc.service().record_title(best), &title)));
-        out.extend(svc.resolve_all(&query));
-        let after = svc.service().metrics();
-        if svc.service().config().cache_capacity > 0 {
+        let pair = ResolveQuery::pair(svc.record_title(best), &title);
+        out.extend(svc.resolve_all_intents(&pair, 10).unwrap());
+        out.extend(svc.resolve_all_intents(&query, 10).unwrap());
+        let after = svc.metrics();
+        if svc.config().cache_capacity > 0 {
             // The title-pair query and every pre-ingest candidate hit the
             // cache; the ingested record's pair is the batch's one miss.
             assert!(
@@ -407,10 +354,13 @@ mod tests {
             );
             assert_eq!(after.cache_misses, before.cache_misses + 1, "the new record's pair is new");
         }
-        for intent in 0..svc.service().n_intents() {
-            out.push(svc.resolve_one(&query, intent));
+        for intent in 0..svc.n_intents() {
+            out.push(svc.resolve(&query, intent, 10).unwrap());
         }
-        assert_eq!(out[out.len() - svc.service().n_intents()..], svc.resolve_all(&query)[..]);
+        assert_eq!(
+            out[out.len() - svc.n_intents()..],
+            svc.resolve_all_intents(&query, 10).unwrap()[..]
+        );
         out
     }
 
@@ -433,29 +383,39 @@ mod tests {
         assert!(0 < found && found < short.k, "k past the rows must produce short lists");
         let snapshots = [trained_snapshot(), short, fit_snapshot(&FlexErConfig::fast().with_k(0))];
         for snapshot in snapshots {
-            let run = |config: ServeConfig, n_shards: Option<usize>| {
-                let mut svc = Deployed::boot(snapshot.clone(), config, n_shards);
-                let answers = resolve_ingest_resolve(&mut svc);
-                (answers, svc)
-            };
-            let mut oracle =
-                Deployed::Single(ResolutionService::reference(snapshot.clone()).unwrap());
+            let boot = |config| ResolutionService::new(snapshot.clone(), config).unwrap();
+            let mut oracle = ResolutionService::reference(snapshot.clone()).unwrap();
             let want = resolve_ingest_resolve(&mut oracle);
-            let (uncached, _) = run(ServeConfig { cache_capacity: 0, ..Default::default() }, None);
-            assert_eq!(uncached, want, "cache_capacity 0 diverges from the reference kernel");
-            let (cached, svc) = run(ServeConfig::default(), None);
-            assert_eq!(cached, want, "cached localization diverges from the reference kernel");
+            let mut uncached = boot(ServeConfig { cache_capacity: 0, ..Default::default() });
+            assert_eq!(
+                resolve_ingest_resolve(&mut uncached),
+                want,
+                "cache_capacity 0 diverges from the reference kernel"
+            );
+            let mut svc = boot(ServeConfig::default());
+            assert_eq!(
+                resolve_ingest_resolve(&mut svc),
+                want,
+                "cached localization diverges from the reference kernel"
+            );
             for n_shards in [1usize, 2, 5] {
-                let (sharded, _) = run(ServeConfig::default(), Some(n_shards));
-                assert_eq!(sharded, want, "{n_shards}-shard cached localization diverges");
+                let shards = ShardConfig::of(n_shards);
+                let mut sharded =
+                    ShardedResolutionService::new(snapshot.clone(), ServeConfig::default(), shards)
+                        .unwrap();
+                assert_eq!(
+                    resolve_ingest_resolve(&mut sharded),
+                    want,
+                    "{n_shards}-shard cached localization diverges"
+                );
             }
             // The cache is serving-tier state: none of it reaches the exported
             // snapshot, and a service booted from the export starts cold and
             // answers the same.
-            let exported = svc.service().to_snapshot();
+            let exported = svc.to_snapshot();
             assert_eq!(exported.to_bytes(), snapshot.to_bytes());
             let reloaded = ModelSnapshot::from_bytes(&exported.to_bytes()).unwrap();
-            let mut again = Deployed::boot(reloaded, ServeConfig::default(), None);
+            let mut again = ResolutionService::new(reloaded, ServeConfig::default()).unwrap();
             assert_eq!(resolve_ingest_resolve(&mut again), want, "reloaded service diverges");
         }
     }

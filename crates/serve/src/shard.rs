@@ -5,9 +5,10 @@
 //!
 //! The **blocking tier** is sharded: the record corpus and its blocker
 //! state (q-gram buckets / ANN lists) are partitioned by a deterministic
-//! title router into N shard-local [`ShardedBlocker`] states, so ingest
-//! and record-level `resolve()` fan candidate generation out over
-//! `n/N`-sized indexes via `flexer-par` and merge the shard-local
+//! title router into N shard-local states (a [`ShardedBlocker`], one of
+//! the service's three [`BlockingTier`](crate::blocking::BlockingTier)s),
+//! so ingest and record-level `resolve()` fan candidate generation out
+//! over `n/N`-sized indexes via `flexer-par` and merge the shard-local
 //! candidate sets deterministically.
 //!
 //! The **scoring tier** — frozen matchers and GNNs, the pinned per-depth
@@ -15,41 +16,35 @@
 //! shared: candidate pairs reference records across shard boundaries, so
 //! pair-level state cannot be partitioned by record without changing which
 //! neighbourhoods a pair sees (and therefore its scores). Keeping scoring
-//! global is exactly what makes sharding a pure performance move.
+//! global is exactly what makes sharding a pure performance move, and it
+//! is why there is nothing to write here but a constructor: every entry
+//! point is the generic [`Service`]'s.
 //!
 //! # Bit-identity
 //!
 //! For any shard count, every answer is **bit-identical** to the unsharded
-//! [`ResolutionService`] over the same snapshot and call sequence:
+//! [`ResolutionService`](crate::ResolutionService) over the same snapshot
+//! and call sequence:
 //!
 //! 1. the merged shard-local candidate sets equal the monolithic blocker's
 //!    candidate set exactly (global stop-gram coordination, `(distance,
 //!    global id)` ANN merges — see `flexer_block::shard`), and
-//! 2. every surviving pair is scored by the same serial kernel against the
-//!    same shared pre-batch state, in the same order (the flexer-par
+//! 2. every surviving pair is scored by the same code against the same
+//!    shared pre-batch state, in the same order (the flexer-par
 //!    contiguous-split discipline).
 //!
 //! This is asserted by deterministic tests and property tests over shard
 //! counts and ingest orders (`tests/shard.rs`, `tests/proptests.rs`).
 
+use crate::blocking::StoredBlocking;
 use crate::error::ServeError;
-use crate::metrics::ServeMetrics;
-use crate::service::{IngestReport, ResolutionService, ServeConfig};
-use flexer_block::{BlockerState, ShardedBlocker};
+use crate::service::{ServeConfig, Service};
+use flexer_block::ShardedBlocker;
 use flexer_store::{ModelSnapshot, ShardFrames};
-use flexer_types::{IntentId, ResolveQuery, ResolveResponse, ShardConfig};
-use std::path::Path;
-use std::time::Instant;
+use flexer_types::ShardConfig;
 
-/// The sharded online resolution service (see module docs).
-#[derive(Debug)]
-pub struct ShardedResolutionService {
-    /// The shared scoring tier. Its own blocker slot holds the
-    /// `Exhaustive` sentinel — the blocking tier lives in `shards`.
-    service: ResolutionService,
-    /// The partitioned blocking tier; grows with ingest.
-    shards: ShardedBlocker,
-}
+/// The service over an in-process sharded blocking tier (see module docs).
+pub type ShardedResolutionService = Service<ShardedBlocker>;
 
 impl ShardedResolutionService {
     /// Builds a sharded service over a snapshot.
@@ -65,144 +60,18 @@ impl ShardedResolutionService {
         shard_config: ShardConfig,
     ) -> Result<Self, ServeError> {
         shard_config.validate().map_err(ServeError::InconsistentSnapshot)?;
-        let mut snapshot = snapshot;
-        let shards = match snapshot.sharding.take() {
-            Some(frames) if frames.config() == shard_config => frames.decode_all()?,
-            other => {
-                // Re-partition by routing the corpus titles — exact and
-                // deterministic. Only the backend config is needed, so one
-                // decoded shard (or the monolithic blocker) supplies it;
-                // nothing is merged just to be thrown away.
-                let gen = match other {
-                    Some(frames) => frames.decode_shard(0)?.1.gen_config(),
-                    None => std::mem::replace(&mut snapshot.blocker, BlockerState::Exhaustive)
-                        .gen_config(),
-                };
-                ShardedBlocker::build(
-                    &gen,
+        Self::build(snapshot, config, |stored, titles| {
+            Ok(match stored {
+                StoredBlocking::Sharded(frames) if frames.config() == shard_config => {
+                    frames.decode_all()?
+                }
+                other => ShardedBlocker::build(
+                    &other.gen_config()?,
                     shard_config,
-                    snapshot.records.iter().map(|r| r.as_str()),
-                )
-            }
-        };
-        snapshot.blocker = BlockerState::Exhaustive;
-        let service = ResolutionService::build(snapshot, config, false)?;
-        Ok(Self { service, shards })
-    }
-
-    /// Loads a `.flexer` snapshot file and builds the sharded service.
-    pub fn load(
-        path: impl AsRef<Path>,
-        config: ServeConfig,
-        shard_config: ShardConfig,
-    ) -> Result<Self, ServeError> {
-        Self::new(ModelSnapshot::load(path)?, config, shard_config)
-    }
-
-    /// Ingests one record: candidate generation fans out over the shards,
-    /// scoring and state growth run in the shared tier, and the record's
-    /// own shard absorbs it. Bit-identical to the unsharded
-    /// [`ResolutionService::ingest`].
-    pub fn ingest(&mut self, title: &str) -> IngestReport {
-        let candidates = {
-            let _span = self.service.recorder().span("ingest.block");
-            self.candidate_records(title)
-        };
-        let report = self
-            .service
-            .ingest_batch_core(&[title], vec![candidates], false)
-            .pop()
-            .expect("one report per ingested title");
-        self.shards.insert(title);
-        report
-    }
-
-    /// Batched ingest: per-title candidate queries fan out over shards ×
-    /// titles, scoring runs against the shared pre-batch state in
-    /// parallel, one serial merge applies the mutations in input order and
-    /// the shard-local blocker inserts group by shard. Bit-identical to
-    /// the unsharded [`ResolutionService::ingest_batch`] for any shard
-    /// count.
-    pub fn ingest_batch(&mut self, titles: &[&str]) -> Vec<IngestReport> {
-        let candidates: Vec<Vec<usize>> = {
-            let _span = self.service.recorder().span("ingest.block");
-            flexer_par::parallel_map(titles.len(), |i| self.candidate_records(titles[i]))
-        };
-        let reports = self.service.ingest_batch_core(titles, candidates, false);
-        // The blocking tier times its own per-shard ingest and serial merge
-        // under `shard.ingest.*` (see `flexer_block::shard`).
-        self.shards.insert_batch(titles);
-        reports
-    }
-
-    /// Resolves one query under one intent; record queries fan candidate
-    /// generation out over the shards.
-    pub fn resolve(
-        &self,
-        query: &ResolveQuery,
-        intent: IntentId,
-        top_k: usize,
-    ) -> Result<ResolveResponse, ServeError> {
-        let t0 = Instant::now();
-        let out = self.resolve_intents(query, &[intent], top_k);
-        self.service.note_resolve(t0);
-        Ok(out?.pop().expect("one response per requested intent"))
-    }
-
-    /// Resolves one query under **every** intent.
-    pub fn resolve_all_intents(
-        &self,
-        query: &ResolveQuery,
-        top_k: usize,
-    ) -> Result<Vec<ResolveResponse>, ServeError> {
-        let t0 = Instant::now();
-        let intents: Vec<IntentId> = (0..self.n_intents()).collect();
-        let out = self.resolve_intents(query, &intents, top_k);
-        self.service.note_resolve(t0);
-        out
-    }
-
-    /// Resolves a batch of queries under one intent, fanning out across
-    /// the `flexer-par` thread budget. Results are in query order and
-    /// bit-identical to serial resolves.
-    pub fn resolve_batch(
-        &self,
-        queries: &[ResolveQuery],
-        intent: IntentId,
-        top_k: usize,
-    ) -> Vec<Result<ResolveResponse, ServeError>> {
-        flexer_par::parallel_map(queries.len(), |i| self.resolve(&queries[i], intent, top_k))
-    }
-
-    fn resolve_intents(
-        &self,
-        query: &ResolveQuery,
-        intents: &[IntentId],
-        top_k: usize,
-    ) -> Result<Vec<ResolveResponse>, ServeError> {
-        let record_candidates = match query {
-            ResolveQuery::Record(title) => {
-                // Same span path as the unsharded blocker lookup, so the
-                // per-stage breakdown is comparable across deployments.
-                let _span = self.service.recorder().span("resolve.block");
-                Some(self.candidate_records(title))
-            }
-            _ => None,
-        };
-        self.service.resolve_intents_with(query, intents, top_k, record_candidates)
-    }
-
-    /// The record ids a new title is paired against: the shard fan-out /
-    /// merge, or every record when blocking is exhaustive (by state or by
-    /// [`ServeConfig::exhaustive`] override).
-    fn candidate_records(&self, title: &str) -> Vec<usize> {
-        if self.service.config().exhaustive {
-            return (0..self.service.n_records()).collect();
-        }
-        match self.shards.candidates(title) {
-            None => (0..self.service.n_records()).collect(),
-            Some(c) => c,
-        }
+                    titles.iter().map(String::as_str),
+                ),
+            })
+        })
     }
 
     /// Reassembles the training-time snapshot, with the blocking tier as
@@ -212,37 +81,27 @@ impl ShardedResolutionService {
     /// is a deliberate re-partition, so the result is a new (itself
     /// byte-stable) layout, not the loaded bytes.
     pub fn to_snapshot(&self) -> ModelSnapshot {
-        let mut snapshot = self.service.to_snapshot();
+        let mut snapshot = self.export_model();
         // Truncating back to the training watermark makes the frames
         // ingest-independent, exactly like the monolithic blocker field.
-        let truncated = self.shards.truncated(self.service.n_train_records());
+        let truncated = self.tier.truncated(self.train_titles().len());
         snapshot.sharding = Some(ShardFrames::from_blocker(&truncated));
         snapshot
     }
 
-    /// Persists the training-time snapshot (see [`Self::to_snapshot`]).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ServeError> {
-        Ok(self.to_snapshot().save(path)?)
-    }
-
-    /// The shared scoring tier (titles, pair lookups, snapshot access).
-    pub fn service(&self) -> &ResolutionService {
-        &self.service
-    }
-
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
-        self.shards.n_shards()
+        self.tier.n_shards()
     }
 
     /// Records held by each shard (balance diagnostics).
     pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards.shard_sizes()
+        self.tier.shard_sizes()
     }
 
     /// The shard a title routes to.
     pub fn shard_of(&self, title: &str) -> usize {
-        self.shards.shard_of(title)
+        self.tier.shard_of(title)
     }
 
     /// Shard-local candidate counts for a title — the per-shard work a
@@ -250,61 +109,6 @@ impl ShardedResolutionService {
     /// candidate count (`None` for exhaustive blocking, where shards hold
     /// no state).
     pub fn local_candidate_counts(&self, title: &str) -> Option<Vec<usize>> {
-        self.shards.local_candidate_counts(title)
-    }
-
-    /// Name of the candidate-generation backend in effect.
-    pub fn blocker_kind(&self) -> &'static str {
-        if self.service.config().exhaustive {
-            "exhaustive"
-        } else {
-            self.shards.kind_name()
-        }
-    }
-
-    /// Number of served records (snapshot + ingested).
-    pub fn n_records(&self) -> usize {
-        self.service.n_records()
-    }
-
-    /// Number of served candidate pairs (snapshot + ingested).
-    pub fn n_pairs(&self) -> usize {
-        self.service.n_pairs()
-    }
-
-    /// Number of pairs the loaded snapshot was trained on.
-    pub fn n_train_pairs(&self) -> usize {
-        self.service.n_train_pairs()
-    }
-
-    /// Number of intents `P`.
-    pub fn n_intents(&self) -> usize {
-        self.service.n_intents()
-    }
-
-    /// Title of a served record.
-    pub fn record_title(&self, id: usize) -> &str {
-        self.service.record_title(id)
-    }
-
-    /// The two record ids of a served candidate pair.
-    pub fn pair_records(&self, pair: usize) -> (usize, usize) {
-        self.service.pair_records(pair)
-    }
-
-    /// Current counters and latency percentiles.
-    pub fn metrics(&self) -> ServeMetrics {
-        self.service.metrics()
-    }
-
-    /// The span/counter recorder the shared scoring tier reports into.
-    pub fn recorder(&self) -> &flexer_obs::Recorder {
-        self.service.recorder()
-    }
-
-    /// Full observability snapshot (spans, counters, values, gauges) —
-    /// see [`ResolutionService::obs_snapshot`].
-    pub fn obs_snapshot(&self) -> flexer_obs::MetricsSnapshot {
-        self.service.obs_snapshot()
+        self.tier.local_candidate_counts(title)
     }
 }

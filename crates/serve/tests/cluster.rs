@@ -4,31 +4,22 @@
 //! and call sequence, degrade per shard instead of failing whole queries,
 //! and survive corrupt bytes from clients.
 
-use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
-use flexer_datasets::AmazonMiConfig;
+mod common;
+
+use common::kill_shard;
 use flexer_serve::{
     NetConfig, Router, RouterClient, ServeConfig, ShardServer, ShardedResolutionService,
 };
-use flexer_store::{IndexKind, ModelSnapshot};
+use flexer_store::ModelSnapshot;
 use flexer_types::{
-    ResolveQuery, Scale, ShardConfig, ShardRequest, ShardResponse, WireIngestReport,
+    ResolveQuery, ShardConfig, ShardRequest, ShardResponse, WireCandidates, WireIngestReport,
 };
 
 /// One shared training run for the whole test binary, pre-sharded into
 /// two frames (the deployment shape every test below boots).
 fn sharded_snapshot() -> &'static ModelSnapshot {
     static SHARED: std::sync::OnceLock<ModelSnapshot> = std::sync::OnceLock::new();
-    SHARED.get_or_init(|| {
-        let bench = AmazonMiConfig::at_scale(Scale::Tiny).with_seed(41).generate();
-        let config = FlexErConfig::fast();
-        let ctx = PipelineContext::new(bench, &config.matcher).unwrap();
-        let base = InParallelModel::fit(&ctx, &config.matcher).unwrap();
-        let model = FlexErModel::fit_from_embeddings(&ctx, &base.embeddings(), &config).unwrap();
-        let snapshot = model.to_snapshot(&ctx, &base, &config, IndexKind::Flat).unwrap();
-        ShardedResolutionService::new(snapshot, ServeConfig::default(), ShardConfig::of(2))
-            .unwrap()
-            .to_snapshot()
-    })
+    SHARED.get_or_init(|| common::sharded_snapshot(2))
 }
 
 /// Boots `replicas` shard servers per shard slot (2 slots) + a router
@@ -73,15 +64,6 @@ fn boot_replicated(replicas: usize) -> (RouterClient, std::net::SocketAddr, Vec<
 fn boot_cluster() -> (RouterClient, std::net::SocketAddr, Vec<String>) {
     let (client, addr, groups) = boot_replicated(1);
     (client, addr, groups.into_iter().map(|mut g| g.remove(0)).collect())
-}
-
-/// Sends a direct `Shutdown` to one shard server, behind the router's
-/// back.
-fn kill_shard(addr: &str) {
-    let mut stream = std::net::TcpStream::connect(addr).unwrap();
-    flexer_store::write_message(&mut stream, &ShardRequest::Shutdown).unwrap();
-    let reply: ShardResponse = flexer_store::read_message(&mut stream).unwrap();
-    assert_eq!(reply, ShardResponse::Shutdown);
 }
 
 fn as_wire(reports: &[flexer_serve::IngestReport]) -> Vec<WireIngestReport> {
@@ -284,4 +266,82 @@ fn corrupt_client_bytes_do_not_poison_the_router() {
     let (n_shards, _, _) = client.hello().unwrap();
     assert_eq!(n_shards, 2);
     client.shutdown().unwrap();
+}
+
+/// A fake FLEXWIRE shard, one exchange per connection: it answers `Hello`
+/// honestly (from its own frame of the shared snapshot) and every
+/// candidate query with a record id the router never assigned.
+fn spawn_lying_shard(shard: usize) -> (String, std::thread::JoinHandle<()>) {
+    let snapshot = sharded_snapshot();
+    let frames = snapshot.sharding.as_ref().unwrap();
+    let (members, state) = frames.decode_shard(shard).unwrap();
+    let hello = ShardResponse::Hello {
+        shard: shard as u64,
+        n_shards: frames.n_shards() as u64,
+        n_records: members.len() as u64,
+        backend: state.kind_name().to_string(),
+        gram_counts: state.bucket_sizes(),
+    };
+    let bogus = WireCandidates::Ids(vec![(snapshot.n_records() + 7) as u32]);
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let serve = std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let mut stream = stream.unwrap();
+            let Ok(request) = flexer_store::read_message(&mut stream) else { continue };
+            let reply = match request {
+                ShardRequest::Hello => hello.clone(),
+                ShardRequest::Ping => ShardResponse::Pong,
+                ShardRequest::Query(_) => ShardResponse::Candidates(bogus.clone()),
+                ShardRequest::QueryBatch(queries) => {
+                    ShardResponse::CandidatesBatch(vec![bogus.clone(); queries.len()])
+                }
+                ShardRequest::Insert { .. } => ShardResponse::Inserted { n_records: 0 },
+                ShardRequest::Shutdown => ShardResponse::Shutdown,
+            };
+            let _ = flexer_store::write_message(&mut stream, &reply);
+            if reply == ShardResponse::Shutdown {
+                return;
+            }
+        }
+    });
+    (addr, serve)
+}
+
+/// A shard reply is outside input: an id past the router's corpus must
+/// cost that shard its candidates (`router.shard.degraded`), not the
+/// connection thread on a resolve or — under the core's write lock — the
+/// whole router on an ingest.
+#[test]
+fn out_of_range_shard_ids_degrade_the_shard_not_the_router() {
+    let snapshot = sharded_snapshot();
+    let honest = ShardServer::from_snapshot(snapshot.clone(), 0, "127.0.0.1:0").unwrap();
+    let honest_addr = honest.local_addr().to_string();
+    let honest = honest.spawn();
+    let (lying_addr, lying) = spawn_lying_shard(1);
+    let router = Router::from_snapshot(
+        snapshot.clone(),
+        ServeConfig::default(),
+        vec![vec![honest_addr], vec![lying_addr]],
+        "127.0.0.1:0",
+        NetConfig::default(),
+    )
+    .unwrap();
+    let mut client = RouterClient::connect(router.local_addr()).unwrap();
+    let router = router.spawn();
+
+    let title = &snapshot.records[1];
+    let query = ResolveQuery::record(title.clone());
+    client.resolve(query.clone(), 0, 5).unwrap().expect("the resolve survives the lying shard");
+    let reports = client.ingest_batch(vec![format!("{title} second listing")]).unwrap();
+    assert_eq!(reports.len(), 1, "the ingest survives it too");
+    client.resolve(query, 0, 5).unwrap().expect("and the router still serves afterwards");
+    let stats = client.stats().unwrap();
+    let degraded = stats.iter().find(|(name, _)| name == "router.shard.degraded").unwrap().1;
+    assert!(degraded >= 3, "every fan-out degrades the lying shard: {stats:?}");
+
+    client.shutdown().unwrap();
+    router.join().expect("the router winds down without a panicked thread");
+    honest.join().unwrap();
+    lying.join().unwrap();
 }

@@ -3,27 +3,14 @@
 //! score to the same pair under the exhaustive path — blocking decides
 //! *which* pairs are scored, never *what* they score.
 
-use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
-use flexer_datasets::AmazonMiConfig;
+mod common;
+
+use common::trained_snapshot;
 use flexer_serve::{ResolutionService, ServeConfig, ShardedResolutionService};
-use flexer_store::{IndexKind, ModelSnapshot};
-use flexer_types::{ResolveQuery, Scale, ShardConfig};
+use flexer_types::{ResolveQuery, ShardConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// One shared training run for the whole test binary.
-fn trained_snapshot() -> &'static ModelSnapshot {
-    static SHARED: std::sync::OnceLock<ModelSnapshot> = std::sync::OnceLock::new();
-    SHARED.get_or_init(|| {
-        let bench = AmazonMiConfig::at_scale(Scale::Tiny).with_seed(41).generate();
-        let config = FlexErConfig::fast();
-        let ctx = PipelineContext::new(bench, &config.matcher).unwrap();
-        let base = InParallelModel::fit(&ctx, &config.matcher).unwrap();
-        let model = FlexErModel::fit_from_embeddings(&ctx, &base.embeddings(), &config).unwrap();
-        model.to_snapshot(&ctx, &base, &config, IndexKind::Flat).unwrap()
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]

@@ -8,14 +8,15 @@
 //! scenario can partition/stall/heal one replica while the other keeps
 //! the shard answering.
 
-use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
-use flexer_datasets::AmazonMiConfig;
+mod common;
+
+use common::kill_shard;
 use flexer_serve::{
     FaultMode, FaultProxy, NetConfig, Router, RouterClient, ServeConfig, ShardServer,
     ShardedResolutionService,
 };
-use flexer_store::{IndexKind, ModelSnapshot};
-use flexer_types::{ResolveQuery, Scale, ShardConfig, ShardRequest, ShardResponse};
+use flexer_store::ModelSnapshot;
+use flexer_types::{ResolveQuery, ShardConfig};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -23,17 +24,7 @@ use std::time::{Duration, Instant};
 /// single frame: one shard slot, two replicas in every test below.
 fn single_shard_snapshot() -> &'static ModelSnapshot {
     static SHARED: std::sync::OnceLock<ModelSnapshot> = std::sync::OnceLock::new();
-    SHARED.get_or_init(|| {
-        let bench = AmazonMiConfig::at_scale(Scale::Tiny).with_seed(41).generate();
-        let config = FlexErConfig::fast();
-        let ctx = PipelineContext::new(bench, &config.matcher).unwrap();
-        let base = InParallelModel::fit(&ctx, &config.matcher).unwrap();
-        let model = FlexErModel::fit_from_embeddings(&ctx, &base.embeddings(), &config).unwrap();
-        let snapshot = model.to_snapshot(&ctx, &base, &config, IndexKind::Flat).unwrap();
-        ShardedResolutionService::new(snapshot, ServeConfig::default(), ShardConfig::of(1))
-            .unwrap()
-            .to_snapshot()
-    })
+    SHARED.get_or_init(|| common::sharded_snapshot(1))
 }
 
 /// Tight timeouts so fault scenarios resolve in milliseconds, not the
@@ -76,13 +67,6 @@ fn boot_proxied(seed: u64) -> ProxiedCluster {
     let addr = router.local_addr();
     router.spawn();
     ProxiedCluster { client: RouterClient::connect(addr).unwrap(), proxy, direct_addr }
-}
-
-fn kill_shard(addr: &str) {
-    let mut stream = std::net::TcpStream::connect(addr).unwrap();
-    flexer_store::write_message(&mut stream, &ShardRequest::Shutdown).unwrap();
-    let reply: ShardResponse = flexer_store::read_message(&mut stream).unwrap();
-    assert_eq!(reply, ShardResponse::Shutdown);
 }
 
 /// Polls the router's stats until every deferred insert has been

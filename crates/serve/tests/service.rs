@@ -2,28 +2,16 @@
 //! transductive reproduction, inductive ingest, batching determinism and
 //! metrics plumbing.
 
-use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
-use flexer_datasets::AmazonMiConfig;
-use flexer_serve::{ResolutionService, ServeConfig, ServeError};
-use flexer_store::{IndexKind, ModelSnapshot};
-use flexer_types::{MatchTarget, ResolveQuery, Scale};
+mod common;
 
-/// One shared training run for the whole test binary (each test clones
-/// the snapshot it mutates).
+use flexer_core::FlexErModel;
+use flexer_serve::{ResolutionService, ServeConfig, ServeError};
+use flexer_store::ModelSnapshot;
+use flexer_types::{MatchTarget, ResolveQuery};
+
+/// The shared training run (each test clones the snapshot it mutates).
 fn trained_snapshot() -> (ModelSnapshot, FlexErModel) {
-    static SHARED: std::sync::OnceLock<(ModelSnapshot, FlexErModel)> = std::sync::OnceLock::new();
-    SHARED
-        .get_or_init(|| {
-            let bench = AmazonMiConfig::at_scale(Scale::Tiny).with_seed(41).generate();
-            let config = FlexErConfig::fast();
-            let ctx = PipelineContext::new(bench, &config.matcher).unwrap();
-            let base = InParallelModel::fit(&ctx, &config.matcher).unwrap();
-            let model =
-                FlexErModel::fit_from_embeddings(&ctx, &base.embeddings(), &config).unwrap();
-            let snapshot = model.to_snapshot(&ctx, &base, &config, IndexKind::Flat).unwrap();
-            (snapshot, model)
-        })
-        .clone()
+    common::trained().clone()
 }
 
 #[test]

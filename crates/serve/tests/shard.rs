@@ -3,24 +3,12 @@
 //! batched ingest has pre-batch semantics, and shard-aware snapshots
 //! round-trip byte-identically.
 
-use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
-use flexer_datasets::AmazonMiConfig;
-use flexer_serve::{ResolutionService, ServeConfig, ShardedResolutionService};
-use flexer_store::{IndexKind, ModelSnapshot};
-use flexer_types::{ResolveQuery, Scale, ShardConfig};
+mod common;
 
-/// One shared training run for the whole test binary.
-fn trained_snapshot() -> &'static ModelSnapshot {
-    static SHARED: std::sync::OnceLock<ModelSnapshot> = std::sync::OnceLock::new();
-    SHARED.get_or_init(|| {
-        let bench = AmazonMiConfig::at_scale(Scale::Tiny).with_seed(41).generate();
-        let config = FlexErConfig::fast();
-        let ctx = PipelineContext::new(bench, &config.matcher).unwrap();
-        let base = InParallelModel::fit(&ctx, &config.matcher).unwrap();
-        let model = FlexErModel::fit_from_embeddings(&ctx, &base.embeddings(), &config).unwrap();
-        model.to_snapshot(&ctx, &base, &config, IndexKind::Flat).unwrap()
-    })
-}
+use common::trained_snapshot;
+use flexer_serve::{ResolutionService, ServeConfig, ShardedResolutionService};
+use flexer_store::ModelSnapshot;
+use flexer_types::{ResolveQuery, ShardConfig};
 
 /// Ingest titles derived from corpus records (so the blocker has genuine
 /// candidates) plus unrelated ones (so some shards come back empty).

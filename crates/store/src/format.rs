@@ -105,53 +105,104 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Bytes before a frame's payload: magic, version, payload length.
+pub(crate) const HEADER: usize = 8 + 4 + 8;
+
+/// What tells one kind of frame from another. The `.flexer` container and
+/// the wire protocol share one layout, so they share one sealer, one header
+/// parser and one body check, parameterised by this.
+pub(crate) struct Framing {
+    pub(crate) magic: [u8; 8],
+    pub(crate) version: u32,
+    /// Largest payload a reader accepts.
+    pub(crate) max_payload: u64,
+}
+
+/// Why a header cannot start a frame.
+pub(crate) enum BadHeader {
+    /// Wrong magic or version.
+    Foreign(StoreError),
+    /// The declared payload length exceeds [`Framing::max_payload`].
+    TooLarge(u64),
+}
+
+/// A snapshot file is read whole before it is unsealed, so the buffer is
+/// its only length bound.
+const SNAPSHOT: Framing = Framing { magic: MAGIC, version: VERSION, max_payload: u64::MAX };
+
+impl Framing {
+    /// Frames a payload.
+    pub(crate) fn seal(&self, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER + payload.len() + 8);
+        out.extend_from_slice(&self.magic);
+        out.extend_from_slice(&self.version.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(payload);
+        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        out
+    }
+
+    /// Validates a frame's first [`HEADER`] bytes — magic, version, the
+    /// declared payload length against the cap — and returns that length.
+    /// Nothing is allocated or sliced for the payload before this passes.
+    pub(crate) fn payload_len(&self, header: &[u8]) -> Result<u64, BadHeader> {
+        if header[..8] != self.magic {
+            return Err(BadHeader::Foreign(StoreError::BadMagic));
+        }
+        let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
+        if version != self.version {
+            return Err(BadHeader::Foreign(StoreError::UnsupportedVersion(version)));
+        }
+        let len = u64::from_le_bytes(header[12..HEADER].try_into().expect("8 bytes"));
+        if len > self.max_payload {
+            return Err(BadHeader::TooLarge(len));
+        }
+        Ok(len)
+    }
+
+    /// Validates framing + checksum of an in-memory frame and returns the
+    /// payload slice.
+    pub(crate) fn unseal<'a>(&self, bytes: &'a [u8]) -> Result<&'a [u8], StoreError> {
+        let truncated = |needed: u64| StoreError::Truncated {
+            needed: needed.min(usize::MAX as u64) as usize,
+            available: bytes.len(),
+        };
+        if bytes.len() < HEADER + 8 {
+            return Err(truncated((HEADER + 8) as u64));
+        }
+        // The length field is untrusted: `HEADER + len + 8` must not wrap (a
+        // corrupt length near `u64::MAX` would otherwise slice out of bounds
+        // in release builds and overflow-panic in debug builds). A valid
+        // payload can never exceed the buffer, so bound it there first.
+        let room = (bytes.len() - HEADER - 8) as u64;
+        let total = match self.payload_len(&bytes[..HEADER]) {
+            Ok(len) if len <= room => HEADER + len as usize + 8,
+            Ok(len) | Err(BadHeader::TooLarge(len)) => {
+                return Err(truncated(len.saturating_add((HEADER + 8) as u64)))
+            }
+            Err(BadHeader::Foreign(e)) => return Err(e),
+        };
+        if bytes.len() > total {
+            return Err(StoreError::TrailingBytes(bytes.len() - total));
+        }
+        let (payload, stored) = bytes[HEADER..].split_at(total - HEADER - 8);
+        let stored = u64::from_le_bytes(stored.try_into().expect("8 bytes"));
+        let computed = fnv1a64(payload);
+        if stored != computed {
+            return Err(StoreError::ChecksumMismatch { stored, computed });
+        }
+        Ok(payload)
+    }
+}
+
 /// Frames a payload into a complete `.flexer` byte stream.
 pub fn seal(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MAGIC.len() + 12 + payload.len() + 8);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    out
+    SNAPSHOT.seal(payload)
 }
 
 /// Validates framing + checksum and returns the payload slice.
 pub fn unseal(bytes: &[u8]) -> Result<&[u8], StoreError> {
-    let header = MAGIC.len() + 4 + 8;
-    if bytes.len() < header + 8 {
-        return Err(StoreError::Truncated { needed: header + 8, available: bytes.len() });
-    }
-    if bytes[..MAGIC.len()] != MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != VERSION {
-        return Err(StoreError::UnsupportedVersion(version));
-    }
-    let len64 = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-    // The length field is untrusted: `header + len + 8` must not wrap (a
-    // corrupt length near `u64::MAX` would otherwise slice out of bounds
-    // in release builds and overflow-panic in debug builds). A valid
-    // payload can never exceed the buffer, so bound it there first.
-    if len64 > (bytes.len() - header - 8) as u64 {
-        return Err(StoreError::Truncated {
-            needed: len64.saturating_add((header + 8) as u64).min(usize::MAX as u64) as usize,
-            available: bytes.len(),
-        });
-    }
-    let len = len64 as usize;
-    let total = header + len + 8;
-    if bytes.len() > total {
-        return Err(StoreError::TrailingBytes(bytes.len() - total));
-    }
-    let payload = &bytes[header..header + len];
-    let stored = u64::from_le_bytes(bytes[header + len..].try_into().expect("8 bytes"));
-    let computed = fnv1a64(payload);
-    if stored != computed {
-        return Err(StoreError::ChecksumMismatch { stored, computed });
-    }
-    Ok(payload)
+    SNAPSHOT.unseal(bytes)
 }
 
 /// Little-endian payload writer.

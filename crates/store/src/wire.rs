@@ -26,7 +26,7 @@
 //! [`write_message`]/[`read_message`] over any `io::Write`/`io::Read`.
 
 use crate::codec::Codec;
-use crate::format::{fnv1a64, Reader, StoreError, Writer};
+use crate::format::{BadHeader, Framing, Reader, StoreError, Writer, HEADER};
 use flexer_types::{
     MatchTarget, RankedMatch, ResolveQuery, ResolveResponse, RouterRequest, RouterResponse,
     ShardRequest, ShardResponse, WireCandidates, WireIngestReport, WireQuery,
@@ -46,8 +46,6 @@ pub const WIRE_VERSION: u32 = 2;
 /// announcing more is broken or hostile; the reader errors out before
 /// allocating a single payload byte.
 pub const MAX_WIRE_FRAME: u64 = 64 << 20;
-
-const HEADER: usize = 8 + 4 + 8; // magic + version + payload_len
 
 /// Everything that can go wrong on a wire hop.
 #[derive(Debug)]
@@ -94,51 +92,23 @@ impl From<StoreError> for WireError {
     }
 }
 
+/// The wire protocol's framing. Every byte is untrusted here, so unlike a
+/// snapshot file the declared length is capped before anything is
+/// allocated for it.
+const WIRE: Framing =
+    Framing { magic: WIRE_MAGIC, version: WIRE_VERSION, max_payload: MAX_WIRE_FRAME };
+
 /// Frames a payload into a complete wire frame.
 pub fn seal_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER + payload.len() + 8);
-    out.extend_from_slice(&WIRE_MAGIC);
-    out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    out
+    WIRE.seal(payload)
 }
 
 /// Validates framing + checksum of an in-memory frame and returns the
-/// payload slice. Same hardening as [`crate::unseal`]: the declared
-/// length is bounded (cap first, then the buffer itself, with no
+/// payload slice. Same hardening as [`crate::unseal`], plus the cap: the
+/// declared length is bounded (cap first, then the buffer itself, with no
 /// overflowable arithmetic) before anything is sliced.
 pub fn unseal_frame(bytes: &[u8]) -> Result<&[u8], StoreError> {
-    if bytes.len() < HEADER + 8 {
-        return Err(StoreError::Truncated { needed: HEADER + 8, available: bytes.len() });
-    }
-    if bytes[..8] != WIRE_MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != WIRE_VERSION {
-        return Err(StoreError::UnsupportedVersion(version));
-    }
-    let len64 = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-    if len64 > MAX_WIRE_FRAME || len64 > (bytes.len() - HEADER - 8) as u64 {
-        return Err(StoreError::Truncated {
-            needed: len64.saturating_add((HEADER + 8) as u64).min(usize::MAX as u64) as usize,
-            available: bytes.len(),
-        });
-    }
-    let len = len64 as usize;
-    let total = HEADER + len + 8;
-    if bytes.len() > total {
-        return Err(StoreError::TrailingBytes(bytes.len() - total));
-    }
-    let payload = &bytes[HEADER..HEADER + len];
-    let stored = u64::from_le_bytes(bytes[total - 8..total].try_into().expect("8 bytes"));
-    let computed = fnv1a64(payload);
-    if stored != computed {
-        return Err(StoreError::ChecksumMismatch { stored, computed });
-    }
-    Ok(payload)
+    WIRE.unseal(bytes)
 }
 
 /// Encodes one message as a complete frame (for tests and fuzzing; the
@@ -152,8 +122,7 @@ pub fn frame_message<T: Codec>(msg: &T) -> Vec<u8> {
 /// Decodes one message from a complete in-memory frame, requiring the
 /// payload to be consumed exactly.
 pub fn decode_frame<T: Codec>(bytes: &[u8]) -> Result<T, StoreError> {
-    let payload = unseal_frame(bytes)?;
-    let mut r = Reader::new(payload);
+    let mut r = Reader::new(unseal_frame(bytes)?);
     let msg = T::decode(&mut r)?;
     r.finish()?;
     Ok(msg)
@@ -166,35 +135,32 @@ pub fn write_message<T: Codec>(stream: &mut impl Write, msg: &T) -> Result<(), W
     Ok(())
 }
 
-/// Reads one framed message from a blocking stream. The header is read
-/// and validated (magic, version, length cap) *before* the payload is
-/// allocated, so a hostile peer cannot provoke an attacker-sized buffer.
+/// The rest of a frame read, after its header: the header is validated
+/// (magic, version, length cap) *before* the frame is allocated, so a
+/// hostile peer cannot provoke an attacker-sized buffer; `fill` then reads
+/// the body the way the caller reads its stream, and the reassembled frame
+/// goes through [`decode_frame`] like any other.
+fn read_body<T: Codec>(
+    header: &[u8; HEADER],
+    fill: impl FnOnce(&mut [u8]) -> io::Result<()>,
+) -> Result<T, WireError> {
+    let len = match WIRE.payload_len(header) {
+        Ok(len) => len as usize,
+        Err(BadHeader::TooLarge(len)) => return Err(WireError::FrameTooLarge(len)),
+        Err(BadHeader::Foreign(e)) => return Err(e.into()),
+    };
+    let mut frame = vec![0u8; HEADER + len + 8];
+    frame[..HEADER].copy_from_slice(header);
+    fill(&mut frame[HEADER..])?;
+    Ok(decode_frame(&frame)?)
+}
+
+/// Reads one framed message from a blocking stream, header first (see
+/// `read_body`).
 pub fn read_message<T: Codec>(stream: &mut impl Read) -> Result<T, WireError> {
     let mut header = [0u8; HEADER];
     stream.read_exact(&mut header)?;
-    if header[..8] != WIRE_MAGIC {
-        return Err(StoreError::BadMagic.into());
-    }
-    let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    if version != WIRE_VERSION {
-        return Err(StoreError::UnsupportedVersion(version).into());
-    }
-    let len64 = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
-    if len64 > MAX_WIRE_FRAME {
-        return Err(WireError::FrameTooLarge(len64));
-    }
-    let mut body = vec![0u8; len64 as usize + 8];
-    stream.read_exact(&mut body)?;
-    let payload = &body[..len64 as usize];
-    let stored = u64::from_le_bytes(body[len64 as usize..].try_into().expect("8 bytes"));
-    let computed = fnv1a64(payload);
-    if stored != computed {
-        return Err(StoreError::ChecksumMismatch { stored, computed }.into());
-    }
-    let mut r = Reader::new(payload);
-    let msg = T::decode(&mut r)?;
-    r.finish()?;
-    Ok(msg)
+    read_body(&header, |body| stream.read_exact(body))
 }
 
 /// Floor for socket timeouts: `set_read_timeout(Some(ZERO))` is an error,
@@ -267,29 +233,7 @@ pub fn read_message_bounded<T: Codec>(
     // A frame has begun: everything else races one absolute deadline.
     let deadline = std::time::Instant::now() + frame_budget;
     read_exact_deadline(stream, &mut header[first..], deadline)?;
-    if header[..8] != WIRE_MAGIC {
-        return Err(StoreError::BadMagic.into());
-    }
-    let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    if version != WIRE_VERSION {
-        return Err(StoreError::UnsupportedVersion(version).into());
-    }
-    let len64 = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
-    if len64 > MAX_WIRE_FRAME {
-        return Err(WireError::FrameTooLarge(len64));
-    }
-    let mut body = vec![0u8; len64 as usize + 8];
-    read_exact_deadline(stream, &mut body, deadline)?;
-    let payload = &body[..len64 as usize];
-    let stored = u64::from_le_bytes(body[len64 as usize..].try_into().expect("8 bytes"));
-    let computed = fnv1a64(payload);
-    if stored != computed {
-        return Err(StoreError::ChecksumMismatch { stored, computed }.into());
-    }
-    let mut r = Reader::new(payload);
-    let msg = T::decode(&mut r)?;
-    r.finish()?;
-    Ok(Some(msg))
+    read_body(&header, |body| read_exact_deadline(stream, body, deadline)).map(Some)
 }
 
 fn bad_tag<T>(what: &str, tag: u8) -> Result<T, StoreError> {
@@ -844,36 +788,86 @@ mod tests {
         rresp.iter().for_each(roundtrip);
     }
 
+    /// What a read path makes of a corrupt frame, reduced to what the paths
+    /// share: a bad length is `Truncated` on the slice path, `FrameTooLarge`
+    /// or the EOF they run into on the stream paths.
+    #[derive(Debug, PartialEq)]
+    enum Verdict {
+        Length,
+        Magic,
+        Version(u32),
+        Checksum,
+    }
+
+    fn verdict<T>(outcome: Result<T, WireError>) -> Verdict {
+        match outcome.err().expect("a corrupt frame must not decode") {
+            WireError::Store(StoreError::BadMagic) => Verdict::Magic,
+            WireError::Store(StoreError::UnsupportedVersion(v)) => Verdict::Version(v),
+            WireError::Store(StoreError::ChecksumMismatch { .. }) => Verdict::Checksum,
+            WireError::Store(StoreError::Truncated { .. }) | WireError::FrameTooLarge(_) => {
+                Verdict::Length
+            }
+            WireError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof => Verdict::Length,
+            other => panic!("unexpected error for a corrupt frame: {other}"),
+        }
+    }
+
+    /// One table of corruptions — truncation at every prefix, forged
+    /// lengths including the overflow bait, wrong magic, wrong version, a
+    /// flipped payload bit — against both magics and every read path: the
+    /// slice path of either framing, the blocking stream reader and the
+    /// deadline-bounded TCP reader.
     #[test]
     fn corrupt_frames_fail_without_panicking() {
-        let frame = frame_message(&ShardRequest::Query(WireQuery::Grams(vec![7, 8])));
-        // Truncation at every prefix length.
-        for cut in 0..frame.len() {
-            assert!(decode_frame::<ShardRequest>(&frame[..cut]).is_err());
+        use std::io::Write as _;
+        use std::net::{Shutdown, TcpListener, TcpStream};
+
+        let payload = {
+            let mut w = Writer::new();
+            ShardRequest::Query(WireQuery::Grams(vec![7, 8])).encode(&mut w);
+            w.into_bytes()
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let over_tcp = |bytes: &[u8]| {
+            let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            peer.write_all(bytes).unwrap();
+            peer.shutdown(Shutdown::Write).unwrap();
+            let (mut conn, _) = listener.accept().unwrap();
+            let wait = std::time::Duration::from_secs(5);
+            verdict(read_message_bounded::<ShardRequest>(&mut conn, wait, wait))
+        };
+        type Unseal = fn(&[u8]) -> Result<&[u8], StoreError>;
+        let framings: [(Vec<u8>, Unseal, bool); 2] = [
+            (crate::format::seal(&payload), crate::format::unseal, false),
+            (seal_frame(&payload), unseal_frame, true),
+        ];
+        for (frame, unseal, is_wire) in framings {
+            assert_eq!(unseal(&frame).unwrap(), payload);
+            let with = |at: std::ops::Range<usize>, bytes: &[u8]| {
+                let mut bad = frame.clone();
+                bad[at].copy_from_slice(bytes);
+                bad
+            };
+            let mut cases: Vec<(Vec<u8>, Verdict)> =
+                (0..frame.len()).map(|cut| (frame[..cut].to_vec(), Verdict::Length)).collect();
+            for forged in [u64::MAX, u64::MAX - 7, MAX_WIRE_FRAME + 1, frame.len() as u64, 1 << 60]
+            {
+                cases.push((with(12..20, &forged.to_le_bytes()), Verdict::Length));
+            }
+            cases.push((with(0..1, b"X"), Verdict::Magic));
+            cases.push((with(8..12, &99u32.to_le_bytes()), Verdict::Version(99)));
+            cases.push((with(HEADER..HEADER + 1, &[frame[HEADER] ^ 0x01]), Verdict::Checksum));
+            for (bad, want) in cases {
+                assert_eq!(verdict(unseal(&bad).map_err(WireError::Store)), want, "slice {bad:?}");
+                if is_wire {
+                    let decoded = decode_frame::<ShardRequest>(&bad).map_err(WireError::Store);
+                    assert_eq!(verdict(decoded), want, "decode {bad:?}");
+                    let streamed = read_message::<ShardRequest>(&mut bad.as_slice());
+                    assert_eq!(verdict(streamed), want, "stream {bad:?}");
+                    assert_eq!(over_tcp(&bad), want, "bounded {bad:?}");
+                }
+            }
         }
-        // Forged lengths, including the overflow-bait values.
-        for forged in [u64::MAX, u64::MAX - 7, MAX_WIRE_FRAME + 1, frame.len() as u64, 1 << 60] {
-            let mut bad = frame.clone();
-            bad[12..20].copy_from_slice(&forged.to_le_bytes());
-            assert!(decode_frame::<ShardRequest>(&bad).is_err());
-        }
-        // Wrong magic / version.
-        let mut bad = frame.clone();
-        bad[0] = b'X';
-        assert!(matches!(decode_frame::<ShardRequest>(&bad), Err(StoreError::BadMagic)));
-        let mut bad = frame.clone();
-        bad[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            decode_frame::<ShardRequest>(&bad),
-            Err(StoreError::UnsupportedVersion(99))
-        ));
-        // A flipped payload bit trips the checksum.
-        let mut bad = frame.clone();
-        bad[HEADER] ^= 0x01;
-        assert!(matches!(
-            decode_frame::<ShardRequest>(&bad),
-            Err(StoreError::ChecksumMismatch { .. })
-        ));
     }
 
     #[test]

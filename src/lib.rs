@@ -19,17 +19,17 @@
 //! inductive scoring (incremental ANN insert + local GNN forward) for new
 //! records, with an LRU embedding cache and p50/p99 latency counters.
 //!
-//! # The `parallel` feature (on by default)
+//! # The thread budget
 //!
 //! FlexER trains *P* independent GNNs — one per intent — over the same
-//! multiplex graph. With `parallel` enabled, that per-intent loop, the
-//! per-intent matcher fits of the in-parallel baseline, multi-query ANN
-//! search, k-NN graph construction and large matmuls all fan out across
-//! the [`par`](crate::par) thread budget (honouring `RAYON_NUM_THREADS`,
-//! like rayon). The work split is deterministic and every item runs the
-//! exact serial kernel, so **results are bit-identical for any thread
-//! count** — `RAYON_NUM_THREADS=1`, the default budget, and
-//! `--no-default-features` (fully serial) all agree. Use
+//! multiplex graph. That per-intent loop, the per-intent matcher fits of
+//! the in-parallel baseline, multi-query ANN search, k-NN graph
+//! construction and large matmuls all fan out across the
+//! [`par`](crate::par) thread budget (honouring `RAYON_NUM_THREADS`, like
+//! rayon). The work split is deterministic and every item runs the exact
+//! serial kernel, so **results are bit-identical for any thread count**:
+//! `RAYON_NUM_THREADS=1` is the fully serial configuration and agrees
+//! with the default budget. Use
 //! [`par::with_threads`](crate::par::with_threads) to pin the budget in
 //! code.
 //!
