@@ -9,11 +9,14 @@
 //! what make intent-specific decision boundaries learnable by an MLP; the
 //! `ablation` bench quantifies their contribution.
 //!
-//! A pair is featurized from two [`PreparedSide`]s by one kernel
-//! ([`PairFeaturizer::features`] and its `_into` variants all end there):
-//! membership is a merge and binary searches over sorted integer gram keys,
-//! namespaces are precomputed hash states, and the side shared by a
-//! candidate batch hashes its own slots once per batch.
+//! A pair is featurized by one kernel, [`SideStore::pair_features`], from a
+//! *stored* left side and a [`PreparedSide`] on the right
+//! ([`PairFeaturizer::features`] and its `_into` variants store their left
+//! in a one-record store and end there too). What a side contributes
+//! whatever it is paired with — its tokens, every hashed slot it can emit,
+//! the right side's sorted gram keys — is computed when the side is stored
+//! or prepared; the kernel does what depends on the pair: token overlap,
+//! one binary search per left gram in the right side's keys, and lookups.
 
 use crate::summarize::{summarize, DfTable};
 use crate::tokenize::{tokenize, Token, TokenKind};
@@ -37,13 +40,25 @@ const fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a continued over the UTF-8 bytes of `chars`.
-fn fnv_chars(mut h: u64, chars: &[char]) -> u64 {
+/// FNV-1a continued from each of `states` over `bytes`. The chains are
+/// independent, so they advance in lockstep at about the cost of one: a
+/// side's slots in several namespaces are one pass over its text.
+fn fnv_each<const K: usize>(mut states: [u64; K], bytes: &[u8]) -> [u64; K] {
+    for &byte in bytes {
+        for h in &mut states {
+            *h = (*h ^ byte as u64).wrapping_mul(FNV_PRIME);
+        }
+    }
+    states
+}
+
+/// [`fnv_each`] over the UTF-8 bytes of `chars`.
+fn fnv_chars_each<const K: usize>(mut states: [u64; K], chars: &[char]) -> [u64; K] {
     let mut utf8 = [0u8; 4];
     for c in chars {
-        h = fnv(h, c.encode_utf8(&mut utf8).as_bytes());
+        states = fnv_each(states, c.encode_utf8(&mut utf8).as_bytes());
     }
-    h
+    states
 }
 
 /// Hash state after a feature namespace and its `0xFF` separator: every
@@ -91,16 +106,30 @@ impl Default for PairFeaturizer {
     }
 }
 
-/// One side of a pair as the pair kernel reads it: the summarized tokens
-/// and the side's character n-grams, which are windows over one char
-/// buffer — never a `String` each. A gram is named by a `u64` key: its
-/// chars packed 21 bits apiece when `char_ngram <= 3`, its window's start
-/// otherwise; a sorted copy of the keys answers membership.
-///
-/// A side prepared by [`PairFeaturizer::prepare_side`] also carries the
-/// hashed slots it contributes as the *right* side of a pair. In a
-/// resolve query the incoming record pairs against every candidate, so
-/// those are hashed once per candidate set, not once per pair.
+/// The `n`-gram of `chars` starting at `start` (the whole buffer when it is
+/// shorter than `n`).
+fn window(chars: &[char], start: usize, n: usize) -> &[char] {
+    &chars[start..start.saturating_add(n).min(chars.len())]
+}
+
+/// A hashed slot in one `u32`: the column above its sign bit.
+fn unpack(slot: u32) -> (u32, f32) {
+    (slot >> 1, if slot & 1 == 0 { 1.0 } else { -1.0 })
+}
+
+/// A store offset: `u32`, so one record may hold a 100 000-byte token and
+/// a store ends at 4 Gi entries per array.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a side store array holds at most u32::MAX entries")
+}
+
+/// The right side of a pair — in a resolve query the incoming record,
+/// which pairs against every candidate, so it is prepared once per
+/// candidate set ([`PairFeaturizer::prepare_side`]): its summarized tokens,
+/// its character n-grams as `u64` keys (the chars packed 21 bits apiece
+/// when `char_ngram <= 3`, the window's start in `chars` otherwise — never
+/// a `String` each), the distinct keys sorted for the kernel's membership
+/// searches, and the hashed slots it contributes.
 #[derive(Debug, Clone)]
 pub struct PreparedSide {
     /// Summarized tokens of the side.
@@ -109,54 +138,88 @@ pub struct PreparedSide {
     chars: Vec<char>,
     /// Gram keys in window order.
     grams: Vec<u64>,
-    /// `grams`, ordered by [`PairFeaturizer::cmp_grams`].
+    /// The distinct grams, ordered by [`PairFeaturizer::cmp_grams`].
     sorted: Vec<u64>,
-    /// Right-side slots (sign not yet normalized): `B:w` per token, then,
-    /// with cross features, `D:w` per token and `D:c` per gram, without
-    /// them `B:c` per gram.
-    right: Vec<(u32, f32)>,
+    /// Per gram in window order, its position in `sorted`: what carries a
+    /// search hit there back to every window holding that gram.
+    ranks: Vec<u32>,
+    /// Packed slots: `B:w` per token, then, with cross features, `D:w` per
+    /// token and `D:c` per gram, without them `B:c` per gram.
+    right: Vec<u32>,
 }
 
-/// The `n`-gram of `chars` starting at `start` (the whole buffer when it is
-/// shorter than `n`).
-fn window(chars: &[char], start: usize, n: usize) -> &[char] {
-    &chars[start..start.saturating_add(n).min(chars.len())]
+/// Where one stored record's parts end in a [`SideStore`]'s arrays; they
+/// start where the record before it ends.
+#[derive(Debug, Clone, Copy, Default)]
+struct Ends {
+    tokens: u32,
+    text: u32,
+    grams: u32,
 }
 
-impl PreparedSide {
-    /// A side holding `tokens`, its grams not built yet.
-    fn new(tokens: Vec<Token>) -> Self {
-        Self { tokens, chars: Vec::new(), grams: Vec::new(), sorted: Vec::new(), right: Vec::new() }
-    }
-
-    fn window(&self, start: usize, n: usize) -> &[char] {
-        window(&self.chars, start, n)
-    }
-}
-
-/// Caller-owned buffers of [`PairFeaturizer::features_of_title`]; reusing
-/// one across a candidate batch keeps the pair kernel off the allocator.
+/// Append-only store of left sides, one per record, struct-of-arrays: what
+/// the pair kernel reads of a stored title, computed once when the record
+/// arrives instead of once per candidate pair — the summarized tokens and
+/// every hashed slot the side can contribute. Gram *keys* are not kept:
+/// they are two shifts a char away from the text, and at 8 B a gram they
+/// would double the store. A record costs ≈0.6 KB with the default
+/// featurizer (≈45 grams at 8 B, ≈9 tokens at 21 B, the text).
 #[derive(Debug)]
+pub struct SideStore {
+    featurizer: PairFeaturizer,
+    /// Per record.
+    ends: Vec<Ends>,
+    /// Per token: where its text ends in its record's `_tok_tok_` text; it
+    /// starts one fence past the end of the token before it.
+    text_ends: Vec<u32>,
+    kinds: Vec<TokenKind>,
+    /// Per token, packed: `A:w`, and with cross features `S:w`, `D:w`,
+    /// `S:n` beside it.
+    word_slots: Vec<u32>,
+    /// Per record `_tok_tok_`, the tokens joined and fenced with `_` — the
+    /// buffer the grams are windows of — back to back.
+    text: String,
+    /// Per gram in window order, packed: `S:c` and `D:c` with cross
+    /// features, `A:c` without.
+    gram_slots: Vec<u32>,
+}
+
+/// One record of a [`SideStore`]: slices of its arrays.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StoredSide<'a> {
+    text_ends: &'a [u32],
+    kinds: &'a [TokenKind],
+    word_slots: &'a [u32],
+    text: &'a str,
+    gram_slots: &'a [u32],
+}
+
+impl StoredSide<'_> {
+    /// Text of token `i`.
+    fn token(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 1 } else { self.text_ends[i - 1] as usize + 1 };
+        &self.text.as_bytes()[start..self.text_ends[i] as usize]
+    }
+
+    fn is_num(&self, i: usize) -> bool {
+        self.kinds[i] != TokenKind::Word
+    }
+}
+
+/// Caller-owned buffers of [`SideStore::pair_features`]; reusing one
+/// across a candidate batch keeps the pair kernel off the allocator.
+#[derive(Debug, Default)]
 pub struct PairScratch {
-    /// The left side of the pair being featurized.
-    left: PreparedSide,
+    /// The left side's `_tok_tok_` text, decoded.
+    chars: Vec<char>,
     /// Per left token: its text occurs on the right.
     in_right: Vec<bool>,
     /// Per right token: its text occurs on the left.
     in_left: Vec<bool>,
-    /// Keys of the left grams that occur on the right, sorted.
-    shared: Vec<u64>,
-}
-
-impl Default for PairScratch {
-    fn default() -> Self {
-        Self {
-            left: PreparedSide::new(Vec::new()),
-            in_right: Vec::new(),
-            in_left: Vec::new(),
-            shared: Vec::new(),
-        }
-    }
+    /// Per left gram: it occurs on the right.
+    shared: Vec<bool>,
+    /// Per distinct right gram: it occurs on the left.
+    hit: Vec<bool>,
 }
 
 impl PairFeaturizer {
@@ -200,55 +263,16 @@ impl PairFeaturizer {
     }
 
     /// [`features_into`](Self::features_into) against a prepared right
-    /// side.
+    /// side: the left goes through a one-record [`SideStore`].
     pub fn features_into_prepared(&self, a: &[Token], b: &PreparedSide, out: &mut Vec<(u32, f32)>) {
-        let mut scratch = PairScratch::default();
-        scratch.left.tokens.extend_from_slice(a);
-        self.pair_features(b, &mut scratch, out);
-    }
-
-    /// [`features_into_prepared`](Self::features_into_prepared) straight
-    /// from the left title: no token copy, and every buffer but the token
-    /// strings lives in `scratch` — the loop body of a candidate batch.
-    pub fn features_of_title(
-        &self,
-        title: &str,
-        df: &DfTable,
-        b: &PreparedSide,
-        scratch: &mut PairScratch,
-        out: &mut Vec<(u32, f32)>,
-    ) {
-        scratch.left.tokens = self.prepare(title, df);
-        self.pair_features(b, scratch, out);
+        let mut left = SideStore::new(self.clone());
+        left.push_tokens(a);
+        left.pair_features(0, b, &mut PairScratch::default(), out);
     }
 
     fn right_side(&self, tokens: Vec<Token>) -> PreparedSide {
-        let mut side = PreparedSide::new(tokens);
-        self.build_grams(&mut side);
-        let slots = side.tokens.len() * (1 + self.use_cross as usize) + side.grams.len();
-        side.right.reserve_exact(slots);
-        side.right.extend(side.tokens.iter().map(|t| self.slot(fnv(B_W, t.text.as_bytes()))));
-        let gram_namespace = if self.use_cross {
-            side.right.extend(side.tokens.iter().map(|t| self.slot(fnv(D_W, t.text.as_bytes()))));
-            D_C
-        } else {
-            B_C
-        };
-        for i in 0..side.grams.len() {
-            let slot = self.slot(fnv_chars(gram_namespace, side.window(i, self.char_ngram)));
-            side.right.push(slot);
-        }
-        side
-    }
-
-    /// Derives `chars`, `grams` and `sorted` from the side's tokens,
-    /// reusing the buffers.
-    fn build_grams(&self, side: &mut PreparedSide) {
-        let n = self.char_ngram;
-        assert!(n > 0, "character n-grams need n >= 1");
-        let PreparedSide { tokens, chars, grams, sorted, .. } = side;
-        chars.clear();
-        for token in tokens.iter() {
+        let mut chars = Vec::new();
+        for token in &tokens {
             chars.push('_');
             chars.extend(token.text.chars());
         }
@@ -256,172 +280,62 @@ impl PairFeaturizer {
         if tokens.is_empty() {
             chars.push('_');
         }
-        // A buffer shorter than `n` is one (short) gram.
-        let count = chars.len().saturating_sub(n) + 1;
-        grams.clear();
-        if n <= PACKED_MAX {
+        let grams: Vec<u64> =
+            (0..self.gram_count(&chars)).map(|i| self.gram_key(&chars, i)).collect();
+        let by_gram = |x: &u64, y: &u64| self.cmp_grams((&chars, *x), (&chars, *y));
+        let mut sorted = grams.clone();
+        sorted.sort_unstable_by(by_gram);
+        sorted.dedup_by(|x, y| by_gram(x, y).is_eq());
+        let rank = |g| sorted.binary_search_by(|s| by_gram(s, g)).expect("every gram is sorted");
+        let ranks = grams.iter().map(|g| rank(g) as u32).collect();
+        let mut right =
+            Vec::with_capacity(tokens.len() * (1 + self.use_cross as usize) + grams.len());
+        right.extend(tokens.iter().map(|t| self.slot(fnv(B_W, t.text.as_bytes()))));
+        let gram_namespace = if self.use_cross {
+            right.extend(tokens.iter().map(|t| self.slot(fnv(D_W, t.text.as_bytes()))));
+            D_C
+        } else {
+            B_C
+        };
+        right.extend((0..grams.len()).map(|i| {
+            let [h] = fnv_chars_each([gram_namespace], window(&chars, i, self.char_ngram));
+            self.slot(h)
+        }));
+        PreparedSide { tokens, chars, grams, sorted, ranks, right }
+    }
+
+    /// Number of n-gram windows over a side's `chars`: a buffer shorter
+    /// than `n` is one (short) gram.
+    fn gram_count(&self, chars: &[char]) -> usize {
+        assert!(self.char_ngram > 0, "character n-grams need n >= 1");
+        chars.len().saturating_sub(self.char_ngram) + 1
+    }
+
+    /// Key of the gram at window `i` of `chars`.
+    fn gram_key(&self, chars: &[char], i: usize) -> u64 {
+        if self.char_ngram <= PACKED_MAX {
             // +1 keeps a gram shorter than `n` apart from every full one.
-            grams.extend((0..count).map(|i| {
-                window(chars, i, n).iter().fold(0, |key, &c| (key << 21) | (c as u64 + 1))
-            }));
+            window(chars, i, self.char_ngram).iter().fold(0, |key, &c| (key << 21) | (c as u64 + 1))
         } else {
-            grams.extend(0..count as u64);
-        }
-        sorted.clone_from(grams);
-        if n <= PACKED_MAX {
-            sorted.sort_unstable();
-        } else {
-            sorted.sort_unstable_by(|&x, &y| {
-                window(chars, x as usize, n).cmp(window(chars, y as usize, n))
-            });
+            i as u64
         }
     }
 
-    /// Orders two gram keys, each read against its own side, by a total
-    /// order in which equal means the same gram.
-    fn cmp_grams(&self, x: (&PreparedSide, u64), y: (&PreparedSide, u64)) -> Ordering {
+    /// Orders two gram keys, each read against its own side's chars, by a
+    /// total order in which equal means the same gram.
+    fn cmp_grams(&self, x: (&[char], u64), y: (&[char], u64)) -> Ordering {
         if self.char_ngram <= PACKED_MAX {
             x.1.cmp(&y.1)
         } else {
             let n = self.char_ngram;
-            x.0.window(x.1 as usize, n).cmp(y.0.window(y.1 as usize, n))
+            window(x.0, x.1 as usize, n).cmp(window(y.0, y.1 as usize, n))
         }
     }
 
-    /// The pair kernel: features of (`scratch.left.tokens`, `b`).
-    ///
-    /// Emits the dense slots that are non-zero, in slot order, then the
-    /// hashed features in a fixed namespace order. That order is part of
-    /// the contract: [`SparseMatrix::push_row_unsorted`] sums hash
-    /// collisions in the order an unstable sort leaves them, so the same
-    /// features in another order can train another model.
-    fn pair_features(
-        &self,
-        b: &PreparedSide,
-        scratch: &mut PairScratch,
-        out: &mut Vec<(u32, f32)>,
-    ) {
-        self.build_grams(&mut scratch.left);
-        let PairScratch { left: a, in_right, in_left, shared } = scratch;
-        let a: &PreparedSide = a;
-        let (ta, tb) = (a.tokens.as_slice(), b.tokens.as_slice());
-        let n = self.char_ngram;
-        debug_assert_eq!(
-            b.right.len(),
-            tb.len() * (1 + self.use_cross as usize) + b.grams.len(),
-            "the right side must come from this featurizer's prepare_side"
-        );
-        out.clear();
-
-        // Which token texts occur on the other side: every word overlap
-        // below reads these.
-        in_right.clear();
-        in_right.extend(ta.iter().map(|t| tb.iter().any(|u| u.text == t.text)));
-        in_left.clear();
-        in_left.extend(tb.iter().map(|u| ta.iter().any(|t| t.text == u.text)));
-        // One merge of the sorted gram keys finds the grams on both sides
-        // and counts the left occurrences among them.
-        shared.clear();
-        let (mut i, mut j) = (0, 0);
-        while i < a.sorted.len() && j < b.sorted.len() {
-            match self.cmp_grams((a, a.sorted[i]), (b, b.sorted[j])) {
-                Ordering::Less => i += 1,
-                Ordering::Greater => j += 1,
-                // The right gram stays: the next left key may repeat it.
-                Ordering::Equal => {
-                    shared.push(a.sorted[i]);
-                    i += 1;
-                }
-            }
-        }
-        let is_shared = |side: &PreparedSide, key: u64| {
-            shared.binary_search_by(|&s| self.cmp_grams((a, s), (side, key))).is_ok()
-        };
-        let is_num = |t: &&Token| t.kind != TokenKind::Word;
-        let is_shared_num =
-            |t: &&Token| is_num(t) && tb.iter().any(|u| is_num(&u) && u.text == t.text);
-
-        // --- Dense similarity slots ---
-        // Overlaps count left *occurrences*: a token or gram repeated on
-        // the left and present on the right weighs in once per repeat.
-        let inter = in_right.iter().filter(|&&s| s).count();
-        let (short, long) = (ta.len().min(tb.len()), ta.len().max(tb.len()));
-        let (containment, len_ratio) = if short == 0 {
-            (0.0, 0.0)
-        } else {
-            (inter as f32 / short as f32, short as f32 / long as f32)
-        };
-        let first_eq = matches!((ta.first(), tb.first()), (Some(x), Some(y)) if x.text == y.text);
-        let code_eq = ta.iter().zip(in_right.iter()).any(|(t, &s)| s && t.kind == TokenKind::Code);
-        let dense = [
-            jaccard(inter, ta.len(), tb.len()),
-            jaccard(shared.len(), a.grams.len(), b.grams.len()),
-            jaccard(
-                ta.iter().filter(is_shared_num).count(),
-                ta.iter().filter(is_num).count(),
-                tb.iter().filter(is_num).count(),
-            ),
-            first_eq as u8 as f32,
-            containment,
-            len_ratio,
-            1.0, // bias
-            code_eq as u8 as f32,
-        ];
-        out.extend(
-            dense.iter().enumerate().filter(|(_, &v)| v != 0.0).map(|(i, &v)| (i as u32, v)),
-        );
-
-        // --- Hashed bag features ---
-        let hashed_from = out.len();
-        let (right_words, right_rest) = b.right.split_at(tb.len());
-        out.extend(ta.iter().map(|t| self.slot(fnv(A_W, t.text.as_bytes()))));
-        out.extend_from_slice(right_words);
-        if self.use_cross {
-            let (right_only_words, right_only_grams) = right_rest.split_at(tb.len());
-            out.extend(
-                ta.iter()
-                    .zip(in_right.iter())
-                    .map(|(t, &s)| self.slot(fnv(if s { S_W } else { D_W }, t.text.as_bytes()))),
-            );
-            out.extend(
-                right_only_words.iter().zip(in_left.iter()).filter(|(_, &s)| !s).map(|(&e, _)| e),
-            );
-            out.extend(a.grams.iter().enumerate().map(|(i, &g)| {
-                self.slot(fnv_chars(if is_shared(a, g) { S_C } else { D_C }, a.window(i, n)))
-            }));
-            out.extend(
-                right_only_grams
-                    .iter()
-                    .zip(&b.grams)
-                    .filter(|(_, &g)| !is_shared(b, g))
-                    .map(|(&e, _)| e),
-            );
-            // Domain knowledge: shared numbers / codes as dedicated signals.
-            out.extend(
-                ta.iter().filter(is_shared_num).map(|t| self.slot(fnv(S_N, t.text.as_bytes()))),
-            );
-        } else {
-            out.extend((0..a.grams.len()).map(|i| self.slot(fnv_chars(A_C, a.window(i, n)))));
-            out.extend_from_slice(right_rest);
-        }
-
-        // L2-normalize the hashed portion so titles of different lengths
-        // produce comparable magnitudes: every entry is ±1, so the norm is
-        // the root of their count.
-        let hashed = &mut out[hashed_from..];
-        if !hashed.is_empty() {
-            let inv_norm = 1.0 / (hashed.len() as f32).sqrt();
-            for (_, v) in hashed {
-                *v *= inv_norm;
-            }
-        }
-    }
-
-    /// Hashed slot of a finished feature hash: column and ±1 sign.
-    fn slot(&self, h: u64) -> (u32, f32) {
+    /// Packed slot of a finished feature hash: column above the sign bit.
+    fn slot(&self, h: u64) -> u32 {
         let idx = (h % self.hash_dim as u64) as u32 + N_DENSE as u32;
-        let sign = if (h >> 61) & 1 == 0 { 1.0 } else { -1.0 };
-        (idx, sign)
+        idx << 1 | ((h >> 61) & 1) as u32
     }
 
     /// Featurizes every candidate pair of a benchmark into a sparse matrix
@@ -440,6 +354,271 @@ impl PairFeaturizer {
             })
             .collect();
         SparseMatrix::from_rows(self.total_dim(), &rows)
+    }
+}
+
+impl SideStore {
+    /// An empty store of sides as `featurizer` reads them.
+    pub fn new(featurizer: PairFeaturizer) -> Self {
+        assert!(
+            featurizer.total_dim() <= 1 << 31,
+            "a packed slot keeps its column in 31 bits (hash_dim {})",
+            featurizer.hash_dim
+        );
+        Self {
+            featurizer,
+            ends: Vec::new(),
+            text_ends: Vec::new(),
+            kinds: Vec::new(),
+            word_slots: Vec::new(),
+            text: String::new(),
+            gram_slots: Vec::new(),
+        }
+    }
+
+    /// Slots kept per token / per gram.
+    fn strides(&self) -> (usize, usize) {
+        if self.featurizer.use_cross {
+            (4, 2)
+        } else {
+            (1, 1)
+        }
+    }
+
+    /// Reserves room for `titles` from their lengths alone, so filling a
+    /// store of known content regrows no array: a title has at most one
+    /// token per whitespace-separated word and `max_tokens`, and a char,
+    /// hence a gram, per byte plus the fences. For plain alphanumeric
+    /// titles the bound is the size. (A few letters lowercase to more
+    /// bytes; a title full of them regrows `text`, nothing else.)
+    pub fn reserve<'a>(&mut self, titles: impl Iterator<Item = &'a str>) {
+        let (mut records, mut tokens, mut bytes) = (0, 0, 0);
+        for title in titles {
+            records += 1;
+            tokens += title.split_whitespace().count().min(self.featurizer.max_tokens);
+            bytes += title.len();
+        }
+        let (per_token, per_gram) = self.strides();
+        self.ends.reserve_exact(records);
+        self.text_ends.reserve_exact(tokens);
+        self.kinds.reserve_exact(tokens);
+        self.word_slots.reserve_exact(tokens * per_token);
+        self.text.reserve_exact(bytes + 2 * records);
+        self.gram_slots.reserve_exact((bytes + 2 * records) * per_gram);
+    }
+
+    /// Number of stored records.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether no record is stored.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Bytes of side data held (array lengths, not capacities).
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&self.ends[..])
+            + size_of_val(&self.text_ends[..])
+            + size_of_val(&self.kinds[..])
+            + size_of_val(&self.word_slots[..])
+            + self.text.len()
+            + size_of_val(&self.gram_slots[..])
+    }
+
+    /// Stores `title` as the next record; returns its id.
+    pub fn push_title(&mut self, title: &str, df: &DfTable) -> usize {
+        let tokens = self.featurizer.prepare(title, df);
+        self.push_tokens(&tokens)
+    }
+
+    /// Stores a side from its summarized tokens; returns its id.
+    fn push_tokens(&mut self, tokens: &[Token]) -> usize {
+        let f = &self.featurizer;
+        let text_from = self.text.len();
+        for token in tokens {
+            let text = token.text.as_bytes();
+            self.text.push('_');
+            self.text.push_str(&token.text);
+            self.text_ends.push(offset(self.text.len() - text_from));
+            self.kinds.push(token.kind);
+            if f.use_cross {
+                let hashes = fnv_each([A_W, S_W, D_W, S_N], text);
+                self.word_slots.extend(hashes.map(|h| f.slot(h)));
+            } else {
+                self.word_slots.push(f.slot(fnv(A_W, text)));
+            }
+        }
+        self.text.push('_');
+        if tokens.is_empty() {
+            self.text.push('_');
+        }
+        let chars: Vec<char> = self.text[text_from..].chars().collect();
+        for i in 0..f.gram_count(&chars) {
+            let gram = window(&chars, i, f.char_ngram);
+            if f.use_cross {
+                self.gram_slots.extend(fnv_chars_each([S_C, D_C], gram).map(|h| f.slot(h)));
+            } else {
+                self.gram_slots.extend(fnv_chars_each([A_C], gram).map(|h| f.slot(h)));
+            }
+        }
+        self.ends.push(Ends {
+            tokens: offset(self.kinds.len()),
+            text: offset(self.text.len()),
+            grams: offset(self.gram_slots.len()),
+        });
+        self.ends.len() - 1
+    }
+
+    /// Record `id`'s side.
+    pub fn side(&self, id: usize) -> StoredSide<'_> {
+        let from = if id == 0 { Ends::default() } else { self.ends[id - 1] };
+        let to = self.ends[id];
+        let tokens = from.tokens as usize..to.tokens as usize;
+        let per_token = self.strides().0;
+        StoredSide {
+            text_ends: &self.text_ends[tokens.clone()],
+            kinds: &self.kinds[tokens.clone()],
+            word_slots: &self.word_slots[tokens.start * per_token..tokens.end * per_token],
+            text: &self.text[from.text as usize..to.text as usize],
+            gram_slots: &self.gram_slots[from.grams as usize..to.grams as usize],
+        }
+    }
+
+    /// The pair kernel: features of (record `id`, `b`).
+    ///
+    /// Emits the dense slots that are non-zero, in slot order, then the
+    /// hashed features in a fixed namespace order. That order is part of
+    /// the contract: [`SparseMatrix::push_row_unsorted`] sums a column hit
+    /// three times or more in the order an unstable sort leaves its
+    /// entries, so the same features in another order can train another
+    /// model.
+    pub fn pair_features(
+        &self,
+        id: usize,
+        b: &PreparedSide,
+        scratch: &mut PairScratch,
+        out: &mut Vec<(u32, f32)>,
+    ) {
+        let f = &self.featurizer;
+        let a = self.side(id);
+        let PairScratch { chars, in_right, in_left, shared, hit } = scratch;
+        let (na, tb) = (a.kinds.len(), b.tokens.as_slice());
+        let (cross, (per_token, per_gram)) = (f.use_cross, self.strides());
+        debug_assert_eq!(
+            b.right.len(),
+            tb.len() * (1 + cross as usize) + b.grams.len(),
+            "the right side must come from this store's featurizer"
+        );
+        out.clear();
+
+        // Which token texts occur on the other side: every word overlap
+        // below reads these.
+        in_right.clear();
+        in_right.resize(na, false);
+        in_left.clear();
+        in_left.resize(tb.len(), false);
+        for (i, on_right) in in_right.iter_mut().enumerate() {
+            let text = a.token(i);
+            for (u, on_left) in tb.iter().zip(in_left.iter_mut()) {
+                if u.text.as_bytes() == text {
+                    (*on_right, *on_left) = (true, true);
+                }
+            }
+        }
+        // One search per left gram in the right side's distinct keys: the
+        // gram is shared when it is found, and so is every right window
+        // that ranks there.
+        chars.clear();
+        chars.extend(a.text.chars());
+        hit.clear();
+        hit.resize(b.sorted.len(), false);
+        shared.clear();
+        shared.extend((0..a.gram_slots.len() / per_gram).map(|i| {
+            let gram = f.gram_key(chars, i);
+            let found = b.sorted.binary_search_by(|&s| f.cmp_grams((&b.chars, s), (chars, gram)));
+            found.map(|rank| hit[rank] = true).is_ok()
+        }));
+        let is_shared_num = |i: &usize| {
+            a.is_num(*i)
+                && tb.iter().any(|u| u.kind != TokenKind::Word && u.text.as_bytes() == a.token(*i))
+        };
+
+        // --- Dense similarity slots ---
+        // Overlaps count left *occurrences*: a token or gram repeated on
+        // the left and present on the right weighs in once per repeat.
+        let inter = in_right.iter().filter(|&&s| s).count();
+        let (short, long) = (na.min(tb.len()), na.max(tb.len()));
+        let (containment, len_ratio) = if short == 0 {
+            (0.0, 0.0)
+        } else {
+            (inter as f32 / short as f32, short as f32 / long as f32)
+        };
+        let first_eq = na > 0 && tb.first().is_some_and(|u| u.text.as_bytes() == a.token(0));
+        let code_eq = (0..na).any(|i| in_right[i] && a.kinds[i] == TokenKind::Code);
+        let dense = [
+            jaccard(inter, na, tb.len()),
+            jaccard(shared.iter().filter(|&&s| s).count(), shared.len(), b.grams.len()),
+            jaccard(
+                (0..na).filter(is_shared_num).count(),
+                (0..na).filter(|&i| a.is_num(i)).count(),
+                tb.iter().filter(|u| u.kind != TokenKind::Word).count(),
+            ),
+            first_eq as u8 as f32,
+            containment,
+            len_ratio,
+            1.0, // bias
+            code_eq as u8 as f32,
+        ];
+        out.extend(
+            dense.iter().enumerate().filter(|(_, &v)| v != 0.0).map(|(i, &v)| (i as u32, v)),
+        );
+
+        // --- Hashed bag features: lookups ---
+        let hashed_from = out.len();
+        let word_slot = |i: usize, which: usize| unpack(a.word_slots[i * per_token + which]);
+        let gram_slot = |i: usize, which: usize| unpack(a.gram_slots[i * per_gram + which]);
+        let (right_words, right_rest) = b.right.split_at(tb.len());
+        out.extend((0..na).map(|i| word_slot(i, 0)));
+        out.extend(right_words.iter().map(|&e| unpack(e)));
+        if cross {
+            let (right_only_words, right_only_grams) = right_rest.split_at(tb.len());
+            // `S:w` sits at 1 and `D:w` at 2, `S:c` at 0 and `D:c` at 1.
+            out.extend((0..na).map(|i| word_slot(i, 2 - in_right[i] as usize)));
+            out.extend(
+                right_only_words
+                    .iter()
+                    .zip(in_left.iter())
+                    .filter(|(_, &s)| !s)
+                    .map(|(&e, _)| unpack(e)),
+            );
+            out.extend((0..shared.len()).map(|i| gram_slot(i, 1 - shared[i] as usize)));
+            out.extend(
+                right_only_grams
+                    .iter()
+                    .zip(&b.ranks)
+                    .filter(|(_, &rank)| !hit[rank as usize])
+                    .map(|(&e, _)| unpack(e)),
+            );
+            // Domain knowledge: shared numbers / codes as dedicated signals.
+            out.extend((0..na).filter(is_shared_num).map(|i| word_slot(i, 3)));
+        } else {
+            out.extend((0..shared.len()).map(|i| gram_slot(i, 0)));
+            out.extend(right_rest.iter().map(|&e| unpack(e)));
+        }
+
+        // L2-normalize the hashed portion so titles of different lengths
+        // produce comparable magnitudes: every entry is ±1, so the norm is
+        // the root of their count.
+        let hashed = &mut out[hashed_from..];
+        if !hashed.is_empty() {
+            let inv_norm = 1.0 / (hashed.len() as f32).sqrt();
+            for (_, v) in hashed {
+                *v *= inv_norm;
+            }
+        }
     }
 }
 
@@ -634,12 +813,15 @@ mod tests {
         /// one-char ones (fewer chars than `n`), repeated tokens, both
         /// cross modes, packed (2, 3) and windowed (5) grams, a token
         /// budget small enough to summarize, a hash space small enough to
-        /// collide.
+        /// collide. The stored-side entry reads its left from one store
+        /// that fills as the case goes — records before and after the one
+        /// under test, reserved for or not.
         #[test]
         fn kernel_matches_the_reference(
             picks_a in prop::collection::vec(0usize..ALPHABET.len(), 0..40),
             picks_b in prop::collection::vec(0usize..ALPHABET.len(), 0..40),
             config in (any::<bool>(), 0usize..3, any::<bool>(), any::<bool>()),
+            reserved in any::<bool>(),
         ) {
             let (use_cross, ngram, summarized, narrow) = config;
             let f = PairFeaturizer {
@@ -651,9 +833,14 @@ mod tests {
             let titles = [title(&picks_a), title(&picks_b)];
             let docs: Vec<Vec<Token>> = titles.iter().map(|t| tokenize(t)).collect();
             let df = DfTable::build(docs.iter().map(|d| d.as_slice()));
+            let mut store = SideStore::new(f.clone());
+            if reserved {
+                store.reserve(titles.iter().map(String::as_str));
+            }
             // One scratch across both orders: nothing may leak between pairs.
             let mut scratch = PairScratch::default();
             let mut row = vec![(7, 7.0)];
+            let mut stored = Vec::new();
             for (x, y) in [(0, 1), (1, 0)] {
                 let (a, b) = (f.prepare(&titles[x], &df), f.prepare(&titles[y], &df));
                 prop_assert!(a.len() <= f.max_tokens);
@@ -663,9 +850,30 @@ mod tests {
                 prop_assert_eq!(&side.tokens, &b);
                 f.features_into_prepared(&a, &side, &mut row);
                 prop_assert_eq!(bits(&row), expected.clone(), "prepared {:?}", titles);
-                f.features_of_title(&titles[x], &df, &side, &mut scratch, &mut row);
-                prop_assert_eq!(bits(&row), expected, "of_title {:?}", titles);
+                store.push_title(&titles[y], &df);
+                let id = store.push_title(&titles[x], &df);
+                store.pair_features(id, &side, &mut scratch, &mut row);
+                prop_assert_eq!(bits(&row), expected.clone(), "stored last {:?}", titles);
+                store.push_tokens(&b);
+                stored.push((id, side, expected));
             }
+            // Appending moved no stored record, and a record reads the
+            // same wherever it sits.
+            prop_assert_eq!(store.len(), 6);
+            for (id, side, expected) in &stored {
+                store.pair_features(*id, side, &mut scratch, &mut row);
+                prop_assert_eq!(&bits(&row), expected, "stored {} {:?}", id, titles);
+            }
+            prop_assert_eq!(store.side(1), store.side(3));
+            prop_assert_eq!(store.side(1), store.side(5));
+            prop_assert_eq!(store.side(0), store.side(2));
+            let mut alone = SideStore::new(f.clone());
+            alone.push_title(&titles[1], &df);
+            prop_assert_eq!(alone.side(0), store.side(4));
+            let one = alone.bytes();
+            alone.push_title(&titles[0], &df);
+            prop_assert!(one > 0 && alone.bytes() > one);
+            prop_assert_eq!(store.bytes(), 3 * alone.bytes());
         }
     }
 
@@ -697,7 +905,7 @@ mod tests {
     fn gram_strings(title: &str, n: usize) -> Vec<String> {
         let f = PairFeaturizer { char_ngram: n, ..Default::default() };
         let side = f.prepare_side(title, &DfTable::default());
-        (0..side.grams.len()).map(|i| side.window(i, n).iter().collect()).collect()
+        (0..side.grams.len()).map(|i| window(&side.chars, i, n).iter().collect()).collect()
     }
 
     #[test]

@@ -34,6 +34,6 @@ pub mod tokenize;
 pub mod train;
 
 pub use config::MatcherConfig;
-pub use features::{PairFeaturizer, PairScratch, PreparedSide};
+pub use features::{PairFeaturizer, PairScratch, PreparedSide, SideStore, StoredSide};
 pub use matcher::{BinaryMatcher, MatcherOutput};
 pub use multilabel::MultiTaskMatcher;

@@ -18,10 +18,35 @@ pub struct SparseMatrix {
     indices: Vec<u32>,
     /// Values aligned with `indices`.
     values: Vec<f32>,
+    /// Scratch of [`push_row_unsorted`](Self::push_row_unsorted).
+    scatter: Scatter,
 }
 
-/// Longest row whose sort keys live on the stack.
-const INLINE_ROW: usize = 256;
+/// Scratch a row is scattered through, a few bits per column of the
+/// matrix: allocated by the first pushed row and all-clear between rows, so
+/// it is no part of the matrix's value — every `Scatter` equals every other
+/// and a clone starts without one.
+#[derive(Debug, Default)]
+struct Scatter {
+    /// One bit per column: an entry of the row hits it.
+    once: Vec<u64>,
+    /// One bit per column: a second entry of the row hits it.
+    twice: Vec<u64>,
+    /// Per word of `once`, how many of the row's columns lie below it.
+    below: Vec<u32>,
+}
+
+impl Clone for Scatter {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl PartialEq for Scatter {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
 
 impl SparseMatrix {
     /// Builds a CSR matrix from per-row `(column, value)` lists. Entries in
@@ -42,7 +67,14 @@ impl SparseMatrix {
     /// the builder shape batch featurization uses to avoid one `Vec` per
     /// row.
     pub fn with_cols(cols: usize) -> Self {
-        Self { rows: 0, cols, indptr: vec![0], indices: Vec::new(), values: Vec::new() }
+        Self {
+            rows: 0,
+            cols,
+            indptr: vec![0],
+            indices: Vec::new(),
+            values: Vec::new(),
+            scatter: Scatter::default(),
+        }
     }
 
     /// Reserves capacity for `rows` additional rows holding about `nnz`
@@ -59,40 +91,73 @@ impl SparseMatrix {
     /// The caller's buffer is scratch (reusable across rows without
     /// reallocating) and is left in no particular order.
     ///
-    /// The entries are sorted as packed integers, column above value bits,
-    /// which is faster than sorting the pairs by key. A column hit once or
-    /// twice sums to the same bits in any order; a column hit three times
-    /// or more does not, so such a row takes the pair sort this method has
-    /// always used — the sum order trained weights were produced under.
+    /// Nothing is sorted. One pass marks the columns hit in a bitmap, the
+    /// bitmap read in ascending order is the row's column list, and a
+    /// column's rank in it — a prefix count and a popcount — is where a
+    /// second pass adds each value. A column hit once or twice sums to
+    /// the same bits in any order; a column hit three times or more does
+    /// not, so such a row takes the pair sort this method has always used
+    /// — the sum order trained weights were produced under.
     pub fn push_row_unsorted(&mut self, entries: &mut [(u32, f32)]) {
-        let mut inline = [0u64; INLINE_ROW];
-        let mut spilled = Vec::new();
-        let keys = match inline.get_mut(..entries.len()) {
-            Some(keys) => keys,
-            None => {
-                spilled.resize(entries.len(), 0);
-                &mut spilled[..]
-            }
-        };
-        let pack = |keys: &mut [u64], entries: &[(u32, f32)]| {
-            for (key, &(c, v)) in keys.iter_mut().zip(entries) {
-                *key = (c as u64) << 32 | v.to_bits() as u64;
-            }
-        };
-        pack(keys, entries);
-        keys.sort_unstable();
-        if keys.windows(3).any(|w| w[0] >> 32 == w[2] >> 32) {
-            entries.sort_unstable_by_key(|e| e.0);
-            pack(keys, entries);
+        let words = self.cols.div_ceil(64);
+        if self.scatter.once.len() != words {
+            self.scatter =
+                Scatter { once: vec![0; words], twice: vec![0; words], below: vec![0; words] };
         }
-        if let Some(&max) = keys.last() {
-            let c = max >> 32;
+        if let Some(c) = entries.iter().map(|e| e.0).max() {
             assert!((c as usize) < self.cols, "column {c} out of range {}", self.cols);
         }
-        let row_start = self.indices.len();
-        for &key in keys.iter() {
-            self.push_summed(row_start, (key >> 32) as u32, f32::from_bits(key as u32));
+        let Scatter { once, twice, below } = &mut self.scatter;
+        let mut order_free = true;
+        for &(c, _) in entries.iter() {
+            let (w, bit) = (c as usize / 64, 1u64 << (c % 64));
+            if once[w] & bit == 0 {
+                once[w] |= bit;
+            } else if twice[w] & bit == 0 {
+                twice[w] |= bit;
+            } else {
+                order_free = false;
+                break;
+            }
         }
+        let row_start = self.indices.len();
+        if order_free {
+            // One spare slot: the walk below stores before it knows whether
+            // a word holds a column.
+            self.indices.resize(row_start + entries.len() + 1, 0);
+            let columns = &mut self.indices[row_start..];
+            let mut seen = 0;
+            for (w, &word) in once.iter().enumerate() {
+                below[w] = seen as u32;
+                let base = (w * 64) as u32;
+                // A word holds no column or one, as a rule, and which is a
+                // coin toss: take the first without a branch on it.
+                columns[seen] = base + word.trailing_zeros();
+                seen += (word != 0) as usize;
+                let mut rest = word & word.wrapping_sub(1);
+                while rest != 0 {
+                    columns[seen] = base + rest.trailing_zeros();
+                    seen += 1;
+                    rest &= rest - 1;
+                }
+            }
+            self.indices.truncate(row_start + seen);
+            // `-0.0 + v` is `v` to the bit, whatever `v` is.
+            self.values.resize(row_start + seen, -0.0);
+            let row = &mut self.values[row_start..];
+            for &(c, v) in entries.iter() {
+                let (w, bit) = (c as usize / 64, 1u64 << (c % 64));
+                row[(below[w] + (once[w] & (bit - 1)).count_ones()) as usize] += v;
+            }
+        } else {
+            entries.sort_unstable_by_key(|e| e.0);
+            for &(c, v) in entries.iter() {
+                self.push_summed(row_start, c, v);
+            }
+        }
+        let Scatter { once, twice, .. } = &mut self.scatter;
+        once.fill(0);
+        twice.fill(0);
         self.indptr.push(self.indices.len());
         self.rows += 1;
     }
@@ -314,8 +379,8 @@ mod tests {
         assert_eq!(built.row(3), (&[4u32][..], &[1.0f32][..]));
     }
 
-    /// The row build as it was before the packed-key sort: the oracle for
-    /// the sum order of colliding columns.
+    /// The row build this crate started with — sort the pairs by column,
+    /// sum neighbours: the oracle for the sum order of colliding columns.
     fn push_row_reference(m: &mut SparseMatrix, entries: &mut [(u32, f32)]) {
         entries.sort_unstable_by_key(|e| e.0);
         let row_start = m.indices.len();
@@ -326,11 +391,28 @@ mod tests {
         m.rows += 1;
     }
 
+    /// Both builds over `rows`; the scatter scratch must be clear after
+    /// every row.
+    fn assert_matches_reference(cols: usize, rows: &[Vec<(u32, f32)>]) {
+        let (mut built, mut reference) =
+            (SparseMatrix::with_cols(cols), SparseMatrix::with_cols(cols));
+        for entries in rows {
+            built.push_row_unsorted(&mut entries.clone());
+            push_row_reference(&mut reference, &mut entries.clone());
+            let Scatter { once, twice, .. } = &built.scatter;
+            assert!(once.iter().chain(twice).all(|&w| w == 0), "bitmaps leak into the next row");
+        }
+        let bits = |m: &SparseMatrix| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(built.indptr, reference.indptr);
+        assert_eq!(built.indices, reference.indices);
+        assert_eq!(bits(&built), bits(&reference));
+    }
+
     #[test]
-    fn packed_key_sort_keeps_the_sum_order_of_the_pair_sort() {
+    fn scatter_keeps_the_sum_order_of_the_pair_sort() {
         // Values whose sums round differently in different orders, columns
         // drawn from few enough buckets to collide in pairs, triples and
-        // more, rows on both sides of the inline key buffer.
+        // more, rows from empty to longer than any feature row.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -338,24 +420,47 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let (mut built, mut reference) =
-            (SparseMatrix::with_cols(512), SparseMatrix::with_cols(512));
-        for row in 0..400 {
-            let len = if row % 7 == 0 { 300 + row } else { row % 130 };
-            let buckets = [16, 128, 512][row % 3];
-            let entries: Vec<(u32, f32)> = (0..len)
-                .map(|_| {
-                    let h = next();
-                    let v = [0.093_250_48, -0.093_250_48, 0.3, 1.0e-3][(h >> 40) as usize % 4];
-                    ((h % buckets) as u32, v)
-                })
-                .collect();
-            built.push_row_unsorted(&mut entries.clone());
-            push_row_reference(&mut reference, &mut entries.clone());
-        }
-        let bits = |m: &SparseMatrix| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(built.indptr, reference.indptr);
-        assert_eq!(built.indices, reference.indices);
-        assert_eq!(bits(&built), bits(&reference));
+        let rows: Vec<Vec<(u32, f32)>> = (0..400)
+            .map(|row| {
+                let len = if row % 7 == 0 { 300 + row } else { row % 130 };
+                let buckets = [16, 128, 512][row % 3];
+                (0..len)
+                    .map(|_| {
+                        let h = next();
+                        let v = [0.093_250_48, -0.093_250_48, 0.3, 1.0e-3][(h >> 40) as usize % 4];
+                        ((h % buckets) as u32, v)
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_matches_reference(512, &rows);
+    }
+
+    #[test]
+    fn scatter_edge_rows_match_the_pair_sort() {
+        let v = 0.093_250_48f32;
+        let rows = vec![
+            // +v and -v cancel: the explicit zero entry stays.
+            vec![(70, v), (3, 1.0), (70, -v)],
+            // A triple hit: the whole row falls back to the pair sort ...
+            vec![(5, 0.3), (64, 1.0e-3), (5, v), (5, -v), (127, 1.0)],
+            // ... and leaves nothing behind for the rows after it, which
+            // share its columns and each other's boundary column.
+            vec![(5, 1.0), (127, 2.0)],
+            vec![(127, 4.0), (128, -0.0), (191, v), (191, v)],
+            vec![],
+            // Columns across the last, partly used bitmap word.
+            vec![(199, 1.0), (192, 2.0), (0, 3.0), (63, 4.0), (64, 5.0)],
+        ];
+        assert_matches_reference(200, &rows);
+        let m = SparseMatrix::from_rows(200, &rows);
+        assert_eq!(m.row(0), (&[3u32, 70][..], &[1.0f32, 0.0][..]));
+        assert_eq!(m.row(2), (&[5u32, 127][..], &[1.0f32, 2.0][..]));
+        assert_eq!(m.row(3).0, &[127u32, 128, 191]);
+        assert_eq!(m.row(5).0, &[0u32, 63, 64, 192, 199]);
+        // A matrix is its rows: the scratch a build leaves allocated is
+        // no part of its value.
+        assert_eq!(m.select_rows(&[0, 1, 2, 3, 4, 5]), m);
+        assert_eq!(m.clone(), m);
     }
 }

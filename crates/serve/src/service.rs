@@ -41,6 +41,16 @@
 //! kernel this path is tested against (`service/reference.rs`, compiled
 //! into test builds only) localizes uncached, as the oracle.
 //!
+//! # The side store
+//!
+//! Half of a candidate pair is a stored record, and everything the pair
+//! featurizer reads of it is a function of its title: the service keeps
+//! that — summarized tokens, every hashed slot the record can contribute
+//! (`flexer_matcher::SideStore`), a 128-bit title digest for the cache key
+//! — beside `records`, filled at build, appended at ingest, rebuilt on
+//! load. A cache miss then costs what depends on the pair; `obs_snapshot`
+//! exports the store's size as gauge `serve.sides.bytes`.
+//!
 //! # Candidate generation
 //!
 //! Resolution has one shape — title → candidates → score → rank —
@@ -65,7 +75,8 @@ use crate::metrics::{MetricsInner, ServeMetrics};
 use flexer_ann::{AnyIndex, Neighbor, VectorIndex};
 use flexer_block::ShardedBlocker;
 use flexer_graph::{BatchInductiveTrace, BatchPass, GnnModel, NeighborArena, RowSource};
-use flexer_matcher::{PairScratch, PreparedSide};
+use flexer_matcher::summarize::DfTable;
+use flexer_matcher::{PairFeaturizer, PairScratch, SideStore};
 use flexer_nn::{Matrix, SparseMatrix};
 use flexer_obs::{Counter, MetricsSnapshot, Recorder};
 use flexer_store::{ModelSnapshot, ShardFrames};
@@ -219,6 +230,9 @@ pub struct Service<B> {
     n_train_records: usize,
     /// Serving-tier corpus: snapshot records plus everything ingested.
     records: Vec<String>,
+    /// What a pair embedding reads of each record in `records`, derived
+    /// from its title when it arrives (never serialized).
+    sides: Sides,
     /// The candidate-generation tier over `records`; grows with ingest.
     pub(crate) tier: B,
     /// Serving-tier candidate pairs (dense record-id refs), pair-id order.
@@ -377,6 +391,8 @@ impl<B: BlockingTier> Service<B> {
         // `self.snapshot` would double the dominant memory cost at scale.
         let indexes = std::mem::take(&mut snapshot.indexes);
         let tier = unpack(StoredBlocking::take(&mut snapshot), &snapshot.records)?;
+        let records = std::mem::take(&mut snapshot.records);
+        let sides = Sides::of(&snapshot.featurizer, &snapshot.df, &records);
         let recorder = flexer_obs::global().clone();
         let ctr_forward_rows = recorder.counter("serve.forward.rows");
         let ctr_resolve_candidates = recorder.counter("serve.resolve.candidates");
@@ -387,8 +403,9 @@ impl<B: BlockingTier> Service<B> {
         let ctr_localize_rows_scanned = recorder.counter("serve.localize.rows_scanned");
         Ok(Self {
             n_train_pairs: n_pairs,
-            n_train_records: snapshot.records.len(),
-            records: snapshot.records.clone(),
+            n_train_records: records.len(),
+            records,
+            sides,
             tier,
             pairs: snapshot
                 .pairs
@@ -422,10 +439,11 @@ impl<B: BlockingTier> Service<B> {
     }
 
     /// The training-time model state this service was built from (graph,
-    /// matchers, trained GNNs, corpus metadata). The `indexes` field is
-    /// **empty** here, `blocker` is the `Exhaustive` sentinel and `sharding`
-    /// is `None` — the service owns the growing ANN indexes and the
-    /// blocking tier; `to_snapshot` reassembles a complete snapshot.
+    /// matchers, trained GNNs, corpus metadata). The `indexes` and `records`
+    /// fields are **empty** here, `blocker` is the `Exhaustive` sentinel and
+    /// `sharding` is `None` — the service owns the growing ANN indexes, the
+    /// corpus titles ([`Self::record_title`]) and the blocking tier;
+    /// `to_snapshot` reassembles a complete snapshot.
     pub fn snapshot(&self) -> &ModelSnapshot {
         &self.snapshot
     }
@@ -433,10 +451,12 @@ impl<B: BlockingTier> Service<B> {
     /// The training-time snapshot without its blocking tier: what
     /// `to_snapshot` is on every deployment before the tier writes itself
     /// in. Ingested records/pairs are serving-tier state and are *not*
-    /// part of it (indexes are cut back to the training watermark).
+    /// part of it (indexes and records are cut back to the training
+    /// watermarks).
     pub(crate) fn export_model(&self) -> ModelSnapshot {
         let mut snapshot = self.snapshot.clone();
         snapshot.indexes = self.indexes.iter().map(|i| i.truncated(self.n_train_pairs)).collect();
+        snapshot.records = self.train_titles().to_vec();
         snapshot
     }
 
@@ -518,6 +538,7 @@ impl<B: BlockingTier> Service<B> {
         let lookups = hits + misses;
         self.recorder.set_gauge("serve.records", self.records.len() as f64);
         self.recorder.set_gauge("serve.pairs", self.pairs.len() as f64);
+        self.recorder.set_gauge("serve.sides.bytes", self.sides.store.bytes() as f64);
         self.recorder
             .set_gauge("serve.arena.rows", self.pinned.first().map_or(0.0, |a| a.n_rows() as f64));
         self.recorder.set_gauge("serve.cache.hits", hits as f64);
@@ -663,9 +684,7 @@ impl<B: BlockingTier> Service<B> {
     /// the LRU cache: ingest pairs are one-shot keys that would evict the
     /// hot query set without ever being asked for again.
     fn score_candidates(&self, title: &str, candidates: &[usize]) -> ScoredCandidates {
-        let titles: Vec<(&str, &str)> =
-            candidates.iter().map(|&other| (self.records[other].as_str(), title)).collect();
-        let mut batch = self.embed_pairs(&titles, false);
+        let mut batch = self.embed_pairs(&self.sides, candidates, title, false);
         let intents: Vec<IntentId> = (0..self.n_intents()).collect();
         #[cfg(test)]
         {
@@ -712,6 +731,7 @@ impl<B: BlockingTier> Service<B> {
             }
         }
         self.records.push(title.to_string());
+        self.sides.push(title, &self.snapshot.df);
         IngestReport {
             record,
             first_pair,
@@ -784,7 +804,9 @@ impl<B: BlockingTier> Service<B> {
             ResolveQuery::TitlePair(a, b) => {
                 let mut batch = {
                     let _span = self.recorder.span("resolve.embed");
-                    self.embed_pairs(&[(a.as_str(), b.as_str())], true)
+                    let mut left = Sides::new(&self.snapshot.featurizer);
+                    left.push(a, &self.snapshot.df);
+                    self.embed_pairs(&left, &[0], b, true)
                 };
                 let scores = {
                     let _span = self.recorder.span("resolve.forward");
@@ -816,13 +838,9 @@ impl<B: BlockingTier> Service<B> {
                     let none = |&p| ResolveResponse { intent: p, matches: Vec::new() };
                     return Ok(intents.iter().map(none).collect());
                 }
-                let titles: Vec<(&str, &str)> = candidates
-                    .iter()
-                    .map(|&r| (self.records[r].as_str(), title.as_str()))
-                    .collect();
                 let mut batch = {
                     let _span = self.recorder.span("resolve.embed");
-                    self.embed_pairs(&titles, true)
+                    self.embed_pairs(&self.sides, &candidates, title, true)
                 };
                 let scores = {
                     let _span = self.recorder.span("resolve.forward");
@@ -878,10 +896,11 @@ impl<B: BlockingTier> Service<B> {
         scores
     }
 
-    /// Per-intent embeddings of title pairs; misses are featurized and run
-    /// through all P matchers as one batch. Takes borrowed titles so
-    /// corpus-sized callers (ingest, record queries) never clone the
-    /// stored record strings.
+    /// Per-intent embeddings of the pairs (`lefts[id]`, `title`) for `ids`;
+    /// misses are featurized and run through all P matchers as one batch.
+    /// The left sides are stored ones — the service's own for candidate
+    /// records — so a pair costs what depends on the pair: nothing is
+    /// tokenized, hashed or cloned per candidate.
     ///
     /// `use_cache` routes the batch through the hot-pair LRU (resolve
     /// traffic, where repeats are the point): a hit brings its neighbour
@@ -893,14 +912,15 @@ impl<B: BlockingTier> Service<B> {
     /// phase-1 workers on the cache lock and evicted the genuinely hot
     /// entries. That eviction churn is why blocked ingest used to *lose*
     /// to exhaustive at small corpus sizes.
-    fn embed_pairs(&self, titles: &[(&str, &str)], use_cache: bool) -> PairBatch {
-        let mut pairs: Vec<Option<LocatedPair>> = vec![None; titles.len()];
+    fn embed_pairs(&self, lefts: &Sides, ids: &[usize], title: &str, use_cache: bool) -> PairBatch {
+        let mut pairs: Vec<Option<LocatedPair>> = vec![None; ids.len()];
         let mut misses: Vec<usize> = Vec::new();
         let mut keys: Vec<PairKey> = Vec::new();
         if use_cache {
-            // Both FNV streams run over every title pair once, before the
-            // lock is taken; the write-back reuses the keys.
-            keys = titles.iter().map(|(a, b)| PairKey::new(a, b)).collect();
+            // The title is hashed once and every key mixes two digests,
+            // before the lock is taken; the write-back reuses the keys.
+            let right = TitleDigest::of(title);
+            keys = ids.iter().map(|&id| PairKey::new(lefts.digests[id], right)).collect();
             // One lock pass covers the lookups *and* the hit/miss counters
             // (the cache counts its own traffic); an all-hit batch touches
             // no other lock — keys are fixed-width hashes and values are
@@ -913,11 +933,10 @@ impl<B: BlockingTier> Service<B> {
                 }
             }
         } else {
-            misses.extend(0..titles.len());
+            misses.extend(0..ids.len());
         }
         if !misses.is_empty() {
             let featurizer = &self.snapshot.featurizer;
-            let df = &self.snapshot.df;
             let mut features = SparseMatrix::with_cols(featurizer.total_dim());
             {
                 let _span = self.recorder.span("featurize");
@@ -928,19 +947,11 @@ impl<B: BlockingTier> Service<B> {
                 features.reserve(misses.len(), misses.len() * 128);
                 let mut row: Vec<(u32, f32)> = Vec::new();
                 let mut scratch = PairScratch::default();
-                // The right-hand title is the same across a record query's
-                // (or an ingest's) whole candidate batch — prepare it and
-                // hash its slots once per candidate set, not once per probe.
-                // `prepare_side` is a pure function of the title, so
-                // memoizing by string equality cannot change any feature.
-                let mut prepared_b: Option<(&str, PreparedSide)> = None;
+                // The right-hand title is the same across the whole batch:
+                // prepared, its slots hashed, once per candidate set.
+                let side = featurizer.prepare_side(title, &self.snapshot.df);
                 for &i in &misses {
-                    let (a, b) = titles[i];
-                    if prepared_b.as_ref().map(|(t, _)| *t) != Some(b) {
-                        prepared_b = Some((b, featurizer.prepare_side(b, df)));
-                    }
-                    let (_, side) = prepared_b.as_ref().expect("just filled");
-                    featurizer.features_of_title(a, df, side, &mut scratch, &mut row);
+                    lefts.store.pair_features(ids[i], &side, &mut scratch, &mut row);
                     features.push_row_unsorted(&mut row);
                 }
             }
@@ -1144,27 +1155,69 @@ impl<B: BlockingTier> Service<B> {
     }
 }
 
-/// Fixed-width hashed cache key of a title pair: two independent 64-bit
-/// FNV-1a streams over the **length-prefixed** encoding
-/// `len(a) ‖ a ‖ b`. The length prefix keeps the encoding injective
-/// (`("x·y", "z")` and `("x", "y·z")` hash different byte streams no
-/// matter what characters the titles contain), and 128 hashed bits make an
-/// accidental collision astronomically unlikely at cache scale. Unlike the
-/// old `String` key, building one allocates nothing — the cache-hit fast
-/// path is heap-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct PairKey(u128);
+/// What the service derives from a record's title when the record arrives
+/// and keeps beside it: the featurizer's stored left side and the digest
+/// the record's cache keys are mixed from. Both are pure functions of the
+/// title, so a load rebuilds them instead of reading them.
+#[derive(Debug)]
+struct Sides {
+    store: SideStore,
+    digests: Vec<TitleDigest>,
+}
 
-impl PairKey {
-    fn new(a: &str, b: &str) -> Self {
+impl Sides {
+    fn new(featurizer: &PairFeaturizer) -> Self {
+        Self { store: SideStore::new(featurizer.clone()), digests: Vec::new() }
+    }
+
+    /// The sides of `titles`, every array reserved before it is filled.
+    fn of(featurizer: &PairFeaturizer, df: &DfTable, titles: &[String]) -> Self {
+        let mut sides = Self::new(featurizer);
+        sides.store.reserve(titles.iter().map(String::as_str));
+        sides.digests.reserve_exact(titles.len());
+        for title in titles {
+            sides.push(title, df);
+        }
+        sides
+    }
+
+    fn push(&mut self, title: &str, df: &DfTable) {
+        self.store.push_title(title, df);
+        self.digests.push(TitleDigest::of(title));
+    }
+}
+
+/// 128 hashed bits of one title: two independent 64-bit FNV-1a streams.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TitleDigest(u128);
+
+impl TitleDigest {
+    fn of(title: &str) -> Self {
         let mut h1: u64 = 0xcbf29ce484222325;
         let mut h2: u64 = 0x84222325cbf29ce4;
-        let len = (a.len() as u64).to_le_bytes();
-        for &byte in len.iter().chain(a.as_bytes()).chain(b.as_bytes()) {
+        for &byte in title.as_bytes() {
             h1 = (h1 ^ u64::from(byte)).wrapping_mul(0x100000001b3);
             h2 = (h2 ^ u64::from(byte)).wrapping_mul(0x100000001b3);
         }
         Self((u128::from(h1) << 64) | u128::from(h2))
+    }
+}
+
+/// Fixed-width hashed cache key of an ordered title pair: a mix of the two
+/// titles' digests, so a candidate batch hashes one title — the query —
+/// and no stored one. Each title is hashed on its own, which keeps the
+/// pair encoding injective without a length prefix (`("x·y", "z")` and
+/// `("x", "y·z")` mix different digests), the odd multiplier and the
+/// rotation keep `(a, b)` apart from `(b, a)`, and 128 hashed bits make an
+/// accidental collision astronomically unlikely at cache scale. Building
+/// one allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct PairKey(u128);
+
+impl PairKey {
+    fn new(a: TitleDigest, b: TitleDigest) -> Self {
+        const ODD: u128 = 0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835;
+        Self(a.0.wrapping_mul(ODD).rotate_left(64) ^ b.0)
     }
 }
 
@@ -1194,16 +1247,20 @@ mod tests {
     use flexer_store::IndexKind;
     use flexer_types::Scale;
 
-    /// A record query nothing blocks with, and a call that asks for no
-    /// intent, answer without embedding, localizing or scoring anything.
-    #[test]
-    fn degenerate_batches_skip_the_forward() {
+    fn tiny_snapshot() -> ModelSnapshot {
         let bench = AmazonMiConfig::at_scale(Scale::Tiny).with_seed(5).generate();
         let config = FlexErConfig::fast();
         let ctx = PipelineContext::new(bench, &config.matcher).unwrap();
         let base = InParallelModel::fit(&ctx, &config.matcher).unwrap();
         let model = FlexErModel::fit_from_embeddings(&ctx, &base.embeddings(), &config).unwrap();
-        let snapshot = model.to_snapshot(&ctx, &base, &config, IndexKind::Flat).unwrap();
+        model.to_snapshot(&ctx, &base, &config, IndexKind::Flat).unwrap()
+    }
+
+    /// A record query nothing blocks with, and a call that asks for no
+    /// intent, answer without embedding, localizing or scoring anything.
+    #[test]
+    fn degenerate_batches_skip_the_forward() {
+        let snapshot = tiny_snapshot();
         let mut svc = ResolutionService::new(snapshot, ServeConfig::default()).unwrap();
         let work = |svc: &ResolutionService| {
             let rows = svc.obs_snapshot().counter("serve.forward.rows").unwrap_or(0);
@@ -1234,5 +1291,85 @@ mod tests {
         assert_eq!(work(&svc), before);
         // And the record it became is now a candidate of itself.
         assert_eq!(svc.resolve_all_intents(&alien, 5).unwrap()[0].matches.len(), 1);
+    }
+
+    /// Every served record has a stored side and a digest, and they are
+    /// what its title yields when prepared afresh — after the build, after
+    /// an ingest batch of titles at the store's edges, after save → load.
+    #[test]
+    fn stored_sides_are_the_titles_prepared_afresh() {
+        fn assert_fresh(svc: &ResolutionService) {
+            assert_eq!(svc.sides.store.len(), svc.n_records());
+            assert_eq!(svc.sides.digests.len(), svc.n_records());
+            let mut fresh = Sides::new(&svc.snapshot.featurizer);
+            for id in 0..svc.n_records() {
+                fresh.push(svc.record_title(id), &svc.snapshot.df);
+                assert_eq!(svc.sides.store.side(id), fresh.store.side(id), "record {id}");
+                assert_eq!(svc.sides.digests[id], fresh.digests[id], "record {id}");
+            }
+            assert_eq!(svc.sides.store.bytes(), fresh.store.bytes());
+            let gauge = svc.obs_snapshot().gauge("serve.sides.bytes");
+            assert!(gauge.is_none() || gauge == Some(fresh.store.bytes() as f64));
+        }
+
+        // Exhaustive, so the edge titles below pair with every record: as
+        // the right side when they arrive, as stored left sides after.
+        let mut svc = ResolutionService::new(tiny_snapshot(), ServeConfig::exhaustive()).unwrap();
+        assert_fresh(&svc);
+        assert!(svc.snapshot().records.is_empty(), "the service holds the titles once");
+
+        let one_long_token = "x".repeat(100_000);
+        let past_the_budget: Vec<String> = (0..40).map(|i| format!("word{i}")).collect();
+        let past_the_budget = past_the_budget.join(" ");
+        assert!(past_the_budget.split(' ').count() > svc.snapshot().featurizer.max_tokens);
+        let edge = ["", one_long_token.as_str(), past_the_budget.as_str(), "plain new widget 42"];
+        let held = svc.sides.store.bytes();
+        let reports = svc.ingest_batch(&edge);
+        assert_eq!(reports.len(), edge.len());
+        assert_fresh(&svc);
+        // Nothing truncated: the long token is held whole.
+        assert!(svc.sides.store.bytes() > held + 100_000);
+        for title in edge {
+            let by_record = svc.resolve_all_intents(&ResolveQuery::record(title), 5).unwrap();
+            assert_eq!(by_record.len(), svc.n_intents());
+            assert_eq!(by_record[0].matches.len(), 5);
+            svc.resolve_all_intents(&ResolveQuery::pair(title, &one_long_token), 1).unwrap();
+            svc.resolve_all_intents(&ResolveQuery::pair(svc.record_title(0), title), 1).unwrap();
+        }
+
+        // The store is rebuilt, not read: a reload serves the training
+        // records, each with its side, and exports the bytes it loaded.
+        let bytes = svc.to_snapshot().to_bytes();
+        let loaded = ModelSnapshot::from_bytes(&bytes).unwrap();
+        assert_eq!(loaded.records.len(), svc.n_train_records());
+        let reloaded = ResolutionService::new(loaded, ServeConfig::default()).unwrap();
+        assert_eq!(reloaded.n_records(), svc.n_train_records());
+        assert_fresh(&reloaded);
+        assert_eq!(reloaded.to_snapshot().to_bytes(), bytes);
+    }
+
+    /// The cache key is one function of the two titles on every route: a
+    /// record query leaves each (candidate, title) pair where the same pair
+    /// asked for by its titles finds it. The key is ordered.
+    #[test]
+    fn title_pair_and_record_queries_share_cache_entries() {
+        let svc = ResolutionService::new(tiny_snapshot(), ServeConfig::default()).unwrap();
+        let title = format!("{} (2nd listing)", svc.record_title(1));
+        let ranked = svc.resolve(&ResolveQuery::record(&title), 0, 3).unwrap();
+        let MatchTarget::Record(candidate) = ranked.matches[0].target else {
+            panic!("a record query ranks records");
+        };
+        let stored = svc.record_title(candidate).to_string();
+        let before = svc.metrics();
+        assert_eq!(before.cache_hits, 0);
+
+        let by_titles = svc.resolve(&ResolveQuery::pair(&stored, &title), 0, 1).unwrap();
+        let after = svc.metrics();
+        assert_eq!((after.cache_hits, after.cache_misses), (1, before.cache_misses));
+        assert_eq!(by_titles.matches[0].score.to_bits(), ranked.matches[0].score.to_bits());
+
+        svc.resolve(&ResolveQuery::pair(&title, &stored), 0, 1).unwrap();
+        let swapped = svc.metrics();
+        assert_eq!((swapped.cache_hits, swapped.cache_misses), (1, after.cache_misses + 1));
     }
 }

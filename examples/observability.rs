@@ -123,6 +123,15 @@ fn main() {
             scanned / (searched * svc.n_pairs() as f64)
         );
         assert!(snap.gauge("serve.records").unwrap_or(0.0) > 0.0, "records gauge unset");
+        // The per-record side store: what serving's one derived copy of
+        // the corpus costs in memory.
+        let side_bytes = snap.gauge("serve.sides.bytes").unwrap_or(0.0);
+        assert!(side_bytes > 0.0, "side store gauge unset");
+        println!(
+            "side store: {side_bytes} bytes over {} records = {:.0} a record",
+            svc.n_records(),
+            side_bytes / svc.n_records() as f64
+        );
         assert!(
             snap.gauge("serve.cache.hit_rate").unwrap_or(0.0) > 0.0,
             "repeated query must produce cache hits"
