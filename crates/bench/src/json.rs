@@ -1,9 +1,9 @@
 //! Minimal JSON emission for machine-readable bench results.
 //!
-//! The environment is offline (no serde), and bench output only needs
-//! objects, arrays, strings and numbers — so this is a tiny, dependency-
-//! free builder. `chaos` and `table5` call it behind `--json` to drop
-//! `target/bench/<name>.json`.
+//! The environment is offline (no serde), and bench output only needs a
+//! flat object of strings and numbers — so this is a tiny, dependency-free
+//! builder. `chaos` calls it behind `--json` to drop
+//! `target/bench/chaos.json`.
 
 use std::io;
 use std::path::PathBuf;
@@ -23,12 +23,6 @@ pub fn escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// Renders an array from already-rendered element strings.
-pub fn array(items: impl IntoIterator<Item = String>) -> String {
-    let body: Vec<String> = items.into_iter().collect();
-    format!("[{}]", body.join(","))
 }
 
 /// An insertion-ordered JSON object builder.
@@ -65,16 +59,6 @@ impl JsonObject {
         self.push(key, rendered)
     }
 
-    /// A boolean field.
-    pub fn bool(self, key: &str, value: bool) -> Self {
-        self.push(key, value.to_string())
-    }
-
-    /// A nested, already-rendered value (object or array).
-    pub fn raw(self, key: &str, rendered: String) -> Self {
-        self.push(key, rendered)
-    }
-
     /// Renders the object.
     pub fn render(&self) -> String {
         let body: Vec<String> =
@@ -99,18 +83,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn renders_nested_structures() {
-        let inner = JsonObject::new().str("model", "FlexER").num("mi_f", 0.964).render();
-        let obj = JsonObject::new()
-            .str("bench", "table5")
-            .int("seed", 17)
-            .bool("ok", true)
-            .raw("models", array([inner]))
-            .render();
-        assert_eq!(
-            obj,
-            r#"{"bench":"table5","seed":17,"ok":true,"models":[{"model":"FlexER","mi_f":0.964}]}"#
-        );
+    fn renders_fields_in_insertion_order() {
+        let obj = JsonObject::new().str("bench", "chaos").int("seed", 17).num("qps", 0.5).render();
+        assert_eq!(obj, r#"{"bench":"chaos","seed":17,"qps":0.5}"#);
     }
 
     #[test]

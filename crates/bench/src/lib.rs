@@ -1,16 +1,17 @@
 //! # flexer-bench
 //!
-//! The experiment harness: one binary per table/figure of the FlexER
-//! paper's evaluation (§5), the `chaos` fault-injection smoke, and
-//! Criterion micro-benches. Every table/figure binary accepts
-//! `--scale tiny|small|paper` (default varies by experiment cost) and
-//! `--seed N`, prints the paper's reported numbers next to ours, and is
-//! deterministic for a given scale/seed. The repo's one benchmark, the
-//! `ladder`, is a package of its own under `src/bin/ladder/`.
+//! The experiment harness: the FlexER paper's evaluation (§5, Tables 3–9
+//! and Figs. 6–7) as one module, [`fidelity`], driven by one binary,
+//! `paper`; the `chaos` fault-injection smoke; and Criterion micro-benches.
+//! Every experiment is deterministic for a given scale/seed, prints the
+//! paper's reported numbers next to ours, and states the paper's claims as
+//! computed verdicts that `tests/fidelity.rs` pins. The repo's one
+//! benchmark, the `ladder`, is a package of its own under `src/bin/ladder/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fidelity;
 pub mod json;
 
 use flexer_core::prelude::*;
@@ -18,68 +19,8 @@ use flexer_datasets::{AmazonMiConfig, WalmartAmazonConfig, WdcConfig};
 use flexer_matcher::PairFeaturizer;
 use flexer_types::{MierBenchmark, Scale};
 
-/// Parsed harness CLI arguments.
-#[derive(Debug, Clone, Copy)]
-pub struct HarnessArgs {
-    /// Workload scale.
-    pub scale: Scale,
-    /// Generation/training seed.
-    pub seed: u64,
-    /// Whether to also write machine-readable results under `target/bench/`.
-    pub json: bool,
-}
-
-impl HarnessArgs {
-    /// Parses `--scale` / `--seed` / `--json` from `std::env::args`, with
-    /// an experiment-specific default scale. Unknown flags abort with
-    /// usage.
-    pub fn parse_with_default(default_scale: Scale) -> Self {
-        let mut scale = default_scale;
-        let mut seed = 17u64;
-        let mut json = false;
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" => {
-                    i += 1;
-                    scale = args
-                        .get(i)
-                        .and_then(|s| Scale::parse(s))
-                        .unwrap_or_else(|| usage("--scale expects tiny|small|paper"));
-                }
-                "--seed" => {
-                    i += 1;
-                    seed = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--seed expects an integer"));
-                }
-                "--json" => json = true,
-                "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown argument {other}")),
-            }
-            i += 1;
-        }
-        Self { scale, seed, json }
-    }
-
-    /// Parses with the standard `Small` default.
-    pub fn parse() -> Self {
-        Self::parse_with_default(Scale::Small)
-    }
-}
-
-fn usage(msg: &str) -> ! {
-    if !msg.is_empty() {
-        eprintln!("error: {msg}");
-    }
-    eprintln!("usage: <bin> [--scale tiny|small|paper] [--seed N] [--json]");
-    std::process::exit(2)
-}
-
 /// The three benchmarks of §5.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// AmazonMI (the new MIER benchmark).
     AmazonMi,
@@ -147,8 +88,8 @@ impl DatasetKind {
         }
     }
 
-    /// Paper Table 5 rows: model → (MI-P, MI-R, MI-F, MI-Acc, MI-E_F as
-    /// fraction or NaN when the paper prints "-").
+    /// Paper Table 5 rows: model → (MI-P, MI-R, MI-F, MI-Acc, MI-E_F in %
+    /// or NaN when the paper prints "-").
     pub fn paper_table5(self) -> &'static [(&'static str, [f64; 5])] {
         match self {
             DatasetKind::AmazonMi => &[
@@ -172,65 +113,50 @@ impl DatasetKind {
         }
     }
 
-    /// Paper Table 6 rows (equivalence intent): model → (P, R, F, Acc,
-    /// E_F%).
-    pub fn paper_table6(self) -> &'static [(&'static str, [f64; 5])] {
+    /// Paper Tables 6 (the equivalence intent) and 7 (every other intent)
+    /// as one list, intents in Table 4 order: (intent, model, [P, R, F,
+    /// Acc, E_F%]).
+    pub fn paper_single_intent(self) -> &'static [(&'static str, &'static str, [f64; 5])] {
         match self {
             DatasetKind::AmazonMi => &[
-                ("In-parallel", [0.829, 0.991, 0.901, 0.960, f64::NAN]),
-                ("Multi-label", [0.921, 0.905, 0.912, 0.969, f64::NAN]),
-                ("FlexER", [0.933, 0.985, 0.958, 0.985, 57.6]),
-            ],
-            DatasetKind::WalmartAmazon => &[
-                ("In-parallel", [0.852, 0.812, 0.831, 0.969, f64::NAN]),
-                ("Multi-label", [0.854, 0.772, 0.810, 0.966, f64::NAN]),
-                ("FlexER", [0.903, 0.792, 0.844, 0.985, 7.7]),
-            ],
-            DatasetKind::Wdc => &[
-                ("In-parallel", [0.786, 0.745, 0.761, 0.948, f64::NAN]),
-                ("Multi-label", [0.808, 0.713, 0.757, 0.948, f64::NAN]),
-                ("FlexER", [0.775, 0.788, 0.782, 0.950, 8.8]),
-            ],
-        }
-    }
-
-    /// Paper Table 7 rows: (intent, model, [P, R, F, Acc, E_F%]).
-    pub fn paper_table7(self) -> &'static [(&'static str, &'static str, [f64; 5])] {
-        match self {
-            DatasetKind::AmazonMi => &[
-                ("Brand", "DITTO (In-parallel)", [0.926, 0.978, 0.951, 0.981, f64::NAN]),
+                ("Eq.", "In-parallel", [0.829, 0.991, 0.901, 0.960, f64::NAN]),
+                ("Eq.", "Multi-label", [0.921, 0.905, 0.912, 0.969, f64::NAN]),
+                ("Eq.", "FlexER", [0.933, 0.985, 0.958, 0.985, 57.6]),
+                ("Brand", "In-parallel", [0.926, 0.978, 0.951, 0.981, f64::NAN]),
                 ("Brand", "Multi-label", [0.856, 0.993, 0.919, 0.965, f64::NAN]),
                 ("Brand", "FlexER", [0.934, 0.979, 0.956, 0.982, 10.2]),
-                ("Set-Cat.", "DITTO (In-parallel)", [0.912, 0.977, 0.944, 0.944, f64::NAN]),
+                ("Set-Cat.", "In-parallel", [0.912, 0.977, 0.944, 0.944, f64::NAN]),
                 ("Set-Cat.", "Multi-label", [0.908, 0.990, 0.947, 0.947, f64::NAN]),
                 ("Set-Cat.", "FlexER", [0.968, 0.976, 0.972, 0.973, 50.0]),
-                ("Main-Cat.", "DITTO (In-parallel)", [0.979, 0.989, 0.984, 0.978, f64::NAN]),
+                ("Main-Cat.", "In-parallel", [0.979, 0.989, 0.984, 0.978, f64::NAN]),
                 ("Main-Cat.", "Multi-label", [0.945, 0.993, 0.969, 0.957, f64::NAN]),
                 ("Main-Cat.", "FlexER", [0.988, 0.987, 0.988, 0.983, 25.0]),
-                (
-                    "Main-Cat. & Set-Cat.",
-                    "DITTO (In-parallel)",
-                    [0.881, 0.948, 0.913, 0.937, f64::NAN],
-                ),
+                ("Main-Cat. & Set-Cat.", "In-parallel", [0.881, 0.948, 0.913, 0.937, f64::NAN]),
                 ("Main-Cat. & Set-Cat.", "Multi-label", [0.650, 0.993, 0.786, 0.815, f64::NAN]),
                 ("Main-Cat. & Set-Cat.", "FlexER", [0.932, 0.955, 0.944, 0.961, 35.6]),
             ],
             DatasetKind::WalmartAmazon => &[
-                ("Brand", "DITTO (In-parallel)", [0.977, 0.964, 0.971, 0.955, f64::NAN]),
+                ("Eq.", "In-parallel", [0.852, 0.812, 0.831, 0.969, f64::NAN]),
+                ("Eq.", "Multi-label", [0.854, 0.772, 0.810, 0.966, f64::NAN]),
+                ("Eq.", "FlexER", [0.903, 0.792, 0.844, 0.985, 7.7]),
+                ("Brand", "In-parallel", [0.977, 0.964, 0.971, 0.955, f64::NAN]),
                 ("Brand", "Multi-label", [0.970, 0.976, 0.973, 0.959, f64::NAN]),
                 ("Brand", "FlexER", [0.986, 0.990, 0.988, 0.973, 43.6]),
-                ("Main-Cat.", "DITTO (In-parallel)", [0.921, 0.931, 0.926, 0.881, f64::NAN]),
+                ("Main-Cat.", "In-parallel", [0.921, 0.931, 0.926, 0.881, f64::NAN]),
                 ("Main-Cat.", "Multi-label", [0.927, 0.952, 0.939, 0.901, f64::NAN]),
                 ("Main-Cat.", "FlexER", [0.942, 0.959, 0.950, 0.911, 32.5]),
-                ("General-Cat.", "DITTO (In-parallel)", [0.948, 0.968, 0.957, 0.922, f64::NAN]),
+                ("General-Cat.", "In-parallel", [0.948, 0.968, 0.957, 0.922, f64::NAN]),
                 ("General-Cat.", "Multi-label", [0.954, 0.976, 0.965, 0.936, f64::NAN]),
                 ("General-Cat.", "FlexER", [0.967, 0.987, 0.977, 0.945, 46.5]),
             ],
             DatasetKind::Wdc => &[
-                ("Cat.", "DITTO (In-parallel)", [0.939, 0.880, 0.909, 0.923, f64::NAN]),
+                ("Eq.", "In-parallel", [0.786, 0.745, 0.761, 0.948, f64::NAN]),
+                ("Eq.", "Multi-label", [0.808, 0.713, 0.757, 0.948, f64::NAN]),
+                ("Eq.", "FlexER", [0.775, 0.788, 0.782, 0.950, 8.8]),
+                ("Cat.", "In-parallel", [0.939, 0.880, 0.909, 0.923, f64::NAN]),
                 ("Cat.", "Multi-label", [0.934, 0.889, 0.911, 0.924, f64::NAN]),
                 ("Cat.", "FlexER", [0.932, 0.890, 0.911, 0.923, 1.0]),
-                ("General-Cat.", "DITTO (In-parallel)", [0.904, 0.937, 0.920, 0.891, f64::NAN]),
+                ("General-Cat.", "In-parallel", [0.904, 0.937, 0.920, 0.891, f64::NAN]),
                 ("General-Cat.", "Multi-label", [0.902, 0.905, 0.904, 0.870, f64::NAN]),
                 ("General-Cat.", "FlexER", [0.900, 0.943, 0.921, 0.891, 1.0]),
             ],
@@ -261,6 +187,19 @@ impl DatasetKind {
             DatasetKind::AmazonMi => 6,
             DatasetKind::WalmartAmazon => 2,
             DatasetKind::Wdc => 8,
+        }
+    }
+
+    /// Paper Figure 7 (AmazonMI only): (subsumed intent, FlexER PE,
+    /// In-parallel PE).
+    pub fn paper_fig7(self) -> &'static [(&'static str, f64, f64)] {
+        match self {
+            DatasetKind::AmazonMi => &[
+                ("Eq.", 7.97e-4, 15.89e-3),
+                ("Set-Cat.", 2.0e-3, 6.3e-2),
+                ("Main-Cat. & Set-Cat.", 2.0e-3, 2.1e-2),
+            ],
+            _ => &[],
         }
     }
 }
@@ -360,16 +299,6 @@ impl ModelSuite {
     }
 }
 
-/// Prints the standard harness banner.
-pub fn banner(experiment: &str, args: &HarnessArgs) {
-    println!("== FlexER reproduction :: {experiment} ==");
-    println!(
-        "scale = {}, seed = {} (paper numbers shown for reference; shapes, not absolutes, are the target)",
-        args.scale, args.seed
-    );
-    println!();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,7 +310,6 @@ mod tests {
             b.validate().unwrap();
             let (_, _, intents) = kind.paper_cardinalities();
             assert_eq!(b.n_intents(), intents, "{}", kind.name());
-            assert_eq!(b.n_intents(), kind.paper_positive_rates().len());
         }
     }
 
@@ -389,8 +317,15 @@ mod tests {
     fn paper_tables_are_consistent() {
         for kind in DatasetKind::ALL {
             assert_eq!(kind.paper_table5().len(), 4);
-            assert_eq!(kind.paper_table6().len(), 3);
-            assert!(!kind.paper_table7().is_empty());
+            // Tables 4, 6 and 7 are looked up by the generator's intent
+            // names, so they must be those names, in order.
+            let names = kind.generate(Scale::Tiny, 3).intents.names().join(" | ");
+            let table4: Vec<&str> = kind.paper_positive_rates().iter().map(|r| r.0).collect();
+            assert_eq!(table4.join(" | "), names, "{} Table 4", kind.name());
+            let mut tables67: Vec<&str> = kind.paper_single_intent().iter().map(|r| r.0).collect();
+            tables67.dedup();
+            assert_eq!(tables67.join(" | "), names, "{} Tables 6-7", kind.name());
+            assert_eq!(kind.paper_single_intent().len(), 3 * tables67.len());
             let (k0, kpos) = kind.paper_table8();
             assert!(kpos > k0, "{}: paper reports k>0 beats k=0", kind.name());
         }
