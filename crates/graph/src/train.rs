@@ -24,7 +24,8 @@ use crate::model::GnnModel;
 use crate::multiplex::MultiplexGraph;
 use crate::sage::Aggregation;
 use flexer_nn::loss::softmax_cross_entropy;
-use flexer_nn::{Adam, AdamConfig, Optimizer};
+use flexer_nn::select::Selection;
+use flexer_nn::{Adam, AdamConfig, Matrix, Optimizer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -134,45 +135,44 @@ pub fn train_for_intent(
     let train_weight = train_mask(graph.n_pairs, train_pairs);
 
     let mut pass = model.train_pass(graph, target_layer);
-    let mut best: Option<TrainedGnn> = None;
-    let mut since_best = 0usize;
-    let mut epochs_run = 0usize;
+    let mut selection = Selection::new(Some(config.patience));
     for _epoch in 0..config.epochs {
-        epochs_run += 1;
         let logits = model.train_forward(graph, &mut pass);
-        // Evaluate the pre-update state this forward pass already computed,
+        // Offer the pre-update state this forward pass already computed,
         // then update — one full-batch pass per epoch.
-        let scores = {
-            let probs = flexer_nn::activation::softmax_rows(&logits);
-            (0..probs.rows()).map(|i| probs.get(i, 1)).collect::<Vec<f32>>()
-        };
-        let preds: Vec<bool> = scores.iter().map(|&s| s > 0.5).collect();
-        let f1 = f1_binary(valid_pairs.iter().map(|&i| (preds[i], labels[i])));
-        let improved = best.as_ref().map_or(true, |b| f1 > b.best_valid_f1);
-        if improved {
-            best = Some(TrainedGnn {
-                model: model.clone(),
-                best_valid_f1: f1,
-                scores,
-                preds,
-                epochs_run,
-            });
-            since_best = 0;
-        } else {
-            since_best += 1;
-            if since_best >= config.patience {
-                break;
-            }
+        if !offer(&mut selection, &model, &logits, labels, valid_pairs) {
+            break;
         }
-
         let (_, grad_logits) = softmax_cross_entropy(&logits, &targets, Some(&train_weight));
         model.train_backward(graph, &mut pass, &grad_logits);
         opt.begin_step();
         model.apply(&mut opt);
     }
-    let mut out = best.expect("epochs >= 1");
-    out.epochs_run = epochs_run;
-    out
+    finish(selection)
+}
+
+/// Offers `model`, whose target-layer logits are `logits`, at its
+/// validation F1; the scores go with it.
+fn offer(
+    selection: &mut Selection<(GnnModel, Vec<f32>)>,
+    model: &GnnModel,
+    logits: &Matrix,
+    labels: &[bool],
+    valid_pairs: &[usize],
+) -> bool {
+    let scores = {
+        let probs = flexer_nn::activation::softmax_rows(logits);
+        (0..probs.rows()).map(|i| probs.get(i, 1)).collect::<Vec<f32>>()
+    };
+    let f1 = f1_binary(valid_pairs.iter().map(|&i| (scores[i] > 0.5, labels[i])));
+    selection.offer(f1, || (model.clone(), scores))
+}
+
+/// The selected epoch as a [`TrainedGnn`].
+fn finish(selection: Selection<(GnnModel, Vec<f32>)>) -> TrainedGnn {
+    let (best_valid_f1, (model, scores), epochs_run) = selection.finish();
+    let preds = scores.iter().map(|&s| s > 0.5).collect();
+    TrainedGnn { model, best_valid_f1, scores, preds, epochs_run }
 }
 
 /// The loss's sample weights: 1 on the training pairs, 0 elsewhere.
@@ -207,7 +207,6 @@ mod tests {
     use super::*;
     use crate::build::build_intent_graph;
     use crate::model::TrainPass;
-    use flexer_nn::Matrix;
     use rand::Rng;
 
     /// Synthetic two-intent setting where intent 0's labels are a noisy
@@ -284,8 +283,7 @@ mod tests {
 
     /// `train_for_intent` as it stood before the training pass: every
     /// epoch a whole-graph `forward`, `intent_logits`, and the whole-graph
-    /// `backward` — the reference. Also returns the state after the last
-    /// update, which `TrainedGnn` (the best epoch's clone) does not show.
+    /// `backward` — the reference.
     fn reference_fit(
         graph: &MultiplexGraph,
         target_layer: usize,
@@ -293,7 +291,7 @@ mod tests {
         train_pairs: &[usize],
         valid_pairs: &[usize],
         config: &GnnConfig,
-    ) -> (TrainedGnn, GnnModel, Adam) {
+    ) -> TrainedGnn {
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(0x6E4E));
         let mut model =
             GnnModel::new(&mut rng, graph.dim, &config.layer_dims(), config.aggregation);
@@ -304,55 +302,19 @@ mod tests {
         });
         let targets: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
         let train_weight = train_mask(graph.n_pairs, train_pairs);
-        let mut best: Option<TrainedGnn> = None;
-        let mut since_best = 0usize;
-        let mut epochs_run = 0usize;
+        let mut selection = Selection::new(Some(config.patience));
         for _epoch in 0..config.epochs {
-            epochs_run += 1;
             let trace = model.forward(graph);
             let logits = model.intent_logits(graph, &trace, target_layer);
-            let scores = {
-                let probs = flexer_nn::activation::softmax_rows(&logits);
-                (0..probs.rows()).map(|i| probs.get(i, 1)).collect::<Vec<f32>>()
-            };
-            let preds: Vec<bool> = scores.iter().map(|&s| s > 0.5).collect();
-            let valid_preds: Vec<bool> = valid_pairs.iter().map(|&i| preds[i]).collect();
-            let valid_labels: Vec<bool> = valid_pairs.iter().map(|&i| labels[i]).collect();
-            let f1 = {
-                let both = || valid_preds.iter().zip(&valid_labels);
-                let tp = both().filter(|(&p, &l)| p && l).count() as f64;
-                let fp = both().filter(|(&p, &l)| p && !l).count() as f64;
-                let fn_ = both().filter(|(&p, &l)| !p && l).count() as f64;
-                if tp == 0.0 {
-                    0.0
-                } else {
-                    2.0 * tp / (2.0 * tp + fp + fn_)
-                }
-            };
-            let improved = best.as_ref().map_or(true, |b| f1 > b.best_valid_f1);
-            if improved {
-                best = Some(TrainedGnn {
-                    model: model.clone(),
-                    best_valid_f1: f1,
-                    scores,
-                    preds,
-                    epochs_run,
-                });
-                since_best = 0;
-            } else {
-                since_best += 1;
-                if since_best >= config.patience {
-                    break;
-                }
+            if !offer(&mut selection, &model, &logits, labels, valid_pairs) {
+                break;
             }
             let (_, grad_logits) = softmax_cross_entropy(&logits, &targets, Some(&train_weight));
             model.backward(graph, &trace, target_layer, &grad_logits);
             opt.begin_step();
             model.apply(&mut opt);
         }
-        let mut out = best.expect("epochs >= 1");
-        out.epochs_run = epochs_run;
-        (out, model, opt)
+        finish(selection)
     }
 
     /// Weights, biases and the gradients behind them, every layer and the
@@ -482,8 +444,8 @@ mod tests {
     }
 
     /// Whole fits against the reference fit: scores, predictions, selected
-    /// epoch's F1 and weights, epochs run, and the state after the last
-    /// update — for 1, 2 and 10 epochs and with early stopping cutting in.
+    /// epoch's F1 and weights, and epochs run — for 1, 2 and 10 epochs and
+    /// with early stopping cutting in.
     #[test]
     fn fits_are_bitwise_the_whole_graph_fits() {
         let mut stopped_early = false;
@@ -499,8 +461,7 @@ mod tests {
                     let config = GnnConfig { epochs, patience, ..config.clone() };
                     let what = format!("{what} target {target} epochs {epochs}/{patience}");
                     let got = train_for_intent(&graph, target, &labels, &train, &valid, &config);
-                    let (want, ..) =
-                        reference_fit(&graph, target, &labels, &train, &valid, &config);
+                    let want = reference_fit(&graph, target, &labels, &train, &valid, &config);
                     assert_eq!(got.scores, want.scores, "{what}: scores");
                     assert_eq!(got.preds, want.preds, "{what}: preds");
                     assert_eq!(got.best_valid_f1, want.best_valid_f1, "{what}: F1");

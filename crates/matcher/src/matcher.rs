@@ -11,6 +11,7 @@ use crate::config::MatcherConfig;
 use crate::train::{f1_binary, minibatches, PairCorpus};
 use flexer_nn::activation::{relu_backward_inplace, relu_inplace, softmax_rows};
 use flexer_nn::loss::softmax_cross_entropy;
+use flexer_nn::select::Selection;
 use flexer_nn::{Adam, AdamConfig, Linear, Matrix, Mlp, MlpConfig, Optimizer, SparseMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -64,7 +65,7 @@ impl BinaryMatcher {
 
     /// Trains a matcher on one intent's labels with cross-entropy (Eq. 1),
     /// Adam, optional span-deletion augmentation, and validation-F1 model
-    /// selection.
+    /// selection ([`Selection`], offered after each epoch, no patience).
     ///
     /// `labels` covers *all* corpus pairs; only `train_idx` rows contribute
     /// gradients and only `valid_idx` rows drive model selection — the test
@@ -78,8 +79,8 @@ impl BinaryMatcher {
     ) -> Self {
         assert_eq!(labels.len(), corpus.len(), "labels must cover the corpus");
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(0xB1AA));
-        let mut input = Linear::new(&mut rng, corpus.featurizer.total_dim(), config.hidden_dim);
-        let mut head = Mlp::new(
+        let input = Linear::new(&mut rng, corpus.featurizer.total_dim(), config.hidden_dim);
+        let head = Mlp::new(
             &mut rng,
             &MlpConfig {
                 input_dim: config.hidden_dim,
@@ -87,53 +88,40 @@ impl BinaryMatcher {
                 output_dim: 2,
             },
         );
+        let mut model = Self { input, head, best_valid_f1: 0.0 };
         let mut opt = Adam::new(AdamConfig { lr: config.learning_rate, ..Default::default() });
+        let valid_labels: Vec<bool> = valid_idx.iter().map(|&i| labels[i]).collect();
 
-        let mut best: Option<(f64, Linear, Mlp)> = None;
+        let mut selection = Selection::new(None);
         for _epoch in 0..config.epochs {
             for batch in minibatches(train_idx, config.batch_size, &mut rng) {
-                // Assemble the batch, optionally doubled with augmented
-                // copies (same labels).
-                let mut x = corpus.features.select_rows(&batch);
-                let mut targets: Vec<usize> = batch.iter().map(|&i| labels[i] as usize).collect();
-                if config.augment {
-                    for &i in &batch {
-                        x.push_row_unsorted(&mut corpus.augmented_row(i, &mut rng));
-                        targets.push(labels[i] as usize);
-                    }
-                }
-
-                // Forward.
-                let mut h = input.forward_sparse(&x);
-                relu_inplace(&mut h);
-                let trace = head.forward_trace(&h);
-                let (_, grad_logits) = softmax_cross_entropy(trace.output(), &targets, None);
-
-                // Backward.
-                input.zero_grad();
-                head.zero_grad();
-                let mut dh = head.backward(&trace, &grad_logits);
-                relu_backward_inplace(&mut dh, &h);
-                input.backward_sparse(&x, &dh);
-
-                opt.begin_step();
-                let used = input.apply(&mut opt, 0);
-                head.apply(&mut opt, used);
+                let (x, rows) = corpus.batch(&batch, config.augment, &mut rng);
+                let targets: Vec<usize> = rows.iter().map(|&i| labels[i] as usize).collect();
+                model.step(&x, &targets, &mut opt);
             }
-
-            // Model selection on validation F1.
-            let snapshot = Self { input: input.clone(), head: head.clone(), best_valid_f1: 0.0 };
-            let valid_out = snapshot.infer_rows(&corpus.features, valid_idx);
-            let valid_labels: Vec<bool> = valid_idx.iter().map(|&i| labels[i]).collect();
-            let f1 = f1_binary(&valid_out.preds, &valid_labels);
-            if best.as_ref().map_or(true, |(b, _, _)| f1 > *b) {
-                best = Some((f1, input.clone(), head.clone()));
-            }
+            let valid_preds = model.infer_rows(&corpus.features, valid_idx).preds;
+            selection.offer(f1_binary(&valid_preds, &valid_labels), || model.clone());
         }
+        let (best_valid_f1, best, _) = selection.finish();
+        Self { best_valid_f1, ..best }
+    }
 
-        let (f1, input, head) =
-            best.expect("at least one epoch runs when epochs > 0; defaults guarantee it");
-        Self { input, head, best_valid_f1: f1 }
+    /// One Adam step on a batch's cross-entropy.
+    fn step(&mut self, x: &SparseMatrix, targets: &[usize], opt: &mut Adam) {
+        let mut h = self.input.forward_sparse(x);
+        relu_inplace(&mut h);
+        let trace = self.head.forward_trace(&h);
+        let (_, grad_logits) = softmax_cross_entropy(trace.output(), targets, None);
+
+        self.input.zero_grad();
+        self.head.zero_grad();
+        let mut dh = self.head.backward(&trace, &grad_logits);
+        relu_backward_inplace(&mut dh, &h);
+        self.input.backward_sparse(x, &dh);
+
+        opt.begin_step();
+        let used = self.input.apply(opt, 0);
+        self.head.apply(opt, used);
     }
 
     /// Runs inference on a subset of corpus rows.

@@ -13,6 +13,7 @@ use crate::matcher::MatcherOutput;
 use crate::train::{f1_binary, minibatches, PairCorpus};
 use flexer_nn::activation::{relu_backward_inplace, relu_inplace, softmax_rows};
 use flexer_nn::loss::{multilabel_bce_with_logits, softmax_cross_entropy};
+use flexer_nn::select::Selection;
 use flexer_nn::{Adam, AdamConfig, Linear, Matrix, Optimizer, SparseMatrix};
 use flexer_types::LabelMatrix;
 use rand::rngs::StdRng;
@@ -36,7 +37,9 @@ impl MultiTaskMatcher {
     }
 
     /// Trains the multi-task network on all intents jointly — a *single*
-    /// training phase, the efficiency argument of §3.3.
+    /// training phase, the efficiency argument of §3.3. Model selection is
+    /// the binary matcher's ([`Selection`] after each epoch, no patience)
+    /// on the mean validation F1 over intents.
     pub fn train(
         corpus: &PairCorpus,
         labels: &LabelMatrix,
@@ -48,107 +51,101 @@ impl MultiTaskMatcher {
         let n_intents = labels.n_intents();
         assert!(n_intents > 0, "at least one intent required");
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(0x311B));
-        let fdim = corpus.featurizer.total_dim();
-        let mut trunk = Linear::new(&mut rng, fdim, config.hidden_dim);
-        let mut emb_layers: Vec<Linear> = (0..n_intents)
-            .map(|_| Linear::new(&mut rng, config.hidden_dim, config.embedding_dim))
-            .collect();
-        let mut heads: Vec<Linear> =
-            (0..n_intents).map(|_| Linear::new(&mut rng, config.embedding_dim, 2)).collect();
-        let mut ml_head = Linear::new(&mut rng, config.hidden_dim, n_intents);
+        let (hidden, embedding) = (config.hidden_dim, config.embedding_dim);
+        let mut model = Self {
+            trunk: Linear::new(&mut rng, corpus.featurizer.total_dim(), hidden),
+            emb_layers: (0..n_intents).map(|_| Linear::new(&mut rng, hidden, embedding)).collect(),
+            heads: (0..n_intents).map(|_| Linear::new(&mut rng, embedding, 2)).collect(),
+            ml_head: Linear::new(&mut rng, hidden, n_intents),
+            best_valid_f1: 0.0,
+        };
         let mut opt = Adam::new(AdamConfig { lr: config.learning_rate, ..Default::default() });
-        let intent_weights = vec![1.0f32; n_intents];
+        let valid_labels: Vec<Vec<bool>> = (0..n_intents)
+            .map(|p| valid_idx.iter().map(|&i| labels.get(i, p)).collect())
+            .collect();
 
-        let mut best: Option<(f64, Self)> = None;
+        let mut selection = Selection::new(None);
         for _epoch in 0..config.epochs {
             for batch in minibatches(train_idx, config.batch_size, &mut rng) {
-                let mut x = corpus.features.select_rows(&batch);
-                let mut row_ids: Vec<usize> = batch.clone();
-                if config.augment {
-                    for &i in &batch {
-                        x.push_row_unsorted(&mut corpus.augmented_row(i, &mut rng));
-                        row_ids.push(i);
-                    }
-                }
-                let n = x.rows();
-
-                // Forward trunk.
-                let mut h = trunk.forward_sparse(&x);
-                relu_inplace(&mut h);
-
-                // Accumulate trunk gradient from every head.
-                let mut dh = Matrix::zeros(n, config.hidden_dim);
-                trunk.zero_grad();
-                ml_head.zero_grad();
-
-                // Per-intent binary heads (CE each; losses are summed, the usual
-                // multi-task convention, so each head keeps full gradient).
-                for p in 0..n_intents {
-                    let targets: Vec<usize> =
-                        row_ids.iter().map(|&i| labels.get(i, p) as usize).collect();
-                    let mut emb = emb_layers[p].forward(&h);
-                    relu_inplace(&mut emb);
-                    let logits = heads[p].forward(&emb);
-                    let (_, grad_logits) = softmax_cross_entropy(&logits, &targets, None);
-                    emb_layers[p].zero_grad();
-                    heads[p].zero_grad();
-                    let mut demb = heads[p].backward(&emb, &grad_logits);
-                    relu_backward_inplace(&mut demb, &emb);
-                    let dh_p = emb_layers[p].backward(&h, &demb);
-                    dh.add_scaled(&dh_p, 1.0);
-                }
-
-                // Multi-label head (Eq. 2).
-                let ml_logits = ml_head.forward(&h);
-                let mut ml_targets = Matrix::zeros(n, n_intents);
-                for (bi, &i) in row_ids.iter().enumerate() {
-                    for p in 0..n_intents {
-                        if labels.get(i, p) {
-                            ml_targets.set(bi, p, 1.0);
-                        }
-                    }
-                }
-                let (_, mut ml_grad) =
-                    multilabel_bce_with_logits(&ml_logits, &ml_targets, &intent_weights);
-                ml_grad.scale(config.multilabel_weight);
-                let dh_ml = ml_head.backward(&h, &ml_grad);
-                dh.add_scaled(&dh_ml, 1.0);
-
-                // Trunk backward.
-                relu_backward_inplace(&mut dh, &h);
-                trunk.backward_sparse(&x, &dh);
-
-                opt.begin_step();
-                let mut slot = trunk.apply(&mut opt, 0);
-                for p in 0..n_intents {
-                    slot += emb_layers[p].apply(&mut opt, slot);
-                    slot += heads[p].apply(&mut opt, slot);
-                }
-                ml_head.apply(&mut opt, slot);
+                let (x, rows) = corpus.batch(&batch, config.augment, &mut rng);
+                model.step(&x, &rows, labels, config.multilabel_weight, &mut opt);
             }
-
-            // Validation: mean F1 over intents.
-            let snapshot = Self {
-                trunk: trunk.clone(),
-                emb_layers: emb_layers.clone(),
-                heads: heads.clone(),
-                ml_head: ml_head.clone(),
-                best_valid_f1: 0.0,
-            };
             let mut total = 0.0;
-            for p in 0..n_intents {
-                let out = snapshot.infer_intent_rows(&corpus.features, valid_idx, p);
-                let vl: Vec<bool> = valid_idx.iter().map(|&i| labels.get(i, p)).collect();
-                total += f1_binary(&out.preds, &vl);
+            for (p, vl) in valid_labels.iter().enumerate() {
+                let out = model.infer_intent_rows(&corpus.features, valid_idx, p);
+                total += f1_binary(&out.preds, vl);
             }
-            let mean_f1 = total / n_intents as f64;
-            if best.as_ref().map_or(true, |(b, _)| mean_f1 > *b) {
-                let mut chosen = snapshot;
-                chosen.best_valid_f1 = mean_f1;
-                best = Some((mean_f1, chosen));
+            selection.offer(total / n_intents as f64, || model.clone());
+        }
+        let (best_valid_f1, best, _) = selection.finish();
+        Self { best_valid_f1, ..best }
+    }
+
+    /// One Adam step on a batch: the per-intent cross-entropies plus the
+    /// weighted multi-label BCE, all backpropagated into the shared trunk.
+    fn step(
+        &mut self,
+        x: &SparseMatrix,
+        rows: &[usize],
+        labels: &LabelMatrix,
+        multilabel_weight: f32,
+        opt: &mut Adam,
+    ) {
+        let (n, n_intents) = (x.rows(), self.n_intents());
+
+        // Forward trunk.
+        let mut h = self.trunk.forward_sparse(x);
+        relu_inplace(&mut h);
+
+        // Accumulate trunk gradient from every head.
+        let mut dh = Matrix::zeros(n, h.cols());
+        self.trunk.zero_grad();
+        self.ml_head.zero_grad();
+
+        // Per-intent binary heads (CE each; losses are summed, the usual
+        // multi-task convention, so each head keeps full gradient).
+        for p in 0..n_intents {
+            let targets: Vec<usize> = rows.iter().map(|&i| labels.get(i, p) as usize).collect();
+            let (emb_layer, head) = (&mut self.emb_layers[p], &mut self.heads[p]);
+            let mut emb = emb_layer.forward(&h);
+            relu_inplace(&mut emb);
+            let logits = head.forward(&emb);
+            let (_, grad_logits) = softmax_cross_entropy(&logits, &targets, None);
+            emb_layer.zero_grad();
+            head.zero_grad();
+            let mut demb = head.backward(&emb, &grad_logits);
+            relu_backward_inplace(&mut demb, &emb);
+            let dh_p = emb_layer.backward(&h, &demb);
+            dh.add_scaled(&dh_p, 1.0);
+        }
+
+        // Multi-label head (Eq. 2), equal intent weights.
+        let ml_logits = self.ml_head.forward(&h);
+        let mut ml_targets = Matrix::zeros(n, n_intents);
+        for (bi, &i) in rows.iter().enumerate() {
+            for p in 0..n_intents {
+                if labels.get(i, p) {
+                    ml_targets.set(bi, p, 1.0);
+                }
             }
         }
-        best.expect("epochs > 0").1
+        let (_, mut ml_grad) =
+            multilabel_bce_with_logits(&ml_logits, &ml_targets, &vec![1.0; n_intents]);
+        ml_grad.scale(multilabel_weight);
+        let dh_ml = self.ml_head.backward(&h, &ml_grad);
+        dh.add_scaled(&dh_ml, 1.0);
+
+        // Trunk backward.
+        relu_backward_inplace(&mut dh, &h);
+        self.trunk.backward_sparse(x, &dh);
+
+        opt.begin_step();
+        let mut slot = self.trunk.apply(opt, 0);
+        for (emb_layer, head) in self.emb_layers.iter_mut().zip(&mut self.heads) {
+            slot += emb_layer.apply(opt, slot);
+            slot += head.apply(opt, slot);
+        }
+        self.ml_head.apply(opt, slot);
     }
 
     fn trunk_forward(&self, features: &SparseMatrix) -> Matrix {

@@ -1,5 +1,5 @@
-//! Shared training plumbing: the pair corpus (tokens + features), batching
-//! and validation-F1 early stopping.
+//! Shared training plumbing: the pair corpus (tokens + features) and
+//! batching. Model selection is `flexer_nn::select`'s.
 
 use crate::augment::augment_pair;
 use crate::config::MatcherConfig;
@@ -81,6 +81,26 @@ impl PairCorpus {
         let (a, b) = &self.tokens[idx];
         let (na, nb) = augment_pair(a, b, rng);
         self.featurizer.features(&na, &nb)
+    }
+
+    /// A training batch's feature rows and the corpus pair behind each: the
+    /// `batch` rows, then — with `augment` — an augmented copy of each, in
+    /// batch order (same labels as its original).
+    pub fn batch(
+        &self,
+        batch: &[usize],
+        augment: bool,
+        rng: &mut impl Rng,
+    ) -> (SparseMatrix, Vec<usize>) {
+        let mut x = self.features.select_rows(batch);
+        let mut rows = batch.to_vec();
+        if augment {
+            for &i in batch {
+                x.push_row_unsorted(&mut self.augmented_row(i, rng));
+                rows.push(i);
+            }
+        }
+        (x, rows)
     }
 }
 

@@ -4,7 +4,8 @@
 //! sparse matrices with cache-friendly kernels, linear layers with manual
 //! backprop, activations, the losses of the paper (softmax cross entropy,
 //! Eq. 1, and the weighted multi-label BCE of Eq. 2), and Adam/SGD
-//! optimizers (Adam with L2 weight decay, as used for the GNN in §5.2.1).
+//! optimizers (Adam with L2 weight decay, as used for the GNN in §5.2.1),
+//! and the model-selection rule every fit shares.
 //!
 //! Everything is `f32` and deterministic under a seed — the substrate the
 //! matcher (`flexer-matcher`) and the GNN (`flexer-graph`) are built on.
@@ -23,6 +24,7 @@ pub mod loss;
 pub mod matrix;
 pub mod mlp;
 pub mod optim;
+pub mod select;
 pub mod sparse;
 
 pub use kernels::{Epilogue, PackedB};
