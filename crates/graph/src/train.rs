@@ -24,7 +24,7 @@ use crate::model::GnnModel;
 use crate::multiplex::MultiplexGraph;
 use crate::sage::Aggregation;
 use flexer_nn::loss::softmax_cross_entropy;
-use flexer_nn::select::Selection;
+use flexer_nn::select::{f1, Selection};
 use flexer_nn::{Adam, AdamConfig, Matrix, Optimizer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -164,8 +164,8 @@ fn offer(
         let probs = flexer_nn::activation::softmax_rows(logits);
         (0..probs.rows()).map(|i| probs.get(i, 1)).collect::<Vec<f32>>()
     };
-    let f1 = f1_binary(valid_pairs.iter().map(|&i| (scores[i] > 0.5, labels[i])));
-    selection.offer(f1, || (model.clone(), scores))
+    let score = f1(valid_pairs.iter().map(|&i| (scores[i] > 0.5, labels[i])));
+    selection.offer(score, || (model.clone(), scores))
 }
 
 /// The selected epoch as a [`TrainedGnn`].
@@ -182,24 +182,6 @@ fn train_mask(n_pairs: usize, train_pairs: &[usize]) -> Vec<f32> {
         weight[i] = 1.0;
     }
     weight
-}
-
-/// Binary F1 over `(prediction, label)` pairs (local copy to keep the crate
-/// decoupled from `flexer-eval`).
-fn f1_binary(pairs: impl Iterator<Item = (bool, bool)>) -> f64 {
-    let (mut tp, mut fp, mut fn_) = (0.0f64, 0.0f64, 0.0f64);
-    for pair in pairs {
-        match pair {
-            (true, true) => tp += 1.0,
-            (true, false) => fp += 1.0,
-            (false, true) => fn_ += 1.0,
-            (false, false) => {}
-        }
-    }
-    if tp == 0.0 {
-        return 0.0;
-    }
-    2.0 * tp / (2.0 * tp + fp + fn_)
 }
 
 #[cfg(test)]
@@ -239,7 +221,7 @@ mod tests {
     fn learns_from_cross_layer_signal() {
         let (graph, labels, train, valid, test) = synthetic();
         let trained = train_for_intent(&graph, 0, &labels, &train, &valid, &GnnConfig::fast());
-        let f1 = f1_binary(test.iter().map(|&i| (trained.preds[i], labels[i])));
+        let f1 = f1(test.iter().map(|&i| (trained.preds[i], labels[i])));
         assert!(f1 > 0.8, "test F1 = {f1:.3}");
         assert!(trained.best_valid_f1 > 0.8);
     }

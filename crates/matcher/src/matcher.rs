@@ -8,10 +8,10 @@
 //! designed around.
 
 use crate::config::MatcherConfig;
-use crate::train::{f1_binary, minibatches, PairCorpus};
+use crate::train::{minibatches, PairCorpus};
 use flexer_nn::activation::{relu_backward_inplace, relu_inplace, softmax_rows};
 use flexer_nn::loss::softmax_cross_entropy;
-use flexer_nn::select::Selection;
+use flexer_nn::select::{f1, Selection};
 use flexer_nn::{Adam, AdamConfig, Linear, Matrix, Mlp, MlpConfig, Optimizer, SparseMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -90,7 +90,6 @@ impl BinaryMatcher {
         );
         let mut model = Self { input, head, best_valid_f1: 0.0 };
         let mut opt = Adam::new(AdamConfig { lr: config.learning_rate, ..Default::default() });
-        let valid_labels: Vec<bool> = valid_idx.iter().map(|&i| labels[i]).collect();
 
         let mut selection = Selection::new(None);
         for _epoch in 0..config.epochs {
@@ -99,8 +98,9 @@ impl BinaryMatcher {
                 let targets: Vec<usize> = rows.iter().map(|&i| labels[i] as usize).collect();
                 model.step(&x, &targets, &mut opt);
             }
-            let valid_preds = model.infer_rows(&corpus.features, valid_idx).preds;
-            selection.offer(f1_binary(&valid_preds, &valid_labels), || model.clone());
+            let preds = model.infer_rows(&corpus.features, valid_idx).preds;
+            let score = f1(preds.into_iter().zip(valid_idx.iter().map(|&i| labels[i])));
+            selection.offer(score, || model.clone());
         }
         let (best_valid_f1, best, _) = selection.finish();
         Self { best_valid_f1, ..best }
@@ -180,8 +180,8 @@ mod tests {
         let (corpus, matcher, bench) = trained_on_eq();
         let test_idx = bench.split_indices(Split::Test);
         let out = matcher.infer_rows(&corpus.features, &test_idx);
-        let labels: Vec<bool> = test_idx.iter().map(|&i| bench.labels.get(i, 0)).collect();
-        let f1 = f1_binary(&out.preds, &labels);
+        let labels = test_idx.iter().map(|&i| bench.labels.get(i, 0));
+        let f1 = f1(out.preds.into_iter().zip(labels));
         // Eq. positives are ~15%; an untrained or constant matcher sits
         // near 0 or ~0.26 F1. A trained one must be far above.
         assert!(f1 > 0.55, "test F1 = {f1:.3}");

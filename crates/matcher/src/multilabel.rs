@@ -10,10 +10,10 @@
 
 use crate::config::MatcherConfig;
 use crate::matcher::MatcherOutput;
-use crate::train::{f1_binary, minibatches, PairCorpus};
+use crate::train::{minibatches, PairCorpus};
 use flexer_nn::activation::{relu_backward_inplace, relu_inplace, softmax_rows};
 use flexer_nn::loss::{multilabel_bce_with_logits, softmax_cross_entropy};
-use flexer_nn::select::Selection;
+use flexer_nn::select::{f1, Selection};
 use flexer_nn::{Adam, AdamConfig, Linear, Matrix, Optimizer, SparseMatrix};
 use flexer_types::LabelMatrix;
 use rand::rngs::StdRng;
@@ -60,9 +60,6 @@ impl MultiTaskMatcher {
             best_valid_f1: 0.0,
         };
         let mut opt = Adam::new(AdamConfig { lr: config.learning_rate, ..Default::default() });
-        let valid_labels: Vec<Vec<bool>> = (0..n_intents)
-            .map(|p| valid_idx.iter().map(|&i| labels.get(i, p)).collect())
-            .collect();
 
         let mut selection = Selection::new(None);
         for _epoch in 0..config.epochs {
@@ -71,9 +68,9 @@ impl MultiTaskMatcher {
                 model.step(&x, &rows, labels, config.multilabel_weight, &mut opt);
             }
             let mut total = 0.0;
-            for (p, vl) in valid_labels.iter().enumerate() {
-                let out = model.infer_intent_rows(&corpus.features, valid_idx, p);
-                total += f1_binary(&out.preds, vl);
+            for p in 0..n_intents {
+                let preds = model.infer_intent_rows(&corpus.features, valid_idx, p).preds;
+                total += f1(preds.into_iter().zip(valid_idx.iter().map(|&i| labels.get(i, p))));
             }
             selection.offer(total / n_intents as f64, || model.clone());
         }
@@ -223,8 +220,8 @@ mod tests {
         let test_idx = bench.split_indices(Split::Test);
         for p in 0..bench.n_intents() {
             let out = matcher.infer_intent_rows(&corpus.features, &test_idx, p);
-            let labels: Vec<bool> = test_idx.iter().map(|&i| bench.labels.get(i, p)).collect();
-            let f1 = f1_binary(&out.preds, &labels);
+            let labels = test_idx.iter().map(|&i| bench.labels.get(i, p));
+            let f1 = f1(out.preds.into_iter().zip(labels));
             assert!(f1 > 0.45, "intent {p} F1 = {f1:.3}");
         }
     }

@@ -111,21 +111,6 @@ pub fn minibatches(indices: &[usize], batch_size: usize, rng: &mut impl Rng) -> 
     order.chunks(batch_size.max(1)).map(|c| c.to_vec()).collect()
 }
 
-/// Binary F1 over predictions vs. labels (the matcher's model-selection
-/// criterion); 0 when there are no predicted or no true positives.
-pub fn f1_binary(preds: &[bool], labels: &[bool]) -> f64 {
-    debug_assert_eq!(preds.len(), labels.len());
-    let tp = preds.iter().zip(labels).filter(|(&p, &l)| p && l).count() as f64;
-    let fp = preds.iter().zip(labels).filter(|(&p, &l)| p && !l).count() as f64;
-    let fn_ = preds.iter().zip(labels).filter(|(&p, &l)| !p && l).count() as f64;
-    if tp == 0.0 {
-        return 0.0;
-    }
-    let precision = tp / (tp + fp);
-    let recall = tp / (tp + fn_);
-    2.0 * precision * recall / (precision + recall)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,20 +157,5 @@ mod tests {
         let mut all: Vec<usize> = batches.into_iter().flatten().collect();
         all.sort_unstable();
         assert_eq!(all, idx);
-    }
-
-    #[test]
-    fn f1_extremes() {
-        assert_eq!(f1_binary(&[true, true], &[true, true]), 1.0);
-        assert_eq!(f1_binary(&[false, false], &[true, true]), 0.0);
-        assert_eq!(f1_binary(&[true, false], &[false, false]), 0.0);
-        assert_eq!(f1_binary(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn f1_middle_case() {
-        // tp=1 fp=1 fn=1 → P=0.5 R=0.5 → F1=0.5
-        let f = f1_binary(&[true, true, false], &[true, false, true]);
-        assert!((f - 0.5).abs() < 1e-12);
     }
 }

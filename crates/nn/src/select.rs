@@ -1,12 +1,32 @@
 //! Model selection: the one rule every fit in the workspace keeps its best
-//! epoch by (§5.2.1: "the epoch with the best validation F1").
+//! epoch by (§5.2.1: "the epoch with the best validation F1"), and the one
+//! F1 it is scored with.
 //!
-//! A fit offers each epoch's validation score to a [`Selection`]. The first
-//! offer is always kept; a later one replaces it only on a *strictly*
+//! A fit offers each epoch's validation [`f1`] to a [`Selection`]. The
+//! first offer is always kept; a later one replaces it only on a *strictly*
 //! higher score, so a tie keeps the earlier epoch. With patience, the fit
 //! stops after `patience` offers in a row without improvement. Where the
 //! fit offers (before or after its update) and whether it has patience
 //! are its own choices, made visible at its call site.
+
+/// Binary F1 over `(predicted, actual)` pairs: `2tp / (2tp + fp + fn)`,
+/// 0 without a true positive. One correctly rounded division, so two
+/// epochs with mathematically equal F1 get equal bits — and tie.
+pub fn f1(pairs: impl IntoIterator<Item = (bool, bool)>) -> f64 {
+    let (mut tp, mut fp, mut fn_) = (0u64, 0u64, 0u64);
+    for pair in pairs {
+        match pair {
+            (true, true) => tp += 1,
+            (true, false) => fp += 1,
+            (false, true) => fn_ += 1,
+            (false, false) => {}
+        }
+    }
+    if tp == 0 {
+        return 0.0;
+    }
+    (2 * tp) as f64 / (2 * tp + fp + fn_) as f64
+}
 
 /// The best epoch seen so far, and when to stop looking.
 #[derive(Debug, Clone)]
@@ -97,6 +117,51 @@ mod tests {
         assert!(selection.offer(0.5, || ()));
         assert!(!selection.offer(0.5, || ()));
         assert_eq!(selection.finish(), (0.5, (), 3));
+    }
+
+    /// `n` pairs per `(predicted, actual)` outcome.
+    fn outcomes(tp: usize, fp: usize, fn_: usize, tn: usize) -> Vec<(bool, bool)> {
+        let each = |n, pair| std::iter::repeat(pair).take(n);
+        each(tp, (true, true))
+            .chain(each(fp, (true, false)))
+            .chain(each(fn_, (false, true)))
+            .chain(each(tn, (false, false)))
+            .collect()
+    }
+
+    #[test]
+    fn f1_extremes() {
+        assert_eq!(f1(outcomes(2, 0, 0, 0)), 1.0);
+        assert_eq!(f1(outcomes(0, 0, 2, 0)), 0.0);
+        assert_eq!(f1(outcomes(0, 1, 0, 1)), 0.0);
+        assert_eq!(f1([]), 0.0);
+    }
+
+    #[test]
+    fn f1_middle_case() {
+        // tp=1 fp=1 fn=1 → P=0.5 R=0.5 → F1=0.5
+        assert_eq!(f1(outcomes(1, 1, 1, 0)), 0.5);
+    }
+
+    /// Ten validation positives: (tp 1, fp 2) and a later (tp 2, fp 14)
+    /// both have F1 = 2/13. `2PR / (P + R)` rounds three times and gives
+    /// the later epoch the larger bits; the count formula ties them, and
+    /// the tie keeps the earlier epoch.
+    #[test]
+    fn equal_f1s_tie_and_keep_the_earlier_epoch() {
+        let harmonic = |tp: f64, fp: f64, fn_: f64| {
+            let (p, r) = (tp / (tp + fp), tp / (tp + fn_));
+            2.0 * p * r / (p + r)
+        };
+        assert!(harmonic(1.0, 2.0, 9.0) < harmonic(2.0, 14.0, 8.0), "the rounding this fixes");
+
+        let (first, later) = (f1(outcomes(1, 2, 9, 20)), f1(outcomes(2, 14, 8, 8)));
+        assert_eq!(first.to_bits(), later.to_bits());
+        assert_eq!(first, 2.0 / 13.0);
+        let mut selection = Selection::new(None);
+        selection.offer(first, || "first");
+        selection.offer(later, || "later");
+        assert_eq!(selection.finish(), (first, "first", 2));
     }
 
     #[test]
