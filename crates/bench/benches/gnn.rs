@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flexer_bench::{matcher_config, DatasetKind};
 use flexer_core::{InParallelModel, PipelineContext};
 use flexer_graph::{build_intent_graph, train_for_intent, GnnConfig, GnnModel};
-use flexer_nn::activation::softmax_rows;
+use flexer_nn::activation::match_probabilities;
 use flexer_nn::loss::softmax_cross_entropy;
 use flexer_nn::{Adam, AdamConfig, Matrix, Optimizer};
 use flexer_types::Scale;
@@ -74,7 +74,7 @@ fn bench_epoch_split(c: &mut Criterion) {
         let config = GnnConfig::fast();
         let mut model =
             GnnModel::new(&mut rng, graph.dim, &config.layer_dims(), config.aggregation);
-        let mut opt = Adam::new(AdamConfig::paper_gnn());
+        let mut opt = Adam::new(config.adam());
         let mut pass = model.train_pass(&graph, 0);
         let shape = format!("{}nodes", graph.n_nodes());
 
@@ -84,9 +84,10 @@ fn bench_epoch_split(c: &mut Criterion) {
         let logits = model.train_forward(&graph, &mut pass);
         group.bench_function(BenchmarkId::new("loss", &shape), |b| {
             b.iter(|| {
-                let probs = softmax_rows(&logits);
-                let scores: Vec<f32> = (0..probs.rows()).map(|i| probs.get(i, 1)).collect();
-                (scores, softmax_cross_entropy(&logits, &targets, Some(&weight)))
+                (
+                    match_probabilities(&logits),
+                    softmax_cross_entropy(&logits, &targets, Some(&weight)),
+                )
             })
         });
         let (_, grad_logits) = softmax_cross_entropy(&logits, &targets, Some(&weight));

@@ -45,6 +45,7 @@
 //! [`GnnModel::forward_inductive_passes`]: crate::GnnModel::forward_inductive_passes
 
 use crate::sage::{Aggregation, SageLayer};
+use flexer_nn::activation::match_probability;
 use flexer_nn::Matrix;
 
 /// Below this many written f32s the row-blocked aggregation stays on the
@@ -170,13 +171,7 @@ impl BatchInductiveTrace {
     /// [`InductiveTrace::scores`](crate::InductiveTrace::scores)`[intent]`
     /// of the per-candidate pass (same per-row softmax arithmetic).
     pub fn score(&self, candidate: usize, intent: usize) -> f32 {
-        let row = self.logits.row(self.row_of(self.hidden.len() - 1, candidate, intent));
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for &v in row {
-            sum += (v - max).exp();
-        }
-        (row[1] - max).exp() / sum
+        match_probability(self.logits.row(self.row_of(self.hidden.len() - 1, candidate, intent)))
     }
 
     /// The depth-`t` state of candidate `candidate`'s intent-layer-`q`
@@ -212,7 +207,7 @@ pub(crate) fn batch_concat_states(
     assert_eq!(input.rows(), b * p, "one input row per (candidate, layer)");
     assert_eq!(input.cols(), d, "input width must match the layer");
     assert_eq!(sources.len(), p, "one pinned-state source per intent layer");
-    assert!(target.map_or(true, |q| q < p), "target intent layer out of range");
+    assert!(target.iter().all(|&q| q < p), "target intent layer out of range");
     for s in sources {
         assert_eq!(s.dim(), d, "pinned state width mismatch");
     }

@@ -12,7 +12,11 @@
 //! * [`GnnModel`] / [`train_for_intent`] — a 2- or 3-layer GNN with a
 //!   per-intent prediction head (Eq. 5), trained transductively with Adam
 //!   (lr 0.01, weight decay 5e-4, CE loss, up to 150 epochs) and
-//!   validation-F1 model selection, exactly the §5.2.1 protocol.
+//!   validation-F1 model selection, the §5.2.1 protocol with two
+//!   deviations: patience 25 can stop the fit before the paper's full 150
+//!   epochs, and each epoch is scored *before* its update, so the untrained
+//!   initialisation is a candidate — kept when no later epoch's validation
+//!   F1 is strictly higher.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -57,7 +57,7 @@ use crate::batch::{batch_concat_states, BatchInductiveTrace, NeighborArena, RowS
 use crate::csr::CsrGraph;
 use crate::multiplex::MultiplexGraph;
 use crate::sage::{Aggregation, SageLayer};
-use flexer_nn::activation::{relu_backward_inplace, relu_inplace, softmax_rows};
+use flexer_nn::activation::{match_probabilities, relu_backward_inplace, relu_inplace};
 use flexer_nn::kernels::dense_forward_into;
 use flexer_nn::{Linear, Matrix, Optimizer, PackedB};
 use rand::Rng;
@@ -143,8 +143,7 @@ pub struct InductiveTrace {
 impl InductiveTrace {
     /// Match likelihood per intent layer (`softmax` second entry).
     pub fn scores(&self) -> Vec<f32> {
-        let probs = softmax_rows(&self.logits);
-        (0..probs.rows()).map(|i| probs.get(i, 1)).collect()
+        match_probabilities(&self.logits)
     }
 }
 
@@ -328,8 +327,7 @@ impl GnnModel {
         trace: &GnnTrace,
         layer: usize,
     ) -> Vec<f32> {
-        let probs = softmax_rows(&self.intent_logits(graph, trace, layer));
-        (0..probs.rows()).map(|i| probs.get(i, 1)).collect()
+        match_probabilities(&self.intent_logits(graph, trace, layer))
     }
 
     /// Inductive forward pass for one **new** candidate pair against frozen

@@ -23,6 +23,7 @@
 use crate::model::GnnModel;
 use crate::multiplex::MultiplexGraph;
 use crate::sage::Aggregation;
+use flexer_nn::activation::{is_match, match_probabilities};
 use flexer_nn::loss::softmax_cross_entropy;
 use flexer_nn::select::{f1, Selection};
 use flexer_nn::{Adam, AdamConfig, Matrix, Optimizer};
@@ -40,9 +41,11 @@ pub struct GnnConfig {
     pub n_layers: usize,
     /// Maximum epochs (paper: 150).
     pub epochs: usize,
-    /// Early-stop patience on validation F1 (the paper trains the full 150
-    /// epochs; patience keeps CPU runs economical without changing the
-    /// protocol — set `patience = epochs` to disable).
+    /// Early-stop patience on validation F1: the fit stops after this many
+    /// epochs in a row without improvement. Default 25, where the paper
+    /// trains the full 150 epochs; whether that changes which model is
+    /// selected is unmeasured (ROADMAP item 1). `patience = epochs` disables
+    /// it.
     pub patience: usize,
     /// Adam learning rate (paper: 0.01).
     pub learning_rate: f32,
@@ -95,6 +98,12 @@ impl GnnConfig {
     pub fn fast() -> Self {
         Self { hidden_dim: 24, epochs: 40, patience: 40, ..Default::default() }
     }
+
+    /// The fit's optimizer: Adam with this learning rate and L2 weight
+    /// decay (the defaults are the paper's, §5.2.1).
+    pub fn adam(&self) -> AdamConfig {
+        AdamConfig { lr: self.learning_rate, weight_decay: self.weight_decay, ..Default::default() }
+    }
 }
 
 /// Result of training one intent's GNN.
@@ -125,11 +134,7 @@ pub fn train_for_intent(
     assert_eq!(labels.len(), graph.n_pairs, "labels must cover every pair");
     let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(0x6E4E));
     let mut model = GnnModel::new(&mut rng, graph.dim, &config.layer_dims(), config.aggregation);
-    let mut opt = Adam::new(AdamConfig {
-        lr: config.learning_rate,
-        weight_decay: config.weight_decay,
-        ..Default::default()
-    });
+    let mut opt = Adam::new(config.adam());
 
     let targets: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
     let train_weight = train_mask(graph.n_pairs, train_pairs);
@@ -160,18 +165,15 @@ fn offer(
     labels: &[bool],
     valid_pairs: &[usize],
 ) -> bool {
-    let scores = {
-        let probs = flexer_nn::activation::softmax_rows(logits);
-        (0..probs.rows()).map(|i| probs.get(i, 1)).collect::<Vec<f32>>()
-    };
-    let score = f1(valid_pairs.iter().map(|&i| (scores[i] > 0.5, labels[i])));
+    let scores = match_probabilities(logits);
+    let score = f1(valid_pairs.iter().map(|&i| (is_match(scores[i]), labels[i])));
     selection.offer(score, || (model.clone(), scores))
 }
 
 /// The selected epoch as a [`TrainedGnn`].
 fn finish(selection: Selection<(GnnModel, Vec<f32>)>) -> TrainedGnn {
     let (best_valid_f1, (model, scores), epochs_run) = selection.finish();
-    let preds = scores.iter().map(|&s| s > 0.5).collect();
+    let preds = scores.iter().map(|&s| is_match(s)).collect();
     TrainedGnn { model, best_valid_f1, scores, preds, epochs_run }
 }
 
@@ -254,6 +256,32 @@ mod tests {
     }
 
     #[test]
+    fn adam_is_the_paper_optimizer() {
+        let c = GnnConfig::default().adam();
+        assert_eq!(c.lr, 0.01);
+        assert_eq!(c.weight_decay, 5e-4);
+    }
+
+    /// ROADMAP item 1's first suspect, pinned as today's behaviour: the
+    /// pre-update state of the first epoch is a selection candidate, so
+    /// when validation F1 never rises above 0 (here: no validation
+    /// positives) the fit returns its untrained initialisation.
+    #[test]
+    fn zero_valid_f1_selects_the_untrained_initialisation() {
+        let (graph, mut labels, train, valid, _) = synthetic();
+        for &i in &valid {
+            labels[i] = false;
+        }
+        let config = GnnConfig { patience: 5, ..GnnConfig::fast() };
+        let trained = train_for_intent(&graph, 0, &labels, &train, &valid, &config);
+        let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(0x6E4E));
+        let init = GnnModel::new(&mut rng, graph.dim, &config.layer_dims(), config.aggregation);
+        assert_same_parameters(&trained.model, &init, "selected model");
+        assert_eq!(trained.best_valid_f1, 0.0);
+        assert_eq!(trained.epochs_run, 1 + config.patience);
+    }
+
+    #[test]
     fn scores_and_preds_aligned() {
         let (graph, labels, train, valid, _) = synthetic();
         let trained = train_for_intent(&graph, 1, &labels, &train, &valid, &GnnConfig::fast());
@@ -277,11 +305,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(0x6E4E));
         let mut model =
             GnnModel::new(&mut rng, graph.dim, &config.layer_dims(), config.aggregation);
-        let mut opt = Adam::new(AdamConfig {
-            lr: config.learning_rate,
-            weight_decay: config.weight_decay,
-            ..Default::default()
-        });
+        let mut opt = Adam::new(config.adam());
         let targets: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
         let train_weight = train_mask(graph.n_pairs, train_pairs);
         let mut selection = Selection::new(Some(config.patience));
@@ -399,8 +423,8 @@ mod tests {
                 let mut want =
                     GnnModel::new(&mut rng, graph.dim, &config.layer_dims(), config.aggregation);
                 let mut got = want.clone();
-                let adam = AdamConfig { lr: 0.01, weight_decay: 5e-4, ..Default::default() };
-                let (mut want_opt, mut got_opt) = (Adam::new(adam), Adam::new(adam));
+                let (mut want_opt, mut got_opt) =
+                    (Adam::new(config.adam()), Adam::new(config.adam()));
                 let mut pass = got.train_pass(&graph, target);
                 for epoch in 1..=10 {
                     let what = format!("{what} target {target} epoch {epoch}");

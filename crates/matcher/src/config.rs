@@ -1,6 +1,7 @@
 //! Matcher hyperparameters.
 
 use crate::features::PairFeaturizer;
+use flexer_nn::AdamConfig;
 
 /// Training configuration for binary and multi-task matchers. Defaults
 /// mirror the paper's DITTO setup where a CPU-scale analogue exists:
@@ -56,6 +57,11 @@ impl MatcherConfig {
     pub fn with_embedding_dim(mut self, dim: usize) -> Self {
         self.embedding_dim = dim;
         self
+    }
+
+    /// The fit's optimizer: Adam with this learning rate, no weight decay.
+    pub fn adam(&self) -> AdamConfig {
+        AdamConfig { lr: self.learning_rate, ..Default::default() }
     }
 
     /// A fast low-capacity preset for unit tests.

@@ -9,10 +9,10 @@
 
 use crate::config::MatcherConfig;
 use crate::train::{minibatches, PairCorpus};
-use flexer_nn::activation::{relu_backward_inplace, relu_inplace, softmax_rows};
+use flexer_nn::activation::{is_match, match_probabilities, relu_backward_inplace, relu_inplace};
 use flexer_nn::loss::softmax_cross_entropy;
 use flexer_nn::select::{f1, Selection};
-use flexer_nn::{Adam, AdamConfig, Linear, Matrix, Mlp, MlpConfig, Optimizer, SparseMatrix};
+use flexer_nn::{Adam, Linear, Matrix, Mlp, MlpConfig, Optimizer, SparseMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -89,7 +89,7 @@ impl BinaryMatcher {
             },
         );
         let mut model = Self { input, head, best_valid_f1: 0.0 };
-        let mut opt = Adam::new(AdamConfig { lr: config.learning_rate, ..Default::default() });
+        let mut opt = Adam::new(config.adam());
 
         let mut selection = Selection::new(None);
         for _epoch in 0..config.epochs {
@@ -147,9 +147,8 @@ impl BinaryMatcher {
     /// [`embed`](Self::embed) plus the logits head.
     pub fn infer(&self, features: &SparseMatrix) -> MatcherOutput {
         let embeddings = self.embed(features);
-        let probs = softmax_rows(&self.head.logits(&embeddings));
-        let scores: Vec<f32> = (0..probs.rows()).map(|i| probs.get(i, 1)).collect();
-        let preds: Vec<bool> = scores.iter().map(|&s| s > 0.5).collect();
+        let scores = match_probabilities(&self.head.logits(&embeddings));
+        let preds = scores.iter().map(|&s| is_match(s)).collect();
         MatcherOutput { scores, preds, embeddings }
     }
 }

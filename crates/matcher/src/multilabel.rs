@@ -11,10 +11,12 @@
 use crate::config::MatcherConfig;
 use crate::matcher::MatcherOutput;
 use crate::train::{minibatches, PairCorpus};
-use flexer_nn::activation::{relu_backward_inplace, relu_inplace, softmax_rows};
+use flexer_nn::activation::{
+    is_match, match_probabilities, relu_backward_inplace, relu_inplace, sigmoid,
+};
 use flexer_nn::loss::{multilabel_bce_with_logits, softmax_cross_entropy};
 use flexer_nn::select::{f1, Selection};
-use flexer_nn::{Adam, AdamConfig, Linear, Matrix, Optimizer, SparseMatrix};
+use flexer_nn::{Adam, Linear, Matrix, Optimizer, SparseMatrix};
 use flexer_types::LabelMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -59,7 +61,7 @@ impl MultiTaskMatcher {
             ml_head: Linear::new(&mut rng, hidden, n_intents),
             best_valid_f1: 0.0,
         };
-        let mut opt = Adam::new(AdamConfig { lr: config.learning_rate, ..Default::default() });
+        let mut opt = Adam::new(config.adam());
 
         let mut selection = Selection::new(None);
         for _epoch in 0..config.epochs {
@@ -89,10 +91,7 @@ impl MultiTaskMatcher {
         opt: &mut Adam,
     ) {
         let (n, n_intents) = (x.rows(), self.n_intents());
-
-        // Forward trunk.
-        let mut h = self.trunk.forward_sparse(x);
-        relu_inplace(&mut h);
+        let h = self.trunk_forward(x);
 
         // Accumulate trunk gradient from every head.
         let mut dh = Matrix::zeros(n, h.cols());
@@ -106,31 +105,21 @@ impl MultiTaskMatcher {
             let (emb_layer, head) = (&mut self.emb_layers[p], &mut self.heads[p]);
             let mut emb = emb_layer.forward(&h);
             relu_inplace(&mut emb);
-            let logits = head.forward(&emb);
-            let (_, grad_logits) = softmax_cross_entropy(&logits, &targets, None);
+            let (_, grad_logits) = softmax_cross_entropy(&head.forward(&emb), &targets, None);
             emb_layer.zero_grad();
             head.zero_grad();
             let mut demb = head.backward(&emb, &grad_logits);
             relu_backward_inplace(&mut demb, &emb);
-            let dh_p = emb_layer.backward(&h, &demb);
-            dh.add_scaled(&dh_p, 1.0);
+            dh.add_scaled(&emb_layer.backward(&h, &demb), 1.0);
         }
 
         // Multi-label head (Eq. 2), equal intent weights.
+        let ml_targets = Matrix::from_fn(n, n_intents, |bi, p| f32::from(labels.get(rows[bi], p)));
         let ml_logits = self.ml_head.forward(&h);
-        let mut ml_targets = Matrix::zeros(n, n_intents);
-        for (bi, &i) in rows.iter().enumerate() {
-            for p in 0..n_intents {
-                if labels.get(i, p) {
-                    ml_targets.set(bi, p, 1.0);
-                }
-            }
-        }
         let (_, mut ml_grad) =
             multilabel_bce_with_logits(&ml_logits, &ml_targets, &vec![1.0; n_intents]);
         ml_grad.scale(multilabel_weight);
-        let dh_ml = self.ml_head.backward(&h, &ml_grad);
-        dh.add_scaled(&dh_ml, 1.0);
+        dh.add_scaled(&self.ml_head.backward(&h, &ml_grad), 1.0);
 
         // Trunk backward.
         relu_backward_inplace(&mut dh, &h);
@@ -156,10 +145,8 @@ impl MultiTaskMatcher {
         let h = self.trunk_forward(features);
         let mut emb = self.emb_layers[intent].forward(&h);
         relu_inplace(&mut emb);
-        let logits = self.heads[intent].forward(&emb);
-        let probs = softmax_rows(&logits);
-        let scores: Vec<f32> = (0..probs.rows()).map(|i| probs.get(i, 1)).collect();
-        let preds: Vec<bool> = scores.iter().map(|&s| s > 0.5).collect();
+        let scores = match_probabilities(&self.heads[intent].forward(&emb));
+        let preds = scores.iter().map(|&s| is_match(s)).collect();
         MatcherOutput { scores, preds, embeddings: emb }
     }
 
@@ -178,10 +165,9 @@ impl MultiTaskMatcher {
     /// per intent).
     pub fn infer_multilabel(&self, features: &SparseMatrix) -> Matrix {
         let h = self.trunk_forward(features);
-        let logits = self.ml_head.forward(&h);
-        let mut probs = logits;
+        let mut probs = self.ml_head.forward(&h);
         for v in probs.data_mut() {
-            *v = flexer_nn::activation::sigmoid(*v);
+            *v = sigmoid(*v);
         }
         probs
     }

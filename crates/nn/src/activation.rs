@@ -52,6 +52,30 @@ pub fn softmax_rows(logits: &Matrix) -> Matrix {
     out
 }
 
+/// A pair's match probability from its two logits: the second entry of
+/// their softmax, in [`softmax_rows`]'s arithmetic (so its bits).
+#[inline]
+pub fn match_probability(row: &[f32]) -> f32 {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for &v in row {
+        sum += (v - max).exp();
+    }
+    (row[1] - max).exp() / sum
+}
+
+/// [`match_probability`] of every row of a two-column logits matrix.
+pub fn match_probabilities(logits: &Matrix) -> Vec<f32> {
+    (0..logits.rows()).map(|i| match_probability(logits.row(i))).collect()
+}
+
+/// The match decision every model makes: probability above 0.5, the
+/// argmax of the two logits (Eq. 5).
+#[inline]
+pub fn is_match(probability: f32) -> bool {
+    probability > 0.5
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,6 +116,20 @@ mod tests {
         assert!((p.get(1, 0) - 1.0 / 3.0).abs() < 1e-5);
         // ordering preserved
         assert!(p.get(0, 2) > p.get(0, 1) && p.get(0, 1) > p.get(0, 0));
+    }
+
+    #[test]
+    fn match_probability_is_the_softmax_second_entry_bitwise() {
+        let logits =
+            Matrix::from_vec(5, 2, vec![0.3, -1.7, 2.0, 2.0, -40.0, 12.5, 1e4, -1e4, 0.1, 0.2]);
+        let (got, probs) = (match_probabilities(&logits), softmax_rows(&logits));
+        for (i, p) in got.iter().enumerate() {
+            assert_eq!(p.to_bits(), probs.get(i, 1).to_bits(), "row {i}");
+        }
+        // Equal logits sit exactly on the threshold and do not match.
+        assert_eq!(got[1], 0.5);
+        let decisions: Vec<bool> = got.into_iter().map(is_match).collect();
+        assert_eq!(decisions, [false, false, true, false, true]);
     }
 
     #[test]

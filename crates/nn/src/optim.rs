@@ -36,13 +36,6 @@ impl Default for AdamConfig {
     }
 }
 
-impl AdamConfig {
-    /// The paper's GNN optimizer: Adam, lr 0.01, weight decay 5e-4 (§5.2.1).
-    pub fn paper_gnn() -> Self {
-        Self { lr: 0.01, weight_decay: 5e-4, ..Self::default() }
-    }
-}
-
 /// Adam optimizer state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
@@ -253,12 +246,5 @@ mod tests {
         opt.update(0, &mut a, &[1.0]);
         let mut b = vec![1.0f32, 2.0];
         opt.update(0, &mut b, &[1.0, 1.0]);
-    }
-
-    #[test]
-    fn paper_gnn_config() {
-        let c = AdamConfig::paper_gnn();
-        assert_eq!(c.lr, 0.01);
-        assert_eq!(c.weight_decay, 5e-4);
     }
 }

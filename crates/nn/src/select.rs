@@ -13,19 +13,15 @@
 /// 0 without a true positive. One correctly rounded division, so two
 /// epochs with mathematically equal F1 get equal bits — and tie.
 pub fn f1(pairs: impl IntoIterator<Item = (bool, bool)>) -> f64 {
-    let (mut tp, mut fp, mut fn_) = (0u64, 0u64, 0u64);
-    for pair in pairs {
-        match pair {
-            (true, true) => tp += 1,
-            (true, false) => fp += 1,
-            (false, true) => fn_ += 1,
-            (false, false) => {}
-        }
+    let (mut tp, mut wrong) = (0u64, 0u64);
+    for (predicted, actual) in pairs {
+        tp += u64::from(predicted && actual);
+        wrong += u64::from(predicted != actual);
     }
     if tp == 0 {
         return 0.0;
     }
-    (2 * tp) as f64 / (2 * tp + fp + fn_) as f64
+    (2 * tp) as f64 / (2 * tp + wrong) as f64
 }
 
 /// The best epoch seen so far, and when to stop looking.
@@ -70,7 +66,7 @@ impl<T> Selection<T> {
 mod tests {
     use super::*;
 
-    /// Offers `scores` in order, epoch number as the state, until the
+    /// Offers `scores` in order, the epoch index as its state, until the
     /// selection says stop.
     fn run(patience: Option<usize>, scores: &[f64]) -> (f64, usize, usize) {
         let mut selection = Selection::new(patience);
@@ -82,6 +78,13 @@ mod tests {
         selection.finish()
     }
 
+    /// `tp`, `fp`, `fn` and `tn` pairs, in that order.
+    fn f1_of(tp: usize, fp: usize, fn_: usize, tn: usize) -> f64 {
+        let outcomes =
+            [(tp, (true, true)), (fp, (true, false)), (fn_, (false, true)), (tn, (false, false))];
+        f1(outcomes.into_iter().flat_map(|(n, pair)| std::iter::repeat(pair).take(n)))
+    }
+
     #[test]
     fn an_exact_tie_keeps_the_earlier_epoch() {
         assert_eq!(run(None, &[0.5, 0.7, 0.7, 0.6]), (0.7, 1, 4));
@@ -90,57 +93,36 @@ mod tests {
     #[test]
     fn the_first_offer_is_kept_even_at_zero() {
         assert_eq!(run(None, &[0.0, 0.0, 0.0]), (0.0, 0, 3));
-        let mut kept = 0;
-        let mut selection = Selection::new(None);
+        let (mut kept, mut selection) = (0, Selection::new(None));
         for score in [0.0, 0.0, 0.2, 0.1] {
             selection.offer(score, || kept += 1);
         }
         assert_eq!(kept, 2, "`keep` runs on improvement only");
     }
 
+    /// Best at epoch 1; epochs 2, 3 and 4 do not improve, and 4 — counted
+    /// in `epochs_run` — stops the fit before 5 is offered.
     #[test]
     fn patience_stops_after_exactly_that_many_non_improving_offers() {
-        // Best at epoch 1; epochs 2, 3, 4 do not improve and 4 stops the
-        // fit, so 5 and 6 are never offered — and 4 is counted.
-        let scores = [0.1, 0.3, 0.2, 0.3, 0.25, 0.9, 0.9];
+        let scores = [0.1, 0.3, 0.2, 0.3, 0.25, 0.9];
         assert_eq!(run(Some(3), &scores), (0.3, 1, 5));
+        assert_eq!(run(None, &scores), (0.9, 5, 6));
         // An improvement resets the count.
         assert_eq!(run(Some(2), &[0.1, 0.0, 0.2, 0.0, 0.0, 0.5]), (0.2, 2, 5));
-        // Without patience, every epoch is offered.
-        assert_eq!(run(None, &scores), (0.9, 5, 7));
-    }
-
-    #[test]
-    fn offer_reports_when_patience_runs_out() {
-        let mut selection = Selection::new(Some(1));
-        assert!(selection.offer(0.4, || ()));
-        assert!(selection.offer(0.5, || ()));
-        assert!(!selection.offer(0.5, || ()));
-        assert_eq!(selection.finish(), (0.5, (), 3));
-    }
-
-    /// `n` pairs per `(predicted, actual)` outcome.
-    fn outcomes(tp: usize, fp: usize, fn_: usize, tn: usize) -> Vec<(bool, bool)> {
-        let each = |n, pair| std::iter::repeat(pair).take(n);
-        each(tp, (true, true))
-            .chain(each(fp, (true, false)))
-            .chain(each(fn_, (false, true)))
-            .chain(each(tn, (false, false)))
-            .collect()
     }
 
     #[test]
     fn f1_extremes() {
-        assert_eq!(f1(outcomes(2, 0, 0, 0)), 1.0);
-        assert_eq!(f1(outcomes(0, 0, 2, 0)), 0.0);
-        assert_eq!(f1(outcomes(0, 1, 0, 1)), 0.0);
+        assert_eq!(f1_of(2, 0, 0, 3), 1.0);
+        assert_eq!(f1_of(0, 0, 2, 0), 0.0);
+        assert_eq!(f1_of(0, 1, 0, 1), 0.0);
         assert_eq!(f1([]), 0.0);
     }
 
     #[test]
     fn f1_middle_case() {
         // tp=1 fp=1 fn=1 → P=0.5 R=0.5 → F1=0.5
-        assert_eq!(f1(outcomes(1, 1, 1, 0)), 0.5);
+        assert_eq!(f1_of(1, 1, 1, 4), 0.5);
     }
 
     /// Ten validation positives: (tp 1, fp 2) and a later (tp 2, fp 14)
@@ -154,14 +136,10 @@ mod tests {
             2.0 * p * r / (p + r)
         };
         assert!(harmonic(1.0, 2.0, 9.0) < harmonic(2.0, 14.0, 8.0), "the rounding this fixes");
-
-        let (first, later) = (f1(outcomes(1, 2, 9, 20)), f1(outcomes(2, 14, 8, 8)));
+        let (first, later) = (f1_of(1, 2, 9, 20), f1_of(2, 14, 8, 8));
+        assert_eq!(first.to_bits(), (2.0f64 / 13.0).to_bits());
         assert_eq!(first.to_bits(), later.to_bits());
-        assert_eq!(first, 2.0 / 13.0);
-        let mut selection = Selection::new(None);
-        selection.offer(first, || "first");
-        selection.offer(later, || "later");
-        assert_eq!(selection.finish(), (first, "first", 2));
+        assert_eq!(run(None, &[first, later]), (first, 0, 2));
     }
 
     #[test]

@@ -77,6 +77,7 @@ use flexer_block::ShardedBlocker;
 use flexer_graph::{BatchInductiveTrace, BatchPass, GnnModel, NeighborArena, RowSource};
 use flexer_matcher::summarize::DfTable;
 use flexer_matcher::{PairFeaturizer, PairScratch, SideStore};
+use flexer_nn::activation::is_match;
 use flexer_nn::{Matrix, SparseMatrix};
 use flexer_obs::{Counter, MetricsSnapshot, Recorder};
 use flexer_store::{ModelSnapshot, ShardFrames};
@@ -795,7 +796,7 @@ impl<B: BlockingTier> Service<B> {
                             matches: vec![RankedMatch {
                                 target: MatchTarget::Pair(*pair),
                                 score,
-                                matched: score > 0.5,
+                                matched: is_match(score),
                             }],
                         }
                     })
@@ -820,7 +821,7 @@ impl<B: BlockingTier> Service<B> {
                         matches: vec![RankedMatch {
                             target: MatchTarget::AdHoc,
                             score: scores[0],
-                            matched: scores[0] > 0.5,
+                            matched: is_match(scores[0]),
                         }],
                     })
                     .collect())
@@ -857,7 +858,7 @@ impl<B: BlockingTier> Service<B> {
                             .map(|(&score, &r)| RankedMatch {
                                 target: MatchTarget::Record(r),
                                 score,
-                                matched: score > 0.5,
+                                matched: is_match(score),
                             })
                             .collect();
                         ranked.sort_by(|x, y| {
