@@ -60,7 +60,7 @@ impl MatcherConfig {
     }
 
     /// The fit's optimizer: Adam with this learning rate, no weight decay.
-    pub fn adam(&self) -> AdamConfig {
+    pub(crate) fn adam(&self) -> AdamConfig {
         AdamConfig { lr: self.learning_rate, ..Default::default() }
     }
 

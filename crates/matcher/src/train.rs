@@ -86,7 +86,7 @@ impl PairCorpus {
     /// A training batch's feature rows and the corpus pair behind each: the
     /// `batch` rows, then — with `augment` — an augmented copy of each, in
     /// batch order (same labels as its original).
-    pub fn batch(
+    pub(crate) fn batch(
         &self,
         batch: &[usize],
         augment: bool,
