@@ -140,16 +140,14 @@ impl AnnRecordIndex {
 
     /// The `k` nearest indexed records to a new title, ascending by id.
     pub fn candidates(&self, title: &str) -> Vec<RecordId> {
-        let rec = flexer_obs::global();
-        let t0 = rec.is_enabled().then(std::time::Instant::now);
+        let t0 = std::time::Instant::now();
         let v = self.embed(title);
         let mut ids: Vec<RecordId> =
             self.index.search(&v, self.config.k).into_iter().map(|h| h.id).collect();
         ids.sort_unstable();
-        if let Some(t0) = t0 {
-            rec.record_span_ns("block.ann.query", t0.elapsed().as_nanos() as u64);
-            rec.add("block.ann.candidates", ids.len() as u64);
-        }
+        let rec = flexer_obs::global();
+        rec.record_span_ns("block.ann.query", t0.elapsed().as_nanos() as u64);
+        rec.add("block.ann.candidates", ids.len() as u64);
         ids
     }
 

@@ -60,11 +60,9 @@ impl BlockingOutcome {
         self.report.golden_recalled = recalled;
         self.report.golden_total = total;
         let rec = flexer_obs::global();
-        if rec.is_enabled() {
-            rec.set_gauge("block.golden.total", total as f64);
-            rec.set_gauge("block.golden.recalled", recalled as f64);
-            rec.set_gauge("block.golden.recall", self.report.golden_recall().unwrap_or(0.0));
-        }
+        rec.set_gauge("block.golden.total", total as f64);
+        rec.set_gauge("block.golden.recalled", recalled as f64);
+        rec.set_gauge("block.golden.recall", self.report.golden_recall().unwrap_or(0.0));
         self
     }
 }

@@ -201,20 +201,18 @@ impl NGramIndex {
         // Explicit dotted path, not a nested span guard: candidate queries
         // run from arbitrary caller contexts (serial ingest, parallel
         // shard fan-out workers) and must aggregate under one stable path.
-        let rec = flexer_obs::global();
-        let t0 = rec.is_enabled().then(std::time::Instant::now);
+        let t0 = std::time::Instant::now();
         let mut skipped = 0u64;
         let out = QUERY_SCRATCH.with(|cell| {
             let QueryScratch { chars, grams, shared } = &mut *cell.borrow_mut();
             gram_vec_into(title, self.config.q, chars, grams);
             self.collect_candidates(grams, true, shared, &mut skipped)
         });
-        if let Some(t0) = t0 {
-            rec.record_span_ns("block.ngram.query", t0.elapsed().as_nanos() as u64);
-            rec.add("block.ngram.candidates", out.len() as u64);
-            if skipped > 0 {
-                rec.add("block.ngram.stop_grams_skipped", skipped);
-            }
+        let rec = flexer_obs::global();
+        rec.record_span_ns("block.ngram.query", t0.elapsed().as_nanos() as u64);
+        rec.add("block.ngram.candidates", out.len() as u64);
+        if skipped > 0 {
+            rec.add("block.ngram.stop_grams_skipped", skipped);
         }
         out
     }

@@ -247,7 +247,7 @@ impl ShardedBlocker {
     /// one by one.
     pub fn insert_batch(&mut self, titles: &[&str]) -> Vec<(usize, RecordId)> {
         let rec = flexer_obs::global();
-        let t0 = rec.is_enabled().then(std::time::Instant::now);
+        let t0 = std::time::Instant::now();
         let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         let mut out = Vec::with_capacity(titles.len());
         for (i, title) in titles.iter().enumerate() {
@@ -256,21 +256,17 @@ impl ShardedBlocker {
             per_shard[shard].push(i);
             out.push((shard, global));
         }
-        if let Some(t0) = t0 {
-            rec.record_span_ns("shard.ingest.merge", elapsed_ns(t0));
-        }
+        rec.record_span_ns("shard.ingest.merge", elapsed_ns(t0));
         // Group-by-shard, parallel shard-local ingest: each shard absorbs
         // its titles in input order, exactly as serial inserts would. Each
         // shard's wall time aggregates under `shard.ingest.local.<s>`, the
         // balance evidence (max/mean imbalance across shards).
         flexer_par::for_each_row_mut(&mut self.shards, 1, |s, shard| {
-            let t0 = rec.is_enabled().then(std::time::Instant::now);
+            let t0 = std::time::Instant::now();
             for &i in &per_shard[s] {
                 shard[0].insert(titles[i]);
             }
-            if let Some(t0) = t0 {
-                rec.record_span_ns_indexed("shard.ingest.local", s, elapsed_ns(t0));
-            }
+            rec.record_span_ns_indexed("shard.ingest.local", s, elapsed_ns(t0));
         });
         out
     }
@@ -283,14 +279,12 @@ impl ShardedBlocker {
     pub fn candidates(&self, title: &str) -> Option<Vec<RecordId>> {
         let rec = flexer_obs::global();
         let query = self.global.plan(title)?;
-        let t0 = rec.is_enabled().then(std::time::Instant::now);
+        let t0 = std::time::Instant::now();
         let answers = self.fan_out(&query);
-        let t1 = rec.is_enabled().then(std::time::Instant::now);
+        let t1 = std::time::Instant::now();
         let out = self.global.merge(answers);
-        if let (Some(t0), Some(t1)) = (t0, t1) {
-            rec.record_span_ns("shard.fanout", (t1 - t0).as_nanos() as u64);
-            rec.record_span_ns("shard.merge", elapsed_ns(t1));
-        }
+        rec.record_span_ns("shard.fanout", (t1 - t0).as_nanos() as u64);
+        rec.record_span_ns("shard.merge", elapsed_ns(t1));
         Some(out)
     }
 

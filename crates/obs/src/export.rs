@@ -228,7 +228,6 @@ mod tests {
         rec.snapshot()
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn json_contains_every_section() {
         let json = sample_snapshot().to_json();
@@ -245,7 +244,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn prometheus_exposition_shape() {
         let text = sample_snapshot().to_prometheus();

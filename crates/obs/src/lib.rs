@@ -14,8 +14,9 @@
 //! * [`Recorder`] — aggregates nanosecond span timings by hierarchical
 //!   dotted path (thread-local span stacks compose `resolve.block` from
 //!   nested guards), plus named counters, gauges, and value histograms.
-//!   Cheap to clone; every clone feeds the same aggregate. A process-wide
-//!   instance is available via [`global`] for low-level crates.
+//!   Cheap to clone; every clone feeds the same aggregate. Each serving
+//!   `Service` owns one; the process-wide [`global`] instance holds what no
+//!   service owns (training, `store.*`, `block.*`).
 //! * [`MetricsSnapshot`] — deterministic point-in-time export with
 //!   [`MetricsSnapshot::to_json`] and a Prometheus-style
 //!   [`MetricsSnapshot::to_prometheus`] text exposition; the serving
@@ -37,19 +38,9 @@
 //!     let _global = span!("store.save"); // records into flexer_obs::global()
 //! }
 //! let snapshot = rec.snapshot();
-//! if let Some(stat) = snapshot.span("resolve.block") {
-//!     assert_eq!(stat.count, 1); // absent only in `--no-default-features` builds
-//! }
+//! assert_eq!(snapshot.span("resolve.block").unwrap().count, 1);
 //! println!("{}", snapshot.to_json());
 //! ```
-//!
-//! ## Disabling
-//!
-//! Build with `--no-default-features` to compile every recording call to a
-//! no-op (no clock reads, locks, or allocations — asserted by
-//! `tests/overhead.rs`), or flip a single recorder off at runtime with
-//! [`Recorder::set_enabled`]. Span guards on the disabled path cost a few
-//! nanoseconds (one relaxed atomic load).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -12,16 +12,13 @@
 //!
 //! Steady-state recording is allocation-free: path composition reuses a
 //! thread-local scratch string and histogram lookup borrows it as `&str`;
-//! the owned key is allocated only the first time a path is seen. With the
-//! crate's `enabled` feature off (or after [`Recorder::set_enabled`]
-//! `(false)`), [`Recorder::span`] returns an inert guard without reading
-//! the clock, taking a lock, or allocating.
+//! the owned key is allocated only the first time a path is seen.
 
 use crate::export::{HistStat, MetricsSnapshot};
 use crate::hist::Histogram;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -38,9 +35,6 @@ thread_local! {
 
 #[derive(Default)]
 struct Shared {
-    /// Runtime kill switch; the compile-time `enabled` feature is checked
-    /// first so disabled builds never reach this load.
-    enabled: AtomicBool,
     spans: Mutex<BTreeMap<Box<str>, Histogram>>,
     values: Mutex<BTreeMap<Box<str>, Histogram>>,
     counters: Mutex<BTreeMap<Box<str>, Arc<AtomicU64>>>,
@@ -56,7 +50,7 @@ pub struct Recorder {
 
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Recorder").field("enabled", &self.is_enabled()).finish_non_exhaustive()
+        f.debug_struct("Recorder").finish_non_exhaustive()
     }
 }
 
@@ -77,9 +71,7 @@ impl Counter {
     /// Increment by `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if cfg!(feature = "enabled") {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Increment by one.
@@ -97,54 +89,33 @@ impl Counter {
 /// RAII guard returned by [`Recorder::span`]; records the elapsed
 /// nanoseconds under the composed span path on drop.
 pub struct SpanGuard<'a> {
-    live: Option<(&'a Recorder, Instant)>,
+    rec: &'a Recorder,
+    start: Instant,
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if let Some((rec, start)) = self.live.take() {
-            let ns = start.elapsed().as_nanos() as u64;
-            FRAMES.with(|f| {
-                let mut f = f.borrow_mut();
-                let f = &mut *f;
-                f.scratch.clear();
-                for (i, part) in f.stack.iter().enumerate() {
-                    if i > 0 {
-                        f.scratch.push('.');
-                    }
-                    f.scratch.push_str(part);
+        let ns = self.start.elapsed().as_nanos() as u64;
+        FRAMES.with(|f| {
+            let mut f = f.borrow_mut();
+            let f = &mut *f;
+            f.scratch.clear();
+            for (i, part) in f.stack.iter().enumerate() {
+                if i > 0 {
+                    f.scratch.push('.');
                 }
-                rec.record_span_ns(&f.scratch, ns);
-                f.stack.pop();
-            });
-        }
+                f.scratch.push_str(part);
+            }
+            self.rec.record_span_ns(&f.scratch, ns);
+            f.stack.pop();
+        });
     }
 }
 
 impl Recorder {
-    /// New recorder, runtime-enabled (recording still compiles out when the
-    /// crate's `enabled` feature is off).
+    /// New, empty recorder.
     pub fn new() -> Self {
-        let rec = Recorder { shared: Arc::new(Shared::default()) };
-        rec.shared.enabled.store(true, Ordering::Relaxed);
-        rec
-    }
-
-    /// New recorder with the runtime switch off: spans are inert until
-    /// [`Recorder::set_enabled`]`(true)`.
-    pub fn disabled() -> Self {
-        Recorder { shared: Arc::new(Shared::default()) }
-    }
-
-    /// Flip the runtime recording switch.
-    pub fn set_enabled(&self, on: bool) {
-        self.shared.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether recording is active (compile-time feature and runtime flag).
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        cfg!(feature = "enabled") && self.shared.enabled.load(Ordering::Relaxed)
+        Self::default()
     }
 
     /// Open a timed span named `name`, nested under any span already open
@@ -152,28 +123,19 @@ impl Recorder {
     /// (`let _span = …`) so it lives to the end of the scope.
     #[inline]
     pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        if !self.is_enabled() {
-            return SpanGuard { live: None };
-        }
         FRAMES.with(|f| f.borrow_mut().stack.push(name));
-        SpanGuard { live: Some((self, Instant::now())) }
+        SpanGuard { rec: self, start: Instant::now() }
     }
 
     /// Record `ns` under an explicit dotted span path, bypassing the
     /// thread-local nesting stack (use inside `flexer-par` workers).
     pub fn record_span_ns(&self, path: &str, ns: u64) {
-        if !self.is_enabled() {
-            return;
-        }
         record_into(&self.shared.spans, path, ns);
     }
 
     /// Record `ns` under `base.idx` (e.g. per-shard paths) without
     /// allocating the composed path on the steady state.
     pub fn record_span_ns_indexed(&self, base: &str, idx: usize, ns: u64) {
-        if !self.is_enabled() {
-            return;
-        }
         FRAMES.with(|f| {
             let mut f = f.borrow_mut();
             let f = &mut *f;
@@ -188,9 +150,6 @@ impl Recorder {
     /// Record a non-timing sample (batch size, byte count, …) into the
     /// value histogram named `name`.
     pub fn record_value(&self, name: &str, v: u64) {
-        if !self.is_enabled() {
-            return;
-        }
         record_into(&self.shared.values, name, v);
     }
 
@@ -207,17 +166,11 @@ impl Recorder {
 
     /// One-shot counter increment by name (registers on first use).
     pub fn add(&self, name: &str, n: u64) {
-        if !self.is_enabled() {
-            return;
-        }
         self.counter(name).add(n);
     }
 
     /// Set a gauge to an instantaneous value.
     pub fn set_gauge(&self, name: &str, v: f64) {
-        if !self.is_enabled() {
-            return;
-        }
         let mut gauges = self.shared.gauges.lock().unwrap();
         if let Some(slot) = gauges.get_mut(name) {
             *slot = v;
@@ -351,7 +304,7 @@ pub fn global() -> &'static Recorder {
     GLOBAL.get_or_init(Recorder::new)
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -373,27 +326,6 @@ mod tests {
         assert!(snap.span("resolve.block").is_some());
         assert!(snap.span("resolve.forward").is_some());
         assert_eq!(snap.span("resolve").unwrap().count, 1);
-    }
-
-    #[test]
-    fn disabled_recorder_records_nothing() {
-        let rec = Recorder::disabled();
-        {
-            let _s = rec.span("resolve");
-        }
-        rec.add("hits", 3);
-        rec.set_gauge("g", 1.0);
-        rec.record_value("v", 9);
-        let snap = rec.snapshot();
-        assert!(snap.spans.is_empty());
-        assert!(snap.counters.is_empty());
-        assert!(snap.gauges.is_empty());
-        assert!(snap.values.is_empty());
-        rec.set_enabled(true);
-        {
-            let _s = rec.span("resolve");
-        }
-        assert_eq!(rec.snapshot().span("resolve").unwrap().count, 1);
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //! stream, and chunked parallel aggregation via `flexer-par` is
 //! bit-identical for any thread count.
 
-#![cfg(feature = "enabled")]
-
 use flexer_obs::{Histogram, Recorder, REL_ERROR_BOUND};
 use proptest::prelude::*;
 

@@ -12,8 +12,7 @@
 //!
 //! The cache is generic over its key so the hot path can use a
 //! fixed-width hashed key ([`Copy`], no heap) instead of an owned
-//! `String`, and it keeps its own hit/miss counters: lookups count
-//! themselves under the lock they already hold.
+//! `String`. It counts nothing: the service counts its own lookups.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -36,8 +35,6 @@ struct Entry<K, V> {
 #[derive(Debug)]
 pub struct LruCache<K, V> {
     capacity: usize,
-    hits: u64,
-    misses: u64,
     /// Key → position in `entries`.
     map: HashMap<K, usize>,
     /// The slab: an entry keeps its position for life; eviction reuses the
@@ -54,8 +51,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            hits: 0,
-            misses: 0,
             map: HashMap::with_capacity(capacity.min(1 << 16)),
             // Grown on demand: a lightly used cache should not hold a
             // capacity-sized slab.
@@ -80,28 +75,15 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.capacity
     }
 
-    /// Lifetime `(hits, misses)` counters of [`get`](Self::get).
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Looks up `key`, refreshing its recency and counting the outcome.
+    /// Looks up `key`, refreshing its recency.
     pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
     where
         K: Borrow<Q>,
         Q: Eq + Hash + ?Sized,
     {
-        match self.map.get(key).copied() {
-            Some(at) => {
-                self.hits += 1;
-                self.touch(at);
-                Some(&self.entries[at].value)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let at = self.map.get(key).copied()?;
+        self.touch(at);
+        Some(&self.entries[at].value)
     }
 
     /// Inserts `key` as the most recently used entry (replacing its value
@@ -177,7 +159,6 @@ mod tests {
         assert_eq!(cache.get("b"), None);
         assert_eq!(cache.get("a"), Some(&1));
         assert_eq!(cache.get("c"), Some(&3));
-        assert_eq!(cache.stats(), (3, 1));
     }
 
     #[test]
@@ -197,7 +178,6 @@ mod tests {
         cache.insert("a".into(), 1);
         assert!(cache.is_empty());
         assert_eq!(cache.get("a"), None);
-        assert_eq!(cache.stats(), (0, 1), "misses still count with caching disabled");
     }
 
     #[test]
@@ -207,7 +187,6 @@ mod tests {
         cache.insert(42, "hot");
         assert_eq!(cache.get(&42), Some(&"hot"));
         assert_eq!(cache.get(&43), None);
-        assert_eq!(cache.stats(), (1, 1));
     }
     /// The previous implementation — a map of `(value, last-use tick)` with
     /// an O(capacity) minimum-tick eviction scan — kept as the model the
@@ -215,25 +194,15 @@ mod tests {
     struct TickScanLru {
         capacity: usize,
         tick: u64,
-        hits: u64,
-        misses: u64,
         map: HashMap<u8, (u32, u64)>,
     }
 
     impl TickScanLru {
         fn get(&mut self, key: u8) -> Option<u32> {
             self.tick += 1;
-            match self.map.get_mut(&key) {
-                Some((v, used)) => {
-                    *used = self.tick;
-                    self.hits += 1;
-                    Some(*v)
-                }
-                None => {
-                    self.misses += 1;
-                    None
-                }
-            }
+            let (v, used) = self.map.get_mut(&key)?;
+            *used = self.tick;
+            Some(*v)
         }
 
         fn insert(&mut self, key: u8, value: u32) {
@@ -252,8 +221,8 @@ mod tests {
 
     proptest! {
         /// Random get/insert traces over a small key space (so hits,
-        /// re-inserts and evictions all occur): every lookup, the length
-        /// and the counters agree with the tick-scan model at every step,
+        /// re-inserts and evictions all occur): every lookup and the length
+        /// agree with the tick-scan model at every step,
         /// and so does the full content at the end.
         #[test]
         fn matches_the_tick_scan_model(
@@ -261,8 +230,7 @@ mod tests {
             trace in prop::collection::vec((any::<bool>(), 0u8..10), 0..200),
         ) {
             let mut cache: LruCache<u8, u32> = LruCache::new(capacity);
-            let mut model =
-                TickScanLru { capacity, tick: 0, hits: 0, misses: 0, map: HashMap::new() };
+            let mut model = TickScanLru { capacity, tick: 0, map: HashMap::new() };
             for (step, &(is_get, key)) in trace.iter().enumerate() {
                 if is_get {
                     prop_assert_eq!(cache.get(&key).copied(), model.get(key), "step {}", step);
@@ -271,7 +239,6 @@ mod tests {
                     model.insert(key, step as u32);
                 }
                 prop_assert_eq!(cache.len(), model.map.len(), "step {}", step);
-                prop_assert_eq!(cache.stats(), (model.hits, model.misses));
             }
             let mut left: Vec<(u8, u32)> = model.map.iter().map(|(k, (v, _))| (*k, *v)).collect();
             left.sort_unstable();

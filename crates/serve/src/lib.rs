@@ -23,8 +23,10 @@
 //!   bit-identical to the batch model.
 //!
 //! Batched requests fan out through `flexer-par` (deterministic,
-//! bit-identical at any thread count) and the service keeps p50/p99
-//! latency counters plus cache hit rates ([`ServeMetrics`]).
+//! bit-identical at any thread count). Each service times and counts into
+//! its own `flexer-obs` recorder — the end-to-end `resolve` span, its
+//! stages, cache hits and misses — exported by
+//! [`Service::obs_snapshot`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +36,6 @@ pub mod blocking;
 pub mod cache;
 pub mod chaos;
 pub mod error;
-pub mod metrics;
 pub mod replica;
 pub mod router;
 pub mod server;
@@ -46,7 +47,6 @@ pub use blocking::{BlockingTier, Monolithic};
 pub use cache::LruCache;
 pub use chaos::{FaultMode, FaultProxy};
 pub use error::ServeError;
-pub use metrics::ServeMetrics;
 pub use replica::NetConfig;
 pub use router::{Router, RouterClient};
 pub use server::{ServerConfig, ShardServer};

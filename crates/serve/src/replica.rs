@@ -30,6 +30,7 @@
 //! idempotent, so convergence needs no guessing about what the dead
 //! connection did or did not deliver.
 
+use flexer_obs::{Counter, Recorder};
 use flexer_store::{read_message_bounded, write_message, WireError};
 use flexer_types::{ShardRequest, ShardResponse};
 use std::collections::VecDeque;
@@ -76,28 +77,34 @@ impl Default for NetConfig {
     }
 }
 
-/// Fault counters the router exposes over [`flexer_types::RouterRequest::Stats`]
-/// and mirrors into `flexer-obs` (`router.shard.*`). Plain atomics so the
-/// stats endpoint works even with the `obs` feature compiled out.
-#[derive(Debug, Default)]
+/// The router's fault counters (`router.shard.*`): handles on the router
+/// service's recorder, so they reach its `obs_snapshot` export as well as
+/// the [`flexer_types::RouterRequest::Stats`] reply.
+#[derive(Debug)]
 pub struct FaultStats {
     /// Requests whose fan-out budget expired before any replica of some
     /// shard answered.
-    pub timeout: AtomicU64,
+    pub timeout: Counter,
     /// Attempts on a sibling replica after the preferred one failed.
-    pub failover: AtomicU64,
+    pub failover: Counter,
     /// Fan-outs where a whole shard (every replica) contributed nothing.
-    pub degraded: AtomicU64,
+    pub degraded: Counter,
     /// Insert batches queued for later replay on an unreachable replica.
-    pub insert_deferred: AtomicU64,
+    pub insert_deferred: Counter,
     /// Insert batches successfully replayed from a replica's pending lane.
-    pub insert_replayed: AtomicU64,
+    pub insert_replayed: Counter,
 }
 
 impl FaultStats {
-    pub(crate) fn bump(field: &AtomicU64, name: &'static str) {
-        field.fetch_add(1, Ordering::Relaxed);
-        flexer_obs::global().add(name, 1);
+    /// Registers the five counters on `recorder`.
+    pub(crate) fn new(recorder: &Recorder) -> Self {
+        Self {
+            timeout: recorder.counter("router.shard.timeout"),
+            failover: recorder.counter("router.shard.failover"),
+            degraded: recorder.counter("router.shard.degraded"),
+            insert_deferred: recorder.counter("router.shard.insert_deferred"),
+            insert_replayed: recorder.counter("router.shard.insert_replayed"),
+        }
     }
 
     /// Snapshot as `(name, value)` pairs, ascending by name (the wire
@@ -105,11 +112,11 @@ impl FaultStats {
     pub fn snapshot(&self, pending: u64) -> Vec<(String, u64)> {
         vec![
             ("router.replica.pending".into(), pending),
-            ("router.shard.degraded".into(), self.degraded.load(Ordering::Relaxed)),
-            ("router.shard.failover".into(), self.failover.load(Ordering::Relaxed)),
-            ("router.shard.insert_deferred".into(), self.insert_deferred.load(Ordering::Relaxed)),
-            ("router.shard.insert_replayed".into(), self.insert_replayed.load(Ordering::Relaxed)),
-            ("router.shard.timeout".into(), self.timeout.load(Ordering::Relaxed)),
+            ("router.shard.degraded".into(), self.degraded.get()),
+            ("router.shard.failover".into(), self.failover.get()),
+            ("router.shard.insert_deferred".into(), self.insert_deferred.get()),
+            ("router.shard.insert_replayed".into(), self.insert_replayed.get()),
+            ("router.shard.timeout".into(), self.timeout.get()),
         ]
     }
 }
@@ -305,7 +312,7 @@ impl Replica {
             match self.call(&request, net, deadline, false) {
                 CallOutcome::Ok(ShardResponse::Inserted { .. }) => {
                     lane.pop_front();
-                    FaultStats::bump(&stats.insert_replayed, "router.shard.insert_replayed");
+                    stats.insert_replayed.inc();
                 }
                 _ => return false,
             }
@@ -371,11 +378,11 @@ impl ReplicaSet {
     ) -> Option<ShardResponse> {
         for (tried, i) in self.ranked().into_iter().enumerate() {
             if Instant::now() >= deadline {
-                FaultStats::bump(&stats.timeout, "router.shard.timeout");
+                stats.timeout.inc();
                 return None;
             }
             if tried > 0 {
-                FaultStats::bump(&stats.failover, "router.shard.failover");
+                stats.failover.inc();
             }
             match self.replicas[i].call(request, net, deadline, true) {
                 CallOutcome::Ok(response) if usable(&response) => return Some(response),
@@ -383,7 +390,7 @@ impl ReplicaSet {
                 // arrives from outside the program): a sibling may do better.
                 CallOutcome::Ok(_) | CallOutcome::Failed => continue,
                 CallOutcome::Deadline => {
-                    FaultStats::bump(&stats.timeout, "router.shard.timeout");
+                    stats.timeout.inc();
                     return None;
                 }
             }
@@ -410,7 +417,7 @@ impl ReplicaSet {
                     continue;
                 }
             }
-            FaultStats::bump(&stats.insert_deferred, "router.shard.insert_deferred");
+            stats.insert_deferred.inc();
             lane.push_back((seq, rows.clone()));
         }
     }

@@ -162,8 +162,8 @@ impl Router {
                 "every shard slot needs at least one replica address".into(),
             ));
         }
-        let core = Service::build(snapshot, config, |stored, titles| {
-            Remote::connect(&stored, titles.len(), shards, net)
+        let core = Service::build(snapshot, config, |stored, titles, recorder| {
+            Remote::connect(&stored, titles.len(), shards, net, FaultStats::new(recorder))
         })?;
         let fleet = Arc::clone(&core.tier.fleet);
         let listener = TcpListener::bind(addr).map_err(flexer_store::StoreError::Io)?;
@@ -241,6 +241,7 @@ impl Remote {
         n_records: usize,
         shards: Vec<Vec<String>>,
         net: NetConfig,
+        stats: FaultStats,
     ) -> Result<Self, ServeError> {
         let n_slots = shards.len();
         if matches!(stored, StoredBlocking::Sharded(frames) if frames.n_shards() != n_slots) {
@@ -298,7 +299,6 @@ impl Remote {
                 "shards hold {shard_records} records, snapshot lists {n_records}"
             )));
         }
-        let stats = FaultStats::default();
         Ok(Self {
             global: GlobalBlocking::new(&gen, ShardConfig::of(n_slots), bucket_sizes, n_records),
             fleet: Arc::new(Fleet { sets, net, stats, ingest_mutex: Mutex::new(()) }),
@@ -429,7 +429,7 @@ impl Fleet {
                         ) {
                             Some(ShardResponse::CandidatesBatch(answers)) => answers,
                             _ => {
-                                FaultStats::bump(&self.stats.degraded, "router.shard.degraded");
+                                self.stats.degraded.inc();
                                 empty()
                             }
                         }

@@ -71,7 +71,6 @@ use crate::arena::PinnedArena;
 use crate::blocking::{BlockingTier, Monolithic, StoredBlocking};
 use crate::cache::LruCache;
 use crate::error::ServeError;
-use crate::metrics::{MetricsInner, ServeMetrics};
 use flexer_ann::{AnyIndex, Neighbor, VectorIndex};
 use flexer_block::ShardedBlocker;
 use flexer_graph::{BatchInductiveTrace, BatchPass, GnnModel, NeighborArena, RowSource};
@@ -86,7 +85,6 @@ use flexer_types::{
 };
 use std::cell::RefCell;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -253,30 +251,60 @@ pub struct Service<B> {
     /// pairs, inductive values for ingested ones.
     scores: Vec<Vec<f32>>,
     cache: Mutex<LruCache<PairKey, LocatedPair>>,
-    metrics: Mutex<MetricsInner>,
-    /// Span/counter aggregator for the per-stage breakdown. A clone of the
-    /// process-global recorder by default, so the blocking and store tiers'
-    /// instrumentation lands in the same aggregate.
+    /// Everything this service times and counts: the end-to-end `resolve`
+    /// span, its stages, and the counters below. Its own, not the
+    /// process-global recorder, so two services in one process count apart.
     recorder: Recorder,
+    counters: Counters,
+}
+
+/// The service's counters, registered on its recorder at build so the hot
+/// paths add without a map lookup.
+#[derive(Debug)]
+struct Counters {
+    /// Records ingested.
+    ingest_records: Counter,
+    /// Cache lookups of resolve traffic that found an entry, and that did not.
+    cache_hits: Counter,
+    cache_misses: Counter,
     /// Embeddings the flood guard computed but refused to cache.
-    flood_rejections: AtomicU64,
+    flood_rejections: Counter,
     /// New nodes handed to the batched forward (B·P per call).
-    ctr_forward_rows: Counter,
+    forward_rows: Counter,
     /// Candidate records considered across record-level resolves.
-    ctr_resolve_candidates: Counter,
+    resolve_candidates: Counter,
     /// Per-(candidate, layer) neighbour lists the batched path took from
     /// the cache as they were, brought up to date over the appended tail,
     /// and searched from scratch.
-    ctr_localize_reused: Counter,
-    ctr_localize_resumed: Counter,
-    ctr_localize_searched: Counter,
+    localize_reused: Counter,
+    localize_resumed: Counter,
+    localize_searched: Counter,
     /// Index rows appended past the resumed lists' watermarks, summed over
     /// the lists: what the resumes had to cover instead of the whole index.
-    ctr_localize_tail_rows: Counter,
+    localize_tail_rows: Counter,
     /// Distances the searched and resumed lists actually evaluated (pivot
     /// and centroid distances included), as the indexes report them: the
     /// work to hold against `searched × index rows` and `tail_rows`.
-    ctr_localize_rows_scanned: Counter,
+    localize_rows_scanned: Counter,
+}
+
+impl Counters {
+    fn new(recorder: &Recorder) -> Self {
+        let counter = |name| recorder.counter(name);
+        Self {
+            ingest_records: counter("serve.ingest.records"),
+            cache_hits: counter("serve.cache.hits"),
+            cache_misses: counter("serve.cache.misses"),
+            flood_rejections: counter("serve.cache.flood_rejections"),
+            forward_rows: counter("serve.forward.rows"),
+            resolve_candidates: counter("serve.resolve.candidates"),
+            localize_reused: counter("serve.localize.reused"),
+            localize_resumed: counter("serve.localize.resumed"),
+            localize_searched: counter("serve.localize.searched"),
+            localize_tail_rows: counter("serve.localize.tail_rows"),
+            localize_rows_scanned: counter("serve.localize.rows_scanned"),
+        }
+    }
 }
 
 /// The service over one resident blocker — the unsharded deployment.
@@ -292,7 +320,7 @@ impl ResolutionService {
     /// blocker (the merge is exact — see `flexer_block::ShardedBlocker`).
     /// Use `ShardedResolutionService` to keep the partitioned layout.
     pub fn new(snapshot: ModelSnapshot, config: ServeConfig) -> Result<Self, ServeError> {
-        Self::build(snapshot, config, |stored, _| Monolithic::unpack(stored))
+        Self::build(snapshot, config, |stored, _, _| Monolithic::unpack(stored))
     }
 
     /// Loads a `.flexer` snapshot file and builds the service over it.
@@ -335,11 +363,12 @@ impl ResolutionService {
 impl<B: BlockingTier> Service<B> {
     /// The constructor behind every deployment: validation and the warm
     /// forward are the same everywhere; `unpack` makes the blocking tier
-    /// from what the snapshot stored and the corpus titles.
+    /// from what the snapshot stored, the corpus titles and the service's
+    /// recorder (a tier that counts registers its counters there).
     pub(crate) fn build(
         mut snapshot: ModelSnapshot,
         config: ServeConfig,
-        unpack: impl FnOnce(StoredBlocking, &[String]) -> Result<B, ServeError>,
+        unpack: impl FnOnce(StoredBlocking, &[String], &Recorder) -> Result<B, ServeError>,
     ) -> Result<Self, ServeError> {
         snapshot.validate()?;
         let p_intents = snapshot.n_intents();
@@ -391,17 +420,10 @@ impl<B: BlockingTier> Service<B> {
         // training-time prefix on demand. Keeping second copies inside
         // `self.snapshot` would double the dominant memory cost at scale.
         let indexes = std::mem::take(&mut snapshot.indexes);
-        let tier = unpack(StoredBlocking::take(&mut snapshot), &snapshot.records)?;
+        let recorder = Recorder::new();
+        let tier = unpack(StoredBlocking::take(&mut snapshot), &snapshot.records, &recorder)?;
         let records = std::mem::take(&mut snapshot.records);
         let sides = Sides::of(&snapshot.featurizer, &snapshot.df, &records);
-        let recorder = flexer_obs::global().clone();
-        let ctr_forward_rows = recorder.counter("serve.forward.rows");
-        let ctr_resolve_candidates = recorder.counter("serve.resolve.candidates");
-        let ctr_localize_reused = recorder.counter("serve.localize.reused");
-        let ctr_localize_resumed = recorder.counter("serve.localize.resumed");
-        let ctr_localize_searched = recorder.counter("serve.localize.searched");
-        let ctr_localize_tail_rows = recorder.counter("serve.localize.tail_rows");
-        let ctr_localize_rows_scanned = recorder.counter("serve.localize.rows_scanned");
         Ok(Self {
             n_train_pairs: n_pairs,
             n_train_records: records.len(),
@@ -417,16 +439,8 @@ impl<B: BlockingTier> Service<B> {
             pinned,
             scores,
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
-            metrics: Mutex::new(MetricsInner::new()),
+            counters: Counters::new(&recorder),
             recorder,
-            flood_rejections: AtomicU64::new(0),
-            ctr_forward_rows,
-            ctr_resolve_candidates,
-            ctr_localize_reused,
-            ctr_localize_resumed,
-            ctr_localize_searched,
-            ctr_localize_tail_rows,
-            ctr_localize_rows_scanned,
             snapshot,
             config,
             #[cfg(test)]
@@ -517,42 +531,26 @@ impl<B: BlockingTier> Service<B> {
         (a.index(), b.index())
     }
 
-    /// Current counters and latency percentiles.
-    pub fn metrics(&self) -> ServeMetrics {
-        let cache = self.cache.lock().expect("cache lock").stats();
-        let flood = self.flood_rejections.load(Ordering::Relaxed);
-        self.metrics.lock().expect("metrics lock").snapshot(cache, flood)
-    }
-
-    /// The span/counter recorder this service reports into — a clone of
-    /// [`flexer_obs::global`], so blocking-tier and store instrumentation
-    /// aggregates alongside the serving spans.
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
     /// Full observability snapshot: every span path, counter and value
-    /// histogram recorded so far, plus instantaneous state gauges (arena
-    /// occupancy, served records/pairs, cache hit rate).
+    /// histogram this service recorded, merged with the process-global
+    /// recorder's (training, `store.*`, `block.*`), plus instantaneous
+    /// state gauges (arena occupancy, served records/pairs, cache hit rate).
     pub fn obs_snapshot(&self) -> MetricsSnapshot {
-        let (hits, misses) = self.cache.lock().expect("cache lock").stats();
-        let lookups = hits + misses;
+        let hits = self.counters.cache_hits.get();
+        let lookups = hits + self.counters.cache_misses.get();
         self.recorder.set_gauge("serve.records", self.records.len() as f64);
         self.recorder.set_gauge("serve.pairs", self.pairs.len() as f64);
         self.recorder.set_gauge("serve.sides.bytes", self.sides.store.bytes() as f64);
         self.recorder
             .set_gauge("serve.arena.rows", self.pinned.first().map_or(0.0, |a| a.n_rows() as f64));
-        self.recorder.set_gauge("serve.cache.hits", hits as f64);
-        self.recorder.set_gauge("serve.cache.misses", misses as f64);
         self.recorder.set_gauge(
             "serve.cache.hit_rate",
             if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 },
         );
-        self.recorder.set_gauge(
-            "serve.cache.flood_rejections",
-            self.flood_rejections.load(Ordering::Relaxed) as f64,
-        );
-        self.recorder.snapshot()
+        let merged = Recorder::new();
+        merged.merge_from(flexer_obs::global());
+        merged.merge_from(&self.recorder);
+        merged.snapshot()
     }
 
     /// Resolves one query under one intent, returning up to `top_k`
@@ -578,10 +576,10 @@ impl<B: BlockingTier> Service<B> {
         self.resolve_from(Instant::now(), query, &intents, top_k)
     }
 
-    /// One timed resolve of a request that started at `t0`: the latency
-    /// sample and a networked tier's fan-out budget both run from there,
-    /// so a front-end that waited before calling (the router takes its
-    /// core lock) passes the instant it read the request.
+    /// One timed resolve of a request that started at `t0`: the `resolve`
+    /// span and a networked tier's fan-out budget both run from there, so
+    /// a front-end that waited before calling (the router takes its core
+    /// lock) passes the instant it read the request.
     pub(crate) fn resolve_from(
         &self,
         t0: Instant,
@@ -589,10 +587,11 @@ impl<B: BlockingTier> Service<B> {
         intents: &[IntentId],
         top_k: usize,
     ) -> Result<Vec<ResolveResponse>, ServeError> {
-        // Errors count as resolves too, so the counters stay comparable
-        // across endpoints.
+        // Errors count as resolves too, so the counts stay comparable
+        // across endpoints. An explicit path, not a guard: a guard would
+        // file the `resolve.*` stage spans under `resolve.resolve.*`.
         let out = self.resolve_intents(t0, query, intents, top_k);
-        self.metrics.lock().expect("metrics lock").record_resolve(t0.elapsed());
+        self.recorder.record_span_ns("resolve", t0.elapsed().as_nanos() as u64);
         out
     }
 
@@ -669,9 +668,9 @@ impl<B: BlockingTier> Service<B> {
             for ((&title, cands), (embeddings, batch)) in titles.iter().zip(&candidates).zip(scored)
             {
                 reports.push(self.apply_scored(title, cands, embeddings, batch, pre_batch_records));
-                self.metrics.lock().expect("metrics lock").record_ingest();
             }
         }
+        self.counters.ingest_records.add(titles.len() as u64);
         // The records now have their ids; the blocking tier indexes them.
         self.tier.absorb(titles);
         self.recorder
@@ -834,7 +833,7 @@ impl<B: BlockingTier> Service<B> {
                     let _span = self.recorder.span("resolve.block");
                     self.candidate_records(&[title.as_str()], t0).pop().expect("one set per title")
                 };
-                self.ctr_resolve_candidates.add(candidates.len() as u64);
+                self.counters.resolve_candidates.add(candidates.len() as u64);
                 if candidates.is_empty() {
                     let none = |&p| ResolveResponse { intent: p, matches: Vec::new() };
                     return Ok(intents.iter().map(none).collect());
@@ -922,9 +921,8 @@ impl<B: BlockingTier> Service<B> {
             // before the lock is taken; the write-back reuses the keys.
             let right = TitleDigest::of(title);
             keys = ids.iter().map(|&id| PairKey::new(lefts.digests[id], right)).collect();
-            // One lock pass covers the lookups *and* the hit/miss counters
-            // (the cache counts its own traffic); an all-hit batch touches
-            // no other lock — keys are fixed-width hashes and values are
+            // One lock pass covers the lookups; an all-hit batch touches no
+            // other lock — keys are fixed-width hashes and values are
             // shared `Arc`s.
             let mut cache = self.cache.lock().expect("cache lock");
             for (i, key) in keys.iter().enumerate() {
@@ -933,6 +931,8 @@ impl<B: BlockingTier> Service<B> {
                     None => misses.push(i),
                 }
             }
+            self.counters.cache_hits.add((ids.len() - misses.len()) as u64);
+            self.counters.cache_misses.add(misses.len() as u64);
         } else {
             misses.extend(0..ids.len());
         }
@@ -994,7 +994,7 @@ impl<B: BlockingTier> Service<B> {
         // caching those. The capacity is config, so the guard itself needs
         // no lock.
         if missed.len() > self.config.cache_capacity / 2 {
-            self.flood_rejections.fetch_add(missed.len() as u64, Ordering::Relaxed);
+            self.counters.flood_rejections.add(missed.len() as u64);
             missed = &[];
         }
         if missed.is_empty() && batch.relocated.is_empty() {
@@ -1025,7 +1025,7 @@ impl<B: BlockingTier> Service<B> {
             .filter(|(_, pair)| pair.watermark < n)
             .map(|(i, pair)| (pair.watermark, i))
             .collect();
-        self.ctr_localize_reused.add(((batch.pairs.len() - behind.len()) * p_total) as u64);
+        self.counters.localize_reused.add(((batch.pairs.len() - behind.len()) * p_total) as u64);
         behind.sort_unstable();
         let stride = k.min(n);
         let mut rest = &behind[..];
@@ -1051,7 +1051,7 @@ impl<B: BlockingTier> Service<B> {
                     .collect();
                 let priors: Vec<&[Neighbor]> = priors.iter().map(Vec::as_slice).collect();
                 let (lists, scanned) = index.scan_batch_since(&queries, k, since, &priors);
-                self.ctr_localize_rows_scanned.add(scanned);
+                self.counters.localize_rows_scanned.add(scanned);
                 for (g, list) in lists.iter().enumerate() {
                     let at = (g * p_total + q) * stride;
                     for (slot, hit) in hoods[at..at + stride].iter_mut().zip(list) {
@@ -1072,10 +1072,10 @@ impl<B: BlockingTier> Service<B> {
             }
             let lists = (group.len() * p_total) as u64;
             if since == 0 {
-                self.ctr_localize_searched.add(lists);
+                self.counters.localize_searched.add(lists);
             } else {
-                self.ctr_localize_resumed.add(lists);
-                self.ctr_localize_tail_rows.add(lists * (n - since) as u64);
+                self.counters.localize_resumed.add(lists);
+                self.counters.localize_tail_rows.add(lists * (n - since) as u64);
             }
         }
     }
@@ -1101,7 +1101,7 @@ impl<B: BlockingTier> Service<B> {
         let p_total = self.n_intents();
         let dim = self.snapshot.graph.dim;
         let b = batch.pairs.len();
-        self.ctr_forward_rows.add((b * p_total) as u64);
+        self.counters.forward_rows.add((b * p_total) as u64);
         // Explicit flat paths (not nested spans): resolves and ingest's
         // phase-1 workers share this call, and a nested guard would file
         // the stage under a different parent on each (`resolve.forward` on
@@ -1257,6 +1257,11 @@ mod tests {
         model.to_snapshot(&ctx, &base, &config, IndexKind::Flat).unwrap()
     }
 
+    /// One of the service's own counters, as its snapshot exports it.
+    fn counter<B: BlockingTier>(svc: &Service<B>, name: &str) -> u64 {
+        svc.obs_snapshot().counter(name).unwrap_or_else(|| panic!("counter {name} missing"))
+    }
+
     /// A record query nothing blocks with, and a call that asks for no
     /// intent, answer without embedding, localizing or scoring anything.
     #[test]
@@ -1264,13 +1269,15 @@ mod tests {
         let snapshot = tiny_snapshot();
         let mut svc = ResolutionService::new(snapshot, ServeConfig::default()).unwrap();
         let work = |svc: &ResolutionService| {
-            let rows = svc.obs_snapshot().counter("serve.forward.rows").unwrap_or(0);
-            (rows, svc.metrics().cache_misses)
+            (counter(svc, "serve.forward.rows"), counter(svc, "serve.cache.misses"))
         };
 
         let known = ResolveQuery::record(svc.record_title(0));
         assert!(!svc.resolve_all_intents(&known, 5).unwrap()[0].matches.is_empty());
         let before = work(&svc);
+        // A cold service: every candidate missed, and each became P new nodes.
+        let candidates = counter(&svc, "serve.resolve.candidates");
+        assert_eq!(before, (candidates * svc.n_intents() as u64, candidates));
 
         // No gram in common with any product title.
         let alien = ResolveQuery::record("§§§§§§ ¶¶¶¶¶¶");
@@ -1310,7 +1317,7 @@ mod tests {
             }
             assert_eq!(svc.sides.store.bytes(), fresh.store.bytes());
             let gauge = svc.obs_snapshot().gauge("serve.sides.bytes");
-            assert!(gauge.is_none() || gauge == Some(fresh.store.bytes() as f64));
+            assert_eq!(gauge, Some(fresh.store.bytes() as f64));
         }
 
         // Exhaustive, so the edge titles below pair with every record: as
@@ -1361,16 +1368,36 @@ mod tests {
             panic!("a record query ranks records");
         };
         let stored = svc.record_title(candidate).to_string();
-        let before = svc.metrics();
-        assert_eq!(before.cache_hits, 0);
+        let cache = |svc: &ResolutionService| {
+            (counter(svc, "serve.cache.hits"), counter(svc, "serve.cache.misses"))
+        };
+        let candidates = counter(&svc, "serve.resolve.candidates");
+        assert_eq!(cache(&svc), (0, candidates));
 
         let by_titles = svc.resolve(&ResolveQuery::pair(&stored, &title), 0, 1).unwrap();
-        let after = svc.metrics();
-        assert_eq!((after.cache_hits, after.cache_misses), (1, before.cache_misses));
+        assert_eq!(cache(&svc), (1, candidates));
         assert_eq!(by_titles.matches[0].score.to_bits(), ranked.matches[0].score.to_bits());
 
         svc.resolve(&ResolveQuery::pair(&title, &stored), 0, 1).unwrap();
-        let swapped = svc.metrics();
-        assert_eq!((swapped.cache_hits, swapped.cache_misses), (1, after.cache_misses + 1));
+        assert_eq!(cache(&svc), (1, candidates + 1));
+    }
+
+    /// Two services in one process keep their own counts: work on one never
+    /// shows up in the other's snapshot.
+    #[test]
+    fn two_services_count_independently() {
+        let snapshot = tiny_snapshot();
+        let busy = ResolutionService::new(snapshot.clone(), ServeConfig::default()).unwrap();
+        let idle = ResolutionService::new(snapshot, ServeConfig::default()).unwrap();
+        let query = ResolveQuery::record(busy.record_title(0));
+        busy.resolve_all_intents(&query, 5).unwrap();
+        busy.resolve(&query, 0, 5).unwrap();
+
+        let resolves =
+            |svc: &ResolutionService| svc.obs_snapshot().span("resolve").map(|s| s.count);
+        assert_eq!(resolves(&busy), Some(2));
+        assert!(counter(&busy, "serve.forward.rows") > 0);
+        assert_eq!(resolves(&idle), None);
+        assert_eq!(counter(&idle, "serve.forward.rows"), 0);
     }
 }

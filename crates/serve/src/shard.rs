@@ -60,7 +60,7 @@ impl ShardedResolutionService {
         shard_config: ShardConfig,
     ) -> Result<Self, ServeError> {
         shard_config.validate().map_err(ServeError::InconsistentSnapshot)?;
-        Self::build(snapshot, config, |stored, titles| {
+        Self::build(snapshot, config, |stored, titles, _| {
             Ok(match stored {
                 StoredBlocking::Sharded(frames) if frames.config() == shard_config => {
                     frames.decode_all()?

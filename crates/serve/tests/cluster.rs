@@ -90,6 +90,17 @@ fn networked_router_is_bit_identical_to_in_process_sharded_service() {
     assert_eq!(n_shards, 2);
     assert_eq!(n_records as usize, reference.n_records());
     assert_eq!(n_intents as usize, reference.n_intents());
+    // A healthy router's `Stats`: these six names, ascending, all zero. The
+    // ladder's shutdown check and the chaos bench read them by name.
+    let names = [
+        "router.replica.pending",
+        "router.shard.degraded",
+        "router.shard.failover",
+        "router.shard.insert_deferred",
+        "router.shard.insert_replayed",
+        "router.shard.timeout",
+    ];
+    assert_eq!(client.stats().unwrap(), names.map(|name| (name.to_string(), 0)).to_vec());
 
     let corpus_title = reference.record_title(1).to_string();
     let queries = vec![

@@ -14,6 +14,16 @@ fn trained_snapshot() -> (ModelSnapshot, FlexErModel) {
     common::trained().clone()
 }
 
+/// One of the service's own counters, as its snapshot exports it.
+fn counter(svc: &ResolutionService, name: &str) -> u64 {
+    svc.obs_snapshot().counter(name).unwrap_or_else(|| panic!("counter {name} missing"))
+}
+
+/// The service's `(hits, misses)` of resolve traffic's cache lookups.
+fn cache(svc: &ResolutionService) -> (u64, u64) {
+    (counter(svc, "serve.cache.hits"), counter(svc, "serve.cache.misses"))
+}
+
 #[test]
 fn serving_pipeline_end_to_end() {
     let (snapshot, model) = trained_snapshot();
@@ -51,11 +61,11 @@ fn serving_pipeline_end_to_end() {
         assert!(w[0].score >= w[1].score, "ranking must be descending");
     }
 
-    // --- Metrics observed the traffic. ---
-    let metrics = svc.metrics();
-    assert_eq!(metrics.resolves as usize, n_pairs + 2);
-    assert!(metrics.latency_samples > 0);
-    assert!(metrics.cache_misses > 0);
+    // --- Metrics observed the traffic: every resolve, and a miss for the
+    // ad-hoc pair and each of the record query's candidates. ---
+    let resolves = svc.obs_snapshot().span("resolve").unwrap().count;
+    assert_eq!(resolves as usize, n_pairs + 2);
+    assert_eq!(cache(&svc), (0, 1 + counter(&svc, "serve.resolve.candidates")));
 }
 
 #[test]
@@ -89,7 +99,7 @@ fn ingest_extends_the_served_corpus() {
     let ranked = svc.resolve(&ResolveQuery::record("BrandNew UltraWidget 9000 Pro Edition"), 0, 3);
     let ranked = ranked.unwrap();
     assert!(ranked.matches.iter().any(|m| m.target == MatchTarget::Record(report.record)));
-    assert!(svc.metrics().ingests == 1);
+    assert_eq!(counter(&svc, "serve.ingest.records"), 1);
 }
 
 #[test]
@@ -117,7 +127,7 @@ fn cache_key_is_injective_for_adversarial_titles() {
     let r1 = svc.resolve(&q1, 0, 1).unwrap();
     let r2 = svc.resolve(&q2, 0, 1).unwrap();
     // Both queries must have been embedded independently (two misses).
-    assert_eq!(svc.metrics().cache_misses, 2);
+    assert_eq!(cache(&svc), (0, 2));
     // And re-resolving each returns its own cached answer.
     assert_eq!(svc.resolve(&q1, 0, 1).unwrap(), r1);
     assert_eq!(svc.resolve(&q2, 0, 1).unwrap(), r2);
@@ -246,19 +256,13 @@ fn repeated_record_query_is_served_from_the_cache() {
     let svc = ResolutionService::new(snapshot, ServeConfig::default()).unwrap();
     let q = ResolveQuery::record(svc.record_title(5).to_string());
     let first = svc.resolve(&q, 0, 5).unwrap();
-    let m1 = svc.metrics();
-    assert!(m1.cache_misses > 0, "first record query embeds its candidate pairs");
+    let candidates = counter(&svc, "serve.resolve.candidates");
+    assert!(candidates > 0);
+    assert_eq!(cache(&svc), (0, candidates), "first record query embeds its candidate pairs");
     let second = svc.resolve(&q, 0, 5).unwrap();
-    let m2 = svc.metrics();
     assert_eq!(second, first, "cached embeddings must not change the answer");
-    assert_eq!(m2.cache_misses, m1.cache_misses, "repeat must be served from the cache");
-    assert!(m2.cache_hits > m1.cache_hits);
-    assert!(
-        m2.cache_hit_rate > 0.0,
-        "repeat traffic must surface as a non-zero hit rate, got {}",
-        m2.cache_hit_rate
-    );
-    assert_eq!(m2.cache_hit_rate, m2.cache_hits as f64 / (m2.cache_hits + m2.cache_misses) as f64);
+    assert_eq!(cache(&svc), (candidates, candidates), "repeat must be served from the cache");
+    assert_eq!(svc.obs_snapshot().gauge("serve.cache.hit_rate"), Some(0.5));
 }
 
 #[test]
@@ -270,21 +274,17 @@ fn flood_guard_rejections_surface_in_metrics() {
     let svc = ResolutionService::new(snapshot, config).unwrap();
     let q = ResolveQuery::record(svc.record_title(2).to_string());
     svc.resolve(&q, 0, 5).unwrap();
-    let m = svc.metrics();
-    assert!(
-        m.flood_rejections > 2,
-        "corpus-sized miss batch must trip the flood guard, got {}",
-        m.flood_rejections
-    );
+    let n = svc.n_records() as u64;
+    assert!(n > 2);
+    let rejections = |svc: &ResolutionService| counter(svc, "serve.cache.flood_rejections");
+    assert_eq!(rejections(&svc), n, "corpus-sized miss batch must trip the flood guard");
     // Rejected embeddings never entered the cache: a repeat misses again
-    // and the rejection count keeps growing.
+    // and every miss is rejected again.
     svc.resolve(&q, 0, 5).unwrap();
-    let m2 = svc.metrics();
-    assert_eq!(m2.cache_hits, m.cache_hits);
-    assert!(m2.flood_rejections > m.flood_rejections);
+    assert_eq!(cache(&svc), (0, 2 * n));
+    assert_eq!(rejections(&svc), 2 * n);
 }
 
-#[cfg(feature = "obs")]
 #[test]
 fn obs_snapshot_exposes_resolve_stage_spans_and_gauges() {
     let (snapshot, _) = trained_snapshot();
@@ -293,16 +293,16 @@ fn obs_snapshot_exposes_resolve_stage_spans_and_gauges() {
     svc.resolve(&q, 0, 5).unwrap();
     svc.resolve(&q, 0, 5).unwrap();
     let snap = svc.obs_snapshot();
-    // The recorder is process-global (shared across tests in this
-    // binary), so assert presence and floors, not exact counts.
-    for path in ["resolve.block", "resolve.embed", "resolve.forward", "resolve.rank"] {
+    for path in ["resolve", "resolve.block", "resolve.embed", "resolve.forward", "resolve.rank"] {
         let stat = snap.span(path).unwrap_or_else(|| panic!("span {path} missing"));
-        assert!(stat.count >= 2, "span {path} count {}", stat.count);
+        assert_eq!(stat.count, 2, "span {path}");
         assert!(stat.sum >= stat.count, "span {path} must accumulate ≥1 ns per sample");
     }
-    assert!(snap.counter("serve.resolve.candidates").unwrap_or(0) > 0);
-    assert!(snap.gauge("serve.records").unwrap_or(0.0) > 0.0);
-    assert!(snap.gauge("serve.cache.hit_rate").is_some());
+    // The first resolve missed on every candidate, the repeat hit on each.
+    let (hits, misses) = cache(&svc);
+    assert_eq!((hits, 2 * misses), (misses, snap.counter("serve.resolve.candidates").unwrap()));
+    assert_eq!(snap.gauge("serve.records"), Some(svc.n_records() as f64));
+    assert_eq!(snap.gauge("serve.cache.hit_rate"), Some(0.5));
     // Both export formats carry the span families.
     assert!(snap.to_json().contains("\"resolve.embed\""));
     assert!(snap.to_prometheus().contains("flexer_span_ns{path=\"resolve.forward\""));
@@ -318,14 +318,14 @@ fn ingest_does_not_pollute_the_embedding_cache() {
     let mut svc = ResolutionService::new(snapshot, ServeConfig::exhaustive()).unwrap();
     let q = ResolveQuery::record(svc.record_title(7).to_string());
     svc.resolve(&q, 0, 3).unwrap();
-    let before = svc.metrics();
+    let n = svc.n_records() as u64;
+    assert_eq!(cache(&svc), (0, n));
     svc.ingest("fresh widget alpha edition");
-    let after = svc.metrics();
-    assert_eq!(after.cache_misses, before.cache_misses, "ingest embeds outside the cache");
-    assert_eq!(after.cache_hits, before.cache_hits);
-    // The pre-ingest query's entries are still resident: a repeat hits.
+    assert_eq!(cache(&svc), (0, n), "ingest embeds outside the cache");
+    // The pre-ingest query's entries are still resident: a repeat hits on
+    // each of them and misses only the ingested record's pair.
     svc.resolve(&q, 0, 3).unwrap();
-    assert!(svc.metrics().cache_hits > after.cache_hits);
+    assert_eq!(cache(&svc), (n, n + 1));
 }
 
 #[test]
@@ -334,10 +334,8 @@ fn embedding_cache_hits_on_repeated_queries() {
     let svc = ResolutionService::new(snapshot, ServeConfig::default()).unwrap();
     let q = ResolveQuery::pair("Nike Duckboot", "NIKE duckboot black");
     let a = svc.resolve(&q, 0, 1).unwrap();
-    let misses_after_first = svc.metrics().cache_misses;
+    assert_eq!(cache(&svc), (0, 1));
     let b = svc.resolve(&q, 0, 1).unwrap();
     assert_eq!(a, b, "cached embedding must not change the answer");
-    let m = svc.metrics();
-    assert_eq!(m.cache_misses, misses_after_first, "second resolve must hit the cache");
-    assert!(m.cache_hits >= 1);
+    assert_eq!(cache(&svc), (1, 1), "second resolve must hit the cache");
 }

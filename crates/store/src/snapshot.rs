@@ -168,14 +168,12 @@ impl ModelSnapshot {
     /// are recorded under `store.save` / `store.save.bytes` on the
     /// process-global recorder.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
-        let rec = flexer_obs::global();
-        let t0 = rec.is_enabled().then(std::time::Instant::now);
+        let t0 = std::time::Instant::now();
         let bytes = self.to_bytes();
         std::fs::write(path, &bytes)?;
-        if let Some(t0) = t0 {
-            rec.record_span_ns("store.save", t0.elapsed().as_nanos() as u64);
-            rec.record_value("store.save.bytes", bytes.len() as u64);
-        }
+        let rec = flexer_obs::global();
+        rec.record_span_ns("store.save", t0.elapsed().as_nanos() as u64);
+        rec.record_value("store.save.bytes", bytes.len() as u64);
         Ok(())
     }
 
@@ -183,14 +181,12 @@ impl ModelSnapshot {
     /// recorded under `store.load` / `store.load.bytes` on the
     /// process-global recorder.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let rec = flexer_obs::global();
-        let t0 = rec.is_enabled().then(std::time::Instant::now);
+        let t0 = std::time::Instant::now();
         let bytes = std::fs::read(path)?;
         let snapshot = Self::from_bytes(&bytes)?;
-        if let Some(t0) = t0 {
-            rec.record_span_ns("store.load", t0.elapsed().as_nanos() as u64);
-            rec.record_value("store.load.bytes", bytes.len() as u64);
-        }
+        let rec = flexer_obs::global();
+        rec.record_span_ns("store.load", t0.elapsed().as_nanos() as u64);
+        rec.record_value("store.load.bytes", bytes.len() as u64);
         Ok(snapshot)
     }
 

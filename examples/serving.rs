@@ -96,16 +96,18 @@ fn main() {
         svc2.n_intents()
     );
 
-    let metrics = svc.metrics();
-    assert!(metrics.p50_latency_us > 0.0, "nanosecond window: p50 is non-zero once queries ran");
+    let metrics = svc.obs_snapshot();
+    let resolve = metrics.span("resolve").expect("resolves ran");
+    assert!(resolve.p50 > 0, "nanosecond histogram: p50 is non-zero once queries ran");
+    let counter = |name| metrics.counter(name).unwrap_or(0);
     println!(
         "\nmetrics: {} resolves, {} ingest(s), p50 {:.3}µs / p99 {:.3}µs, cache {}h/{}m",
-        metrics.resolves,
-        metrics.ingests,
-        metrics.p50_latency_us,
-        metrics.p99_latency_us,
-        metrics.cache_hits,
-        metrics.cache_misses
+        resolve.count,
+        counter("serve.ingest.records"),
+        resolve.p50 as f64 / 1e3,
+        resolve.p99 as f64 / 1e3,
+        counter("serve.cache.hits"),
+        counter("serve.cache.misses")
     );
     println!("\nserving OK: batch predictions reproduced, ingest + query-time resolution live.");
 }

@@ -17,7 +17,8 @@
 //! to answer "which entities match this record, under intent I?" at query
 //! time — exact transductive answers for stored pairs, frozen-weight
 //! inductive scoring (incremental ANN insert + local GNN forward) for new
-//! records, with an LRU embedding cache and p50/p99 latency counters.
+//! records, with an LRU embedding cache, and spans and counters per service
+//! ([`obs`](crate::obs)).
 //!
 //! # The thread budget
 //!
@@ -65,7 +66,7 @@ pub mod prelude {
     pub use flexer_datasets::{AmazonMiConfig, WalmartAmazonConfig, WdcConfig};
     pub use flexer_eval::{BinaryReport, MultiIntentReport};
     pub use flexer_serve::{
-        IngestReport, ResolutionService, ServeConfig, ServeMetrics, ShardedResolutionService,
+        IngestReport, ResolutionService, ServeConfig, ShardedResolutionService,
     };
     pub use flexer_store::{IndexKind, ModelSnapshot, ShardFrames};
     pub use flexer_types::{

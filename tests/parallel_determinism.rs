@@ -1,8 +1,8 @@
 //! Parallel-execution determinism: FlexER's per-intent fan-out, the
 //! in-parallel baseline, and the underlying kernels must produce
 //! bit-identical results for every thread count — 1 thread, the default
-//! budget, and an oversubscribed budget. With `--no-default-features` the
-//! same assertions hold trivially (every path is the serial one), proving
+//! budget, and an oversubscribed budget. Under `RAYON_NUM_THREADS=1` every
+//! fan-out is a plain loop and the pinned digests must still hold, proving
 //! the serial and parallel configurations agree.
 
 use flexer::par::with_threads;
