@@ -36,6 +36,7 @@ pub mod blocking;
 pub mod cache;
 pub mod chaos;
 pub mod error;
+mod metrics;
 pub mod replica;
 pub mod router;
 pub mod server;

@@ -1,107 +1,89 @@
-//! Serving-tier observability: request counters, cache hit rates and
-//! p50/p99 latency over a mergeable streaming histogram.
+//! What a service records about itself. Everything lands on the service's
+//! own [`flexer_obs::Recorder`]; this module only names it: the counters
+//! registered at build, the end-to-end `resolve` span, and the cache hit
+//! rate derived from two of those counters. There is no second store —
+//! `Service::obs_snapshot` reads it all back from the recorder.
 //!
-//! Latencies are recorded in **nanoseconds** (clamped to ≥ 1 ns): the hot
-//! transductive path answers in well under a microsecond, so a
-//! microsecond-granular window rounded every sample to 0 and reported
-//! `p50 = 0` whenever fast queries dominated. Percentiles come from a
-//! log-bucketed [`flexer_obs::Histogram`] — fixed memory, ≤ ~1.6% relative
-//! error, and cumulative over the service's lifetime, so p99 no longer
-//! silently forgets outliers the way the old fixed-size sliding window did
-//! every time it wrapped. Per-stage span timings live on the service's
-//! [`flexer_obs::Recorder`]; this module is the coarse request-level view.
+//! Resolve latencies are recorded in **nanoseconds**: the hot transductive
+//! path answers in well under a microsecond, so coarser units would round
+//! fast queries to 0. The recorder's log-bucketed histogram clamps a
+//! measured-as-zero sample to 1 ns, keeps every sample's rank for the
+//! service's lifetime, and reports quantiles within
+//! [`flexer_obs::REL_ERROR_BOUND`].
 
-use flexer_obs::Histogram;
+use flexer_obs::{Counter, Recorder};
 use std::time::Duration;
 
-/// A point-in-time snapshot of the service's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ServeMetrics {
-    /// Resolve requests answered.
-    pub resolves: u64,
-    /// Records ingested.
-    pub ingests: u64,
-    /// Embedding-cache hits.
-    pub cache_hits: u64,
-    /// Embedding-cache misses.
-    pub cache_misses: u64,
-    /// Embedding-cache hit rate (`hits / (hits + misses)`, 0 when idle).
-    pub cache_hit_rate: f64,
-    /// Miss-batch embeddings the flood guard computed but refused to
-    /// cache (corpus-sized miss batches would evict the hot set).
-    pub flood_rejections: u64,
-    /// Resolve latency samples recorded (cumulative — every resolve since
-    /// the service started, not a window).
-    pub latency_samples: u64,
-    /// Total nanoseconds across all recorded resolves; with
-    /// `latency_samples` this gives an exact mean, and deltas of it give
-    /// an exact per-interval resolve time to reconcile the per-stage span
-    /// breakdown against (`examples/observability.rs` asserts the
-    /// `resolve.*` stages cover 90–105 % of it).
-    pub latency_sum_ns: u64,
-    /// Median resolve latency, in nanoseconds.
-    pub p50_latency_ns: u64,
-    /// 99th-percentile resolve latency, in nanoseconds.
-    pub p99_latency_ns: u64,
-    /// Median resolve latency in fractional microseconds — non-zero
-    /// whenever any query ran.
-    pub p50_latency_us: f64,
-    /// 99th-percentile resolve latency in fractional microseconds.
-    pub p99_latency_us: f64,
-}
+/// Span path of the end-to-end resolve time, from the instant the request
+/// was read. The `resolve.*` stage spans nest under it by name.
+pub(crate) const RESOLVE_SPAN: &str = "resolve";
 
-/// Mutable counter state behind the service's metrics lock. Cache hit/miss
-/// counters live inside the embedding cache itself (counted under the lock
-/// the lookup already holds) and the flood-rejection counter is an atomic
-/// on the service; [`snapshot`](Self::snapshot) merges them in.
+/// The service's counters, registered on its recorder at build so the hot
+/// paths add without a map lookup.
 #[derive(Debug)]
-pub(crate) struct MetricsInner {
-    resolves: u64,
-    ingests: u64,
-    /// Resolve latencies in nanoseconds. Mergeable across services (the
-    /// sharded front-end reports through the same shared counters).
-    latency: Histogram,
+pub(crate) struct Counters {
+    /// Records ingested.
+    pub(crate) ingest_records: Counter,
+    /// Cache lookups of resolve traffic that found an entry, and that did not.
+    pub(crate) cache_hits: Counter,
+    pub(crate) cache_misses: Counter,
+    /// Embeddings the flood guard computed but refused to cache.
+    pub(crate) flood_rejections: Counter,
+    /// New nodes handed to the batched forward (B·P per call).
+    pub(crate) forward_rows: Counter,
+    /// Candidate records considered across record-level resolves.
+    pub(crate) resolve_candidates: Counter,
+    /// Per-(candidate, layer) neighbour lists the batched path took from
+    /// the cache as they were, brought up to date over the appended tail,
+    /// and searched from scratch.
+    pub(crate) localize_reused: Counter,
+    pub(crate) localize_resumed: Counter,
+    pub(crate) localize_searched: Counter,
+    /// Index rows appended past the resumed lists' watermarks, summed over
+    /// the lists: what the resumes had to cover instead of the whole index.
+    pub(crate) localize_tail_rows: Counter,
+    /// Distances the searched and resumed lists actually evaluated (pivot
+    /// and centroid distances included), as the indexes report them: the
+    /// work to hold against `searched × index rows` and `tail_rows`.
+    pub(crate) localize_rows_scanned: Counter,
 }
 
-impl MetricsInner {
-    pub(crate) fn new() -> Self {
-        Self { resolves: 0, ingests: 0, latency: Histogram::new() }
-    }
-
-    pub(crate) fn record_resolve(&mut self, elapsed: Duration) {
-        self.resolves += 1;
-        // Clamp to ≥ 1 ns: a measured-as-zero sample still represents a
-        // query that ran, and must not report a zero percentile.
-        let ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.latency.record(ns.max(1));
-    }
-
-    pub(crate) fn record_ingest(&mut self) {
-        self.ingests += 1;
-    }
-
-    /// `cache` is the embedding cache's lifetime `(hits, misses)` pair;
-    /// `flood_rejections` the service's flood-guard counter.
-    pub(crate) fn snapshot(&self, cache: (u64, u64), flood_rejections: u64) -> ServeMetrics {
-        let p50_ns = self.latency.quantile(0.50);
-        let p99_ns = self.latency.quantile(0.99);
-        let (hits, misses) = cache;
-        let lookups = hits + misses;
-        ServeMetrics {
-            resolves: self.resolves,
-            ingests: self.ingests,
-            cache_hits: hits,
-            cache_misses: misses,
-            cache_hit_rate: if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 },
-            flood_rejections,
-            latency_samples: self.latency.count(),
-            latency_sum_ns: self.latency.sum(),
-            p50_latency_ns: p50_ns,
-            p99_latency_ns: p99_ns,
-            p50_latency_us: p50_ns as f64 / 1_000.0,
-            p99_latency_us: p99_ns as f64 / 1_000.0,
+impl Counters {
+    pub(crate) fn new(recorder: &Recorder) -> Self {
+        let counter = |name| recorder.counter(name);
+        Self {
+            ingest_records: counter("serve.ingest.records"),
+            cache_hits: counter("serve.cache.hits"),
+            cache_misses: counter("serve.cache.misses"),
+            flood_rejections: counter("serve.cache.flood_rejections"),
+            forward_rows: counter("serve.forward.rows"),
+            resolve_candidates: counter("serve.resolve.candidates"),
+            localize_reused: counter("serve.localize.reused"),
+            localize_resumed: counter("serve.localize.resumed"),
+            localize_searched: counter("serve.localize.searched"),
+            localize_tail_rows: counter("serve.localize.tail_rows"),
+            localize_rows_scanned: counter("serve.localize.rows_scanned"),
         }
     }
+
+    /// Embedding-cache hit rate, `hits / (hits + misses)`; 0 when idle.
+    pub(crate) fn hit_rate(&self) -> f64 {
+        let hits = self.cache_hits.get();
+        let lookups = hits + self.cache_misses.get();
+        if lookups == 0 {
+            0.0
+        } else {
+            hits as f64 / lookups as f64
+        }
+    }
+}
+
+/// Record one resolve's end-to-end time under [`RESOLVE_SPAN`]. An
+/// explicit path, not a guard: a guard would file the `resolve.*` stage
+/// spans under `resolve.resolve.*`.
+pub(crate) fn record_resolve(recorder: &Recorder, elapsed: Duration) {
+    let ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
+    recorder.record_span_ns(RESOLVE_SPAN, ns);
 }
 
 #[cfg(test)]
@@ -115,87 +97,96 @@ mod tests {
 
     #[test]
     fn percentiles_over_known_distribution() {
-        let mut m = MetricsInner::new();
+        let rec = Recorder::new();
         for us in 1..=100u64 {
-            m.record_resolve(Duration::from_micros(us));
+            record_resolve(&rec, Duration::from_micros(us));
         }
-        let s = m.snapshot((0, 0), 0);
-        assert_eq!(s.resolves, 100);
-        assert_eq!(s.latency_samples, 100);
-        assert!(close(s.p50_latency_ns as f64, 50_000.0), "p50 {}", s.p50_latency_ns);
-        assert!(close(s.p99_latency_ns as f64, 99_000.0), "p99 {}", s.p99_latency_ns);
-        assert!(close(s.p50_latency_us, 50.0));
-        assert!(close(s.p99_latency_us, 99.0));
-        assert_eq!(s.latency_sum_ns, (1..=100u64).map(|us| us * 1000).sum::<u64>());
+        let snap = rec.snapshot();
+        let s = snap.span(RESOLVE_SPAN).expect("resolve span recorded");
+        assert_eq!(s.count, 100);
+        assert!(close(s.p50 as f64, 50_000.0), "p50 {}", s.p50);
+        assert!(close(s.p99 as f64, 99_000.0), "p99 {}", s.p99);
+        assert_eq!(s.sum, (1..=100u64).map(|us| us * 1000).sum::<u64>());
     }
 
     #[test]
     fn sub_microsecond_latencies_report_non_zero_percentiles() {
-        // The regression this module fixes: every sample under 1 µs used
-        // to truncate to 0 and p50 reported 0 despite real traffic.
-        let mut m = MetricsInner::new();
+        // Every sample here is under 1 µs; a microsecond-granular record
+        // would truncate them all to 0 and report p50 = 0 despite traffic.
+        let rec = Recorder::new();
         for ns in [120u64, 250, 300, 410, 555] {
-            m.record_resolve(Duration::from_nanos(ns));
+            record_resolve(&rec, Duration::from_nanos(ns));
         }
-        let s = m.snapshot((0, 0), 0);
-        assert!(close(s.p50_latency_ns as f64, 300.0), "p50 {}", s.p50_latency_ns);
-        assert!(close(s.p99_latency_ns as f64, 555.0), "p99 {}", s.p99_latency_ns);
-        assert!(s.p50_latency_us > 0.0, "p50 must be non-zero whenever any query ran");
+        let snap = rec.snapshot();
+        let s = snap.span(RESOLVE_SPAN).expect("resolve span recorded");
+        assert!(close(s.p50 as f64, 300.0), "p50 {}", s.p50);
+        assert!(close(s.p99 as f64, 555.0), "p99 {}", s.p99);
+        assert!(s.p50 > 0, "p50 must be non-zero whenever any query ran");
     }
 
     #[test]
     fn zero_duration_samples_still_count() {
-        let mut m = MetricsInner::new();
-        m.record_resolve(Duration::ZERO);
-        let s = m.snapshot((0, 0), 0);
-        assert_eq!(s.latency_samples, 1);
-        assert_eq!(s.p50_latency_ns, 1, "clamped to 1 ns, never 0");
-        assert!(s.p50_latency_us > 0.0);
+        let rec = Recorder::new();
+        record_resolve(&rec, Duration::ZERO);
+        let snap = rec.snapshot();
+        let s = snap.span(RESOLVE_SPAN).expect("a zero-time resolve is still a resolve");
+        assert_eq!(s.count, 1);
+        assert_eq!(s.p50, 1, "clamped to 1 ns, never 0");
     }
 
     #[test]
     fn outliers_survive_any_number_of_later_samples() {
-        // The window-reset artifact the histogram fixes: with the old
-        // 1024-sample ring, 100 early 1 ms outliers vanished from p99 as
-        // soon as 1024 fast samples followed them. The cumulative
+        // A fixed-size sliding window would drop 100 early 1 ms outliers
+        // from p99 once enough fast samples followed them. The cumulative
         // histogram keeps them at exactly their true rank.
-        let mut m = MetricsInner::new();
+        let rec = Recorder::new();
         for _ in 0..100 {
-            m.record_resolve(Duration::from_micros(1000));
+            record_resolve(&rec, Duration::from_micros(1000));
         }
         for _ in 0..1000 {
-            m.record_resolve(Duration::from_micros(1));
+            record_resolve(&rec, Duration::from_micros(1));
         }
-        let s = m.snapshot((0, 0), 0);
-        assert_eq!(s.latency_samples, 1100);
+        let snap = rec.snapshot();
+        let s = snap.span(RESOLVE_SPAN).expect("resolve span recorded");
+        assert_eq!(s.count, 1100);
         assert!(
-            close(s.p99_latency_ns as f64, 1_000_000.0),
+            close(s.p99 as f64, 1_000_000.0),
             "p99 must still see the early outliers, got {} ns",
-            s.p99_latency_ns
+            s.p99
         );
-        assert!(close(s.p50_latency_ns as f64, 1_000.0), "p50 {}", s.p50_latency_ns);
+        assert!(close(s.p50 as f64, 1_000.0), "p50 {}", s.p50);
     }
 
     #[test]
     fn empty_histogram_reports_zero() {
-        let m = MetricsInner::new();
-        let s = m.snapshot((0, 0), 0);
-        assert_eq!(s.p50_latency_ns, 0);
-        assert_eq!(s.p99_latency_ns, 0);
-        assert_eq!(s.latency_samples, 0);
-        assert_eq!(s.latency_sum_ns, 0);
-        assert_eq!(s.cache_hit_rate, 0.0);
+        let rec = Recorder::new();
+        let counters = Counters::new(&rec);
+        let snap = rec.snapshot();
+        assert!(snap.span(RESOLVE_SPAN).is_none(), "no resolve, no span");
+        let hist = rec.span_histogram(RESOLVE_SPAN).unwrap_or_default();
+        assert_eq!(hist.quantile(0.50), 0);
+        assert_eq!(hist.quantile(0.99), 0);
+        assert_eq!(hist.count(), 0);
+        assert_eq!(hist.sum(), 0);
+        assert_eq!(counters.hit_rate(), 0.0);
+        for name in ["serve.cache.hits", "serve.cache.misses", "serve.ingest.records"] {
+            assert_eq!(snap.counter(name), Some(0), "{name} registered at zero");
+        }
     }
 
     #[test]
     fn cache_and_ingest_counters() {
-        let mut m = MetricsInner::new();
-        m.record_ingest();
-        let s = m.snapshot((3, 1), 7);
-        assert_eq!(s.cache_hits, 3, "cache counters pass through from the cache itself");
-        assert_eq!(s.cache_misses, 1);
-        assert_eq!(s.cache_hit_rate, 0.75);
-        assert_eq!(s.flood_rejections, 7);
-        assert_eq!(s.ingests, 1);
+        let rec = Recorder::new();
+        let counters = Counters::new(&rec);
+        counters.ingest_records.inc();
+        counters.cache_hits.add(3);
+        counters.cache_misses.add(1);
+        counters.flood_rejections.add(7);
+        let snap = rec.snapshot();
+        assert_eq!(snap.counter("serve.cache.hits"), Some(3));
+        assert_eq!(snap.counter("serve.cache.misses"), Some(1));
+        assert_eq!(counters.hit_rate(), 0.75);
+        assert_eq!(snap.counter("serve.cache.flood_rejections"), Some(7));
+        assert_eq!(snap.counter("serve.ingest.records"), Some(1));
     }
 }

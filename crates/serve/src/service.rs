@@ -71,6 +71,7 @@ use crate::arena::PinnedArena;
 use crate::blocking::{BlockingTier, Monolithic, StoredBlocking};
 use crate::cache::LruCache;
 use crate::error::ServeError;
+use crate::metrics::{self, Counters};
 use flexer_ann::{AnyIndex, Neighbor, VectorIndex};
 use flexer_block::ShardedBlocker;
 use flexer_graph::{BatchInductiveTrace, BatchPass, GnnModel, NeighborArena, RowSource};
@@ -78,7 +79,7 @@ use flexer_matcher::summarize::DfTable;
 use flexer_matcher::{PairFeaturizer, PairScratch, SideStore};
 use flexer_nn::activation::is_match;
 use flexer_nn::{Matrix, SparseMatrix};
-use flexer_obs::{Counter, MetricsSnapshot, Recorder};
+use flexer_obs::{MetricsSnapshot, Recorder};
 use flexer_store::{ModelSnapshot, ShardFrames};
 use flexer_types::{
     DenseRecordId, IntentId, MatchTarget, RankedMatch, ResolveQuery, ResolveResponse,
@@ -256,55 +257,6 @@ pub struct Service<B> {
     /// process-global recorder, so two services in one process count apart.
     recorder: Recorder,
     counters: Counters,
-}
-
-/// The service's counters, registered on its recorder at build so the hot
-/// paths add without a map lookup.
-#[derive(Debug)]
-struct Counters {
-    /// Records ingested.
-    ingest_records: Counter,
-    /// Cache lookups of resolve traffic that found an entry, and that did not.
-    cache_hits: Counter,
-    cache_misses: Counter,
-    /// Embeddings the flood guard computed but refused to cache.
-    flood_rejections: Counter,
-    /// New nodes handed to the batched forward (B·P per call).
-    forward_rows: Counter,
-    /// Candidate records considered across record-level resolves.
-    resolve_candidates: Counter,
-    /// Per-(candidate, layer) neighbour lists the batched path took from
-    /// the cache as they were, brought up to date over the appended tail,
-    /// and searched from scratch.
-    localize_reused: Counter,
-    localize_resumed: Counter,
-    localize_searched: Counter,
-    /// Index rows appended past the resumed lists' watermarks, summed over
-    /// the lists: what the resumes had to cover instead of the whole index.
-    localize_tail_rows: Counter,
-    /// Distances the searched and resumed lists actually evaluated (pivot
-    /// and centroid distances included), as the indexes report them: the
-    /// work to hold against `searched × index rows` and `tail_rows`.
-    localize_rows_scanned: Counter,
-}
-
-impl Counters {
-    fn new(recorder: &Recorder) -> Self {
-        let counter = |name| recorder.counter(name);
-        Self {
-            ingest_records: counter("serve.ingest.records"),
-            cache_hits: counter("serve.cache.hits"),
-            cache_misses: counter("serve.cache.misses"),
-            flood_rejections: counter("serve.cache.flood_rejections"),
-            forward_rows: counter("serve.forward.rows"),
-            resolve_candidates: counter("serve.resolve.candidates"),
-            localize_reused: counter("serve.localize.reused"),
-            localize_resumed: counter("serve.localize.resumed"),
-            localize_searched: counter("serve.localize.searched"),
-            localize_tail_rows: counter("serve.localize.tail_rows"),
-            localize_rows_scanned: counter("serve.localize.rows_scanned"),
-        }
-    }
 }
 
 /// The service over one resident blocker — the unsharded deployment.
@@ -536,17 +488,12 @@ impl<B: BlockingTier> Service<B> {
     /// recorder's (training, `store.*`, `block.*`), plus instantaneous
     /// state gauges (arena occupancy, served records/pairs, cache hit rate).
     pub fn obs_snapshot(&self) -> MetricsSnapshot {
-        let hits = self.counters.cache_hits.get();
-        let lookups = hits + self.counters.cache_misses.get();
         self.recorder.set_gauge("serve.records", self.records.len() as f64);
         self.recorder.set_gauge("serve.pairs", self.pairs.len() as f64);
         self.recorder.set_gauge("serve.sides.bytes", self.sides.store.bytes() as f64);
         self.recorder
             .set_gauge("serve.arena.rows", self.pinned.first().map_or(0.0, |a| a.n_rows() as f64));
-        self.recorder.set_gauge(
-            "serve.cache.hit_rate",
-            if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 },
-        );
+        self.recorder.set_gauge("serve.cache.hit_rate", self.counters.hit_rate());
         let merged = Recorder::new();
         merged.merge_from(flexer_obs::global());
         merged.merge_from(&self.recorder);
@@ -588,10 +535,9 @@ impl<B: BlockingTier> Service<B> {
         top_k: usize,
     ) -> Result<Vec<ResolveResponse>, ServeError> {
         // Errors count as resolves too, so the counts stay comparable
-        // across endpoints. An explicit path, not a guard: a guard would
-        // file the `resolve.*` stage spans under `resolve.resolve.*`.
+        // across endpoints.
         let out = self.resolve_intents(t0, query, intents, top_k);
-        self.recorder.record_span_ns("resolve", t0.elapsed().as_nanos() as u64);
+        metrics::record_resolve(&self.recorder, t0.elapsed());
         out
     }
 
