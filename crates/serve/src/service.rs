@@ -857,12 +857,13 @@ impl<B: BlockingTier> Service<B> {
     /// recurs as a query — and caching them both serialized parallel
     /// phase-1 workers on the cache lock and evicted the genuinely hot
     /// entries. That eviction churn is why blocked ingest used to *lose*
-    /// to exhaustive at small corpus sizes.
+    /// to exhaustive at small corpus sizes. A zero-capacity cache stores
+    /// nothing, so its service takes the uncached path for resolves too.
     fn embed_pairs(&self, lefts: &Sides, ids: &[usize], title: &str, use_cache: bool) -> PairBatch {
         let mut pairs: Vec<Option<LocatedPair>> = vec![None; ids.len()];
         let mut misses: Vec<usize> = Vec::new();
         let mut keys: Vec<PairKey> = Vec::new();
-        if use_cache {
+        if use_cache && self.config.cache_capacity > 0 {
             // The title is hashed once and every key mixes two digests,
             // before the lock is taken; the write-back reuses the keys.
             let right = TitleDigest::of(title);

@@ -286,6 +286,34 @@ fn flood_guard_rejections_surface_in_metrics() {
 }
 
 #[test]
+fn zero_capacity_cache_is_bypassed_not_flooded() {
+    // A cache that stores nothing is not consulted: no lookup misses, and no
+    // miss batch counted as a flood. The answers are the cached service's.
+    let (snapshot, _) = trained_snapshot();
+    let uncached = ResolutionService::new(
+        snapshot.clone(),
+        ServeConfig { cache_capacity: 0, ..Default::default() },
+    )
+    .unwrap();
+    let cached = ResolutionService::new(snapshot, ServeConfig::default()).unwrap();
+    let queries = [
+        ResolveQuery::record(uncached.record_title(2).to_string()),
+        ResolveQuery::pair("Nike Duckboot", "NIKE duckboot black"),
+    ];
+    for _ in 0..2 {
+        for q in &queries {
+            assert_eq!(
+                uncached.resolve_all_intents(q, 5).unwrap(),
+                cached.resolve_all_intents(q, 5).unwrap()
+            );
+        }
+    }
+    assert!(counter(&uncached, "serve.resolve.candidates") > 0);
+    assert_eq!(cache(&uncached), (0, 0));
+    assert_eq!(counter(&uncached, "serve.cache.flood_rejections"), 0);
+}
+
+#[test]
 fn obs_snapshot_exposes_resolve_stage_spans_and_gauges() {
     let (snapshot, _) = trained_snapshot();
     let svc = ResolutionService::new(snapshot, ServeConfig::default()).unwrap();

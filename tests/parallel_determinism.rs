@@ -4,6 +4,14 @@
 //! budget, and an oversubscribed budget. Under `RAYON_NUM_THREADS=1` every
 //! fan-out is a plain loop and the pinned digests must still hold, proving
 //! the serial and parallel configurations agree.
+//!
+//! The digests also hold at either vector width: the repository's
+//! `.cargo/config.toml` builds for `x86-64-v3` (256-bit AVX2), and
+//! `RUSTFLAGS=-Ctarget-cpu=x86-64` builds the portable SSE2 baseline. Rust
+//! neither fuses `a * b + c` into an FMA nor reassociates a float fold, so
+//! each kernel's per-lane fold order is the same at both widths; a digest
+//! that holds at one width and fails at the other names a kernel whose bits
+//! depend on it.
 
 use flexer::par::with_threads;
 use flexer::prelude::*;
@@ -147,5 +155,60 @@ fn trained_scores_and_embeddings_are_pinned_at_any_thread_count() {
             digest(&embeddings),
             digest(&scores)
         );
+    }
+}
+
+/// What the serving tier answers, pinned by digest at 1 and 4 threads:
+/// never-seen titles resolved under every intent, ingested as one batch,
+/// then resolved again. That runs the sparse input layer, the matchers'
+/// batched embedding, the pruned search from scratch and resumed over the
+/// ingested tail, and the batched GNN forward. Every other serving test
+/// holds two paths to each other inside one build; this one holds the
+/// answers themselves, so a codegen change that moved both paths the same
+/// way still fails here.
+#[test]
+fn served_answers_are_pinned_at_any_thread_count() {
+    let bench = AmazonMiConfig::at_scale(Scale::Tiny).with_seed(11).generate();
+    let config = FlexErConfig::fast().with_seed(11);
+    let ctx = PipelineContext::new(bench, &config.matcher).expect("valid benchmark");
+    let base = InParallelModel::fit(&ctx, &config.matcher).expect("in-parallel fits");
+    let flexer = FlexErModel::fit_from_embeddings(&ctx, &base.embeddings(), &config).expect("fits");
+    let snapshot = flexer.to_snapshot(&ctx, &base, &config, IndexKind::Flat).expect("exports");
+    for threads in [1usize, 4] {
+        let digest = with_threads(threads, || {
+            let mut svc = ResolutionService::new(snapshot.clone(), ServeConfig::default())
+                .expect("the snapshot serves");
+            let titles: Vec<String> = (0..8)
+                .map(|i| format!("{} listing {i}", svc.record_title(i * 3 % svc.n_train_records())))
+                .collect();
+            // Per answer, (record id, score bits) of every ranked match.
+            let answers = |svc: &ResolutionService| -> Vec<Vec<u32>> {
+                let mut lists = Vec::new();
+                for title in &titles {
+                    let query = ResolveQuery::record(title.clone());
+                    for response in svc.resolve_all_intents(&query, 10).expect("resolves") {
+                        let mut list = Vec::new();
+                        for m in &response.matches {
+                            let MatchTarget::Record(id) = m.target else {
+                                panic!("a record query ranks records");
+                            };
+                            list.extend([id as u32, m.score.to_bits()]);
+                        }
+                        lists.push(list);
+                    }
+                }
+                lists
+            };
+            let mut lists = answers(&svc);
+            let batch: Vec<&str> = titles.iter().map(String::as_str).collect();
+            for r in svc.ingest_batch(&batch) {
+                lists.push(
+                    [r.record, r.first_pair, r.n_pairs, r.n_suppressed].map(|x| x as u32).into(),
+                );
+            }
+            lists.extend(answers(&svc));
+            fnv1a(lists.into_iter().map(Vec::into_iter))
+        });
+        assert_eq!(digest, 0xBB09_21DA_116C_3FD5, "{threads} threads: served digest {digest:#X}");
     }
 }
