@@ -552,10 +552,10 @@ impl VectorIndex for FlatIndex {
         self.scan_batch_since(&[query], k, since, &[prior]).0.pop().expect("one result per query")
     }
 
-    /// Groups of [`QUERY_GROUP`] queries share one sweep over the
+    /// Groups of `QUERY_GROUP` queries share one sweep over the
     /// partition (groups fan out across the `flexer-par` thread budget).
     /// Single-query and batched search are both
-    /// [`FlatIndex::search_group`].
+    /// `FlatIndex::search_group`.
     fn scan_batch_since(
         &self,
         queries: &[&[f32]],

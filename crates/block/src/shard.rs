@@ -99,9 +99,9 @@ impl GlobalBlocking {
     /// survivor sets are disjoint across shards, so their union sorted
     /// ascending is the global set; ANN hits merge by `(distance, global
     /// id)` — the monolithic insertion-id ordering — and truncate to the
-    /// backend's `k`. Non-finite distances (impossible locally,
-    /// conceivable from a corrupt peer) are dropped rather than trusted
-    /// into the sort.
+    /// backend's `k`. Non-finite distances and repeated ids (impossible
+    /// locally, where shard answers are disjoint; conceivable from a corrupt
+    /// peer) are dropped rather than trusted into the result.
     pub fn merge(&self, answers: impl IntoIterator<Item = WireCandidates>) -> Vec<RecordId> {
         let mut ids: Vec<u32> = Vec::new();
         let mut hits: Vec<(f32, u32)> = Vec::new();
@@ -121,7 +121,25 @@ impl GlobalBlocking {
         }
         let mut out: Vec<RecordId> = ids.into_iter().map(|g| g as RecordId).collect();
         out.sort_unstable();
+        out.dedup();
         out
+    }
+
+    /// Whether one shard's answer may enter [`Self::merge`]: the backend's
+    /// shape (ids under q-gram, at most `k` hits under ANN), every id a
+    /// record placed so far. A peer's answer is outside input; one that
+    /// fails this is as unusable as no answer.
+    pub fn accepts(&self, answer: &WireCandidates) -> bool {
+        let placed = |g: u32| (g as usize) < self.n_records;
+        match (&self.gen, answer) {
+            (CandidateGenConfig::NGram(_), WireCandidates::Ids(ids)) => {
+                ids.iter().all(|&g| placed(g))
+            }
+            (CandidateGenConfig::Ann(c), WireCandidates::Hits(hits)) => {
+                hits.len() <= c.k && hits.iter().all(|&(_, g)| placed(g))
+            }
+            _ => false,
+        }
     }
 
     /// Places one more record: counts its grams into the stop-gram state

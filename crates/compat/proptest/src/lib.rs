@@ -200,7 +200,7 @@ pub mod prop {
         use rand::rngs::StdRng;
         use rand::Rng;
 
-        /// Element-count argument for [`vec`]: a fixed size or a half-open
+        /// Element-count argument for [`vec()`]: a fixed size or a half-open
         /// range.
         #[derive(Debug, Clone, Copy)]
         pub struct SizeRange {

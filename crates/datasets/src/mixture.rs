@@ -224,7 +224,7 @@ fn sample_one(
 }
 
 /// Generates a benchmark whose candidate set comes from a real blocking
-/// pass instead of the calibrated sampler: runs any [`CandidateGenerator`]
+/// pass instead of the calibrated sampler: runs any [`CandidateGenerator`](flexer_block::CandidateGenerator)
 /// backend over the catalogue's records, labels the surviving pairs from
 /// ground truth, and assembles the bundle. Returns the benchmark together
 /// with the blocker's [`BlockingReport`](flexer_types::BlockingReport).

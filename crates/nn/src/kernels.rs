@@ -47,7 +47,7 @@ use crate::matrix::{Matrix, PAR_MIN_WORK};
 /// `PANEL` columns.
 const PANEL: usize = 8;
 
-/// The B operand of a matmul, repacked into [`PANEL`]-column panels.
+/// The B operand of a matmul, repacked into `PANEL`-column panels.
 ///
 /// Panel `p` holds columns `8p..8p+8` (zero-padded past `cols`), laid
 /// out k-major: element `(k, c)` of panel `p` lives at

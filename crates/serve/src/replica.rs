@@ -2,7 +2,7 @@
 //! socket I/O, per-replica connection pooling, and ordered, idempotent
 //! insert replay.
 //!
-//! One [`ReplicaSet`] stands in front of each shard slot. Its replicas
+//! One `ReplicaSet` stands in front of each shard slot. Its replicas
 //! all boot the same shard of the same snapshot, so any of them can
 //! answer any shard-local query **bit-identically** — which is what makes
 //! failover a pure availability move: as long as one replica of every

@@ -9,7 +9,7 @@
 //! router, stop-gram counts; plan a query, merge the answers) beside the
 //! shard servers that hold the shard-local half. Each of the N shard slots
 //! is served by **R replicas** — shard-server processes that all booted
-//! the same shard of the same snapshot — behind a [`ReplicaSet`]. A
+//! the same shard of the same snapshot — behind a `ReplicaSet`. A
 //! candidate query is planned once against global state, fanned out
 //! concurrently — one thread per shard, one framed request to the
 //! healthiest replica with failover to its siblings — and merged back.
@@ -49,8 +49,8 @@
 //! A replica that fails a call backs off (capped exponential) and its
 //! siblings absorb the traffic (`router.shard.failover`). A shard whose
 //! every replica is unreachable — or answers with something unusable: a
-//! shard reply is outside input, checked for length and id range where it
-//! enters — degrades **its own** candidates only: the fan-out substitutes
+//! shard reply is outside input, checked for length, shape and id range
+//! where it enters — degrades **its own** candidates only: the fan-out substitutes
 //! an empty answer and the query proceeds over the surviving shards
 //! (`router.shard.degraded`). Inserts an unreachable replica misses are
 //! queued in that replica's replay lane and replayed in original arrival
@@ -323,7 +323,7 @@ impl BlockingTier for Remote {
         let deadline = t0 + self.fleet.net.request_budget;
         let mut per_shard: Vec<_> = self
             .fleet
-            .fan_out_batches(&queries, deadline, self.global.n_records())
+            .fan_out_batches(&queries, deadline, &self.global)
             .into_iter()
             .map(Vec::into_iter)
             .collect();
@@ -382,22 +382,12 @@ fn janitor_lane(inner: &Inner) {
     }
 }
 
-/// Whether every record id a shard returned names a record the router
-/// holds. The merged ids index the corpus, so a reply carrying one that
-/// does not is as unusable as a reply of the wrong length.
-fn ids_in_range(answers: &[WireCandidates], n_records: usize) -> bool {
-    answers.iter().all(|answer| match answer {
-        WireCandidates::Ids(ids) => ids.iter().all(|&g| (g as usize) < n_records),
-        WireCandidates::Hits(hits) => hits.iter().all(|&(_, g)| (g as usize) < n_records),
-    })
-}
-
 impl Fleet {
     /// Fans one `QueryBatch` out to every shard concurrently (one thread
     /// per shard slot, failover across that shard's replicas, everything
     /// bounded by `deadline`). This is where remote answers enter: a reply
-    /// is usable when it answers every query with ids below `n_records`,
-    /// anything else fails over like an error reply. A shard that cannot
+    /// is usable when it answers every query with an answer `global`
+    /// accepts, anything else fails over like an error reply. A shard that cannot
     /// answer — every replica dead, desynced, stalled, lying or out of
     /// budget — contributes empty answers for the whole batch: its records
     /// drop out of the candidate set, the query survives.
@@ -405,13 +395,13 @@ impl Fleet {
         &self,
         queries: &[WireQuery],
         deadline: Instant,
-        n_records: usize,
+        global: &GlobalBlocking,
     ) -> Vec<Vec<WireCandidates>> {
         let empty = || vec![WireCandidates::Ids(Vec::new()); queries.len()];
         let request = ShardRequest::QueryBatch(queries.to_vec());
         let usable = |response: &ShardResponse| {
             matches!(response, ShardResponse::CandidatesBatch(answers)
-                if answers.len() == queries.len() && ids_in_range(answers, n_records))
+                if answers.len() == queries.len() && answers.iter().all(|a| global.accepts(a)))
         };
         thread::scope(|scope| {
             let handles: Vec<_> = self

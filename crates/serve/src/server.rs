@@ -37,7 +37,7 @@
 use crate::error::ServeError;
 use flexer_block::{local_answer, BlockerState};
 use flexer_store::{read_message_bounded, write_message, ModelSnapshot, WireError};
-use flexer_types::{ShardRequest, ShardResponse, WireCandidates, WireQuery};
+use flexer_types::{ShardRequest, ShardResponse, WireCandidates};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -234,23 +234,15 @@ fn serve_connection(inner: &Inner, mut stream: TcpStream, addr: SocketAddr) {
         let response = match request {
             ShardRequest::Hello => hello(inner),
             ShardRequest::Ping => ShardResponse::Pong,
-            ShardRequest::Query(q) => {
-                let state = inner.state.read().expect("shard state lock");
-                answer(&q, &state)
-            }
             ShardRequest::QueryBatch(qs) => {
                 let state = inner.state.read().expect("shard state lock");
-                let answers: Vec<WireCandidates> = qs
-                    .iter()
-                    .map(|q| match answer(q, &state) {
-                        ShardResponse::Candidates(c) => c,
-                        // Backend mismatch: an empty answer keeps the
-                        // batch aligned; the router treats it as a
-                        // degraded shard.
-                        _ => WireCandidates::Ids(Vec::new()),
-                    })
-                    .collect();
-                ShardResponse::CandidatesBatch(answers)
+                // A query of the other backend gets an empty answer, which
+                // keeps the batch aligned.
+                let answers = qs.iter().map(|q| {
+                    local_answer(q, &state.state, &state.members)
+                        .unwrap_or(WireCandidates::Ids(Vec::new()))
+                });
+                ShardResponse::CandidatesBatch(answers.collect())
             }
             ShardRequest::Insert { seq, rows } => {
                 let mut state = inner.state.write().expect("shard state lock");
@@ -302,15 +294,5 @@ fn hello(inner: &Inner) -> ShardResponse {
         n_records: state.members.len() as u64,
         backend: state.state.kind_name().to_string(),
         gram_counts: state.state.bucket_sizes(),
-    }
-}
-
-fn answer(query: &WireQuery, state: &ShardState) -> ShardResponse {
-    match local_answer(query, &state.state, &state.members) {
-        Some(c) => ShardResponse::Candidates(c),
-        None => ShardResponse::Error(format!(
-            "query does not match the {} backend",
-            state.state.kind_name()
-        )),
     }
 }

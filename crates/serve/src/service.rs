@@ -64,8 +64,8 @@
 //! scored: a surviving pair's score is bit-identical to what the
 //! exhaustive path would produce, because both paths score against the
 //! same pre-ingest state, and every tier returns the same candidate set.
-//! Set [`ServeConfig::exhaustive`] to bypass the tier (the all-pairs parity
-//! baseline).
+//! A snapshot whose blocker is [`flexer_block::BlockerState::Exhaustive`]
+//! serves the all-pairs parity baseline.
 
 use crate::arena::PinnedArena;
 use crate::blocking::{BlockingTier, Monolithic, StoredBlocking};
@@ -94,22 +94,11 @@ use std::time::Instant;
 pub struct ServeConfig {
     /// Capacity of the hot-pair LRU cache (embedding + neighbour lists).
     pub cache_capacity: usize,
-    /// Bypass the blocker and pair new titles against **every** stored
-    /// record (quadratic). The explicit fallback for parity testing the
-    /// blocked path against; off by default.
-    pub exhaustive: bool,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self { cache_capacity: 1024, exhaustive: false }
-    }
-}
-
-impl ServeConfig {
-    /// Config with the blocker bypassed (all-pairs candidate generation).
-    pub fn exhaustive() -> Self {
-        Self { exhaustive: true, ..Self::default() }
+        Self { cache_capacity: 1024 }
     }
 }
 
@@ -121,7 +110,7 @@ pub struct IngestReport {
     /// Pair id of the first candidate pair created for it.
     pub first_pair: usize,
     /// Number of candidate pairs created (one per blocked candidate; one
-    /// per pre-existing record under [`ServeConfig::exhaustive`]).
+    /// per pre-existing record under the exhaustive backend).
     pub n_pairs: usize,
     /// Pre-existing records the blocker pruned (0 when exhaustive).
     pub n_suppressed: usize,
@@ -454,17 +443,9 @@ impl<B: BlockingTier> Service<B> {
         self.n_train_records
     }
 
-    /// Name of the candidate-generation backend in effect
-    /// (`"exhaustive"` when [`ServeConfig::exhaustive`] bypasses the
-    /// snapshot's blocker).
+    /// Name of the candidate-generation backend in effect.
     pub fn blocker_kind(&self) -> &'static str {
-        self.blocking().map_or("exhaustive", B::backend)
-    }
-
-    /// The tier candidates come from; `None` when
-    /// [`ServeConfig::exhaustive`] bypasses it.
-    fn blocking(&self) -> Option<&B> {
-        (!self.config.exhaustive).then_some(&self.tier)
+        self.tier.backend()
     }
 
     /// Number of intents `P`.
@@ -554,8 +535,8 @@ impl<B: BlockingTier> Service<B> {
     }
 
     /// Ingests a new record: creates one candidate pair per **blocked
-    /// candidate** (every pre-existing record under
-    /// [`ServeConfig::exhaustive`]), embeds the pairs per intent,
+    /// candidate** (every pre-existing record under the exhaustive
+    /// backend), embeds the pairs per intent,
     /// **incrementally** inserts the embeddings into the per-layer ANN
     /// indexes, scores each pair inductively under every intent, and makes
     /// the pairs servable. The blocking tier then absorbs the new record.
@@ -701,13 +682,9 @@ impl<B: BlockingTier> Service<B> {
 
     /// The record ids each new title is paired against: the blocking
     /// tier's candidates, or every stored record when the tier is
-    /// exhaustive or bypassed by [`ServeConfig::exhaustive`]. `t0` is when
-    /// the request asking started.
+    /// exhaustive. `t0` is when the request asking started.
     fn candidate_records(&self, titles: &[&str], t0: Instant) -> Vec<Vec<usize>> {
-        let found = match self.blocking() {
-            Some(tier) => tier.candidates_batch(titles, t0),
-            None => vec![None; titles.len()],
-        };
+        let found = self.tier.candidates_batch(titles, t0);
         found.into_iter().map(|c| c.unwrap_or_else(|| (0..self.records.len()).collect())).collect()
     }
 
@@ -1190,6 +1167,7 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexer_block::BlockerState;
     use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
     use flexer_datasets::AmazonMiConfig;
     use flexer_store::IndexKind;
@@ -1269,7 +1247,8 @@ mod tests {
 
         // Exhaustive, so the edge titles below pair with every record: as
         // the right side when they arrive, as stored left sides after.
-        let mut svc = ResolutionService::new(tiny_snapshot(), ServeConfig::exhaustive()).unwrap();
+        let snapshot = ModelSnapshot { blocker: BlockerState::Exhaustive, ..tiny_snapshot() };
+        let mut svc = ResolutionService::new(snapshot, ServeConfig::default()).unwrap();
         assert_fresh(&svc);
         assert!(svc.snapshot().records.is_empty(), "the service holds the titles once");
 

@@ -387,7 +387,7 @@ mod tests {
             let boot = |config| ResolutionService::new(snapshot.clone(), config).unwrap();
             let mut oracle = ResolutionService::reference(snapshot.clone()).unwrap();
             let want = resolve_ingest_resolve(&mut oracle);
-            let mut uncached = boot(ServeConfig { cache_capacity: 0, ..Default::default() });
+            let mut uncached = boot(ServeConfig { cache_capacity: 0 });
             assert_eq!(
                 resolve_ingest_resolve(&mut uncached),
                 want,
@@ -436,7 +436,7 @@ mod tests {
         let snapshot = trained_snapshot();
         let boot = |config: ServeConfig| ResolutionService::new(snapshot.clone(), config).unwrap();
         let mut batched = boot(ServeConfig::default());
-        let mut uncached = boot(ServeConfig { cache_capacity: 0, ..Default::default() });
+        let mut uncached = boot(ServeConfig { cache_capacity: 0 });
         let mut reference = ResolutionService::reference(snapshot.clone()).unwrap();
         // Caches the query mix's neighbour lists at the training watermark.
         assert_eq!(drive(&batched), drive(&reference));

@@ -8,10 +8,11 @@
 //! query and pins two absolute ceilings: a warm all-hit query, and a
 //! never-seen title per missed candidate.
 
+use flexer_block::BlockerState;
 use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
 use flexer_datasets::AmazonMiConfig;
 use flexer_serve::{ResolutionService, ServeConfig};
-use flexer_store::IndexKind;
+use flexer_store::{IndexKind, ModelSnapshot};
 use flexer_types::{ResolveQuery, Scale};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,7 +58,8 @@ fn record_query_allocations_stay_under_warm_and_per_miss_ceilings() {
 
     // Exhaustive candidates: every query is a corpus-sized batch, so any
     // per-candidate allocation shows even on the tiny corpus.
-    let svc = ResolutionService::new(snapshot, ServeConfig::exhaustive()).unwrap();
+    let snapshot = ModelSnapshot { blocker: BlockerState::Exhaustive, ..snapshot };
+    let svc = ResolutionService::new(snapshot, ServeConfig::default()).unwrap();
 
     // Single-threaded, warmed up: the second identical query is the
     // steady state — embeddings and neighbour lists cached (the tiny

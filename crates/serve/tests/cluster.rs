@@ -12,7 +12,8 @@ use flexer_serve::{
 };
 use flexer_store::ModelSnapshot;
 use flexer_types::{
-    ResolveQuery, ShardConfig, ShardRequest, ShardResponse, WireCandidates, WireIngestReport,
+    MatchTarget, ResolveQuery, ShardConfig, ShardRequest, ShardResponse, WireCandidates,
+    WireIngestReport,
 };
 
 /// One shared training run for the whole test binary, pre-sharded into
@@ -163,7 +164,7 @@ fn networked_router_is_bit_identical_to_in_process_sharded_service() {
 fn per_intent_wire_calls_equal_one_all_intents_resolve_across_an_ingest() {
     let mut reference = ShardedResolutionService::new(
         sharded_snapshot().clone(),
-        ServeConfig { cache_capacity: 0, ..Default::default() },
+        ServeConfig { cache_capacity: 0 },
         ShardConfig::of(2),
     )
     .unwrap();
@@ -281,8 +282,8 @@ fn corrupt_client_bytes_do_not_poison_the_router() {
 
 /// A fake FLEXWIRE shard, one exchange per connection: it answers `Hello`
 /// honestly (from its own frame of the shared snapshot) and every
-/// candidate query with a record id the router never assigned.
-fn spawn_lying_shard(shard: usize) -> (String, std::thread::JoinHandle<()>) {
+/// candidate query with `bogus`.
+fn spawn_lying_shard(shard: usize, bogus: WireCandidates) -> (String, std::thread::JoinHandle<()>) {
     let snapshot = sharded_snapshot();
     let frames = snapshot.sharding.as_ref().unwrap();
     let (members, state) = frames.decode_shard(shard).unwrap();
@@ -293,7 +294,6 @@ fn spawn_lying_shard(shard: usize) -> (String, std::thread::JoinHandle<()>) {
         backend: state.kind_name().to_string(),
         gram_counts: state.bucket_sizes(),
     };
-    let bogus = WireCandidates::Ids(vec![(snapshot.n_records() + 7) as u32]);
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let serve = std::thread::spawn(move || {
@@ -303,7 +303,6 @@ fn spawn_lying_shard(shard: usize) -> (String, std::thread::JoinHandle<()>) {
             let reply = match request {
                 ShardRequest::Hello => hello.clone(),
                 ShardRequest::Ping => ShardResponse::Pong,
-                ShardRequest::Query(_) => ShardResponse::Candidates(bogus.clone()),
                 ShardRequest::QueryBatch(queries) => {
                     ShardResponse::CandidatesBatch(vec![bogus.clone(); queries.len()])
                 }
@@ -319,17 +318,15 @@ fn spawn_lying_shard(shard: usize) -> (String, std::thread::JoinHandle<()>) {
     (addr, serve)
 }
 
-/// A shard reply is outside input: an id past the router's corpus must
-/// cost that shard its candidates (`router.shard.degraded`), not the
-/// connection thread on a resolve or — under the core's write lock — the
-/// whole router on an ingest.
-#[test]
-fn out_of_range_shard_ids_degrade_the_shard_not_the_router() {
+/// Boots an honest shard 0, a shard 1 that answers every query with
+/// `bogus`, and a router over both; runs `check` through a client, then
+/// winds every thread down.
+fn with_lying_shard(bogus: WireCandidates, check: impl FnOnce(&mut RouterClient)) {
     let snapshot = sharded_snapshot();
     let honest = ShardServer::from_snapshot(snapshot.clone(), 0, "127.0.0.1:0").unwrap();
     let honest_addr = honest.local_addr().to_string();
     let honest = honest.spawn();
-    let (lying_addr, lying) = spawn_lying_shard(1);
+    let (lying_addr, lying) = spawn_lying_shard(1, bogus);
     let router = Router::from_snapshot(
         snapshot.clone(),
         ServeConfig::default(),
@@ -340,8 +337,17 @@ fn out_of_range_shard_ids_degrade_the_shard_not_the_router() {
     .unwrap();
     let mut client = RouterClient::connect(router.local_addr()).unwrap();
     let router = router.spawn();
+    check(&mut client);
+    client.shutdown().unwrap();
+    router.join().expect("the router winds down without a panicked thread");
+    honest.join().unwrap();
+    lying.join().unwrap();
+}
 
-    let title = &snapshot.records[1];
+/// Resolves, ingests and resolves again through a lying shard, then
+/// asserts every fan-out counted it degraded.
+fn survives_and_degrades(client: &mut RouterClient) {
+    let title = &sharded_snapshot().records[1];
     let query = ResolveQuery::record(title.clone());
     client.resolve(query.clone(), 0, 5).unwrap().expect("the resolve survives the lying shard");
     let reports = client.ingest_batch(vec![format!("{title} second listing")]).unwrap();
@@ -350,9 +356,39 @@ fn out_of_range_shard_ids_degrade_the_shard_not_the_router() {
     let stats = client.stats().unwrap();
     let degraded = stats.iter().find(|(name, _)| name == "router.shard.degraded").unwrap().1;
     assert!(degraded >= 3, "every fan-out degrades the lying shard: {stats:?}");
+}
 
-    client.shutdown().unwrap();
-    router.join().expect("the router winds down without a panicked thread");
-    honest.join().unwrap();
-    lying.join().unwrap();
+/// A shard reply is outside input: an id past the router's corpus must
+/// cost that shard its candidates (`router.shard.degraded`), not the
+/// connection thread on a resolve or — under the core's write lock — the
+/// whole router on an ingest.
+#[test]
+fn out_of_range_shard_ids_degrade_the_shard_not_the_router() {
+    let past_the_corpus = (sharded_snapshot().n_records() + 7) as u32;
+    with_lying_shard(WireCandidates::Ids(vec![past_the_corpus]), survives_and_degrades);
+}
+
+/// So must a reply of the other backend's shape: ANN hits to a q-gram
+/// router.
+#[test]
+fn wrong_variant_shard_replies_degrade_the_shard() {
+    with_lying_shard(WireCandidates::Hits(vec![(0.5, 0)]), survives_and_degrades);
+}
+
+/// A repeated id, or one another shard owns, is in range and reaches the
+/// merge, which keeps one copy: no record is ranked twice, and an ingest
+/// creates one pair per distinct candidate.
+#[test]
+fn repeated_shard_ids_are_merged_once() {
+    with_lying_shard(WireCandidates::Ids(vec![0, 0]), |client| {
+        let title = format!("{} second listing", sharded_snapshot().records[1]);
+        let all = sharded_snapshot().n_records();
+        let ranked = client.resolve(ResolveQuery::record(title.clone()), 0, all).unwrap().unwrap();
+        let ranked: Vec<MatchTarget> = ranked.matches.iter().map(|m| m.target).collect();
+        assert!(ranked.contains(&MatchTarget::Record(0)), "the lying shard's id is a candidate");
+        let repeated = ranked.iter().enumerate().any(|(i, t)| ranked[..i].contains(t));
+        assert!(!repeated, "a record ranked twice: {ranked:?}");
+        let reports = client.ingest_batch(vec![title]).unwrap();
+        assert_eq!(reports[0].n_pairs, ranked.len() as u64, "one pair per distinct candidate");
+    });
 }

@@ -3,6 +3,7 @@
 //! own subset of it).
 #![allow(dead_code)]
 
+use flexer_block::BlockerState;
 use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
 use flexer_datasets::AmazonMiConfig;
 use flexer_serve::{ServeConfig, ShardedResolutionService};
@@ -27,6 +28,12 @@ pub fn trained() -> &'static (ModelSnapshot, FlexErModel) {
 /// The shared run's snapshot (tests clone what they mutate).
 pub fn trained_snapshot() -> &'static ModelSnapshot {
     &trained().0
+}
+
+/// `snapshot` with the exhaustive backend for its blocker: every stored
+/// record is a candidate (the all-pairs parity baseline).
+pub fn exhaustive(snapshot: ModelSnapshot) -> ModelSnapshot {
+    ModelSnapshot { blocker: BlockerState::Exhaustive, sharding: None, ..snapshot }
 }
 
 /// The shared run's snapshot pre-sharded into `n_shards` frames — the

@@ -24,7 +24,8 @@ proptest! {
         let mut blocked =
             ResolutionService::new(snapshot.clone(), ServeConfig::default()).unwrap();
         let mut exhaustive =
-            ResolutionService::new(snapshot.clone(), ServeConfig::exhaustive()).unwrap();
+            ResolutionService::new(common::exhaustive(snapshot.clone()), ServeConfig::default())
+                .unwrap();
         // Titles derived from corpus records share grams with part of the
         // corpus; the noise suffix varies the candidate set.
         let title = format!("{} {noise}", blocked.record_title(idx % blocked.n_records()));

@@ -4,6 +4,7 @@
 
 mod common;
 
+use common::exhaustive;
 use flexer_core::FlexErModel;
 use flexer_serve::{ResolutionService, ServeConfig, ServeError};
 use flexer_store::ModelSnapshot;
@@ -72,7 +73,7 @@ fn serving_pipeline_end_to_end() {
 fn ingest_extends_the_served_corpus() {
     let (snapshot, _) = trained_snapshot();
     // The exhaustive fallback: every pre-existing record is a candidate.
-    let mut svc = ResolutionService::new(snapshot, ServeConfig::exhaustive()).unwrap();
+    let mut svc = ResolutionService::new(exhaustive(snapshot), ServeConfig::default()).unwrap();
     assert_eq!(svc.blocker_kind(), "exhaustive");
     let n_records = svc.n_records();
     let n_pairs = svc.n_pairs();
@@ -185,7 +186,8 @@ fn blocked_ingest_scores_match_exhaustive_bit_for_bit() {
     let (snapshot, _) = trained_snapshot();
     assert_eq!(snapshot.blocker.kind_name(), "ngram", "snapshots carry the blocker tier");
     let mut blocked = ResolutionService::new(snapshot.clone(), ServeConfig::default()).unwrap();
-    let mut exhaustive = ResolutionService::new(snapshot, ServeConfig::exhaustive()).unwrap();
+    let mut exhaustive =
+        ResolutionService::new(common::exhaustive(snapshot), ServeConfig::default()).unwrap();
     assert_eq!(blocked.blocker_kind(), "ngram");
 
     // A title sharing grams with some corpus titles but not all.
@@ -219,7 +221,8 @@ fn blocked_ingest_scores_match_exhaustive_bit_for_bit() {
 fn blocked_record_query_scores_match_exhaustive_bit_for_bit() {
     let (snapshot, _) = trained_snapshot();
     let blocked = ResolutionService::new(snapshot.clone(), ServeConfig::default()).unwrap();
-    let exhaustive = ResolutionService::new(snapshot, ServeConfig::exhaustive()).unwrap();
+    let exhaustive =
+        ResolutionService::new(common::exhaustive(snapshot), ServeConfig::default()).unwrap();
     let query = ResolveQuery::record(blocked.record_title(2).to_string());
     let top_all = blocked.n_records();
     let rb = blocked.resolve(&query, 0, top_all).unwrap();
@@ -270,8 +273,8 @@ fn flood_guard_rejections_surface_in_metrics() {
     // A record query whose miss batch exceeds half the cache capacity is
     // computed but not cached; the guard's rejections must be observable.
     let (snapshot, _) = trained_snapshot();
-    let config = ServeConfig { cache_capacity: 4, ..ServeConfig::exhaustive() };
-    let svc = ResolutionService::new(snapshot, config).unwrap();
+    let config = ServeConfig { cache_capacity: 4 };
+    let svc = ResolutionService::new(exhaustive(snapshot), config).unwrap();
     let q = ResolveQuery::record(svc.record_title(2).to_string());
     svc.resolve(&q, 0, 5).unwrap();
     let n = svc.n_records() as u64;
@@ -290,11 +293,8 @@ fn zero_capacity_cache_is_bypassed_not_flooded() {
     // A cache that stores nothing is not consulted: no lookup misses, and no
     // miss batch counted as a flood. The answers are the cached service's.
     let (snapshot, _) = trained_snapshot();
-    let uncached = ResolutionService::new(
-        snapshot.clone(),
-        ServeConfig { cache_capacity: 0, ..Default::default() },
-    )
-    .unwrap();
+    let uncached =
+        ResolutionService::new(snapshot.clone(), ServeConfig { cache_capacity: 0 }).unwrap();
     let cached = ResolutionService::new(snapshot, ServeConfig::default()).unwrap();
     let queries = [
         ResolveQuery::record(uncached.record_title(2).to_string()),
@@ -343,7 +343,7 @@ fn ingest_does_not_pollute_the_embedding_cache() {
     // hot query set with keys that can never recur. Ingest now bypasses
     // the cache entirely — neither its counters nor its contents move.
     let (snapshot, _) = trained_snapshot();
-    let mut svc = ResolutionService::new(snapshot, ServeConfig::exhaustive()).unwrap();
+    let mut svc = ResolutionService::new(exhaustive(snapshot), ServeConfig::default()).unwrap();
     let q = ResolveQuery::record(svc.record_title(7).to_string());
     svc.resolve(&q, 0, 3).unwrap();
     let n = svc.n_records() as u64;

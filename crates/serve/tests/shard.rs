@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::trained_snapshot;
+use common::{exhaustive, trained_snapshot};
 use flexer_serve::{ResolutionService, ServeConfig, ShardedResolutionService};
 use flexer_store::ModelSnapshot;
 use flexer_types::{ResolveQuery, ShardConfig};
@@ -80,15 +80,12 @@ fn sharded_service_is_bit_identical_for_any_shard_count() {
 }
 
 #[test]
-fn sharded_exhaustive_override_matches_unsharded() {
-    let snapshot = trained_snapshot();
-    let mut mono = ResolutionService::new(snapshot.clone(), ServeConfig::exhaustive()).unwrap();
-    let mut sharded = ShardedResolutionService::new(
-        snapshot.clone(),
-        ServeConfig::exhaustive(),
-        ShardConfig::of(3),
-    )
-    .unwrap();
+fn sharded_exhaustive_snapshot_matches_unsharded() {
+    let snapshot = exhaustive(trained_snapshot().clone());
+    let mut mono = ResolutionService::new(snapshot.clone(), ServeConfig::default()).unwrap();
+    let mut sharded =
+        ShardedResolutionService::new(snapshot, ServeConfig::default(), ShardConfig::of(3))
+            .unwrap();
     assert_eq!(sharded.blocker_kind(), "exhaustive");
     let title = format!("{} v2", mono.record_title(0));
     assert_eq!(sharded.ingest(&title), mono.ingest(&title));
@@ -121,11 +118,10 @@ fn batched_ingest_scores_against_the_pre_batch_state() {
     // other, so each report's pair count is bounded by the pre-batch
     // corpus — unlike sequential ingests, where the second title pairs
     // with the first.
-    let snapshot = trained_snapshot();
+    let snapshot = exhaustive(trained_snapshot().clone());
     let n_records = snapshot.n_records();
-    let mut batched = ResolutionService::new(snapshot.clone(), ServeConfig::exhaustive()).unwrap();
-    let mut sequential =
-        ResolutionService::new(snapshot.clone(), ServeConfig::exhaustive()).unwrap();
+    let mut batched = ResolutionService::new(snapshot.clone(), ServeConfig::default()).unwrap();
+    let mut sequential = ResolutionService::new(snapshot, ServeConfig::default()).unwrap();
     let titles = ["same new widget alpha", "same new widget beta"];
     let batch_reports = batched.ingest_batch(&titles);
     assert_eq!(batch_reports[0].n_pairs, n_records);

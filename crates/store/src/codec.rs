@@ -1,10 +1,22 @@
-//! [`Codec`] — encode/decode of every workspace type a snapshot contains.
+//! [`Codec`] — encode/decode of every value a snapshot or a wire message
+//! contains.
 //!
 //! Encoding is canonical: a given value always produces the same bytes
 //! (hash-map-backed types are serialized in sorted order), which is what
 //! makes `save → load → save` byte-identical. Decoding validates every
 //! structural invariant it can and reports [`StoreError::Malformed`]
 //! instead of panicking on corrupted but checksum-valid input.
+//!
+//! Every length-prefixed list in either format is one sequence: a `usize`
+//! count, then the elements. The [`Encode`] impl for `[T]` is the only code
+//! that writes such a count, and the [`Codec`] impl for `Vec<T>` the only
+//! code that reads one. It checks the count against the bytes left
+//! ([`Reader::get_count`]: every element takes at least one) and reserves
+//! at most `remaining / size_of::<T>()` elements. A corrupt count therefore
+//! never allocates more than the input's own size, and a run of scalars,
+//! whose encoded size is their size in memory, is reserved exactly. Byte
+//! blobs ([`Writer::put_bytes`], [`Writer::put_str`]) are bulk copies, not
+//! sequences.
 
 use crate::format::{Reader, StoreError, Writer};
 use flexer_ann::{AnyIndex, FlatIndex};
@@ -15,10 +27,18 @@ use flexer_matcher::{BinaryMatcher, PairFeaturizer};
 use flexer_nn::{Linear, Matrix, Mlp};
 use flexer_types::{AnnBlockerConfig, Intent, IntentSet, LabelMatrix, NGramBlockerConfig};
 
-/// Binary encode/decode against the `.flexer` payload format.
-pub trait Codec: Sized {
+/// The encoding half of [`Codec`], on its own so borrowed data — slices,
+/// `str`, references — encodes without a copy into an owned value.
+pub trait Encode {
     /// Appends this value's canonical encoding.
     fn encode(&self, w: &mut Writer);
+}
+
+/// Binary encode/decode against the little-endian payload format. A
+/// `Vec<T>` of codecs is one too: its count, then its elements; decoding
+/// bounds the count by the bytes left and reserves at most
+/// `remaining / size_of::<T>()` elements (see the module docs).
+pub trait Codec: Encode + Sized {
     /// Decodes and validates one value.
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError>;
 }
@@ -27,33 +47,188 @@ fn malformed<T>(msg: impl Into<String>) -> Result<T, StoreError> {
     Err(StoreError::Malformed(msg.into()))
 }
 
-impl<T: Codec> Codec for Option<T> {
+impl Encode for u32 {
     fn encode(&self, w: &mut Writer) {
-        match self {
-            None => w.put_bool(false),
-            Some(v) => {
-                w.put_bool(true);
-                v.encode(w);
-            }
+        w.put_u32(*self);
+    }
+}
+
+impl Codec for u32 {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        r.get_u32()
+    }
+}
+
+impl Encode for u64 {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u64(*self);
+    }
+}
+
+impl Codec for u64 {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        r.get_u64()
+    }
+}
+
+impl Encode for usize {
+    fn encode(&self, w: &mut Writer) {
+        w.put_usize(*self);
+    }
+}
+
+impl Codec for usize {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        r.get_usize()
+    }
+}
+
+impl Encode for f32 {
+    fn encode(&self, w: &mut Writer) {
+        w.put_f32(*self);
+    }
+}
+
+impl Codec for f32 {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        r.get_f32()
+    }
+}
+
+impl Encode for f64 {
+    fn encode(&self, w: &mut Writer) {
+        w.put_f64(*self);
+    }
+}
+
+impl Codec for f64 {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        r.get_f64()
+    }
+}
+
+impl Encode for bool {
+    fn encode(&self, w: &mut Writer) {
+        w.put_bool(*self);
+    }
+}
+
+impl Codec for bool {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        r.get_bool()
+    }
+}
+
+impl Encode for str {
+    fn encode(&self, w: &mut Writer) {
+        w.put_str(self);
+    }
+}
+
+impl Encode for String {
+    fn encode(&self, w: &mut Writer) {
+        w.put_str(self);
+    }
+}
+
+impl Codec for String {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        r.get_str()
+    }
+}
+
+impl<T: Encode + ?Sized> Encode for &T {
+    fn encode(&self, w: &mut Writer) {
+        (**self).encode(w);
+    }
+}
+
+/// A sequence: the count, then the elements (see the module docs).
+impl<T: Encode> Encode for [T] {
+    fn encode(&self, w: &mut Writer) {
+        w.put_usize(self.len());
+        for v in self {
+            v.encode(w);
         }
     }
+}
 
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, w: &mut Writer) {
+        self.as_slice().encode(w);
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        let n = r.get_count()?;
+        let mut out = Vec::with_capacity(n.min(r.remaining() / std::mem::size_of::<T>().max(1)));
+        for _ in 0..n {
+            out.push(T::decode(r)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<A: Encode, B: Encode> Encode for (A, B) {
+    fn encode(&self, w: &mut Writer) {
+        self.0.encode(w);
+        self.1.encode(w);
+    }
+}
+
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok((A::decode(r)?, B::decode(r)?))
+    }
+}
+
+impl<T: Encode> Encode for Option<T> {
+    fn encode(&self, w: &mut Writer) {
+        w.put_bool(self.is_some());
+        if let Some(v) = self {
+            v.encode(w);
+        }
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         Ok(if r.get_bool()? { Some(T::decode(r)?) } else { None })
     }
 }
 
-impl Codec for Matrix {
+/// An outcome that crossed a process boundary: the `Ok` flag, then the
+/// value or the error's message.
+impl<T: Encode> Encode for Result<T, String> {
+    fn encode(&self, w: &mut Writer) {
+        w.put_bool(self.is_ok());
+        match self {
+            Ok(v) => v.encode(w),
+            Err(msg) => w.put_str(msg),
+        }
+    }
+}
+
+impl<T: Codec> Codec for Result<T, String> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(if r.get_bool()? { Ok(T::decode(r)?) } else { Err(r.get_str()?) })
+    }
+}
+
+impl Encode for Matrix {
     fn encode(&self, w: &mut Writer) {
         w.put_usize(self.rows());
         w.put_usize(self.cols());
-        w.put_f32_slice(self.data());
+        self.data().encode(w);
     }
+}
 
+impl Codec for Matrix {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let rows = r.get_usize()?;
         let cols = r.get_usize()?;
-        let data = r.get_f32_slice()?;
+        let data = Vec::<f32>::decode(r)?;
         let expect = rows.checked_mul(cols);
         if expect != Some(data.len()) {
             return malformed(format!("matrix {rows}×{cols} with {} values", data.len()));
@@ -62,15 +237,17 @@ impl Codec for Matrix {
     }
 }
 
-impl Codec for Linear {
+impl Encode for Linear {
     fn encode(&self, w: &mut Writer) {
         self.w.encode(w);
-        w.put_f32_slice(&self.b);
+        self.b.encode(w);
     }
+}
 
+impl Codec for Linear {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let weight = Matrix::decode(r)?;
-        let b = r.get_f32_slice()?;
+        let b = Vec::<f32>::decode(r)?;
         if b.len() != weight.cols() {
             return malformed(format!("bias of {} for {} outputs", b.len(), weight.cols()));
         }
@@ -80,22 +257,17 @@ impl Codec for Linear {
     }
 }
 
-impl Codec for Mlp {
+impl Encode for Mlp {
     fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.n_layers());
-        for layer in self.layers() {
-            layer.encode(w);
-        }
+        self.layers().encode(w);
     }
+}
 
+impl Codec for Mlp {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let n = r.get_count(32)?;
-        if n == 0 {
+        let layers = Vec::<Linear>::decode(r)?;
+        if layers.is_empty() {
             return malformed("an MLP needs at least one layer");
-        }
-        let mut layers = Vec::with_capacity(n);
-        for _ in 0..n {
-            layers.push(Linear::decode(r)?);
         }
         for pair in layers.windows(2) {
             if pair[0].out_dim() != pair[1].in_dim() {
@@ -106,14 +278,16 @@ impl Codec for Mlp {
     }
 }
 
-impl Codec for Aggregation {
+impl Encode for Aggregation {
     fn encode(&self, w: &mut Writer) {
         w.put_u8(match self {
             Aggregation::RelationTyped => 0,
             Aggregation::Pooled => 1,
         });
     }
+}
 
+impl Codec for Aggregation {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         match r.get_u8()? {
             0 => Ok(Aggregation::RelationTyped),
@@ -123,12 +297,14 @@ impl Codec for Aggregation {
     }
 }
 
-impl Codec for SageLayer {
+impl Encode for SageLayer {
     fn encode(&self, w: &mut Writer) {
         self.aggregation().encode(w);
         self.linear().encode(w);
     }
+}
 
+impl Codec for SageLayer {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let aggregation = Aggregation::decode(r)?;
         let linear = Linear::decode(r)?;
@@ -143,23 +319,18 @@ impl Codec for SageLayer {
     }
 }
 
-impl Codec for GnnModel {
+impl Encode for GnnModel {
     fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.n_layers());
-        for layer in self.sage_layers() {
-            layer.encode(w);
-        }
+        self.sage_layers().encode(w);
         self.head().encode(w);
     }
+}
 
+impl Codec for GnnModel {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let n = r.get_count(33)?;
-        if n == 0 {
+        let layers = Vec::<SageLayer>::decode(r)?;
+        if layers.is_empty() {
             return malformed("a GNN needs at least one layer");
-        }
-        let mut layers = Vec::with_capacity(n);
-        for _ in 0..n {
-            layers.push(SageLayer::decode(r)?);
         }
         let head = Linear::decode(r)?;
         for pair in layers.windows(2) {
@@ -174,15 +345,17 @@ impl Codec for GnnModel {
     }
 }
 
-impl Codec for CsrGraph {
+impl Encode for CsrGraph {
     fn encode(&self, w: &mut Writer) {
-        w.put_usize_slice(self.indptr());
-        w.put_u32_slice(self.indices());
+        self.indptr().encode(w);
+        self.indices().encode(w);
     }
+}
 
+impl Codec for CsrGraph {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let indptr = r.get_usize_slice()?;
-        let indices = r.get_u32_slice()?;
+        let indptr = Vec::<usize>::decode(r)?;
+        let indices = Vec::<u32>::decode(r)?;
         if indptr.is_empty() || indptr[0] != 0 {
             return malformed("CSR indptr must start with 0");
         }
@@ -200,7 +373,7 @@ impl Codec for CsrGraph {
     }
 }
 
-impl Codec for MultiplexGraph {
+impl Encode for MultiplexGraph {
     fn encode(&self, w: &mut Writer) {
         w.put_usize(self.n_pairs);
         w.put_usize(self.n_layers);
@@ -208,7 +381,9 @@ impl Codec for MultiplexGraph {
         self.intra.encode(w);
         self.inter.encode(w);
     }
+}
 
+impl Codec for MultiplexGraph {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let n_pairs = r.get_usize()?;
         let n_layers = r.get_usize()?;
@@ -227,20 +402,22 @@ impl Codec for MultiplexGraph {
     }
 }
 
-impl Codec for TrainedGnn {
+impl Encode for TrainedGnn {
     fn encode(&self, w: &mut Writer) {
         self.model.encode(w);
         w.put_f64(self.best_valid_f1);
-        w.put_f32_slice(&self.scores);
-        w.put_bool_slice(&self.preds);
+        self.scores.encode(w);
+        self.preds.encode(w);
         w.put_usize(self.epochs_run);
     }
+}
 
+impl Codec for TrainedGnn {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let model = GnnModel::decode(r)?;
         let best_valid_f1 = r.get_f64()?;
-        let scores = r.get_f32_slice()?;
-        let preds = r.get_bool_slice()?;
+        let scores = Vec::<f32>::decode(r)?;
+        let preds = Vec::<bool>::decode(r)?;
         let epochs_run = r.get_usize()?;
         if scores.len() != preds.len() {
             return malformed("trained GNN scores/preds length mismatch");
@@ -249,16 +426,18 @@ impl Codec for TrainedGnn {
     }
 }
 
-impl Codec for FlatIndex {
+impl Encode for FlatIndex {
     fn encode(&self, w: &mut Writer) {
         use flexer_ann::VectorIndex;
         w.put_usize(self.dim());
-        w.put_f32_slice(self.data());
+        self.data().encode(w);
     }
+}
 
+impl Codec for FlatIndex {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let dim = r.get_usize()?;
-        let data = r.get_f32_slice()?;
+        let data = Vec::<f32>::decode(r)?;
         if dim == 0 || data.len() % dim != 0 {
             return malformed("flat index data is not whole rows");
         }
@@ -269,13 +448,15 @@ impl Codec for FlatIndex {
     }
 }
 
-impl Codec for AnyIndex {
+impl Encode for AnyIndex {
     fn encode(&self, w: &mut Writer) {
         let AnyIndex::Flat(i) = self;
         w.put_u8(0);
         i.encode(w);
     }
+}
 
+impl Codec for AnyIndex {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         match r.get_u8()? {
             0 => Ok(AnyIndex::Flat(FlatIndex::decode(r)?)),
@@ -288,13 +469,15 @@ impl Codec for AnyIndex {
     }
 }
 
-impl Codec for NGramBlockerConfig {
+impl Encode for NGramBlockerConfig {
     fn encode(&self, w: &mut Writer) {
         w.put_usize(self.q);
         w.put_usize(self.min_shared);
         w.put_usize(self.max_bucket);
     }
+}
 
+impl Codec for NGramBlockerConfig {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let q = r.get_usize()?;
         let min_shared = r.get_usize()?;
@@ -306,13 +489,15 @@ impl Codec for NGramBlockerConfig {
     }
 }
 
-impl Codec for AnnBlockerConfig {
+impl Encode for AnnBlockerConfig {
     fn encode(&self, w: &mut Writer) {
         w.put_usize(self.q);
         w.put_usize(self.dim);
         w.put_usize(self.k);
     }
+}
 
+impl Codec for AnnBlockerConfig {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let q = r.get_usize()?;
         let dim = r.get_usize()?;
@@ -324,52 +509,44 @@ impl Codec for AnnBlockerConfig {
     }
 }
 
-impl Codec for NGramIndex {
+impl Encode for NGramIndex {
     fn encode(&self, w: &mut Writer) {
         self.config().encode(w);
         w.put_usize(self.len());
         // Buckets in ascending gram-hash order, ids ascending within — the
         // canonical form that makes re-encoding byte-identical.
-        let buckets = self.sorted_buckets();
-        w.put_usize(buckets.len());
-        for (gram, ids) in buckets {
-            w.put_u64(gram);
-            w.put_u32_slice(ids);
-        }
+        self.sorted_buckets().encode(w);
     }
+}
 
+impl Codec for NGramIndex {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let config = NGramBlockerConfig::decode(r)?;
         let n_records = r.get_usize()?;
-        let n_buckets = r.get_count(16)?;
-        let mut buckets = Vec::with_capacity(n_buckets);
-        let mut prev: Option<u64> = None;
-        for _ in 0..n_buckets {
-            let gram = r.get_u64()?;
-            if prev.is_some_and(|p| p >= gram) {
-                return malformed("blocker buckets are not in ascending gram order");
-            }
-            prev = Some(gram);
-            buckets.push((gram, r.get_u32_slice()?));
+        let buckets = Vec::<(u64, Vec<u32>)>::decode(r)?;
+        if !buckets.windows(2).all(|b| b[0].0 < b[1].0) {
+            return malformed("blocker buckets are not in ascending gram order");
         }
         NGramIndex::from_parts(config, n_records, buckets).map_err(StoreError::Malformed)
     }
 }
 
-impl Codec for AnnRecordIndex {
+impl Encode for AnnRecordIndex {
     fn encode(&self, w: &mut Writer) {
         self.config().encode(w);
-        w.put_f32_slice(self.data());
+        self.data().encode(w);
     }
+}
 
+impl Codec for AnnRecordIndex {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let config = AnnBlockerConfig::decode(r)?;
-        let data = r.get_f32_slice()?;
+        let data = Vec::<f32>::decode(r)?;
         AnnRecordIndex::from_parts(config, data).map_err(StoreError::Malformed)
     }
 }
 
-impl Codec for BlockerState {
+impl Encode for BlockerState {
     fn encode(&self, w: &mut Writer) {
         match self {
             BlockerState::Exhaustive => w.put_u8(0),
@@ -383,7 +560,9 @@ impl Codec for BlockerState {
             }
         }
     }
+}
 
+impl Codec for BlockerState {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         match r.get_u8()? {
             0 => Ok(BlockerState::Exhaustive),
@@ -394,13 +573,15 @@ impl Codec for BlockerState {
     }
 }
 
-impl Codec for Intent {
+impl Encode for Intent {
     fn encode(&self, w: &mut Writer) {
         w.put_usize(self.id);
         w.put_str(&self.name);
         w.put_bool(self.is_equivalence);
     }
+}
 
+impl Codec for Intent {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let id = r.get_usize()?;
         let name = r.get_str()?;
@@ -409,27 +590,21 @@ impl Codec for Intent {
     }
 }
 
-impl Codec for IntentSet {
+impl Encode for IntentSet {
     fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.len());
-        for intent in self.iter() {
-            intent.encode(w);
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let n = r.get_count(17)?;
-        let mut intents = Vec::with_capacity(n);
-        for _ in 0..n {
-            intents.push(Intent::decode(r)?);
-        }
-        // `IntentSet::new` re-assigns ids to positions, matching the
-        // encoded order.
-        Ok(IntentSet::new(intents))
+        self.iter().collect::<Vec<_>>().encode(w);
     }
 }
 
-impl Codec for LabelMatrix {
+impl Codec for IntentSet {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        // `IntentSet::new` re-assigns ids to positions, matching the
+        // encoded order.
+        Ok(IntentSet::new(Vec::decode(r)?))
+    }
+}
+
+impl Encode for LabelMatrix {
     fn encode(&self, w: &mut Writer) {
         w.put_usize(self.n_pairs());
         w.put_usize(self.n_intents());
@@ -439,7 +614,9 @@ impl Codec for LabelMatrix {
             }
         }
     }
+}
 
+impl Codec for LabelMatrix {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let n_pairs = r.get_usize()?;
         let n_intents = r.get_usize()?;
@@ -464,14 +641,16 @@ impl Codec for LabelMatrix {
     }
 }
 
-impl Codec for PairFeaturizer {
+impl Encode for PairFeaturizer {
     fn encode(&self, w: &mut Writer) {
         w.put_usize(self.hash_dim);
         w.put_usize(self.char_ngram);
         w.put_bool(self.use_cross);
         w.put_usize(self.max_tokens);
     }
+}
 
+impl Codec for PairFeaturizer {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let hash_dim = r.get_usize()?;
         let char_ngram = r.get_usize()?;
@@ -484,39 +663,31 @@ impl Codec for PairFeaturizer {
     }
 }
 
-impl Codec for DfTable {
+impl Encode for DfTable {
     fn encode(&self, w: &mut Writer) {
         // Sorted entries: identical tables encode identically regardless of
         // hash-map iteration order.
-        let entries = self.entries();
-        w.put_usize(entries.len());
-        for (token, count) in entries {
-            w.put_str(token);
-            w.put_u32(count);
-        }
+        self.entries().encode(w);
         w.put_u32(self.n_docs());
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let n = r.get_count(12)?;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let token = r.get_str()?;
-            let count = r.get_u32()?;
-            entries.push((token, count));
-        }
-        let n_docs = r.get_u32()?;
-        Ok(DfTable::from_entries(entries, n_docs))
     }
 }
 
-impl Codec for BinaryMatcher {
+impl Codec for DfTable {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        let entries = Vec::decode(r)?;
+        Ok(DfTable::from_entries(entries, r.get_u32()?))
+    }
+}
+
+impl Encode for BinaryMatcher {
     fn encode(&self, w: &mut Writer) {
         self.input().encode(w);
         self.head().encode(w);
         w.put_f64(self.best_valid_f1);
     }
+}
 
+impl Codec for BinaryMatcher {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let input = Linear::decode(r)?;
         let head = Mlp::decode(r)?;
@@ -525,25 +696,6 @@ impl Codec for BinaryMatcher {
             return malformed("matcher trunk/head width mismatch");
         }
         Ok(BinaryMatcher::from_parts(input, head, best_valid_f1))
-    }
-}
-
-/// Length-prefixed homogeneous sequences.
-impl<T: Codec> Codec for Vec<T> {
-    fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.len());
-        for v in self {
-            v.encode(w);
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let n = r.get_count(1)?;
-        let mut out = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
     }
 }
 
@@ -630,8 +782,8 @@ mod tests {
     #[test]
     fn csr_rejects_out_of_range_edges() {
         let mut w = Writer::new();
-        w.put_usize_slice(&[0, 1]); // 1 node, 1 edge
-        w.put_u32_slice(&[5]); // … pointing at node 5
+        vec![0usize, 1].encode(&mut w); // 1 node, 1 edge
+        vec![5u32].encode(&mut w); // … pointing at node 5
         let bytes = w.into_bytes();
         assert!(matches!(
             CsrGraph::decode(&mut Reader::new(&bytes)),

@@ -278,38 +278,6 @@ impl Writer {
         self.put_usize(bytes.len());
         self.buf.extend_from_slice(bytes);
     }
-
-    /// Length-prefixed f32 slice.
-    pub fn put_f32_slice(&mut self, vs: &[f32]) {
-        self.put_usize(vs.len());
-        for &v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    /// Length-prefixed u32 slice.
-    pub fn put_u32_slice(&mut self, vs: &[u32]) {
-        self.put_usize(vs.len());
-        for &v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    /// Length-prefixed usize slice (stored as u64s).
-    pub fn put_usize_slice(&mut self, vs: &[usize]) {
-        self.put_usize(vs.len());
-        for &v in vs {
-            self.put_u64(v as u64);
-        }
-    }
-
-    /// Length-prefixed bool slice (one byte per value).
-    pub fn put_bool_slice(&mut self, vs: &[bool]) {
-        self.put_usize(vs.len());
-        for &v in vs {
-            self.put_u8(v as u8);
-        }
-    }
 }
 
 /// Little-endian payload reader over a borrowed buffer.
@@ -370,35 +338,14 @@ impl<'a> Reader<'a> {
             .map_err(|_| StoreError::Malformed(format!("length {v} exceeds this platform")))
     }
 
-    /// A length prefix for elements of `elem_size` bytes, bounds-checked
-    /// against the remaining buffer *before* any allocation, so corrupted
-    /// length fields fail cleanly instead of attempting huge allocations.
-    fn get_len(&mut self, elem_size: usize) -> Result<usize, StoreError> {
+    /// The count of a sequence, checked against the bytes left: every
+    /// element encodes to at least one byte, so a larger count is corrupt
+    /// and fails here, before anything is allocated for it. The sequence
+    /// codec (`Vec<T>`'s `Codec` impl) is the one caller.
+    pub fn get_count(&mut self) -> Result<usize, StoreError> {
         let n = self.get_usize()?;
-        let needed = n.checked_mul(elem_size).ok_or_else(|| {
-            StoreError::Malformed(format!("length {n} × {elem_size} bytes overflows"))
-        })?;
-        if needed > self.remaining() {
-            return Err(StoreError::Truncated { needed, available: self.remaining() });
-        }
-        Ok(n)
-    }
-
-    /// A length prefix for a sequence whose elements each occupy **at
-    /// least** `min_elem_bytes` of encoded payload, bounds-checked against
-    /// the remaining buffer. This is the pre-allocation guard for
-    /// variable-size elements (codec sequences): a count that could not
-    /// possibly fit in the remaining bytes is rejected *before* any
-    /// `Vec::with_capacity`, so a corrupt count field can never trigger a
-    /// huge allocation or OOM abort. Callers pass a conservative lower
-    /// bound on the encoded element size (1 is always sound).
-    pub fn get_count(&mut self, min_elem_bytes: usize) -> Result<usize, StoreError> {
-        let n = self.get_usize()?;
-        let needed = n.checked_mul(min_elem_bytes.max(1)).ok_or_else(|| {
-            StoreError::Malformed(format!("count {n} × {min_elem_bytes} bytes overflows"))
-        })?;
-        if needed > self.remaining() {
-            return Err(StoreError::Truncated { needed, available: self.remaining() });
+        if n > self.remaining() {
+            return Err(StoreError::Truncated { needed: n, available: self.remaining() });
         }
         Ok(n)
     }
@@ -424,7 +371,7 @@ impl<'a> Reader<'a> {
 
     /// Length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, StoreError> {
-        let n = self.get_len(1)?;
+        let n = self.get_usize()?;
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|e| StoreError::Malformed(format!("invalid UTF-8 string: {e}")))
@@ -432,48 +379,8 @@ impl<'a> Reader<'a> {
 
     /// Length-prefixed raw byte blob (nested frames).
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, StoreError> {
-        let n = self.get_len(1)?;
+        let n = self.get_usize()?;
         Ok(self.take(n)?.to_vec())
-    }
-
-    /// Length-prefixed f32 slice.
-    pub fn get_f32_slice(&mut self) -> Result<Vec<f32>, StoreError> {
-        let n = self.get_len(4)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.get_f32()?);
-        }
-        Ok(out)
-    }
-
-    /// Length-prefixed u32 slice.
-    pub fn get_u32_slice(&mut self) -> Result<Vec<u32>, StoreError> {
-        let n = self.get_len(4)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.get_u32()?);
-        }
-        Ok(out)
-    }
-
-    /// Length-prefixed usize slice.
-    pub fn get_usize_slice(&mut self) -> Result<Vec<usize>, StoreError> {
-        let n = self.get_len(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.get_usize()?);
-        }
-        Ok(out)
-    }
-
-    /// Length-prefixed bool slice.
-    pub fn get_bool_slice(&mut self) -> Result<Vec<bool>, StoreError> {
-        let n = self.get_len(1)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.get_bool()?);
-        }
-        Ok(out)
     }
 }
 
@@ -492,10 +399,7 @@ mod tests {
         w.put_f64(std::f64::consts::PI);
         w.put_bool(true);
         w.put_str("intención");
-        w.put_f32_slice(&[1.5, -2.5, f32::MIN_POSITIVE]);
-        w.put_u32_slice(&[1, 2, 3]);
-        w.put_usize_slice(&[9, 0]);
-        w.put_bool_slice(&[true, false, true]);
+        w.put_bytes(&[1, 2, 3]);
         let bytes = w.into_bytes();
 
         let mut r = Reader::new(&bytes);
@@ -507,10 +411,7 @@ mod tests {
         assert_eq!(r.get_f64().unwrap(), std::f64::consts::PI);
         assert!(r.get_bool().unwrap());
         assert_eq!(r.get_str().unwrap(), "intención");
-        assert_eq!(r.get_f32_slice().unwrap(), vec![1.5, -2.5, f32::MIN_POSITIVE]);
-        assert_eq!(r.get_u32_slice().unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.get_usize_slice().unwrap(), vec![9, 0]);
-        assert_eq!(r.get_bool_slice().unwrap(), vec![true, false, true]);
+        assert_eq!(r.get_bytes().unwrap(), vec![1, 2, 3]);
         r.finish().unwrap();
     }
 
@@ -574,35 +475,26 @@ mod tests {
     fn count_prefix_is_bounded_by_remaining_bytes() {
         let mut w = Writer::new();
         w.put_usize(3);
-        w.put_u32(7); // only 4 bytes of element payload follow
+        w.put_u8(7);
+        w.put_u8(7); // only 2 bytes follow: 3 elements of >= 1 byte cannot fit
         let bytes = w.into_bytes();
-        // 3 elements of >= 4 bytes each cannot fit in 4 remaining bytes.
-        let mut r = Reader::new(&bytes);
-        assert!(matches!(r.get_count(4), Err(StoreError::Truncated { .. })));
-        // …but 3 elements of >= 1 byte could.
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.get_count(1).unwrap(), 3);
-        // Overflowing count × size is malformed, not a panic.
-        let mut w = Writer::new();
-        w.put_u64(u64::MAX / 2);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert!(matches!(
-            r.get_count(16),
-            Err(StoreError::Malformed(_)) | Err(StoreError::Truncated { .. })
-        ));
+        assert!(matches!(Reader::new(&bytes).get_count(), Err(StoreError::Truncated { .. })));
+        // With a third byte they could.
+        let mut bytes = bytes;
+        bytes.push(7);
+        assert_eq!(Reader::new(&bytes).get_count().unwrap(), 3);
     }
 
     #[test]
     fn oversized_length_fields_fail_before_allocating() {
+        use crate::codec::Codec;
         let mut w = Writer::new();
         w.put_u64(u64::MAX / 2); // an absurd element count
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        assert!(matches!(
-            r.get_f32_slice(),
-            Err(StoreError::Truncated { .. }) | Err(StoreError::Malformed(_))
-        ));
+        assert!(matches!(Vec::<f32>::decode(&mut r), Err(StoreError::Truncated { .. })));
+        let mut r = Reader::new(&bytes);
+        assert!(matches!(r.get_bytes(), Err(StoreError::Truncated { .. })));
     }
 
     #[test]

@@ -28,6 +28,12 @@
 //! * **Paranoid on load.** Framing, checksum, per-type shape invariants
 //!   and cross-field consistency are all validated; corrupted input
 //!   surfaces as a typed [`StoreError`], never a panic or a bogus model.
+//! * **One sequence codec.** Every length-prefixed list in a snapshot or a
+//!   wire message is a `usize` count followed by its elements, written by
+//!   [`Encode`] for `[T]` and read by [`Codec`] for `Vec<T>` — nowhere
+//!   else. The reader bounds the count by the bytes left and reserves at
+//!   most `remaining / size_of::<T>()` elements, so a forged count cannot
+//!   allocate more than the input's own size.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +44,7 @@ pub mod shard;
 pub mod snapshot;
 pub mod wire;
 
-pub use codec::Codec;
+pub use codec::{Codec, Encode};
 pub use format::{fnv1a64, seal, unseal, Reader, StoreError, Writer, MAGIC, VERSION};
 pub use shard::ShardFrames;
 pub use snapshot::{IndexKind, ModelSnapshot};

@@ -14,7 +14,7 @@
 //! the monolithic blocker codec — so `save → load → save` stays
 //! byte-identical through any number of round trips.
 
-use crate::codec::Codec;
+use crate::codec::{Codec, Encode};
 use crate::format::{Reader, StoreError, Writer};
 use flexer_block::{BlockerState, ShardedBlocker};
 use flexer_types::ShardConfig;
@@ -35,7 +35,7 @@ impl ShardFrames {
             .zip(blocker.members())
             .map(|(state, members)| {
                 let mut w = Writer::new();
-                w.put_u32_slice(members);
+                members.encode(&mut w);
                 state.encode(&mut w);
                 w.into_bytes()
             })
@@ -69,7 +69,7 @@ impl ShardFrames {
             ))
         })?;
         let mut r = Reader::new(frame);
-        let members = r.get_u32_slice()?;
+        let members = Vec::decode(&mut r)?;
         let state = BlockerState::decode(&mut r)?;
         r.finish()?;
         Ok((members, state))
@@ -90,26 +90,26 @@ impl ShardFrames {
     }
 }
 
-impl Codec for ShardFrames {
+impl Encode for ShardFrames {
     fn encode(&self, w: &mut Writer) {
         w.put_usize(self.n_records);
+        // A list of byte blobs, each a bulk copy: the one length-prefixed
+        // list that is not a `Vec<T>` sequence.
         w.put_usize(self.frames.len());
         for frame in &self.frames {
             w.put_bytes(frame);
         }
     }
+}
 
+impl Codec for ShardFrames {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let n_records = r.get_usize()?;
-        // Each frame is at least its own 8-byte length prefix, so the
-        // count is bounded by the remaining payload before the config
-        // validation (which caps it at 65536 shards anyway).
-        let n_shards = r.get_count(8)?;
+        let n_shards = r.get_usize()?;
         ShardConfig::of(n_shards).validate().map_err(StoreError::Malformed)?;
-        let mut frames = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            frames.push(r.get_bytes()?);
-        }
+        // Collected without pre-sizing: a corrupt count allocates nothing
+        // before its frames fail to read.
+        let frames = (0..n_shards).map(|_| r.get_bytes()).collect::<Result<_, _>>()?;
         Ok(Self { n_records, frames })
     }
 }

@@ -19,7 +19,7 @@
 //! bytes (floats are stored as raw IEEE-754 bits; hash-backed tables are
 //! serialized in sorted order).
 
-use crate::codec::Codec;
+use crate::codec::{Codec, Encode};
 use crate::format::{seal, unseal, Reader, StoreError, Writer};
 use crate::shard::ShardFrames;
 use flexer_ann::{AnyIndex, VectorIndex};
@@ -206,19 +206,12 @@ impl ModelSnapshot {
     }
 }
 
-impl Codec for ModelSnapshot {
+impl Encode for ModelSnapshot {
     fn encode(&self, w: &mut Writer) {
         self.intents.encode(w);
         w.put_usize(self.k);
-        w.put_usize(self.records.len());
-        for r in &self.records {
-            w.put_str(r);
-        }
-        w.put_usize(self.pairs.len());
-        for &(a, b) in &self.pairs {
-            w.put_u32(a);
-            w.put_u32(b);
-        }
+        self.records.encode(w);
+        self.pairs.encode(w);
         self.featurizer.encode(w);
         self.df.encode(w);
         self.matchers.encode(w);
@@ -229,48 +222,25 @@ impl Codec for ModelSnapshot {
         self.blocker.encode(w);
         self.sharding.encode(w);
     }
+}
 
+impl Codec for ModelSnapshot {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let intents = IntentSet::decode(r)?;
-        let k = r.get_usize()?;
-        // Counts are bounded against the remaining payload (records are at
-        // least their 8-byte length prefix, pairs exactly 8 bytes), so a
-        // corrupt count cannot pre-allocate more than the input's own size.
-        let n_records = r.get_count(8)?;
-        let mut records = Vec::with_capacity(n_records);
-        for _ in 0..n_records {
-            records.push(r.get_str()?);
-        }
-        let n_pairs = r.get_count(8)?;
-        let mut pairs = Vec::with_capacity(n_pairs);
-        for _ in 0..n_pairs {
-            let a = r.get_u32()?;
-            let b = r.get_u32()?;
-            pairs.push((a, b));
-        }
-        let featurizer = PairFeaturizer::decode(r)?;
-        let df = DfTable::decode(r)?;
-        let matchers = Vec::<BinaryMatcher>::decode(r)?;
-        let graph = MultiplexGraph::decode(r)?;
-        let trained = Vec::<TrainedGnn>::decode(r)?;
-        let predictions = LabelMatrix::decode(r)?;
-        let indexes = Vec::<AnyIndex>::decode(r)?;
-        let blocker = BlockerState::decode(r)?;
-        let sharding = Option::<ShardFrames>::decode(r)?;
+        // Fields decode in the order written, which is encoding order.
         Ok(Self {
-            intents,
-            k,
-            records,
-            pairs,
-            featurizer,
-            df,
-            matchers,
-            graph,
-            trained,
-            predictions,
-            indexes,
-            blocker,
-            sharding,
+            intents: IntentSet::decode(r)?,
+            k: r.get_usize()?,
+            records: Vec::decode(r)?,
+            pairs: Vec::decode(r)?,
+            featurizer: PairFeaturizer::decode(r)?,
+            df: DfTable::decode(r)?,
+            matchers: Vec::decode(r)?,
+            graph: MultiplexGraph::decode(r)?,
+            trained: Vec::decode(r)?,
+            predictions: LabelMatrix::decode(r)?,
+            indexes: Vec::decode(r)?,
+            blocker: BlockerState::decode(r)?,
+            sharding: Option::decode(r)?,
         })
     }
 }

@@ -15,17 +15,17 @@
 //! file we wrote ourselves. The framing therefore bounds the declared
 //! length twice — against [`MAX_WIRE_FRAME`] before any allocation, and
 //! (in the slice-level [`unseal_frame`]) against the buffer with checked
-//! arithmetic — and the payload codecs below inherit the store's hardened
-//! [`Reader`] bounds ([`Reader::get_count`] caps every decoded count by
-//! the bytes actually present). Corrupt input yields `Err`, never a panic
-//! and never an attacker-sized allocation.
+//! arithmetic — and every list inside a payload decodes through the
+//! store's one sequence codec, which caps each count by the bytes actually
+//! present ([`Reader::get_count`]) before reserving anything. Corrupt input
+//! yields `Err`, never a panic and never an attacker-sized allocation.
 //!
 //! The message vocabulary itself ([`ShardRequest`]/[`ShardResponse`],
 //! [`RouterRequest`]/[`RouterResponse`]) lives in `flexer-types::wire`;
 //! this module gives those types their [`Codec`] impls plus blocking
 //! [`write_message`]/[`read_message`] over any `io::Write`/`io::Read`.
 
-use crate::codec::Codec;
+use crate::codec::{Codec, Encode};
 use crate::format::{BadHeader, Framing, Reader, StoreError, Writer, HEADER};
 use flexer_types::{
     MatchTarget, RankedMatch, ResolveQuery, ResolveResponse, RouterRequest, RouterResponse,
@@ -244,7 +244,7 @@ fn bad_tag<T>(what: &str, tag: u8) -> Result<T, StoreError> {
 // Resolve vocabulary (flexer-types::query)
 // ---------------------------------------------------------------------------
 
-impl Codec for ResolveQuery {
+impl Encode for ResolveQuery {
     fn encode(&self, w: &mut Writer) {
         match self {
             ResolveQuery::CorpusPair(p) => {
@@ -262,7 +262,9 @@ impl Codec for ResolveQuery {
             }
         }
     }
+}
 
+impl Codec for ResolveQuery {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         match r.get_u8()? {
             0 => Ok(ResolveQuery::CorpusPair(r.get_usize()?)),
@@ -273,7 +275,7 @@ impl Codec for ResolveQuery {
     }
 }
 
-impl Codec for MatchTarget {
+impl Encode for MatchTarget {
     fn encode(&self, w: &mut Writer) {
         match self {
             MatchTarget::Record(i) => {
@@ -287,7 +289,9 @@ impl Codec for MatchTarget {
             MatchTarget::AdHoc => w.put_u8(2),
         }
     }
+}
 
+impl Codec for MatchTarget {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         match r.get_u8()? {
             0 => Ok(MatchTarget::Record(r.get_usize()?)),
@@ -298,26 +302,30 @@ impl Codec for MatchTarget {
     }
 }
 
-impl Codec for RankedMatch {
+impl Encode for RankedMatch {
     fn encode(&self, w: &mut Writer) {
         self.target.encode(w);
         w.put_f32(self.score); // raw bits — scores survive the hop bit-exactly
         w.put_bool(self.matched);
     }
+}
 
+impl Codec for RankedMatch {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         Ok(Self { target: MatchTarget::decode(r)?, score: r.get_f32()?, matched: r.get_bool()? })
     }
 }
 
-impl Codec for ResolveResponse {
+impl Encode for ResolveResponse {
     fn encode(&self, w: &mut Writer) {
         w.put_usize(self.intent);
         self.matches.encode(w);
     }
+}
 
+impl Codec for ResolveResponse {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        Ok(Self { intent: r.get_usize()?, matches: Vec::<RankedMatch>::decode(r)? })
+        Ok(Self { intent: r.get_usize()?, matches: Vec::decode(r)? })
     }
 }
 
@@ -325,83 +333,60 @@ impl Codec for ResolveResponse {
 // Router ↔ shard-server hop
 // ---------------------------------------------------------------------------
 
-impl Codec for WireQuery {
+impl Encode for WireQuery {
     fn encode(&self, w: &mut Writer) {
         match self {
             WireQuery::Grams(gs) => {
                 w.put_u8(0);
-                w.put_usize(gs.len());
-                for &g in gs {
-                    w.put_u64(g);
-                }
+                gs.encode(w);
             }
             WireQuery::Embedding(v) => {
                 w.put_u8(1);
-                w.put_f32_slice(v);
+                v.encode(w);
             }
         }
     }
+}
 
+impl Codec for WireQuery {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         match r.get_u8()? {
-            0 => {
-                let n = r.get_count(8)?;
-                let mut gs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    gs.push(r.get_u64()?);
-                }
-                Ok(WireQuery::Grams(gs))
-            }
-            1 => Ok(WireQuery::Embedding(r.get_f32_slice()?)),
+            0 => Ok(WireQuery::Grams(Vec::decode(r)?)),
+            1 => Ok(WireQuery::Embedding(Vec::decode(r)?)),
             t => bad_tag("WireQuery", t),
         }
     }
 }
 
-impl Codec for WireCandidates {
+impl Encode for WireCandidates {
     fn encode(&self, w: &mut Writer) {
         match self {
             WireCandidates::Ids(ids) => {
                 w.put_u8(0);
-                w.put_u32_slice(ids);
+                ids.encode(w);
             }
             WireCandidates::Hits(hits) => {
                 w.put_u8(1);
-                w.put_usize(hits.len());
-                for &(d, g) in hits {
-                    w.put_f32(d);
-                    w.put_u32(g);
-                }
+                hits.encode(w);
             }
         }
     }
+}
 
+impl Codec for WireCandidates {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         match r.get_u8()? {
-            0 => Ok(WireCandidates::Ids(r.get_u32_slice()?)),
-            1 => {
-                let n = r.get_count(8)?;
-                let mut hits = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let d = r.get_f32()?;
-                    let g = r.get_u32()?;
-                    hits.push((d, g));
-                }
-                Ok(WireCandidates::Hits(hits))
-            }
+            0 => Ok(WireCandidates::Ids(Vec::decode(r)?)),
+            1 => Ok(WireCandidates::Hits(Vec::decode(r)?)),
             t => bad_tag("WireCandidates", t),
         }
     }
 }
 
-impl Codec for ShardRequest {
+impl Encode for ShardRequest {
     fn encode(&self, w: &mut Writer) {
         match self {
             ShardRequest::Hello => w.put_u8(0),
-            ShardRequest::Query(q) => {
-                w.put_u8(1);
-                q.encode(w);
-            }
             ShardRequest::QueryBatch(qs) => {
                 w.put_u8(2);
                 qs.encode(w);
@@ -409,34 +394,20 @@ impl Codec for ShardRequest {
             ShardRequest::Insert { seq, rows } => {
                 w.put_u8(3);
                 w.put_u64(*seq);
-                w.put_usize(rows.len());
-                for (id, title) in rows {
-                    w.put_u64(*id);
-                    w.put_str(title);
-                }
+                rows.encode(w);
             }
             ShardRequest::Shutdown => w.put_u8(4),
             ShardRequest::Ping => w.put_u8(5),
         }
     }
+}
 
+impl Codec for ShardRequest {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         match r.get_u8()? {
             0 => Ok(ShardRequest::Hello),
-            1 => Ok(ShardRequest::Query(WireQuery::decode(r)?)),
-            2 => Ok(ShardRequest::QueryBatch(Vec::<WireQuery>::decode(r)?)),
-            3 => {
-                let seq = r.get_u64()?;
-                // Each row is at least a u64 id + an 8-byte title length.
-                let n = r.get_count(16)?;
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let id = r.get_u64()?;
-                    let title = r.get_str()?;
-                    rows.push((id, title));
-                }
-                Ok(ShardRequest::Insert { seq, rows })
-            }
+            2 => Ok(ShardRequest::QueryBatch(Vec::decode(r)?)),
+            3 => Ok(ShardRequest::Insert { seq: r.get_u64()?, rows: Vec::decode(r)? }),
             4 => Ok(ShardRequest::Shutdown),
             5 => Ok(ShardRequest::Ping),
             t => bad_tag("ShardRequest", t),
@@ -444,7 +415,7 @@ impl Codec for ShardRequest {
     }
 }
 
-impl Codec for ShardResponse {
+impl Encode for ShardResponse {
     fn encode(&self, w: &mut Writer) {
         match self {
             ShardResponse::Hello { shard, n_shards, n_records, backend, gram_counts } => {
@@ -453,15 +424,7 @@ impl Codec for ShardResponse {
                 w.put_u64(*n_shards);
                 w.put_u64(*n_records);
                 w.put_str(backend);
-                w.put_usize(gram_counts.len());
-                for &(g, n) in gram_counts {
-                    w.put_u64(g);
-                    w.put_u32(n);
-                }
-            }
-            ShardResponse::Candidates(c) => {
-                w.put_u8(1);
-                c.encode(w);
+                gram_counts.encode(w);
             }
             ShardResponse::CandidatesBatch(cs) => {
                 w.put_u8(2);
@@ -479,25 +442,19 @@ impl Codec for ShardResponse {
             ShardResponse::Pong => w.put_u8(6),
         }
     }
+}
 
+impl Codec for ShardResponse {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         match r.get_u8()? {
-            0 => {
-                let shard = r.get_u64()?;
-                let n_shards = r.get_u64()?;
-                let n_records = r.get_u64()?;
-                let backend = r.get_str()?;
-                let n = r.get_count(12)?;
-                let mut gram_counts = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let g = r.get_u64()?;
-                    let c = r.get_u32()?;
-                    gram_counts.push((g, c));
-                }
-                Ok(ShardResponse::Hello { shard, n_shards, n_records, backend, gram_counts })
-            }
-            1 => Ok(ShardResponse::Candidates(WireCandidates::decode(r)?)),
-            2 => Ok(ShardResponse::CandidatesBatch(Vec::<WireCandidates>::decode(r)?)),
+            0 => Ok(ShardResponse::Hello {
+                shard: r.get_u64()?,
+                n_shards: r.get_u64()?,
+                n_records: r.get_u64()?,
+                backend: r.get_str()?,
+                gram_counts: Vec::decode(r)?,
+            }),
+            2 => Ok(ShardResponse::CandidatesBatch(Vec::decode(r)?)),
             3 => Ok(ShardResponse::Inserted { n_records: r.get_u64()? }),
             4 => Ok(ShardResponse::Shutdown),
             5 => Ok(ShardResponse::Error(r.get_str()?)),
@@ -511,7 +468,7 @@ impl Codec for ShardResponse {
 // Client ↔ router hop
 // ---------------------------------------------------------------------------
 
-impl Codec for RouterRequest {
+impl Encode for RouterRequest {
     fn encode(&self, w: &mut Writer) {
         match self {
             RouterRequest::Hello => w.put_u8(0),
@@ -529,16 +486,15 @@ impl Codec for RouterRequest {
             }
             RouterRequest::IngestBatch(titles) => {
                 w.put_u8(3);
-                w.put_usize(titles.len());
-                for t in titles {
-                    w.put_str(t);
-                }
+                titles.encode(w);
             }
             RouterRequest::Shutdown => w.put_u8(4),
             RouterRequest::Stats => w.put_u8(5),
         }
     }
+}
 
+impl Codec for RouterRequest {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         match r.get_u8()? {
             0 => Ok(RouterRequest::Hello),
@@ -548,19 +504,11 @@ impl Codec for RouterRequest {
                 top_k: r.get_u64()?,
             }),
             2 => Ok(RouterRequest::ResolveBatch {
-                queries: Vec::<ResolveQuery>::decode(r)?,
+                queries: Vec::decode(r)?,
                 intent: r.get_u64()?,
                 top_k: r.get_u64()?,
             }),
-            3 => {
-                // Each title carries at least its 8-byte length prefix.
-                let n = r.get_count(8)?;
-                let mut titles = Vec::with_capacity(n);
-                for _ in 0..n {
-                    titles.push(r.get_str()?);
-                }
-                Ok(RouterRequest::IngestBatch(titles))
-            }
+            3 => Ok(RouterRequest::IngestBatch(Vec::decode(r)?)),
             4 => Ok(RouterRequest::Shutdown),
             5 => Ok(RouterRequest::Stats),
             t => bad_tag("RouterRequest", t),
@@ -568,14 +516,16 @@ impl Codec for RouterRequest {
     }
 }
 
-impl Codec for WireIngestReport {
+impl Encode for WireIngestReport {
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.record);
         w.put_u64(self.first_pair);
         w.put_u64(self.n_pairs);
         w.put_u64(self.n_suppressed);
     }
+}
 
+impl Codec for WireIngestReport {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         Ok(Self {
             record: r.get_u64()?,
@@ -586,28 +536,7 @@ impl Codec for WireIngestReport {
     }
 }
 
-fn put_outcome(w: &mut Writer, outcome: &Result<ResolveResponse, String>) {
-    match outcome {
-        Ok(resp) => {
-            w.put_bool(true);
-            resp.encode(w);
-        }
-        Err(msg) => {
-            w.put_bool(false);
-            w.put_str(msg);
-        }
-    }
-}
-
-fn get_outcome(r: &mut Reader<'_>) -> Result<Result<ResolveResponse, String>, StoreError> {
-    if r.get_bool()? {
-        Ok(Ok(ResolveResponse::decode(r)?))
-    } else {
-        Ok(Err(r.get_str()?))
-    }
-}
-
-impl Codec for RouterResponse {
+impl Encode for RouterResponse {
     fn encode(&self, w: &mut Writer) {
         match self {
             RouterResponse::Hello { n_shards, n_records, n_intents } => {
@@ -618,14 +547,11 @@ impl Codec for RouterResponse {
             }
             RouterResponse::Resolve(outcome) => {
                 w.put_u8(1);
-                put_outcome(w, outcome);
+                outcome.encode(w);
             }
             RouterResponse::ResolveBatch(outcomes) => {
                 w.put_u8(2);
-                w.put_usize(outcomes.len());
-                for outcome in outcomes {
-                    put_outcome(w, outcome);
-                }
+                outcomes.encode(w);
             }
             RouterResponse::IngestBatch(reports) => {
                 w.put_u8(3);
@@ -638,15 +564,13 @@ impl Codec for RouterResponse {
             }
             RouterResponse::Stats(pairs) => {
                 w.put_u8(6);
-                w.put_usize(pairs.len());
-                for (name, value) in pairs {
-                    w.put_str(name);
-                    w.put_u64(*value);
-                }
+                pairs.encode(w);
             }
         }
     }
+}
 
+impl Codec for RouterResponse {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         match r.get_u8()? {
             0 => Ok(RouterResponse::Hello {
@@ -654,30 +578,12 @@ impl Codec for RouterResponse {
                 n_records: r.get_u64()?,
                 n_intents: r.get_u64()?,
             }),
-            1 => Ok(RouterResponse::Resolve(get_outcome(r)?)),
-            2 => {
-                // Each outcome is at least its 1-byte ok flag.
-                let n = r.get_count(1)?;
-                let mut outcomes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    outcomes.push(get_outcome(r)?);
-                }
-                Ok(RouterResponse::ResolveBatch(outcomes))
-            }
-            3 => Ok(RouterResponse::IngestBatch(Vec::<WireIngestReport>::decode(r)?)),
+            1 => Ok(RouterResponse::Resolve(Result::decode(r)?)),
+            2 => Ok(RouterResponse::ResolveBatch(Vec::decode(r)?)),
+            3 => Ok(RouterResponse::IngestBatch(Vec::decode(r)?)),
             4 => Ok(RouterResponse::Shutdown),
             5 => Ok(RouterResponse::Error(r.get_str()?)),
-            6 => {
-                // Each pair is at least an 8-byte name length + a u64.
-                let n = r.get_count(16)?;
-                let mut pairs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = r.get_str()?;
-                    let value = r.get_u64()?;
-                    pairs.push((name, value));
-                }
-                Ok(RouterResponse::Stats(pairs))
-            }
+            6 => Ok(RouterResponse::Stats(Vec::decode(r)?)),
             t => bad_tag("RouterResponse", t),
         }
     }
@@ -750,7 +656,7 @@ mod tests {
 
         let payload = {
             let mut w = Writer::new();
-            ShardRequest::Query(WireQuery::Grams(vec![7, 8])).encode(&mut w);
+            ShardRequest::QueryBatch(vec![WireQuery::Grams(vec![7, 8])]).encode(&mut w);
             w.into_bytes()
         };
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();

@@ -21,7 +21,6 @@ pub fn sample_messages(
     };
     let shard_reqs = vec![
         ShardRequest::Hello,
-        ShardRequest::Query(WireQuery::Grams(vec![1, u64::MAX, 42])),
         ShardRequest::QueryBatch(vec![
             WireQuery::Embedding(vec![0.5, -1.25, f32::MIN_POSITIVE]),
             WireQuery::Grams(vec![]),
@@ -38,7 +37,6 @@ pub fn sample_messages(
             backend: "ngram".into(),
             gram_counts: vec![(3, 2), (u64::MAX, 1)],
         },
-        ShardResponse::Candidates(WireCandidates::Ids(vec![1, 2, 3])),
         ShardResponse::CandidatesBatch(vec![
             WireCandidates::Hits(vec![(0.125, 4), (2.5, 9)]),
             WireCandidates::Ids(vec![]),

@@ -17,7 +17,7 @@ mod common;
 
 use common::tiny_snapshot;
 use flexer_store::{
-    decode_frame, frame_message, seal, seal_frame, unseal, unseal_frame, Codec, ModelSnapshot,
+    decode_frame, frame_message, seal, seal_frame, unseal, unseal_frame, Encode, ModelSnapshot,
     StoreError, Writer,
 };
 use flexer_types::{
@@ -234,13 +234,13 @@ fn removed_ivf_index_tag_is_a_malformed_snapshot_that_says_so() {
 /// decode fine and stay inert data.
 #[test]
 fn hostile_values_decode_as_plain_data() {
-    let q = ShardRequest::Query(WireQuery::Grams(vec![u64::MAX, 0, 1]));
+    let q = ShardRequest::QueryBatch(vec![WireQuery::Grams(vec![u64::MAX, 0, 1])]);
     assert_eq!(decode_frame::<ShardRequest>(&frame_message(&q)).unwrap(), q);
-    let c = ShardResponse::Candidates(WireCandidates::Hits(vec![
+    let c = ShardResponse::CandidatesBatch(vec![WireCandidates::Hits(vec![
         (f32::NAN, 1),
         (f32::INFINITY, 2),
         (f32::NEG_INFINITY, u32::MAX),
-    ]));
+    ])]);
     // NaN != NaN, so compare the re-encoding instead.
     let decoded = decode_frame::<ShardResponse>(&frame_message(&c)).unwrap();
     assert_eq!(frame_message(&decoded), frame_message(&c));

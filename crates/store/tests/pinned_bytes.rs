@@ -34,7 +34,6 @@ fn payload_digest<T: Codec>(value: &T) -> u64 {
 fn shard_requests_keep_their_bytes() {
     let pins = [
         ("Hello", 0x41c44cf4136e26fc),
-        ("Query", 0x1047e1b8aa6d6376),
         ("QueryBatch", 0x8542d918f07ecab2),
         ("Insert", 0xf99852553455c3fd),
         ("Ping", 0xa94b14e49f53fd33),
@@ -47,7 +46,6 @@ fn shard_requests_keep_their_bytes() {
 fn shard_responses_keep_their_bytes() {
     let pins = [
         ("Hello", 0x67d4d060c80ed6c8),
-        ("Candidates", 0xb5e48244dc0fdc11),
         ("CandidatesBatch", 0x5da1bade3b674a78),
         ("Inserted", 0xf4e8e37e4d46b29c),
         ("Pong", 0xe3ca35ac20a1f86f),

@@ -15,7 +15,10 @@
 //!   split of `flexer_block`'s sharded candidate query. The router owns
 //!   the *global* state a shard cannot see (stop-gram counts, merge
 //!   order); a shard answers purely shard-local queries over its own
-//!   index, with record ids already mapped back to global space.
+//!   index, with record ids already mapped back to global space. Queries
+//!   always travel as a batch, one round trip per shard per request (a
+//!   single resolve is a batch of one); tag 1, once a single query and its
+//!   answer, decodes as an unknown tag.
 //! * **client ↔ router** ([`RouterRequest`]/[`RouterResponse`]): the
 //!   public resolve/ingest surface, mirroring the in-process
 //!   `ShardedResolutionService` API.
@@ -51,10 +54,8 @@ pub enum ShardRequest {
     /// Handshake: identify yourself and ship the state the router must
     /// aggregate globally (record count, per-gram bucket sizes).
     Hello,
-    /// One candidate query (the resolve path).
-    Query(WireQuery),
-    /// A batch of candidate queries (the ingest lane pre-batches its
-    /// per-title queries into one round trip per shard).
+    /// A batch of candidate queries: every title of a request, one round
+    /// trip per shard (a single resolve is a batch of one).
     QueryBatch(Vec<WireQuery>),
     /// Append records owned by this shard, as `(global id, title)` in
     /// global insertion order (the router assigns global ids).
@@ -97,8 +98,6 @@ pub enum ShardResponse {
         /// these are exactly the global stop-gram counts.
         gram_counts: Vec<(u64, u32)>,
     },
-    /// Answer to [`ShardRequest::Query`].
-    Candidates(WireCandidates),
     /// Answers to [`ShardRequest::QueryBatch`], in query order.
     CandidatesBatch(Vec<WireCandidates>),
     /// Acknowledges [`ShardRequest::Insert`] with the new record count.
@@ -196,7 +195,7 @@ mod tests {
 
     #[test]
     fn wire_types_are_plain_data() {
-        let q = ShardRequest::Query(WireQuery::Grams(vec![1, 2, 3]));
+        let q = ShardRequest::QueryBatch(vec![WireQuery::Grams(vec![1, 2, 3])]);
         assert_eq!(q.clone(), q);
         let r = RouterResponse::IngestBatch(vec![WireIngestReport {
             record: 9,

@@ -13,12 +13,12 @@
 //!
 //! On top of the batch pipeline sits an **online resolution tier**: a
 //! trained model exports into a versioned, checksummed `.flexer` snapshot
-//! ([`store`](crate::store)), and a [`serve::ResolutionService`] loads it
+//! ([`store`]), and a [`serve::ResolutionService`] loads it
 //! to answer "which entities match this record, under intent I?" at query
 //! time — exact transductive answers for stored pairs, frozen-weight
 //! inductive scoring (incremental ANN insert + local GNN forward) for new
 //! records, with an LRU embedding cache, and spans and counters per service
-//! ([`obs`](crate::obs)).
+//! ([`obs`]).
 //!
 //! # The thread budget
 //!
@@ -26,12 +26,12 @@
 //! multiplex graph. That per-intent loop, the per-intent matcher fits of
 //! the in-parallel baseline, multi-query ANN search, k-NN graph
 //! construction and large matmuls all fan out across the
-//! [`par`](crate::par) thread budget (honouring `RAYON_NUM_THREADS`, like
+//! [`par`] thread budget (honouring `RAYON_NUM_THREADS`, like
 //! rayon). The work split is deterministic and every item runs the exact
 //! serial kernel, so **results are bit-identical for any thread count**:
 //! `RAYON_NUM_THREADS=1` is the fully serial configuration and agrees
 //! with the default budget. Use
-//! [`par::with_threads`](crate::par::with_threads) to pin the budget in
+//! [`par::with_threads`] to pin the budget in
 //! code.
 //!
 //! ```
