@@ -50,9 +50,9 @@
 //! siblings absorb the traffic (`router.shard.failover`). A shard whose
 //! every replica is unreachable — or answers with something unusable: a
 //! shard reply is outside input, checked for length, shape and id range
-//! where it enters — degrades **its own** candidates only: the fan-out substitutes
-//! an empty answer and the query proceeds over the surviving shards
-//! (`router.shard.degraded`). Inserts an unreachable replica misses are
+//! where it enters — degrades **its own** candidates only: the fan-out
+//! substitutes an empty answer and the query proceeds over the surviving
+//! shards (`router.shard.degraded`). Inserts an unreachable replica misses are
 //! queued in that replica's replay lane and replayed in original arrival
 //! order when it comes back — sequence numbers make replay idempotent, so
 //! a recovered replica converges to exactly the state it would have had.
@@ -386,11 +386,11 @@ impl Fleet {
     /// Fans one `QueryBatch` out to every shard concurrently (one thread
     /// per shard slot, failover across that shard's replicas, everything
     /// bounded by `deadline`). This is where remote answers enter: a reply
-    /// is usable when it answers every query with an answer `global`
-    /// accepts, anything else fails over like an error reply. A shard that cannot
-    /// answer — every replica dead, desynced, stalled, lying or out of
-    /// budget — contributes empty answers for the whole batch: its records
-    /// drop out of the candidate set, the query survives.
+    /// is usable when `global` accepts its answer to every query, anything
+    /// else fails over like an error reply. A shard that cannot answer —
+    /// every replica dead, desynced, stalled, lying or out of budget —
+    /// contributes empty answers for the whole batch: its records drop out
+    /// of the candidate set, the query survives.
     fn fan_out_batches(
         &self,
         queries: &[WireQuery],

@@ -477,10 +477,9 @@ mod tests {
         w.put_usize(3);
         w.put_u8(7);
         w.put_u8(7); // only 2 bytes follow: 3 elements of >= 1 byte cannot fit
-        let bytes = w.into_bytes();
+        let mut bytes = w.into_bytes();
         assert!(matches!(Reader::new(&bytes).get_count(), Err(StoreError::Truncated { .. })));
         // With a third byte they could.
-        let mut bytes = bytes;
         bytes.push(7);
         assert_eq!(Reader::new(&bytes).get_count().unwrap(), 3);
     }

@@ -620,6 +620,16 @@ mod tests {
         rresp.iter().for_each(roundtrip);
     }
 
+    /// Tag 1 of the shard hop was the single-query exchange; a frame that
+    /// still carries it is an unknown tag now, in either direction.
+    #[test]
+    fn retired_single_query_tag_is_unknown() {
+        let frame = seal_frame(&[1]);
+        let unknown = |e: StoreError| matches!(e, StoreError::Malformed(m) if m.contains("tag 1"));
+        assert!(decode_frame::<ShardRequest>(&frame).is_err_and(unknown));
+        assert!(decode_frame::<ShardResponse>(&frame).is_err_and(unknown));
+    }
+
     /// What a read path makes of a corrupt frame, reduced to what the paths
     /// share: a bad length is `Truncated` on the slice path, `FrameTooLarge`
     /// or the EOF they run into on the stream paths.
