@@ -169,11 +169,6 @@ impl GlobalBlocking {
     pub fn gen_config(&self) -> CandidateGenConfig {
         self.gen
     }
-
-    /// The shard a title routes to.
-    pub fn shard_of(&self, title: &str) -> usize {
-        self.router.route(title)
-    }
 }
 
 /// One shard's answer to a planned query, over its own blocker state and
@@ -316,46 +311,6 @@ impl ShardedBlocker {
         })
     }
 
-    /// Shard-local candidate work for a title, without the merge: the
-    /// number of candidates each shard's query produces. For q-gram
-    /// backends the per-shard surviving sets are disjoint, so the counts
-    /// sum to the global candidate count; for ANN they are the merged
-    /// top-k attributed back to the owning shards. `None` for the
-    /// exhaustive backend (shards hold no state).
-    pub fn local_candidate_counts(&self, title: &str) -> Option<Vec<usize>> {
-        let query = self.global.plan(title)?;
-        let answers = self.fan_out(&query);
-        match self.global.gen_config() {
-            CandidateGenConfig::Exhaustive => None,
-            CandidateGenConfig::NGram(_) => Some(
-                answers
-                    .iter()
-                    .map(|a| match a {
-                        WireCandidates::Ids(v) => v.len(),
-                        WireCandidates::Hits(v) => v.len(),
-                    })
-                    .collect(),
-            ),
-            CandidateGenConfig::Ann(_) => {
-                // Attribute each record of the merged top-k back to its
-                // owning shard (every global id lives on exactly one).
-                let merged = self.global.merge(answers.iter().cloned());
-                Some(
-                    answers
-                        .iter()
-                        .map(|a| match a {
-                            WireCandidates::Hits(v) => v
-                                .iter()
-                                .filter(|(_, g)| merged.binary_search(&(*g as RecordId)).is_ok())
-                                .count(),
-                            WireCandidates::Ids(v) => v.len(),
-                        })
-                        .collect(),
-                )
-            }
-        }
-    }
-
     /// A copy truncated back to the first `n_records` global records — the
     /// exact inverse of the inserts past that watermark, shard by shard.
     pub fn truncated(&self, n_records: usize) -> Self {
@@ -495,11 +450,6 @@ impl ShardedBlocker {
         self.global.gen_config()
     }
 
-    /// The shard a title routes to.
-    pub fn shard_of(&self, title: &str) -> usize {
-        self.global.shard_of(title)
-    }
-
     /// Per-shard blocker states (serialization / inspection).
     pub fn shards(&self) -> &[BlockerState] {
         &self.shards
@@ -545,13 +495,6 @@ mod tests {
             for q in queries {
                 let merged = sharded.candidates(q);
                 assert_eq!(merged, mono.candidates(q), "{n_shards} shards, query {q:?}");
-                let counts = sharded.local_candidate_counts(q);
-                assert_eq!(
-                    counts.as_ref().map(|c| c.iter().sum::<usize>()),
-                    merged.as_ref().map(Vec::len),
-                    "{n_shards} shards, query {q:?}: local counts must sum to the merge"
-                );
-                assert_eq!(counts.map(|c| c.len()), merged.map(|_| n_shards));
             }
             assert_eq!(sharded.merged(), mono, "{n_shards} shards: merged state");
         }

@@ -3,7 +3,7 @@
 //! ```text
 //! router --snapshot model.flexer \
 //!        --shards 127.0.0.1:7001+127.0.0.1:7011,127.0.0.1:7002+127.0.0.1:7012 \
-//!        [--addr 127.0.0.1:0] [--replicas 2] [--pool 4] \
+//!        [--addr 127.0.0.1:0] [--replicas 2] \
 //!        [--connect-ms 1000] [--io-ms 2000] [--budget-ms 4000]
 //! ```
 //!
@@ -21,7 +21,9 @@
 //! The timeout knobs map onto `NetConfig`: `--connect-ms` bounds each
 //! dial, `--io-ms` is the per-read/write quantum (and the most a request
 //! may overshoot its budget), `--budget-ms` is the whole-request fan-out
-//! budget. `--pool` caps pooled idle connections per replica.
+//! budget. Clients meet fixed limits: at most 64 concurrent connections,
+//! idle connections reaped after 300 s, and a client that stalls
+//! mid-frame or stops reading cut off after 30 s.
 
 use flexer_serve::{NetConfig, Router, ServeConfig};
 use std::process::ExitCode;
@@ -30,7 +32,7 @@ use std::time::Duration;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: router --snapshot <model.flexer> --shards <a+b,c+d,...> [--addr <host:port>] \
-         [--replicas <n>] [--pool <n>] [--connect-ms <ms>] [--io-ms <ms>] [--budget-ms <ms>]"
+         [--replicas <n>] [--connect-ms <ms>] [--io-ms <ms>] [--budget-ms <ms>]"
     );
     ExitCode::FAILURE
 }
@@ -56,10 +58,6 @@ fn main() -> ExitCode {
             "--replicas" => match value.parse::<usize>() {
                 Ok(r) if r > 0 => replicas = Some(r),
                 _ => return usage(),
-            },
-            "--pool" => match value.parse::<usize>() {
-                Ok(p) => net.pool = p,
-                Err(_) => return usage(),
             },
             "--connect-ms" => match value.parse::<u64>() {
                 Ok(ms) => net.connect_timeout = Duration::from_millis(ms),

@@ -35,6 +35,7 @@ pub mod arena;
 pub mod blocking;
 pub mod cache;
 pub mod chaos;
+mod endpoint;
 pub mod error;
 mod metrics;
 pub mod replica;
@@ -50,6 +51,6 @@ pub use chaos::{FaultMode, FaultProxy};
 pub use error::ServeError;
 pub use replica::NetConfig;
 pub use router::{Router, RouterClient};
-pub use server::{ServerConfig, ShardServer};
+pub use server::ShardServer;
 pub use service::{IngestReport, ResolutionService, ServeConfig, Service};
 pub use shard::ShardedResolutionService;

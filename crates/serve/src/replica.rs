@@ -2,6 +2,12 @@
 //! socket I/O, per-replica connection pooling, and ordered, idempotent
 //! insert replay.
 //!
+//! Every exchange the router has with a shard server is one
+//! `Replica::call`: the boot handshake, queries, inserts and their replay,
+//! the janitor's probes and the shutdown sweep. Each call is bounded by a
+//! `Deadline`, checks a pooled connection out (or dials one) and keeps the
+//! replica's health.
+//!
 //! One `ReplicaSet` stands in front of each shard slot. Its replicas
 //! all boot the same shard of the same snapshot, so any of them can
 //! answer any shard-local query **bit-identically** — which is what makes
@@ -17,7 +23,8 @@
 //! one answers or the deadline passes. Every socket operation (connect,
 //! write, read) is individually bounded, so the worst case overshoot past
 //! the deadline is **one timeout quantum** (a read that legitimately
-//! began just before the budget ran out).
+//! began just before the budget ran out): `Deadline::quantum` cuts each
+//! operation's timeout to what is left of the budget.
 //!
 //! # Writes: sequenced fan-out with per-replica replay
 //!
@@ -31,7 +38,7 @@
 //! connection did or did not deliver.
 
 use flexer_obs::{Counter, Recorder};
-use flexer_store::{read_message_bounded, write_message, WireError};
+use flexer_store::{read_message_bounded, write_message};
 use flexer_types::{ShardRequest, ShardResponse};
 use std::collections::VecDeque;
 use std::io;
@@ -45,6 +52,42 @@ const BACKOFF_BASE: Duration = Duration::from_millis(50);
 
 /// Reconnect delay ceiling.
 const BACKOFF_CAP: Duration = Duration::from_secs(2);
+
+/// Idle connections pooled per replica. Concurrent fan-outs each check a
+/// connection out, so `POOL` warm streams serve `POOL` concurrent requests
+/// without serializing on one socket.
+const POOL: usize = 4;
+
+/// The shortest timeout a socket operation gets: a zero timeout means
+/// "block forever" to the socket API.
+const MIN_QUANTUM: Duration = Duration::from_millis(1);
+
+/// The instant a request's budget runs out.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Deadline(Instant);
+
+impl Deadline {
+    /// `budget` from now.
+    pub(crate) fn after(budget: Duration) -> Self {
+        Self::since(Instant::now(), budget)
+    }
+
+    /// `budget` from `start`.
+    pub(crate) fn since(start: Instant, budget: Duration) -> Self {
+        Self(start + budget)
+    }
+
+    /// Whether the budget has run out.
+    pub(crate) fn expired(self) -> bool {
+        Instant::now() >= self.0
+    }
+
+    /// The timeout for one socket operation: `io`, cut to what is left of
+    /// the budget, and never below [`MIN_QUANTUM`].
+    pub(crate) fn quantum(self, io: Duration) -> Duration {
+        io.min(self.0.saturating_duration_since(Instant::now())).max(MIN_QUANTUM)
+    }
+}
 
 /// Network behaviour of the router's shard-facing side: every socket
 /// timeout and the per-request fan-out budget.
@@ -60,10 +103,6 @@ pub struct NetConfig {
     /// attempts included. Exhausted ⇒ the shard degrades for that request
     /// instead of holding the query hostage.
     pub request_budget: Duration,
-    /// Idle connections pooled per replica. Concurrent fan-outs each
-    /// check a connection out, so `pool` warm streams serve `pool`
-    /// concurrent requests without serializing on one socket.
-    pub pool: usize,
 }
 
 impl Default for NetConfig {
@@ -72,7 +111,6 @@ impl Default for NetConfig {
             connect_timeout: Duration::from_millis(1000),
             io_timeout: Duration::from_millis(2000),
             request_budget: Duration::from_millis(4000),
-            pool: 4,
         }
     }
 }
@@ -146,7 +184,7 @@ pub(crate) struct Replica {
 }
 
 /// Outcome of one bounded replica call.
-enum CallOutcome {
+pub(crate) enum CallOutcome {
     Ok(ShardResponse),
     /// The attempt failed (connect/write/read/decode); a sibling may help.
     Failed,
@@ -206,16 +244,16 @@ impl Replica {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "unresolvable address"))?;
-        let stream = TcpStream::connect_timeout(&addr, connect.max(Duration::from_millis(1)))?;
+        let stream = TcpStream::connect_timeout(&addr, connect)?;
         // Request-response framing: never sit on a partial segment waiting
         // for an ACK the peer is holding back.
         let _ = stream.set_nodelay(true);
         Ok((stream, false))
     }
 
-    fn checkin(&self, stream: TcpStream, cap: usize) {
+    fn checkin(&self, stream: TcpStream) {
         let mut idle = self.idle.lock().expect("replica pool lock");
-        if idle.len() < cap {
+        if idle.len() < POOL {
             idle.push(stream);
         }
     }
@@ -233,38 +271,32 @@ impl Replica {
     /// `idempotent` gates the stale retry: an insert whose response was
     /// lost may or may not have been applied, so it is never blind-resent
     /// here (sequence-numbered replay handles it instead).
-    fn call(
+    pub(crate) fn call(
         &self,
         request: &ShardRequest,
         net: &NetConfig,
-        deadline: Instant,
+        deadline: Deadline,
         idempotent: bool,
     ) -> CallOutcome {
         let mut attempt = 0;
         loop {
-            let now = Instant::now();
-            if now >= deadline {
+            if deadline.expired() {
                 return CallOutcome::Deadline;
             }
-            let remaining = deadline - now;
-            let connect = net.connect_timeout.min(remaining);
-            let (mut stream, pooled) = match self.checkout(connect) {
+            let (mut stream, pooled) = match self.checkout(deadline.quantum(net.connect_timeout)) {
                 Ok(got) => got,
                 Err(_) => {
                     self.note_fail();
                     return CallOutcome::Failed;
                 }
             };
-            let io_budget = net.io_timeout.min(deadline.saturating_duration_since(Instant::now()));
-            let result = Self::round_trip(&mut stream, request, io_budget);
-            match result {
-                Ok(response) => {
+            match Self::round_trip(&mut stream, request, deadline.quantum(net.io_timeout)) {
+                Some(response) => {
                     self.note_ok();
-                    self.checkin(stream, net.pool);
+                    self.checkin(stream);
                     return CallOutcome::Ok(response);
                 }
-                Err(_) => {
-                    drop(stream);
+                None => {
                     // A stale pooled stream fails instantly on reuse; one
                     // fresh dial distinguishes "server reaped our idle
                     // connection" from "server is gone".
@@ -280,21 +312,16 @@ impl Replica {
         }
     }
 
+    /// One write and one read on `stream`, each bounded by `budget`;
+    /// `None` when either fails or the reply does not start in time.
     fn round_trip(
         stream: &mut TcpStream,
         request: &ShardRequest,
-        io_budget: Duration,
-    ) -> Result<ShardResponse, WireError> {
-        let budget = io_budget.max(Duration::from_millis(1));
-        stream.set_write_timeout(Some(budget))?;
-        write_message(stream, request)?;
-        match read_message_bounded::<ShardResponse>(stream, budget, budget)? {
-            Some(response) => Ok(response),
-            None => Err(WireError::Io(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "replica response deadline exceeded",
-            ))),
-        }
+        budget: Duration,
+    ) -> Option<ShardResponse> {
+        stream.set_write_timeout(Some(budget)).ok()?;
+        write_message(stream, request).ok()?;
+        read_message_bounded(stream, budget, budget).ok()?
     }
 
     /// Replays this replica's pending insert batches in sequence order.
@@ -308,8 +335,7 @@ impl Replica {
     ) -> bool {
         while let Some((seq, rows)) = lane.front() {
             let request = ShardRequest::Insert { seq: *seq, rows: rows.clone() };
-            let deadline = Instant::now() + net.io_timeout;
-            match self.call(&request, net, deadline, false) {
+            match self.call(&request, net, Deadline::after(net.io_timeout), false) {
                 CallOutcome::Ok(ShardResponse::Inserted { .. }) => {
                     lane.pop_front();
                     stats.insert_replayed.inc();
@@ -372,12 +398,12 @@ impl ReplicaSet {
         &self,
         request: &ShardRequest,
         net: &NetConfig,
-        deadline: Instant,
+        deadline: Deadline,
         stats: &FaultStats,
         usable: impl Fn(&ShardResponse) -> bool,
     ) -> Option<ShardResponse> {
         for (tried, i) in self.ranked().into_iter().enumerate() {
-            if Instant::now() >= deadline {
+            if deadline.expired() {
                 stats.timeout.inc();
                 return None;
             }
@@ -409,9 +435,8 @@ impl ReplicaSet {
             let in_sync = lane.is_empty() || replica.flush_lane(&mut lane, net, stats);
             if in_sync {
                 let request = ShardRequest::Insert { seq, rows: rows.clone() };
-                let deadline = Instant::now() + net.io_timeout;
                 if matches!(
-                    replica.call(&request, net, deadline, false),
+                    replica.call(&request, net, Deadline::after(net.io_timeout), false),
                     CallOutcome::Ok(ShardResponse::Inserted { .. })
                 ) {
                     continue;
@@ -435,20 +460,17 @@ impl ReplicaSet {
                 Ok(lane) => lane,
                 Err(_) => continue, // the writer lane is on it right now
             };
+            let ping =
+                || replica.call(&ShardRequest::Ping, net, Deadline::after(net.io_timeout), true);
             if lane.is_empty() {
                 if replica.fails() > 0 {
-                    let deadline = Instant::now() + net.io_timeout;
-                    let _ = replica.call(&ShardRequest::Ping, net, deadline, true);
+                    let _ = ping();
                 }
                 continue;
             }
             // A cheap liveness probe before shipping potentially large
             // replay batches at a replica that is still down.
-            let deadline = Instant::now() + net.io_timeout;
-            if !matches!(
-                replica.call(&ShardRequest::Ping, net, deadline, true),
-                CallOutcome::Ok(ShardResponse::Pong)
-            ) {
+            if !matches!(ping(), CallOutcome::Ok(ShardResponse::Pong)) {
                 continue;
             }
             replica.flush_lane(&mut lane, net, stats);

@@ -29,7 +29,15 @@
 //! budget by at most one I/O quantum ([`NetConfig::io_timeout`]) — the
 //! read that was legitimately in flight when the budget ran out. Budget
 //! exhaustion degrades the affected shard (`router.shard.timeout`), it
-//! never hangs the query.
+//! never hangs the query. Every exchange with a shard server, the boot
+//! handshake and the shutdown sweep included, is one bounded
+//! `Replica::call`.
+//!
+//! The client side is bounded too. Clients reach the router through the
+//! crate's one framed endpoint, the one shard servers serve from: at most
+//! 64 concurrent connections (the next gets a [`RouterResponse::Error`]
+//! and a closed socket), an idle connection reaped after 300 s, and a
+//! client that stalls mid-frame or stops reading cut off after 30 s.
 //!
 //! # Writes: the single-writer lane
 //!
@@ -60,11 +68,12 @@
 //! replicas with `Ping` so recovery does not wait for query traffic.
 
 use crate::blocking::{BlockingTier, StoredBlocking};
+use crate::endpoint::{self, Limits, Reply};
 use crate::error::ServeError;
-use crate::replica::{FaultStats, NetConfig, ReplicaSet};
+use crate::replica::{CallOutcome, Deadline, FaultStats, NetConfig, ReplicaSet};
 use crate::service::{IngestReport, ServeConfig, Service};
 use flexer_block::GlobalBlocking;
-use flexer_store::{read_message, read_message_bounded, write_message, ModelSnapshot, WireError};
+use flexer_store::{read_message, write_message, ModelSnapshot, WireError};
 use flexer_types::{
     CandidateGenConfig, IntentId, ResolveQuery, ResolveResponse, RouterRequest, RouterResponse,
     ShardConfig, ShardRequest, ShardResponse, WireCandidates, WireIngestReport, WireQuery,
@@ -87,9 +96,13 @@ const JANITOR_PERIOD: Duration = Duration::from_millis(100);
 /// A client connection may sit idle this long before the router reaps it.
 const CLIENT_IDLE: Duration = Duration::from_secs(300);
 
-/// Once a client starts a frame, it must complete within this budget (a
-/// client stalling mid-frame would otherwise pin its thread forever).
+/// Once a client starts a frame, it must complete within this budget, and
+/// so must each reply write (a client stalling mid-frame, or one that
+/// stops reading, would otherwise pin its thread forever).
 const CLIENT_IO: Duration = Duration::from_secs(30);
+
+/// The router's client-facing connection surface.
+const CLIENT_LIMITS: Limits = Limits { max_conns: 64, idle: CLIENT_IDLE, io: CLIENT_IO };
 
 /// The shard servers as the router reaches them. Shared between the
 /// serving core (whose blocking tier queries and feeds them) and the
@@ -128,8 +141,8 @@ pub struct Router {
     listener: TcpListener,
     addr: SocketAddr,
     ingest_tx: SyncSender<IngestJob>,
-    writer: Option<thread::JoinHandle<()>>,
-    janitor: Option<thread::JoinHandle<()>>,
+    writer: thread::JoinHandle<()>,
+    janitor: thread::JoinHandle<()>,
 }
 
 impl Router {
@@ -179,7 +192,7 @@ impl Router {
             let inner = Arc::clone(&inner);
             thread::spawn(move || janitor_lane(&inner))
         };
-        Ok(Self { inner, listener, addr, ingest_tx, writer: Some(writer), janitor: Some(janitor) })
+        Ok(Self { inner, listener, addr, ingest_tx, writer, janitor })
     }
 
     /// The address the router is bound to.
@@ -188,29 +201,22 @@ impl Router {
     }
 
     /// Serves client connections until a [`RouterRequest::Shutdown`]
-    /// arrives (thread per connection; blocks the calling thread). On
-    /// shutdown the shard servers are shut down too and the writer lane
-    /// is drained.
-    pub fn run(mut self) {
-        for stream in self.listener.incoming() {
-            if self.inner.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let _ = stream.set_nodelay(true);
-            let inner = Arc::clone(&self.inner);
-            let ingest_tx = self.ingest_tx.clone();
-            let addr = self.addr;
-            thread::spawn(move || serve_connection(&inner, &ingest_tx, stream, addr));
-        }
-        // Close the lane and wait for queued ingests to finish applying,
-        // then for the janitor to observe the stop flag.
-        drop(self.ingest_tx);
-        if let Some(writer) = self.writer.take() {
-            let _ = writer.join();
-        }
-        if let Some(janitor) = self.janitor.take() {
-            let _ = janitor.join();
+    /// arrives (thread per connection, at most 64 at once; blocks the
+    /// calling thread). On shutdown the shard servers are shut down too
+    /// and the writer lane is drained.
+    pub fn run(self) {
+        let Self { inner, listener, ingest_tx, writer, janitor, .. } = self;
+        let handler = {
+            let inner = Arc::clone(&inner);
+            move |request| handle(&inner, &ingest_tx, request)
+        };
+        endpoint::serve(listener, CLIENT_LIMITS, RouterResponse::Error, handler);
+        // The lane closes once the last connection lets go of its sender:
+        // wait for queued ingests to finish applying, then for the janitor
+        // to observe the stop flag.
+        inner.stop.store(true, Ordering::SeqCst);
+        for lane in [writer, janitor] {
+            let _ = lane.join();
         }
     }
 
@@ -218,17 +224,6 @@ impl Router {
     pub fn spawn(self) -> thread::JoinHandle<()> {
         thread::spawn(move || self.run())
     }
-}
-
-/// One direct handshake with one replica (boot path: every replica must
-/// answer for itself).
-fn replica_hello(addr: &str, net: &NetConfig) -> Option<ShardResponse> {
-    let sock = addr.to_socket_addrs().ok()?.next()?;
-    let mut stream = TcpStream::connect_timeout(&sock, net.connect_timeout).ok()?;
-    let _ = stream.set_nodelay(true);
-    stream.set_write_timeout(Some(net.io_timeout)).ok()?;
-    write_message(&mut stream, &ShardRequest::Hello).ok()?;
-    read_message_bounded::<ShardResponse>(&mut stream, net.io_timeout, net.io_timeout).ok()?
 }
 
 impl Remote {
@@ -255,12 +250,23 @@ impl Remote {
         let mut shard_records = 0u64;
         for (s, replica_addrs) in shards.into_iter().enumerate() {
             let set = ReplicaSet::new(replica_addrs);
-            let mut agreed_records: Option<u64> = None;
+            let mut first_records = None;
             for (r, replica) in set.replicas().iter().enumerate() {
                 // Ask this specific replica (not the set) so a dead
                 // sibling cannot mask a dead replica at boot.
-                let Some(ShardResponse::Hello { shard, n_shards, n_records, backend, gram_counts }) =
-                    replica_hello(replica.addr(), &net)
+                let hello = replica.call(
+                    &ShardRequest::Hello,
+                    &net,
+                    Deadline::after(net.request_budget),
+                    true,
+                );
+                let CallOutcome::Ok(ShardResponse::Hello {
+                    shard,
+                    n_shards,
+                    n_records,
+                    backend,
+                    gram_counts,
+                }) = hello
                 else {
                     return Err(ServeError::InconsistentSnapshot(format!(
                         "shard {s} replica {r} ({}): no handshake reply",
@@ -278,14 +284,11 @@ impl Remote {
                         gen.name()
                     )));
                 }
-                match agreed_records {
-                    None => agreed_records = Some(n_records),
-                    Some(expected) if expected != n_records => {
-                        return Err(ServeError::InconsistentSnapshot(format!(
-                            "shard {s}: replicas disagree on record count ({expected} vs {n_records})"
-                        )));
-                    }
-                    Some(_) => {}
+                let expected = *first_records.get_or_insert(n_records);
+                if expected != n_records {
+                    return Err(ServeError::InconsistentSnapshot(format!(
+                        "shard {s}: replicas disagree on record count ({expected} vs {n_records})"
+                    )));
                 }
                 if r == 0 {
                     shard_records += n_records;
@@ -320,7 +323,7 @@ impl BlockingTier for Remote {
             // The exhaustive backend: no fan-out happens at all.
             return vec![None; titles.len()];
         };
-        let deadline = t0 + self.fleet.net.request_budget;
+        let deadline = Deadline::since(t0, self.fleet.net.request_budget);
         let mut per_shard: Vec<_> = self
             .fleet
             .fan_out_batches(&queries, deadline, &self.global)
@@ -383,6 +386,15 @@ fn janitor_lane(inner: &Inner) {
 }
 
 impl Fleet {
+    /// Sends every replica a best-effort `Shutdown`, the whole sweep
+    /// bounded by one I/O quantum.
+    fn shutdown(&self) {
+        let deadline = Deadline::after(self.net.io_timeout);
+        for replica in self.sets.iter().flat_map(ReplicaSet::replicas) {
+            let _ = replica.call(&ShardRequest::Shutdown, &self.net, deadline, true);
+        }
+    }
+
     /// Fans one `QueryBatch` out to every shard concurrently (one thread
     /// per shard slot, failover across that shard's replicas, everything
     /// bounded by `deadline`). This is where remote answers enter: a reply
@@ -394,7 +406,7 @@ impl Fleet {
     fn fan_out_batches(
         &self,
         queries: &[WireQuery],
-        deadline: Instant,
+        deadline: Deadline,
         global: &GlobalBlocking,
     ) -> Vec<Vec<WireCandidates>> {
         let empty = || vec![WireCandidates::Ids(Vec::new()); queries.len()];
@@ -444,104 +456,55 @@ fn resolve_one(
     Ok(out?.pop().expect("one response per requested intent"))
 }
 
-fn serve_connection(
+/// One client request → its response; [`RouterRequest::Shutdown`] stops
+/// the router after shutting down every replica.
+fn handle(
     inner: &Inner,
     ingest_tx: &SyncSender<IngestJob>,
-    mut stream: TcpStream,
-    addr: SocketAddr,
-) {
-    loop {
-        let request =
-            match read_message_bounded::<RouterRequest>(&mut stream, CLIENT_IDLE, CLIENT_IO) {
-                Ok(Some(request)) => request,
-                Ok(None) => return, // idle past the reap window
-                Err(WireError::Io(_)) => return,
-                Err(e) => {
-                    let _ = write_message(&mut stream, &RouterResponse::Error(e.to_string()));
-                    return;
-                }
-            };
-        let response = match request {
-            RouterRequest::Hello => {
-                let core = inner.core.read().expect("router core lock");
-                RouterResponse::Hello {
-                    n_shards: inner.fleet.sets.len() as u64,
-                    n_records: core.n_records() as u64,
-                    n_intents: core.n_intents() as u64,
-                }
+    request: RouterRequest,
+) -> Reply<RouterResponse> {
+    Reply::Answer(match request {
+        RouterRequest::Hello => {
+            let core = inner.core.read().expect("router core lock");
+            RouterResponse::Hello {
+                n_shards: inner.fleet.sets.len() as u64,
+                n_records: core.n_records() as u64,
+                n_intents: core.n_intents() as u64,
             }
-            RouterRequest::Resolve { query, intent, top_k } => RouterResponse::Resolve(
-                resolve_one(inner, &query, intent as IntentId, top_k as usize)
-                    .map_err(|e| e.to_string()),
-            ),
-            RouterRequest::ResolveBatch { queries, intent, top_k } => RouterResponse::ResolveBatch(
-                queries
-                    .iter()
-                    .map(|q| {
-                        resolve_one(inner, q, intent as IntentId, top_k as usize)
-                            .map_err(|e| e.to_string())
-                    })
-                    .collect(),
-            ),
-            RouterRequest::IngestBatch(titles) => {
-                // Blocking send = backpressure: when the lane is full this
-                // connection (and only ingest traffic) waits its turn.
-                let (reply_tx, reply_rx) = sync_channel(1);
-                match ingest_tx.send(IngestJob { titles, reply: reply_tx }) {
-                    Ok(()) => match reply_rx.recv() {
-                        Ok(reports) => RouterResponse::IngestBatch(
-                            reports
-                                .iter()
-                                .map(|r| WireIngestReport {
-                                    record: r.record as u64,
-                                    first_pair: r.first_pair as u64,
-                                    n_pairs: r.n_pairs as u64,
-                                    n_suppressed: r.n_suppressed as u64,
-                                })
-                                .collect(),
-                        ),
-                        Err(_) => RouterResponse::Error("ingest lane closed".into()),
-                    },
-                    Err(_) => RouterResponse::Error("ingest lane closed".into()),
-                }
-            }
-            RouterRequest::Stats => {
-                let pending: usize = inner.fleet.sets.iter().map(ReplicaSet::pending_total).sum();
-                RouterResponse::Stats(inner.fleet.stats.snapshot(pending as u64))
-            }
-            RouterRequest::Shutdown => {
-                let net = &inner.fleet.net;
-                let deadline = Instant::now() + net.io_timeout;
-                for set in &inner.fleet.sets {
-                    for replica in set.replicas() {
-                        let _ = shutdown_replica(replica.addr(), net, deadline);
-                    }
-                }
-                let _ = write_message(&mut stream, &RouterResponse::Shutdown);
-                inner.stop.store(true, Ordering::SeqCst);
-                let _ = TcpStream::connect(addr);
-                return;
-            }
-        };
-        if write_message(&mut stream, &response).is_err() {
-            return;
         }
-    }
-}
-
-/// Sends one best-effort `Shutdown` to one replica over a fresh, bounded
-/// connection.
-fn shutdown_replica(addr: &str, net: &NetConfig, deadline: Instant) -> Option<()> {
-    let remaining = deadline.saturating_duration_since(Instant::now());
-    if remaining.is_zero() {
-        return None;
-    }
-    let sock = addr.to_socket_addrs().ok()?.next()?;
-    let mut stream = TcpStream::connect_timeout(&sock, net.connect_timeout.min(remaining)).ok()?;
-    stream.set_write_timeout(Some(net.io_timeout)).ok()?;
-    write_message(&mut stream, &ShardRequest::Shutdown).ok()?;
-    let _ = read_message_bounded::<ShardResponse>(&mut stream, net.io_timeout, net.io_timeout);
-    Some(())
+        RouterRequest::Resolve { query, intent, top_k } => RouterResponse::Resolve(
+            resolve_one(inner, &query, intent as IntentId, top_k as usize)
+                .map_err(|e| e.to_string()),
+        ),
+        RouterRequest::IngestBatch(titles) => {
+            // Blocking send = backpressure: when the lane is full this
+            // connection (and only ingest traffic) waits its turn.
+            let (reply_tx, reply_rx) = sync_channel(1);
+            let sent = ingest_tx.send(IngestJob { titles, reply: reply_tx });
+            match sent.ok().and_then(|()| reply_rx.recv().ok()) {
+                Some(reports) => RouterResponse::IngestBatch(
+                    reports
+                        .iter()
+                        .map(|r| WireIngestReport {
+                            record: r.record as u64,
+                            first_pair: r.first_pair as u64,
+                            n_pairs: r.n_pairs as u64,
+                            n_suppressed: r.n_suppressed as u64,
+                        })
+                        .collect(),
+                ),
+                None => RouterResponse::Error("ingest lane closed".into()),
+            }
+        }
+        RouterRequest::Stats => {
+            let pending: usize = inner.fleet.sets.iter().map(ReplicaSet::pending_total).sum();
+            RouterResponse::Stats(inner.fleet.stats.snapshot(pending as u64))
+        }
+        RouterRequest::Shutdown => {
+            inner.fleet.shutdown();
+            return Reply::Stop(RouterResponse::Shutdown);
+        }
+    })
 }
 
 /// A blocking client for one router connection — the typed counterpart of
@@ -607,21 +570,6 @@ impl RouterClient {
         }
     }
 
-    /// Resolves a batch of queries under one intent, in order.
-    pub fn resolve_batch(
-        &mut self,
-        queries: Vec<ResolveQuery>,
-        intent: IntentId,
-        top_k: usize,
-    ) -> Result<Vec<Result<ResolveResponse, String>>, WireError> {
-        let request =
-            RouterRequest::ResolveBatch { queries, intent: intent as u64, top_k: top_k as u64 };
-        match self.call(&request)? {
-            RouterResponse::ResolveBatch(outcomes) => Ok(outcomes),
-            other => Err(unexpected(&other)),
-        }
-    }
-
     /// Ingests a batch of titles through the single-writer lane.
     pub fn ingest_batch(
         &mut self,
@@ -651,20 +599,9 @@ impl RouterClient {
 }
 
 fn unexpected(response: &RouterResponse) -> WireError {
-    let label = match response {
-        RouterResponse::Hello { .. } => "Hello",
-        RouterResponse::Resolve(_) => "Resolve",
-        RouterResponse::ResolveBatch(_) => "ResolveBatch",
-        RouterResponse::IngestBatch(_) => "IngestBatch",
-        RouterResponse::Stats(_) => "Stats",
-        RouterResponse::Shutdown => "Shutdown",
-        RouterResponse::Error(msg) => {
-            return WireError::Store(flexer_store::StoreError::Malformed(format!(
-                "router error: {msg}"
-            )))
-        }
+    let message = match response {
+        RouterResponse::Error(msg) => format!("router error: {msg}"),
+        other => format!("unexpected router response {other:?}"),
     };
-    WireError::Store(flexer_store::StoreError::Malformed(format!(
-        "unexpected router response {label}"
-    )))
+    WireError::Store(flexer_store::StoreError::Malformed(message))
 }

@@ -98,17 +98,4 @@ impl ShardedResolutionService {
     pub fn shard_sizes(&self) -> Vec<usize> {
         self.tier.shard_sizes()
     }
-
-    /// The shard a title routes to.
-    pub fn shard_of(&self, title: &str) -> usize {
-        self.tier.shard_of(title)
-    }
-
-    /// Shard-local candidate counts for a title — the per-shard work a
-    /// candidate query costs, before the merge. Sums to the global
-    /// candidate count (`None` for exhaustive blocking, where shards hold
-    /// no state).
-    pub fn local_candidate_counts(&self, title: &str) -> Option<Vec<usize>> {
-        self.tier.local_candidate_counts(title)
-    }
 }

@@ -12,8 +12,8 @@ use flexer_serve::{
 };
 use flexer_store::ModelSnapshot;
 use flexer_types::{
-    MatchTarget, ResolveQuery, ShardConfig, ShardRequest, ShardResponse, WireCandidates,
-    WireIngestReport,
+    MatchTarget, ResolveQuery, RouterResponse, ShardConfig, ShardRequest, ShardResponse,
+    WireCandidates, WireIngestReport,
 };
 
 /// One shared training run for the whole test binary, pre-sharded into
@@ -46,7 +46,6 @@ fn boot_replicated(replicas: usize) -> (RouterClient, std::net::SocketAddr, Vec<
         connect_timeout: std::time::Duration::from_millis(500),
         io_timeout: std::time::Duration::from_millis(500),
         request_budget: std::time::Duration::from_millis(2000),
-        ..NetConfig::default()
     };
     let router = Router::from_snapshot(
         snapshot.clone(),
@@ -132,16 +131,14 @@ fn networked_router_is_bit_identical_to_in_process_sharded_service() {
     let in_process = reference.ingest_batch(&title_refs);
     assert_eq!(over_wire, as_wire(&in_process), "ingest reports");
 
-    // Warm resolves over the grown corpus, single and batched.
+    // Warm resolves over the grown corpus.
     let top_all = reference.n_records();
-    for intent in 0..reference.n_intents() {
-        let over_wire = client.resolve_batch(queries.clone(), intent, top_all).unwrap();
-        let in_process: Vec<Result<_, String>> = reference
-            .resolve_batch(&queries, intent, top_all)
-            .into_iter()
-            .map(|r| r.map_err(|e| e.to_string()))
-            .collect();
-        assert_eq!(over_wire, in_process, "post-ingest batch, intent {intent}");
+    for query in &queries {
+        for intent in 0..reference.n_intents() {
+            let over_wire = client.resolve(query.clone(), intent, top_all).unwrap();
+            let in_process = reference.resolve(query, intent, top_all).map_err(|e| e.to_string());
+            assert_eq!(over_wire, in_process, "post-ingest {query:?} intent {intent}");
+        }
     }
 
     // Serving errors travel as errors, not hangs or panics.
@@ -260,6 +257,38 @@ fn killing_one_replica_per_shard_keeps_answers_bit_identical() {
     assert_eq!(get("router.shard.degraded"), 0, "no shard may have degraded: {stats:?}");
     assert!(get("router.shard.insert_deferred") > 0, "dead replicas defer inserts: {stats:?}");
 
+    client.shutdown().unwrap();
+}
+
+/// The router is the tier that faces clients, so its connection surface is
+/// bounded like a shard server's: with 64 connections held open, the 65th
+/// gets an `Error` frame and a closed socket, and a well-behaved client is
+/// served again once the 64 are gone.
+#[test]
+fn router_refuses_connections_past_its_cap() {
+    use std::io::Read;
+    use std::net::TcpStream;
+    let (client, addr, _) = boot_cluster();
+    // The client's connection is the first of the 64.
+    let held: Vec<_> = (1..64).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    let mut refused = TcpStream::connect(addr).unwrap();
+    refused.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+    match flexer_store::read_message::<RouterResponse>(&mut refused) {
+        Ok(RouterResponse::Error(message)) => assert!(message.contains("capacity"), "{message}"),
+        other => panic!("the 65th connection was not refused: {other:?}"),
+    }
+    assert_eq!(refused.read_to_end(&mut Vec::new()).unwrap(), 0, "the refused socket is closed");
+    drop((client, held));
+    // The slots free as their threads see the hang-ups.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let mut client = loop {
+        let mut client = RouterClient::connect(addr).unwrap();
+        if client.hello().is_ok() {
+            break client;
+        }
+        assert!(std::time::Instant::now() < deadline, "no slot freed after the drop");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
     client.shutdown().unwrap();
 }
 

@@ -16,7 +16,7 @@ use flexer_serve::{
     ShardedResolutionService,
 };
 use flexer_store::ModelSnapshot;
-use flexer_types::{ResolveQuery, ShardConfig};
+use flexer_types::{ResolveQuery, ShardConfig, ShardRequest, ShardResponse};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -34,7 +34,6 @@ fn test_net() -> NetConfig {
         connect_timeout: Duration::from_millis(250),
         io_timeout: Duration::from_millis(500),
         request_budget: Duration::from_millis(2000),
-        ..NetConfig::default()
     }
 }
 
@@ -199,4 +198,25 @@ fn stalled_replica_fails_over_within_one_io_quantum() {
 
     proxy.heal();
     client.shutdown().unwrap();
+}
+
+/// Sequence numbers start at 1, so a batch stamped 0 sits at or below
+/// every replica's watermark: it is acknowledged like a replay and never
+/// applied.
+#[test]
+fn seq_zero_insert_is_acknowledged_without_being_applied() {
+    let server =
+        ShardServer::from_snapshot(single_shard_snapshot().clone(), 0, "127.0.0.1:0").unwrap();
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    server.spawn();
+    let mut call = |request: &ShardRequest| -> ShardResponse {
+        flexer_store::write_message(&mut stream, request).unwrap();
+        flexer_store::read_message(&mut stream).unwrap()
+    };
+    let ShardResponse::Hello { n_records, .. } = call(&ShardRequest::Hello) else {
+        panic!("no handshake")
+    };
+    let insert = ShardRequest::Insert { seq: 0, rows: vec![(n_records, "acme widget".into())] };
+    assert_eq!(call(&insert), ShardResponse::Inserted { n_records });
+    assert_eq!(call(&ShardRequest::Shutdown), ShardResponse::Shutdown);
 }

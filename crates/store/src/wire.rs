@@ -478,12 +478,6 @@ impl Encode for RouterRequest {
                 w.put_u64(*intent);
                 w.put_u64(*top_k);
             }
-            RouterRequest::ResolveBatch { queries, intent, top_k } => {
-                w.put_u8(2);
-                queries.encode(w);
-                w.put_u64(*intent);
-                w.put_u64(*top_k);
-            }
             RouterRequest::IngestBatch(titles) => {
                 w.put_u8(3);
                 titles.encode(w);
@@ -500,11 +494,6 @@ impl Codec for RouterRequest {
             0 => Ok(RouterRequest::Hello),
             1 => Ok(RouterRequest::Resolve {
                 query: ResolveQuery::decode(r)?,
-                intent: r.get_u64()?,
-                top_k: r.get_u64()?,
-            }),
-            2 => Ok(RouterRequest::ResolveBatch {
-                queries: Vec::decode(r)?,
                 intent: r.get_u64()?,
                 top_k: r.get_u64()?,
             }),
@@ -549,10 +538,6 @@ impl Encode for RouterResponse {
                 w.put_u8(1);
                 outcome.encode(w);
             }
-            RouterResponse::ResolveBatch(outcomes) => {
-                w.put_u8(2);
-                outcomes.encode(w);
-            }
             RouterResponse::IngestBatch(reports) => {
                 w.put_u8(3);
                 reports.encode(w);
@@ -579,7 +564,6 @@ impl Codec for RouterResponse {
                 n_intents: r.get_u64()?,
             }),
             1 => Ok(RouterResponse::Resolve(Result::decode(r)?)),
-            2 => Ok(RouterResponse::ResolveBatch(Vec::decode(r)?)),
             3 => Ok(RouterResponse::IngestBatch(Vec::decode(r)?)),
             4 => Ok(RouterResponse::Shutdown),
             5 => Ok(RouterResponse::Error(r.get_str()?)),
@@ -620,14 +604,21 @@ mod tests {
         rresp.iter().for_each(roundtrip);
     }
 
-    /// Tag 1 of the shard hop was the single-query exchange; a frame that
-    /// still carries it is an unknown tag now, in either direction.
+    /// Tag 1 of the shard hop was the single-query exchange, tag 2 of the
+    /// router hop the batch of resolves; a frame that still carries either
+    /// is an unknown tag now, in either direction.
     #[test]
     fn retired_single_query_tag_is_unknown() {
+        let unknown = |tag: &str| {
+            let tag = format!("tag {tag}");
+            move |e: StoreError| matches!(e, StoreError::Malformed(m) if m.contains(&tag))
+        };
         let frame = seal_frame(&[1]);
-        let unknown = |e: StoreError| matches!(e, StoreError::Malformed(m) if m.contains("tag 1"));
-        assert!(decode_frame::<ShardRequest>(&frame).is_err_and(unknown));
-        assert!(decode_frame::<ShardResponse>(&frame).is_err_and(unknown));
+        assert!(decode_frame::<ShardRequest>(&frame).is_err_and(unknown("1")));
+        assert!(decode_frame::<ShardResponse>(&frame).is_err_and(unknown("1")));
+        let frame = seal_frame(&[2]);
+        assert!(decode_frame::<RouterRequest>(&frame).is_err_and(unknown("2")));
+        assert!(decode_frame::<RouterResponse>(&frame).is_err_and(unknown("2")));
     }
 
     /// What a read path makes of a corrupt frame, reduced to what the paths

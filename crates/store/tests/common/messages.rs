@@ -1,5 +1,5 @@
 //! One sample of every FLEXWIRE message, with every shape a codec writes:
-//! empty and non-empty lists, `Ok` and `Err` outcomes, extreme integers,
+//! empty and non-empty lists, an `Ok` outcome, extreme integers,
 //! negative zero and subnormal floats. `wire.rs`'s round-trip test and the
 //! byte pins in `tests/pinned_bytes.rs` both run over it.
 
@@ -53,19 +53,13 @@ pub fn sample_messages(
             intent: 0,
             top_k: 5,
         },
-        RouterRequest::ResolveBatch {
-            queries: vec![ResolveQuery::CorpusPair(3), ResolveQuery::pair("a", "b")],
-            intent: 1,
-            top_k: 10,
-        },
         RouterRequest::IngestBatch(vec!["x".into(), "y z".into()]),
         RouterRequest::Stats,
         RouterRequest::Shutdown,
     ];
     let router_resps = vec![
         RouterResponse::Hello { n_shards: 2, n_records: 30, n_intents: 3 },
-        RouterResponse::Resolve(Ok(resp.clone())),
-        RouterResponse::ResolveBatch(vec![Ok(resp), Err("shard down".into())]),
+        RouterResponse::Resolve(Ok(resp)),
         RouterResponse::IngestBatch(vec![WireIngestReport {
             record: 30,
             first_pair: 100,

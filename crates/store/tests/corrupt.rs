@@ -48,20 +48,16 @@ fn snapshot_payload() -> &'static Vec<u8> {
     })
 }
 
-/// A wire frame with every interesting shape nested inside (Ok/Err
-/// outcomes, floats, strings, nested vectors).
+/// A wire frame with every interesting shape nested inside (an outcome,
+/// floats, tagged targets, a nested vector).
 fn sample_frame() -> Vec<u8> {
-    frame_message(&RouterResponse::ResolveBatch(vec![
-        Ok(ResolveResponse {
-            intent: 1,
-            matches: vec![RankedMatch {
-                target: MatchTarget::Record(3),
-                score: 0.875,
-                matched: true,
-            }],
-        }),
-        Err("shard down".to_string()),
-    ]))
+    frame_message(&RouterResponse::Resolve(Ok(ResolveResponse {
+        intent: 1,
+        matches: vec![
+            RankedMatch { target: MatchTarget::Record(3), score: 0.875, matched: true },
+            RankedMatch { target: MatchTarget::Pair(9), score: 0.25, matched: false },
+        ],
+    })))
 }
 
 /// Every decode entry point a hostile peer can reach, applied to one

@@ -60,7 +60,6 @@ fn router_requests_keep_their_bytes() {
     let pins = [
         ("Hello", 0x41c44cf4136e26fc),
         ("Resolve", 0x1d787ce762e089c8),
-        ("ResolveBatch", 0x08dba84fd442eebd),
         ("IngestBatch", 0xb9067f59941a34e3),
         ("Stats", 0xa94b14e49f53fd33),
         ("Shutdown", 0x6cc7399f178c6892),
@@ -73,7 +72,6 @@ fn router_responses_keep_their_bytes() {
     let pins = [
         ("Hello", 0xcb4f6ae62bd0184d),
         ("Resolve", 0x4ebd260714552150),
-        ("ResolveBatch", 0x101a7c5d60b76d5c),
         ("IngestBatch", 0x1cc238e46fd5ff8e),
         ("Stats", 0x3b0ebc3ac13dad7b),
         ("Shutdown", 0x6cc7399f178c6892),

@@ -61,9 +61,10 @@ pub enum ShardRequest {
     /// global insertion order (the router assigns global ids).
     Insert {
         /// Monotonic per-shard sequence number the router stamps on every
-        /// insert batch (1-based; 0 means "unsequenced, always apply").
-        /// Replicas remember the highest applied sequence and skip
-        /// batches at or below it, so a replayed batch — the router
+        /// insert batch, starting at 1. Replicas remember the highest
+        /// applied sequence (0 before the first) and skip batches at or
+        /// below it, so a batch stamped 0 is never applied and a replayed
+        /// batch — the router
         /// cannot know whether a failed send was applied before the
         /// connection died — is applied **exactly once**, in original
         /// arrival order.
@@ -128,15 +129,6 @@ pub enum RouterRequest {
         /// Maximum matches returned.
         top_k: u64,
     },
-    /// Resolve a batch of queries under one intent.
-    ResolveBatch {
-        /// The resolution queries, answered in order.
-        queries: Vec<ResolveQuery>,
-        /// The intent to rank under.
-        intent: u64,
-        /// Maximum matches returned per query.
-        top_k: u64,
-    },
     /// Ingest a batch of record titles (the single-writer lane).
     IngestBatch(Vec<String>),
     /// Fetch the router's fault counters (timeouts, failovers, degrades,
@@ -176,8 +168,6 @@ pub enum RouterResponse {
     /// Answer to [`RouterRequest::Resolve`] (`Err` carries the serving
     /// error's display string).
     Resolve(Result<ResolveResponse, String>),
-    /// Answers to [`RouterRequest::ResolveBatch`], in query order.
-    ResolveBatch(Vec<Result<ResolveResponse, String>>),
     /// Per-title reports for [`RouterRequest::IngestBatch`].
     IngestBatch(Vec<WireIngestReport>),
     /// Answer to [`RouterRequest::Stats`]: `(counter name, value)` pairs,
