@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! cargo build --release -p flexer-serve --bins   # the processes to spawn
-//! cargo run --release --bin chaos -- [--records N] [--seed N] [--json]
+//! cargo run --release --bin chaos -- [--records N] [--seed N]
 //! ```
 //!
 //! Scenarios, in order — an in-process [`ShardedResolutionService`]
@@ -36,11 +36,10 @@
 //! within `budget + one I/O quantum` (plus scheduling grace): a fault may
 //! cost latency, never a hang. Exit codes are asserted zero for every
 //! child except the deliberately killed ones, and the whole harness must
-//! finish under a hard wall-clock cap. `--json` writes
-//! `target/bench/chaos.json` (scenario throughputs, fault-latency
-//! percentiles, router fault counters).
+//! finish under a hard wall-clock cap. It prints each scenario's
+//! throughput, the fault-path latency percentiles and the router's fault
+//! counters.
 
-use flexer_bench::json::{write_bench_json, JsonObject};
 use flexer_core::{FlexErModel, InParallelModel, PipelineContext};
 use flexer_datasets::catalog::{Catalog, CatalogConfig, RecordCountDist};
 use flexer_datasets::intents::IntentDef;
@@ -207,7 +206,7 @@ fn main() {
     let mut fault_lat = Histogram::new();
 
     // Drives every query once, asserting bit-identity against the
-    // reference and the per-request deadline ceiling; returns the
+    // reference and the per-request deadline ceiling, and prints the
     // scenario's resolve throughput.
     let drive = |label: &str,
                  client: &mut RouterClient,
@@ -229,32 +228,31 @@ fn main() {
         }
         let qps = queries.len() as f64 / t0.elapsed().as_secs_f64();
         println!("{label:<20}: {qps:>8.2} resolves/s, {} queries bit-identical", queries.len());
-        qps
     };
 
     // --- healthy: both replicas of both shards answering.
-    let healthy_qps = drive("healthy", &mut client, &mut reference, &mut fault_lat);
+    drive("healthy", &mut client, &mut reference, &mut fault_lat);
 
     // --- stall: the proxied replicas blackhole every byte.
     for p in &proxies {
         p.set_mode(FaultMode::StallAfter(0));
         p.sever();
     }
-    let stall_qps = drive("stall", &mut client, &mut reference, &mut fault_lat);
+    drive("stall", &mut client, &mut reference, &mut fault_lat);
 
     // --- corrupt: one bit flipped per connection in replica replies.
     for p in &proxies {
         p.set_mode(FaultMode::CorruptFrame);
         p.sever();
     }
-    let corrupt_qps = drive("corrupt", &mut client, &mut reference, &mut fault_lat);
+    drive("corrupt", &mut client, &mut reference, &mut fault_lat);
 
     // --- slow: replies dribble out 9 bytes every 3 ms.
     for p in &proxies {
         p.set_mode(FaultMode::SlowWrite { chunk: 9, delay_ms: 3 });
         p.sever();
     }
-    let slow_qps = drive("slow", &mut client, &mut reference, &mut fault_lat);
+    drive("slow", &mut client, &mut reference, &mut fault_lat);
 
     // --- partition: proxied replicas fully off the network; ingest
     // continues (their batches defer into replay lanes), resolves keep
@@ -274,7 +272,7 @@ fn main() {
         let in_process = reference.ingest_batch(&batch_refs);
         assert_eq!(over_wire, as_wire(&in_process), "partition ingest report divergence");
     }
-    let partition_qps = drive("partition", &mut client, &mut reference, &mut fault_lat);
+    drive("partition", &mut client, &mut reference, &mut fault_lat);
 
     // --- heal: the janitor must replay every deferred batch, in order.
     for p in &proxies {
@@ -298,7 +296,7 @@ fn main() {
         "heal                : replay lanes drained in {:.2}s",
         drain0.elapsed().as_secs_f64()
     );
-    let healed_qps = drive("healed", &mut client, &mut reference, &mut fault_lat);
+    drive("healed", &mut client, &mut reference, &mut fault_lat);
 
     // --- kill: SIGKILL the *direct* replica of every shard. Everything
     // below is served by the replicas that lived behind the faults — if
@@ -307,7 +305,7 @@ fn main() {
         proc_.child.kill().expect("kill direct replica");
         let _ = proc_.child.wait();
     }
-    let killed_qps = drive("killed", &mut client, &mut reference, &mut fault_lat);
+    drive("killed", &mut client, &mut reference, &mut fault_lat);
 
     // --- Fault counters: failover and deferred-insert replay must have
     // actually happened; no shard may ever have lost quorum.
@@ -350,31 +348,6 @@ fn main() {
         N_SHARDS,
         wall.as_secs_f64()
     );
-
-    if args.json {
-        let doc = JsonObject::new()
-            .str("bench", "chaos")
-            .int("seed", args.seed)
-            .int("n_records", args.n_records as u64)
-            .int("n_shards", N_SHARDS as u64)
-            .int("replicas", 2)
-            .num("healthy_qps", healthy_qps)
-            .num("stall_qps", stall_qps)
-            .num("corrupt_qps", corrupt_qps)
-            .num("slow_qps", slow_qps)
-            .num("partition_qps", partition_qps)
-            .num("healed_qps", healed_qps)
-            .num("killed_qps", killed_qps)
-            .num("fault_resolve_p50_us", p50_us)
-            .num("fault_resolve_p99_us", p99_us)
-            .int("failover", get("router.shard.failover"))
-            .int("insert_deferred", get("router.shard.insert_deferred"))
-            .int("insert_replayed", get("router.shard.insert_replayed"))
-            .int("degraded", get("router.shard.degraded"))
-            .render();
-        let path = write_bench_json("chaos", &doc).expect("write target/bench/chaos.json");
-        eprintln!("[chaos] wrote {}", path.display());
-    }
 }
 
 fn as_wire(reports: &[IngestReport]) -> Vec<WireIngestReport> {
@@ -434,11 +407,10 @@ fn spawn_listening(bin: &PathBuf, args: &[&str]) -> ChildProc {
 struct Args {
     n_records: usize,
     seed: u64,
-    json: bool,
 }
 
 fn parse_args() -> Args {
-    let mut out = Args { n_records: 1000, seed: 23, json: false };
+    let mut out = Args { n_records: 1000, seed: 23 };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -457,7 +429,6 @@ fn parse_args() -> Args {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| panic!("--seed expects a number"));
             }
-            "--json" => out.json = true,
             other => panic!("unknown flag {other}"),
         }
         i += 1;

@@ -1,13 +1,14 @@
 //! `paper`: the FlexER paper's evaluation (Tables 3–9, Figs. 6–7), ours
 //! beside the paper's, then a verdict table of its claims
-//! ([`flexer_bench::fidelity`]). With no experiment named it runs all nine;
-//! without `--scale` each runs at its own default.
+//! ([`flexer_bench::fidelity`]), then the time every fit spent per stage
+//! ([`flexer_bench::fidelity::fit_stage_table`]). With no experiment named
+//! it runs all nine; without `--scale` each runs at its own default.
 //!
 //! ```text
 //! cargo run --release --bin paper -- [table3 … fig7] [--scale tiny|small|paper] [--seed N]
 //! ```
 
-use flexer_bench::fidelity::{verdict_table, Experiment, Lab};
+use flexer_bench::fidelity::{fit_stage_table, verdict_table, Experiment, Lab};
 use flexer_types::Scale;
 
 fn main() {
@@ -31,6 +32,7 @@ fn main() {
     if !checks.is_empty() {
         println!("{}", verdict_table(&checks));
     }
+    println!("{}", fit_stage_table());
 }
 
 fn usage<T>() -> T {

@@ -134,6 +134,22 @@ pub fn verdict_table(checks: &[Check]) -> String {
     format!("== Paper fidelity: {holding} of {} claims hold ==\n{}", checks.len(), table.render())
 }
 
+/// Renders the training stage spans every fit of this process recorded on
+/// `flexer_obs::global()` — `graph.fit.*` once per GNN epoch,
+/// `matcher.fit.*` once per matcher minibatch — as the table `paper` ends
+/// with: calls, total seconds (summed over worker threads) and mean µs.
+pub fn fit_stage_table() -> String {
+    let mut table = text_table("Stage,Calls,Total s,Mean µs");
+    for stat in flexer_obs::global().snapshot().spans {
+        if stat.name.starts_with("graph.fit.") || stat.name.starts_with("matcher.fit.") {
+            let total = format!("{:.3}", stat.sum as f64 / 1e9);
+            let mean = format!("{:.1}", stat.mean / 1e3);
+            table.row(&[stat.name, stat.count.to_string(), total, mean]);
+        }
+    }
+    format!("== Fit stages (every fit of this run) ==\n{}", table.render())
+}
+
 /// What an experiment contributes for one dataset: its columns after
 /// `Dataset` (comma-separated), rows, lines printed under the table, and
 /// claims as (claim, ours, reference, holds).

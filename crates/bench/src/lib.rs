@@ -2,17 +2,18 @@
 //!
 //! The experiment harness: the FlexER paper's evaluation (§5, Tables 3–9
 //! and Figs. 6–7) as one module, [`fidelity`], driven by one binary,
-//! `paper`; the `chaos` fault-injection smoke; and Criterion micro-benches.
-//! Every experiment is deterministic for a given scale/seed, prints the
-//! paper's reported numbers next to ours, and states the paper's claims as
-//! computed verdicts that `tests/fidelity.rs` pins. The repo's one
-//! benchmark, the `ladder`, is a package of its own under `src/bin/ladder/`.
+//! `paper`, and the `chaos` fault-injection smoke. Every experiment is
+//! deterministic for a given scale/seed, prints the paper's reported
+//! numbers next to ours, and states the paper's claims as computed verdicts
+//! that `tests/fidelity.rs` pins. Where a run's fit time went is the
+//! product's own training spans, which `paper` prints last
+//! ([`fidelity::fit_stage_table`]). The repo's one benchmark, the
+//! `ladder`, is a package of its own under `src/bin/ladder/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fidelity;
-pub mod json;
 
 use flexer_core::prelude::*;
 use flexer_datasets::{AmazonMiConfig, WalmartAmazonConfig, WdcConfig};

@@ -52,21 +52,6 @@ pub struct BlockingOutcome {
     pub report: BlockingReport,
 }
 
-impl BlockingOutcome {
-    /// Measures golden-pair recall against a ground-truth entity map and
-    /// records it in the report (see [`golden_pair_recall`]).
-    pub fn with_golden_recall(mut self, entities: &EntityMap) -> Self {
-        let (recalled, total) = golden_pair_recall(&self.candidates, entities);
-        self.report.golden_recalled = recalled;
-        self.report.golden_total = total;
-        let rec = flexer_obs::global();
-        rec.set_gauge("block.golden.total", total as f64);
-        rec.set_gauge("block.golden.recalled", recalled as f64);
-        rec.set_gauge("block.golden.recall", self.report.golden_recall().unwrap_or(0.0));
-        self
-    }
-}
-
 /// Counts how many golden pairs — distinct record pairs mapped to the same
 /// entity by `entities` — survive in `candidates`. Returns
 /// `(recalled, total)`; `total` is the number of golden pairs in the

@@ -100,35 +100,6 @@ impl NGramBlocker {
         }
         index.block_all()
     }
-
-    /// Blocks across two record-id groups only (the WDC cross-category
-    /// expansion): returns pairs with one record in `left` and one in
-    /// `right` that share at least `min_shared` q-grams.
-    pub fn block_across(
-        &self,
-        dataset: &Dataset,
-        left: &[RecordId],
-        right: &[RecordId],
-    ) -> Vec<PairRef> {
-        let right_sets: Vec<(RecordId, HashSet<u64>)> =
-            right.iter().map(|&r| (r, self.gram_set(dataset[r].title()))).collect();
-        let mut out = Vec::new();
-        for &l in left {
-            let gl = self.gram_set(dataset[l].title());
-            for (r, gr) in &right_sets {
-                if *r == l {
-                    continue;
-                }
-                let shared = gl.intersection(gr).count();
-                if shared >= self.min_shared {
-                    out.push(PairRef::new(l, *r).expect("l != r"));
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 impl CandidateGenerator for NGramBlocker {
@@ -464,18 +435,6 @@ mod tests {
         assert!(capped.report.comparisons_suppressed > 0);
         assert_eq!(uncapped.report.grams_skipped, 0);
         assert_eq!(uncapped.report.comparisons_suppressed, 0);
-    }
-
-    #[test]
-    fn block_across_respects_groups() {
-        let d = dataset(&["canon camera body", "canon camera grip", "nikon watch strap"]);
-        let b = NGramBlocker::default();
-        let pairs = b.block_across(&d, &[0, 1], &[2]);
-        for p in &pairs {
-            assert!(p.b == 2 || p.a == 2);
-        }
-        // within-left pairs are absent even though 0 and 1 share grams
-        assert!(!pairs.iter().any(|p| (p.a, p.b) == (0, 1)));
     }
 
     #[test]

@@ -64,12 +64,6 @@ impl FlexErConfig {
         self.gnn.seed = seed;
         self
     }
-
-    /// Sets the candidate-generation backend.
-    pub fn with_candidates(mut self, candidates: CandidateGenConfig) -> Self {
-        self.candidates = candidates;
-        self
-    }
 }
 
 #[cfg(test)]

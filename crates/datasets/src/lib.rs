@@ -1,8 +1,9 @@
 //! # flexer-datasets
 //!
 //! Calibrated synthetic MIER benchmarks reproducing the evaluation setting
-//! of the FlexER paper (§5.1), plus the 4-gram overlap blocker used to
-//! build candidate sets.
+//! of the FlexER paper (§5.1). Candidate sets come from a calibrated
+//! sampler or, through [`blocked_benchmark`], from any `flexer-block`
+//! backend, such as the paper's 4-gram overlap blocker.
 //!
 //! The paper's three benchmarks (AmazonMI, Walmart-Amazon, WDC) are crawled
 //! corpora that cannot be redistributed here; instead, each generator
@@ -20,7 +21,6 @@
 #![warn(missing_docs)]
 
 pub mod amazonmi;
-pub mod blocking;
 pub mod catalog;
 pub mod intents;
 pub mod mixture;
@@ -31,7 +31,6 @@ pub mod walmart_amazon;
 pub mod wdc;
 
 pub use amazonmi::AmazonMiConfig;
-pub use blocking::{BlockingOutcome, CandidateGenerator, NGramBlocker};
 pub use catalog::{Catalog, Product};
 pub use mixture::blocked_benchmark;
 pub use taxonomy::{Family, Taxonomy, TaxonomyConfig};

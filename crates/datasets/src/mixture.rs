@@ -8,9 +8,9 @@
 //! titles share a 4-gram, mirroring the fact that every paper candidate
 //! endured the 4-gram blocker.
 
-use crate::blocking::NGramBlocker;
 use crate::catalog::Catalog;
 use crate::intents::IntentDef;
+use flexer_block::{CandidateGenerator, NGramBlocker};
 use flexer_types::{
     CandidateSet, IntentSet, LabelMatrix, MierBenchmark, PairRef, Resolution, SplitAssignment,
     SplitRatios,
@@ -224,7 +224,7 @@ fn sample_one(
 }
 
 /// Generates a benchmark whose candidate set comes from a real blocking
-/// pass instead of the calibrated sampler: runs any [`CandidateGenerator`](flexer_block::CandidateGenerator)
+/// pass instead of the calibrated sampler: runs any [`CandidateGenerator`]
 /// backend over the catalogue's records, labels the surviving pairs from
 /// ground truth, and assembles the bundle. Returns the benchmark together
 /// with the blocker's [`BlockingReport`](flexer_types::BlockingReport).
@@ -232,7 +232,7 @@ pub fn blocked_benchmark(
     name: &str,
     catalog: &Catalog,
     intents: &[(IntentDef, &str)],
-    generator: &dyn crate::blocking::CandidateGenerator,
+    generator: &dyn CandidateGenerator,
     seed: u64,
 ) -> (MierBenchmark, flexer_types::BlockingReport) {
     let outcome = generator.generate(&catalog.dataset);
@@ -425,7 +425,7 @@ mod tests {
             "blocked",
             &c,
             &[(IntentDef::Equivalence, "Eq."), (IntentDef::SameBrand, "Brand")],
-            &crate::blocking::NGramBlocker::default(),
+            &NGramBlocker::default(),
             13,
         );
         b.validate().unwrap();

@@ -2,11 +2,12 @@
 //! perturbation safety, Walmart-Amazon generator invariants, and the
 //! category-set ⇔ family equivalence that underpins the Set-Cat. intent.
 
+use flexer_block::NGramBlocker;
 use flexer_datasets::catalog::{Catalog, CatalogConfig, RecordCountDist};
 use flexer_datasets::intents::IntentDef;
 use flexer_datasets::perturb::{perturb_title, NoiseConfig, Perturbation};
 use flexer_datasets::taxonomy::{amazonmi_spec, jaccard, Taxonomy, TaxonomyConfig};
-use flexer_datasets::{NGramBlocker, WalmartAmazonConfig};
+use flexer_datasets::WalmartAmazonConfig;
 use flexer_types::{Dataset, Record, Scale};
 use proptest::prelude::*;
 use rand::rngs::StdRng;

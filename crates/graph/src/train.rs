@@ -29,6 +29,7 @@ use flexer_nn::select::{f1, Selection};
 use flexer_nn::{Adam, AdamConfig, Matrix, Optimizer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Instant;
 
 /// GNN training hyperparameters — defaults follow §5.2.1: Adam lr 0.01,
 /// weight decay 5e-4, up to 150 epochs, 2 GraphSAGE layers of width `h1`
@@ -141,17 +142,26 @@ pub fn train_for_intent(
 
     let mut pass = model.train_pass(graph, target_layer);
     let mut selection = Selection::new(Some(config.patience));
+    // One flat span per stage of an epoch (fits run on `flexer-par`
+    // workers, whose span stacks are not the caller's).
+    let rec = flexer_obs::global();
     for _epoch in 0..config.epochs {
+        let mut t = Instant::now();
         let logits = model.train_forward(graph, &mut pass);
+        rec.lap("graph.fit.forward", &mut t);
         // Offer the pre-update state this forward pass already computed,
         // then update — one full-batch pass per epoch.
-        if !offer(&mut selection, &model, &logits, labels, valid_pairs) {
+        let more = offer(&mut selection, &model, &logits, labels, valid_pairs);
+        rec.lap("graph.fit.select", &mut t);
+        if !more {
             break;
         }
         let (_, grad_logits) = softmax_cross_entropy(&logits, &targets, Some(&train_weight));
         model.train_backward(graph, &mut pass, &grad_logits);
+        rec.lap("graph.fit.backward", &mut t);
         opt.begin_step();
         model.apply(&mut opt);
+        rec.lap("graph.fit.apply", &mut t);
     }
     finish(selection)
 }
@@ -222,7 +232,17 @@ mod tests {
     #[test]
     fn learns_from_cross_layer_signal() {
         let (graph, labels, train, valid, test) = synthetic();
+        // Other tests fit on the same global recorder concurrently: each
+        // count grows by at least this fit's epochs (`fast` never stops early).
+        let stages =
+            ["graph.fit.forward", "graph.fit.select", "graph.fit.backward", "graph.fit.apply"];
+        let counts =
+            || stages.map(|s| flexer_obs::global().snapshot().span(s).map_or(0, |h| h.count));
+        let before = counts();
         let trained = train_for_intent(&graph, 0, &labels, &train, &valid, &GnnConfig::fast());
+        for ((stage, b), a) in stages.iter().zip(before).zip(counts()) {
+            assert!(a - b >= trained.epochs_run as u64, "{stage}: {b} -> {a}");
+        }
         let f1 = f1(test.iter().map(|&i| (trained.preds[i], labels[i])));
         assert!(f1 > 0.8, "test F1 = {f1:.3}");
         assert!(trained.best_valid_f1 > 0.8);

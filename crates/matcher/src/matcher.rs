@@ -15,6 +15,7 @@ use flexer_nn::select::{f1, Selection};
 use flexer_nn::{Adam, Linear, Matrix, Mlp, MlpConfig, Optimizer, SparseMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Instant;
 
 /// Inference output over a pair set.
 #[derive(Debug, Clone)]
@@ -94,9 +95,10 @@ impl BinaryMatcher {
         let mut selection = Selection::new(None);
         for _epoch in 0..config.epochs {
             for batch in minibatches(train_idx, config.batch_size, &mut rng) {
+                let mut t = Instant::now();
                 let (x, rows) = corpus.batch(&batch, config.augment, &mut rng);
                 let targets: Vec<usize> = rows.iter().map(|&i| labels[i] as usize).collect();
-                model.step(&x, &targets, &mut opt);
+                model.step(&x, &targets, &mut opt, &mut t);
             }
             let preds = model.infer_rows(&corpus.features, valid_idx).preds;
             let score = f1(preds.into_iter().zip(valid_idx.iter().map(|&i| labels[i])));
@@ -106,8 +108,10 @@ impl BinaryMatcher {
         Self { best_valid_f1, ..best }
     }
 
-    /// One Adam step on a batch's cross-entropy.
-    fn step(&mut self, x: &SparseMatrix, targets: &[usize], opt: &mut Adam) {
+    /// One Adam step on a batch's cross-entropy. The time since `*t` up to
+    /// the gradients is `matcher.fit.step`, the update `matcher.fit.apply`
+    /// (flat spans: fits run on `flexer-par` workers).
+    fn step(&mut self, x: &SparseMatrix, targets: &[usize], opt: &mut Adam, t: &mut Instant) {
         let mut h = self.input.forward_sparse(x);
         relu_inplace(&mut h);
         let trace = self.head.forward_trace(&h);
@@ -118,10 +122,13 @@ impl BinaryMatcher {
         let mut dh = self.head.backward(&trace, &grad_logits);
         relu_backward_inplace(&mut dh, &h);
         self.input.backward_sparse(x, &dh);
+        let rec = flexer_obs::global();
+        rec.lap("matcher.fit.step", t);
 
         opt.begin_step();
         let used = self.input.apply(opt, 0);
         self.head.apply(opt, used);
+        rec.lap("matcher.fit.apply", t);
     }
 
     /// Runs inference on a subset of corpus rows.
@@ -176,7 +183,19 @@ mod tests {
 
     #[test]
     fn learns_equivalence_better_than_chance() {
+        // Other tests fit on the same global recorder concurrently: each
+        // count grows by at least this fit's minibatch steps.
+        let stages = ["matcher.fit.step", "matcher.fit.apply"];
+        let counts =
+            || stages.map(|s| flexer_obs::global().snapshot().span(s).map_or(0, |h| h.count));
+        let before = counts();
         let (corpus, matcher, bench) = trained_on_eq();
+        let config = MatcherConfig::fast();
+        let n_train = bench.split_indices(Split::Train).len();
+        let steps = (config.epochs * n_train.div_ceil(config.batch_size)) as u64;
+        for ((stage, b), a) in stages.iter().zip(before).zip(counts()) {
+            assert!(a - b >= steps, "{stage}: {b} -> {a}, {steps} steps taken");
+        }
         let test_idx = bench.split_indices(Split::Test);
         let out = matcher.infer_rows(&corpus.features, &test_idx);
         let labels = test_idx.iter().map(|&i| bench.labels.get(i, 0));

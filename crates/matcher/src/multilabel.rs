@@ -20,6 +20,7 @@ use flexer_nn::{Adam, Linear, Matrix, Optimizer, SparseMatrix};
 use flexer_types::LabelMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Instant;
 
 /// A trained multi-task matcher over `P` intents.
 #[derive(Debug, Clone)]
@@ -66,8 +67,9 @@ impl MultiTaskMatcher {
         let mut selection = Selection::new(None);
         for _epoch in 0..config.epochs {
             for batch in minibatches(train_idx, config.batch_size, &mut rng) {
+                let mut t = Instant::now();
                 let (x, rows) = corpus.batch(&batch, config.augment, &mut rng);
-                model.step(&x, &rows, labels, config.multilabel_weight, &mut opt);
+                model.step(&x, &rows, labels, config.multilabel_weight, &mut opt, &mut t);
             }
             let mut total = 0.0;
             for p in 0..n_intents {
@@ -82,6 +84,8 @@ impl MultiTaskMatcher {
 
     /// One Adam step on a batch: the per-intent cross-entropies plus the
     /// weighted multi-label BCE, all backpropagated into the shared trunk.
+    /// Timed as the binary matcher's step: `matcher.fit.step` since `*t`,
+    /// then `matcher.fit.apply`.
     fn step(
         &mut self,
         x: &SparseMatrix,
@@ -89,6 +93,7 @@ impl MultiTaskMatcher {
         labels: &LabelMatrix,
         multilabel_weight: f32,
         opt: &mut Adam,
+        t: &mut Instant,
     ) {
         let (n, n_intents) = (x.rows(), self.n_intents());
         let h = self.trunk_forward(x);
@@ -124,6 +129,8 @@ impl MultiTaskMatcher {
         // Trunk backward.
         relu_backward_inplace(&mut dh, &h);
         self.trunk.backward_sparse(x, &dh);
+        let rec = flexer_obs::global();
+        rec.lap("matcher.fit.step", t);
 
         opt.begin_step();
         let mut slot = self.trunk.apply(opt, 0);
@@ -132,6 +139,7 @@ impl MultiTaskMatcher {
             slot += head.apply(opt, slot);
         }
         self.ml_head.apply(opt, slot);
+        rec.lap("matcher.fit.apply", t);
     }
 
     fn trunk_forward(&self, features: &SparseMatrix) -> Matrix {

@@ -1,9 +1,8 @@
 //! Snapshot types and JSON / Prometheus-style text exposition.
 //!
-//! `flexer-obs` sits below `flexer-bench` in the crate graph, so it carries
-//! its own minimal JSON emitter instead of reusing the bench crate's
-//! builder. Output key order is deterministic (sorted by name) so snapshot
-//! diffs are stable across runs.
+//! The workspace is offline (no serde), so this carries its own minimal
+//! JSON emitter. Output key order is deterministic (sorted by name) so
+//! snapshot diffs are stable across runs.
 
 use crate::hist::Histogram;
 

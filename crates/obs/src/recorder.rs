@@ -133,6 +133,15 @@ impl Recorder {
         record_into(&self.shared.spans, path, ns);
     }
 
+    /// Record the time since `*since` under the flat path `path` (as
+    /// [`Self::record_span_ns`]) and restart `*since` from now, so
+    /// consecutive laps tile a loop body into its stages.
+    pub fn lap(&self, path: &str, since: &mut Instant) {
+        let now = Instant::now();
+        self.record_span_ns(path, now.duration_since(*since).as_nanos() as u64);
+        *since = now;
+    }
+
     /// Record `ns` under `base.idx` (e.g. per-shard paths) without
     /// allocating the composed path on the steady state.
     pub fn record_span_ns_indexed(&self, base: &str, idx: usize, ns: u64) {

@@ -1,7 +1,8 @@
 //! One sample of every FLEXWIRE message, with every shape a codec writes:
-//! empty and non-empty lists, an `Ok` outcome, extreme integers,
-//! negative zero and subnormal floats. `wire.rs`'s round-trip test and the
-//! byte pins in `tests/pinned_bytes.rs` both run over it.
+//! empty and non-empty lists, `Ok` and `Err` outcomes, every query shape,
+//! extreme integers, negative zero and subnormal floats. `wire.rs`'s
+//! round-trip test and the byte pins in `tests/pinned_bytes.rs` both run
+//! over it.
 
 use flexer_types::{
     IntentId, MatchTarget, RankedMatch, ResolveQuery, ResolveResponse, RouterRequest,
@@ -56,6 +57,12 @@ pub fn sample_messages(
         RouterRequest::IngestBatch(vec!["x".into(), "y z".into()]),
         RouterRequest::Stats,
         RouterRequest::Shutdown,
+        RouterRequest::Resolve { query: ResolveQuery::CorpusPair(usize::MAX), intent: 1, top_k: 0 },
+        RouterRequest::Resolve {
+            query: ResolveQuery::TitlePair("acme".into(), String::new()),
+            intent: 2,
+            top_k: 1,
+        },
     ];
     let router_resps = vec![
         RouterResponse::Hello { n_shards: 2, n_records: 30, n_intents: 3 },
@@ -72,6 +79,7 @@ pub fn sample_messages(
         ]),
         RouterResponse::Shutdown,
         RouterResponse::Error("bad frame".into()),
+        RouterResponse::Resolve(Err("intent 9 out of range".into())),
     ];
     (shard_reqs, shard_resps, router_reqs, router_resps)
 }

@@ -63,6 +63,8 @@ fn router_requests_keep_their_bytes() {
         ("IngestBatch", 0xb9067f59941a34e3),
         ("Stats", 0xa94b14e49f53fd33),
         ("Shutdown", 0x6cc7399f178c6892),
+        ("Resolve", 0xa0e602d8301da691),
+        ("Resolve", 0x7d398a5ee973b2b1),
     ];
     assert_pinned(&sample_messages().2, &pins);
 }
@@ -76,6 +78,7 @@ fn router_responses_keep_their_bytes() {
         ("Stats", 0x3b0ebc3ac13dad7b),
         ("Shutdown", 0x6cc7399f178c6892),
         ("Error", 0xa7e205ece4d3f84f),
+        ("Resolve", 0xf8d1cdebec54d111),
     ];
     assert_pinned(&sample_messages().3, &pins);
 }

@@ -91,11 +91,6 @@ pub struct BlockingReport {
     pub comparisons_suppressed: u64,
     /// Candidate pairs emitted.
     pub candidates: usize,
-    /// Golden (same-entity) pairs in the ground truth, when measured
-    /// against an entity map; 0 when recall was not measured.
-    pub golden_total: usize,
-    /// Golden pairs the candidate set retained, when measured.
-    pub golden_recalled: usize,
 }
 
 impl BlockingReport {
@@ -108,14 +103,6 @@ impl BlockingReport {
         } else {
             self.candidates as f64 / all as f64
         }
-    }
-
-    /// Fraction of golden (same-entity) pairs the candidate set retained —
-    /// the blocking-recall number bucket-cap tuning is judged by. `None`
-    /// until recall has been measured against an entity map (see
-    /// `flexer-block`'s `golden_pair_recall`).
-    pub fn golden_recall(&self) -> Option<f64> {
-        (self.golden_total > 0).then(|| self.golden_recalled as f64 / self.golden_total as f64)
     }
 }
 
@@ -140,14 +127,6 @@ mod tests {
         assert_eq!(report.retention(5), 0.5); // C(5,2) = 10
         assert_eq!(report.retention(0), 0.0);
         assert_eq!(report.retention(1), 0.0);
-    }
-
-    #[test]
-    fn golden_recall_is_none_until_measured() {
-        let unmeasured = BlockingReport::default();
-        assert_eq!(unmeasured.golden_recall(), None);
-        let measured = BlockingReport { golden_total: 8, golden_recalled: 6, ..Default::default() };
-        assert_eq!(measured.golden_recall(), Some(0.75));
     }
 
     #[test]

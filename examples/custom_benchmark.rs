@@ -45,7 +45,7 @@ fn main() {
     let intents = IntentSet::new(vec![Intent::equivalence(0), Intent::named(1, "Same-Song")]);
 
     // --- 3. Candidate pairs: all cross pairs (tiny dataset; in production
-    //        a blocker would produce these — see flexer_datasets::blocking).
+    //        a blocker would produce these — see flexer_block::CandidateGenerator).
     let mut pairs = Vec::new();
     for i in 0..dataset.len() {
         for j in i + 1..dataset.len() {
