@@ -14,75 +14,19 @@
 //! index, exact distance ties at the k boundary are resolved by insertion
 //! id; corpora without such ties are fully order-insensitive.
 
-use crate::{BlockingOutcome, CandidateGenerator};
+use crate::BlockingOutcome;
 use flexer_ann::{FlatIndex, Neighbor, VectorIndex};
-use flexer_types::{AnnBlockerConfig, BlockingReport, CandidateSet, Dataset, PairRef, RecordId};
+use flexer_types::{AnnBlockerConfig, BlockingReport, CandidateSet, PairRef, RecordId};
 
 /// The hashed gram-count embedding of a title under an ANN blocker config —
 /// a pure function of the title text, shared by every index built from the
 /// same config (the sharded query path embeds once and searches N shards).
 pub fn embed_title(title: &str, config: &AnnBlockerConfig) -> Vec<f32> {
     let mut v = vec![0.0f32; config.dim];
-    // gram_vec, not gram_set: same deduplicated grams without building a
-    // HashSet just to iterate it once (this runs per ingest and per query).
     for g in crate::ngram::gram_vec(title, config.q) {
         v[(g % config.dim as u64) as usize] += 1.0;
     }
     v
-}
-
-/// Batch record-level ANN blocker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AnnBlocker {
-    config: AnnBlockerConfig,
-}
-
-impl AnnBlocker {
-    /// Blocker from a shared config.
-    pub fn new(config: AnnBlockerConfig) -> Self {
-        assert!(config.q > 0, "gram length must be positive");
-        assert!(config.dim > 0, "embedding dimension must be positive");
-        assert!(config.k > 0, "neighbour count must be positive");
-        Self { config }
-    }
-
-    /// The config this blocker runs.
-    pub fn config(&self) -> AnnBlockerConfig {
-        self.config
-    }
-}
-
-impl CandidateGenerator for AnnBlocker {
-    fn name(&self) -> &'static str {
-        "ann"
-    }
-
-    fn generate(&self, dataset: &Dataset) -> BlockingOutcome {
-        let mut index = AnnRecordIndex::new(self.config);
-        for record in dataset.iter() {
-            index.insert(record.title());
-        }
-        let k = self.config.k;
-        let queries: Vec<&[f32]> = (0..dataset.len()).map(|r| index.index.vector(r)).collect();
-        // k + 1 because each record's nearest hit is (usually) itself.
-        let hits = index.index.search_batch(&queries, k + 1);
-        let mut pairs = Vec::with_capacity(dataset.len() * k);
-        let mut considered = 0u64;
-        for (r, neighbors) in hits.iter().enumerate() {
-            considered += neighbors.len() as u64;
-            for h in neighbors.iter().filter(|h| h.id != r).take(k) {
-                pairs.push(PairRef::new(r, h.id).expect("r != id"));
-            }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        let report = BlockingReport {
-            comparisons_considered: considered,
-            candidates: pairs.len(),
-            ..Default::default()
-        };
-        BlockingOutcome { candidates: CandidateSet::from_pairs(pairs), report }
-    }
 }
 
 /// Incremental record-level ANN index (the serving-tier shape).
@@ -151,6 +95,32 @@ impl AnnRecordIndex {
         ids
     }
 
+    /// Blocks the indexed corpus: every record paired with its `k`
+    /// nearest other records, deduplicated — the batch path
+    /// ([`crate::block`]) is this, run over a freshly built index.
+    pub fn block_all(&self) -> BlockingOutcome {
+        let k = self.config.k;
+        let queries: Vec<&[f32]> = (0..self.len()).map(|r| self.index.vector(r)).collect();
+        // k + 1 because each record's nearest hit is (usually) itself.
+        let hits = self.index.search_batch(&queries, k + 1);
+        let mut pairs = Vec::with_capacity(self.len() * k);
+        let mut considered = 0u64;
+        for (r, neighbors) in hits.iter().enumerate() {
+            considered += neighbors.len() as u64;
+            for h in neighbors.iter().filter(|h| h.id != r).take(k) {
+                pairs.push(PairRef::new(r, h.id).expect("r != id"));
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        let report = BlockingReport {
+            comparisons_considered: considered,
+            candidates: pairs.len(),
+            ..Default::default()
+        };
+        BlockingOutcome { candidates: CandidateSet::from_pairs(pairs), report }
+    }
+
     /// A copy truncated back to the first `n_records` records.
     pub fn truncated(&self, n_records: usize) -> Self {
         let n = n_records.min(self.len());
@@ -192,14 +162,17 @@ impl PartialEq for AnnRecordIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexer_types::Record;
-
-    fn dataset(titles: &[&str]) -> Dataset {
-        Dataset::from_records(titles.iter().map(|t| Record::with_title(0, *t)).collect())
-    }
 
     fn config() -> AnnBlockerConfig {
         AnnBlockerConfig { q: 3, dim: 32, k: 2 }
+    }
+
+    fn index(titles: &[&str]) -> AnnRecordIndex {
+        let mut index = AnnRecordIndex::new(config());
+        for t in titles {
+            index.insert(t);
+        }
+        index
     }
 
     #[test]
@@ -210,24 +183,20 @@ mod tests {
             "philips sonicare toothbrush",
             "oral b electric toothbrush head",
         ];
-        let out = AnnBlocker::new(config()).generate(&dataset(&titles));
+        let out = index(&titles).block_all();
         assert!(out.candidates.iter().any(|(_, p)| (p.a, p.b) == (0, 1)));
         assert_eq!(out.report.candidates, out.candidates.len());
     }
 
     #[test]
     fn batch_generation_is_deterministic() {
-        let d = dataset(&["alpha beta", "beta gamma", "gamma delta", "delta epsilon"]);
-        let blocker = AnnBlocker::new(config());
-        assert_eq!(blocker.generate(&d).candidates, blocker.generate(&d).candidates);
+        let titles = ["alpha beta", "beta gamma", "gamma delta", "delta epsilon"];
+        assert_eq!(index(&titles).block_all().candidates, index(&titles).block_all().candidates);
     }
 
     #[test]
     fn incremental_candidates_bound_by_k() {
-        let mut index = AnnRecordIndex::new(config());
-        for t in ["aaa bbb", "bbb ccc", "ccc ddd", "ddd eee", "eee fff"] {
-            index.insert(t);
-        }
+        let index = index(&["aaa bbb", "bbb ccc", "ccc ddd", "ddd eee", "eee fff"]);
         let c = index.candidates("bbb ccc ddd");
         assert!(c.len() <= 2);
         assert!(c.windows(2).all(|w| w[0] < w[1]));
@@ -235,9 +204,7 @@ mod tests {
 
     #[test]
     fn truncation_is_exact_inverse_of_inserts() {
-        let mut index = AnnRecordIndex::new(config());
-        index.insert("aaa bbb");
-        index.insert("ccc ddd");
+        let mut index = index(&["aaa bbb", "ccc ddd"]);
         let watermark = index.clone();
         index.insert("eee fff");
         assert_eq!(index.truncated(2), watermark);
@@ -245,9 +212,7 @@ mod tests {
 
     #[test]
     fn from_parts_validates_and_roundtrips() {
-        let mut index = AnnRecordIndex::new(config());
-        index.insert("nike lunar");
-        index.insert("adidas star");
+        let index = index(&["nike lunar", "adidas star"]);
         let rebuilt = AnnRecordIndex::from_parts(index.config(), index.data().to_vec()).unwrap();
         assert_eq!(rebuilt, index);
         assert!(AnnRecordIndex::from_parts(config(), vec![0.0; 33]).is_err());

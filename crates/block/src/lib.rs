@@ -6,22 +6,23 @@
 //! and the snapshot store (`flexer-store`) — obtains them through this
 //! crate instead of enumerating all pairs.
 //!
-//! Two shapes of API:
+//! One shape per backend: [`BlockerState`] is the resident index. It is
+//! built over a corpus ([`BlockerState::build`]), answers "which existing
+//! records could this new title match?" in O(candidates)
+//! ([`BlockerState::candidates`]), grows by [`BlockerState::insert`], and
+//! enumerates every candidate pair of what it holds. Batch blocking,
+//! [`block`], is that last step run over a freshly built index: it turns a
+//! whole [`Dataset`] into a [`CandidateSet`] plus a [`BlockingReport`]
+//! accounting for what the pass pruned. Backends: the paper's §5.1 q-gram
+//! overlap blocker ([`NGramIndex`]), record-level k-NN over feature-hashed
+//! titles built on `flexer-ann` ([`AnnRecordIndex`]), and all pairs (the
+//! parity baseline).
 //!
-//! * **Batch**: the [`CandidateGenerator`] trait blocks a whole [`Dataset`]
-//!   into a [`CandidateSet`] plus a [`BlockingReport`] accounting for what
-//!   the pass pruned. Backends: [`NGramBlocker`] (the paper's §5.1 q-gram
-//!   overlap blocker, inverted-index based), [`AnnBlocker`] (record-level
-//!   k-NN over feature-hashed titles, built on `flexer-ann`), and
-//!   [`ExhaustivePairs`] (all pairs — the parity baseline).
-//! * **Incremental**: [`BlockerState`] is the serving-tier resident index.
-//!   It answers "which existing records could this new title match?" in
-//!   O(candidates) and grows by [`BlockerState::insert`]. The q-gram
-//!   backend is order-insensitive-deterministic: the candidate *record
-//!   set* returned for a query depends only on the set of records
-//!   inserted, never on their insertion order. The ANN backend shares
-//!   that guarantee except for exact distance ties at the k-NN boundary,
-//!   which fall back to insertion-id order (see [`ann`]).
+//! The q-gram backend is order-insensitive-deterministic: the candidate
+//! *record set* returned for a query depends only on the set of records
+//! inserted, never on their insertion order. The ANN backend shares that
+//! guarantee except for exact distance ties at the k-NN boundary, which
+//! fall back to insertion-id order (see [`ann`]).
 //!
 //! Blocking never changes scores: downstream scoring is per-pair, so a
 //! blocked pair scores bit-identically to the same pair under exhaustive
@@ -34,8 +35,8 @@ pub mod ann;
 pub mod ngram;
 pub mod shard;
 
-pub use ann::{AnnBlocker, AnnRecordIndex};
-pub use ngram::{NGramBlocker, NGramIndex};
+pub use ann::AnnRecordIndex;
+pub use ngram::NGramIndex;
 pub use shard::{local_answer, GlobalBlocking, ShardedBlocker};
 
 use flexer_types::{
@@ -82,51 +83,33 @@ pub fn golden_pair_recall(candidates: &CandidateSet, entities: &EntityMap) -> (u
     (recalled, total)
 }
 
-/// A batch candidate-pair generator over a whole dataset.
-///
-/// Implementations must be deterministic (same dataset ⇒ same outcome) and
-/// must emit normalized (`a < b`), deduplicated pairs in sorted order.
-pub trait CandidateGenerator {
-    /// Short backend name for logs and bench output.
-    fn name(&self) -> &'static str;
-    /// Blocks the dataset into a candidate set plus a report.
-    fn generate(&self, dataset: &Dataset) -> BlockingOutcome;
+/// Blocks a whole dataset: builds the resident index `config` names over
+/// the records' titles and enumerates every candidate pair it holds.
+/// Deterministic (same dataset ⇒ same outcome); pairs come out
+/// normalized (`a < b`), deduplicated and sorted.
+pub fn block(config: &CandidateGenConfig, dataset: &Dataset) -> BlockingOutcome {
+    match BlockerState::build(config, dataset.iter().map(|r| r.title())) {
+        BlockerState::Exhaustive => all_pairs(dataset.len()),
+        BlockerState::NGram(index) => index.block_all(),
+        BlockerState::Ann(index) => index.block_all(),
+    }
 }
 
-/// The all-pairs "blocker": every distinct record pair survives. Quadratic
-/// — exists as the parity/recall baseline, not for production corpora.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExhaustivePairs;
-
-impl CandidateGenerator for ExhaustivePairs {
-    fn name(&self) -> &'static str {
-        "exhaustive"
-    }
-
-    fn generate(&self, dataset: &Dataset) -> BlockingOutcome {
-        let n = dataset.len();
-        let mut pairs = Vec::with_capacity(n.saturating_mul(n.saturating_sub(1)) / 2);
-        for a in 0..n {
-            for b in a + 1..n {
-                pairs.push(PairRef::new(a, b).expect("a < b"));
-            }
+/// Every distinct record pair of an `n`-record corpus. Quadratic — the
+/// parity/recall baseline, not for production corpora.
+fn all_pairs(n: usize) -> BlockingOutcome {
+    let mut pairs = Vec::with_capacity(n.saturating_mul(n.saturating_sub(1)) / 2);
+    for a in 0..n {
+        for b in a + 1..n {
+            pairs.push(PairRef::new(a, b).expect("a < b"));
         }
-        let report = BlockingReport {
-            comparisons_considered: pairs.len() as u64,
-            candidates: pairs.len(),
-            ..Default::default()
-        };
-        BlockingOutcome { candidates: CandidateSet::from_pairs(pairs), report }
     }
-}
-
-/// Builds the batch generator a [`CandidateGenConfig`] names.
-pub fn generator_for(config: &CandidateGenConfig) -> Box<dyn CandidateGenerator> {
-    match config {
-        CandidateGenConfig::Exhaustive => Box::new(ExhaustivePairs),
-        CandidateGenConfig::NGram(c) => Box::new(NGramBlocker::from_config(*c)),
-        CandidateGenConfig::Ann(c) => Box::new(AnnBlocker::new(*c)),
-    }
+    let report = BlockingReport {
+        comparisons_considered: pairs.len() as u64,
+        candidates: pairs.len(),
+        ..Default::default()
+    };
+    BlockingOutcome { candidates: CandidateSet::from_pairs(pairs), report }
 }
 
 /// The serving tier's resident candidate-generation state: an incremental
@@ -151,23 +134,15 @@ impl BlockerState {
         config: &CandidateGenConfig,
         titles: impl IntoIterator<Item = &'a str>,
     ) -> Self {
-        match config {
-            CandidateGenConfig::Exhaustive => BlockerState::Exhaustive,
-            CandidateGenConfig::NGram(c) => {
-                let mut index = NGramIndex::new(*c);
-                for t in titles {
-                    index.insert(t);
-                }
-                BlockerState::NGram(index)
-            }
-            CandidateGenConfig::Ann(c) => {
-                let mut index = AnnRecordIndex::new(*c);
-                for t in titles {
-                    index.insert(t);
-                }
-                BlockerState::Ann(index)
-            }
+        let mut state = match config {
+            CandidateGenConfig::Exhaustive => return BlockerState::Exhaustive,
+            CandidateGenConfig::NGram(c) => BlockerState::NGram(NGramIndex::new(*c)),
+            CandidateGenConfig::Ann(c) => BlockerState::Ann(AnnRecordIndex::new(*c)),
+        };
+        for t in titles {
+            state.insert(t);
         }
+        state
     }
 
     /// Indexes one more record title; ids are assigned sequentially, so
@@ -252,7 +227,7 @@ impl BlockerState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexer_types::{NGramBlockerConfig, Record};
+    use flexer_types::{AnnBlockerConfig, NGramBlockerConfig, Record};
 
     fn dataset(titles: &[&str]) -> Dataset {
         Dataset::from_records(titles.iter().map(|t| Record::with_title(0, *t)).collect())
@@ -261,21 +236,84 @@ mod tests {
     #[test]
     fn exhaustive_emits_every_pair() {
         let d = dataset(&["a", "b", "c", "d"]);
-        let out = ExhaustivePairs.generate(&d);
+        let out = block(&CandidateGenConfig::Exhaustive, &d);
         assert_eq!(out.candidates.len(), 6);
         assert_eq!(out.report.candidates, 6);
         assert_eq!(out.report.comparisons_considered, 6);
     }
 
+    /// 240 titles of three to six words from a fixed word list, drawn by a
+    /// seeded xorshift: large enough that the default q-gram cap bites.
+    fn pinned_titles() -> Vec<String> {
+        let words: Vec<&str> = "nike lunar force duckboot black adidas superstar mesh philips \
+            sonicare toothbrush oral electric head kindle paperwhite case leather samsung galaxy \
+            charger usb cable white"
+            .split_whitespace()
+            .collect();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        (0..240)
+            .map(|_| {
+                let n = 3 + next(4);
+                (0..n).map(|_| words[next(words.len())]).collect::<Vec<_>>().join(" ")
+            })
+            .collect()
+    }
+
+    /// FNV-1a over the emitted `(a, b)` pairs, plus the five report fields.
+    fn digest(out: &BlockingOutcome) -> (u64, [u64; 5]) {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for p in out.candidates.pairs() {
+            for byte in (p.a as u64).to_le_bytes().into_iter().chain((p.b as u64).to_le_bytes()) {
+                h ^= byte as u64;
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        let r = out.report;
+        let report = [
+            r.grams_indexed as u64,
+            r.grams_skipped as u64,
+            r.comparisons_considered,
+            r.comparisons_suppressed,
+            r.candidates as u64,
+        ];
+        (h, report)
+    }
+
+    /// What batch blocking emits for each backend, pinned: the pairs and
+    /// the report must not move by a pair or a count.
     #[test]
-    fn generator_for_matches_config() {
-        assert_eq!(generator_for(&CandidateGenConfig::Exhaustive).name(), "exhaustive");
-        assert_eq!(generator_for(&CandidateGenConfig::default()).name(), "ngram");
-        assert_eq!(
-            generator_for(&CandidateGenConfig::Ann(flexer_types::AnnBlockerConfig::default()))
-                .name(),
-            "ann"
-        );
+    fn batch_blocking_output_is_pinned() {
+        let titles = pinned_titles();
+        let titles: Vec<&str> = titles.iter().map(String::as_str).collect();
+        let d = dataset(&titles);
+        let ngram = |min_shared, max_bucket| NGramBlockerConfig { q: 4, min_shared, max_bucket };
+        let pins = [
+            (CandidateGenConfig::Exhaustive, 0xc084_a602_ff88_9425, [0, 0, 28_680, 0, 28_680]),
+            (
+                CandidateGenConfig::default(),
+                0x9b89_f50c_b426_a9a3,
+                [654, 3, 92_818, 10_002, 16_441],
+            ),
+            (
+                CandidateGenConfig::NGram(ngram(2, 96)),
+                0x13da_6cf0_0891_8ca1,
+                [654, 0, 102_820, 0, 16_849],
+            ),
+            (
+                CandidateGenConfig::Ann(AnnBlockerConfig::default()),
+                0x637a_4dae_9d33_11b7,
+                [0, 0, 2_160, 0, 1_358],
+            ),
+        ];
+        for (config, pairs, report) in pins {
+            assert_eq!(digest(&block(&config, &d)), (pairs, report), "{config:?}");
+        }
     }
 
     #[test]

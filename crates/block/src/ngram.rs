@@ -1,23 +1,25 @@
-//! The character q-gram overlap blocker of §5.1, in two shapes: the batch
-//! [`NGramBlocker`] over a whole dataset and the incremental [`NGramIndex`]
-//! the serving tier keeps resident.
+//! The character q-gram overlap blocker of §5.1: the resident
+//! [`NGramIndex`] the serving tier keeps, whose [`NGramIndex::block_all`] is
+//! also the batch pass, and the pairwise predicate [`survives`].
 //!
 //! The paper builds AmazonMI's candidate set with a standard blocker
 //! "preserving record pairs that share at least a 4-gram" and uses a second
-//! blocking pass to harvest WDC's cross-category pairs. Both shapes here
-//! are inverted indexes from character q-grams of the lower-cased title to
+//! blocking pass to harvest WDC's cross-category pairs. The index is an
+//! inverted index from character q-grams of the lower-cased title to
 //! record ids; buckets larger than `max_bucket` are treated as stop-grams
 //! and skipped, and that suppression is *accounted for* in the
 //! [`BlockingReport`] instead of happening silently.
 //!
 //! Shared-gram counts (`min_shared`) are taken over the **kept** (uncapped)
-//! grams in both shapes, so the batch blocker and the incremental index
-//! agree exactly on which pairs survive a given corpus state.
+//! grams by both candidate queries and [`NGramIndex::block_all`], so the
+//! batch pass and the incremental queries agree exactly on which pairs
+//! survive a given corpus state.
 
-use crate::{BlockingOutcome, CandidateGenerator};
-use flexer_types::{BlockingReport, CandidateSet, Dataset, NGramBlockerConfig, PairRef, RecordId};
+use crate::BlockingOutcome;
+use flexer_types::{BlockingReport, CandidateSet, NGramBlockerConfig, PairRef, RecordId};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// Reusable buffers for the hot incremental query path. Candidate queries
 /// run once per ingest and once per record resolve; without reuse each
@@ -33,83 +35,6 @@ struct QueryScratch {
 
 thread_local! {
     static QUERY_SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::default());
-}
-
-/// Character q-gram overlap blocker (batch shape).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NGramBlocker {
-    /// Gram length (the paper uses 4).
-    pub q: usize,
-    /// Minimum number of shared (kept) grams for a pair to survive.
-    pub min_shared: usize,
-    /// Inverted-index buckets larger than this are skipped as stop-grams.
-    pub max_bucket: usize,
-}
-
-impl Default for NGramBlocker {
-    fn default() -> Self {
-        Self::from_config(NGramBlockerConfig::default())
-    }
-}
-
-impl NGramBlocker {
-    /// Blocker with gram size `q`, keeping pairs sharing at least one gram,
-    /// with the default stop-gram bucket cap.
-    pub fn new(q: usize) -> Self {
-        Self { q, ..Self::default() }
-    }
-
-    /// Blocker from a shared config.
-    pub fn from_config(config: NGramBlockerConfig) -> Self {
-        Self { q: config.q, min_shared: config.min_shared, max_bucket: config.max_bucket }
-    }
-
-    /// The config this blocker runs.
-    pub fn config(&self) -> NGramBlockerConfig {
-        NGramBlockerConfig { q: self.q, min_shared: self.min_shared, max_bucket: self.max_bucket }
-    }
-
-    /// Sets the stop-gram bucket cap.
-    pub fn with_max_bucket(mut self, max_bucket: usize) -> Self {
-        self.max_bucket = max_bucket;
-        self
-    }
-
-    /// The set of hashed q-grams of a title (lower-cased).
-    pub fn gram_set(&self, title: &str) -> HashSet<u64> {
-        gram_set(title, self.q)
-    }
-
-    /// Whether two titles share at least `min_shared` q-grams. This is the
-    /// pairwise predicate (no bucket cap — caps are a corpus-level
-    /// stop-gram notion).
-    pub fn survives(&self, a: &str, b: &str) -> bool {
-        let ga = self.gram_set(a);
-        let gb = self.gram_set(b);
-        let (small, large) = if ga.len() <= gb.len() { (&ga, &gb) } else { (&gb, &ga) };
-        small.iter().filter(|g| large.contains(g)).count() >= self.min_shared
-    }
-
-    /// Blocks a whole dataset: every record pair sharing at least
-    /// `min_shared` kept q-grams, plus the report of what the bucket cap
-    /// suppressed.
-    pub fn block(&self, dataset: &Dataset) -> BlockingOutcome {
-        let mut index = NGramIndex::new(self.config());
-        for record in dataset.iter() {
-            index.insert(record.title());
-        }
-        index.block_all()
-    }
-}
-
-impl CandidateGenerator for NGramBlocker {
-    fn name(&self) -> &'static str {
-        "ngram"
-    }
-
-    fn generate(&self, dataset: &Dataset) -> BlockingOutcome {
-        self.block(dataset)
-    }
 }
 
 /// Incremental q-gram inverted index: the serving tier's resident blocker.
@@ -156,7 +81,7 @@ impl NGramIndex {
     pub fn insert(&mut self, title: &str) -> RecordId {
         let id = self.n_records;
         let id32 = u32::try_from(id).expect("record ids fit in u32");
-        for g in gram_set(title, self.config.q) {
+        for g in gram_vec(title, self.config.q) {
             self.buckets.entry(g).or_default().push(id32);
         }
         self.n_records += 1;
@@ -231,8 +156,8 @@ impl NGramIndex {
     }
 
     /// Blocks the indexed corpus into every surviving pair plus the
-    /// suppression report — the batch path ([`NGramBlocker::block`]) is
-    /// this, run over a freshly built index.
+    /// suppression report — the batch path ([`crate::block`]) is this,
+    /// run over a freshly built index.
     pub fn block_all(&self) -> BlockingOutcome {
         let mut report = BlockingReport { grams_indexed: self.buckets.len(), ..Default::default() };
         let mut shared: HashMap<(u32, u32), usize> = HashMap::new();
@@ -313,9 +238,10 @@ impl NGramIndex {
     }
 }
 
-/// The sorted, deduplicated hashed q-grams of a title — the same gram set
-/// as [`gram_set`], as a vector (the shape the sharded query path passes
-/// to [`NGramIndex::candidates_for_grams`]).
+/// The sorted, deduplicated hashed q-grams of a title, lower-cased per
+/// character (the shape the sharded query path passes to
+/// [`NGramIndex::candidates_for_grams`]). Titles shorter than `q` hash as
+/// one whole-string gram; empty titles have no grams.
 pub fn gram_vec(title: &str, q: usize) -> Vec<u64> {
     let mut chars = Vec::new();
     let mut grams = Vec::new();
@@ -341,13 +267,24 @@ fn gram_vec_into(title: &str, q: usize, chars: &mut Vec<char>, grams: &mut Vec<u
     grams.dedup();
 }
 
-/// The set of hashed q-grams of a title (lower-cased per character, the
-/// same mapping the scratch-based query path applies — the two must agree
-/// gram-for-gram or incremental candidates would diverge from batch
-/// blocking). Titles shorter than `q` hash as one whole-string gram; empty
-/// titles have no grams.
-pub fn gram_set(title: &str, q: usize) -> HashSet<u64> {
-    gram_vec(title, q).into_iter().collect()
+/// Whether two titles share at least `min_shared` q-grams — the pairwise
+/// predicate (no bucket cap: caps are a corpus-level stop-gram notion).
+/// Counts shared grams by merging the two sorted [`gram_vec`]s.
+pub fn survives(config: &NGramBlockerConfig, a: &str, b: &str) -> bool {
+    let (ga, gb) = (gram_vec(a, config.q), gram_vec(b, config.q));
+    let (mut i, mut j, mut shared) = (0, 0, 0);
+    while i < ga.len() && j < gb.len() {
+        match ga[i].cmp(&gb[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                shared += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    shared >= config.min_shared
 }
 
 /// FNV-1a over the gram's chars — fast, deterministic, no dependencies.
@@ -363,16 +300,25 @@ pub(crate) fn hash_gram(chars: &[char]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexer_types::Record;
+    use std::collections::HashSet;
 
-    fn dataset(titles: &[&str]) -> Dataset {
-        Dataset::from_records(titles.iter().map(|t| Record::with_title(0, *t)).collect())
+    /// The q = 4 config with the given survival threshold and bucket cap.
+    fn cfg(min_shared: usize, max_bucket: usize) -> NGramBlockerConfig {
+        NGramBlockerConfig { q: 4, min_shared, max_bucket }
+    }
+
+    fn indexed(config: NGramBlockerConfig, titles: &[&str]) -> NGramIndex {
+        let mut index = NGramIndex::new(config);
+        for t in titles {
+            index.insert(t);
+        }
+        index
     }
 
     #[test]
     fn duplicates_share_grams() {
-        let b = NGramBlocker::default();
-        assert!(b.survives(
+        assert!(survives(
+            &NGramBlockerConfig::default(),
             "Nike Men's Lunar Force 1 Duckboot",
             "NIKE Men Lunar Force 1 Duckboot, Black"
         ));
@@ -380,28 +326,22 @@ mod tests {
 
     #[test]
     fn unrelated_titles_do_not_survive() {
-        let b = NGramBlocker::default();
-        assert!(!b.survives("zzzz qqqq", "aaaa bbbb"));
+        assert!(!survives(&NGramBlockerConfig::default(), "zzzz qqqq", "aaaa bbbb"));
     }
 
     #[test]
     fn case_insensitive() {
-        let b = NGramBlocker::default();
-        assert!(b.survives("DUCKBOOT", "duckboot"));
+        assert!(survives(&NGramBlockerConfig::default(), "DUCKBOOT", "duckboot"));
     }
 
     #[test]
     fn block_emits_only_sharing_pairs() {
-        let d = dataset(&[
-            "Nike Lunar Force Duckboot",
-            "nike lunar force duckboot black",
-            "Completely unrelated xyzw",
-        ]);
-        let b = NGramBlocker::default().with_max_bucket(100);
-        let out = b.block(&d);
+        let titles =
+            ["Nike Lunar Force Duckboot", "nike lunar force duckboot black", "Unrelated xyzw"];
+        let out = indexed(cfg(1, 100), &titles).block_all();
         assert!(out.candidates.iter().any(|(_, p)| (p.a, p.b) == (0, 1)));
         for (_, p) in out.candidates.iter() {
-            assert!(b.survives(d[p.a].title(), d[p.b].title()));
+            assert!(survives(&cfg(1, 100), titles[p.a], titles[p.b]));
         }
         assert_eq!(out.report.candidates, out.candidates.len());
         assert!(out.report.grams_indexed > 0);
@@ -409,27 +349,25 @@ mod tests {
 
     #[test]
     fn min_shared_tightens() {
-        let d = dataset(&["abcdef", "abczzz", "abcdxx"]);
-        let loose = NGramBlocker { q: 4, min_shared: 1, max_bucket: 100 }.block(&d);
-        let tight = NGramBlocker { q: 4, min_shared: 2, max_bucket: 100 }.block(&d);
+        let titles = ["abcdef", "abczzz", "abcdxx"];
+        let loose = indexed(cfg(1, 100), &titles).block_all();
+        let tight = indexed(cfg(2, 100), &titles).block_all();
         assert!(tight.candidates.len() <= loose.candidates.len());
     }
 
     #[test]
     fn short_titles_hash_whole_string() {
-        let b = NGramBlocker::default();
-        assert!(b.survives("abc", "abc"));
-        assert!(!b.survives("abc", "abd"));
-        assert!(b.gram_set("").is_empty());
+        assert!(survives(&NGramBlockerConfig::default(), "abc", "abc"));
+        assert!(!survives(&NGramBlockerConfig::default(), "abc", "abd"));
+        assert!(gram_vec("", 4).is_empty());
     }
 
     #[test]
     fn bucket_cap_prunes_stop_grams_and_reports_it() {
         // All titles share " the " grams; capping buckets at 2 removes them.
-        let d = dataset(&["alpha the one", "beta the two", "gamma the three", "delta the four"]);
-        let b = NGramBlocker::default();
-        let capped = b.with_max_bucket(2).block(&d);
-        let uncapped = b.with_max_bucket(100).block(&d);
+        let titles = ["alpha the one", "beta the two", "gamma the three", "delta the four"];
+        let capped = indexed(cfg(1, 2), &titles).block_all();
+        let uncapped = indexed(cfg(1, 100), &titles).block_all();
         assert!(capped.candidates.len() <= uncapped.candidates.len());
         assert!(capped.report.grams_skipped > 0, "the cap must be visible in the report");
         assert!(capped.report.comparisons_suppressed > 0);
@@ -439,53 +377,34 @@ mod tests {
 
     #[test]
     fn blocked_pairs_are_sorted_and_unique() {
-        let d = dataset(&["aaaa bbbb", "aaaa cccc", "aaaa dddd"]);
-        let out = NGramBlocker::default().block(&d);
-        let pairs = out.candidates.pairs();
-        for w in pairs.windows(2) {
-            assert!(w[0] < w[1]);
-        }
+        let out = indexed(cfg(1, 64), &["aaaa bbbb", "aaaa cccc", "aaaa dddd"]).block_all();
+        assert!(out.candidates.pairs().windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
     fn incremental_candidates_match_batch_blocking() {
         let titles =
             ["nike lunar force", "nike lunar force black", "adidas superstar", "nike air max"];
-        let blocker = NGramBlocker::default();
-        let batch = blocker.block(&dataset(&titles));
-        let mut index = NGramIndex::new(blocker.config());
-        for t in &titles {
-            index.insert(t);
-        }
+        let index = indexed(NGramBlockerConfig::default(), &titles);
+        let batch = index.block_all();
         // Pair (a, b) is in the batch output iff b is an incremental
         // candidate of a's title (excluding a itself).
         for (a, title) in titles.iter().enumerate() {
             let cands = index.candidates(title);
-            for b in 0..titles.len() {
-                if a == b {
-                    continue;
-                }
+            for b in (0..titles.len()).filter(|&b| b != a) {
                 let pair = PairRef::new(a, b).unwrap();
                 let blocked = batch.candidates.iter().any(|(_, p)| p == pair);
                 assert_eq!(blocked, cands.contains(&b), "pair ({a}, {b})");
             }
         }
-        assert_eq!(index.block_all().candidates, batch.candidates);
     }
 
     #[test]
     fn incremental_is_order_insensitive() {
         let titles = ["nike lunar force", "adidas superstar mesh", "nike air max", "lunar max"];
-        let config = NGramBlockerConfig::default();
-        let mut forward = NGramIndex::new(config);
-        for t in &titles {
-            forward.insert(t);
-        }
+        let forward = indexed(NGramBlockerConfig::default(), &titles);
         let reversed: Vec<&str> = titles.iter().rev().copied().collect();
-        let mut backward = NGramIndex::new(config);
-        for t in &reversed {
-            backward.insert(t);
-        }
+        let backward = indexed(NGramBlockerConfig::default(), &reversed);
         for query in ["nike lunar", "adidas mesh", "completely unrelated zzzz"] {
             let f: HashSet<&str> =
                 forward.candidates(query).into_iter().map(|id| titles[id]).collect();
@@ -497,10 +416,8 @@ mod tests {
 
     #[test]
     fn truncation_is_exact_inverse_of_inserts() {
-        let config = NGramBlockerConfig::default();
-        let mut index = NGramIndex::new(config);
-        index.insert("nike lunar force");
-        index.insert("adidas superstar");
+        let mut index =
+            indexed(NGramBlockerConfig::default(), &["nike lunar force", "adidas superstar"]);
         let watermark = index.clone();
         index.insert("nike air max");
         index.insert("reebok classic");
@@ -509,33 +426,17 @@ mod tests {
     }
 
     #[test]
-    fn gram_vec_agrees_with_gram_set() {
-        for title in ["Nike Lunar Force 1", "ab", "", "ΣΊΣΥΦΟΣ loop", "aaaaaaa"] {
-            let v = gram_vec(title, 4);
-            assert!(v.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
-            let s: HashSet<u64> = v.iter().copied().collect();
-            assert_eq!(s, gram_set(title, 4), "{title:?}");
-        }
-    }
-
-    #[test]
     fn candidates_for_grams_skips_the_cap() {
         // Four titles sharing " the " grams; cap of 2 suppresses them in
         // the capped query but an explicit gram list bypasses the cap.
-        let config = NGramBlockerConfig { q: 4, min_shared: 1, max_bucket: 2 };
-        let mut index = NGramIndex::new(config);
-        for t in ["alpha the one", "beta the two", "gamma the three", "delta the four"] {
-            index.insert(t);
-        }
+        let titles = ["alpha the one", "beta the two", "gamma the three", "delta the four"];
+        let index = indexed(cfg(1, 2), &titles);
         let capped = index.candidates("echo the five");
         let uncapped = index.candidates_for_grams(&gram_vec("echo the five", 4));
         assert!(capped.len() < uncapped.len(), "{capped:?} vs {uncapped:?}");
         assert_eq!(uncapped, vec![0, 1, 2, 3]);
         // With no oversized buckets the two paths agree exactly.
-        let loose = NGramIndex::new(NGramBlockerConfig::default());
-        let mut loose = loose;
-        loose.insert("alpha the one");
-        loose.insert("zzzz qqqq");
+        let loose = indexed(NGramBlockerConfig::default(), &["alpha the one", "zzzz qqqq"]);
         assert_eq!(
             loose.candidates("alpha the one"),
             loose.candidates_for_grams(&gram_vec("alpha the one", 4))
@@ -554,10 +455,8 @@ mod tests {
 
     #[test]
     fn sorted_buckets_roundtrip_through_from_parts() {
-        let mut index = NGramIndex::new(NGramBlockerConfig::default());
-        index.insert("nike lunar force duckboot");
-        index.insert("adidas superstar");
-        index.insert("nike air max");
+        let titles = ["nike lunar force duckboot", "adidas superstar", "nike air max"];
+        let index = indexed(NGramBlockerConfig::default(), &titles);
         let parts: Vec<(u64, Vec<u32>)> =
             index.sorted_buckets().into_iter().map(|(g, ids)| (g, ids.to_vec())).collect();
         let rebuilt = NGramIndex::from_parts(index.config(), index.len(), parts).unwrap();

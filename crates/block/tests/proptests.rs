@@ -4,9 +4,7 @@
 //! agrees with the batch pass, and candidate queries are insensitive to
 //! insertion order.
 
-use flexer_block::{
-    BlockerState, CandidateGenerator, ExhaustivePairs, NGramBlocker, NGramIndex, ShardedBlocker,
-};
+use flexer_block::{block, ngram::survives, BlockerState, NGramIndex, ShardedBlocker};
 use flexer_types::{
     AnnBlockerConfig, CandidateGenConfig, Dataset, NGramBlockerConfig, PairRef, Record, ShardConfig,
 };
@@ -31,14 +29,14 @@ proptest! {
     fn block_emits_exactly_the_surviving_pairs(
         titles in prop::collection::vec(title_strategy(), 2..12),
     ) {
-        let blocker = NGramBlocker { q: 4, min_shared: 1, max_bucket: usize::MAX };
-        let out = blocker.block(&dataset(&titles));
+        let config = NGramBlockerConfig { q: 4, min_shared: 1, max_bucket: usize::MAX };
+        let out = block(&CandidateGenConfig::NGram(config), &dataset(&titles));
         let blocked: HashSet<PairRef> = out.candidates.pairs().iter().copied().collect();
         for a in 0..titles.len() {
             for b in a + 1..titles.len() {
                 let pair = PairRef::new(a, b).unwrap();
                 prop_assert_eq!(
-                    blocker.survives(&titles[a], &titles[b]),
+                    survives(&config, &titles[a], &titles[b]),
                     blocked.contains(&pair),
                     "pair ({}, {}): {:?} vs {:?}", a, b, &titles[a], &titles[b]
                 );
@@ -57,7 +55,7 @@ proptest! {
         max_bucket in 1usize..8,
     ) {
         let config = NGramBlockerConfig { q: 4, min_shared: 1, max_bucket };
-        let batch = NGramBlocker::from_config(config).block(&dataset(&titles));
+        let batch = block(&CandidateGenConfig::NGram(config), &dataset(&titles));
         let blocked: HashSet<PairRef> = batch.candidates.pairs().iter().copied().collect();
         let mut index = NGramIndex::new(config);
         for t in &titles {
@@ -113,8 +111,8 @@ proptest! {
     ) {
         let d = dataset(&titles);
         let all: HashSet<PairRef> =
-            ExhaustivePairs.generate(&d).candidates.pairs().iter().copied().collect();
-        let blocked = NGramBlocker::default().generate(&d);
+            block(&CandidateGenConfig::Exhaustive, &d).candidates.pairs().iter().copied().collect();
+        let blocked = block(&CandidateGenConfig::default(), &d);
         for (_, pair) in blocked.candidates.iter() {
             prop_assert!(all.contains(&pair));
         }

@@ -8,10 +8,7 @@
 use crate::error::CoreError;
 use flexer_matcher::train::PairCorpus;
 use flexer_matcher::MatcherConfig;
-use flexer_types::{
-    BlockingReport, CandidateGenConfig, LabelMatrix, MierBenchmark, Resolution, Split,
-    SplitAssignment, SplitRatios,
-};
+use flexer_types::{MierBenchmark, Split};
 
 /// A validated benchmark plus its featurized pair corpus.
 #[derive(Debug, Clone)]
@@ -31,39 +28,6 @@ impl PipelineContext {
         }
         let corpus = PairCorpus::from_benchmark(&benchmark, config);
         Ok(Self { benchmark, corpus })
-    }
-
-    /// Builds a context whose candidate set comes from a configured
-    /// blocking pass instead of the benchmark's shipped candidates: runs
-    /// the [`CandidateGenConfig`] backend over the benchmark's records,
-    /// relabels the surviving pairs from the benchmark's entity maps
-    /// (ground truth is per-record, so blocked pairs label exactly like
-    /// sampled ones), resplits 3:1:1, and featurizes. Returns the context
-    /// plus the blocker's [`BlockingReport`].
-    pub fn with_generated_candidates(
-        mut benchmark: MierBenchmark,
-        config: &MatcherConfig,
-        candidates: &CandidateGenConfig,
-        seed: u64,
-    ) -> Result<(Self, BlockingReport), CoreError> {
-        benchmark.validate().map_err(CoreError::InvalidBenchmark)?;
-        let outcome = flexer_block::generator_for(candidates).generate(&benchmark.dataset);
-        let columns = benchmark
-            .entity_maps
-            .iter()
-            .map(|theta| Resolution::golden(&outcome.candidates, theta).map(|r| r.mask().to_vec()))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(CoreError::InvalidBenchmark)?;
-        benchmark.labels =
-            LabelMatrix::from_columns(&columns).map_err(CoreError::InvalidBenchmark)?;
-        benchmark.splits = SplitAssignment::random(
-            outcome.candidates.len(),
-            SplitRatios::PAPER,
-            seed ^ 0x0042_4c4b,
-        )
-        .map_err(CoreError::InvalidBenchmark)?;
-        benchmark.candidates = outcome.candidates;
-        Ok((Self::new(benchmark, config)?, outcome.report))
     }
 
     /// Train pair indices.
@@ -108,33 +72,6 @@ mod tests {
         assert_eq!(ctx.corpus.len(), n);
         assert_eq!(ctx.equivalence_id().unwrap(), 0);
         assert_eq!(ctx.n_intents(), 5);
-    }
-
-    #[test]
-    fn generated_candidates_relabel_and_split() {
-        let bench = AmazonMiConfig::at_scale(Scale::Tiny).with_seed(3).generate();
-        let n_records = bench.dataset.len();
-        let (ctx, report) = PipelineContext::with_generated_candidates(
-            bench,
-            &MatcherConfig::fast(),
-            &CandidateGenConfig::default(),
-            3,
-        )
-        .unwrap();
-        ctx.benchmark.validate().unwrap();
-        assert_eq!(ctx.benchmark.n_pairs(), report.candidates);
-        assert!(report.candidates > 0, "a real corpus must block to something");
-        assert!(report.retention(n_records) <= 1.0);
-        assert_eq!(ctx.corpus.len(), ctx.benchmark.n_pairs());
-        // Labels agree with ground truth on every surviving pair.
-        for (i, pair) in ctx.benchmark.candidates.iter() {
-            for (p, theta) in ctx.benchmark.entity_maps.iter().enumerate() {
-                assert_eq!(
-                    ctx.benchmark.labels.get(i, p),
-                    theta.corresponds(pair.a, pair.b).unwrap()
-                );
-            }
-        }
     }
 
     #[test]

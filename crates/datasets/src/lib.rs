@@ -2,8 +2,9 @@
 //!
 //! Calibrated synthetic MIER benchmarks reproducing the evaluation setting
 //! of the FlexER paper (§5.1). Candidate sets come from a calibrated
-//! sampler or, through [`blocked_benchmark`], from any `flexer-block`
-//! backend, such as the paper's 4-gram overlap blocker.
+//! sampler or, through [`blocked_benchmark`], from one batch blocking pass
+//! (`flexer_block::block`) with the backend a `CandidateGenConfig` names,
+//! such as the paper's 4-gram overlap blocker.
 //!
 //! The paper's three benchmarks (AmazonMI, Walmart-Amazon, WDC) are crawled
 //! corpora that cannot be redistributed here; instead, each generator

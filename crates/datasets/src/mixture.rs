@@ -10,10 +10,10 @@
 
 use crate::catalog::Catalog;
 use crate::intents::IntentDef;
-use flexer_block::{CandidateGenerator, NGramBlocker};
+use flexer_block::ngram::survives;
 use flexer_types::{
-    CandidateSet, IntentSet, LabelMatrix, MierBenchmark, PairRef, Resolution, SplitAssignment,
-    SplitRatios,
+    BlockingReport, CandidateGenConfig, CandidateSet, IntentSet, LabelMatrix, MierBenchmark,
+    NGramBlockerConfig, PairRef, Resolution, SplitAssignment, SplitRatios,
 };
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -87,7 +87,7 @@ pub fn sample_candidate_pairs(
 ) -> SampledPairs {
     let total_weight: f64 = mixture.iter().map(|c| c.weight).sum();
     assert!(total_weight > 0.0, "mixture weights must be positive");
-    let blocker = NGramBlocker::default();
+    let blocker = NGramBlockerConfig::default();
 
     let mut seen: HashSet<(usize, usize)> = HashSet::with_capacity(n_pairs);
     let mut pairs: Vec<PairRef> = Vec::with_capacity(n_pairs);
@@ -152,7 +152,7 @@ fn brand_ok(constraint: BrandConstraint, a: &str, b: &str) -> bool {
 fn sample_one(
     catalog: &Catalog,
     class: PairClass,
-    blocker: &NGramBlocker,
+    blocker: &NGramBlockerConfig,
     rng: &mut impl Rng,
 ) -> Option<PairRef> {
     let n = catalog.n_products();
@@ -208,7 +208,7 @@ fn sample_one(
         let mut chosen = None;
         for _ in 0..BLOCKING_TRIES {
             let cand = catalog.random_record_of(pb, rng);
-            if blocker.survives(&title_a, catalog.dataset[cand].title()) {
+            if survives(blocker, &title_a, catalog.dataset[cand].title()) {
                 chosen = Some(cand);
                 break;
             }
@@ -224,18 +224,18 @@ fn sample_one(
 }
 
 /// Generates a benchmark whose candidate set comes from a real blocking
-/// pass instead of the calibrated sampler: runs any [`CandidateGenerator`]
-/// backend over the catalogue's records, labels the surviving pairs from
-/// ground truth, and assembles the bundle. Returns the benchmark together
-/// with the blocker's [`BlockingReport`](flexer_types::BlockingReport).
+/// pass instead of the calibrated sampler: blocks the catalogue's records
+/// with the backend `blocker` names ([`flexer_block::block`]), labels the
+/// surviving pairs from ground truth, and assembles the bundle. Returns the
+/// benchmark together with the blocker's [`BlockingReport`].
 pub fn blocked_benchmark(
     name: &str,
     catalog: &Catalog,
     intents: &[(IntentDef, &str)],
-    generator: &dyn CandidateGenerator,
+    blocker: &CandidateGenConfig,
     seed: u64,
-) -> (MierBenchmark, flexer_types::BlockingReport) {
-    let outcome = generator.generate(&catalog.dataset);
+) -> (MierBenchmark, BlockingReport) {
+    let outcome = flexer_block::block(blocker, &catalog.dataset);
     (assemble_benchmark(name, catalog, intents, outcome.candidates, seed), outcome.report)
 }
 
@@ -425,7 +425,7 @@ mod tests {
             "blocked",
             &c,
             &[(IntentDef::Equivalence, "Eq."), (IntentDef::SameBrand, "Brand")],
-            &NGramBlocker::default(),
+            &CandidateGenConfig::default(),
             13,
         );
         b.validate().unwrap();

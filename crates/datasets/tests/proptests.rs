@@ -2,13 +2,13 @@
 //! perturbation safety, Walmart-Amazon generator invariants, and the
 //! category-set ⇔ family equivalence that underpins the Set-Cat. intent.
 
-use flexer_block::NGramBlocker;
+use flexer_block::{block, ngram::survives};
 use flexer_datasets::catalog::{Catalog, CatalogConfig, RecordCountDist};
 use flexer_datasets::intents::IntentDef;
 use flexer_datasets::perturb::{perturb_title, NoiseConfig, Perturbation};
 use flexer_datasets::taxonomy::{amazonmi_spec, jaccard, Taxonomy, TaxonomyConfig};
 use flexer_datasets::WalmartAmazonConfig;
-use flexer_types::{Dataset, Record, Scale};
+use flexer_types::{CandidateGenConfig, Dataset, NGramBlockerConfig, Record, Scale};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,10 +27,10 @@ proptest! {
         let dataset = Dataset::from_records(
             titles.iter().map(|t| Record::with_title(0, t.clone())).collect(),
         );
-        let blocker = NGramBlocker::default().with_max_bucket(1_000);
-        let candidates = blocker.block(&dataset).candidates;
+        let config = NGramBlockerConfig { max_bucket: 1_000, ..Default::default() };
+        let candidates = block(&CandidateGenConfig::NGram(config), &dataset).candidates;
         for (_, pair) in candidates.iter() {
-            prop_assert!(blocker.survives(dataset[pair.a].title(), dataset[pair.b].title()));
+            prop_assert!(survives(&config, dataset[pair.a].title(), dataset[pair.b].title()));
         }
     }
 
@@ -43,7 +43,8 @@ proptest! {
             Record::with_title(0, title.clone()),
             Record::with_title(0, title),
         ]);
-        let candidates = NGramBlocker::default().with_max_bucket(1_000).block(&dataset).candidates;
+        let config = NGramBlockerConfig { max_bucket: 1_000, ..Default::default() };
+        let candidates = block(&CandidateGenConfig::NGram(config), &dataset).candidates;
         prop_assert_eq!(candidates.len(), 1);
     }
 

@@ -22,12 +22,6 @@ impl TextTable {
         self
     }
 
-    /// Appends a row of string slices.
-    pub fn row_strs(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// Number of data rows.
     pub fn n_rows(&self) -> usize {
         self.rows.len()
@@ -89,8 +83,8 @@ mod tests {
     #[test]
     fn renders_aligned() {
         let mut t = TextTable::new(&["Model", "F1"]);
-        t.row_strs(&["FlexER", ".958"]);
-        t.row_strs(&["In-parallel", ".901"]);
+        t.row(&["FlexER".into(), ".958".into()]);
+        t.row(&["In-parallel".into(), ".901".into()]);
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -105,7 +99,7 @@ mod tests {
     #[test]
     fn rows_padded_to_header() {
         let mut t = TextTable::new(&["a", "b", "c"]);
-        t.row_strs(&["only-one"]);
+        t.row(&["only-one".into()]);
         assert_eq!(t.n_rows(), 1);
         assert!(t.render().contains("only-one"));
     }

@@ -53,12 +53,6 @@ impl MatcherConfig {
         self
     }
 
-    /// Sets the embedding width.
-    pub fn with_embedding_dim(mut self, dim: usize) -> Self {
-        self.embedding_dim = dim;
-        self
-    }
-
     /// The fit's optimizer: Adam with this learning rate, no weight decay.
     pub(crate) fn adam(&self) -> AdamConfig {
         AdamConfig { lr: self.learning_rate, ..Default::default() }
@@ -91,9 +85,8 @@ mod tests {
 
     #[test]
     fn builders() {
-        let c = MatcherConfig::fast().with_seed(9).with_embedding_dim(24);
+        let c = MatcherConfig::fast().with_seed(9);
         assert_eq!(c.seed, 9);
-        assert_eq!(c.embedding_dim, 24);
         assert!(c.epochs < MatcherConfig::default().epochs);
     }
 }

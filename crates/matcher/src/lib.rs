@@ -5,7 +5,8 @@
 //! pre-trained transformer, and reads a `[cls]` vector for classification.
 //! This crate reproduces the same *interface* with a from-scratch stack:
 //!
-//! * DITTO-style serialization (`[CLS] [COL] title [VAL] … [SEP] …`),
+//! * the pair's two titles tokenized side by side (the featurizer never
+//!   builds DITTO's serialized `[CLS] … [SEP] …` string),
 //! * hashed n-gram + cross-token features standing in for pre-trained
 //!   contextual representations (cross features play the role of
 //!   cross-attention between the two records),
@@ -28,7 +29,6 @@ pub mod config;
 pub mod features;
 pub mod matcher;
 pub mod multilabel;
-pub mod serialize;
 pub mod summarize;
 pub mod tokenize;
 pub mod train;

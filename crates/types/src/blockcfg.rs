@@ -9,7 +9,6 @@
 /// Configuration of the character q-gram inverted-index blocker (the
 /// paper's §5.1 candidate generation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NGramBlockerConfig {
     /// Gram length (the paper uses 4).
     pub q: usize,
@@ -30,7 +29,6 @@ impl Default for NGramBlockerConfig {
 /// into `dim`-dimensional gram-count vectors and each record is paired with
 /// its `k` nearest neighbours under L2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AnnBlockerConfig {
     /// Gram length feeding the hashed embedding.
     pub q: usize,
@@ -48,7 +46,6 @@ impl Default for AnnBlockerConfig {
 
 /// Which backend generates candidate pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CandidateGenConfig {
     /// Every record pair is a candidate (quadratic; parity baseline only).
     Exhaustive,
@@ -79,7 +76,6 @@ impl CandidateGenConfig {
 /// `max_bucket` used to be skipped with no signal; the report makes that
 /// suppression explicit so benchmarks and operators can see it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockingReport {
     /// Distinct grams in the inverted index (ANN blockers report 0).
     pub grams_indexed: usize,

@@ -14,7 +14,6 @@ pub type EntityId = u64;
 
 /// A total mapping `θ : D → E` for a dataset of `n` records.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EntityMap {
     assignments: Vec<EntityId>,
 }
@@ -45,15 +44,6 @@ impl EntityMap {
         self.assignments.is_empty()
     }
 
-    /// Number of distinct entities actually referenced (`|E|` restricted to
-    /// the image of θ). The paper requires `m ≤ n`; this is that `m`.
-    pub fn distinct_entities(&self) -> usize {
-        let mut ids: Vec<EntityId> = self.assignments.clone();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len()
-    }
-
     /// Validates that the map covers a dataset of `n_records` records.
     pub fn validate_for(&self, n_records: usize) -> Result<(), TypesError> {
         if self.assignments.len() == n_records {
@@ -81,19 +71,6 @@ mod tests {
         let theta = EntityMap::new(vec![1, 1, 2]);
         assert!(theta.corresponds(0, 1).unwrap());
         assert!(!theta.corresponds(0, 2).unwrap());
-    }
-
-    #[test]
-    fn entity_count_dedups() {
-        let theta = EntityMap::new(vec![5, 5, 9, 9, 9]);
-        assert_eq!(theta.distinct_entities(), 2);
-        assert_eq!(theta.len(), 5);
-    }
-
-    #[test]
-    fn m_at_most_n() {
-        let theta = EntityMap::new(vec![0, 1, 2, 2]);
-        assert!(theta.distinct_entities() <= theta.len());
     }
 
     #[test]

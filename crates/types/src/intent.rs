@@ -10,7 +10,6 @@ pub type IntentId = usize;
 
 /// A named resolution intent.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Intent {
     /// Index of the intent in its set.
     pub id: IntentId,
@@ -35,7 +34,6 @@ impl Intent {
 
 /// An ordered set of intents `Π = {π1, …, πP}`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IntentSet {
     intents: Vec<Intent>,
 }
@@ -72,11 +70,6 @@ impl IntentSet {
     /// The id of the equivalence intent, if the set declares one.
     pub fn equivalence_id(&self) -> Option<IntentId> {
         self.intents.iter().find(|i| i.is_equivalence).map(|i| i.id)
-    }
-
-    /// Finds an intent id by its reporting name.
-    pub fn id_by_name(&self, name: &str) -> Option<IntentId> {
-        self.intents.iter().find(|i| i.name == name).map(|i| i.id)
     }
 
     /// Names of all intents in id order.
@@ -123,8 +116,6 @@ mod tests {
     #[test]
     fn name_lookup() {
         let s = sample();
-        assert_eq!(s.id_by_name("Brand"), Some(1));
-        assert_eq!(s.id_by_name("nope"), None);
         assert_eq!(s.names(), vec!["Eq.", "Brand", "Main-Cat."]);
     }
 

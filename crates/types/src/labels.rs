@@ -9,7 +9,6 @@ use crate::intent::IntentId;
 
 /// Dense `|C| × P` binary matrix stored row-major (pair-major).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LabelMatrix {
     n_pairs: usize,
     n_intents: usize,
@@ -117,17 +116,6 @@ impl LabelMatrix {
         }
         out
     }
-
-    /// Restricts the matrix to a subset of intents, preserving given order.
-    pub fn select_intents(&self, intents: &[IntentId]) -> Self {
-        let mut out = Self::zeros(self.n_pairs, intents.len());
-        for i in 0..self.n_pairs {
-            for (new_p, &old_p) in intents.iter().enumerate() {
-                out.set(i, new_p, self.get(i, old_p));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -178,15 +166,6 @@ mod tests {
         assert_eq!(s.n_pairs(), 2);
         assert_eq!(s.row(0), m.row(2));
         assert_eq!(s.row(1), m.row(0));
-    }
-
-    #[test]
-    fn select_intents_reorders() {
-        let m = sample();
-        let s = m.select_intents(&[1, 0]);
-        assert_eq!(s.n_intents(), 2);
-        assert_eq!(s.column(0), m.column(1));
-        assert_eq!(s.column(1), m.column(0));
     }
 
     #[test]

@@ -5,7 +5,6 @@ use crate::record::RecordId;
 
 /// A candidate record pair `(r_i, r_j)` with `i < j` by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PairRef {
     /// First record id (the smaller one).
     pub a: RecordId,
@@ -26,7 +25,6 @@ impl PairRef {
 /// The ordered candidate set `C` over which matchers operate. Pair indices
 /// into this set are the node identities of the multiplex intents graph.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CandidateSet {
     pairs: Vec<PairRef>,
 }

@@ -74,11 +74,6 @@ impl ResolveResponse {
     pub fn top(&self) -> Option<&RankedMatch> {
         self.matches.first()
     }
-
-    /// Targets of the positive (matched) candidates, in rank order.
-    pub fn matched_targets(&self) -> Vec<MatchTarget> {
-        self.matches.iter().filter(|m| m.matched).map(|m| m.target).collect()
-    }
 }
 
 #[cfg(test)]
@@ -101,13 +96,11 @@ mod tests {
             ],
         };
         assert_eq!(r.top().unwrap().score, 0.9);
-        assert_eq!(r.matched_targets(), vec![MatchTarget::Record(3)]);
     }
 
     #[test]
     fn empty_response() {
         let r = ResolveResponse { intent: 0, matches: vec![] };
         assert!(r.top().is_none());
-        assert!(r.matched_targets().is_empty());
     }
 }

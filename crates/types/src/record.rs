@@ -13,7 +13,6 @@ pub type RecordId = usize;
 
 /// A named attribute value, e.g. `("brand", "Nike")`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Attribute {
     /// Attribute name.
     pub name: String,
@@ -30,7 +29,6 @@ impl Attribute {
 
 /// A single data record `r = ⟨r.a1, …, r.ak⟩`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Record {
     /// Position of the record in its dataset.
     pub id: RecordId,
@@ -74,7 +72,6 @@ impl Record {
 
 /// A dataset `D = {r1, …, rn}`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dataset {
     records: Vec<Record>,
 }

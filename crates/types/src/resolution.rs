@@ -8,7 +8,6 @@ use crate::pair::CandidateSet;
 /// representing the same entity. Stored as a membership mask aligned with a
 /// [`CandidateSet`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Resolution {
     members: Vec<bool>,
 }

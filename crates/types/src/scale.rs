@@ -7,7 +7,6 @@
 
 /// Workload size preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Scale {
     /// Unit-test sized (hundreds of pairs).
     Tiny,

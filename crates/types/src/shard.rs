@@ -10,7 +10,6 @@
 
 /// How many shards the corpus (and its blocker state) is partitioned into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ShardConfig {
     /// Number of shards (≥ 1). One shard is the unsharded identity layout.
     pub n_shards: usize,

@@ -10,7 +10,6 @@ use rand::SeedableRng;
 
 /// Which subset a candidate pair belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Split {
     /// Training subset (matcher fine-tuning and GNN loss).
     Train,
@@ -36,7 +35,6 @@ impl Split {
 
 /// Integer split ratios, e.g. the paper's `3:1:1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SplitRatios {
     /// Training share.
     pub train: u32,
@@ -63,7 +61,6 @@ impl Default for SplitRatios {
 
 /// Per-pair split assignment aligned with a candidate set.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SplitAssignment {
     assignment: Vec<Split>,
 }

@@ -12,7 +12,6 @@
 //! ```
 
 use flexer::prelude::*;
-use flexer_block::{CandidateGenerator, NGramBlocker};
 use flexer_core::{clean_view, evaluate_on_split, InParallelModel, PipelineContext};
 use flexer_datasets::catalog::{Catalog, CatalogConfig, RecordCountDist};
 use flexer_datasets::intents::IntentDef;
@@ -20,6 +19,7 @@ use flexer_datasets::mixture::blocked_benchmark;
 use flexer_datasets::perturb::NoiseConfig;
 use flexer_datasets::taxonomy::{amazonmi_spec, Taxonomy, TaxonomyConfig};
 use flexer_matcher::MatcherConfig;
+use flexer_types::NGramBlockerConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,11 +37,12 @@ fn main() {
     );
     println!("catalogue: {} products, {} records", catalog.n_products(), catalog.n_records());
 
-    // --- Phase 1: blocking (the 4-gram overlap blocker of §5.1), through
-    // the candidate-generation tier's `CandidateGenerator` trait — any
-    // backend (q-gram, ANN, exhaustive) plugs in here. ---
-    let blocker = NGramBlocker { q: 4, min_shared: 2, max_bucket: 96 };
-    println!("blocking with the `{}` backend...", CandidateGenerator::name(&blocker));
+    // --- Phase 1: blocking (the 4-gram overlap blocker of §5.1), named by
+    // a `CandidateGenConfig` — any backend (q-gram, ANN, exhaustive) plugs
+    // in here. ---
+    let blocker =
+        CandidateGenConfig::NGram(NGramBlockerConfig { q: 4, min_shared: 2, max_bucket: 96 });
+    println!("blocking with the `{}` backend...", blocker.name());
 
     // --- Label the blocked pairs for three intents and split. ---
     let (bench, report) = blocked_benchmark(

@@ -15,12 +15,12 @@
 //! cargo test --release --test blocking_recall -- --ignored --nocapture
 //! ```
 
-use flexer::block::{golden_pair_recall, AnnBlocker, CandidateGenerator, NGramBlocker};
+use flexer::block::{block, golden_pair_recall};
 use flexer::datasets::catalog::{Catalog, CatalogConfig, RecordCountDist};
 use flexer::datasets::intents::IntentDef;
 use flexer::datasets::perturb::NoiseConfig;
 use flexer::datasets::taxonomy::{amazonmi_spec, Taxonomy, TaxonomyConfig};
-use flexer::types::{AnnBlockerConfig, Scale};
+use flexer::types::{AnnBlockerConfig, CandidateGenConfig, Scale};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -38,11 +38,11 @@ fn catalogue(n_records: usize) -> Catalog {
     )
 }
 
-/// One batch `generate` over the catalogue: candidate partners per record
+/// One batch `block` over the catalogue: candidate partners per record
 /// (2 · pairs ÷ records), golden-pair recall under Eq., and build seconds.
-fn measure(blocker: &dyn CandidateGenerator, catalog: &Catalog) -> (f64, f64, f64) {
+fn measure(blocker: &CandidateGenConfig, catalog: &Catalog) -> (f64, f64, f64) {
     let start = std::time::Instant::now();
-    let outcome = blocker.generate(&catalog.dataset);
+    let outcome = block(blocker, &catalog.dataset);
     let seconds = start.elapsed().as_secs_f64();
     let (recalled, total) =
         golden_pair_recall(&outcome.candidates, &IntentDef::Equivalence.entity_map(catalog));
@@ -54,14 +54,14 @@ fn measure(blocker: &dyn CandidateGenerator, catalog: &Catalog) -> (f64, f64, f6
     )
 }
 
-fn ann(dim: usize, k: usize) -> AnnBlocker {
-    AnnBlocker::new(AnnBlockerConfig { q: 3, dim, k })
+fn ann(dim: usize, k: usize) -> CandidateGenConfig {
+    CandidateGenConfig::Ann(AnnBlockerConfig { q: 3, dim, k })
 }
 
 #[test]
 fn ann_blocker_reaches_the_qgram_defaults_recall_with_fewer_candidates() {
     let catalog = catalogue(4_000);
-    let (qgram_candidates, qgram_recall, _) = measure(&NGramBlocker::default(), &catalog);
+    let (qgram_candidates, qgram_recall, _) = measure(&CandidateGenConfig::default(), &catalog);
     let (ann_candidates, ann_recall, _) = measure(&ann(64, 32), &catalog);
     assert!(
         ann_recall >= qgram_recall && ann_candidates < qgram_candidates,
@@ -79,14 +79,14 @@ fn blocker_frontier_table() {
     println!("|---|---|---|---|---|");
     for n_records in [750, 4_000, 10_000] {
         let catalog = catalogue(n_records);
-        let row = |name: &str, blocker: &dyn CandidateGenerator| {
+        let row = |name: &str, blocker: &CandidateGenConfig| {
             let (candidates, recall, seconds) = measure(blocker, &catalog);
             println!(
                 "| {} | {name} | {candidates:.0} | {recall:.3} | {seconds:.2} |",
                 catalog.n_records()
             );
         };
-        row("q-gram (default)", &NGramBlocker::default());
+        row("q-gram (default)", &CandidateGenConfig::default());
         for dim in [64, 256] {
             for k in [8, 32, 65, 130] {
                 row(&format!("ANN dim {dim}, k = {k}"), &ann(dim, k));
