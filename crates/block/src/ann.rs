@@ -128,29 +128,6 @@ impl AnnRecordIndex {
             FlatIndex::from_rows(self.config.dim, &self.index.data()[..n * self.config.dim]);
         Self { config: self.config, index }
     }
-
-    /// The raw `n × dim` embedding buffer (serialization).
-    pub fn data(&self) -> &[f32] {
-        self.index.data()
-    }
-
-    /// Reassembles an index from serialized parts.
-    pub fn from_parts(config: AnnBlockerConfig, data: Vec<f32>) -> Result<Self, String> {
-        if config.q == 0 || config.dim == 0 || config.k == 0 {
-            return Err("q, dim and k must be positive".into());
-        }
-        if data.len() % config.dim != 0 {
-            return Err(format!(
-                "embedding buffer of {} floats is not a multiple of dim {}",
-                data.len(),
-                config.dim
-            ));
-        }
-        if data.iter().any(|x| !x.is_finite()) {
-            return Err("embedding buffer contains non-finite values".into());
-        }
-        Ok(Self { config, index: FlatIndex::from_rows(config.dim, &data) })
-    }
 }
 
 impl PartialEq for AnnRecordIndex {
@@ -208,15 +185,6 @@ mod tests {
         let watermark = index.clone();
         index.insert("eee fff");
         assert_eq!(index.truncated(2), watermark);
-    }
-
-    #[test]
-    fn from_parts_validates_and_roundtrips() {
-        let index = index(&["nike lunar", "adidas star"]);
-        let rebuilt = AnnRecordIndex::from_parts(index.config(), index.data().to_vec()).unwrap();
-        assert_eq!(rebuilt, index);
-        assert!(AnnRecordIndex::from_parts(config(), vec![0.0; 33]).is_err());
-        assert!(AnnRecordIndex::from_parts(config(), vec![f32::NAN; 32]).is_err());
     }
 
     #[test]

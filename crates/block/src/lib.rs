@@ -37,7 +37,7 @@ pub mod shard;
 
 pub use ann::AnnRecordIndex;
 pub use ngram::NGramIndex;
-pub use shard::{local_answer, GlobalBlocking, ShardedBlocker};
+pub use shard::{build_shard, local_answer, GlobalBlocking, ShardedBlocker};
 
 use flexer_types::{
     BlockingReport, CandidateGenConfig, CandidateSet, Dataset, EntityMap, PairRef, RecordId,
@@ -205,16 +205,14 @@ impl BlockerState {
     /// global stop-gram counts ([`GlobalBlocking::new`]).
     pub fn bucket_sizes(&self) -> Vec<(u64, u32)> {
         match self {
-            BlockerState::NGram(ix) => {
-                ix.sorted_buckets().into_iter().map(|(g, ids)| (g, ids.len() as u32)).collect()
-            }
+            BlockerState::NGram(ix) => ix.bucket_sizes(),
             _ => Vec::new(),
         }
     }
 
-    /// The candidate-generation config this state runs — the inverse of
-    /// [`BlockerState::build`], so a state can be re-partitioned (or
-    /// re-built) without out-of-band configuration.
+    /// The candidate-generation config this state runs — all a snapshot
+    /// stores of it: [`BlockerState::build`] over the corpus titles is the
+    /// rest.
     pub fn gen_config(&self) -> CandidateGenConfig {
         match self {
             BlockerState::Exhaustive => CandidateGenConfig::Exhaustive,
@@ -229,13 +227,13 @@ mod tests {
     use super::*;
     use flexer_types::{AnnBlockerConfig, NGramBlockerConfig, Record};
 
-    fn dataset(titles: &[&str]) -> Dataset {
+    fn corpus(titles: &[&str]) -> Dataset {
         Dataset::from_records(titles.iter().map(|t| Record::with_title(0, *t)).collect())
     }
 
     #[test]
     fn exhaustive_emits_every_pair() {
-        let d = dataset(&["a", "b", "c", "d"]);
+        let d = corpus(&["a", "b", "c", "d"]);
         let out = block(&CandidateGenConfig::Exhaustive, &d);
         assert_eq!(out.candidates.len(), 6);
         assert_eq!(out.report.candidates, 6);
@@ -291,7 +289,7 @@ mod tests {
     fn batch_blocking_output_is_pinned() {
         let titles = pinned_titles();
         let titles: Vec<&str> = titles.iter().map(String::as_str).collect();
-        let d = dataset(&titles);
+        let d = corpus(&titles);
         let ngram = |min_shared, max_bucket| NGramBlockerConfig { q: 4, min_shared, max_bucket };
         let pins = [
             (CandidateGenConfig::Exhaustive, 0xc084_a602_ff88_9425, [0, 0, 28_680, 0, 28_680]),

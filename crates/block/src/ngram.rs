@@ -40,9 +40,8 @@ thread_local! {
 /// Incremental q-gram inverted index: the serving tier's resident blocker.
 ///
 /// Record ids are assigned sequentially by [`NGramIndex::insert`], so
-/// bucket id lists are ascending by construction — which makes the
-/// serialized form canonical (buckets sorted by gram hash, ids sorted
-/// within) and truncation back to a watermark exact.
+/// bucket id lists are ascending by construction — which makes
+/// truncation back to a watermark exact.
 ///
 /// Candidate queries are order-insensitive-deterministic: the candidate
 /// *record set* for a title depends only on the set of records indexed,
@@ -200,41 +199,14 @@ impl NGramIndex {
         Self { config: self.config, buckets, n_records: n_records.min(self.n_records) }
     }
 
-    /// Buckets sorted by gram hash (canonical order, for serialization).
-    pub fn sorted_buckets(&self) -> Vec<(u64, &[u32])> {
-        let mut out: Vec<(u64, &[u32])> =
-            self.buckets.iter().map(|(&g, ids)| (g, ids.as_slice())).collect();
+    /// `(gram, bucket size)` of every bucket, ascending by gram — this
+    /// index's contribution to the global stop-gram counts
+    /// ([`crate::GlobalBlocking::new`]).
+    pub fn bucket_sizes(&self) -> Vec<(u64, u32)> {
+        let mut out: Vec<(u64, u32)> =
+            self.buckets.iter().map(|(&g, ids)| (g, ids.len() as u32)).collect();
         out.sort_unstable_by_key(|&(g, _)| g);
         out
-    }
-
-    /// Reassembles an index from serialized parts, validating structure.
-    pub fn from_parts(
-        config: NGramBlockerConfig,
-        n_records: usize,
-        buckets: Vec<(u64, Vec<u32>)>,
-    ) -> Result<Self, String> {
-        if config.q == 0 || config.min_shared == 0 {
-            return Err("q and min_shared must be positive".into());
-        }
-        let mut map = HashMap::with_capacity(buckets.len());
-        for (g, ids) in buckets {
-            if ids.is_empty() {
-                return Err(format!("gram {g:#x} has an empty bucket"));
-            }
-            if !ids.windows(2).all(|w| w[0] < w[1]) {
-                return Err(format!("gram {g:#x} bucket ids are not strictly ascending"));
-            }
-            if let Some(&last) = ids.last() {
-                if last as usize >= n_records {
-                    return Err(format!("gram {g:#x} references record {last} out of range"));
-                }
-            }
-            if map.insert(g, ids).is_some() {
-                return Err(format!("gram {g:#x} appears twice"));
-            }
-        }
-        Ok(Self { config, buckets: map, n_records })
     }
 }
 
@@ -441,25 +413,5 @@ mod tests {
             loose.candidates("alpha the one"),
             loose.candidates_for_grams(&gram_vec("alpha the one", 4))
         );
-    }
-
-    #[test]
-    fn from_parts_validates() {
-        let config = NGramBlockerConfig::default();
-        assert!(NGramIndex::from_parts(config, 2, vec![(7, vec![0, 1])]).is_ok());
-        assert!(NGramIndex::from_parts(config, 2, vec![(7, vec![])]).is_err());
-        assert!(NGramIndex::from_parts(config, 2, vec![(7, vec![1, 0])]).is_err());
-        assert!(NGramIndex::from_parts(config, 2, vec![(7, vec![0, 2])]).is_err());
-        assert!(NGramIndex::from_parts(config, 2, vec![(7, vec![0]), (7, vec![1])]).is_err());
-    }
-
-    #[test]
-    fn sorted_buckets_roundtrip_through_from_parts() {
-        let titles = ["nike lunar force duckboot", "adidas superstar", "nike air max"];
-        let index = indexed(NGramBlockerConfig::default(), &titles);
-        let parts: Vec<(u64, Vec<u32>)> =
-            index.sorted_buckets().into_iter().map(|(g, ids)| (g, ids.to_vec())).collect();
-        let rebuilt = NGramIndex::from_parts(index.config(), index.len(), parts).unwrap();
-        assert_eq!(rebuilt, index);
     }
 }

@@ -17,7 +17,7 @@
 //!   test would keep grams the monolithic blocker skips; the sharded
 //!   blocker therefore maintains global gram counts and pre-filters the
 //!   query's grams against them before fanning out
-//!   ([`NGramIndex::candidates_for_grams`] applies no local cap).
+//!   ([`crate::NGramIndex::candidates_for_grams`] applies no local cap).
 //! * **ANN**: every global top-k record is also in its own shard's top-k,
 //!   so merging all shards' hits by `(distance, global id)` and truncating
 //!   to `k` reproduces the monolithic `(distance, insertion-id)` ordering
@@ -30,7 +30,7 @@
 //! a pure scale-out move: same answers, shard-local work.
 
 use crate::ngram::gram_vec;
-use crate::{AnnRecordIndex, BlockerState, NGramIndex};
+use crate::BlockerState;
 use flexer_types::{
     CandidateGenConfig, RecordId, ShardConfig, ShardRouter, WireCandidates, WireQuery,
 };
@@ -193,6 +193,28 @@ pub fn local_answer(
     }
 }
 
+/// Shard `shard` of [`ShardedBlocker::build`] alone — its global-id member
+/// list and its blocker state — built by routing every title and indexing
+/// only the ones it owns. A shard server boots from this; it equals
+/// `(members()[shard], shards()[shard])` of the full build (tested).
+pub fn build_shard<'a>(
+    gen: &CandidateGenConfig,
+    config: ShardConfig,
+    titles: impl IntoIterator<Item = &'a str>,
+    shard: usize,
+) -> (Vec<u32>, BlockerState) {
+    let router = ShardRouter::new(config);
+    let mut members = Vec::new();
+    let mut state = BlockerState::build(gen, []);
+    for (global, title) in titles.into_iter().enumerate() {
+        if router.route(title) == shard {
+            state.insert(title);
+            members.push(global as u32);
+        }
+    }
+    (members, state)
+}
+
 /// Whole nanoseconds since `t0` (saturating into `u64`).
 fn elapsed_ns(t0: std::time::Instant) -> u64 {
     t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
@@ -201,8 +223,7 @@ fn elapsed_ns(t0: std::time::Instant) -> u64 {
 /// An incremental blocker partitioned across N shards (see module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedBlocker {
-    /// Derived state, never serialized: `from_parts` and `truncated`
-    /// rebuild it from the shards.
+    /// The stop-gram counts and the router the shards are placed by.
     global: GlobalBlocking,
     /// Shard-local blocker state; local record ids are per-shard sequential.
     shards: Vec<BlockerState>,
@@ -210,18 +231,10 @@ pub struct ShardedBlocker {
     members: Vec<Vec<u32>>,
 }
 
-/// Every shard's `(gram, bucket size)` pairs — what [`GlobalBlocking::new`]
-/// sums into the global gram counts.
-fn bucket_sizes(shards: &[BlockerState]) -> impl Iterator<Item = (u64, u32)> + '_ {
-    shards.iter().flat_map(BlockerState::bucket_sizes)
-}
-
 impl ShardedBlocker {
     /// Empty sharded blocker for a candidate-generation backend.
     pub fn new(gen: &CandidateGenConfig, config: ShardConfig) -> Self {
-        let shards = (0..config.n_shards)
-            .map(|_| BlockerState::build(gen, std::iter::empty::<&str>()))
-            .collect();
+        let shards = (0..config.n_shards).map(|_| BlockerState::build(gen, [])).collect();
         Self {
             global: GlobalBlocking::new(gen, config, [], 0),
             shards,
@@ -311,120 +324,6 @@ impl ShardedBlocker {
         })
     }
 
-    /// A copy truncated back to the first `n_records` global records — the
-    /// exact inverse of the inserts past that watermark, shard by shard.
-    pub fn truncated(&self, n_records: usize) -> Self {
-        let n = n_records.min(self.len());
-        let limit = n as u32;
-        let members: Vec<Vec<u32>> =
-            self.members.iter().map(|m| m[..m.partition_point(|&g| g < limit)].to_vec()).collect();
-        let shards: Vec<BlockerState> =
-            self.shards.iter().zip(&members).map(|(s, m)| s.truncated(m.len())).collect();
-        let global =
-            GlobalBlocking::new(&self.gen_config(), self.shard_config(), bucket_sizes(&shards), n);
-        Self { global, shards, members }
-    }
-
-    /// Reassembles the monolithic [`BlockerState`] the shards partition —
-    /// equal to building the unsharded state over the same titles in
-    /// global id order (tested). Used when an unsharded service loads a
-    /// sharded snapshot.
-    pub fn merged(&self) -> BlockerState {
-        match &self.gen_config() {
-            CandidateGenConfig::Exhaustive => BlockerState::Exhaustive,
-            CandidateGenConfig::NGram(c) => {
-                let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
-                for (s, shard) in self.shards.iter().enumerate() {
-                    let BlockerState::NGram(ix) = shard else {
-                        unreachable!("q-gram config implies q-gram shards")
-                    };
-                    for (g, ids) in ix.sorted_buckets() {
-                        buckets
-                            .entry(g)
-                            .or_default()
-                            .extend(ids.iter().map(|&l| self.members[s][l as usize]));
-                    }
-                }
-                let mut parts: Vec<(u64, Vec<u32>)> = buckets
-                    .into_iter()
-                    .map(|(g, mut ids)| {
-                        ids.sort_unstable();
-                        (g, ids)
-                    })
-                    .collect();
-                parts.sort_unstable_by_key(|&(g, _)| g);
-                BlockerState::NGram(
-                    NGramIndex::from_parts(*c, self.len(), parts)
-                        .expect("merged shards form a valid index"),
-                )
-            }
-            CandidateGenConfig::Ann(c) => {
-                let mut data = vec![0.0f32; self.len() * c.dim];
-                for (s, shard) in self.shards.iter().enumerate() {
-                    let BlockerState::Ann(ix) = shard else {
-                        unreachable!("ANN config implies ANN shards")
-                    };
-                    for (local, &global) in self.members[s].iter().enumerate() {
-                        let g = global as usize;
-                        data[g * c.dim..(g + 1) * c.dim]
-                            .copy_from_slice(&ix.data()[local * c.dim..(local + 1) * c.dim]);
-                    }
-                }
-                BlockerState::Ann(
-                    AnnRecordIndex::from_parts(*c, data).expect("merged shards form a valid index"),
-                )
-            }
-        }
-    }
-
-    /// Reassembles a sharded blocker from serialized parts, validating
-    /// that the members are a partition of `0..n_records` and that every
-    /// shard runs the same backend. (Routing consistency cannot be checked
-    /// here — titles are not part of the state — so decoders trust the
-    /// writer's routing, exactly as the monolithic codec trusts insertion
-    /// order.)
-    pub fn from_parts(
-        config: ShardConfig,
-        shards: Vec<BlockerState>,
-        members: Vec<Vec<u32>>,
-        n_records: usize,
-    ) -> Result<Self, String> {
-        config.validate()?;
-        if shards.len() != config.n_shards {
-            return Err(format!(
-                "{} shard states for a {}-shard config",
-                shards.len(),
-                config.n_shards
-            ));
-        }
-        if members.len() != shards.len() {
-            return Err(format!("{} member lists for {} shards", members.len(), shards.len()));
-        }
-        let gen = shards[0].gen_config();
-        for (s, state) in shards.iter().enumerate() {
-            if state.gen_config() != gen {
-                return Err(format!("shard {s} runs a different backend than shard 0"));
-            }
-            if !matches!(gen, CandidateGenConfig::Exhaustive) && state.len() != members[s].len() {
-                return Err(format!(
-                    "shard {s} indexes {} records but lists {} members",
-                    state.len(),
-                    members[s].len()
-                ));
-            }
-            if !members[s].windows(2).all(|w| w[0] < w[1]) {
-                return Err(format!("shard {s} member ids are not strictly ascending"));
-            }
-        }
-        let mut all: Vec<u32> = members.iter().flatten().copied().collect();
-        all.sort_unstable();
-        if all.len() != n_records || all.iter().enumerate().any(|(i, &g)| g as usize != i) {
-            return Err(format!("shard members do not partition 0..{n_records} exactly"));
-        }
-        let global = GlobalBlocking::new(&gen, config, bucket_sizes(&shards), n_records);
-        Ok(Self { global, shards, members })
-    }
-
     /// Number of records indexed across all shards.
     pub fn len(&self) -> usize {
         self.global.n_records()
@@ -450,12 +349,12 @@ impl ShardedBlocker {
         self.global.gen_config()
     }
 
-    /// Per-shard blocker states (serialization / inspection).
+    /// Per-shard blocker states.
     pub fn shards(&self) -> &[BlockerState] {
         &self.shards
     }
 
-    /// Per-shard global-id member lists (serialization / inspection).
+    /// Per-shard global-id member lists.
     pub fn members(&self) -> &[Vec<u32>] {
         &self.members
     }
@@ -496,7 +395,15 @@ mod tests {
                 let merged = sharded.candidates(q);
                 assert_eq!(merged, mono.candidates(q), "{n_shards} shards, query {q:?}");
             }
-            assert_eq!(sharded.merged(), mono, "{n_shards} shards: merged state");
+            for s in 0..n_shards {
+                let built = build_shard(
+                    gen,
+                    ShardConfig::of(n_shards),
+                    titles.iter().map(|t| t.as_str()),
+                    s,
+                );
+                assert_eq!(built, (sharded.members()[s].clone(), sharded.shards()[s].clone()));
+            }
         }
     }
 
@@ -538,7 +445,6 @@ mod tests {
         let sharded =
             ShardedBlocker::build(&gen, ShardConfig::of(3), titles.iter().map(|t| t.as_str()));
         assert_eq!(sharded.candidates("anything"), None);
-        assert_eq!(sharded.merged(), BlockerState::Exhaustive);
         assert_eq!(sharded.shard_sizes().iter().sum::<usize>(), titles.len());
     }
 
@@ -553,57 +459,5 @@ mod tests {
         let batch_ids = batched.insert_batch(&refs);
         assert_eq!(serial_ids, batch_ids);
         assert_eq!(serial, batched);
-    }
-
-    #[test]
-    fn truncation_is_exact_inverse_of_inserts() {
-        let gen = CandidateGenConfig::NGram(NGramBlockerConfig::default());
-        let titles = titles();
-        let mut sharded = ShardedBlocker::build(
-            &gen,
-            ShardConfig::of(3),
-            titles[..25].iter().map(|t| t.as_str()),
-        );
-        let watermark = sharded.clone();
-        for t in &titles[25..] {
-            sharded.insert(t);
-        }
-        assert_eq!(sharded.truncated(25), watermark);
-        assert_eq!(sharded.truncated(100), sharded);
-    }
-
-    #[test]
-    fn from_parts_roundtrips_and_validates() {
-        let gen = CandidateGenConfig::NGram(NGramBlockerConfig::default());
-        let titles = titles();
-        let sharded =
-            ShardedBlocker::build(&gen, ShardConfig::of(3), titles.iter().map(|t| t.as_str()));
-        let rebuilt = ShardedBlocker::from_parts(
-            sharded.shard_config(),
-            sharded.shards().to_vec(),
-            sharded.members().to_vec(),
-            sharded.len(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt, sharded);
-
-        // Members failing to partition 0..n are rejected.
-        let mut bad_members = sharded.members().to_vec();
-        bad_members[0].pop();
-        assert!(ShardedBlocker::from_parts(
-            sharded.shard_config(),
-            sharded.shards().to_vec(),
-            bad_members,
-            sharded.len(),
-        )
-        .is_err());
-        // Shard-count mismatch is rejected.
-        assert!(ShardedBlocker::from_parts(
-            ShardConfig::of(2),
-            sharded.shards().to_vec(),
-            sharded.members().to_vec(),
-            sharded.len(),
-        )
-        .is_err());
     }
 }

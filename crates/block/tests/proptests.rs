@@ -4,14 +4,14 @@
 //! agrees with the batch pass, and candidate queries are insensitive to
 //! insertion order.
 
-use flexer_block::{block, ngram::survives, BlockerState, NGramIndex, ShardedBlocker};
+use flexer_block::{block, build_shard, ngram::survives, BlockerState, NGramIndex, ShardedBlocker};
 use flexer_types::{
     AnnBlockerConfig, CandidateGenConfig, Dataset, NGramBlockerConfig, PairRef, Record, ShardConfig,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-fn dataset(titles: &[String]) -> Dataset {
+fn corpus(titles: &[String]) -> Dataset {
     Dataset::from_records(titles.iter().map(|t| Record::with_title(0, t.clone())).collect())
 }
 
@@ -30,7 +30,7 @@ proptest! {
         titles in prop::collection::vec(title_strategy(), 2..12),
     ) {
         let config = NGramBlockerConfig { q: 4, min_shared: 1, max_bucket: usize::MAX };
-        let out = block(&CandidateGenConfig::NGram(config), &dataset(&titles));
+        let out = block(&CandidateGenConfig::NGram(config), &corpus(&titles));
         let blocked: HashSet<PairRef> = out.candidates.pairs().iter().copied().collect();
         for a in 0..titles.len() {
             for b in a + 1..titles.len() {
@@ -55,7 +55,7 @@ proptest! {
         max_bucket in 1usize..8,
     ) {
         let config = NGramBlockerConfig { q: 4, min_shared: 1, max_bucket };
-        let batch = block(&CandidateGenConfig::NGram(config), &dataset(&titles));
+        let batch = block(&CandidateGenConfig::NGram(config), &corpus(&titles));
         let blocked: HashSet<PairRef> = batch.candidates.pairs().iter().copied().collect();
         let mut index = NGramIndex::new(config);
         for t in &titles {
@@ -109,7 +109,7 @@ proptest! {
     fn blocked_is_subset_of_exhaustive(
         titles in prop::collection::vec(title_strategy(), 2..10),
     ) {
-        let d = dataset(&titles);
+        let d = corpus(&titles);
         let all: HashSet<PairRef> =
             block(&CandidateGenConfig::Exhaustive, &d).candidates.pairs().iter().copied().collect();
         let blocked = block(&CandidateGenConfig::default(), &d);
@@ -120,8 +120,8 @@ proptest! {
 
     /// The sharding equivalence lemma, q-gram backend: for any titles,
     /// shard count, bucket cap and query, the sharded fan-out/merge equals
-    /// the monolithic candidate set exactly, and the merged state is the
-    /// monolithic state.
+    /// the monolithic candidate set exactly, and every shard built alone
+    /// is that shard of the full build.
     #[test]
     fn sharded_ngram_equals_monolithic(
         titles in prop::collection::vec(title_strategy(), 0..14),
@@ -134,7 +134,10 @@ proptest! {
         let sharded =
             ShardedBlocker::build(&gen, ShardConfig::of(n_shards), titles.iter().map(|s| s.as_str()));
         prop_assert_eq!(sharded.candidates(&query), mono.candidates(&query));
-        prop_assert_eq!(sharded.merged(), mono);
+        for s in 0..n_shards {
+            let built = build_shard(&gen, ShardConfig::of(n_shards), titles.iter().map(|t| t.as_str()), s);
+            prop_assert_eq!(built, (sharded.members()[s].clone(), sharded.shards()[s].clone()));
+        }
     }
 
     /// The sharding equivalence lemma, ANN backend.
@@ -150,19 +153,19 @@ proptest! {
         let sharded =
             ShardedBlocker::build(&gen, ShardConfig::of(n_shards), titles.iter().map(|s| s.as_str()));
         prop_assert_eq!(sharded.candidates(&query), mono.candidates(&query));
-        prop_assert_eq!(sharded.merged(), mono);
+        for s in 0..n_shards {
+            let built = build_shard(&gen, ShardConfig::of(n_shards), titles.iter().map(|t| t.as_str()), s);
+            prop_assert_eq!(built, (sharded.members()[s].clone(), sharded.shards()[s].clone()));
+        }
     }
 
-    /// Sharded truncation is the exact inverse of inserts, and batched
-    /// inserts equal serial ones.
+    /// Batched inserts equal serial ones.
     #[test]
-    fn sharded_insert_batch_and_truncation(
+    fn sharded_insert_batch_equals_serial_inserts(
         titles in prop::collection::vec(title_strategy(), 1..12),
-        split in 0usize..12,
         n_shards in 1usize..5,
     ) {
         let gen = CandidateGenConfig::NGram(NGramBlockerConfig::default());
-        let split = split % titles.len();
         let refs: Vec<&str> = titles.iter().map(|s| s.as_str()).collect();
         let mut serial = ShardedBlocker::new(&gen, ShardConfig::of(n_shards));
         for t in &refs {
@@ -171,8 +174,5 @@ proptest! {
         let mut batched = ShardedBlocker::new(&gen, ShardConfig::of(n_shards));
         batched.insert_batch(&refs);
         prop_assert_eq!(&serial, &batched);
-        let prefix =
-            ShardedBlocker::build(&gen, ShardConfig::of(n_shards), refs[..split].iter().copied());
-        prop_assert_eq!(serial.truncated(split), prefix);
     }
 }

@@ -29,8 +29,8 @@ pub struct FlexErConfig {
     /// Representation source.
     pub representation: RepresentationSource,
     /// Candidate-generation backend: which blocker produces candidate
-    /// pairs, and the incremental blocker state snapshots carry for the
-    /// serving tier.
+    /// pairs, and the one a snapshot stores for the serving tier to
+    /// rebuild.
     pub candidates: CandidateGenConfig,
 }
 

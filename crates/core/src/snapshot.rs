@@ -58,8 +58,8 @@ impl FlexErModel {
             ctx.benchmark.dataset.iter().map(|r| r.title().to_string()).collect();
         let pairs: Vec<(u32, u32)> =
             ctx.benchmark.candidates.iter().map(|(_, pr)| (pr.a as u32, pr.b as u32)).collect();
-        // The candidate-generation tier ships with the model: the serving
-        // side resumes blocking from this state instead of rebuilding it.
+        // The candidate-generation tier ships as its config; the state
+        // here is what decoding the snapshot rebuilds from the records.
         let blocker = BlockerState::build(&config.candidates, records.iter().map(|r| r.as_str()));
 
         Ok(ModelSnapshot {
@@ -75,8 +75,8 @@ impl FlexErModel {
             predictions: self.predictions.clone(),
             indexes,
             blocker,
-            // Exporters emit the monolithic layout; the serving tier
-            // re-partitions into shard frames on demand.
+            // Exporters emit the monolithic layout; a sharded service
+            // re-exports under its own `ShardConfig`.
             sharding: None,
         })
     }

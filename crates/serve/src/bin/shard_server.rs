@@ -4,8 +4,9 @@
 //! shard-server --snapshot model.flexer --shard 0 [--addr 127.0.0.1:0]
 //! ```
 //!
-//! Boots exactly one shard's state from a shard-aware snapshot (via
-//! `ShardFrames::decode_shard`; no other shard is materialized), binds
+//! Boots exactly one shard's state from a sharded snapshot (built from
+//! the corpus titles by `flexer_block::build_shard`; no other shard's
+//! records are indexed), binds
 //! the address (port 0 picks an ephemeral port), prints the bound
 //! address as `LISTEN <addr>` on stdout, and serves until a `Shutdown`
 //! request arrives. The connection limits are fixed: at most 64

@@ -45,7 +45,7 @@ pub mod service;
 pub mod shard;
 
 pub use arena::PinnedArena;
-pub use blocking::{BlockingTier, Monolithic};
+pub use blocking::BlockingTier;
 pub use cache::LruCache;
 pub use chaos::{FaultMode, FaultProxy};
 pub use error::ServeError;

@@ -67,7 +67,7 @@
 //! A background janitor thread replays pending lanes and probes failed
 //! replicas with `Ping` so recovery does not wait for query traffic.
 
-use crate::blocking::{BlockingTier, StoredBlocking};
+use crate::blocking::BlockingTier;
 use crate::endpoint::{self, Limits, Reply};
 use crate::error::ServeError;
 use crate::replica::{CallOutcome, Deadline, FaultStats, NetConfig, ReplicaSet};
@@ -175,8 +175,10 @@ impl Router {
                 "every shard slot needs at least one replica address".into(),
             ));
         }
-        let core = Service::build(snapshot, config, |stored, titles, recorder| {
-            Remote::connect(&stored, titles.len(), shards, net, FaultStats::new(recorder))
+        let sharding = snapshot.sharding;
+        let core = Service::build(snapshot, config, |blocker, titles, recorder| {
+            let gen = blocker.gen_config();
+            Remote::connect(gen, sharding, titles.len(), shards, net, FaultStats::new(recorder))
         })?;
         let fleet = Arc::clone(&core.tier.fleet);
         let listener = TcpListener::bind(addr).map_err(flexer_store::StoreError::Io)?;
@@ -232,19 +234,19 @@ impl Remote {
     /// the backend *configuration* from the snapshot — the blocking state
     /// itself lives in the shard servers.
     fn connect(
-        stored: &StoredBlocking,
+        gen: CandidateGenConfig,
+        sharding: Option<ShardConfig>,
         n_records: usize,
         shards: Vec<Vec<String>>,
         net: NetConfig,
         stats: FaultStats,
     ) -> Result<Self, ServeError> {
         let n_slots = shards.len();
-        if matches!(stored, StoredBlocking::Sharded(frames) if frames.n_shards() != n_slots) {
+        if sharding.is_some_and(|c| c.n_shards != n_slots) {
             return Err(ServeError::InconsistentSnapshot(
                 "snapshot shard count != shard server count".into(),
             ));
         }
-        let gen = stored.gen_config()?;
         let mut sets = Vec::with_capacity(n_slots);
         let mut bucket_sizes: Vec<(u64, u32)> = Vec::new();
         let mut shard_records = 0u64;

@@ -1,10 +1,11 @@
 //! [`ShardServer`] — one shard of the blocking tier as a TCP process.
 //!
-//! A shard server boots **one** shard's state from a shard-aware (v3)
-//! snapshot via `ShardFrames::decode_shard` — its global-id member list
-//! and its [`BlockerState`] — without materializing any other shard, and
-//! answers the shard-local half of candidate queries over the framed wire
-//! protocol (`flexer_store::wire`). It holds no scoring state: matchers,
+//! A shard server boots **one** shard's state from a sharded snapshot —
+//! its global-id member list and its [`BlockerState`], built by
+//! [`build_shard`] from the corpus titles and the snapshot's `ShardConfig`
+//! without indexing any other shard's records — and answers the
+//! shard-local half of candidate queries over the framed wire protocol
+//! (`flexer_store::wire`). It holds no scoring state: matchers,
 //! GNNs and pair indexes live in the router, which also owns every
 //! *global* blocking decision (stop-gram filtering, cross-shard merges).
 //! The shard runs exactly [`flexer_block::local_answer`] — the same
@@ -34,10 +35,13 @@
 //! an error — a gap means this replica missed an acknowledged batch
 //! (e.g. it was restarted from the original snapshot) and silently
 //! serving from diverged state would break the bit-identity contract.
+//! A batch's rows are checked before any is applied: every global id must
+//! fit a `u32` and rise strictly above the shard's last member. A batch
+//! that fails is refused whole, and its sequence number stays open.
 
 use crate::endpoint::{self, Limits, Reply};
 use crate::error::ServeError;
-use flexer_block::{local_answer, BlockerState};
+use flexer_block::{build_shard, local_answer, BlockerState};
 use flexer_store::ModelSnapshot;
 use flexer_types::{ShardRequest, ShardResponse, WireCandidates};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -77,7 +81,7 @@ pub struct ShardServer {
 }
 
 impl ShardServer {
-    /// Boots shard `shard` of a shard-aware snapshot file and binds
+    /// Boots shard `shard` of a sharded snapshot file and binds
     /// `addr` (use port 0 for an ephemeral port; the bound address is
     /// [`Self::local_addr`]).
     pub fn load(
@@ -89,27 +93,27 @@ impl ShardServer {
         Self::from_snapshot(snapshot, shard, addr)
     }
 
-    /// Boots shard `shard` from an already-loaded snapshot.
+    /// Boots shard `shard` from an already-loaded sharded snapshot.
     pub fn from_snapshot(
-        mut snapshot: ModelSnapshot,
+        snapshot: ModelSnapshot,
         shard: usize,
         addr: impl ToSocketAddrs,
     ) -> Result<Self, ServeError> {
-        let frames = snapshot
+        let config = snapshot
             .sharding
-            .take()
             .ok_or_else(|| ServeError::InconsistentSnapshot("snapshot is not sharded".into()))?;
-        let n_shards = frames.n_shards();
-        let (members, state) = frames.decode_shard(shard)?;
-        // `local_answer` maps local ids through `members` by index, so the
-        // two sides of the frame must agree before anything is served.
-        if !matches!(state, BlockerState::Exhaustive) && members.len() != state.len() {
+        let n_shards = config.n_shards;
+        if shard >= n_shards {
             return Err(ServeError::InconsistentSnapshot(format!(
-                "shard {shard}: {} members for {} indexed records",
-                members.len(),
-                state.len()
+                "shard {shard} out of range ({n_shards} shards)"
             )));
         }
+        let (members, state) = build_shard(
+            &snapshot.blocker.gen_config(),
+            config,
+            snapshot.records.iter().map(String::as_str),
+            shard,
+        );
         let listener = TcpListener::bind(addr).map_err(flexer_store::StoreError::Io)?;
         let addr = listener.local_addr().map_err(flexer_store::StoreError::Io)?;
         let state = RwLock::new(ShardState { members, state, last_seq: 0 });
@@ -165,6 +169,10 @@ impl Shard {
                         "insert sequence gap: got {seq}, applied through {}",
                         state.last_seq
                     ))
+                } else if let Err(e) = check_rows(&rows, state.members.last().copied()) {
+                    // Nothing applied, `last_seq` kept: a valid batch at
+                    // this sequence number still applies.
+                    ShardResponse::Error(e)
                 } else {
                     for (gid, title) in &rows {
                         state.state.insert(title);
@@ -188,4 +196,23 @@ impl Shard {
             gram_counts: state.state.bucket_sizes(),
         }
     }
+}
+
+/// Whether an insert batch may be applied after a shard whose last member
+/// is `last`: every global id must fit a `u32` (the member list's width)
+/// and rise strictly, above `last` — the ascending order `local_answer`'s
+/// member lists are built in. Checked for the whole batch before any row
+/// is applied.
+fn check_rows(rows: &[(u64, String)], last: Option<u32>) -> Result<(), String> {
+    let mut floor = last.map(u64::from);
+    for &(gid, _) in rows {
+        if gid > u64::from(u32::MAX) {
+            return Err(format!("insert row id {gid} does not fit a u32"));
+        }
+        if let Some(p) = floor.filter(|&p| gid <= p) {
+            return Err(format!("insert row ids must ascend: {gid} after {p}"));
+        }
+        floor = Some(gid);
+    }
+    Ok(())
 }

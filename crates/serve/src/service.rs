@@ -56,7 +56,7 @@
 //! Resolution has one shape — title → candidates → score → rank —
 //! wherever the candidates come from, so the service is written once over
 //! a [`BlockingTier`]: the snapshot's incremental blocker kept resident
-//! ([`Monolithic`]), the same blocker partitioned over in-process shards,
+//! ([`BlockerState`]), the same blocker partitioned over in-process shards,
 //! or shard servers behind the router. `ingest()` and record-level
 //! `resolve()` pair a new title only against the tier's *blocked
 //! candidates* — O(candidates) instead of O(records) — and the tier
@@ -68,19 +68,19 @@
 //! serves the all-pairs parity baseline.
 
 use crate::arena::PinnedArena;
-use crate::blocking::{BlockingTier, Monolithic, StoredBlocking};
+use crate::blocking::BlockingTier;
 use crate::cache::LruCache;
 use crate::error::ServeError;
 use crate::metrics::{self, Counters};
 use flexer_ann::{AnyIndex, Neighbor, VectorIndex};
-use flexer_block::ShardedBlocker;
+use flexer_block::BlockerState;
 use flexer_graph::{BatchInductiveTrace, BatchPass, GnnModel, NeighborArena, RowSource};
 use flexer_matcher::summarize::DfTable;
 use flexer_matcher::{PairFeaturizer, PairScratch, SideStore};
 use flexer_nn::activation::is_match;
 use flexer_nn::{Matrix, SparseMatrix};
 use flexer_obs::{MetricsSnapshot, Recorder};
-use flexer_store::{ModelSnapshot, ShardFrames};
+use flexer_store::ModelSnapshot;
 use flexer_types::{
     DenseRecordId, IntentId, MatchTarget, RankedMatch, ResolveQuery, ResolveResponse,
 };
@@ -249,19 +249,19 @@ pub struct Service<B> {
 }
 
 /// The service over one resident blocker — the unsharded deployment.
-pub type ResolutionService = Service<Monolithic>;
+pub type ResolutionService = Service<BlockerState>;
 
 impl ResolutionService {
     /// Builds a service from a validated snapshot: runs the warm forward
     /// per intent, pins the per-depth node states, and verifies the
     /// recomputed scores reproduce the snapshot's batch scores exactly.
     ///
-    /// A shard-aware (v3) snapshot is served monolithically here: its
-    /// per-shard frames are decoded and merged back into one resident
-    /// blocker (the merge is exact — see `flexer_block::ShardedBlocker`).
-    /// Use `ShardedResolutionService` to keep the partitioned layout.
+    /// A sharded snapshot is served from its one resident blocker here
+    /// (the shards would hold the same records, and answer the same — see
+    /// `flexer_block::ShardedBlocker`); its shard layout is kept for
+    /// `to_snapshot`. Use `ShardedResolutionService` to serve partitioned.
     pub fn new(snapshot: ModelSnapshot, config: ServeConfig) -> Result<Self, ServeError> {
-        Self::build(snapshot, config, |stored, _, _| Monolithic::unpack(stored))
+        Self::build(snapshot, config, |blocker, _, _| Ok(blocker))
     }
 
     /// Loads a `.flexer` snapshot file and builds the service over it.
@@ -276,22 +276,7 @@ impl ResolutionService {
     /// snapshot loaded.
     pub fn to_snapshot(&self) -> ModelSnapshot {
         let mut snapshot = self.export_model();
-        // Shard-aware snapshots carry the blocker tier only as per-shard
-        // frames (the monolithic field stays the `Exhaustive` sentinel the
-        // unpacking left). The frames are regenerated, not kept resident:
-        // routing the training-time titles reproduces the loaded layout —
-        // and therefore the loaded bytes — exactly.
-        match self.tier.train_sharding {
-            Some(config) => {
-                let sharded = ShardedBlocker::build(
-                    &self.tier.blocker.gen_config(),
-                    config,
-                    self.train_titles().iter().map(String::as_str),
-                );
-                snapshot.sharding = Some(ShardFrames::from_blocker(&sharded));
-            }
-            None => snapshot.blocker = self.tier.blocker.truncated(self.train_titles().len()),
-        }
+        snapshot.blocker = self.tier.truncated(self.n_train_records);
         snapshot
     }
 
@@ -304,12 +289,13 @@ impl ResolutionService {
 impl<B: BlockingTier> Service<B> {
     /// The constructor behind every deployment: validation and the warm
     /// forward are the same everywhere; `unpack` makes the blocking tier
-    /// from what the snapshot stored, the corpus titles and the service's
-    /// recorder (a tier that counts registers its counters there).
+    /// from the blocker the snapshot decoded, the corpus titles and the
+    /// service's recorder (a tier that counts registers its counters
+    /// there).
     pub(crate) fn build(
         mut snapshot: ModelSnapshot,
         config: ServeConfig,
-        unpack: impl FnOnce(StoredBlocking, &[String], &Recorder) -> Result<B, ServeError>,
+        unpack: impl FnOnce(BlockerState, &[String], &Recorder) -> Result<B, ServeError>,
     ) -> Result<Self, ServeError> {
         snapshot.validate()?;
         let p_intents = snapshot.n_intents();
@@ -362,7 +348,8 @@ impl<B: BlockingTier> Service<B> {
         // `self.snapshot` would double the dominant memory cost at scale.
         let indexes = std::mem::take(&mut snapshot.indexes);
         let recorder = Recorder::new();
-        let tier = unpack(StoredBlocking::take(&mut snapshot), &snapshot.records, &recorder)?;
+        let blocker = std::mem::replace(&mut snapshot.blocker, BlockerState::Exhaustive);
+        let tier = unpack(blocker, &snapshot.records, &recorder)?;
         let records = std::mem::take(&mut snapshot.records);
         let sides = Sides::of(&snapshot.featurizer, &snapshot.df, &records);
         Ok(Self {
@@ -395,11 +382,11 @@ impl<B: BlockingTier> Service<B> {
     }
 
     /// The training-time model state this service was built from (graph,
-    /// matchers, trained GNNs, corpus metadata). The `indexes` and `records`
-    /// fields are **empty** here, `blocker` is the `Exhaustive` sentinel and
-    /// `sharding` is `None` — the service owns the growing ANN indexes, the
-    /// corpus titles ([`Self::record_title`]) and the blocking tier;
-    /// `to_snapshot` reassembles a complete snapshot.
+    /// matchers, trained GNNs, corpus metadata, the loaded `sharding`). The
+    /// `indexes` and `records` fields are **empty** here and `blocker` is
+    /// the `Exhaustive` sentinel — the service owns the growing ANN
+    /// indexes, the corpus titles ([`Self::record_title`]) and the blocking
+    /// tier; `to_snapshot` reassembles a complete snapshot.
     pub fn snapshot(&self) -> &ModelSnapshot {
         &self.snapshot
     }

@@ -36,56 +36,46 @@
 //! This is asserted by deterministic tests and property tests over shard
 //! counts and ingest orders (`tests/shard.rs`, `tests/proptests.rs`).
 
-use crate::blocking::StoredBlocking;
 use crate::error::ServeError;
 use crate::service::{ServeConfig, Service};
-use flexer_block::ShardedBlocker;
-use flexer_store::{ModelSnapshot, ShardFrames};
+use flexer_block::{BlockerState, ShardedBlocker};
+use flexer_store::ModelSnapshot;
 use flexer_types::ShardConfig;
 
 /// The service over an in-process sharded blocking tier (see module docs).
 pub type ShardedResolutionService = Service<ShardedBlocker>;
 
 impl ShardedResolutionService {
-    /// Builds a sharded service over a snapshot.
-    ///
-    /// A shard-aware (v3) snapshot whose frames already match
-    /// `shard_config` boots from the frames directly (each decoded
-    /// per-shard); any other snapshot — monolithic, or sharded differently
-    /// — is re-partitioned by routing the corpus titles, which is exact
-    /// and deterministic.
+    /// Builds a sharded service over a snapshot by routing the corpus
+    /// titles into `shard_config`'s shards (exact and deterministic), from
+    /// any snapshot: monolithic, or sharded under any layout.
     pub fn new(
         snapshot: ModelSnapshot,
         config: ServeConfig,
         shard_config: ShardConfig,
     ) -> Result<Self, ServeError> {
         shard_config.validate().map_err(ServeError::InconsistentSnapshot)?;
-        Self::build(snapshot, config, |stored, titles, _| {
-            Ok(match stored {
-                StoredBlocking::Sharded(frames) if frames.config() == shard_config => {
-                    frames.decode_all()?
-                }
-                other => ShardedBlocker::build(
-                    &other.gen_config()?,
-                    shard_config,
-                    titles.iter().map(String::as_str),
-                ),
-            })
+        Self::build(snapshot, config, |blocker, titles, _| {
+            Ok(ShardedBlocker::build(
+                &blocker.gen_config(),
+                shard_config,
+                titles.iter().map(String::as_str),
+            ))
         })
     }
 
-    /// Reassembles the training-time snapshot, with the blocking tier as
-    /// per-shard frames under **this** service's layout. Byte-identical to
-    /// the snapshot loaded when that snapshot's frames already matched the
-    /// shard config; loading a monolithic or differently-sharded snapshot
-    /// is a deliberate re-partition, so the result is a new (itself
-    /// byte-stable) layout, not the loaded bytes.
+    /// Reassembles the training-time snapshot under **this** service's
+    /// shard layout. Byte-identical to the snapshot loaded when that
+    /// snapshot carried the same layout; loading a monolithic or
+    /// differently-sharded snapshot is a deliberate re-partition, so the
+    /// result is a new (itself byte-stable) layout, not the loaded bytes.
     pub fn to_snapshot(&self) -> ModelSnapshot {
         let mut snapshot = self.export_model();
-        // Truncating back to the training watermark makes the frames
-        // ingest-independent, exactly like the monolithic blocker field.
-        let truncated = self.tier.truncated(self.train_titles().len());
-        snapshot.sharding = Some(ShardFrames::from_blocker(&truncated));
+        snapshot.blocker = BlockerState::build(
+            &self.tier.gen_config(),
+            self.train_titles().iter().map(String::as_str),
+        );
+        snapshot.sharding = Some(self.tier.shard_config());
         snapshot
     }
 

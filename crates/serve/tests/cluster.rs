@@ -7,6 +7,7 @@
 mod common;
 
 use common::kill_shard;
+use flexer_block::build_shard;
 use flexer_serve::{
     NetConfig, Router, RouterClient, ServeConfig, ShardServer, ShardedResolutionService,
 };
@@ -16,8 +17,8 @@ use flexer_types::{
     WireCandidates, WireIngestReport,
 };
 
-/// One shared training run for the whole test binary, pre-sharded into
-/// two frames (the deployment shape every test below boots).
+/// One shared training run for the whole test binary, exported sharded
+/// into two shards (the deployment shape every test below boots).
 fn sharded_snapshot() -> &'static ModelSnapshot {
     static SHARED: std::sync::OnceLock<ModelSnapshot> = std::sync::OnceLock::new();
     SHARED.get_or_init(|| common::sharded_snapshot(2))
@@ -310,15 +311,16 @@ fn corrupt_client_bytes_do_not_poison_the_router() {
 }
 
 /// A fake FLEXWIRE shard, one exchange per connection: it answers `Hello`
-/// honestly (from its own frame of the shared snapshot) and every
+/// honestly (from its own shard of the shared snapshot) and every
 /// candidate query with `bogus`.
 fn spawn_lying_shard(shard: usize, bogus: WireCandidates) -> (String, std::thread::JoinHandle<()>) {
     let snapshot = sharded_snapshot();
-    let frames = snapshot.sharding.as_ref().unwrap();
-    let (members, state) = frames.decode_shard(shard).unwrap();
+    let config = snapshot.sharding.unwrap();
+    let titles = snapshot.records.iter().map(String::as_str);
+    let (members, state) = build_shard(&snapshot.blocker.gen_config(), config, titles, shard);
     let hello = ShardResponse::Hello {
         shard: shard as u64,
-        n_shards: frames.n_shards() as u64,
+        n_shards: config.n_shards as u64,
         n_records: members.len() as u64,
         backend: state.kind_name().to_string(),
         gram_counts: state.bucket_sizes(),
@@ -420,4 +422,46 @@ fn repeated_shard_ids_are_merged_once() {
         let reports = client.ingest_batch(vec![title]).unwrap();
         assert_eq!(reports[0].n_pairs, ranked.len() as u64, "one pair per distinct candidate");
     });
+}
+
+/// One request on a fresh connection to a shard server.
+fn exchange(addr: &str, request: &ShardRequest) -> ShardResponse {
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    flexer_store::write_message(&mut stream, request).unwrap();
+    flexer_store::read_message(&mut stream).unwrap()
+}
+
+#[test]
+fn shard_refuses_insert_rows_it_cannot_hold() {
+    let snapshot = sharded_snapshot();
+    let server = ShardServer::from_snapshot(snapshot.clone(), 0, "127.0.0.1:0").unwrap();
+    let addr = server.local_addr().to_string();
+    let handle = server.spawn();
+    let held = || match exchange(&addr, &ShardRequest::Hello) {
+        ShardResponse::Hello { n_records, .. } => n_records,
+        other => panic!("{other:?}"),
+    };
+    let insert = |rows: &[(u64, &str)]| ShardRequest::Insert {
+        seq: 1,
+        rows: rows.iter().map(|&(gid, title)| (gid, title.to_string())).collect(),
+    };
+    let before = held();
+    assert!(before > 0);
+    let n = snapshot.n_records() as u64;
+    // 2^32 + 5 would wrap to record 5; the others break the ascending
+    // member order (out of order, and at or below the shard's last member).
+    for rows in [
+        vec![((1u64 << 32) + 5, "wraps")],
+        vec![(n + 1, "second"), (n, "first")],
+        vec![(0, "already placed")],
+    ] {
+        let reply = exchange(&addr, &insert(&rows));
+        assert!(matches!(reply, ShardResponse::Error(_)), "{rows:?}: {reply:?}");
+        assert_eq!(held(), before, "{rows:?}: a refused batch applies no row");
+    }
+    // The refused batches left the sequence number open.
+    let reply = exchange(&addr, &insert(&[(n, "new"), (n + 1, "newer")]));
+    assert_eq!(reply, ShardResponse::Inserted { n_records: before + 2 });
+    kill_shard(&addr);
+    handle.join().unwrap();
 }

@@ -36,8 +36,8 @@ pub fn exhaustive(snapshot: ModelSnapshot) -> ModelSnapshot {
     ModelSnapshot { blocker: BlockerState::Exhaustive, sharding: None, ..snapshot }
 }
 
-/// The shared run's snapshot pre-sharded into `n_shards` frames — the
-/// shape a networked deployment boots.
+/// The shared run's snapshot exported by a service sharded into
+/// `n_shards` shards — the shape a networked deployment boots.
 pub fn sharded_snapshot(n_shards: usize) -> ModelSnapshot {
     let shards = ShardConfig::of(n_shards);
     ShardedResolutionService::new(trained_snapshot().clone(), ServeConfig::default(), shards)

@@ -1,6 +1,6 @@
 //! Sharded serving tests: for any shard count the sharded service is
 //! **bit-identical** to the unsharded one under the same call sequence,
-//! batched ingest has pre-batch semantics, and shard-aware snapshots
+//! batched ingest has pre-batch semantics, and sharded snapshots
 //! round-trip byte-identically.
 
 mod common;
@@ -137,16 +137,20 @@ fn sharded_snapshot_roundtrips_byte_identically_and_serves_everywhere() {
     let sharded =
         ShardedResolutionService::new(snapshot.clone(), config, ShardConfig::of(3)).unwrap();
 
-    // The sharded snapshot is a v3 file: per-shard frames, Exhaustive
-    // blocker sentinel, byte-stable across save → load → save.
-    let v3 = sharded.to_snapshot();
-    assert_eq!(v3.sharding.as_ref().unwrap().n_shards(), 3);
-    let bytes = v3.to_bytes();
+    // The sharded snapshot is the monolithic one plus its shard layout,
+    // byte-stable across save → load → save.
+    let mut exported = sharded.to_snapshot();
+    assert_eq!(exported.sharding, Some(ShardConfig::of(3)));
+    let bytes = exported.to_bytes();
     let reloaded = ModelSnapshot::from_bytes(&bytes).unwrap();
     assert_eq!(reloaded.to_bytes(), bytes, "save → load → save must be byte-identical");
+    exported.sharding = None;
+    let mono_bytes =
+        ResolutionService::new(snapshot.clone(), config).unwrap().to_snapshot().to_bytes();
+    assert_eq!(exported.to_bytes(), mono_bytes, "the layout is all sharding adds");
 
-    // Reloading as a sharded service (same shard count) reuses the frames
-    // and stays byte-stable, even after ingest grows the live shards.
+    // Reloading as a sharded service (same shard count) stays byte-stable,
+    // even after ingest grows the live shards.
     let mut again =
         ShardedResolutionService::new(reloaded.clone(), config, ShardConfig::of(3)).unwrap();
     assert_eq!(again.to_snapshot().to_bytes(), bytes);
@@ -155,11 +159,10 @@ fn sharded_snapshot_roundtrips_byte_identically_and_serves_everywhere() {
     again.ingest(&title);
     assert_eq!(again.to_snapshot().to_bytes(), bytes, "ingest must not leak into the snapshot");
 
-    // An unsharded service merges the frames and serves identical answers,
-    // and re-emits the sharded snapshot byte-identically (the frames are
-    // regenerated from the merged blocker, not kept resident).
+    // An unsharded service serves identical answers from one blocker and
+    // re-emits the sharded snapshot byte-identically.
     let mono = ResolutionService::new(reloaded.clone(), config).unwrap();
-    assert_eq!(mono.blocker_kind(), "ngram", "merged frames restore the monolithic blocker");
+    assert_eq!(mono.blocker_kind(), "ngram");
     assert_eq!(mono.to_snapshot().to_bytes(), bytes, "unsharded re-emit must be byte-identical");
     let q = ResolveQuery::record(mono.record_title(3).to_string());
     let sharded_fresh =
@@ -176,7 +179,7 @@ fn sharded_snapshot_roundtrips_byte_identically_and_serves_everywhere() {
     let bytes2 = resharded.to_snapshot().to_bytes();
     let reloaded2 = ModelSnapshot::from_bytes(&bytes2).unwrap();
     assert_eq!(reloaded2.to_bytes(), bytes2);
-    assert_eq!(reloaded2.sharding.as_ref().unwrap().n_shards(), 2);
+    assert_eq!(reloaded2.sharding, Some(ShardConfig::of(2)));
 }
 
 #[test]

@@ -20,12 +20,14 @@
 
 use crate::format::{Reader, StoreError, Writer};
 use flexer_ann::{AnyIndex, FlatIndex};
-use flexer_block::{AnnRecordIndex, BlockerState, NGramIndex};
 use flexer_graph::{Aggregation, CsrGraph, GnnModel, MultiplexGraph, SageLayer, TrainedGnn};
 use flexer_matcher::summarize::DfTable;
 use flexer_matcher::{BinaryMatcher, PairFeaturizer};
 use flexer_nn::{Linear, Matrix, Mlp};
-use flexer_types::{AnnBlockerConfig, Intent, IntentSet, LabelMatrix, NGramBlockerConfig};
+use flexer_types::{
+    AnnBlockerConfig, CandidateGenConfig, Intent, IntentSet, LabelMatrix, NGramBlockerConfig,
+    ShardConfig,
+};
 
 /// The encoding half of [`Codec`], on its own so borrowed data — slices,
 /// `str`, references — encodes without a copy into an owned value.
@@ -505,71 +507,53 @@ impl Codec for AnnBlockerConfig {
         if q == 0 || dim == 0 || k == 0 {
             return malformed("ANN blocker q, dim and k must be positive");
         }
+        // Decoding a snapshot builds one `dim`-float embedding per record,
+        // so the bound caps what a forged `dim` can make the reader allocate.
+        if dim > 1 << 12 {
+            return malformed(format!("ANN blocker dim {dim} exceeds 4096"));
+        }
         Ok(AnnBlockerConfig { q, dim, k })
     }
 }
 
-impl Encode for NGramIndex {
-    fn encode(&self, w: &mut Writer) {
-        self.config().encode(w);
-        w.put_usize(self.len());
-        // Buckets in ascending gram-hash order, ids ascending within — the
-        // canonical form that makes re-encoding byte-identical.
-        self.sorted_buckets().encode(w);
-    }
-}
-
-impl Codec for NGramIndex {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let config = NGramBlockerConfig::decode(r)?;
-        let n_records = r.get_usize()?;
-        let buckets = Vec::<(u64, Vec<u32>)>::decode(r)?;
-        if !buckets.windows(2).all(|b| b[0].0 < b[1].0) {
-            return malformed("blocker buckets are not in ascending gram order");
-        }
-        NGramIndex::from_parts(config, n_records, buckets).map_err(StoreError::Malformed)
-    }
-}
-
-impl Encode for AnnRecordIndex {
-    fn encode(&self, w: &mut Writer) {
-        self.config().encode(w);
-        self.data().encode(w);
-    }
-}
-
-impl Codec for AnnRecordIndex {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let config = AnnBlockerConfig::decode(r)?;
-        let data = Vec::<f32>::decode(r)?;
-        AnnRecordIndex::from_parts(config, data).map_err(StoreError::Malformed)
-    }
-}
-
-impl Encode for BlockerState {
+impl Encode for CandidateGenConfig {
     fn encode(&self, w: &mut Writer) {
         match self {
-            BlockerState::Exhaustive => w.put_u8(0),
-            BlockerState::NGram(ix) => {
+            CandidateGenConfig::Exhaustive => w.put_u8(0),
+            CandidateGenConfig::NGram(c) => {
                 w.put_u8(1);
-                ix.encode(w);
+                c.encode(w);
             }
-            BlockerState::Ann(ix) => {
+            CandidateGenConfig::Ann(c) => {
                 w.put_u8(2);
-                ix.encode(w);
+                c.encode(w);
             }
         }
     }
 }
 
-impl Codec for BlockerState {
+impl Codec for CandidateGenConfig {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         match r.get_u8()? {
-            0 => Ok(BlockerState::Exhaustive),
-            1 => Ok(BlockerState::NGram(NGramIndex::decode(r)?)),
-            2 => Ok(BlockerState::Ann(AnnRecordIndex::decode(r)?)),
+            0 => Ok(CandidateGenConfig::Exhaustive),
+            1 => Ok(CandidateGenConfig::NGram(NGramBlockerConfig::decode(r)?)),
+            2 => Ok(CandidateGenConfig::Ann(AnnBlockerConfig::decode(r)?)),
             t => malformed(format!("unknown blocker tag {t}")),
         }
+    }
+}
+
+impl Encode for ShardConfig {
+    fn encode(&self, w: &mut Writer) {
+        w.put_usize(self.n_shards);
+    }
+}
+
+impl Codec for ShardConfig {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        let config = ShardConfig::of(r.get_usize()?);
+        config.validate().map_err(StoreError::Malformed)?;
+        Ok(config)
     }
 }
 

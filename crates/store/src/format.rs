@@ -24,8 +24,11 @@ pub const MAGIC: [u8; 8] = *b"FLEXSNAP";
 /// carries the serving blocker state after the ANN indexes); 3 =
 /// shard-aware snapshots (an optional sharded-blocker section of
 /// length-prefixed per-shard frames follows the blocker, so shard servers
-/// can decode their own shard without materializing the rest).
-pub const VERSION: u32 = 3;
+/// can decode their own shard without materializing the rest); 4 = the
+/// blocker is stored as its `CandidateGenConfig` and the sharding as an
+/// optional `ShardConfig` (both tiers are rebuilt from the records on
+/// load).
+pub const VERSION: u32 = 4;
 
 /// Everything that can go wrong reading a snapshot.
 #[derive(Debug)]

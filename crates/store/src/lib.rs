@@ -25,6 +25,10 @@
 //!   tables serialize in sorted order, so `save → load → save` is
 //!   byte-identical and a reloaded model reproduces the batch model's
 //!   predictions exactly.
+//! * **Only what cannot be recomputed.** The blocking tier is a pure
+//!   function of the corpus titles, so a snapshot stores its configuration
+//!   (`CandidateGenConfig`, plus a `ShardConfig` when sharded) and decoding
+//!   rebuilds it; every serving tier builds its own blocker from `records`.
 //! * **Paranoid on load.** Framing, checksum, per-type shape invariants
 //!   and cross-field consistency are all validated; corrupted input
 //!   surfaces as a typed [`StoreError`], never a panic or a bogus model.
@@ -40,13 +44,11 @@
 
 pub mod codec;
 pub mod format;
-pub mod shard;
 pub mod snapshot;
 pub mod wire;
 
 pub use codec::{Codec, Encode};
 pub use format::{fnv1a64, seal, unseal, Reader, StoreError, Writer, MAGIC, VERSION};
-pub use shard::ShardFrames;
 pub use snapshot::{IndexKind, ModelSnapshot};
 pub use wire::{
     decode_frame, frame_message, read_message, read_message_bounded, seal_frame, unseal_frame,

@@ -15,19 +15,24 @@
 //!   batch scores/predictions — the transductive ground truth the serving
 //!   tier reproduces exactly.
 //!
+//! Candidate generation is stored as configuration only: the blocker is a
+//! pure function of the records (keep the pairs that share a q-gram,
+//! §5.1), so the file carries its [`CandidateGenConfig`] and, for a
+//! sharded deployment, its [`ShardConfig`]; decoding rebuilds the state
+//! from the titles. A model repository stores what cannot be recomputed.
+//!
 //! Round-trips are bit-exact: `save → load → save` produces identical
 //! bytes (floats are stored as raw IEEE-754 bits; hash-backed tables are
 //! serialized in sorted order).
 
 use crate::codec::{Codec, Encode};
 use crate::format::{seal, unseal, Reader, StoreError, Writer};
-use crate::shard::ShardFrames;
 use flexer_ann::{AnyIndex, VectorIndex};
 use flexer_block::BlockerState;
 use flexer_graph::{MultiplexGraph, TrainedGnn};
 use flexer_matcher::summarize::DfTable;
 use flexer_matcher::{BinaryMatcher, PairFeaturizer};
-use flexer_types::{IntentSet, LabelMatrix};
+use flexer_types::{CandidateGenConfig, IntentSet, LabelMatrix, ShardConfig};
 use std::path::Path;
 
 /// The index an exporter builds per intent layer. There is one; the enum
@@ -65,18 +70,17 @@ pub struct ModelSnapshot {
     pub predictions: LabelMatrix,
     /// One ANN index per intent layer over the initial representations.
     pub indexes: Vec<AnyIndex>,
-    /// The candidate-generation tier: the incremental blocker state over
-    /// the corpus records, so a serving tier resumes blocking exactly
-    /// where the exporter left off ([`BlockerState::Exhaustive`] for the
-    /// explicit all-pairs fallback).
+    /// The candidate-generation tier over the corpus records
+    /// ([`BlockerState::Exhaustive`] for the explicit all-pairs fallback).
+    /// Derived, never serialized: the file stores its
+    /// [`CandidateGenConfig`], and decoding rebuilds the state with
+    /// [`BlockerState::build`] over `records`.
     pub blocker: BlockerState,
-    /// Shard-aware layout (format v3): when present, the blocker tier is
-    /// partitioned into per-shard frames instead of the monolithic
-    /// `blocker` field (which must then be the [`BlockerState::Exhaustive`]
-    /// sentinel — one canonical representation keeps round-trips
-    /// byte-identical). Shard servers decode only their own frame; an
-    /// unsharded service merges the frames back on load.
-    pub sharding: Option<ShardFrames>,
+    /// The shard layout a sharded deployment partitions the blocking tier
+    /// into, if the snapshot was exported by one. Every shard is rebuilt
+    /// from `records` by routing their titles, so the layout is all the
+    /// file stores.
+    pub sharding: Option<ShardConfig>,
 }
 
 impl ModelSnapshot {
@@ -131,18 +135,6 @@ impl ModelSnapshot {
                 self.blocker.len(),
                 self.records.len()
             ));
-        }
-        if let Some(sharding) = &self.sharding {
-            if !matches!(self.blocker, BlockerState::Exhaustive) {
-                return fail("sharded snapshots carry the blocker only in per-shard frames".into());
-            }
-            if sharding.n_records() != self.records.len() {
-                return fail(format!(
-                    "shard frames cover {} records, snapshot lists {}",
-                    sharding.n_records(),
-                    self.records.len()
-                ));
-            }
         }
         Ok(())
     }
@@ -219,7 +211,7 @@ impl Encode for ModelSnapshot {
         self.trained.encode(w);
         self.predictions.encode(w);
         self.indexes.encode(w);
-        self.blocker.encode(w);
+        self.blocker.gen_config().encode(w);
         self.sharding.encode(w);
     }
 }
@@ -227,7 +219,7 @@ impl Encode for ModelSnapshot {
 impl Codec for ModelSnapshot {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         // Fields decode in the order written, which is encoding order.
-        Ok(Self {
+        let mut snapshot = Self {
             intents: IntentSet::decode(r)?,
             k: r.get_usize()?,
             records: Vec::decode(r)?,
@@ -239,8 +231,12 @@ impl Codec for ModelSnapshot {
             trained: Vec::decode(r)?,
             predictions: LabelMatrix::decode(r)?,
             indexes: Vec::decode(r)?,
-            blocker: BlockerState::decode(r)?,
-            sharding: Option::decode(r)?,
-        })
+            blocker: BlockerState::Exhaustive,
+            sharding: None,
+        };
+        let gen = CandidateGenConfig::decode(r)?;
+        snapshot.sharding = Option::decode(r)?;
+        snapshot.blocker = BlockerState::build(&gen, snapshot.records.iter().map(String::as_str));
+        Ok(snapshot)
     }
 }

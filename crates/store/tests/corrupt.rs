@@ -16,13 +16,14 @@
 mod common;
 
 use common::tiny_snapshot;
+use flexer_block::BlockerState;
 use flexer_store::{
     decode_frame, frame_message, seal, seal_frame, unseal, unseal_frame, Encode, ModelSnapshot,
     StoreError, Writer,
 };
 use flexer_types::{
-    MatchTarget, RankedMatch, ResolveResponse, RouterRequest, RouterResponse, ShardRequest,
-    ShardResponse, WireCandidates, WireQuery,
+    AnnBlockerConfig, CandidateGenConfig, MatchTarget, RankedMatch, ResolveResponse, RouterRequest,
+    RouterResponse, ShardRequest, ShardResponse, WireCandidates, WireQuery,
 };
 use proptest::prelude::*;
 
@@ -203,12 +204,12 @@ fn forged_length_fields_error_on_every_entry_point() {
 /// valid checksum) must say what happened and what to do, not "unknown tag".
 #[test]
 fn removed_ivf_index_tag_is_a_malformed_snapshot_that_says_so() {
-    // The payload ends with its one index (tag first), the blocker and the
-    // sharding.
+    // The payload ends with its one index (tag first), the blocker's
+    // config and the sharding.
     let snapshot = tiny_snapshot();
     let mut suffix = Writer::new();
     snapshot.indexes[0].encode(&mut suffix);
-    snapshot.blocker.encode(&mut suffix);
+    snapshot.blocker.gen_config().encode(&mut suffix);
     snapshot.sharding.encode(&mut suffix);
     let suffix = suffix.into_bytes();
     let mut payload = snapshot_payload().clone();
@@ -221,6 +222,27 @@ fn removed_ivf_index_tag_is_a_malformed_snapshot_that_says_so() {
             assert!(msg.contains("IVF indexes were removed"), "{msg}");
             assert!(msg.contains("re-export"), "{msg}");
         }
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+}
+
+/// Decoding builds the blocker over the records, so a forged ANN `dim`
+/// must be refused before any embedding is allocated, not abort the
+/// reader.
+#[test]
+fn forged_ann_blocker_dim_is_refused_before_building() {
+    let ann = CandidateGenConfig::Ann(AnnBlockerConfig { q: 3, dim: 16, k: 4 });
+    let mut snapshot = tiny_snapshot();
+    snapshot.blocker = BlockerState::build(&ann, snapshot.records.iter().map(String::as_str));
+    let mut payload = Writer::new();
+    snapshot.encode(&mut payload);
+    let mut payload = payload.into_bytes();
+    // The tail is the blocker tag, q, dim, k and the sharding's `None`.
+    let at = payload.len() - 17;
+    assert_eq!(payload[at..at + 8], 16u64.to_le_bytes());
+    payload[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    match ModelSnapshot::from_bytes(&seal(&payload)) {
+        Err(StoreError::Malformed(msg)) => assert!(msg.contains("exceeds"), "{msg}"),
         other => panic!("expected Malformed, got {other:?}"),
     }
 }

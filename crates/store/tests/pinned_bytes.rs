@@ -1,5 +1,5 @@
 //! The bytes both formats write, pinned: one FNV-1a digest per wire frame
-//! of every sample message, per snapshot and per set of shard frames. A
+//! of every sample message, and per snapshot, unsharded and sharded. A
 //! codec change that moves one byte fails here, by name; a deliberate
 //! layout change bumps `VERSION` or `WIRE_VERSION` and re-pins.
 
@@ -7,9 +7,8 @@ mod common;
 
 use common::messages::sample_messages;
 use common::tiny_snapshot;
-use flexer_block::ShardedBlocker;
-use flexer_store::{fnv1a64, frame_message, Codec, ShardFrames, Writer};
-use flexer_types::{CandidateGenConfig, NGramBlockerConfig, ShardConfig};
+use flexer_store::{fnv1a64, frame_message, Codec, ModelSnapshot};
+use flexer_types::ShardConfig;
 use std::fmt::Debug;
 
 /// Asserts each message's frame digest against its pin, in sample order;
@@ -21,13 +20,6 @@ fn assert_pinned<T: Codec + Debug>(messages: &[T], pins: &[(&str, u64)]) {
         assert_eq!(debug.split([' ', '(']).next(), Some(variant), "{debug}");
         assert_eq!(fnv1a64(&frame_message(msg)), digest, "{variant} moved a byte");
     }
-}
-
-/// The digest of a value's encoding alone, outside any frame.
-fn payload_digest<T: Codec>(value: &T) -> u64 {
-    let mut w = Writer::new();
-    value.encode(&mut w);
-    fnv1a64(&w.into_bytes())
 }
 
 #[test]
@@ -85,18 +77,13 @@ fn router_responses_keep_their_bytes() {
 
 #[test]
 fn snapshot_keeps_its_bytes() {
-    let digest = fnv1a64(&tiny_snapshot().to_bytes());
-    assert_eq!(digest, 0x38dca1cbe7805b4b, "the tiny snapshot moved a byte");
-}
-
-#[test]
-fn shard_frames_keep_their_bytes() {
-    let titles: Vec<String> = (0..30).map(|i| format!("gadget model number {i}")).collect();
-    let blocker = ShardedBlocker::build(
-        &CandidateGenConfig::NGram(NGramBlockerConfig::default()),
-        ShardConfig::of(3),
-        titles.iter().map(String::as_str),
-    );
-    let digest = payload_digest(&ShardFrames::from_blocker(&blocker));
-    assert_eq!(digest, 0xc74a0c4c5838440c, "3-shard q-gram frames moved a byte");
+    let pins = [(None, 0xbcca45057d11b197), (Some(ShardConfig::of(3)), 0x77e97a6cd82e4c50)];
+    for (sharding, digest) in pins {
+        let snapshot = ModelSnapshot { sharding, ..tiny_snapshot() };
+        assert_eq!(
+            fnv1a64(&snapshot.to_bytes()),
+            digest,
+            "{sharding:?}: the tiny snapshot moved a byte"
+        );
+    }
 }

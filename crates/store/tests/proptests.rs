@@ -2,11 +2,13 @@
 //! models — encode → decode → encode yields the same bytes, and decoded
 //! models compute the same outputs to the bit.
 
+mod common;
+
 use flexer_ann::{AnyIndex, FlatIndex, VectorIndex};
 use flexer_block::BlockerState;
 use flexer_graph::{Aggregation, GnnModel};
 use flexer_nn::{Linear, Matrix, Mlp, MlpConfig};
-use flexer_store::{Codec, Reader, Writer};
+use flexer_store::{Codec, ModelSnapshot, Reader, Writer};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -107,6 +109,9 @@ proptest! {
         prop_assert_eq!(hits_a, hits_b);
     }
 
+    /// A snapshot stores its blocker's config, not its state: for every
+    /// backend, the decoded `blocker` is the one built over the decoded
+    /// records, and re-encoding is byte-identical.
     #[test]
     fn random_blocker_states_roundtrip_bitexact(
         titles in prop::collection::vec("[a-z ]{0,14}", 0..24),
@@ -122,51 +127,15 @@ proptest! {
             }),
             _ => CandidateGenConfig::Ann(AnnBlockerConfig { q: 3, dim: 16, k: 4 }),
         };
-        let state = BlockerState::build(&config, titles.iter().map(|t| t.as_str()));
-        let got = roundtrip(&state);
-        prop_assert_eq!(&got, &state);
-        // Decoded state answers candidate queries identically.
-        if let Some(title) = titles.first() {
-            prop_assert_eq!(got.candidates(title), state.candidates(title));
-        }
-    }
-
-    /// Shard-aware frames round-trip bit-exactly, one shard decodes
-    /// without the rest, and the reassembled sharded blocker answers
-    /// candidate queries identically — for every backend and shard count.
-    #[test]
-    fn random_shard_frames_roundtrip_bitexact(
-        titles in prop::collection::vec("[a-z ]{0,14}", 0..24),
-        variant in 0u8..3,
-        n_shards in 1usize..6,
-    ) {
-        use flexer_block::ShardedBlocker;
-        use flexer_store::ShardFrames;
-        use flexer_types::{AnnBlockerConfig, CandidateGenConfig, NGramBlockerConfig, ShardConfig};
-        let config = match variant {
-            0 => CandidateGenConfig::Exhaustive,
-            1 => CandidateGenConfig::NGram(NGramBlockerConfig {
-                q: 3,
-                min_shared: 1,
-                max_bucket: 8,
-            }),
-            _ => CandidateGenConfig::Ann(AnnBlockerConfig { q: 3, dim: 16, k: 4 }),
-        };
-        let blocker =
-            ShardedBlocker::build(&config, ShardConfig::of(n_shards), titles.iter().map(|t| t.as_str()));
-        let frames = ShardFrames::from_blocker(&blocker);
-        let got = roundtrip(&frames);
-        prop_assert_eq!(&got, &frames);
-        let decoded = got.decode_all().expect("frames reassemble");
-        prop_assert_eq!(&decoded, &blocker);
-        for s in 0..n_shards {
-            let (members, state) = got.decode_shard(s).expect("single shard decodes");
-            prop_assert_eq!(members.as_slice(), &blocker.members()[s][..]);
-            prop_assert_eq!(&state, &blocker.shards()[s]);
-        }
-        if let Some(title) = titles.first() {
-            prop_assert_eq!(decoded.candidates(title), blocker.candidates(title));
-        }
+        let mut snapshot = common::tiny_snapshot();
+        snapshot.records.extend(titles);
+        snapshot.blocker = BlockerState::build(&config, snapshot.records.iter().map(String::as_str));
+        let bytes = snapshot.to_bytes();
+        let got = ModelSnapshot::from_bytes(&bytes).expect("decodes");
+        prop_assert_eq!(&got.records, &snapshot.records);
+        let built = BlockerState::build(&config, got.records.iter().map(String::as_str));
+        prop_assert_eq!(&got.blocker, &built);
+        prop_assert_eq!(got.to_bytes(), bytes);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod prelude {
     pub use flexer_serve::{
         IngestReport, ResolutionService, ServeConfig, ShardedResolutionService,
     };
-    pub use flexer_store::{IndexKind, ModelSnapshot, ShardFrames};
+    pub use flexer_store::{IndexKind, ModelSnapshot};
     pub use flexer_types::{
         BlockingReport, CandidateGenConfig, CandidateSet, Dataset, EntityMap, Intent, IntentSet,
         LabelMatrix, MatchTarget, MierBenchmark, PairRef, RankedMatch, Record, Resolution,
