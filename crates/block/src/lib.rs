@@ -37,7 +37,7 @@ pub mod shard;
 
 pub use ann::AnnRecordIndex;
 pub use ngram::NGramIndex;
-pub use shard::{build_shard, local_answer, GlobalBlocking, ShardedBlocker};
+pub use shard::{build_shard, local_answer, GlobalBlocking};
 
 use flexer_types::{
     BlockingReport, CandidateGenConfig, CandidateSet, Dataset, EntityMap, PairRef, RecordId,

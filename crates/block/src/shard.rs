@@ -1,22 +1,23 @@
-//! [`ShardedBlocker`] — the candidate-generation tier partitioned across
-//! N shards behind a deterministic title router.
+//! Sharded blocking — candidate generation partitioned across N shards
+//! behind a deterministic title router, in two halves.
 //!
 //! Each shard holds a [`BlockerState`] over only the records routed to it
-//! (plus the member list mapping shard-local ids back to global record
-//! ids), so per-shard indexes stay `n/N`-sized and candidate queries fan
-//! out over shard-local state via `flexer-par`. The merge is exact, not
-//! approximate — for any shard count the merged candidate set is
-//! **identical** to what the monolithic blocker over the same records
-//! would return:
+//! plus the member list mapping shard-local ids back to global record ids
+//! ([`build_shard`]), and answers the shard-local half of a query
+//! ([`local_answer`]). [`GlobalBlocking`] holds what no shard can decide
+//! alone: it plans a query before the fan-out and merges the answers
+//! after it. The merge is exact, not approximate — for any shard count the
+//! merged candidate set is **identical** to what the monolithic blocker
+//! over the same records would return:
 //!
 //! * **q-gram**: a record's shared-gram count with a query is computed
 //!   entirely inside its own shard (gram sets are per-record), so the
 //!   per-shard surviving sets are disjoint and their union is the global
 //!   surviving set — *provided* the stop-gram decision is global. Shard
 //!   buckets are `~1/N` of global buckets, so a per-shard `max_bucket`
-//!   test would keep grams the monolithic blocker skips; the sharded
-//!   blocker therefore maintains global gram counts and pre-filters the
-//!   query's grams against them before fanning out
+//!   test would keep grams the monolithic blocker skips; the global half
+//!   therefore keeps corpus-wide gram counts and pre-filters the query's
+//!   grams against them before the fan-out
 //!   ([`crate::NGramIndex::candidates_for_grams`] applies no local cap).
 //! * **ANN**: every global top-k record is also in its own shard's top-k,
 //!   so merging all shards' hits by `(distance, global id)` and truncating
@@ -26,8 +27,9 @@
 //! * **Exhaustive**: stateless on both sides.
 //!
 //! That equivalence (tested here and property-tested in
-//! `tests/proptests.rs`) is what lets the serving tier treat sharding as
-//! a pure scale-out move: same answers, shard-local work.
+//! `tests/proptests.rs`, over `build_shard` → `plan` → `local_answer` →
+//! `merge`) is what lets the serving tier treat sharding as a pure
+//! scale-out move: same answers, shard-local work.
 
 use crate::ngram::gram_vec;
 use crate::BlockerState;
@@ -39,11 +41,11 @@ use std::collections::HashMap;
 /// The **global** half of sharded blocking — everything a candidate query
 /// needs that no shard can decide alone: the backend configuration, the
 /// title router, the corpus-wide gram counts behind the stop-gram decision
-/// and the number of records placed so far. Both deployments hold exactly
-/// this state — [`ShardedBlocker`] beside its in-process shards, the
-/// networked router beside its replica sets — and run these methods around
-/// their own fan-out of [`local_answer`], so they answer bit-identically
-/// by construction.
+/// and the number of records placed so far. The serving tier holds it
+/// beside its shards — in process or behind shard servers, reached through
+/// one fan-out either way — and runs these methods around that fan-out of
+/// [`local_answer`], so every deployment answers bit-identically by
+/// construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GlobalBlocking {
     gen: CandidateGenConfig,
@@ -155,11 +157,6 @@ impl GlobalBlocking {
         (self.router.route(title), self.n_records - 1)
     }
 
-    /// Number of records placed across all shards.
-    pub fn n_records(&self) -> usize {
-        self.n_records
-    }
-
     /// The shard configuration.
     pub fn shard_config(&self) -> ShardConfig {
         self.router.config()
@@ -173,10 +170,9 @@ impl GlobalBlocking {
 
 /// One shard's answer to a planned query, over its own blocker state and
 /// global-id member list: q-gram shared-count survivors as global ids, or
-/// the shard-local ANN top-k as `(distance, global id)`. Runs identically
-/// inside [`ShardedBlocker`] and inside a shard-server process. `None`
-/// when the query does not match the shard's backend (a protocol error on
-/// the networked path, unreachable in process).
+/// the shard-local ANN top-k as `(distance, global id)`. Every shard runs
+/// it, in process or in a shard-server process. `None` when the query does
+/// not match the shard's backend.
 pub fn local_answer(
     query: &WireQuery,
     state: &BlockerState,
@@ -193,10 +189,9 @@ pub fn local_answer(
     }
 }
 
-/// Shard `shard` of [`ShardedBlocker::build`] alone — its global-id member
-/// list and its blocker state — built by routing every title and indexing
-/// only the ones it owns. A shard server boots from this; it equals
-/// `(members()[shard], shards()[shard])` of the full build (tested).
+/// Shard `shard` alone — its global-id member list and its blocker state —
+/// built by routing every title and indexing only the ones it owns. Every
+/// shard of the serving tier boots from this.
 pub fn build_shard<'a>(
     gen: &CandidateGenConfig,
     config: ShardConfig,
@@ -215,156 +210,6 @@ pub fn build_shard<'a>(
     (members, state)
 }
 
-/// Whole nanoseconds since `t0` (saturating into `u64`).
-fn elapsed_ns(t0: std::time::Instant) -> u64 {
-    t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-}
-
-/// An incremental blocker partitioned across N shards (see module docs).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedBlocker {
-    /// The stop-gram counts and the router the shards are placed by.
-    global: GlobalBlocking,
-    /// Shard-local blocker state; local record ids are per-shard sequential.
-    shards: Vec<BlockerState>,
-    /// `members[s][local] = global` record id, ascending by construction.
-    members: Vec<Vec<u32>>,
-}
-
-impl ShardedBlocker {
-    /// Empty sharded blocker for a candidate-generation backend.
-    pub fn new(gen: &CandidateGenConfig, config: ShardConfig) -> Self {
-        let shards = (0..config.n_shards).map(|_| BlockerState::build(gen, [])).collect();
-        Self {
-            global: GlobalBlocking::new(gen, config, [], 0),
-            shards,
-            members: vec![Vec::new(); config.n_shards],
-        }
-    }
-
-    /// Builds a sharded blocker by routing `titles` in record-id order —
-    /// the partitioned equivalent of [`BlockerState::build`].
-    pub fn build<'a>(
-        gen: &CandidateGenConfig,
-        config: ShardConfig,
-        titles: impl IntoIterator<Item = &'a str>,
-    ) -> Self {
-        let mut out = Self::new(gen, config);
-        for t in titles {
-            out.insert(t);
-        }
-        out
-    }
-
-    /// Routes and indexes one record title; returns `(shard, global id)`.
-    /// Global ids are assigned sequentially, so callers must insert in
-    /// record-id order (the same contract as [`BlockerState::insert`]).
-    pub fn insert(&mut self, title: &str) -> (usize, RecordId) {
-        let (shard, global) = self.global.admit(title);
-        self.shards[shard].insert(title);
-        self.members[shard].push(global as u32);
-        (shard, global)
-    }
-
-    /// Batched insert: places every title globally (ids, member lists and
-    /// gram counts, serially in input order), then fans the shard-local
-    /// index updates out across shards in parallel (shards are
-    /// independent). The final state is identical to inserting the titles
-    /// one by one.
-    pub fn insert_batch(&mut self, titles: &[&str]) -> Vec<(usize, RecordId)> {
-        let rec = flexer_obs::global();
-        let t0 = std::time::Instant::now();
-        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        let mut out = Vec::with_capacity(titles.len());
-        for (i, title) in titles.iter().enumerate() {
-            let (shard, global) = self.global.admit(title);
-            self.members[shard].push(global as u32);
-            per_shard[shard].push(i);
-            out.push((shard, global));
-        }
-        rec.record_span_ns("shard.ingest.merge", elapsed_ns(t0));
-        // Group-by-shard, parallel shard-local ingest: each shard absorbs
-        // its titles in input order, exactly as serial inserts would. Each
-        // shard's wall time aggregates under `shard.ingest.local.<s>`, the
-        // balance evidence (max/mean imbalance across shards).
-        flexer_par::for_each_row_mut(&mut self.shards, 1, |s, shard| {
-            let t0 = std::time::Instant::now();
-            for &i in &per_shard[s] {
-                shard[0].insert(titles[i]);
-            }
-            rec.record_span_ns_indexed("shard.ingest.local", s, elapsed_ns(t0));
-        });
-        out
-    }
-
-    /// Candidate record ids (global, ascending) for a new title: the fan
-    /// out / merge of the per-shard candidate queries. `None` means "all
-    /// records" (the exhaustive backend). The result is identical to the
-    /// monolithic [`BlockerState::candidates`] over the same records, for
-    /// any shard count.
-    pub fn candidates(&self, title: &str) -> Option<Vec<RecordId>> {
-        let rec = flexer_obs::global();
-        let query = self.global.plan(title)?;
-        let t0 = std::time::Instant::now();
-        let answers = self.fan_out(&query);
-        let t1 = std::time::Instant::now();
-        let out = self.global.merge(answers);
-        rec.record_span_ns("shard.fanout", (t1 - t0).as_nanos() as u64);
-        rec.record_span_ns("shard.merge", elapsed_ns(t1));
-        Some(out)
-    }
-
-    /// The per-shard halves of a planned query, fanned out via
-    /// `flexer-par` — the in-process equivalent of the router's
-    /// one-request-per-shard-server fan-out.
-    fn fan_out(&self, query: &WireQuery) -> Vec<WireCandidates> {
-        flexer_par::parallel_map(self.shards.len(), |s| {
-            local_answer(query, &self.shards[s], &self.members[s])
-                .expect("shard backend matches the planned query")
-        })
-    }
-
-    /// Number of records indexed across all shards.
-    pub fn len(&self) -> usize {
-        self.global.n_records()
-    }
-
-    /// Whether no records are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard configuration.
-    pub fn shard_config(&self) -> ShardConfig {
-        self.global.shard_config()
-    }
-
-    /// The candidate-generation backend every shard runs.
-    pub fn gen_config(&self) -> CandidateGenConfig {
-        self.global.gen_config()
-    }
-
-    /// Per-shard blocker states.
-    pub fn shards(&self) -> &[BlockerState] {
-        &self.shards
-    }
-
-    /// Per-shard global-id member lists.
-    pub fn members(&self) -> &[Vec<u32>] {
-        &self.members
-    }
-
-    /// Records held by each shard — the balance diagnostic benches report.
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        self.members.iter().map(Vec::len).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,28 +226,34 @@ mod tests {
             .collect()
     }
 
+    /// The sharded answer composed from its pieces: every shard built
+    /// alone, the global half from their bucket sizes, then plan →
+    /// local answers → merge.
+    fn sharded(
+        gen: &CandidateGenConfig,
+        n_shards: usize,
+        titles: &[String],
+        query: &str,
+    ) -> Option<Vec<RecordId>> {
+        let config = ShardConfig::of(n_shards);
+        let shards: Vec<_> = (0..n_shards)
+            .map(|s| build_shard(gen, config, titles.iter().map(String::as_str), s))
+            .collect();
+        let sizes = shards.iter().flat_map(|(_, state)| state.bucket_sizes());
+        let global = GlobalBlocking::new(gen, config, sizes, titles.len());
+        let planned = global.plan(query)?;
+        Some(
+            global.merge(shards.iter().map(|(m, state)| local_answer(&planned, state, m).unwrap())),
+        )
+    }
+
     fn assert_equivalent(gen: &CandidateGenConfig, queries: &[&str]) {
         let titles = titles();
         let mono = BlockerState::build(gen, titles.iter().map(|t| t.as_str()));
         for n_shards in [1usize, 2, 3, 7] {
-            let sharded = ShardedBlocker::build(
-                gen,
-                ShardConfig::of(n_shards),
-                titles.iter().map(|t| t.as_str()),
-            );
-            assert_eq!(sharded.len(), titles.len());
             for q in queries {
-                let merged = sharded.candidates(q);
+                let merged = sharded(gen, n_shards, &titles, q);
                 assert_eq!(merged, mono.candidates(q), "{n_shards} shards, query {q:?}");
-            }
-            for s in 0..n_shards {
-                let built = build_shard(
-                    gen,
-                    ShardConfig::of(n_shards),
-                    titles.iter().map(|t| t.as_str()),
-                    s,
-                );
-                assert_eq!(built, (sharded.members()[s].clone(), sharded.shards()[s].clone()));
             }
         }
     }
@@ -424,10 +275,8 @@ mod tests {
             CandidateGenConfig::NGram(NGramBlockerConfig { q: 4, min_shared: 1, max_bucket: 8 });
         let shared: Vec<String> = (0..40).map(|i| format!("common stem {i}")).collect();
         let mono = BlockerState::build(&gen, shared.iter().map(|t| t.as_str()));
-        let sharded =
-            ShardedBlocker::build(&gen, ShardConfig::of(7), shared.iter().map(|t| t.as_str()));
         let query = "common stem fresh";
-        assert_eq!(sharded.candidates(query), mono.candidates(query));
+        assert_eq!(sharded(&gen, 7, &shared, query), mono.candidates(query));
     }
 
     #[test]
@@ -442,22 +291,9 @@ mod tests {
     fn exhaustive_sharding_is_stateless() {
         let gen = CandidateGenConfig::Exhaustive;
         let titles = titles();
-        let sharded =
-            ShardedBlocker::build(&gen, ShardConfig::of(3), titles.iter().map(|t| t.as_str()));
-        assert_eq!(sharded.candidates("anything"), None);
-        assert_eq!(sharded.shard_sizes().iter().sum::<usize>(), titles.len());
-    }
-
-    #[test]
-    fn insert_batch_matches_serial_inserts() {
-        let gen = CandidateGenConfig::NGram(NGramBlockerConfig::default());
-        let titles = titles();
-        let refs: Vec<&str> = titles.iter().map(|t| t.as_str()).collect();
-        let mut serial = ShardedBlocker::new(&gen, ShardConfig::of(4));
-        let serial_ids: Vec<(usize, RecordId)> = refs.iter().map(|t| serial.insert(t)).collect();
-        let mut batched = ShardedBlocker::new(&gen, ShardConfig::of(4));
-        let batch_ids = batched.insert_batch(&refs);
-        assert_eq!(serial_ids, batch_ids);
-        assert_eq!(serial, batched);
+        assert_eq!(sharded(&gen, 3, &titles, "anything"), None);
+        let refs = titles.iter().map(String::as_str);
+        let held = (0..3).map(|s| build_shard(&gen, ShardConfig::of(3), refs.clone(), s).0.len());
+        assert_eq!(held.sum::<usize>(), titles.len());
     }
 }

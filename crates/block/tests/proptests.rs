@@ -4,7 +4,9 @@
 //! agrees with the batch pass, and candidate queries are insensitive to
 //! insertion order.
 
-use flexer_block::{block, build_shard, ngram::survives, BlockerState, NGramIndex, ShardedBlocker};
+use flexer_block::{
+    block, build_shard, local_answer, ngram::survives, BlockerState, GlobalBlocking, NGramIndex,
+};
 use flexer_types::{
     AnnBlockerConfig, CandidateGenConfig, Dataset, NGramBlockerConfig, PairRef, Record, ShardConfig,
 };
@@ -17,6 +19,19 @@ fn corpus(titles: &[String]) -> Dataset {
 
 fn title_strategy() -> impl Strategy<Value = String> {
     prop::collection::vec("[a-z]{1,6}", 0..5).prop_map(|words| words.join(" "))
+}
+
+/// The sharded answer as the serving tier composes it: every shard built
+/// alone, the global half from their bucket sizes, then plan → local
+/// answers → merge.
+fn sharded(gen: &CandidateGenConfig, n: usize, titles: &[String], q: &str) -> Option<Vec<usize>> {
+    let config = ShardConfig::of(n);
+    let shards: Vec<_> =
+        (0..n).map(|s| build_shard(gen, config, titles.iter().map(String::as_str), s)).collect();
+    let sizes = shards.iter().flat_map(|(_, state)| state.bucket_sizes());
+    let global = GlobalBlocking::new(gen, config, sizes, titles.len());
+    let planned = global.plan(q)?;
+    Some(global.merge(shards.iter().map(|(m, state)| local_answer(&planned, state, m).unwrap())))
 }
 
 proptest! {
@@ -119,9 +134,8 @@ proptest! {
     }
 
     /// The sharding equivalence lemma, q-gram backend: for any titles,
-    /// shard count, bucket cap and query, the sharded fan-out/merge equals
-    /// the monolithic candidate set exactly, and every shard built alone
-    /// is that shard of the full build.
+    /// shard count, bucket cap and query, the composed sharded answer
+    /// equals the monolithic candidate set exactly.
     #[test]
     fn sharded_ngram_equals_monolithic(
         titles in prop::collection::vec(title_strategy(), 0..14),
@@ -131,13 +145,7 @@ proptest! {
     ) {
         let gen = CandidateGenConfig::NGram(NGramBlockerConfig { q: 4, min_shared: 1, max_bucket });
         let mono = BlockerState::build(&gen, titles.iter().map(|s| s.as_str()));
-        let sharded =
-            ShardedBlocker::build(&gen, ShardConfig::of(n_shards), titles.iter().map(|s| s.as_str()));
-        prop_assert_eq!(sharded.candidates(&query), mono.candidates(&query));
-        for s in 0..n_shards {
-            let built = build_shard(&gen, ShardConfig::of(n_shards), titles.iter().map(|t| t.as_str()), s);
-            prop_assert_eq!(built, (sharded.members()[s].clone(), sharded.shards()[s].clone()));
-        }
+        prop_assert_eq!(sharded(&gen, n_shards, &titles, &query), mono.candidates(&query));
     }
 
     /// The sharding equivalence lemma, ANN backend.
@@ -150,29 +158,6 @@ proptest! {
     ) {
         let gen = CandidateGenConfig::Ann(AnnBlockerConfig { q: 3, dim: 16, k });
         let mono = BlockerState::build(&gen, titles.iter().map(|s| s.as_str()));
-        let sharded =
-            ShardedBlocker::build(&gen, ShardConfig::of(n_shards), titles.iter().map(|s| s.as_str()));
-        prop_assert_eq!(sharded.candidates(&query), mono.candidates(&query));
-        for s in 0..n_shards {
-            let built = build_shard(&gen, ShardConfig::of(n_shards), titles.iter().map(|t| t.as_str()), s);
-            prop_assert_eq!(built, (sharded.members()[s].clone(), sharded.shards()[s].clone()));
-        }
-    }
-
-    /// Batched inserts equal serial ones.
-    #[test]
-    fn sharded_insert_batch_equals_serial_inserts(
-        titles in prop::collection::vec(title_strategy(), 1..12),
-        n_shards in 1usize..5,
-    ) {
-        let gen = CandidateGenConfig::NGram(NGramBlockerConfig::default());
-        let refs: Vec<&str> = titles.iter().map(|s| s.as_str()).collect();
-        let mut serial = ShardedBlocker::new(&gen, ShardConfig::of(n_shards));
-        for t in &refs {
-            serial.insert(t);
-        }
-        let mut batched = ShardedBlocker::new(&gen, ShardConfig::of(n_shards));
-        batched.insert_batch(&refs);
-        prop_assert_eq!(&serial, &batched);
+        prop_assert_eq!(sharded(&gen, n_shards, &titles, &query), mono.candidates(&query));
     }
 }

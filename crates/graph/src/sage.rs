@@ -9,8 +9,9 @@
 //!
 //! `h⁽ᵗ⁺¹⁾_v = σ(W · [h_v ; mean_intra(N(v)) ; mean_inter(N(v))])`
 //!
-//! The `ablation` bench compares this against pooling both relations
-//! together (plain GraphSAGE on the union graph).
+//! Pooling both relations together (plain GraphSAGE on the union graph) is
+//! [`Aggregation::Pooled`]; no bench or `paper` experiment compares the
+//! two.
 //!
 //! A layer works on a **contiguous range of nodes**: it builds the
 //! `[self ; …]` rows of that range (`concat_rows_into`), maps them, and on

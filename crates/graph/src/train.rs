@@ -43,10 +43,11 @@ pub struct GnnConfig {
     /// Maximum epochs (paper: 150).
     pub epochs: usize,
     /// Early-stop patience on validation F1: the fit stops after this many
-    /// epochs in a row without improvement. Default 25, where the paper
-    /// trains the full 150 epochs; whether that changes which model is
-    /// selected is unmeasured (ROADMAP item 1). `patience = epochs` disables
-    /// it.
+    /// epochs in a row without improvement. Default 25 (`flexer_bench`
+    /// uses 20 at `tiny` and `small`), where the paper trains the full 150
+    /// epochs. At `small`, seed 17, patience 20 and all 150 epochs select
+    /// the same epoch in every one of the 12 Table 5 fits. `patience =
+    /// epochs` disables it.
     pub patience: usize,
     /// Adam learning rate (paper: 0.01).
     pub learning_rate: f32,

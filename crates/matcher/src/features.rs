@@ -6,8 +6,8 @@
 //! n-grams, it hashes the token *intersection* and *symmetric difference*
 //! (cross features) and exposes dense similarity scalars (Jaccard overlaps,
 //! numeric/code agreement, brand-position equality). The cross features are
-//! what make intent-specific decision boundaries learnable by an MLP; the
-//! `ablation` bench quantifies their contribution.
+//! what make intent-specific decision boundaries learnable by an MLP; no
+//! bench or `paper` experiment measures their contribution.
 //!
 //! A pair is featurized by one kernel, [`SideStore::pair_features`], from a
 //! *stored* left side and a [`PreparedSide`] on the right

@@ -1,14 +1,14 @@
 //! Span and metrics recorder.
 //!
 //! A [`Recorder`] aggregates nanosecond span timings by hierarchical path
-//! (`resolve.block`, `shard.ingest.local.3`, …) into mergeable
+//! (`resolve.block`, `graph.fit.forward`, …) into mergeable
 //! [`Histogram`]s, alongside monotonic counters, gauges, and value
 //! histograms. Span nesting is tracked per thread: a guard opened while
 //! another guard is live records under the joined dotted path. Worker
 //! threads spawned by `flexer-par` do **not** inherit the caller's span
 //! stack — instrumentation inside parallel closures should record explicit
-//! dotted paths ([`Recorder::record_span_ns`] /
-//! [`Recorder::record_span_ns_indexed`]) instead of relying on nesting.
+//! dotted paths ([`Recorder::record_span_ns`]) instead of relying on
+//! nesting.
 //!
 //! Steady-state recording is allocation-free: path composition reuses a
 //! thread-local scratch string and histogram lookup borrows it as `&str`;
@@ -142,20 +142,6 @@ impl Recorder {
         *since = now;
     }
 
-    /// Record `ns` under `base.idx` (e.g. per-shard paths) without
-    /// allocating the composed path on the steady state.
-    pub fn record_span_ns_indexed(&self, base: &str, idx: usize, ns: u64) {
-        FRAMES.with(|f| {
-            let mut f = f.borrow_mut();
-            let f = &mut *f;
-            f.scratch.clear();
-            f.scratch.push_str(base);
-            f.scratch.push('.');
-            push_usize(&mut f.scratch, idx);
-            record_into(&self.shared.spans, &f.scratch, ns);
-        });
-    }
-
     /// Record a non-timing sample (batch size, byte count, …) into the
     /// value histogram named `name`.
     pub fn record_value(&self, name: &str, v: u64) {
@@ -286,24 +272,6 @@ fn record_into(map: &Mutex<BTreeMap<Box<str>, Histogram>>, name: &str, v: u64) {
     }
 }
 
-/// Append a decimal integer without going through `format!` (and without
-/// allocating — per-shard paths are composed on the ingest hot path).
-fn push_usize(buf: &mut String, mut v: usize) {
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    for &d in &digits[i..] {
-        buf.push(d as char);
-    }
-}
-
 static GLOBAL: OnceLock<Recorder> = OnceLock::new();
 
 /// Process-global recorder. Low-level crates (blocking, store) record here;
@@ -335,16 +303,6 @@ mod tests {
         assert!(snap.span("resolve.block").is_some());
         assert!(snap.span("resolve.forward").is_some());
         assert_eq!(snap.span("resolve").unwrap().count, 1);
-    }
-
-    #[test]
-    fn indexed_span_paths() {
-        let rec = Recorder::new();
-        rec.record_span_ns_indexed("shard.ingest.local", 12, 500);
-        rec.record_span_ns_indexed("shard.ingest.local", 3, 700);
-        let snap = rec.snapshot();
-        assert_eq!(snap.span("shard.ingest.local.12").unwrap().sum, 500);
-        assert_eq!(snap.span("shard.ingest.local.3").unwrap().sum, 700);
     }
 
     #[test]

@@ -60,14 +60,12 @@ fn recording_paths_respect_allocation_bounds() {
     for _ in 0..3 {
         let _outer = rec.span("resolve");
         let _inner = rec.span("forward");
-        rec.record_span_ns_indexed("shard.ingest.local", 7, 100);
         counter.add(64);
     }
     let n = allocs_during(|| {
         for _ in 0..10_000 {
             let _outer = rec.span("resolve");
             let _inner = rec.span("forward");
-            rec.record_span_ns_indexed("shard.ingest.local", 7, 100);
             counter.add(64);
         }
     });

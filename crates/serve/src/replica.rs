@@ -1,19 +1,31 @@
-//! Replicated shard connections: health-ranked failover, deadline-bounded
-//! socket I/O, per-replica connection pooling, and ordered, idempotent
-//! insert replay.
+//! The sharded blocking tier: one fan-out over replicated shards, whether
+//! a shard is a server across a socket or a handler in this process.
 //!
-//! Every exchange the router has with a shard server is one
-//! `Replica::call`: the boot handshake, queries, inserts and their replay,
-//! the janitor's probes and the shutdown sweep. Each call is bounded by a
-//! `Deadline`, checks a pooled connection out (or dials one) and keeps the
-//! replica's health.
+//! [`Sharded`] is the [`BlockingTier`] of every sharded deployment — the
+//! router's and the in-process `ShardedResolutionService`'s. It holds the
+//! global half of sharded blocking ([`GlobalBlocking`]: backend config,
+//! title router, stop-gram counts) beside a `Fleet` of shard slots, each
+//! one `ReplicaSet`. A candidate query is planned once against the global
+//! state, fanned out concurrently — one request per shard slot to the
+//! healthiest replica, with failover to its siblings — and merged back;
+//! an ingest sends one sequenced insert per shard to every replica.
 //!
-//! One `ReplicaSet` stands in front of each shard slot. Its replicas
-//! all boot the same shard of the same snapshot, so any of them can
-//! answer any shard-local query **bit-identically** — which is what makes
-//! failover a pure availability move: as long as one replica of every
-//! shard is reachable, routed answers are byte-for-byte the answers the
-//! in-process `ShardedResolutionService` would give.
+//! Every exchange with a shard is one `Replica::call`: the boot handshake,
+//! queries, inserts and their replay, the janitor's probes and the
+//! shutdown sweep. A replica is reached over one of two links:
+//!
+//! * **TCP**: a shard server's address. Each call is bounded by a
+//!   `Deadline`, checks a pooled connection out (or dials one) and keeps
+//!   the replica's health.
+//! * **In-process**: the shard server's own handler, called directly —
+//!   no socket, no codec, and no deadline to miss, so a local shard never
+//!   times out, fails over or degrades.
+//!
+//! The replicas of one slot all boot the same shard of the same snapshot,
+//! so any of them can answer any shard-local query **bit-identically** —
+//! which is what makes failover a pure availability move: as long as one
+//! replica of every shard is reachable, routed answers are byte-for-byte
+//! the answers the in-process service gives.
 //!
 //! # Reads: failover within a budget
 //!
@@ -37,14 +49,22 @@
 //! idempotent, so convergence needs no guessing about what the dead
 //! connection did or did not deliver.
 
+use crate::blocking::BlockingTier;
+use crate::endpoint::Reply;
+use crate::error::ServeError;
+use crate::server::Shard;
+use flexer_block::GlobalBlocking;
 use flexer_obs::{Counter, Recorder};
 use flexer_store::{read_message_bounded, write_message};
-use flexer_types::{ShardRequest, ShardResponse};
+use flexer_types::{
+    CandidateGenConfig, ShardConfig, ShardRequest, ShardResponse, WireCandidates, WireQuery,
+};
 use std::collections::VecDeque;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+use std::thread;
 use std::time::{Duration, Instant};
 
 /// First reconnect delay after a replica connection failure.
@@ -73,18 +93,18 @@ impl Deadline {
     }
 
     /// `budget` from `start`.
-    pub(crate) fn since(start: Instant, budget: Duration) -> Self {
+    fn since(start: Instant, budget: Duration) -> Self {
         Self(start + budget)
     }
 
     /// Whether the budget has run out.
-    pub(crate) fn expired(self) -> bool {
+    fn expired(self) -> bool {
         Instant::now() >= self.0
     }
 
     /// The timeout for one socket operation: `io`, cut to what is left of
     /// the budget, and never below [`MIN_QUANTUM`].
-    pub(crate) fn quantum(self, io: Duration) -> Duration {
+    fn quantum(self, io: Duration) -> Duration {
         io.min(self.0.saturating_duration_since(Instant::now())).max(MIN_QUANTUM)
     }
 }
@@ -170,12 +190,26 @@ struct Health {
 /// number and the `(global_id, title)` rows it carries.
 type PendingBatch = (u64, Vec<(u64, String)>);
 
-/// One replica of one shard: its address, health, pooled idle
-/// connections, and its ordered insert-replay lane.
-pub(crate) struct Replica {
-    addr: String,
+/// How a replica is reached (see module docs).
+pub(crate) enum Link {
+    /// A shard server's address and its pooled idle connections.
+    Tcp { addr: String, idle: Mutex<Vec<TcpStream>> },
+    /// A shard served in this process.
+    Local(Shard),
+}
+
+impl Link {
+    /// A link to the shard server at `addr`.
+    pub(crate) fn tcp(addr: String) -> Self {
+        Link::Tcp { addr, idle: Mutex::new(Vec::new()) }
+    }
+}
+
+/// One replica of one shard: its link, health, and its ordered
+/// insert-replay lane.
+struct Replica {
+    link: Link,
     health: Mutex<Health>,
-    idle: Mutex<Vec<TcpStream>>,
     /// Sequenced insert batches this replica has not acknowledged, oldest
     /// first. The mutex doubles as the replica's *insert lane*: whoever
     /// sends inserts (the writer thread, or the janitor flushing) holds
@@ -184,7 +218,7 @@ pub(crate) struct Replica {
 }
 
 /// Outcome of one bounded replica call.
-pub(crate) enum CallOutcome {
+enum CallOutcome {
     Ok(ShardResponse),
     /// The attempt failed (connect/write/read/decode); a sibling may help.
     Failed,
@@ -194,22 +228,30 @@ pub(crate) enum CallOutcome {
 }
 
 impl Replica {
-    fn new(addr: String) -> Self {
+    fn new(link: Link) -> Self {
         Self {
-            addr,
+            link,
             health: Mutex::new(Health { fails: 0, next_retry: Instant::now() }),
-            idle: Mutex::new(Vec::new()),
             pending: Mutex::new(VecDeque::new()),
         }
     }
 
     /// The replica's address (for logs and errors).
-    pub(crate) fn addr(&self) -> &str {
-        &self.addr
+    fn addr(&self) -> &str {
+        match &self.link {
+            Link::Tcp { addr, .. } => addr,
+            Link::Local(_) => "in-process",
+        }
+    }
+
+    /// Whether `deadline` has passed for this replica: a local shard
+    /// answers whatever the deadline.
+    fn missed(&self, deadline: Deadline) -> bool {
+        matches!(self.link, Link::Tcp { .. }) && deadline.expired()
     }
 
     /// Un-replayed insert batches queued for this replica.
-    pub(crate) fn pending_len(&self) -> usize {
+    fn pending_len(&self) -> usize {
         self.pending.lock().expect("replica pending lock").len()
     }
 
@@ -234,13 +276,17 @@ impl Replica {
         h.next_retry = Instant::now() + backoff;
     }
 
-    /// Pops a pooled connection or dials a fresh one within `connect`.
-    fn checkout(&self, connect: Duration) -> io::Result<(TcpStream, bool)> {
-        if let Some(stream) = self.idle.lock().expect("replica pool lock").pop() {
+    /// Pops a pooled connection or dials a fresh one to `addr` within
+    /// `connect`.
+    fn checkout(
+        addr: &str,
+        idle: &Mutex<Vec<TcpStream>>,
+        connect: Duration,
+    ) -> io::Result<(TcpStream, bool)> {
+        if let Some(stream) = idle.lock().expect("replica pool lock").pop() {
             return Ok((stream, true));
         }
-        let addr = self
-            .addr
+        let addr = addr
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "unresolvable address"))?;
@@ -251,39 +297,35 @@ impl Replica {
         Ok((stream, false))
     }
 
-    fn checkin(&self, stream: TcpStream) {
-        let mut idle = self.idle.lock().expect("replica pool lock");
-        if idle.len() < POOL {
-            idle.push(stream);
-        }
-    }
-
-    /// Drops every pooled connection (after a failure, siblings in the
-    /// pool are likely stale too — e.g. the whole process restarted).
-    fn drain_pool(&self) {
-        self.idle.lock().expect("replica pool lock").clear();
-    }
-
-    /// One request/response round trip bounded by `deadline`, with a
-    /// single transparent retry on a fresh connection when a **pooled**
-    /// stream turns out to be stale (the server reaps idle connections;
-    /// that is not a replica failure). Health bookkeeping included.
-    /// `idempotent` gates the stale retry: an insert whose response was
-    /// lost may or may not have been applied, so it is never blind-resent
-    /// here (sequence-numbered replay handles it instead).
-    pub(crate) fn call(
+    /// One request/response exchange. A local shard answers in a plain
+    /// function call. Over TCP the round trip is bounded by `deadline`,
+    /// with a single transparent retry on a fresh connection when a
+    /// **pooled** stream turns out to be stale (the server reaps idle
+    /// connections; that is not a replica failure). Health bookkeeping
+    /// included. `idempotent` gates the stale retry: an insert whose
+    /// response was lost may or may not have been applied, so it is never
+    /// blind-resent here (sequence-numbered replay handles it instead).
+    fn call(
         &self,
         request: &ShardRequest,
         net: &NetConfig,
         deadline: Deadline,
         idempotent: bool,
     ) -> CallOutcome {
+        let (addr, idle) = match &self.link {
+            Link::Local(shard) => {
+                let (Reply::Answer(response) | Reply::Stop(response)) = shard.handle(request);
+                return CallOutcome::Ok(response);
+            }
+            Link::Tcp { addr, idle } => (addr, idle),
+        };
         let mut attempt = 0;
         loop {
             if deadline.expired() {
                 return CallOutcome::Deadline;
             }
-            let (mut stream, pooled) = match self.checkout(deadline.quantum(net.connect_timeout)) {
+            let connect = deadline.quantum(net.connect_timeout);
+            let (mut stream, pooled) = match Self::checkout(addr, idle, connect) {
                 Ok(got) => got,
                 Err(_) => {
                     self.note_fail();
@@ -293,15 +335,19 @@ impl Replica {
             match Self::round_trip(&mut stream, request, deadline.quantum(net.io_timeout)) {
                 Some(response) => {
                     self.note_ok();
-                    self.checkin(stream);
+                    let mut idle = idle.lock().expect("replica pool lock");
+                    if idle.len() < POOL {
+                        idle.push(stream);
+                    }
                     return CallOutcome::Ok(response);
                 }
                 None => {
                     // A stale pooled stream fails instantly on reuse; one
                     // fresh dial distinguishes "server reaped our idle
-                    // connection" from "server is gone".
+                    // connection" from "server is gone". The rest of the
+                    // pool is likely stale too (the process restarted?).
                     if pooled && idempotent && attempt == 0 {
-                        self.drain_pool();
+                        idle.lock().expect("replica pool lock").clear();
                         attempt = 1;
                         continue;
                     }
@@ -358,20 +404,21 @@ pub(crate) struct ReplicaSet {
 }
 
 impl ReplicaSet {
-    pub(crate) fn new(addrs: Vec<String>) -> Self {
+    pub(crate) fn new(links: impl IntoIterator<Item = Link>) -> Self {
         Self {
-            replicas: addrs.into_iter().map(Replica::new).collect(),
+            replicas: links.into_iter().map(Replica::new).collect(),
             rr: AtomicUsize::new(0),
             next_seq: AtomicU64::new(1),
         }
     }
 
-    pub(crate) fn replicas(&self) -> &[Replica] {
-        &self.replicas
-    }
-
     pub(crate) fn pending_total(&self) -> usize {
         self.replicas.iter().map(Replica::pending_len).sum()
+    }
+
+    /// Whether every replica is a shard in this process.
+    fn is_local(&self) -> bool {
+        self.replicas.iter().all(|r| matches!(r.link, Link::Local(_)))
     }
 
     /// Replica indexes healthiest-first: in-sync before pending-replay,
@@ -403,14 +450,15 @@ impl ReplicaSet {
         usable: impl Fn(&ShardResponse) -> bool,
     ) -> Option<ShardResponse> {
         for (tried, i) in self.ranked().into_iter().enumerate() {
-            if deadline.expired() {
+            let replica = &self.replicas[i];
+            if replica.missed(deadline) {
                 stats.timeout.inc();
                 return None;
             }
             if tried > 0 {
                 stats.failover.inc();
             }
-            match self.replicas[i].call(request, net, deadline, true) {
+            match replica.call(request, net, deadline, true) {
                 CallOutcome::Ok(response) if usable(&response) => return Some(response),
                 // An error reply, or an answer the caller cannot use (it
                 // arrives from outside the program): a sibling may do better.
@@ -428,7 +476,7 @@ impl ReplicaSet {
     /// lane only). Unreachable replicas get the batch queued in their
     /// replay lane; reachable ones are flushed first so batches always
     /// arrive in sequence order.
-    pub(crate) fn insert(&self, rows: Vec<(u64, String)>, net: &NetConfig, stats: &FaultStats) {
+    fn insert(&self, rows: Vec<(u64, String)>, net: &NetConfig, stats: &FaultStats) {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         for replica in &self.replicas {
             let mut lane = replica.pending.lock().expect("replica pending lock");
@@ -475,5 +523,211 @@ impl ReplicaSet {
             }
             replica.flush_lane(&mut lane, net, stats);
         }
+    }
+}
+
+/// The shard slots as a sharded tier reaches them. Shared between the
+/// serving core (whose blocking tier queries and feeds them) and the
+/// router's lanes that work beside it (janitor, stats, shutdown).
+pub(crate) struct Fleet {
+    pub(crate) sets: Vec<ReplicaSet>,
+    pub(crate) net: NetConfig,
+    pub(crate) stats: FaultStats,
+    /// Serializes writer-lane and janitor insert traffic so sequenced
+    /// batches leave in order even while the janitor is replaying.
+    pub(crate) ingest_mutex: Mutex<()>,
+}
+
+impl Fleet {
+    /// Sends every replica a best-effort `Shutdown`, the whole sweep
+    /// bounded by one I/O quantum.
+    pub(crate) fn shutdown(&self) {
+        let deadline = Deadline::after(self.net.io_timeout);
+        for replica in self.sets.iter().flat_map(|set| &set.replicas) {
+            let _ = replica.call(&ShardRequest::Shutdown, &self.net, deadline, true);
+        }
+    }
+
+    /// Fans one `QueryBatch` out to every shard slot concurrently, with
+    /// failover across a slot's replicas and everything bounded by
+    /// `deadline`. A remote slot waits on its sockets, so each gets its own
+    /// thread and the slowest bounds the fan-out; in-process slots answer
+    /// with CPU work, which the `flexer-par` budget spreads. This is where
+    /// remote answers enter: a reply is usable when `global` accepts its
+    /// answer to every query, anything else fails over like an error
+    /// reply. A shard that cannot answer — every replica dead, desynced,
+    /// stalled, lying or out of budget — contributes empty answers for the
+    /// whole batch: its records drop out of the candidate set, the query
+    /// survives.
+    fn fan_out_batches(
+        &self,
+        queries: &[WireQuery],
+        deadline: Deadline,
+        global: &GlobalBlocking,
+    ) -> Vec<Vec<WireCandidates>> {
+        let empty = || vec![WireCandidates::Ids(Vec::new()); queries.len()];
+        let request = ShardRequest::QueryBatch(queries.to_vec());
+        let usable = |response: &ShardResponse| {
+            matches!(response, ShardResponse::CandidatesBatch(answers)
+                if answers.len() == queries.len() && answers.iter().all(|a| global.accepts(a)))
+        };
+        let ask = |set: &ReplicaSet| match set.call_with_failover(
+            &request,
+            &self.net,
+            deadline,
+            &self.stats,
+            usable,
+        ) {
+            Some(ShardResponse::CandidatesBatch(answers)) => answers,
+            _ => {
+                self.stats.degraded.inc();
+                empty()
+            }
+        };
+        if self.sets.iter().all(ReplicaSet::is_local) {
+            return flexer_par::parallel_map_slice(&self.sets, ask);
+        }
+        thread::scope(|scope| {
+            let handles: Vec<_> =
+                self.sets.iter().map(|set| scope.spawn(move || ask(set))).collect();
+            handles.into_iter().map(|h| h.join().unwrap_or_else(|_| empty())).collect()
+        })
+    }
+}
+
+/// The blocking tier of every sharded deployment: the global half of
+/// sharded blocking held here, the shard-local half behind the fleet's
+/// replica sets (see module docs).
+pub struct Sharded {
+    pub(crate) global: GlobalBlocking,
+    pub(crate) fleet: Arc<Fleet>,
+}
+
+impl Sharded {
+    /// Handshakes with every replica of every shard slot and assembles the
+    /// global blocking state from what they report; only the backend
+    /// *configuration* comes from the snapshot, the blocking state itself
+    /// lives in the shards. Every replica of a slot must report what the
+    /// first one does: its record count and its sorted gram counts (the
+    /// ANN backend reports no grams, so there the record count is all that
+    /// is compared).
+    pub(crate) fn connect(
+        gen: CandidateGenConfig,
+        n_records: usize,
+        sets: Vec<ReplicaSet>,
+        net: NetConfig,
+        stats: FaultStats,
+    ) -> Result<Self, ServeError> {
+        let n_slots = sets.len();
+        let mut bucket_sizes: Vec<(u64, u32)> = Vec::new();
+        let mut shard_records = 0u64;
+        for (s, set) in sets.iter().enumerate() {
+            let mut first: Option<(u64, Vec<(u64, u32)>)> = None;
+            for (r, replica) in set.replicas.iter().enumerate() {
+                // Ask this specific replica (not the set) so a dead
+                // sibling cannot mask a dead replica at boot.
+                let hello = replica.call(
+                    &ShardRequest::Hello,
+                    &net,
+                    Deadline::after(net.request_budget),
+                    true,
+                );
+                let CallOutcome::Ok(ShardResponse::Hello {
+                    shard,
+                    n_shards,
+                    n_records,
+                    backend,
+                    mut gram_counts,
+                }) = hello
+                else {
+                    return Err(ServeError::InconsistentSnapshot(format!(
+                        "shard {s} replica {r} ({}): no handshake reply",
+                        replica.addr()
+                    )));
+                };
+                if shard != s as u64 || n_shards != n_slots as u64 {
+                    return Err(ServeError::InconsistentSnapshot(format!(
+                        "shard {s} replica {r}: server identifies as shard {shard} of {n_shards}"
+                    )));
+                }
+                if backend != gen.name() {
+                    return Err(ServeError::InconsistentSnapshot(format!(
+                        "shard {s} replica {r}: backend {backend} != router's {}",
+                        gen.name()
+                    )));
+                }
+                gram_counts.sort_unstable();
+                match &first {
+                    None => first = Some((n_records, gram_counts)),
+                    Some((held, grams)) if (*held, grams) != (n_records, &gram_counts) => {
+                        return Err(ServeError::InconsistentSnapshot(format!(
+                            "shard {s}: replica {r} holds other records than replica 0 \
+                             ({n_records} vs {held} records, {} vs {} grams)",
+                            gram_counts.len(),
+                            grams.len()
+                        )));
+                    }
+                    Some(_) => {}
+                }
+            }
+            let (held, grams) = first.expect("every shard slot has a replica");
+            shard_records += held;
+            bucket_sizes.extend(grams);
+        }
+        if !matches!(gen, CandidateGenConfig::Exhaustive) && shard_records != n_records as u64 {
+            return Err(ServeError::InconsistentSnapshot(format!(
+                "shards hold {shard_records} records, snapshot lists {n_records}"
+            )));
+        }
+        Ok(Self {
+            global: GlobalBlocking::new(&gen, ShardConfig::of(n_slots), bucket_sizes, n_records),
+            fleet: Arc::new(Fleet { sets, net, stats, ingest_mutex: Mutex::new(()) }),
+        })
+    }
+}
+
+impl BlockingTier for Sharded {
+    /// Every title's query is planned against the current global state,
+    /// shipped as one `QueryBatch` per shard, and merged per title. The
+    /// whole fan-out, failover included, is budgeted from `t0`.
+    fn candidates_batch(&self, titles: &[&str], t0: Instant) -> Vec<Option<Vec<usize>>> {
+        let Some(queries) = titles.iter().map(|t| self.global.plan(t)).collect::<Option<Vec<_>>>()
+        else {
+            // The exhaustive backend: no fan-out happens at all.
+            return vec![None; titles.len()];
+        };
+        let deadline = Deadline::since(t0, self.fleet.net.request_budget);
+        let mut per_shard: Vec<_> = self
+            .fleet
+            .fan_out_batches(&queries, deadline, &self.global)
+            .into_iter()
+            .map(Vec::into_iter)
+            .collect();
+        let merge_next = |_| {
+            let answers = per_shard.iter_mut().map(|a| a.next().expect("one answer per query"));
+            Some(self.global.merge(answers))
+        };
+        titles.iter().map(merge_next).collect()
+    }
+
+    /// Grows the global blocking state here and the records themselves
+    /// in their owning shards, as one sequenced `Insert` per shard to
+    /// **every** replica.
+    fn absorb(&mut self, titles: &[&str]) {
+        let mut rows_by_shard: Vec<Vec<(u64, String)>> = vec![Vec::new(); self.fleet.sets.len()];
+        for title in titles {
+            let (shard, id) = self.global.admit(title);
+            rows_by_shard[shard].push((id as u64, title.to_string()));
+        }
+        let _lane = self.fleet.ingest_mutex.lock().expect("ingest order lock");
+        for (set, rows) in self.fleet.sets.iter().zip(rows_by_shard) {
+            if !rows.is_empty() {
+                set.insert(rows, &self.fleet.net, &self.fleet.stats);
+            }
+        }
+    }
+
+    fn backend(&self) -> &'static str {
+        self.global.gen_config().name()
     }
 }

@@ -4,20 +4,21 @@
 //!
 //! The router owns everything *global*: the one [`Service`] every
 //! deployment runs — scoring tier, corpus, caches — instantiated over the
-//! `Remote` blocking tier, which holds the global half of sharded
+//! [`Sharded`] blocking tier, which holds the global half of sharded
 //! blocking ([`flexer_block::GlobalBlocking`]: backend config, title
 //! router, stop-gram counts; plan a query, merge the answers) beside the
 //! shard servers that hold the shard-local half. Each of the N shard slots
 //! is served by **R replicas** — shard-server processes that all booted
 //! the same shard of the same snapshot — behind a `ReplicaSet`. A
 //! candidate query is planned once against global state, fanned out
-//! concurrently — one thread per shard, one framed request to the
-//! healthiest replica with failover to its siblings — and merged back.
-//! Planning and merging are the very methods the in-process
-//! `ShardedBlocker` runs around *its* fan-out, so router answers are
-//! **bit-identical** to `ShardedResolutionService` over the same snapshot
-//! and call sequence whenever at least one in-sync replica per shard
-//! answers (asserted in `tests/cluster.rs` and the chaos bench).
+//! concurrently — one framed request per shard to the healthiest replica,
+//! with failover to its siblings — and merged back. The in-process
+//! `ShardedResolutionService` is the same `Service<Sharded>` over
+//! in-process links to its shards: same handshake, same fan-out, same
+//! sequenced inserts. Router answers are therefore **bit-identical** to
+//! it over the same snapshot and call sequence whenever at least one
+//! in-sync replica per shard answers (asserted in `tests/cluster.rs` and
+//! the chaos bench).
 //!
 //! # Deadlines
 //!
@@ -47,7 +48,7 @@
 //! **bounded** channel: concurrent client batches queue in arrival order,
 //! a full lane blocks further ingest connections (backpressure) without
 //! slowing reads, and each batch is one `ingest_batch` call on the
-//! service under the core's write lock — which, over the `Remote` tier,
+//! service under the core's write lock — which, over the `Sharded` tier,
 //! means pre-batched shard queries (one `QueryBatch` round trip per
 //! shard), the scoring and merge every deployment runs, then a sequenced
 //! per-shard `Insert` fan-out to **every** replica.
@@ -67,21 +68,19 @@
 //! A background janitor thread replays pending lanes and probes failed
 //! replicas with `Ping` so recovery does not wait for query traffic.
 
-use crate::blocking::BlockingTier;
 use crate::endpoint::{self, Limits, Reply};
 use crate::error::ServeError;
-use crate::replica::{CallOutcome, Deadline, FaultStats, NetConfig, ReplicaSet};
+use crate::replica::{FaultStats, Fleet, Link, NetConfig, ReplicaSet, Sharded};
 use crate::service::{IngestReport, ServeConfig, Service};
-use flexer_block::GlobalBlocking;
 use flexer_store::{read_message, write_message, ModelSnapshot, WireError};
 use flexer_types::{
-    CandidateGenConfig, IntentId, ResolveQuery, ResolveResponse, RouterRequest, RouterResponse,
-    ShardConfig, ShardRequest, ShardResponse, WireCandidates, WireIngestReport, WireQuery,
+    IntentId, ResolveQuery, ResolveResponse, RouterRequest, RouterResponse, ShardConfig,
+    WireIngestReport,
 };
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -104,28 +103,9 @@ const CLIENT_IO: Duration = Duration::from_secs(30);
 /// The router's client-facing connection surface.
 const CLIENT_LIMITS: Limits = Limits { max_conns: 64, idle: CLIENT_IDLE, io: CLIENT_IO };
 
-/// The shard servers as the router reaches them. Shared between the
-/// serving core (whose blocking tier queries and feeds them) and the
-/// lanes that work beside it (janitor, stats, shutdown).
-struct Fleet {
-    sets: Vec<ReplicaSet>,
-    net: NetConfig,
-    stats: FaultStats,
-    /// Serializes writer-lane and janitor insert traffic so sequenced
-    /// batches leave in order even while the janitor is replaying.
-    ingest_mutex: Mutex<()>,
-}
-
-/// The router's blocking tier: the global half of sharded blocking held
-/// locally, the shard-local half behind the fleet's replica sets.
-pub(crate) struct Remote {
-    global: GlobalBlocking,
-    fleet: Arc<Fleet>,
-}
-
 struct Inner {
-    /// The one service every deployment runs, over the [`Remote`] tier.
-    core: RwLock<Service<Remote>>,
+    /// The one service every deployment runs, over the [`Sharded`] tier.
+    core: RwLock<Service<Sharded>>,
     fleet: Arc<Fleet>,
     stop: AtomicBool,
 }
@@ -175,10 +155,16 @@ impl Router {
                 "every shard slot needs at least one replica address".into(),
             ));
         }
-        let sharding = snapshot.sharding;
+        if snapshot.sharding.is_some_and(|c| c.n_shards != shards.len()) {
+            return Err(ServeError::InconsistentSnapshot(
+                "snapshot shard count != shard server count".into(),
+            ));
+        }
+        let sets =
+            shards.into_iter().map(|addrs| ReplicaSet::new(addrs.into_iter().map(Link::tcp)));
         let core = Service::build(snapshot, config, |blocker, titles, recorder| {
-            let gen = blocker.gen_config();
-            Remote::connect(gen, sharding, titles.len(), shards, net, FaultStats::new(recorder))
+            let (gen, stats) = (blocker.gen_config(), FaultStats::new(recorder));
+            Sharded::connect(gen, titles.len(), sets.collect(), net, stats)
         })?;
         let fleet = Arc::clone(&core.tier.fleet);
         let listener = TcpListener::bind(addr).map_err(flexer_store::StoreError::Io)?;
@@ -228,139 +214,6 @@ impl Router {
     }
 }
 
-impl Remote {
-    /// Handshakes with every replica of every shard slot and assembles the
-    /// global blocking state from what they report. The router needs only
-    /// the backend *configuration* from the snapshot — the blocking state
-    /// itself lives in the shard servers.
-    fn connect(
-        gen: CandidateGenConfig,
-        sharding: Option<ShardConfig>,
-        n_records: usize,
-        shards: Vec<Vec<String>>,
-        net: NetConfig,
-        stats: FaultStats,
-    ) -> Result<Self, ServeError> {
-        let n_slots = shards.len();
-        if sharding.is_some_and(|c| c.n_shards != n_slots) {
-            return Err(ServeError::InconsistentSnapshot(
-                "snapshot shard count != shard server count".into(),
-            ));
-        }
-        let mut sets = Vec::with_capacity(n_slots);
-        let mut bucket_sizes: Vec<(u64, u32)> = Vec::new();
-        let mut shard_records = 0u64;
-        for (s, replica_addrs) in shards.into_iter().enumerate() {
-            let set = ReplicaSet::new(replica_addrs);
-            let mut first_records = None;
-            for (r, replica) in set.replicas().iter().enumerate() {
-                // Ask this specific replica (not the set) so a dead
-                // sibling cannot mask a dead replica at boot.
-                let hello = replica.call(
-                    &ShardRequest::Hello,
-                    &net,
-                    Deadline::after(net.request_budget),
-                    true,
-                );
-                let CallOutcome::Ok(ShardResponse::Hello {
-                    shard,
-                    n_shards,
-                    n_records,
-                    backend,
-                    gram_counts,
-                }) = hello
-                else {
-                    return Err(ServeError::InconsistentSnapshot(format!(
-                        "shard {s} replica {r} ({}): no handshake reply",
-                        replica.addr()
-                    )));
-                };
-                if shard != s as u64 || n_shards != n_slots as u64 {
-                    return Err(ServeError::InconsistentSnapshot(format!(
-                        "shard {s} replica {r}: server identifies as shard {shard} of {n_shards}"
-                    )));
-                }
-                if backend != gen.name() {
-                    return Err(ServeError::InconsistentSnapshot(format!(
-                        "shard {s} replica {r}: backend {backend} != router's {}",
-                        gen.name()
-                    )));
-                }
-                let expected = *first_records.get_or_insert(n_records);
-                if expected != n_records {
-                    return Err(ServeError::InconsistentSnapshot(format!(
-                        "shard {s}: replicas disagree on record count ({expected} vs {n_records})"
-                    )));
-                }
-                if r == 0 {
-                    shard_records += n_records;
-                    bucket_sizes.extend(gram_counts);
-                }
-            }
-            sets.push(set);
-        }
-        if !matches!(gen, CandidateGenConfig::Exhaustive) && shard_records != n_records as u64 {
-            return Err(ServeError::InconsistentSnapshot(format!(
-                "shards hold {shard_records} records, snapshot lists {n_records}"
-            )));
-        }
-        Ok(Self {
-            global: GlobalBlocking::new(&gen, ShardConfig::of(n_slots), bucket_sizes, n_records),
-            fleet: Arc::new(Fleet { sets, net, stats, ingest_mutex: Mutex::new(()) }),
-        })
-    }
-}
-
-impl BlockingTier for Remote {
-    fn candidates(&self, title: &str, t0: Instant) -> Option<Vec<usize>> {
-        self.candidates_batch(&[title], t0).pop().expect("one answer per title")
-    }
-
-    /// Every title's query is planned against the current global state,
-    /// shipped as one `QueryBatch` round trip per shard, and merged per
-    /// title. The whole fan-out, failover included, is budgeted from `t0`.
-    fn candidates_batch(&self, titles: &[&str], t0: Instant) -> Vec<Option<Vec<usize>>> {
-        let Some(queries) = titles.iter().map(|t| self.global.plan(t)).collect::<Option<Vec<_>>>()
-        else {
-            // The exhaustive backend: no fan-out happens at all.
-            return vec![None; titles.len()];
-        };
-        let deadline = Deadline::since(t0, self.fleet.net.request_budget);
-        let mut per_shard: Vec<_> = self
-            .fleet
-            .fan_out_batches(&queries, deadline, &self.global)
-            .into_iter()
-            .map(Vec::into_iter)
-            .collect();
-        let merge_next = |_| {
-            let answers = per_shard.iter_mut().map(|a| a.next().expect("one answer per query"));
-            Some(self.global.merge(answers))
-        };
-        titles.iter().map(merge_next).collect()
-    }
-
-    /// Grows the global blocking state locally and the records themselves
-    /// in their owning shards, as one sequenced `Insert` per shard to
-    /// **every** replica.
-    fn absorb(&mut self, titles: &[&str]) {
-        let mut rows_by_shard: Vec<Vec<(u64, String)>> = vec![Vec::new(); self.fleet.sets.len()];
-        for title in titles {
-            let (shard, id) = self.global.admit(title);
-            rows_by_shard[shard].push((id as u64, title.to_string()));
-        }
-        let _lane = self.fleet.ingest_mutex.lock().expect("ingest order lock");
-        for (set, rows) in self.fleet.sets.iter().zip(rows_by_shard) {
-            if !rows.is_empty() {
-                set.insert(rows, &self.fleet.net, &self.fleet.stats);
-            }
-        }
-    }
-
-    fn backend(&self) -> &'static str {
-        self.global.gen_config().name()
-    }
-}
-
 /// The single-writer ingest lane: applies queued batches strictly in
 /// arrival order, one at a time, each one `ingest_batch` call on the core.
 fn writer_lane(inner: &Inner, jobs: &Receiver<IngestJob>) {
@@ -384,64 +237,6 @@ fn janitor_lane(inner: &Inner) {
         for set in &fleet.sets {
             set.flush_pending(&fleet.net, &fleet.stats);
         }
-    }
-}
-
-impl Fleet {
-    /// Sends every replica a best-effort `Shutdown`, the whole sweep
-    /// bounded by one I/O quantum.
-    fn shutdown(&self) {
-        let deadline = Deadline::after(self.net.io_timeout);
-        for replica in self.sets.iter().flat_map(ReplicaSet::replicas) {
-            let _ = replica.call(&ShardRequest::Shutdown, &self.net, deadline, true);
-        }
-    }
-
-    /// Fans one `QueryBatch` out to every shard concurrently (one thread
-    /// per shard slot, failover across that shard's replicas, everything
-    /// bounded by `deadline`). This is where remote answers enter: a reply
-    /// is usable when `global` accepts its answer to every query, anything
-    /// else fails over like an error reply. A shard that cannot answer —
-    /// every replica dead, desynced, stalled, lying or out of budget —
-    /// contributes empty answers for the whole batch: its records drop out
-    /// of the candidate set, the query survives.
-    fn fan_out_batches(
-        &self,
-        queries: &[WireQuery],
-        deadline: Deadline,
-        global: &GlobalBlocking,
-    ) -> Vec<Vec<WireCandidates>> {
-        let empty = || vec![WireCandidates::Ids(Vec::new()); queries.len()];
-        let request = ShardRequest::QueryBatch(queries.to_vec());
-        let usable = |response: &ShardResponse| {
-            matches!(response, ShardResponse::CandidatesBatch(answers)
-                if answers.len() == queries.len() && answers.iter().all(|a| global.accepts(a)))
-        };
-        thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .sets
-                .iter()
-                .map(|set| {
-                    let (request, usable) = (&request, &usable);
-                    scope.spawn(move || {
-                        match set.call_with_failover(
-                            request,
-                            &self.net,
-                            deadline,
-                            &self.stats,
-                            usable,
-                        ) {
-                            Some(ShardResponse::CandidatesBatch(answers)) => answers,
-                            _ => {
-                                self.stats.degraded.inc();
-                                empty()
-                            }
-                        }
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap_or_else(|_| empty())).collect()
-        })
     }
 }
 

@@ -8,10 +8,10 @@
 //! (`flexer_store::wire`). It holds no scoring state: matchers,
 //! GNNs and pair indexes live in the router, which also owns every
 //! *global* blocking decision (stop-gram filtering, cross-shard merges).
-//! The shard runs exactly [`flexer_block::local_answer`] — the same
-//! function the in-process [`crate::ShardedResolutionService`] fans out
-//! to — so a networked deployment answers bit-identically by
-//! construction.
+//! Its handler, `Shard`, is the whole shard: the in-process
+//! [`crate::ShardedResolutionService`] calls the very same handler through
+//! an in-process link (`crate::replica`), so a networked deployment
+//! answers bit-identically by construction.
 //!
 //! Every inbound byte is untrusted: frames are length-capped and
 //! checksummed before decoding, and a connection that sends garbage gets
@@ -43,7 +43,7 @@ use crate::endpoint::{self, Limits, Reply};
 use crate::error::ServeError;
 use flexer_block::{build_shard, local_answer, BlockerState};
 use flexer_store::ModelSnapshot;
-use flexer_types::{ShardRequest, ShardResponse, WireCandidates};
+use flexer_types::{CandidateGenConfig, ShardConfig, ShardRequest, ShardResponse, WireCandidates};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::Path;
 use std::sync::RwLock;
@@ -65,9 +65,10 @@ struct ShardState {
     last_seq: u64,
 }
 
-/// What the shard server answers from: its place in the deployment and
-/// its state.
-struct Shard {
+/// One shard: its place in the deployment and its state, answering
+/// [`ShardRequest`]s — behind a socket here, or called directly by an
+/// in-process link.
+pub(crate) struct Shard {
     shard: usize,
     n_shards: usize,
     state: RwLock<ShardState>,
@@ -102,22 +103,17 @@ impl ShardServer {
         let config = snapshot
             .sharding
             .ok_or_else(|| ServeError::InconsistentSnapshot("snapshot is not sharded".into()))?;
-        let n_shards = config.n_shards;
-        if shard >= n_shards {
+        if shard >= config.n_shards {
             return Err(ServeError::InconsistentSnapshot(format!(
-                "shard {shard} out of range ({n_shards} shards)"
+                "shard {shard} out of range ({} shards)",
+                config.n_shards
             )));
         }
-        let (members, state) = build_shard(
-            &snapshot.blocker.gen_config(),
-            config,
-            snapshot.records.iter().map(String::as_str),
-            shard,
-        );
+        let titles = snapshot.records.iter().map(String::as_str);
+        let shard = Shard::boot(&snapshot.blocker.gen_config(), config, titles, shard);
         let listener = TcpListener::bind(addr).map_err(flexer_store::StoreError::Io)?;
         let addr = listener.local_addr().map_err(flexer_store::StoreError::Io)?;
-        let state = RwLock::new(ShardState { members, state, last_seq: 0 });
-        Ok(Self { shard: Shard { shard, n_shards, state }, listener, addr })
+        Ok(Self { shard, listener, addr })
     }
 
     /// The address the server is bound to.
@@ -129,7 +125,7 @@ impl ShardServer {
     /// (thread per connection; blocks the calling thread).
     pub fn run(self) {
         let shard = self.shard;
-        endpoint::serve(self.listener, LIMITS, ShardResponse::Error, move |r| shard.handle(r));
+        endpoint::serve(self.listener, LIMITS, ShardResponse::Error, move |r| shard.handle(&r));
     }
 
     /// Spawns [`Self::run`] on a background thread (for in-process tests).
@@ -139,7 +135,21 @@ impl ShardServer {
 }
 
 impl Shard {
-    fn handle(&self, request: ShardRequest) -> Reply<ShardResponse> {
+    /// Shard `shard` of `config` over the corpus `titles` (see
+    /// [`build_shard`]), before any insert.
+    pub(crate) fn boot<'a>(
+        gen: &CandidateGenConfig,
+        config: ShardConfig,
+        titles: impl IntoIterator<Item = &'a str>,
+        shard: usize,
+    ) -> Self {
+        let (members, state) = build_shard(gen, config, titles, shard);
+        let state = RwLock::new(ShardState { members, state, last_seq: 0 });
+        Self { shard, n_shards: config.n_shards, state }
+    }
+
+    /// Answers one request; `Stop` after a `Shutdown`.
+    pub(crate) fn handle(&self, request: &ShardRequest) -> Reply<ShardResponse> {
         Reply::Answer(match request {
             ShardRequest::Hello => self.hello(),
             ShardRequest::Ping => ShardResponse::Pong,
@@ -155,12 +165,12 @@ impl Shard {
             }
             ShardRequest::Insert { seq, rows } => {
                 let mut state = self.state.write().expect("shard state lock");
-                if seq <= state.last_seq {
+                if *seq <= state.last_seq {
                     // Replay of an already-applied batch (the router
                     // retried after a dead connection): acknowledge
                     // without re-applying.
                     ShardResponse::Inserted { n_records: state.members.len() as u64 }
-                } else if seq > state.last_seq + 1 {
+                } else if *seq > state.last_seq + 1 {
                     // This replica missed a batch the router believes was
                     // delivered (restarted from a stale snapshot?).
                     // Refusing keeps it visibly degraded instead of
@@ -169,16 +179,16 @@ impl Shard {
                         "insert sequence gap: got {seq}, applied through {}",
                         state.last_seq
                     ))
-                } else if let Err(e) = check_rows(&rows, state.members.last().copied()) {
+                } else if let Err(e) = check_rows(rows, state.members.last().copied()) {
                     // Nothing applied, `last_seq` kept: a valid batch at
                     // this sequence number still applies.
                     ShardResponse::Error(e)
                 } else {
-                    for (gid, title) in &rows {
+                    for (gid, title) in rows {
                         state.state.insert(title);
                         state.members.push(*gid as u32);
                     }
-                    state.last_seq = seq;
+                    state.last_seq = *seq;
                     ShardResponse::Inserted { n_records: state.members.len() as u64 }
                 }
             }

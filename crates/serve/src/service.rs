@@ -1,7 +1,8 @@
 //! [`Service`] — online multi-intent resolution over a frozen model
 //! snapshot, generic over where its candidates come from
 //! ([`BlockingTier`]). [`ResolutionService`] is the instantiation with one
-//! resident blocker; `crate::shard` and `crate::router` hold the other two.
+//! resident blocker; the other tier, `crate::replica::Sharded`, serves both
+//! `crate::shard` (in process) and `crate::router` (over TCP).
 //!
 //! # Two serving paths
 //!
@@ -56,8 +57,9 @@
 //! Resolution has one shape — title → candidates → score → rank —
 //! wherever the candidates come from, so the service is written once over
 //! a [`BlockingTier`]: the snapshot's incremental blocker kept resident
-//! ([`BlockerState`]), the same blocker partitioned over in-process shards,
-//! or shard servers behind the router. `ingest()` and record-level
+//! ([`BlockerState`]), or the same blocker partitioned over shards reached
+//! through one fan-out — in-process shards or shard servers behind the
+//! router. `ingest()` and record-level
 //! `resolve()` pair a new title only against the tier's *blocked
 //! candidates* — O(candidates) instead of O(records) — and the tier
 //! absorbs every ingested title. Blocking only selects which pairs are
@@ -257,9 +259,9 @@ impl ResolutionService {
     /// recomputed scores reproduce the snapshot's batch scores exactly.
     ///
     /// A sharded snapshot is served from its one resident blocker here
-    /// (the shards would hold the same records, and answer the same — see
-    /// `flexer_block::ShardedBlocker`); its shard layout is kept for
-    /// `to_snapshot`. Use `ShardedResolutionService` to serve partitioned.
+    /// (its shards would hold the same records and answer the same — see
+    /// `flexer_block::shard`); its shard layout is kept for `to_snapshot`.
+    /// Use `ShardedResolutionService` to serve partitioned.
     pub fn new(snapshot: ModelSnapshot, config: ServeConfig) -> Result<Self, ServeError> {
         Self::build(snapshot, config, |blocker, _, _| Ok(blocker))
     }

@@ -9,12 +9,12 @@ mod common;
 use common::kill_shard;
 use flexer_block::build_shard;
 use flexer_serve::{
-    NetConfig, Router, RouterClient, ServeConfig, ShardServer, ShardedResolutionService,
+    NetConfig, Router, RouterClient, ServeConfig, ServeError, ShardServer, ShardedResolutionService,
 };
 use flexer_store::ModelSnapshot;
 use flexer_types::{
     MatchTarget, ResolveQuery, RouterResponse, ShardConfig, ShardRequest, ShardResponse,
-    WireCandidates, WireIngestReport,
+    ShardRouter, WireCandidates, WireIngestReport,
 };
 
 /// One shared training run for the whole test binary, exported sharded
@@ -422,6 +422,31 @@ fn repeated_shard_ids_are_merged_once() {
         let reports = client.ingest_batch(vec![title]).unwrap();
         assert_eq!(reports[0].n_pairs, ranked.len() as u64, "one pair per distinct candidate");
     });
+}
+
+/// Every replica of a slot must hold what the first one does: a sibling
+/// booted from a corpus with one shard-0 title swapped for another shard-0
+/// title holds as many records, but other grams, and is refused at boot.
+#[test]
+fn router_refuses_a_replica_that_holds_other_grams() {
+    let snapshot = sharded_snapshot();
+    let router = ShardRouter::new(snapshot.sharding.unwrap());
+    let swapped = snapshot.records.iter().position(|t| router.route(t) == 0).unwrap();
+    let other = (0..).map(|i| format!("quartz kettle {i}")).find(|t| router.route(t) == 0);
+    let mut diverged = snapshot.clone();
+    diverged.records[swapped] = other.unwrap();
+    let servers = [(snapshot, 0), (&diverged, 0), (snapshot, 1)]
+        .map(|(s, shard)| ShardServer::from_snapshot(s.clone(), shard, "127.0.0.1:0").unwrap());
+    let addrs = servers.each_ref().map(|s| s.local_addr().to_string());
+    let handles = servers.map(ShardServer::spawn);
+    let slots = vec![addrs[..2].to_vec(), addrs[2..].to_vec()];
+    let (config, net) = (ServeConfig::default(), NetConfig::default());
+    let booted = Router::from_snapshot(snapshot.clone(), config, slots, "127.0.0.1:0", net);
+    assert!(matches!(booted, Err(ServeError::InconsistentSnapshot(_))), "{:?}", booted.err());
+    for (addr, handle) in addrs.iter().zip(handles) {
+        kill_shard(addr);
+        handle.join().unwrap();
+    }
 }
 
 /// One request on a fresh connection to a shard server.

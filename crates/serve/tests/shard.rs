@@ -76,6 +76,12 @@ fn sharded_service_is_bit_identical_for_any_shard_count() {
             mono.resolve(&q, 0, 1).unwrap(),
             "{n_shards} shards: ad-hoc pair"
         );
+        // An in-process shard answers whatever the deadline: a late
+        // fan-out that dropped a shard would break bit-identity silently.
+        for fault in ["timeout", "failover", "degraded", "insert_deferred"] {
+            let counted = sharded.obs_snapshot().counter(&format!("router.shard.{fault}"));
+            assert_eq!(counted, Some(0), "{n_shards} shards: {fault}");
+        }
     }
 }
 

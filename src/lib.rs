@@ -59,7 +59,7 @@ pub use flexer_types as types;
 
 /// Convenient single-import surface for applications.
 pub mod prelude {
-    pub use flexer_block::{BlockerState, ShardedBlocker};
+    pub use flexer_block::BlockerState;
     pub use flexer_core::prelude::*;
     pub use flexer_datasets::{AmazonMiConfig, WalmartAmazonConfig, WdcConfig};
     pub use flexer_eval::{BinaryReport, MultiIntentReport};
