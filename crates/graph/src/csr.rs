@@ -3,11 +3,14 @@
 //! Rows store *incoming* neighbours: `in_neighbors(v)` are the nodes whose
 //! messages `v` receives (the paper's `N(v)`, "connected by incoming
 //! edges"). Mean aggregation and its backward pass are the only two kernels
-//! the GNN needs, both per destination node: a caller that wants them for
-//! some of the nodes (the training pass, for its target layer) asks for
-//! those nodes and gets the arithmetic of the whole-graph loop.
+//! the GNN needs. The forward is per destination node, the backward per
+//! source node over a `MeanTranspose` of the destinations evaluated: a
+//! caller that wants them for some of the nodes (the training pass, for
+//! its target layer) asks for those nodes and gets the arithmetic of the
+//! whole-graph loop.
 
 use flexer_nn::Matrix;
+use std::ops::Range;
 
 /// Compressed sparse row directed graph keyed by *destination* node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,15 +95,6 @@ impl CsrGraph {
         mean_over(neighbors.iter(), neighbors.len(), h, out);
     }
 
-    /// Backward of [`CsrGraph::mean_into`] for node `v`: adds
-    /// `d_out / deg(v)` to row `u` of `dh` for every source `u ∈ N(v)`.
-    /// Called for ascending `v`, each row of `dh` accumulates in the order
-    /// the whole-graph backward visits it.
-    pub(crate) fn scatter_mean(&self, v: usize, d_out: &[f32], dh: &mut Matrix) {
-        let neighbors = self.in_neighbors(v);
-        scatter_over(neighbors.iter(), neighbors.len(), d_out, dh);
-    }
-
     /// Backward of [`CsrGraph::mean_aggregate`]: scatters `d_out[v]/deg(v)`
     /// back to every source `u ∈ N(v)`. The whole-graph loop the training
     /// pass is diffed against.
@@ -148,23 +142,80 @@ pub(crate) fn mean_over<'a>(
     }
 }
 
-/// Backward of [`mean_over`]: adds `d_out · (1/deg)` to row `u` of `dh` for
-/// every source `u`, in source order.
-pub(crate) fn scatter_over<'a>(
-    sources: impl Iterator<Item = &'a u32>,
-    deg: usize,
-    d_out: &[f32],
-    dh: &mut Matrix,
-) {
-    if deg == 0 {
-        return;
+/// The backward of mean aggregation over a range of destination nodes,
+/// keyed by **source**: for every node `u`, one `(row, 1/deg(v))` entry
+/// per edge `u → v` with `v` in the range (`row = v - range.start`), in
+/// ascending `v` and, within `v`, in `v`'s source order. That is the order
+/// in which the scatter `dh[u] += d_out[v] · (1/deg(v))` over ascending
+/// `v` adds into row `u`, so gathering row `u` along its entries
+/// ([`gather_lanes`]) replays that row's chain of the scatter, term for
+/// term — one output row at a time, with no
+/// graph-sized accumulator to reset and no scattered writes.
+#[derive(Debug, Clone)]
+pub(crate) struct MeanTranspose {
+    indptr: Vec<usize>,
+    entries: Vec<(u32, f32)>,
+}
+
+impl MeanTranspose {
+    /// Over destinations `rows`, each averaging over its in-neighbours in
+    /// `relations` taken as one list (in relation order) with one degree:
+    /// one relation for a relation-typed aggregate, the union for a
+    /// pooled one.
+    pub(crate) fn new(relations: &[&CsrGraph], rows: Range<usize>) -> Self {
+        let n_nodes = relations[0].n_nodes();
+        let sources = |v: usize| relations.iter().flat_map(move |g| g.in_neighbors(v));
+        let mut indptr = vec![0usize; n_nodes + 1];
+        for v in rows.clone() {
+            for &u in sources(v) {
+                indptr[u as usize + 1] += 1;
+            }
+        }
+        for u in 0..n_nodes {
+            indptr[u + 1] += indptr[u];
+        }
+        let mut next = indptr[..n_nodes].to_vec();
+        let mut entries = vec![(0u32, 0.0f32); indptr[n_nodes]];
+        for (row, v) in rows.enumerate() {
+            let deg: usize = relations.iter().map(|g| g.in_degree(v)).sum();
+            if deg == 0 {
+                continue;
+            }
+            let inv = 1.0 / deg as f32;
+            for &u in sources(v) {
+                entries[next[u as usize]] = (row as u32, inv);
+                next[u as usize] += 1;
+            }
+        }
+        Self { indptr, entries }
     }
-    let inv = 1.0 / deg as f32;
-    for &u in sources {
-        for (s, &g) in dh.row_mut(u as usize).iter_mut().zip(d_out) {
-            *s += g * inv;
+
+    /// Source `u`'s `(row, 1/deg)` entries, in the scatter's order.
+    #[inline]
+    pub(crate) fn entries(&self, u: usize) -> &[(u32, f32)] {
+        &self.entries[self.indptr[u]..self.indptr[u + 1]]
+    }
+}
+
+/// Columns `col .. col + W` of the gradient that one source's `entries`
+/// ([`MeanTranspose::entries`]) gather from `d_out`: the sum of
+/// `d_out[row][col..] · (1/deg)` over the entries, from `+0.0` in entry
+/// order — `W` chains side by side in registers.
+#[inline(always)]
+pub(crate) fn gather_lanes<const W: usize>(
+    entries: &[(u32, f32)],
+    d_out: &Matrix,
+    col: usize,
+) -> [f32; W] {
+    let (data, width) = (d_out.data(), d_out.cols());
+    let mut acc = [0.0f32; W];
+    for &(row, inv) in entries {
+        let at = row as usize * width + col;
+        for (a, &g) in acc.iter_mut().zip(&data[at..at + W]) {
+            *a += g * inv;
         }
     }
+    acc
 }
 
 #[cfg(test)]

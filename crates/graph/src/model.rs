@@ -56,8 +56,8 @@
 use crate::batch::{batch_concat_states, BatchInductiveTrace, NeighborArena, RowSource};
 use crate::csr::CsrGraph;
 use crate::multiplex::MultiplexGraph;
-use crate::sage::{Aggregation, SageLayer};
-use flexer_nn::activation::{match_probabilities, relu_backward_inplace, relu_inplace};
+use crate::sage::{Aggregation, Gather, SageLayer};
+use flexer_nn::activation::{match_probabilities, relu_inplace};
 use flexer_nn::kernels::dense_forward_into;
 use flexer_nn::{Linear, Matrix, Optimizer, PackedB};
 use rand::Rng;
@@ -112,8 +112,16 @@ pub struct TrainPass {
     /// `hidden[t]`: layer `t`'s output over the same rows (post-ReLU
     /// except the last).
     hidden: Vec<Matrix>,
-    /// The backward's node-state-gradient accumulators, kept allocated.
-    input_grad: [Matrix; 3],
+    /// `gather[t - 1]`: what layer `t ≥ 1`'s backward reads of the graph
+    /// over `rows(t)` — the source-keyed transpose of each aggregate,
+    /// built once per fit.
+    gather: Vec<Gather>,
+    /// `input_grad[t % 2]`: the gradient w.r.t. the pre-ReLU output of
+    /// layer `t - 1`, one row per node, that layer `t ≥ 1` writes
+    /// ([`SageLayer::backward_rows`]) and layer `t - 1` reads. Kept
+    /// allocated, so an epoch maps and faults in no node-state-sized
+    /// matrix.
+    input_grad: [Matrix; 2],
 }
 
 impl TrainPass {
@@ -244,8 +252,13 @@ impl GnnModel {
             target: graph.layer_nodes(target_layer),
             concat: vec![Matrix::zeros(0, 0); n_layers],
             hidden: vec![Matrix::zeros(0, 0); n_layers],
-            input_grad: [(); 3].map(|_| Matrix::zeros(0, 0)),
+            gather: Vec::with_capacity(n_layers - 1),
+            input_grad: [Matrix::zeros(0, 0), Matrix::zeros(0, 0)],
         };
+        for t in 1..n_layers {
+            let gather = self.layers[t].gather(graph, pass.rows(t, graph.n_nodes()));
+            pass.gather.push(gather);
+        }
         let rows = pass.rows(0, graph.n_nodes());
         self.layers[0].concat_rows_into(
             &graph.intra,
@@ -286,28 +299,24 @@ impl GnnModel {
     /// loss w.r.t. [`GnnModel::train_forward`]'s logits: leaves every
     /// parameter gradient as the whole-graph backward would, and computes
     /// no gradient that is not on the way to one (see the module docs).
-    pub fn train_backward(
-        &mut self,
-        graph: &MultiplexGraph,
-        pass: &mut TrainPass,
-        grad_logits: &Matrix,
-    ) {
+    pub fn train_backward(&mut self, pass: &mut TrainPass, grad_logits: &Matrix) {
         let last = self.layers.len() - 1;
         self.head.zero_grad();
-        // Gradient w.r.t. the output rows of the layer being visited.
-        let mut grad = self.head.backward(&pass.hidden[last], grad_logits);
+        // Gradient w.r.t. the (pre-ReLU) output rows of the layer being
+        // visited: layer `t ≥ 1` differentiates the ReLU below it as it
+        // hands the gradient down.
+        let head_grad = self.head.backward(&pass.hidden[last], grad_logits);
         for t in (0..=last).rev() {
-            if t < last {
-                relu_backward_inplace(&mut grad, &pass.hidden[t]);
-            }
+            let [even, odd] = &mut pass.input_grad;
+            let (into, from) = if t % 2 == 0 { (even, &*odd) } else { (odd, &*even) };
+            let grad = if t == last { &head_grad } else { from };
             let layer = &mut self.layers[t];
             layer.zero_grad();
             if t == 0 {
-                layer.backward_params(&pass.concat[0], &grad);
+                layer.backward_params(&pass.concat[0], grad);
             } else {
-                let rows = pass.rows(t, graph.n_nodes());
-                layer.backward_rows(graph, &pass.concat[t], &grad, rows, &mut pass.input_grad);
-                std::mem::swap(&mut grad, &mut pass.input_grad[0]);
+                let (gather, below) = (&pass.gather[t - 1], &pass.hidden[t - 1]);
+                layer.backward_rows(gather, &pass.concat[t], grad, below, into);
             }
         }
     }
@@ -525,7 +534,7 @@ impl GnnModel {
 
         for i in (0..self.layers.len()).rev() {
             if i + 1 < self.layers.len() {
-                relu_backward_inplace(&mut grad, trace.hidden(i));
+                flexer_nn::activation::relu_backward_inplace(&mut grad, trace.hidden(i));
             }
             self.layers[i].zero_grad();
             let input = if i == 0 { &graph.features } else { trace.hidden(i - 1) };

@@ -16,13 +16,14 @@
 //! A layer works on a **contiguous range of nodes**: it builds the
 //! `[self ; …]` rows of that range (`concat_rows_into`), maps them, and on
 //! the way back turns the gradient of those rows into the gradient of
-//! every node state they read (`backward_rows`).
+//! every node state they read (`backward_rows`, one gather per node along
+//! the range's `Gather`).
 //! The whole graph is the range `0..n`; the training pass hands the last
 //! layer its target intent's range instead. Each row is the same
 //! arithmetic either way, so a restricted evaluation returns the bits of
 //! the whole-graph one for the rows it covers.
 
-use crate::csr::{mean_over, scatter_over, CsrGraph};
+use crate::csr::{gather_lanes, mean_over, CsrGraph, MeanTranspose};
 use crate::multiplex::MultiplexGraph;
 use flexer_nn::kernels::dense_forward_into;
 use flexer_nn::{Linear, Matrix, Optimizer, PackedB};
@@ -48,6 +49,18 @@ pub struct SageLayer {
     pack: PackedB,
     aggregation: Aggregation,
     in_dim: usize,
+}
+
+/// What [`SageLayer::backward_rows`] reads of the graph for one node
+/// range: the range, and the [`MeanTranspose`] of each aggregate the
+/// concat rows hold. Built by [`SageLayer::gather`].
+#[derive(Debug, Clone)]
+pub(crate) struct Gather {
+    rows: Range<usize>,
+    /// The intra-layer aggregate's (relation-typed) or the union's (pooled).
+    first: MeanTranspose,
+    /// The inter-layer aggregate's; `None` for a pooled layer.
+    inter: Option<MeanTranspose>,
 }
 
 impl SageLayer {
@@ -172,52 +185,76 @@ impl SageLayer {
         self.linear.backward_params(concat, grad_out);
     }
 
-    /// Backward pass over the rows the forward evaluated: `concat` and
-    /// `grad_out` hold nodes `rows`. Accumulates the layer's parameter
-    /// gradients and leaves in `acc[0]` the gradient w.r.t. the input
-    /// states of **every** node — a row's own state, and the neighbours
-    /// its aggregates read, which lie anywhere in the graph. `acc` is
-    /// three caller-kept buffers (reshaped and zeroed here), so an epoch
-    /// does not map and fault in three node-state-sized matrices.
+    /// The backward's view of the graph over the node range `rows`: the
+    /// [`MeanTranspose`] of each aggregate this layer's concat rows hold.
+    /// A function of the graph and the range only, so a fit builds it once.
+    pub(crate) fn gather(&self, graph: &MultiplexGraph, rows: Range<usize>) -> Gather {
+        let (first, inter) = match self.aggregation {
+            Aggregation::RelationTyped => (
+                MeanTranspose::new(&[&graph.intra], rows.clone()),
+                Some(MeanTranspose::new(&[&graph.inter], rows.clone())),
+            ),
+            Aggregation::Pooled => {
+                (MeanTranspose::new(&[&graph.intra, &graph.inter], rows.clone()), None)
+            }
+        };
+        Gather { rows, first, inter }
+    }
+
+    /// Backward pass over the rows the forward evaluated, `gather`'s range:
+    /// `concat` and `grad_out` hold those nodes. Accumulates the layer's
+    /// parameter gradients and writes into `out` (reshaped, allocation
+    /// reused) the gradient w.r.t. the **pre-activation** input states of
+    /// every node — a row's own state, and the neighbours its aggregates
+    /// read, which lie anywhere in the graph — with the ReLU that made
+    /// `input` (this layer's input states) differentiated in place.
     ///
-    /// The own-state part (`acc[0]`) and each relation's scatter
-    /// (`acc[1]`, `acc[2]`) are summed apart and added up at the end (`own
-    /// + intra + inter`, in that order). A node outside `rows` contributes
-    /// nothing to any of them: its row of `grad_out` would be zero, and
-    /// with finite weights so would its row of `grad_out · Wᵀ`, and adding
+    /// Each node's row is one pass: its own-state part (`0.0` outside the
+    /// range), plus the gather of each relation's aggregate gradient, added
+    /// as `(own + intra) + inter` (`own + all` for a pooled layer), then
+    /// zeroed where `input <= 0.0`: the sum, order and mask of the
+    /// whole-graph reference (`SageLayer::backward`'s per-relation scatter,
+    /// then `relu_backward_inplace`). A node outside the range
+    /// contributes nothing: its row of `grad_out` would be zero, and with
+    /// finite weights so would its row of `grad_out · Wᵀ`, and adding
     /// `±0.0` to an accumulator that started at `+0.0` never changes its
     /// bits. So the result is that of the whole-graph pass over a
-    /// `grad_out` that is zero outside `rows`.
+    /// `grad_out` that is zero outside the range.
     pub(crate) fn backward_rows(
         &mut self,
-        graph: &MultiplexGraph,
+        gather: &Gather,
         concat: &Matrix,
         grad_out: &Matrix,
-        rows: Range<usize>,
-        acc: &mut [Matrix; 3],
+        input: &Matrix,
+        out: &mut Matrix,
     ) {
+        let rows = gather.rows.clone();
         assert_eq!(concat.rows(), rows.len(), "one concat row per node of the range");
-        let d_concat = self.linear.backward(concat, grad_out);
         let d = self.in_dim;
-        let [own, from_a, from_b] = acc;
-        for m in [&mut *own, &mut *from_a, &mut *from_b] {
-            m.reset(graph.n_nodes(), d);
-        }
-        for (v, g) in rows.zip(d_concat.data().chunks_exact(d_concat.cols())) {
-            own.row_mut(v).copy_from_slice(&g[..d]);
-            match self.aggregation {
-                Aggregation::RelationTyped => {
-                    graph.intra.scatter_mean(v, &g[d..2 * d], from_a);
-                    graph.inter.scatter_mean(v, &g[2 * d..], from_b);
-                }
-                Aggregation::Pooled => {
-                    pooled_scatter(&graph.intra, &graph.inter, v, &g[d..], from_a)
-                }
+        assert_eq!(input.cols(), d, "input states must match the layer");
+        let d_concat = self.linear.backward(concat, grad_out);
+        let zeros = vec![0.0f32; d];
+        // Every element of every row is stored below.
+        out.reset_overwrite(input.rows(), d);
+        for (u, (row, states)) in
+            out.data_mut().chunks_exact_mut(d).zip(input.data().chunks_exact(d)).enumerate()
+        {
+            let own = if rows.contains(&u) { &d_concat.row(u - rows.start)[..d] } else { &zeros };
+            let node = NodeGrad {
+                d_concat: &d_concat,
+                first: gather.first.entries(u),
+                inter: gather.inter.as_ref().map(|inter| inter.entries(u)),
+                own,
+                states,
+            };
+            // Eight lanes at a time in registers, then one at a time.
+            let whole = d - d % LANES;
+            for j in (0..whole).step_by(LANES) {
+                row[j..j + LANES].copy_from_slice(&node.lanes::<LANES>(j));
             }
-        }
-        own.add_scaled(from_a, 1.0);
-        if self.aggregation == Aggregation::RelationTyped {
-            own.add_scaled(from_b, 1.0);
+            for (j, g) in row.iter_mut().enumerate().skip(whole) {
+                *g = node.lanes::<1>(j)[0];
+            }
         }
     }
 
@@ -283,18 +320,54 @@ impl SageLayer {
     }
 }
 
+/// Lanes of a layer's input gradient per step of [`NodeGrad::lanes`]: one
+/// AVX2 register of `f32`.
+const LANES: usize = 8;
+
+/// One node's row of [`SageLayer::backward_rows`]' output.
+struct NodeGrad<'a> {
+    /// The gradient of the range's concat rows.
+    d_concat: &'a Matrix,
+    /// The node's entries in [`Gather::first`], read from the concat
+    /// rows' second block of columns.
+    first: &'a [(u32, f32)],
+    /// The node's entries in [`Gather::inter`], read from the third block.
+    inter: Option<&'a [(u32, f32)]>,
+    /// The node's own-state gradient (zeros outside the range).
+    own: &'a [f32],
+    /// The node's input states, whose ReLU is differentiated.
+    states: &'a [f32],
+}
+
+impl NodeGrad<'_> {
+    /// Lanes `j .. j + W` of the row: `(own + intra) + inter` (`own + all`
+    /// for a pooled layer), zeroed where the state is `<= 0.0`.
+    #[inline(always)]
+    fn lanes<const W: usize>(&self, j: usize) -> [f32; W] {
+        let d = self.own.len();
+        let mut g: [f32; W] = self.own[j..j + W].try_into().expect("W lanes");
+        let from_first = gather_lanes::<W>(self.first, self.d_concat, d + j);
+        for (g, f) in g.iter_mut().zip(from_first) {
+            *g += f;
+        }
+        if let Some(inter) = self.inter {
+            let from_inter = gather_lanes::<W>(inter, self.d_concat, 2 * d + j);
+            for (g, f) in g.iter_mut().zip(from_inter) {
+                *g += f;
+            }
+        }
+        for (g, &y) in g.iter_mut().zip(&self.states[j..j + W]) {
+            *g = if y <= 0.0 { 0.0 } else { *g };
+        }
+        g
+    }
+}
+
 /// Mean of `h` over the union of `v`'s intra- and inter-neighbours (the
 /// union multiset: one degree, intra neighbours first), written over `out`.
 fn pooled_mean_into(intra: &CsrGraph, inter: &CsrGraph, v: usize, h: &Matrix, out: &mut [f32]) {
     let (intra, inter) = (intra.in_neighbors(v), inter.in_neighbors(v));
     mean_over(intra.iter().chain(inter), intra.len() + inter.len(), h, out);
-}
-
-/// Backward of [`pooled_mean_into`] for node `v`: adds `d_out / deg(v)` to
-/// the row of `dh` of every source in the union.
-fn pooled_scatter(intra: &CsrGraph, inter: &CsrGraph, v: usize, d_out: &[f32], dh: &mut Matrix) {
-    let (intra, inter) = (intra.in_neighbors(v), inter.in_neighbors(v));
-    scatter_over(intra.iter().chain(inter), intra.len() + inter.len(), d_out, dh);
 }
 
 /// Whole-graph mean over the union of intra- and inter-neighbours (the
@@ -348,6 +421,7 @@ fn pooled_aggregate_backward(intra_g: &CsrGraph, inter_g: &CsrGraph, d_out: &Mat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexer_nn::activation::{relu_backward_inplace, relu_inplace};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -387,7 +461,14 @@ mod tests {
         assert_ne!(a, b);
     }
 
-    /// End-to-end gradient check through aggregation + linear.
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// End-to-end gradient check through aggregation + linear: the
+    /// whole-graph reference against finite differences, and the ranged
+    /// backward over every node against the reference under the ReLU mask
+    /// it fuses.
     #[test]
     fn backward_matches_finite_difference() {
         let g = toy_graph();
@@ -396,17 +477,18 @@ mod tests {
             let mut layer = SageLayer::new(&mut rng, 3, 2, agg);
             let h = g.features.clone();
             let ones = Matrix::from_fn(6, 2, |_, _| 1.0);
-            // The ranged backward over every node, checked against finite
-            // differences itself and against the whole-graph reference.
+            let mut reference = layer.clone();
+            let dh = reference.backward(&g, &h, &ones);
+
             let mut concat = Matrix::zeros(0, 0);
             layer.concat_rows_into(&g.intra, &g.inter, &h, 0..6, &mut concat);
             assert_eq!(concat, layer.concat_states(&g.intra, &g.inter, &h));
-            let mut acc = [(); 3].map(|_| Matrix::zeros(0, 0));
-            layer.backward_rows(&g, &concat, &ones, 0..6, &mut acc);
-            let dh = &acc[0];
-            let mut reference = layer.clone();
-            reference.zero_grad();
-            assert_eq!(&reference.backward(&g, &h, &ones), dh);
+            let mut ranged = Matrix::zeros(0, 0);
+            layer.backward_rows(&layer.gather(&g, 0..6), &concat, &ones, &h, &mut ranged);
+            let mut masked = dh.clone();
+            relu_backward_inplace(&mut masked, &h);
+            assert_eq!(bits(&ranged), bits(&masked), "{agg:?}");
+
             let loss = |h: &Matrix| -> f32 { layer.forward(&g, h).data().iter().sum() };
             let eps = 1e-2;
             for &(i, j) in &[(0usize, 0usize), (2, 1), (5, 2)] {
@@ -424,42 +506,101 @@ mod tests {
         }
     }
 
-    /// A layer evaluated and differentiated on a node range is the
+    /// A layer evaluated and differentiated on each of `ranges` is the
     /// whole-graph layer under a gradient that is zero outside the range:
-    /// same concat rows, same parameter gradients, same input gradient for
-    /// every node — ranges that do and do not align with an intent layer,
-    /// on a graph with isolated nodes and unequal degrees.
-    #[test]
-    fn a_node_range_is_the_whole_graph_under_a_masked_gradient() {
-        let g = toy_graph();
-        let mut rng = StdRng::seed_from_u64(8);
-        let h = Matrix::from_fn(6, 3, |i, j| ((i * 5 + j * 2) % 7) as f32 * 0.3 - 0.8);
+    /// same concat rows, same parameter gradients, and — gathered per
+    /// source with the ReLU mask fused — the bits of the scatter through
+    /// `mean_aggregate_backward` / `pooled_aggregate_backward` followed by
+    /// `relu_backward_inplace`, for every node.
+    fn assert_ranged_backward_is_the_whole_graph_one(
+        g: &MultiplexGraph,
+        h: &Matrix,
+        ranges: &[Range<usize>],
+        seed: u64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = g.n_nodes();
         for agg in [Aggregation::RelationTyped, Aggregation::Pooled] {
-            let layer = SageLayer::new(&mut rng, 3, 4, agg);
-            let whole_concat = layer.concat_states(&g.intra, &g.inter, &h);
-            // Reused across ranges, as across epochs: stale sums must not
+            let layer = SageLayer::new(&mut rng, h.cols(), 4, agg);
+            let whole_concat = layer.concat_states(&g.intra, &g.inter, h);
+            // Reused across ranges, as across epochs: stale values must not
             // leak from one backward into the next.
-            let mut acc = [(); 3].map(|_| Matrix::zeros(0, 0));
-            for rows in [0..3, 3..6, 2..5, 1..2, 0..6, 4..4] {
+            let mut out = Matrix::zeros(0, 0);
+            for rows in ranges {
+                let what = format!("{agg:?} {rows:?}");
                 let grad = Matrix::from_fn(rows.len(), 4, |i, j| (i * 4 + j) as f32 * 0.1 - 0.7);
-                let mut masked = Matrix::zeros(6, 4);
+                let mut masked = Matrix::zeros(n, 4);
                 for (i, v) in rows.clone().enumerate() {
                     masked.row_mut(v).copy_from_slice(grad.row(i));
                 }
                 let mut whole = layer.clone();
-                let want = whole.backward(&g, &h, &masked);
+                let mut want = whole.backward(g, h, &masked);
+                relu_backward_inplace(&mut want, h);
 
                 let mut ranged = layer.clone();
                 let mut concat = Matrix::zeros(0, 0);
-                ranged.concat_rows_into(&g.intra, &g.inter, &h, rows.clone(), &mut concat);
+                ranged.concat_rows_into(&g.intra, &g.inter, h, rows.clone(), &mut concat);
                 let picked: Vec<usize> = rows.clone().collect();
-                assert_eq!(concat, whole_concat.select_rows(&picked), "{agg:?} {rows:?}");
-                ranged.backward_rows(&g, &concat, &grad, rows.clone(), &mut acc);
-                assert_eq!(acc[0], want, "{agg:?} {rows:?}: input gradient");
-                assert_eq!(ranged.linear.grad_w, whole.linear.grad_w, "{agg:?} {rows:?}");
-                assert_eq!(ranged.linear.grad_b, whole.linear.grad_b, "{agg:?} {rows:?}");
+                assert_eq!(concat, whole_concat.select_rows(&picked), "{what}");
+                let gather = ranged.gather(g, rows.clone());
+                ranged.backward_rows(&gather, &concat, &grad, h, &mut out);
+                assert_eq!((out.rows(), out.cols()), (n, h.cols()), "{what}: shape");
+                assert_eq!(bits(&out), bits(&want), "{what}: input gradient");
+                assert_eq!(bits(&ranged.linear.grad_w), bits(&whole.linear.grad_w), "{what}");
+                assert_eq!(ranged.linear.grad_b, whole.linear.grad_b, "{what}");
             }
         }
+    }
+
+    /// Ranges that do and do not align with an intent layer, on a graph
+    /// with unequal degrees and nodes without intra-layer neighbours.
+    #[test]
+    fn a_node_range_is_the_whole_graph_under_a_masked_gradient() {
+        let g = toy_graph();
+        let h = Matrix::from_fn(6, 3, |i, j| ((i * 5 + j * 2) % 7) as f32 * 0.3 - 0.8);
+        let ranges = [0..3, 3..6, 2..5, 1..2, 0..6, 4..4];
+        assert_ranged_backward_is_the_whole_graph_one(&g, &h, &ranges, 8);
+    }
+
+    /// The per-source gather against the per-destination scatter where
+    /// their orders could part: one source read by most targets (twice by
+    /// one of them), nodes with no edge in or out, a node read only from
+    /// outside the range, strict sub-ranges — over ReLU'd states with
+    /// `0.0` and `-0.0`, so the fused mask zeroes some gathered sums.
+    #[test]
+    fn gather_backward_is_the_scatter_backward_under_the_relu_mask() {
+        let n = 10;
+        let intra = CsrGraph::from_in_neighbors(&[
+            vec![],
+            vec![0],
+            vec![0, 1],
+            vec![0, 0, 5],
+            vec![],
+            vec![0, 2, 9],
+            vec![0],
+            vec![],
+            vec![0, 6],
+            vec![0, 3],
+        ]);
+        let inter = CsrGraph::from_in_neighbors(&[
+            vec![5],
+            vec![0],
+            vec![],
+            vec![8],
+            vec![],
+            vec![0, 1],
+            vec![2],
+            vec![],
+            vec![3],
+            vec![0],
+        ]);
+        let features = Matrix::from_fn(n, 3, |i, j| ((i * 7 + j * 3) % 11) as f32 * 0.2 - 0.9);
+        let g = MultiplexGraph { n_pairs: n, n_layers: 1, dim: 3, features, intra, inter };
+        let mut h = Matrix::from_fn(n, 3, |i, j| ((i * 5 + j * 3) % 9) as f32 * 0.25 - 0.6);
+        relu_inplace(&mut h);
+        h.set(6, 1, -0.0);
+        let ranges = [0..n, 1..9, 2..6, 5..6, 9..10, 0..1];
+        assert_ranged_backward_is_the_whole_graph_one(&g, &h, &ranges, 11);
     }
 
     #[test]

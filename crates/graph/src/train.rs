@@ -158,7 +158,7 @@ pub fn train_for_intent(
             break;
         }
         let (_, grad_logits) = softmax_cross_entropy(&logits, &targets, Some(&train_weight));
-        model.train_backward(graph, &mut pass, &grad_logits);
+        model.train_backward(&mut pass, &grad_logits);
         rec.lap("graph.fit.backward", &mut t);
         opt.begin_step();
         model.apply(&mut opt);
@@ -459,7 +459,7 @@ mod tests {
                     let got_logits = got.train_forward(&graph, &mut pass);
                     assert_eq!(got_logits, want_logits, "{what}: logits");
                     let (_, grad) = softmax_cross_entropy(&got_logits, &targets, Some(&weight));
-                    got.train_backward(&graph, &mut pass, &grad);
+                    got.train_backward(&mut pass, &grad);
                     got_opt.begin_step();
                     got.apply(&mut got_opt);
 
@@ -545,7 +545,7 @@ mod tests {
                 softmax_cross_entropy(&logits, &targets, Some(&weight))
             };
             let (_, grad_logits) = loss_of(&model, &mut pass);
-            model.train_backward(&graph, &mut pass, &grad_logits);
+            model.train_backward(&mut pass, &grad_logits);
 
             // Slot order of `GnnModel::apply`: each layer's weights then
             // bias, then the head's.

@@ -1,44 +1,56 @@
-//! Cache-aware packed matmul kernels for the dense forward path.
+//! Cache-aware register-blocked matmul kernels: the dense forward, and
+//! the two gradient products of the training backward.
 //!
-//! The naive `Matrix::matmul_into` streams the n-wide output row through
-//! memory once per k iteration; at GNN shapes (m up to a few thousand,
-//! k/n 32–384) that read-modify-write traffic dominates the forward. The
-//! kernels here fix it with three moves, none of which change a single
-//! float bit:
+//! The naive `i,k,j` matmul streams the n-wide output row through memory
+//! once per k iteration; at GNN shapes (m up to tens of thousands, k/n
+//! 2–384) that read-modify-write traffic dominates. The kernels here fix it
+//! with three moves, none of which change a single float bit:
 //!
 //! - **Packing**: the B operand (layer weights, reused across every row
 //!   of every batch) is transposed once into 8-column panels —
 //!   [`PackedB`] — so the inner loop reads one contiguous 8-wide strip
-//!   per k. Packing happens at layer construction / snapshot load and
-//!   after each optimizer step, never per call.
+//!   per k. The forward packs at layer construction / snapshot load and
+//!   after each optimizer step, never per call; the input gradient
+//!   `grad · Wᵀ` packs `Wᵀ` per call ([`PackedB::pack_transposed`], a
+//!   weight-sized copy against a batch-sized product).
 //! - **Register blocking**: micro-kernels compute 4 output rows × 8
-//!   columns per inner loop, keeping 32 accumulators in registers for
-//!   the whole k-fold — the output is touched once per tile instead of
-//!   once per k. Each output element's k-fold stays a single chain in
-//!   ascending k order (the same discipline `flexer-ann` uses for
-//!   its distance kernels). The naive kernel's `a[i][k] == 0.0` skip needs no
-//!   branch here: the accumulator starts at `+0.0` and round-to-nearest
-//!   addition can only produce `-0.0` from `(-0.0) + (-0.0)`, so the
-//!   chain never sits at `-0.0` — which makes `acc += 0.0 * s` (the
-//!   `±0.0` product of a finite weight) a bitwise no-op, exactly like
-//!   the skip. The branch-free inner loop is what lets it vectorize.
-//!   (A non-finite *weight* would break this equivalence — `0.0 × ∞` is
-//!   NaN — but trained layers are finite by construction; inputs may be
-//!   anything.)
-//! - **Fused epilogue**: bias-add and ReLU are applied as each 4×4 tile
+//!   columns per inner loop, keeping 32 accumulators in registers for the
+//!   whole fold — the output is touched once per tile instead of once per
+//!   term. Each output element's fold
+//!   stays a single chain in ascending order (the same discipline
+//!   `flexer-ann` uses for its distance kernels): ascending k for
+//!   [`matmul_packed_into`], ascending batch row for the weight gradient
+//!   [`matmul_transpose_a_acc`]. The
+//!   naive kernels' `a[i][k] == 0.0` skip needs no branch here: the
+//!   accumulator starts at `+0.0` and round-to-nearest addition can only
+//!   produce `-0.0` from `(-0.0) + (-0.0)`, so the chain never sits at
+//!   `-0.0` — which makes `acc += 0.0 * s` (the `±0.0` product of a
+//!   finite `s`) a bitwise no-op, exactly like the skip. The branch-free
+//!   inner loop is what lets it vectorize.
+//!
+//!   The equivalence needs the operand met by a zero to be finite —
+//!   `0.0 × ∞` is NaN. In the forward that operand is a weight, and
+//!   trained layers are finite by construction; inputs may be anything.
+//!   In the weight gradient it is the output **gradient**: where the
+//!   skipping kernel met a NaN or infinite gradient entry with a `0.0`
+//!   input, it left the weight gradient alone, and the kernel here turns
+//!   it into NaN. A non-finite gradient is a diverged step either way.
+//! - **Fused epilogue**: bias-add and ReLU are applied as each 4×8 tile
 //!   is written back ([`Epilogue`]), eliminating the separate
 //!   `add_row_broadcast` + `relu_inplace` passes over the output. Both
 //!   are elementwise, so fusion is bit-exact; ReLU is `if v < 0.0`
 //!   (never `max`) to preserve NaN and `-0.0` exactly like
 //!   `activation::relu_inplace`.
 //!
-//! Rows are independent, so the kernels fan out over 4-row blocks with
-//! `flexer_par::for_each_row_mut` — the same splitting the naive kernel
-//! uses, bit-identical at any thread count.
+//! The forward kernel fans out over 4-row blocks with
+//! `flexer_par::for_each_row_mut`, the weight gradient over blocks of
+//! output rows, each streaming the whole batch: every accumulator has one
+//! owner, so both are bit-identical at any thread count.
 //!
 //! [`dense_forward_into`] is the one dense-layer forward. The unfused
 //! sequence it replaced (`matmul_into` → `add_row_broadcast` →
-//! `relu_inplace`) is what this module's tests diff it against.
+//! `relu_inplace`) is what this module's tests diff it against; `matrix.rs`
+//! diffs the two gradient products against the loops they replaced.
 
 use crate::linear::Linear;
 use crate::matrix::{Matrix, PAR_MIN_WORK};
@@ -71,20 +83,32 @@ impl PackedB {
         packed
     }
 
+    /// Packs `bᵀ`: the operand of `a · bᵀ` (the input gradient
+    /// `grad · Wᵀ`), without materializing the transpose.
+    pub fn pack_transposed(b: &Matrix) -> Self {
+        let mut packed = PackedB { rows: b.cols(), cols: b.rows(), panels: Vec::new() };
+        packed.fill(|k, j| b.get(j, k));
+        packed
+    }
+
     /// Re-packs in place after the source matrix changed (an optimizer
     /// step); reuses the panel allocation.
     pub fn repack(&mut self, b: &Matrix) {
         self.rows = b.rows();
         self.cols = b.cols();
+        self.fill(|k, j| b.row(k)[j]);
+    }
+
+    /// Lays element `(k, j)` of the `rows × cols` operand out in panels.
+    fn fill(&mut self, get: impl Fn(usize, usize) -> f32) {
         let n_panels = self.cols.div_ceil(PANEL);
         self.panels.clear();
         self.panels.reserve(n_panels * self.rows * PANEL);
         for p in 0..n_panels {
             for k in 0..self.rows {
-                let row = b.row(k);
                 for c in 0..PANEL {
                     let j = p * PANEL + c;
-                    self.panels.push(if j < self.cols { row[j] } else { 0.0 });
+                    self.panels.push(if j < self.cols { get(k, j) } else { 0.0 });
                 }
             }
         }
@@ -236,6 +260,136 @@ fn write_tile(dst: &mut [f32], acc: &[f32], j0: usize, epilogue: Epilogue<'_>) {
             }
         }
     }
+}
+
+/// Batch rows per chunk of [`matmul_transpose_a_acc`]: every tile of the
+/// output runs over one chunk before the next is read, so the chunk's rows
+/// of both operands (`ROW_CHUNK × (k + n)` floats, 72 KiB at the GNN's
+/// `48 + 24`) stay in L2, and one tile's share of them in L1.
+pub(crate) const ROW_CHUNK: usize = 256;
+
+/// `out += aᵀ · b` — `[m,k]ᵀ × [m,n]` added into a `[k,n]` output: the
+/// weight gradient of a dense layer (`a` its input batch, `b` the
+/// gradient of its output), accumulated where it is kept.
+///
+/// Each element of `out` continues its own chain in ascending batch row
+/// `i`: `out[r][c] += a[i][r] · b[i][c]`, one term per row — so into a
+/// zeroed `out` it is bitwise the loop that sweeps column `r` of `a` once
+/// per output row and skips `a[i][r] == 0.0` (see the module docs for the
+/// skip and its finite-gradient precondition), and into an `out` that
+/// holds `+0.0` it is bitwise a zeroed temporary added in afterwards.
+///
+/// The batch is streamed in 256-row chunks, and every 4 × 8
+/// tile of `out` runs a chunk's rows with 32 accumulators in registers:
+/// per batch row, four broadcasts from `a`'s row and one 8-wide load from
+/// `b`'s, no branch. The operands are read in place; only a ragged last
+/// strip of output rows (`k % 4`) or panel of columns (`n % 8`) is copied
+/// out of each chunk, zero-padded, and its padding lanes are never
+/// written back. Large products split the output rows into one 4-aligned
+/// block per thread, each streaming the whole batch, so every accumulator
+/// has one owner at any thread count.
+pub fn matmul_transpose_a_acc(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    assert_eq!(a.rows(), b.rows(), "matmul_transpose_a shape mismatch");
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    assert_eq!((out.rows(), out.cols()), (k, n), "matmul_transpose_a output shape mismatch");
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    let quads = k.div_ceil(4);
+    let threads = if m * k * n >= PAR_MIN_WORK { flexer_par::max_threads().min(quads) } else { 1 };
+    if threads <= 1 {
+        transpose_a_acc_rows(a, b, 0, out.data_mut());
+        return;
+    }
+    let per_block = quads.div_ceil(threads) * 4;
+    let blocks = flexer_par::parallel_map(k.div_ceil(per_block), |blk| {
+        let rows = blk * per_block..((blk + 1) * per_block).min(k);
+        let mut block = out.data()[rows.start * n..rows.end * n].to_vec();
+        transpose_a_acc_rows(a, b, rows.start, &mut block);
+        block
+    });
+    for (dst, block) in out.data_mut().chunks_mut(per_block * n).zip(blocks) {
+        dst.copy_from_slice(&block);
+    }
+}
+
+/// [`matmul_transpose_a_acc`] for output rows `r0 .. r0 + block.len() / n`,
+/// held in `block`.
+fn transpose_a_acc_rows(a: &Matrix, b: &Matrix, r0: usize, block: &mut [f32]) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let width = block.len() / n;
+    let (quads, n_panels) = (width.div_ceil(4), n.div_ceil(PANEL));
+    let chunk = ROW_CHUNK.min(m);
+    let mut a_edge = vec![0.0f32; if width % 4 == 0 { 0 } else { chunk * 4 }];
+    let mut b_edge = vec![0.0f32; if n % PANEL == 0 { 0 } else { chunk * PANEL }];
+    for i0 in (0..m).step_by(ROW_CHUNK) {
+        let rows = (m - i0).min(ROW_CHUNK);
+        let a_tail = 4 * (width / 4);
+        if a_tail < width {
+            for (i, dst) in a_edge.chunks_exact_mut(4).take(rows).enumerate() {
+                let at = (i0 + i) * k + r0 + a_tail;
+                dst[..width - a_tail].copy_from_slice(&a.data()[at..at + width - a_tail]);
+            }
+        }
+        let b_tail = PANEL * (n / PANEL);
+        if b_tail < n {
+            for (i, dst) in b_edge.chunks_exact_mut(PANEL).take(rows).enumerate() {
+                dst[..n - b_tail].copy_from_slice(&b.row(i0 + i)[b_tail..]);
+            }
+        }
+        for p in 0..n_panels {
+            let j0 = p * PANEL;
+            let cols = (n - j0).min(PANEL);
+            let panel =
+                if cols == PANEL { (&b.data()[i0 * n + j0..], n) } else { (&b_edge[..], PANEL) };
+            for q in 0..quads {
+                let tile_rows = (width - 4 * q).min(4);
+                let strip = if tile_rows == 4 {
+                    (&a.data()[i0 * k + r0 + 4 * q..], k)
+                } else {
+                    (&a_edge[..], 4)
+                };
+                let mut acc = [[0.0f32; PANEL]; 4];
+                for (r, acc_row) in acc.iter_mut().enumerate().take(tile_rows) {
+                    let at = (4 * q + r) * n + j0;
+                    acc_row[..cols].copy_from_slice(&block[at..at + cols]);
+                }
+                let acc = fold_tile(acc, strip, panel, rows);
+                for (r, acc_row) in acc.iter().enumerate().take(tile_rows) {
+                    let at = (4 * q + r) * n + j0;
+                    block[at..at + cols].copy_from_slice(&acc_row[..cols]);
+                }
+            }
+        }
+    }
+}
+
+/// One 4 × 8 tile of [`matmul_transpose_a_acc`] over `rows` batch rows:
+/// 32 accumulators, four broadcasts from `strip` and one 8-wide run of
+/// `panel` per row (each a slice and its row stride). A function of its
+/// own, taking and returning the tile by value, so the accumulators live
+/// in registers rather than in the array the caller loads ragged tile
+/// edges into.
+#[inline(never)]
+fn fold_tile(
+    acc: [[f32; PANEL]; 4],
+    (strip, a_stride): (&[f32], usize),
+    (panel, b_stride): (&[f32], usize),
+    rows: usize,
+) -> [[f32; PANEL]; 4] {
+    let [mut acc0, mut acc1, mut acc2, mut acc3] = acc;
+    for i in 0..rows {
+        let v = &strip[i * a_stride..i * a_stride + 4];
+        let s = &panel[i * b_stride..i * b_stride + PANEL];
+        let (v0, v1, v2, v3) = (v[0], v[1], v[2], v[3]);
+        for c in 0..PANEL {
+            acc0[c] += v0 * s[c];
+            acc1[c] += v1 * s[c];
+            acc2[c] += v2 * s[c];
+            acc3[c] += v3 * s[c];
+        }
+    }
+    [acc0, acc1, acc2, acc3]
 }
 
 /// A full dense layer forward — `out = act(x · w + b)` — through the

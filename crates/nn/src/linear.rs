@@ -2,6 +2,7 @@
 //! (CSR) inputs.
 
 use crate::init::xavier_uniform;
+use crate::kernels::matmul_transpose_a_acc;
 use crate::matrix::Matrix;
 use crate::optim::Optimizer;
 use crate::sparse::SparseMatrix;
@@ -74,9 +75,12 @@ impl Linear {
     /// The parameter half of [`Linear::backward`]: accumulates
     /// `grad_w`/`grad_b` and computes no input gradient — for a layer
     /// whose input is a leaf (fixed features), where `grad_out · Wᵀ`
-    /// would be dropped unread.
+    /// would be dropped unread. `xᵀ · grad_out` is accumulated straight
+    /// into `grad_w`, which after [`Linear::zero_grad`] holds the same
+    /// bits as a zeroed temporary added in afterwards: every chain starts
+    /// at `+0.0` either way.
     pub fn backward_params(&mut self, x: &Matrix, grad_out: &Matrix) {
-        self.grad_w.add_scaled(&x.matmul_transpose_a(grad_out), 1.0);
+        matmul_transpose_a_acc(x, grad_out, &mut self.grad_w);
         accumulate_bias(&mut self.grad_b, grad_out);
     }
 

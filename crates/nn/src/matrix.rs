@@ -1,12 +1,14 @@
 //! Dense row-major `f32` matrices with the handful of kernels the
-//! matcher and GNN need. Loops are ordered `i,k,j` so LLVM vectorizes the
-//! inner accumulation.
+//! matcher and GNN need. The plain matmul's loops are ordered `i,k,j` so
+//! LLVM vectorizes the inner accumulation; the two transposed products of
+//! backprop run on the register-blocked kernels of [`crate::kernels`].
 //!
-//! Every matmul variant is row-blocked across the `flexer-par` thread
-//! budget when the operation is large enough to amortize fan-out. Each
-//! output row is produced by exactly the serial per-row kernel, so results
-//! are **bit-identical** for any thread count (including the `parallel`
-//! feature being disabled).
+//! Every matmul variant is blocked across the `flexer-par` thread budget
+//! when the operation is large enough to amortize fan-out. Each output
+//! element is produced by exactly the serial kernel's chain, so results
+//! are **bit-identical** for any thread count.
+
+use crate::kernels::{matmul_packed_into, matmul_transpose_a_acc, Epilogue, PackedB};
 
 /// Below this many fused multiply-adds a matmul (dense or sparse) stays on
 /// the calling thread: fan-out overhead would exceed the work.
@@ -165,83 +167,29 @@ impl Matrix {
     /// `self × otherᵀ` — `[m,k] × [n,k]ᵀ → [m,n]`. Used by backprop to
     /// compute input gradients (`other` is a layer's `[n,k]` weights).
     ///
-    /// Each output element is the dot product of a row of `self` and a
-    /// row of `other`, folded from `+0.0` in ascending `k`. The kernel
-    /// runs that fold for a whole output row at once — `out[i] += a[i][k]
-    /// · otherᵀ[k]` for ascending `k`, over one transposed copy of `other`
-    /// — so `n` chains advance in step and vectorize, where one
-    /// `k`-long scalar dot per element is a serial chain of additions.
+    /// Runs the forward's register-blocked kernel, [`matmul_packed_into`],
+    /// over `otherᵀ` packed for this call: each output element is the dot
+    /// product of a row of `self` and a row of `other`, folded from `+0.0`
+    /// in ascending `k` with no term skipped — bitwise the scalar dot per
+    /// element — at any thread count.
     pub fn matmul_transpose_b(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_transpose_b shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        if other.rows == 0 {
-            return out;
-        }
-        let other_t = other.transpose();
-        let kernel = |i: usize, out_row: &mut [f32]| {
-            for (&a, b_row) in self.row(i).iter().zip(other_t.data.chunks_exact(other.rows)) {
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        };
-        if self.rows * self.cols * other.rows >= PAR_MIN_WORK {
-            flexer_par::for_each_row_mut(&mut out.data, other.rows, kernel);
-        } else {
-            for (i, out_row) in out.data.chunks_mut(other.rows).enumerate() {
-                kernel(i, out_row);
-            }
-        }
+        let mut out = Matrix::zeros(0, 0);
+        matmul_packed_into(self, &PackedB::pack_transposed(other), Epilogue::None, &mut out);
         out
     }
 
     /// `selfᵀ × other` — `[m,k]ᵀ × [m,n] → [k,n]`. Used by backprop to
     /// compute weight gradients, where `m` is the batch (thousands of
-    /// rows) and the `k × n` output is a weight matrix that fits in L1.
+    /// rows) and the `k × n` output is a weight matrix.
     ///
-    /// The kernel streams `self` and `other` once, row by row, and adds
-    /// row `i`'s contribution `a[i][k] · other[i]` to output row `k` for
-    /// every non-zero `a[i][k]`: each output element is one chain in
-    /// ascending batch index, the order a per-output-row sweep down a
-    /// column of `self` produces, without its `k` strided passes over the
-    /// batch. Large operands split the *output* rows into one contiguous
-    /// block per thread, each block streaming all of `self`, so every
-    /// accumulator has one owner and the thread count cannot change a bit.
+    /// [`matmul_transpose_a_acc`] into zeros: each output element is one
+    /// chain from `+0.0` in ascending batch row, bitwise the
+    /// per-output-row sweep down a column of `self` that skips its zeros
+    /// (for a finite `other`; see `kernels.rs`), at any thread count.
     pub fn matmul_transpose_a(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "matmul_transpose_a shape mismatch");
-        let (k, n) = (self.cols, other.cols);
-        let mut out = Matrix::zeros(k, n);
-        if k == 0 || n == 0 {
-            return out;
-        }
-        // Output rows `k0 .. k0 + block.len() / n`.
-        let kernel = |k0: usize, block: &mut [f32]| {
-            let width = block.len() / n;
-            for (a_row, b_row) in self.data.chunks_exact(k).zip(other.data.chunks_exact(n)) {
-                for (&aik, out_row) in a_row[k0..k0 + width].iter().zip(block.chunks_exact_mut(n)) {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    for (o, &b) in out_row.iter_mut().zip(b_row) {
-                        *o += aik * b;
-                    }
-                }
-            }
-        };
-        let threads =
-            if self.rows * k * n >= PAR_MIN_WORK { flexer_par::max_threads().min(k) } else { 1 };
-        if threads <= 1 {
-            kernel(0, &mut out.data);
-        } else {
-            let per_block = k.div_ceil(threads);
-            out.data = flexer_par::parallel_map(k.div_ceil(per_block), |b| {
-                let k0 = b * per_block;
-                let mut block = vec![0.0; (k - k0).min(per_block) * n];
-                kernel(k0, &mut block);
-                block
-            })
-            .concat();
-        }
+        let mut out = Matrix::zeros(self.cols, other.cols);
+        matmul_transpose_a_acc(self, other, &mut out);
         out
     }
 
@@ -464,9 +412,13 @@ mod tests {
                 }
             })
         };
-        // The last three shapes are past `PAR_MIN_WORK`, so a 4-thread
-        // budget splits their output rows (evenly, raggedly, and with
-        // fewer rows than threads).
+        // The register tiles' edges: `k % 4 ∈ {1, 2, 3}` (a ragged last
+        // strip of output rows), `n` of 2 (the GNN head), 7, 9 and 64
+        // (ragged and whole 8-column panels), and batches just below, at
+        // and just above one `ROW_CHUNK` and two. The last four shapes are
+        // past `PAR_MIN_WORK`, so a 4-thread budget splits their output
+        // rows (evenly, raggedly, and with fewer rows than threads).
+        let chunk = crate::kernels::ROW_CHUNK;
         let shapes = [
             (1, 1, 1),
             (1, 80, 30),
@@ -476,8 +428,15 @@ mod tests {
             (64, 48, 24),
             (200, 80, 30),
             (131, 72, 24),
+            (chunk - 1, 5, 2),
+            (chunk, 6, 7),
+            (chunk + 1, 7, 9),
+            (chunk + 1, 13, 64),
+            (2 * chunk - 1, 24, 2),
+            (2 * chunk + 3, 9, 64),
             (1100, 72, 24),
             (1500, 31, 30),
+            (700, 30, 64),
             (180_000, 3, 2),
         ];
         for (salt, &(m, k, n)) in shapes.iter().enumerate() {
