@@ -4,13 +4,12 @@
 //! messages `v` receives (the paper's `N(v)`, "connected by incoming
 //! edges"). Mean aggregation and its backward pass are the only two kernels
 //! the GNN needs. The forward is per destination node, the backward per
-//! source node over a `MeanTranspose` of the destinations evaluated: a
-//! caller that wants them for some of the nodes (the training pass, for
-//! its target layer) asks for those nodes and gets the arithmetic of the
-//! whole-graph loop.
+//! source node over a `MeanTranspose` of the destinations whose gradient
+//! is live: a caller that wants them for some of the nodes (the training
+//! pass, for the rows its loss weighs) asks for those nodes and gets the
+//! arithmetic of the whole-graph loop.
 
 use flexer_nn::Matrix;
-use std::ops::Range;
 
 /// Compressed sparse row directed graph keyed by *destination* node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,15 +141,16 @@ pub(crate) fn mean_over<'a>(
     }
 }
 
-/// The backward of mean aggregation over a range of destination nodes,
+/// The backward of mean aggregation over a list of destination nodes,
 /// keyed by **source**: for every node `u`, one `(row, 1/deg(v))` entry
-/// per edge `u → v` with `v` in the range (`row = v - range.start`), in
+/// per edge `u → v` with `v` in the list (`row` its index there, the row of
+/// `v` in a gradient buffer that holds the listed nodes only), in
 /// ascending `v` and, within `v`, in `v`'s source order. That is the order
 /// in which the scatter `dh[u] += d_out[v] · (1/deg(v))` over ascending
 /// `v` adds into row `u`, so gathering row `u` along its entries
 /// ([`gather_lanes`]) replays that row's chain of the scatter, term for
-/// term — one output row at a time, with no
-/// graph-sized accumulator to reset and no scattered writes.
+/// term, less the terms of unlisted destinations — one output row at a
+/// time, with no graph-sized accumulator to reset and no scattered writes.
 #[derive(Debug, Clone)]
 pub(crate) struct MeanTranspose {
     indptr: Vec<usize>,
@@ -158,15 +158,18 @@ pub(crate) struct MeanTranspose {
 }
 
 impl MeanTranspose {
-    /// Over destinations `rows`, each averaging over its in-neighbours in
-    /// `relations` taken as one list (in relation order) with one degree:
-    /// one relation for a relation-typed aggregate, the union for a
-    /// pooled one.
-    pub(crate) fn new(relations: &[&CsrGraph], rows: Range<usize>) -> Self {
+    /// Over the destinations `readers` (ascending node ids), each averaging
+    /// over its in-neighbours in `relations` taken as one list (in relation
+    /// order) with one degree: one relation for a relation-typed
+    /// aggregate, the union for a pooled one. Entries of every other
+    /// destination are left out: in the training pass their gradient rows
+    /// are `±0.0`, and a chain that started at `+0.0` does not change by
+    /// adding their `±0.0` terms.
+    pub(crate) fn new(relations: &[&CsrGraph], readers: &[usize]) -> Self {
         let n_nodes = relations[0].n_nodes();
         let sources = |v: usize| relations.iter().flat_map(move |g| g.in_neighbors(v));
         let mut indptr = vec![0usize; n_nodes + 1];
-        for v in rows.clone() {
+        for &v in readers {
             for &u in sources(v) {
                 indptr[u as usize + 1] += 1;
             }
@@ -176,7 +179,7 @@ impl MeanTranspose {
         }
         let mut next = indptr[..n_nodes].to_vec();
         let mut entries = vec![(0u32, 0.0f32); indptr[n_nodes]];
-        for (row, v) in rows.enumerate() {
+        for (row, &v) in readers.iter().enumerate() {
             let deg: usize = relations.iter().map(|g| g.in_degree(v)).sum();
             if deg == 0 {
                 continue;

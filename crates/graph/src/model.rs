@@ -9,7 +9,7 @@
 //! ([`MultiplexGraph::layer_nodes`], a contiguous range of N of the N·P
 //! nodes). And it updates one thing from a backward pass: the parameters.
 //! [`GnnModel::train_forward`] / [`GnnModel::train_backward`] compute
-//! exactly that, in three cuts against the whole-graph
+//! exactly that, in four cuts against the whole-graph
 //! [`GnnModel::forward`] and the whole-graph backward it used to be paired
 //! with (kept under `#[cfg(test)]` as the reference):
 //!
@@ -21,26 +21,40 @@
 //!   parameters: the first layer accumulates `grad_w` / `grad_b` and stops.
 //!   `grad_out · Wᵀ` and its two scatters through the aggregates were
 //!   computed and dropped.
-//! * **The last layer runs where the head reads it.** Its concat rows,
-//!   GEMM, parameter gradients and input gradient are taken over the
-//!   target range only. Every other row of the whole-graph pass carried a
-//!   loss gradient of exactly `+0.0`; with finite activations and weights
-//!   its terms are `±0.0` products added to accumulators that started at
-//!   `+0.0`, which never change a bit (an accumulator that starts at
-//!   `+0.0` cannot reach `-0.0` under round-to-nearest). Skipping them
-//!   leaves each sum's remaining terms in their order.
+//! * **The last layer runs where the head reads it.** Its concat rows and
+//!   GEMM are taken over the target range only. Every other row of the
+//!   whole-graph pass carried a loss gradient of exactly `+0.0`; with
+//!   finite activations and weights its terms are `±0.0` products added to
+//!   accumulators that started at `+0.0`, which never change a bit (an
+//!   accumulator that starts at `+0.0` cannot reach `-0.0` under
+//!   round-to-nearest). Skipping them leaves each sum's remaining terms in
+//!   their order.
+//! * **The backward runs on the rows the loss weighs.** The loss weighs
+//!   only the target intent's training pairs (§4.3), so the same argument
+//!   holds inside the target range and below it. [`TrainPass`] keeps one
+//!   live-row list per layer, built once per fit from the loss mask: the
+//!   last layer's are the weighed target rows, and layer `t - 1`'s the
+//!   nodes some live row of layer `t` reads (itself, its intra and its
+//!   inter in-neighbours). The head's and every layer's weight and bias
+//!   gradients run over live rows only, the input gradient `grad · Wᵀ` is
+//!   computed for live rows only, into a compact buffer, and the per-node
+//!   gather keeps only the aggregate entries whose reader is live and
+//!   writes only live nodes. Every other row's gradient is exactly `±0.0`,
+//!   and [`GnnModel::train_backward`] checks that of the logits it is
+//!   handed. At the paper's label fractions a tenth of the pairs is
+//!   weighed, and the backward shrinks with them.
 //!
-//! The layers **below** the last stay whole-graph, forward and backward:
-//! a target row aggregates its intra-layer neighbours and its peers in
-//! every other intent layer, so one hop down every node is read, and the
-//! gradient that comes back is dense. The cost of an epoch still grows
-//! linearly in N·P for those layers; the cut is what sat on top of that.
-//! A one-layer model is the case where the last layer *is* the first: a
-//! target-range slice of the hoisted input, parameter gradients only.
+//! The layers **below** the last stay whole-graph forward: a target row
+//! aggregates its intra-layer neighbours and its peers in every other
+//! intent layer, so one hop down every node is read, and selection scores
+//! every target pair. The cost of a forward still grows linearly in N·P
+//! for those layers. A one-layer model is the case where the last layer
+//! *is* the first: a target-range slice of the hoisted input, parameter
+//! gradients only, over the weighed rows.
 //!
 //! Weights after any number of epochs are those of the whole-graph pass,
 //! bit for bit (`train.rs` diffs the two over layer counts, aggregation
-//! modes, targets, `k` and `P`).
+//! modes, targets, `k`, `P` and train sets from none to every pair).
 //!
 //! # The inductive pass
 //!
@@ -99,28 +113,40 @@ impl GnnTrace {
 }
 
 /// What one fit's training passes keep between epochs: the target range,
-/// every layer's input rows (the first layer's built once, here) and every
-/// layer's output rows, reused as buffers. Made by
-/// [`GnnModel::train_pass`], for that model's shape and that graph.
+/// one **live-row list** per layer, every layer's input rows (the first
+/// layer's built once, here) and every layer's output rows, reused as
+/// buffers. Made by [`GnnModel::train_pass`], for that model's shape, that
+/// graph and that loss mask.
+///
+/// A layer's live rows are those whose output gradient may be non-zero:
+/// for the last layer, the target rows the loss weighs; for layer `t - 1`,
+/// the nodes some live row of layer `t` reads — itself, and its intra and
+/// inter in-neighbours — in ascending order. The backward runs on live
+/// rows only; every other row's gradient is exactly `±0.0`.
 #[derive(Debug)]
 pub struct TrainPass {
     /// Node ids of the target intent's layer — the rows the loss reads.
     target: Range<usize>,
+    /// The last layer's live rows: the target pairs whose loss weight is
+    /// non-zero, ascending (a pair's index is its row in the target range).
+    live: Vec<usize>,
     /// `concat[t]`: layer `t`'s `[self ; …]` input, one row per node of
     /// `rows(t)`.
     concat: Vec<Matrix>,
     /// `hidden[t]`: layer `t`'s output over the same rows (post-ReLU
     /// except the last).
     hidden: Vec<Matrix>,
-    /// `gather[t - 1]`: what layer `t ≥ 1`'s backward reads of the graph
-    /// over `rows(t)` — the source-keyed transpose of each aggregate,
-    /// built once per fit.
+    /// `gather[t - 1]`: layer `t ≥ 1`'s live rows, the nodes they read —
+    /// the live rows of layer `t - 1` — and the source-keyed transpose of
+    /// each aggregate over them, built once per fit.
     gather: Vec<Gather>,
+    /// The live rows of the logit gradient, one after the other.
+    grad_logits: Matrix,
     /// `input_grad[t % 2]`: the gradient w.r.t. the pre-ReLU output of
-    /// layer `t - 1`, one row per node, that layer `t ≥ 1` writes
-    /// ([`SageLayer::backward_rows`]) and layer `t - 1` reads. Kept
-    /// allocated, so an epoch maps and faults in no node-state-sized
-    /// matrix.
+    /// layer `t - 1`, one row per live row of that layer, that layer
+    /// `t ≥ 1` writes ([`SageLayer::backward_rows`]) and layer `t - 1`
+    /// reads. Kept allocated, so an epoch maps and faults in no
+    /// node-state-sized matrix.
     input_grad: [Matrix; 2],
 }
 
@@ -134,6 +160,19 @@ impl TrainPass {
             0..n_nodes
         }
     }
+
+    /// Layer `t`'s live rows: ascending indices into its concat rows
+    /// (target-range offsets for the last layer, node ids below it).
+    #[cfg(test)]
+    pub(crate) fn live(&self, t: usize) -> &[usize] {
+        live_rows(&self.gather, &self.live, t)
+    }
+}
+
+/// [`TrainPass::live`] over the pass's fields, so the backward can borrow
+/// the list beside the buffers it writes.
+fn live_rows<'a>(gather: &'a [Gather], live: &'a [usize], t: usize) -> &'a [usize] {
+    gather.get(t).map_or(live, Gather::below)
 }
 
 /// Per-depth states and final logits of one inductive forward pass over a
@@ -243,22 +282,38 @@ impl GnnModel {
     }
 
     /// Starts the training passes of one fit towards `target_layer`'s
-    /// loss: sizes the buffers and builds the first layer's input, which
-    /// no parameter enters, once.
-    pub fn train_pass(&self, graph: &MultiplexGraph, target_layer: usize) -> TrainPass {
+    /// loss, whose per-pair sample weights are `loss_weight`: builds every
+    /// layer's live rows from the pairs it weighs, sizes the buffers, and
+    /// builds the first layer's input, which no parameter enters, once.
+    pub fn train_pass(
+        &self,
+        graph: &MultiplexGraph,
+        target_layer: usize,
+        loss_weight: &[f32],
+    ) -> TrainPass {
         assert!(target_layer < graph.n_layers, "target layer out of range");
+        assert_eq!(loss_weight.len(), graph.n_pairs, "one loss weight per pair");
         let n_layers = self.layers.len();
+        let target = graph.layer_nodes(target_layer);
+        let live: Vec<usize> = (0..graph.n_pairs).filter(|&i| loss_weight[i] != 0.0).collect();
+        // Down from the last layer: each gather's `below` is the next
+        // layer's live rows.
+        let (mut gather, mut rows, mut start) = (Vec::new(), live.clone(), target.start);
+        for layer in self.layers[1..].iter().rev() {
+            let g = layer.gather(graph, start, rows);
+            (rows, start) = (g.below().to_vec(), 0);
+            gather.push(g);
+        }
+        gather.reverse();
         let mut pass = TrainPass {
-            target: graph.layer_nodes(target_layer),
+            target,
+            live,
             concat: vec![Matrix::zeros(0, 0); n_layers],
             hidden: vec![Matrix::zeros(0, 0); n_layers],
-            gather: Vec::with_capacity(n_layers - 1),
+            gather,
+            grad_logits: Matrix::zeros(0, 0),
             input_grad: [Matrix::zeros(0, 0), Matrix::zeros(0, 0)],
         };
-        for t in 1..n_layers {
-            let gather = self.layers[t].gather(graph, pass.rows(t, graph.n_nodes()));
-            pass.gather.push(gather);
-        }
         let rows = pass.rows(0, graph.n_nodes());
         self.layers[0].concat_rows_into(
             &graph.intra,
@@ -298,14 +353,34 @@ impl GnnModel {
     /// The backward half of a training pass, given the gradient of the
     /// loss w.r.t. [`GnnModel::train_forward`]'s logits: leaves every
     /// parameter gradient as the whole-graph backward would, and computes
-    /// no gradient that is not on the way to one (see the module docs).
+    /// no gradient that is not on the way to one, on live rows only (see
+    /// the module docs).
+    ///
+    /// Panics if a logit-gradient row outside the last layer's live rows
+    /// is not `±0.0`: a loss whose weights disagree with the mask the pass
+    /// was built with would otherwise train on fewer rows, silently.
     pub fn train_backward(&mut self, pass: &mut TrainPass, grad_logits: &Matrix) {
         let last = self.layers.len() - 1;
+        let cols = grad_logits.cols();
+        assert_eq!(grad_logits.rows(), pass.target.len(), "one logit-gradient row per pair");
+        pass.grad_logits.reset_overwrite(pass.live.len(), cols);
+        let mut live =
+            pass.live.iter().zip(pass.grad_logits.data_mut().chunks_exact_mut(cols)).peekable();
+        for (i, row) in grad_logits.data().chunks_exact(cols).enumerate() {
+            match live.next_if(|&(&r, _)| r == i) {
+                Some((_, dst)) => dst.copy_from_slice(row),
+                None => assert!(
+                    row.iter().all(|&g| g == 0.0),
+                    "logit gradient of pair {i} is non-zero outside the pass's loss mask"
+                ),
+            }
+        }
         self.head.zero_grad();
+        self.head.backward_params(&pass.hidden[last], Some(&pass.live), &pass.grad_logits);
         // Gradient w.r.t. the (pre-ReLU) output rows of the layer being
-        // visited: layer `t ≥ 1` differentiates the ReLU below it as it
-        // hands the gradient down.
-        let head_grad = self.head.backward(&pass.hidden[last], grad_logits);
+        // visited, one row per live row: layer `t ≥ 1` differentiates the
+        // ReLU below it as it hands the gradient down.
+        let head_grad = pass.grad_logits.matmul_transpose_b(&self.head.w);
         for t in (0..=last).rev() {
             let [even, odd] = &mut pass.input_grad;
             let (into, from) = if t % 2 == 0 { (even, &*odd) } else { (odd, &*even) };
@@ -313,7 +388,8 @@ impl GnnModel {
             let layer = &mut self.layers[t];
             layer.zero_grad();
             if t == 0 {
-                layer.backward_params(&pass.concat[0], grad);
+                let live = live_rows(&pass.gather, &pass.live, 0);
+                layer.backward_params(&pass.concat[0], live, grad);
             } else {
                 let (gather, below) = (&pass.gather[t - 1], &pass.hidden[t - 1]);
                 layer.backward_rows(gather, &pass.concat[t], grad, below, into);

@@ -14,14 +14,15 @@
 //! two.
 //!
 //! A layer works on a **contiguous range of nodes**: it builds the
-//! `[self ; …]` rows of that range (`concat_rows_into`), maps them, and on
-//! the way back turns the gradient of those rows into the gradient of
-//! every node state they read (`backward_rows`, one gather per node along
-//! the range's `Gather`).
+//! `[self ; …]` rows of that range (`concat_rows_into`) and maps them.
 //! The whole graph is the range `0..n`; the training pass hands the last
 //! layer its target intent's range instead. Each row is the same
 //! arithmetic either way, so a restricted evaluation returns the bits of
-//! the whole-graph one for the rows it covers.
+//! the whole-graph one for the rows it covers. On the way back a layer
+//! takes the gradient of its **live** rows only — those whose gradient
+//! may be non-zero — and turns it into the gradient of every node state
+//! they read (`backward_rows`, one gather per node along a `Gather` built
+//! once per fit).
 
 use crate::csr::{gather_lanes, mean_over, CsrGraph, MeanTranspose};
 use crate::multiplex::MultiplexGraph;
@@ -51,16 +52,36 @@ pub struct SageLayer {
     in_dim: usize,
 }
 
-/// What [`SageLayer::backward_rows`] reads of the graph for one node
-/// range: the range, and the [`MeanTranspose`] of each aggregate the
-/// concat rows hold. Built by [`SageLayer::gather`].
+/// What [`SageLayer::backward_rows`] reads of the graph for one layer's
+/// live rows: the rows, the nodes they read, and the [`MeanTranspose`] of
+/// each aggregate the concat rows hold over the live rows only. Built by
+/// [`SageLayer::gather`].
 #[derive(Debug, Clone)]
 pub(crate) struct Gather {
-    rows: Range<usize>,
+    /// The live rows, ascending indices into the layer's concat rows: the
+    /// rows of the output gradient `backward_rows` is handed.
+    rows: Vec<usize>,
+    /// The nodes the live rows read — each row's own node and its intra
+    /// and inter in-neighbours — ascending: the rows of the input gradient
+    /// `backward_rows` writes, and the live rows of the layer below.
+    below: Vec<usize>,
+    /// `own[i]`: the index in `rows` of node `below[i]`'s own row, or
+    /// `NO_ROW` where that node is not a live row of this layer.
+    own: Vec<u32>,
     /// The intra-layer aggregate's (relation-typed) or the union's (pooled).
     first: MeanTranspose,
     /// The inter-layer aggregate's; `None` for a pooled layer.
     inter: Option<MeanTranspose>,
+}
+
+/// [`Gather::own`] of a node that is not a live row.
+const NO_ROW: u32 = u32::MAX;
+
+impl Gather {
+    /// The nodes the live rows read, ascending.
+    pub(crate) fn below(&self) -> &[usize] {
+        &self.below
+    }
 }
 
 impl SageLayer {
@@ -179,47 +200,65 @@ impl SageLayer {
     }
 
     /// Parameter-only backward for a layer whose input states are leaves
-    /// (the first layer: node features are not parameters). `concat` and
-    /// `grad_out` cover the same rows.
-    pub(crate) fn backward_params(&mut self, concat: &Matrix, grad_out: &Matrix) {
-        self.linear.backward_params(concat, grad_out);
+    /// (the first layer: node features are not parameters): row `i` of
+    /// `grad_out` is the gradient of concat row `live[i]`.
+    pub(crate) fn backward_params(&mut self, concat: &Matrix, live: &[usize], grad_out: &Matrix) {
+        self.linear.backward_params(concat, Some(live), grad_out);
     }
 
-    /// The backward's view of the graph over the node range `rows`: the
-    /// [`MeanTranspose`] of each aggregate this layer's concat rows hold.
-    /// A function of the graph and the range only, so a fit builds it once.
-    pub(crate) fn gather(&self, graph: &MultiplexGraph, rows: Range<usize>) -> Gather {
+    /// The backward's view of the graph for this layer's live rows `rows`
+    /// (ascending indices into concat rows that start at node `start`):
+    /// the nodes they read, and the [`MeanTranspose`] of each aggregate
+    /// over the live rows. A function of the graph and the rows only, so a
+    /// fit builds it once.
+    pub(crate) fn gather(&self, graph: &MultiplexGraph, start: usize, rows: Vec<usize>) -> Gather {
+        let n = graph.n_nodes();
+        let readers: Vec<usize> = rows.iter().map(|&r| start + r).collect();
+        let (mut own_row, mut read) = (vec![NO_ROW; n], vec![false; n]);
+        for (i, &v) in readers.iter().enumerate() {
+            own_row[v] = i as u32;
+            read[v] = true;
+            for &u in graph.intra.in_neighbors(v).iter().chain(graph.inter.in_neighbors(v)) {
+                read[u as usize] = true;
+            }
+        }
+        let below: Vec<usize> = (0..n).filter(|&u| read[u]).collect();
+        let own = below.iter().map(|&u| own_row[u]).collect();
         let (first, inter) = match self.aggregation {
             Aggregation::RelationTyped => (
-                MeanTranspose::new(&[&graph.intra], rows.clone()),
-                Some(MeanTranspose::new(&[&graph.inter], rows.clone())),
+                MeanTranspose::new(&[&graph.intra], &readers),
+                Some(MeanTranspose::new(&[&graph.inter], &readers)),
             ),
             Aggregation::Pooled => {
-                (MeanTranspose::new(&[&graph.intra, &graph.inter], rows.clone()), None)
+                (MeanTranspose::new(&[&graph.intra, &graph.inter], &readers), None)
             }
         };
-        Gather { rows, first, inter }
+        Gather { rows, below, own, first, inter }
     }
 
-    /// Backward pass over the rows the forward evaluated, `gather`'s range:
-    /// `concat` and `grad_out` hold those nodes. Accumulates the layer's
-    /// parameter gradients and writes into `out` (reshaped, allocation
-    /// reused) the gradient w.r.t. the **pre-activation** input states of
-    /// every node — a row's own state, and the neighbours its aggregates
-    /// read, which lie anywhere in the graph — with the ReLU that made
-    /// `input` (this layer's input states) differentiated in place.
+    /// Backward pass over `gather`'s live rows: row `i` of `grad_out` is
+    /// the gradient of concat row `gather.rows[i]` (`concat` holds every
+    /// row the forward evaluated). Accumulates the layer's parameter
+    /// gradients over the live rows, computes `grad_out · Wᵀ` for them
+    /// only, and writes into `out` (reshaped, allocation reused) row `i`
+    /// for node `gather.below[i]`: the gradient w.r.t. that node's
+    /// **pre-activation** input state — a live row's own state, and the
+    /// neighbours its aggregates read, which lie anywhere in the graph —
+    /// with the ReLU that made `input` (this layer's input states, one row
+    /// per node) differentiated in place.
     ///
-    /// Each node's row is one pass: its own-state part (`0.0` outside the
-    /// range), plus the gather of each relation's aggregate gradient, added
-    /// as `(own + intra) + inter` (`own + all` for a pooled layer), then
-    /// zeroed where `input <= 0.0`: the sum, order and mask of the
-    /// whole-graph reference (`SageLayer::backward`'s per-relation scatter,
-    /// then `relu_backward_inplace`). A node outside the range
-    /// contributes nothing: its row of `grad_out` would be zero, and with
-    /// finite weights so would its row of `grad_out · Wᵀ`, and adding
-    /// `±0.0` to an accumulator that started at `+0.0` never changes its
-    /// bits. So the result is that of the whole-graph pass over a
-    /// `grad_out` that is zero outside the range.
+    /// Each node's row is one pass: its own-state part (`0.0` for a node
+    /// that is not a live row), plus the gather of each relation's
+    /// aggregate gradient, added as `(own + intra) + inter` (`own + all`
+    /// for a pooled layer), then zeroed where `input <= 0.0`: the sum,
+    /// order and mask of the whole-graph reference (`SageLayer::backward`'s
+    /// per-relation scatter, then `relu_backward_inplace`). A row that is
+    /// not live contributes nothing: its row of `grad_out` would be `±0.0`,
+    /// and with finite weights its row of `grad_out · Wᵀ` `+0.0`, and
+    /// adding `±0.0` to an accumulator that started at `+0.0` never changes
+    /// its bits. So the rows written are those of the whole-graph pass
+    /// over a `grad_out` that is `±0.0` off the live rows, and every node
+    /// not in `gather.below` has a gradient of exactly `+0.0` there.
     pub(crate) fn backward_rows(
         &mut self,
         gather: &Gather,
@@ -228,24 +267,23 @@ impl SageLayer {
         input: &Matrix,
         out: &mut Matrix,
     ) {
-        let rows = gather.rows.clone();
-        assert_eq!(concat.rows(), rows.len(), "one concat row per node of the range");
+        assert_eq!(grad_out.rows(), gather.rows.len(), "one gradient row per live row");
         let d = self.in_dim;
         assert_eq!(input.cols(), d, "input states must match the layer");
-        let d_concat = self.linear.backward(concat, grad_out);
+        self.linear.backward_params(concat, Some(&gather.rows), grad_out);
+        let d_concat = grad_out.matmul_transpose_b(&self.linear.w);
         let zeros = vec![0.0f32; d];
         // Every element of every row is stored below.
-        out.reset_overwrite(input.rows(), d);
-        for (u, (row, states)) in
-            out.data_mut().chunks_exact_mut(d).zip(input.data().chunks_exact(d)).enumerate()
-        {
-            let own = if rows.contains(&u) { &d_concat.row(u - rows.start)[..d] } else { &zeros };
+        out.reset_overwrite(gather.below.len(), d);
+        let nodes = gather.below.iter().zip(&gather.own);
+        for (row, (&u, &own)) in out.data_mut().chunks_exact_mut(d).zip(nodes) {
+            let own = if own == NO_ROW { &zeros } else { &d_concat.row(own as usize)[..d] };
             let node = NodeGrad {
                 d_concat: &d_concat,
                 first: gather.first.entries(u),
                 inter: gather.inter.as_ref().map(|inter| inter.entries(u)),
                 own,
-                states,
+                states: input.row(u),
             };
             // Eight lanes at a time in registers, then one at a time.
             let whole = d - d % LANES;
@@ -326,14 +364,14 @@ const LANES: usize = 8;
 
 /// One node's row of [`SageLayer::backward_rows`]' output.
 struct NodeGrad<'a> {
-    /// The gradient of the range's concat rows.
+    /// The gradient of the live concat rows.
     d_concat: &'a Matrix,
     /// The node's entries in [`Gather::first`], read from the concat
     /// rows' second block of columns.
     first: &'a [(u32, f32)],
     /// The node's entries in [`Gather::inter`], read from the third block.
     inter: Option<&'a [(u32, f32)]>,
-    /// The node's own-state gradient (zeros outside the range).
+    /// The node's own-state gradient (zeros if it is not a live row).
     own: &'a [f32],
     /// The node's input states, whose ReLU is differentiated.
     states: &'a [f32],
@@ -484,7 +522,8 @@ mod tests {
             layer.concat_rows_into(&g.intra, &g.inter, &h, 0..6, &mut concat);
             assert_eq!(concat, layer.concat_states(&g.intra, &g.inter, &h));
             let mut ranged = Matrix::zeros(0, 0);
-            layer.backward_rows(&layer.gather(&g, 0..6), &concat, &ones, &h, &mut ranged);
+            let gather = layer.gather(&g, 0, (0..6).collect());
+            layer.backward_rows(&gather, &concat, &ones, &h, &mut ranged);
             let mut masked = dh.clone();
             relu_backward_inplace(&mut masked, &h);
             assert_eq!(bits(&ranged), bits(&masked), "{agg:?}");
@@ -506,12 +545,14 @@ mod tests {
         }
     }
 
-    /// A layer evaluated and differentiated on each of `ranges` is the
-    /// whole-graph layer under a gradient that is zero outside the range:
-    /// same concat rows, same parameter gradients, and — gathered per
-    /// source with the ReLU mask fused — the bits of the scatter through
+    /// A layer evaluated on each of `ranges` and differentiated on all of
+    /// its rows, or on every row but each third, is the whole-graph layer
+    /// under a gradient that is zero off those live rows: same concat
+    /// rows, same parameter gradients, and — gathered per source with the
+    /// ReLU mask fused — the bits of the scatter through
     /// `mean_aggregate_backward` / `pooled_aggregate_backward` followed by
-    /// `relu_backward_inplace`, for every node.
+    /// `relu_backward_inplace`, for every node it writes; every node it
+    /// leaves out has a gradient of exactly `+0.0` there.
     fn assert_ranged_backward_is_the_whole_graph_one(
         g: &MultiplexGraph,
         h: &Matrix,
@@ -527,27 +568,38 @@ mod tests {
             // leak from one backward into the next.
             let mut out = Matrix::zeros(0, 0);
             for rows in ranges {
-                let what = format!("{agg:?} {rows:?}");
-                let grad = Matrix::from_fn(rows.len(), 4, |i, j| (i * 4 + j) as f32 * 0.1 - 0.7);
-                let mut masked = Matrix::zeros(n, 4);
-                for (i, v) in rows.clone().enumerate() {
-                    masked.row_mut(v).copy_from_slice(grad.row(i));
-                }
-                let mut whole = layer.clone();
-                let mut want = whole.backward(g, h, &masked);
-                relu_backward_inplace(&mut want, h);
+                let every: Vec<usize> = (0..rows.len()).collect();
+                let thinned: Vec<usize> = (0..rows.len()).filter(|i| i % 3 != 1).collect();
+                for live in [every, thinned] {
+                    let what = format!("{agg:?} {rows:?} live {live:?}");
+                    let grad =
+                        Matrix::from_fn(live.len(), 4, |i, j| (i * 4 + j) as f32 * 0.1 - 0.7);
+                    let mut masked = Matrix::zeros(n, 4);
+                    for (i, &r) in live.iter().enumerate() {
+                        masked.row_mut(rows.start + r).copy_from_slice(grad.row(i));
+                    }
+                    let mut whole = layer.clone();
+                    let mut want = whole.backward(g, h, &masked);
+                    relu_backward_inplace(&mut want, h);
 
-                let mut ranged = layer.clone();
-                let mut concat = Matrix::zeros(0, 0);
-                ranged.concat_rows_into(&g.intra, &g.inter, h, rows.clone(), &mut concat);
-                let picked: Vec<usize> = rows.clone().collect();
-                assert_eq!(concat, whole_concat.select_rows(&picked), "{what}");
-                let gather = ranged.gather(g, rows.clone());
-                ranged.backward_rows(&gather, &concat, &grad, h, &mut out);
-                assert_eq!((out.rows(), out.cols()), (n, h.cols()), "{what}: shape");
-                assert_eq!(bits(&out), bits(&want), "{what}: input gradient");
-                assert_eq!(bits(&ranged.linear.grad_w), bits(&whole.linear.grad_w), "{what}");
-                assert_eq!(ranged.linear.grad_b, whole.linear.grad_b, "{what}");
+                    let mut ranged = layer.clone();
+                    let mut concat = Matrix::zeros(0, 0);
+                    ranged.concat_rows_into(&g.intra, &g.inter, h, rows.clone(), &mut concat);
+                    let picked: Vec<usize> = rows.clone().collect();
+                    assert_eq!(concat, whole_concat.select_rows(&picked), "{what}");
+                    let gather = ranged.gather(g, rows.start, live.clone());
+                    ranged.backward_rows(&gather, &concat, &grad, h, &mut out);
+                    let below = gather.below();
+                    assert_eq!((out.rows(), out.cols()), (below.len(), h.cols()), "{what}");
+                    let mut spread = Matrix::zeros(n, h.cols());
+                    for (i, &u) in below.iter().enumerate() {
+                        spread.row_mut(u).copy_from_slice(out.row(i));
+                    }
+                    assert_eq!(bits(&spread), bits(&want), "{what}: input gradient");
+                    let (got_w, want_w) = (&ranged.linear.grad_w, &whole.linear.grad_w);
+                    assert_eq!(bits(got_w), bits(want_w), "{what}");
+                    assert_eq!(ranged.linear.grad_b, whole.linear.grad_b, "{what}");
+                }
             }
         }
     }

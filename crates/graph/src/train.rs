@@ -13,12 +13,13 @@
 //! the parameter gradients, Adam applies them. That pass computes only
 //! what this loss reads — the first layer's input once per fit, no
 //! gradient into the node features, the last layer on the target layer's
-//! rows — and returns the weights of the whole-graph forward and backward
-//! it replaced, bit for bit; `model.rs` says why each skipped term is dead
-//! or exactly zero, and why the layers below the last stay whole-graph.
-//! The whole-graph pass survives in this crate's tests as the reference
-//! every combination of layer count, aggregation, target, `k` and `P` is
-//! diffed against.
+//! rows, the backward on the rows the train mask reaches — and returns the
+//! weights of the whole-graph forward and backward it replaced, bit for
+//! bit; `model.rs` says why each skipped term is dead or exactly zero, and
+//! why the layers below the last stay whole-graph forward. The
+//! whole-graph pass survives in this crate's tests as the reference every
+//! combination of layer count, aggregation, target, `k`, `P` and train
+//! set is diffed against.
 
 use crate::model::GnnModel;
 use crate::multiplex::MultiplexGraph;
@@ -141,7 +142,7 @@ pub fn train_for_intent(
     let targets: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
     let train_weight = train_mask(graph.n_pairs, train_pairs);
 
-    let mut pass = model.train_pass(graph, target_layer);
+    let mut pass = model.train_pass(graph, target_layer, &train_weight);
     let mut selection = Selection::new(Some(config.patience));
     // One flat span per stage of an epoch (fits run on `flexer-par`
     // workers, whose span stacks are not the caller's).
@@ -429,26 +430,51 @@ mod tests {
         }
     }
 
+    /// The fixture's train set, and the live sets' edges: no pair (no live
+    /// row at all), one pair, and every pair.
+    fn train_sets(n_pairs: usize, usual: Vec<usize>) -> [(&'static str, Vec<usize>); 4] {
+        [
+            ("half", usual),
+            ("none", Vec::new()),
+            ("one", vec![n_pairs / 3]),
+            ("all", (0..n_pairs).collect()),
+        ]
+    }
+
+    /// Every gradient of every layer and the head is `+0.0`, to the bit.
+    fn assert_zero_gradients(model: &GnnModel, what: &str) {
+        let linears = model.sage_layers().iter().map(|l| l.linear()).chain([model.head()]);
+        for (i, linear) in linears.enumerate() {
+            let mut grads = linear.grad_w.data().iter().chain(&linear.grad_b);
+            assert!(grads.all(|g| g.to_bits() == 0), "{what}: gradient of linear {i}");
+        }
+    }
+
     /// Step by step against the whole-graph reference: the same logits
     /// going in, and the same weights, biases, gradients and Adam moments
     /// coming out, after each of ten epochs (so after 1, 2 and 10), from
-    /// one `TrainPass` whose first-layer input was built before the first.
+    /// one `TrainPass` whose first-layer input was built before the first —
+    /// for each of `train_sets`. With no train pair every gradient is
+    /// `+0.0`, and Adam's weight decay still moves the weights.
     #[test]
     fn training_pass_steps_are_bitwise_the_whole_graph_pass() {
         for_each_setting(|config, k, p_layers, what| {
             let (graph, labels, train, _) = fixture(p_layers, k, 5);
             let targets: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
-            let weight = train_mask(graph.n_pairs, &train);
-            for target in 0..p_layers {
+            for ((set, train), target) in train_sets(graph.n_pairs, train)
+                .into_iter()
+                .flat_map(|set| (0..p_layers).map(move |target| (set.clone(), target)))
+            {
+                let weight = train_mask(graph.n_pairs, &train);
                 let mut rng = StdRng::seed_from_u64(config.seed);
                 let mut want =
                     GnnModel::new(&mut rng, graph.dim, &config.layer_dims(), config.aggregation);
                 let mut got = want.clone();
                 let (mut want_opt, mut got_opt) =
                     (Adam::new(config.adam()), Adam::new(config.adam()));
-                let mut pass = got.train_pass(&graph, target);
+                let mut pass = got.train_pass(&graph, target, &weight);
                 for epoch in 1..=10 {
-                    let what = format!("{what} target {target} epoch {epoch}");
+                    let what = format!("{what} train {set} target {target} epoch {epoch}");
                     let trace = want.forward(&graph);
                     let want_logits = want.intent_logits(&graph, &trace, target);
                     let (_, grad) = softmax_cross_entropy(&want_logits, &targets, Some(&weight));
@@ -460,9 +486,14 @@ mod tests {
                     assert_eq!(got_logits, want_logits, "{what}: logits");
                     let (_, grad) = softmax_cross_entropy(&got_logits, &targets, Some(&weight));
                     got.train_backward(&mut pass, &grad);
+                    let before = got.clone();
                     got_opt.begin_step();
                     got.apply(&mut got_opt);
 
+                    if train.is_empty() {
+                        assert_zero_gradients(&got, &what);
+                        assert_ne!(got.head().w, before.head().w, "{what}: no weight decay");
+                    }
                     assert_same_parameters(&got, &want, &what);
                     assert_eq!(got_opt, want_opt, "{what}: Adam moments");
                 }
@@ -472,21 +503,26 @@ mod tests {
 
     /// Whole fits against the reference fit: scores, predictions, selected
     /// epoch's F1 and weights, and epochs run — for 1, 2 and 10 epochs and
-    /// with early stopping cutting in.
+    /// with early stopping cutting in, for each of `train_sets`.
     #[test]
     fn fits_are_bitwise_the_whole_graph_fits() {
         let mut stopped_early = false;
         for_each_setting(|config, k, p_layers, what| {
             let (graph, labels, train, valid) = fixture(p_layers, k, 9);
             let stopping = [(1, 1), (2, 2), (10, 10), (40, 2)];
-            for target in 0..p_layers {
-                for (epochs, patience) in stopping {
-                    // The ragged graph and the long runs on one target only.
-                    if (k.is_none() || epochs == 40) && target + 1 != p_layers {
+            for (set, train) in train_sets(graph.n_pairs, train) {
+                for (target, (epochs, patience)) in
+                    (0..p_layers).flat_map(|target| stopping.map(|s| (target, s)))
+                {
+                    // The ragged graph, the long runs and the edge sets on
+                    // one target only.
+                    let edge = set != "half";
+                    if (k.is_none() || epochs == 40 || edge) && target + 1 != p_layers {
                         continue;
                     }
                     let config = GnnConfig { epochs, patience, ..config.clone() };
-                    let what = format!("{what} target {target} epochs {epochs}/{patience}");
+                    let what =
+                        format!("{what} train {set} target {target} epochs {epochs}/{patience}");
                     let got = train_for_intent(&graph, target, &labels, &train, &valid, &config);
                     let want = reference_fit(&graph, target, &labels, &train, &valid, &config);
                     assert_eq!(got.scores, want.scores, "{what}: scores");
@@ -499,6 +535,45 @@ mod tests {
             }
         });
         assert!(stopped_early, "no setting exercised early stopping");
+    }
+
+    /// A 3-layer model's live rows on the ragged fixture, for every target
+    /// and train set: each list ascends without repeats, the last layer's
+    /// are the weighed pairs, and each layer below holds exactly the nodes
+    /// one more hop reads — layer 0 the two-hop reach of the weighed
+    /// target rows.
+    #[test]
+    fn live_rows_are_the_reach_of_the_weighed_target_rows() {
+        use std::collections::BTreeSet;
+        let (graph, _, train, _) = fixture(3, None, 5);
+        let config = GnnConfig { hidden_dim: 6, n_layers: 3, ..GnnConfig::fast() };
+        let mut rng = StdRng::seed_from_u64(1);
+        let model = GnnModel::new(&mut rng, graph.dim, &config.layer_dims(), config.aggregation);
+        let reach = |nodes: &BTreeSet<usize>| -> BTreeSet<usize> {
+            let read = |v: usize| {
+                let sources = graph.intra.in_neighbors(v).iter().chain(graph.inter.in_neighbors(v));
+                std::iter::once(v).chain(sources.map(|&u| u as usize))
+            };
+            nodes.iter().flat_map(|&v| read(v)).collect()
+        };
+        for target in 0..graph.n_layers {
+            for (set, train) in train_sets(graph.n_pairs, train.clone()) {
+                let pass = model.train_pass(&graph, target, &train_mask(graph.n_pairs, &train));
+                let start = graph.layer_nodes(target).start;
+                let one_hop = reach(&train.iter().map(|&i| start + i).collect());
+                let two_hop = reach(&one_hop);
+                let want = [two_hop, one_hop, train.iter().copied().collect()];
+                for (t, want) in want.iter().enumerate() {
+                    let live = pass.live(t);
+                    let what = format!("train {set} target {target} layer {t}");
+                    assert!(live.windows(2).all(|w| w[0] < w[1]), "{what}: not ascending");
+                    assert_eq!(live, want.iter().copied().collect::<Vec<_>>(), "{what}");
+                }
+                if set == "one" {
+                    assert!(pass.live(0).len() < graph.n_nodes(), "target {target}: no cut");
+                }
+            }
+        }
     }
 
     /// An optimizer that moves one parameter by a fixed amount and reads no
@@ -539,7 +614,7 @@ mod tests {
             let config = GnnConfig { hidden_dim: 4, n_layers, aggregation, ..GnnConfig::fast() };
             let mut rng = StdRng::seed_from_u64(31);
             let mut model = GnnModel::new(&mut rng, graph.dim, &config.layer_dims(), aggregation);
-            let mut pass = model.train_pass(&graph, target);
+            let mut pass = model.train_pass(&graph, target, &weight);
             let loss_of = |model: &GnnModel, pass: &mut TrainPass| {
                 let logits = model.train_forward(&graph, pass);
                 softmax_cross_entropy(&logits, &targets, Some(&weight))
@@ -575,6 +650,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A loss whose weights reach past the mask the pass was built with
+    /// panics instead of training on fewer rows.
+    #[test]
+    #[should_panic(expected = "non-zero outside the pass's loss mask")]
+    fn a_loss_outside_the_pass_mask_panics() {
+        let (graph, labels, train, _) = fixture(2, Some(4), 3);
+        let targets: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
+        let config = GnnConfig { hidden_dim: 4, ..GnnConfig::fast() };
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut model =
+            GnnModel::new(&mut rng, graph.dim, &config.layer_dims(), config.aggregation);
+        let mut pass = model.train_pass(&graph, 1, &train_mask(graph.n_pairs, &train));
+        let logits = model.train_forward(&graph, &mut pass);
+        let (_, grad) = softmax_cross_entropy(&logits, &targets, None);
+        model.train_backward(&mut pass, &grad);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   `grad · Wᵀ` packs `Wᵀ` per call ([`PackedB::pack_transposed`], a
 //!   weight-sized copy against a batch-sized product).
 //! - **Register blocking**: micro-kernels compute 4 output rows × 8
-//!   columns per inner loop, keeping 32 accumulators in registers for the
-//!   whole fold — the output is touched once per tile instead of once per
-//!   term. Each output element's fold
+//!   columns per inner loop (× 24 for the weight gradient, whose four
+//!   broadcasts per batch row feed three panels), keeping 32 (96)
+//!   accumulators in registers for the whole fold — the output is touched
+//!   once per tile instead of once per term. Each output element's fold
 //!   stays a single chain in ascending order (the same discipline
 //!   `flexer-ann` uses for its distance kernels): ascending k for
 //!   [`matmul_packed_into`], ascending batch row for the weight gradient
@@ -268,9 +269,21 @@ fn write_tile(dst: &mut [f32], acc: &[f32], j0: usize, epilogue: Epilogue<'_>) {
 /// `48 + 24`) stay in L2, and one tile's share of them in L1.
 pub(crate) const ROW_CHUNK: usize = 256;
 
+/// Column panels one tile of [`matmul_transpose_a_acc`] covers: a batch
+/// row's four broadcasts from `a` feed up to three 8-wide panels of `b`
+/// (96 accumulators, twelve AVX2 registers).
+const GROUP: usize = 3;
+
 /// `out += aᵀ · b` — `[m,k]ᵀ × [m,n]` added into a `[k,n]` output: the
 /// weight gradient of a dense layer (`a` its input batch, `b` the
 /// gradient of its output), accumulated where it is kept.
+///
+/// `rows`, when given, is an ascending list of rows of `a`, and row `i` of
+/// `b` belongs to row `rows[i]` of `a`: the product over those rows only,
+/// with no operand copied. A caller whose gradient is exactly `±0.0` on
+/// every other row gets the bits of the whole-batch product, because each
+/// skipped term is a `±0.0` product added to a chain that started at
+/// `+0.0` (see the module docs).
 ///
 /// Each element of `out` continues its own chain in ascending batch row
 /// `i`: `out[r][c] += a[i][r] · b[i][c]`, one term per row — so into a
@@ -279,33 +292,37 @@ pub(crate) const ROW_CHUNK: usize = 256;
 /// skip and its finite-gradient precondition), and into an `out` that
 /// holds `+0.0` it is bitwise a zeroed temporary added in afterwards.
 ///
-/// The batch is streamed in 256-row chunks, and every 4 × 8
-/// tile of `out` runs a chunk's rows with 32 accumulators in registers:
-/// per batch row, four broadcasts from `a`'s row and one 8-wide load from
-/// `b`'s, no branch. The operands are read in place; only a ragged last
-/// strip of output rows (`k % 4`) or panel of columns (`n % 8`) is copied
-/// out of each chunk, zero-padded, and its padding lanes are never
-/// written back. Large products split the output rows into one 4-aligned
-/// block per thread, each streaming the whole batch, so every accumulator
-/// has one owner at any thread count.
-pub fn matmul_transpose_a_acc(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    assert_eq!(a.rows(), b.rows(), "matmul_transpose_a shape mismatch");
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+/// The batch is streamed in 256-row chunks, and every tile of `out` — 4
+/// rows by up to three 8-column panels — runs a chunk's rows with its
+/// accumulators in registers: per batch row, four broadcasts from `a`'s
+/// row and one 8-wide load from `b`'s per panel, no branch. Whole panels
+/// go three to a tile, and a ragged last panel (`n % 8`, the head's
+/// `n = 2`) gets a padded tile of its own. The operands are read in place;
+/// only a ragged last strip of output rows (`k % 4`) or panel of columns
+/// is copied out of each chunk, zero-padded, and its padding lanes are
+/// never written back. Large products split the output rows into one
+/// 4-aligned block per thread, each streaming the whole batch, so every
+/// accumulator has one owner at any thread count.
+pub fn matmul_transpose_a_acc(a: &Matrix, rows: Option<&[usize]>, b: &Matrix, out: &mut Matrix) {
+    let m = rows.map_or(a.rows(), <[usize]>::len);
+    assert_eq!(m, b.rows(), "matmul_transpose_a shape mismatch");
+    let (k, n) = (a.cols(), b.cols());
     assert_eq!((out.rows(), out.cols()), (k, n), "matmul_transpose_a output shape mismatch");
+    debug_assert!(rows.map_or(true, |rows| rows.windows(2).all(|w| w[0] < w[1])), "rows ascend");
     if m == 0 || k == 0 || n == 0 {
         return;
     }
     let quads = k.div_ceil(4);
     let threads = if m * k * n >= PAR_MIN_WORK { flexer_par::max_threads().min(quads) } else { 1 };
     if threads <= 1 {
-        transpose_a_acc_rows(a, b, 0, out.data_mut());
+        transpose_a_acc_rows(a, rows, b, 0, out.data_mut());
         return;
     }
     let per_block = quads.div_ceil(threads) * 4;
     let blocks = flexer_par::parallel_map(k.div_ceil(per_block), |blk| {
-        let rows = blk * per_block..((blk + 1) * per_block).min(k);
-        let mut block = out.data()[rows.start * n..rows.end * n].to_vec();
-        transpose_a_acc_rows(a, b, rows.start, &mut block);
+        let span = blk * per_block..((blk + 1) * per_block).min(k);
+        let mut block = out.data()[span.start * n..span.end * n].to_vec();
+        transpose_a_acc_rows(a, rows, b, span.start, &mut block);
         block
     });
     for (dst, block) in out.data_mut().chunks_mut(per_block * n).zip(blocks) {
@@ -315,78 +332,133 @@ pub fn matmul_transpose_a_acc(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 
 /// [`matmul_transpose_a_acc`] for output rows `r0 .. r0 + block.len() / n`,
 /// held in `block`.
-fn transpose_a_acc_rows(a: &Matrix, b: &Matrix, r0: usize, block: &mut [f32]) {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+fn transpose_a_acc_rows(
+    a: &Matrix,
+    rows: Option<&[usize]>,
+    b: &Matrix,
+    r0: usize,
+    block: &mut [f32],
+) {
+    let (m, k, n) = (b.rows(), a.cols(), b.cols());
     let width = block.len() / n;
-    let (quads, n_panels) = (width.div_ceil(4), n.div_ceil(PANEL));
+    let (a_tail, whole) = (4 * (width / 4), n / PANEL);
     let chunk = ROW_CHUNK.min(m);
-    let mut a_edge = vec![0.0f32; if width % 4 == 0 { 0 } else { chunk * 4 }];
+    let mut a_at = vec![0usize; chunk];
+    let edge_at: Vec<usize> = (0..chunk).map(|i| 4 * i).collect();
+    let mut a_edge = vec![0.0f32; if a_tail == width { 0 } else { chunk * 4 }];
     let mut b_edge = vec![0.0f32; if n % PANEL == 0 { 0 } else { chunk * PANEL }];
     for i0 in (0..m).step_by(ROW_CHUNK) {
-        let rows = (m - i0).min(ROW_CHUNK);
-        let a_tail = 4 * (width / 4);
+        let len = (m - i0).min(ROW_CHUNK);
+        for (i, at) in a_at[..len].iter_mut().enumerate() {
+            *at = rows.map_or(i0 + i, |rows| rows[i0 + i]) * k + r0;
+        }
         if a_tail < width {
-            for (i, dst) in a_edge.chunks_exact_mut(4).take(rows).enumerate() {
-                let at = (i0 + i) * k + r0 + a_tail;
-                dst[..width - a_tail].copy_from_slice(&a.data()[at..at + width - a_tail]);
+            for (dst, &at) in a_edge.chunks_exact_mut(4).zip(&a_at[..len]) {
+                dst[..width - a_tail].copy_from_slice(&a.data()[at + a_tail..at + width]);
             }
         }
-        let b_tail = PANEL * (n / PANEL);
-        if b_tail < n {
-            for (i, dst) in b_edge.chunks_exact_mut(PANEL).take(rows).enumerate() {
-                dst[..n - b_tail].copy_from_slice(&b.row(i0 + i)[b_tail..]);
+        if n % PANEL != 0 {
+            for (i, dst) in b_edge.chunks_exact_mut(PANEL).take(len).enumerate() {
+                dst[..n % PANEL].copy_from_slice(&b.row(i0 + i)[whole * PANEL..]);
             }
         }
-        for p in 0..n_panels {
-            let j0 = p * PANEL;
-            let cols = (n - j0).min(PANEL);
-            let panel =
-                if cols == PANEL { (&b.data()[i0 * n + j0..], n) } else { (&b_edge[..], PANEL) };
-            for q in 0..quads {
-                let tile_rows = (width - 4 * q).min(4);
-                let strip = if tile_rows == 4 {
-                    (&a.data()[i0 * k + r0 + 4 * q..], k)
-                } else {
-                    (&a_edge[..], 4)
-                };
-                let mut acc = [[0.0f32; PANEL]; 4];
-                for (r, acc_row) in acc.iter_mut().enumerate().take(tile_rows) {
-                    let at = (4 * q + r) * n + j0;
-                    acc_row[..cols].copy_from_slice(&block[at..at + cols]);
+        let tiles = Tiles {
+            block: &mut *block,
+            n,
+            strips: (a.data(), &a_at[..len]),
+            edge: (&a_edge[..], &edge_at[..len]),
+            width,
+        };
+        tiles.run(whole, (&b.data()[i0 * n..], n), (&b_edge[..], n % PANEL));
+    }
+}
+
+/// One chunk of [`transpose_a_acc_rows`]: the output rows it accumulates
+/// into, and where each of the chunk's batch rows starts in `a` (at the
+/// block's first column) and in the zero-padded copy of a ragged last
+/// strip.
+struct Tiles<'a> {
+    block: &'a mut [f32],
+    n: usize,
+    strips: (&'a [f32], &'a [usize]),
+    edge: (&'a [f32], &'a [usize]),
+    width: usize,
+}
+
+impl Tiles<'_> {
+    /// Every tile over the chunk: the `whole` full panels of `b` (the
+    /// chunk's rows, row stride `n`) three to a tile, then the padded
+    /// panel of the last `ragged` columns.
+    fn run(mut self, whole: usize, panels: (&[f32], usize), (edge, ragged): (&[f32], usize)) {
+        let (data, stride) = panels;
+        for p in (0..whole).step_by(GROUP) {
+            let panel = (&data[p * PANEL..], stride);
+            match (whole - p).min(GROUP) {
+                3 => self.columns::<3>(p * PANEL, 3 * PANEL, panel),
+                2 => self.columns::<2>(p * PANEL, 2 * PANEL, panel),
+                _ => self.columns::<1>(p * PANEL, PANEL, panel),
+            }
+        }
+        if ragged > 0 {
+            self.columns::<1>(whole * PANEL, ragged, (edge, PANEL));
+        }
+    }
+
+    /// The tiles of output columns `j0 .. j0 + cols`, `P` panels wide, one
+    /// per 4-row strip of the block.
+    fn columns<const P: usize>(&mut self, j0: usize, cols: usize, panel: (&[f32], usize)) {
+        let n = self.n;
+        for q in 0..self.width.div_ceil(4) {
+            let tile_rows = (self.width - 4 * q).min(4);
+            let strip = if tile_rows == 4 {
+                (self.strips.0, self.strips.1, 4 * q)
+            } else {
+                (self.edge.0, self.edge.1, 0)
+            };
+            let mut acc = [[[0.0f32; PANEL]; P]; 4];
+            for (r, acc_row) in acc.iter_mut().enumerate().take(tile_rows) {
+                let at = (4 * q + r) * n + j0;
+                for (lanes, was) in acc_row.iter_mut().zip(self.block[at..at + cols].chunks(PANEL))
+                {
+                    lanes[..was.len()].copy_from_slice(was);
                 }
-                let acc = fold_tile(acc, strip, panel, rows);
-                for (r, acc_row) in acc.iter().enumerate().take(tile_rows) {
-                    let at = (4 * q + r) * n + j0;
-                    block[at..at + cols].copy_from_slice(&acc_row[..cols]);
+            }
+            let acc = fold_tile(acc, strip, panel);
+            for (r, acc_row) in acc.iter().enumerate().take(tile_rows) {
+                let at = (4 * q + r) * n + j0;
+                for (dst, lanes) in self.block[at..at + cols].chunks_mut(PANEL).zip(acc_row) {
+                    dst.copy_from_slice(&lanes[..dst.len()]);
                 }
             }
         }
     }
 }
 
-/// One 4 × 8 tile of [`matmul_transpose_a_acc`] over `rows` batch rows:
-/// 32 accumulators, four broadcasts from `strip` and one 8-wide run of
-/// `panel` per row (each a slice and its row stride). A function of its
-/// own, taking and returning the tile by value, so the accumulators live
-/// in registers rather than in the array the caller loads ragged tile
-/// edges into.
+/// One 4 × `8P` tile of [`matmul_transpose_a_acc`] over a chunk's batch
+/// rows: four broadcasts per row from `a` at `at + col` (one offset per
+/// row), and `P` 8-wide runs of `panel` (a slice and its row stride). A
+/// function of its own, taking and returning the tile by value, so the
+/// accumulators live in registers rather than in the array the caller
+/// loads ragged tile edges into.
 #[inline(never)]
-fn fold_tile(
-    acc: [[f32; PANEL]; 4],
-    (strip, a_stride): (&[f32], usize),
+fn fold_tile<const P: usize>(
+    acc: [[[f32; PANEL]; P]; 4],
+    (a, a_at, col): (&[f32], &[usize], usize),
     (panel, b_stride): (&[f32], usize),
-    rows: usize,
-) -> [[f32; PANEL]; 4] {
+) -> [[[f32; PANEL]; P]; 4] {
     let [mut acc0, mut acc1, mut acc2, mut acc3] = acc;
-    for i in 0..rows {
-        let v = &strip[i * a_stride..i * a_stride + 4];
-        let s = &panel[i * b_stride..i * b_stride + PANEL];
+    for (i, &at) in a_at.iter().enumerate() {
+        let v = &a[at + col..at + col + 4];
+        let s = &panel[i * b_stride..i * b_stride + P * PANEL];
         let (v0, v1, v2, v3) = (v[0], v[1], v[2], v[3]);
-        for c in 0..PANEL {
-            acc0[c] += v0 * s[c];
-            acc1[c] += v1 * s[c];
-            acc2[c] += v2 * s[c];
-            acc3[c] += v3 * s[c];
+        for p in 0..P {
+            let s = &s[p * PANEL..(p + 1) * PANEL];
+            for c in 0..PANEL {
+                acc0[p][c] += v0 * s[c];
+                acc1[p][c] += v1 * s[c];
+                acc2[p][c] += v2 * s[c];
+                acc3[p][c] += v3 * s[c];
+            }
         }
     }
     [acc0, acc1, acc2, acc3]

@@ -68,7 +68,7 @@ impl Linear {
     /// Backward pass: accumulates `grad_w`/`grad_b` from the batch and
     /// returns the gradient w.r.t. the input.
     pub fn backward(&mut self, x: &Matrix, grad_out: &Matrix) -> Matrix {
-        self.backward_params(x, grad_out);
+        self.backward_params(x, None, grad_out);
         grad_out.matmul_transpose_b(&self.w)
     }
 
@@ -79,8 +79,13 @@ impl Linear {
     /// into `grad_w`, which after [`Linear::zero_grad`] holds the same
     /// bits as a zeroed temporary added in afterwards: every chain starts
     /// at `+0.0` either way.
-    pub fn backward_params(&mut self, x: &Matrix, grad_out: &Matrix) {
-        matmul_transpose_a_acc(x, grad_out, &mut self.grad_w);
+    ///
+    /// `rows`, when given, lists ascending rows of `x`, and row `i` of
+    /// `grad_out` is the gradient of row `rows[i]`: the batch is those rows
+    /// only ([`matmul_transpose_a_acc`]). Where every other row's gradient
+    /// is `±0.0`, the result is that of the whole batch, bit for bit.
+    pub fn backward_params(&mut self, x: &Matrix, rows: Option<&[usize]>, grad_out: &Matrix) {
+        matmul_transpose_a_acc(x, rows, grad_out, &mut self.grad_w);
         accumulate_bias(&mut self.grad_b, grad_out);
     }
 

@@ -189,7 +189,7 @@ impl Matrix {
     /// (for a finite `other`; see `kernels.rs`), at any thread count.
     pub fn matmul_transpose_a(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.cols, other.cols);
-        matmul_transpose_a_acc(self, other, &mut out);
+        matmul_transpose_a_acc(self, None, other, &mut out);
         out
     }
 
@@ -413,11 +413,14 @@ mod tests {
             })
         };
         // The register tiles' edges: `k % 4 ∈ {1, 2, 3}` (a ragged last
-        // strip of output rows), `n` of 2 (the GNN head), 7, 9 and 64
-        // (ragged and whole 8-column panels), and batches just below, at
-        // and just above one `ROW_CHUNK` and two. The last four shapes are
-        // past `PAR_MIN_WORK`, so a 4-thread budget splits their output
-        // rows (evenly, raggedly, and with fewer rows than threads).
+        // strip of output rows), `n` of 2 (the GNN head), 7 and 9 (a
+        // ragged panel alone and after a whole one), 16, 24, 40, 64 and 72
+        // (whole panels in tiles of two and three, and a group of three
+        // then a rest of one or two), 25 (three whole panels and a ragged
+        // one), and batches just below, at and just above one `ROW_CHUNK`
+        // and two. The last six shapes are past `PAR_MIN_WORK`, so a
+        // 4-thread budget splits their output rows (evenly, raggedly, and
+        // with fewer rows than threads).
         let chunk = crate::kernels::ROW_CHUNK;
         let shapes = [
             (1, 1, 1),
@@ -434,6 +437,12 @@ mod tests {
             (chunk + 1, 13, 64),
             (2 * chunk - 1, 24, 2),
             (2 * chunk + 3, 9, 64),
+            (chunk + 3, 10, 16),
+            (2 * chunk + 1, 7, 25),
+            (300, 13, 40),
+            (chunk - 3, 6, 72),
+            (900, 48, 72),
+            (2100, 25, 40),
             (1100, 72, 24),
             (1500, 31, 30),
             (700, 30, 64),
@@ -451,6 +460,42 @@ mod tests {
                     same && (got.rows(), got.cols()) == (k, n),
                     "{m}x{k}x{n} at {threads} threads"
                 );
+            }
+        }
+        // A row list: the product over the listed rows of `a` — empty, one
+        // row, strided, and crossing a `ROW_CHUNK` boundary — against the
+        // reference over those rows, and against the whole batch with a
+        // gradient that is `±0.0` on every other row.
+        let row_lists = |m: usize| -> Vec<Vec<usize>> {
+            vec![
+                vec![],
+                vec![m / 2],
+                (1..m).step_by(3).collect(),
+                (0..m).filter(|i| i % 5 != 1 || (chunk - 9..chunk + 9).contains(i)).collect(),
+            ]
+        };
+        let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let listed = [(1, 3, 2), (40, 5, 16), (chunk + 40, 7, 25), (700, 48, 24), (1400, 45, 72)];
+        for (salt, &(m, k, n)) in listed.iter().enumerate() {
+            let a = fill(m, k, 40 + 2 * salt as u64);
+            let full = fill(m, n, 41 + 2 * salt as u64);
+            for rows in row_lists(m) {
+                let b = full.select_rows(&rows);
+                let mut masked = Matrix::from_fn(m, n, |i, _| if i % 2 == 0 { 0.0 } else { -0.0 });
+                for (r, &i) in rows.iter().enumerate() {
+                    masked.row_mut(i).copy_from_slice(b.row(r));
+                }
+                let want = matmul_transpose_a_strided(&a.select_rows(&rows), &b);
+                let whole = matmul_transpose_a_strided(&a, &masked);
+                for threads in [1usize, 4] {
+                    let mut got = Matrix::zeros(k, n);
+                    flexer_par::with_threads(threads, || {
+                        matmul_transpose_a_acc(&a, Some(&rows), &b, &mut got)
+                    });
+                    let what = format!("{m}x{k}x{n} over {} rows at {threads} threads", rows.len());
+                    assert_eq!(bits(&got), bits(&want), "{what}");
+                    assert_eq!(bits(&got), bits(&whole), "{what}: the whole batch");
+                }
             }
         }
         // `matmul_transpose_b` on the same operands, against the scalar
