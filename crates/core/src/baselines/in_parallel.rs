@@ -1,7 +1,7 @@
 //! The in-parallel baseline (§3.2): one independently trained binary
 //! matcher per intent — Read et al.'s binary-relevance decomposition of the
 //! multi-label problem. Its per-intent `[cls]` embeddings are also the
-//! default node initialization of FlexER's multiplex graph (§5.2.2).
+//! node initialization of FlexER's multiplex graph (§5.2.2).
 
 use crate::context::PipelineContext;
 use crate::error::CoreError;

@@ -1,13 +1,11 @@
 //! The multi-label baseline (§3.3): one jointly trained multi-task matcher
 //! — a single training phase for all intents, whose per-intent heads yield
-//! the resolutions and whose per-intent embedding layers provide an
-//! alternative node initialization for FlexER (§5.2.2).
+//! the resolutions.
 
 use crate::context::PipelineContext;
 use crate::error::CoreError;
 use flexer_matcher::matcher::MatcherOutput;
 use flexer_matcher::{MatcherConfig, MultiTaskMatcher};
-use flexer_nn::Matrix;
 use flexer_types::LabelMatrix;
 
 /// The jointly trained multi-label model.
@@ -41,11 +39,6 @@ impl MultiLabelModel {
         let predictions = LabelMatrix::from_columns(&columns).expect("P >= 1");
         Ok(Self { matcher, outputs, predictions })
     }
-
-    /// Per-intent embeddings (the §5.2.2 multi-task representation).
-    pub fn embeddings(&self) -> Vec<&Matrix> {
-        self.outputs.iter().map(|o| &o.embeddings).collect()
-    }
 }
 
 #[cfg(test)]
@@ -62,7 +55,6 @@ mod tests {
         let ctx = PipelineContext::new(bench, &config).unwrap();
         let model = MultiLabelModel::fit(&ctx, &config).unwrap();
         assert_eq!(model.predictions.n_intents(), ctx.n_intents());
-        assert_eq!(model.embeddings().len(), ctx.n_intents());
         let report = evaluate_on_split(&ctx.benchmark, &model.predictions, Split::Test);
         assert!(report.mi_f1 > 0.55, "MI-F = {:.3}", report.mi_f1);
     }

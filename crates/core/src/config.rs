@@ -4,19 +4,9 @@ use flexer_graph::GnnConfig;
 use flexer_matcher::MatcherConfig;
 use flexer_types::CandidateGenConfig;
 
-/// Which matcher provides the intent-based representations that initialize
-/// the multiplex graph (§5.2.2 describes both; §5.3–5.4 report the
-/// independent ones, our default).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RepresentationSource {
-    /// Independent per-intent matchers (the in-parallel baseline).
-    #[default]
-    InParallel,
-    /// The per-intent embedding layers of the multi-task network.
-    MultiTask,
-}
-
-/// End-to-end FlexER configuration.
+/// End-to-end FlexER configuration. The intent-based representations that
+/// initialize the multiplex graph are the in-parallel matchers' (§5.3–5.4
+/// report only those).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlexErConfig {
     /// Matcher (representation) stage.
@@ -26,8 +16,6 @@ pub struct FlexErConfig {
     /// Intra-layer nearest-neighbour count `k ∈ {0,2,4,6,8,10}` (§5.2.1);
     /// 0 disables intra-layer edges.
     pub k: usize,
-    /// Representation source.
-    pub representation: RepresentationSource,
     /// Candidate-generation backend: which blocker produces candidate
     /// pairs, and the one a snapshot stores for the serving tier to
     /// rebuild.
@@ -40,7 +28,6 @@ impl Default for FlexErConfig {
             matcher: MatcherConfig::default(),
             gnn: GnnConfig::default(),
             k: 6,
-            representation: RepresentationSource::InParallel,
             candidates: CandidateGenConfig::default(),
         }
     }
@@ -75,7 +62,6 @@ mod tests {
         let c = FlexErConfig::default();
         assert_eq!(c.k, 6);
         assert_eq!(c.gnn.learning_rate, 0.01);
-        assert_eq!(c.representation, RepresentationSource::InParallel);
         assert_eq!(c.candidates.name(), "ngram");
     }
 

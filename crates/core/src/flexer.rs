@@ -16,8 +16,7 @@
 //! `RAYON_NUM_THREADS=1` to force serial execution).
 
 use crate::baselines::in_parallel::InParallelModel;
-use crate::baselines::multi_label::MultiLabelModel;
-use crate::config::{FlexErConfig, RepresentationSource};
+use crate::config::FlexErConfig;
 use crate::context::PipelineContext;
 use crate::error::CoreError;
 use flexer_graph::{build_intent_graph, train_for_intent, MultiplexGraph, TrainedGnn};
@@ -36,21 +35,11 @@ pub struct FlexErModel {
 }
 
 impl FlexErModel {
-    /// Fits FlexER end to end, training its own representation stage
-    /// according to `config.representation`.
+    /// Fits FlexER end to end: the in-parallel matchers, then the graph and
+    /// GNN stages over their representations.
     pub fn fit(ctx: &PipelineContext, config: &FlexErConfig) -> Result<Self, CoreError> {
-        let embeddings: Vec<Matrix> = match config.representation {
-            RepresentationSource::InParallel => {
-                let base = InParallelModel::fit(ctx, &config.matcher)?;
-                base.outputs.into_iter().map(|o| o.embeddings).collect()
-            }
-            RepresentationSource::MultiTask => {
-                let base = MultiLabelModel::fit(ctx, &config.matcher)?;
-                base.outputs.into_iter().map(|o| o.embeddings).collect()
-            }
-        };
-        let refs: Vec<&Matrix> = embeddings.iter().collect();
-        Self::fit_from_embeddings(ctx, &refs, config)
+        let base = InParallelModel::fit(ctx, &config.matcher)?;
+        Self::fit_from_embeddings(ctx, &base.embeddings(), config)
     }
 
     /// Fits the graph + GNN stages from existing per-intent embeddings

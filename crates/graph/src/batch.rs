@@ -22,9 +22,8 @@
 //!
 //! * **The first layer's concat is shared.** `[self ; intra ; inter]` of
 //!   the new nodes is a function of the stacked features, the neighbour
-//!   arena and the depth-0 stored rows. No weight enters it, so GNNs whose
-//!   first layers have one input width and [`Aggregation`] (those of one
-//!   model) build it once; a GNN of another shape builds its own.
+//!   arena and the depth-0 stored rows. No weight enters it, so the GNNs
+//!   whose first layer is not also their last build it once.
 //! * **The last layer is restricted.** Under a target intent layer `p` the
 //!   last SAGE layer and the head run on row `c·P + p` of each candidate
 //!   only: `B` concat, GEMM and logit rows, not `B·P`. (A one-layer GNN's
@@ -44,7 +43,7 @@
 //! [`GnnModel::forward_inductive`]: crate::GnnModel::forward_inductive
 //! [`GnnModel::forward_inductive_passes`]: crate::GnnModel::forward_inductive_passes
 
-use crate::sage::{Aggregation, SageLayer};
+use crate::sage::SageLayer;
 use flexer_nn::activation::match_probability;
 use flexer_nn::Matrix;
 
@@ -182,17 +181,17 @@ impl BatchInductiveTrace {
     }
 }
 
-/// Builds one layer's `[self ; aggregates]` concat rows for the whole batch
-/// (row `c·P + q`), or for a `target` layer's nodes only (row `c`), writing
-/// into `out` (reshaped, allocation reused).
+/// Builds one layer's `[self ; intra ; inter]` concat rows for the whole
+/// batch (row `c·P + q`), or for a `target` layer's nodes only (row `c`),
+/// writing into `out` (reshaped, allocation reused).
 ///
 /// A row replays exactly what the per-candidate local subgraph produces
 /// for the new node of intent layer `q`: the node's own state,
 /// then the mean over its pinned intra-layer neighbours (gathered from
 /// `sources[q]` in rank order), then the mean over its P−1 peer nodes in
-/// ascending layer order — per [`Aggregation`] mode. Rows are independent,
-/// so the fan-out splits them into contiguous blocks each computed by the
-/// serial kernel (bit-identical at any thread count).
+/// ascending layer order. Rows are independent, so the fan-out splits
+/// them into contiguous blocks each computed by the serial kernel
+/// (bit-identical at any thread count).
 pub(crate) fn batch_concat_states(
     layer: &SageLayer,
     input: &Matrix,
@@ -211,76 +210,46 @@ pub(crate) fn batch_concat_states(
     for s in sources {
         assert_eq!(s.dim(), d, "pinned state width mismatch");
     }
-    let factor = match layer.aggregation() {
-        Aggregation::RelationTyped => 3,
-        Aggregation::Pooled => 2,
-    };
     // Every element of every row is stored below (the copy, the fills, and
-    // the accumulations cover the full `factor * d` width), so the reshape
+    // the accumulations cover the full `3 * d` width), so the reshape
     // skips the full-matrix zeroing memset — at serving batch sizes that
     // pass re-touches megabytes per forward for no reason. Accumulation
     // starts from an explicit `fill(0.0)` in the same element order as the
     // zeroed-matrix path, so results are bit-identical.
     let per = if target.is_some() { 1 } else { p };
-    out.reset_overwrite(b * per, factor * d);
-    let aggregation = layer.aggregation();
+    out.reset_overwrite(b * per, 3 * d);
     let kernel = |r: usize, row: &mut [f32]| {
         let (c, q) = (r / per, target.unwrap_or(r % p));
         row[..d].copy_from_slice(input.row(c * p + q));
         let ids = neighbors.neighbors(c, q);
         let src = &sources[q];
-        match aggregation {
-            Aggregation::RelationTyped => {
-                let (intra, inter) = row[d..].split_at_mut(d);
-                intra.fill(0.0);
-                if !ids.is_empty() {
-                    let inv = 1.0 / ids.len() as f32;
-                    for &id in ids {
-                        for (o, &x) in intra.iter_mut().zip(src.row(id as usize)) {
-                            *o += x * inv;
-                        }
-                    }
-                }
-                inter.fill(0.0);
-                if p > 1 {
-                    let inv = 1.0 / (p - 1) as f32;
-                    for q2 in 0..p {
-                        if q2 == q {
-                            continue;
-                        }
-                        for (o, &x) in inter.iter_mut().zip(input.row(c * p + q2)) {
-                            *o += x * inv;
-                        }
-                    }
+        let (intra, inter) = row[d..].split_at_mut(d);
+        intra.fill(0.0);
+        if !ids.is_empty() {
+            let inv = 1.0 / ids.len() as f32;
+            for &id in ids {
+                for (o, &x) in intra.iter_mut().zip(src.row(id as usize)) {
+                    *o += x * inv;
                 }
             }
-            Aggregation::Pooled => {
-                let union = &mut row[d..];
-                union.fill(0.0);
-                let deg = ids.len() + (p - 1);
-                if deg > 0 {
-                    let inv = 1.0 / deg as f32;
-                    for &id in ids {
-                        for (o, &x) in union.iter_mut().zip(src.row(id as usize)) {
-                            *o += x * inv;
-                        }
-                    }
-                    for q2 in 0..p {
-                        if q2 == q {
-                            continue;
-                        }
-                        for (o, &x) in union.iter_mut().zip(input.row(c * p + q2)) {
-                            *o += x * inv;
-                        }
-                    }
+        }
+        inter.fill(0.0);
+        if p > 1 {
+            let inv = 1.0 / (p - 1) as f32;
+            for q2 in 0..p {
+                if q2 == q {
+                    continue;
+                }
+                for (o, &x) in inter.iter_mut().zip(input.row(c * p + q2)) {
+                    *o += x * inv;
                 }
             }
         }
     };
     if out.data().len() >= PAR_MIN_ELEMS {
-        flexer_par::for_each_row_mut(out.data_mut(), factor * d, kernel);
+        flexer_par::for_each_row_mut(out.data_mut(), 3 * d, kernel);
     } else {
-        for (r, row) in out.data_mut().chunks_mut(factor * d).enumerate() {
+        for (r, row) in out.data_mut().chunks_mut(3 * d).enumerate() {
             kernel(r, row);
         }
     }

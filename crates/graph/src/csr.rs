@@ -69,11 +69,6 @@ impl CsrGraph {
         &self.indices[self.indptr[v]..self.indptr[v + 1]]
     }
 
-    /// In-degree of `v`.
-    pub fn in_degree(&self, v: usize) -> usize {
-        self.indptr[v + 1] - self.indptr[v]
-    }
-
     /// `out[v] = mean_{u ∈ N(v)} h[u]` (zero vector for isolated nodes) —
     /// Eq. 3 with a mean aggregator.
     pub fn mean_aggregate(&self, h: &Matrix) -> Matrix {
@@ -86,12 +81,22 @@ impl CsrGraph {
     }
 
     /// One row of [`CsrGraph::mean_aggregate`], written over `out`: the
-    /// mean of `h` over `N(v)`. The training pass builds a layer's input
-    /// for a *range* of nodes from this, so a restricted row and a
-    /// whole-graph row are the same arithmetic.
+    /// mean of `h` over `N(v)` (the zero vector for none), accumulated as
+    /// `Σ h[u] · (1/deg)` in neighbour order from zero. The training pass
+    /// builds a layer's input for a *range* of nodes from this, so a
+    /// restricted row and a whole-graph row are the same arithmetic.
     pub(crate) fn mean_into(&self, v: usize, h: &Matrix, out: &mut [f32]) {
+        out.fill(0.0);
         let neighbors = self.in_neighbors(v);
-        mean_over(neighbors.iter(), neighbors.len(), h, out);
+        if neighbors.is_empty() {
+            return;
+        }
+        let inv = 1.0 / neighbors.len() as f32;
+        for &u in neighbors {
+            for (o, &x) in out.iter_mut().zip(h.row(u as usize)) {
+                *o += x * inv;
+            }
+        }
     }
 
     /// Backward of [`CsrGraph::mean_aggregate`]: scatters `d_out[v]/deg(v)`
@@ -119,28 +124,6 @@ impl CsrGraph {
     }
 }
 
-/// Writes over `out` the mean of `h`'s rows `sources` (`deg` of them; the
-/// zero vector for none), accumulated as `Σ h[u] · (1/deg)` in source
-/// order from zero — the one mean-aggregation arithmetic, whichever
-/// relation or union of relations supplies the sources.
-pub(crate) fn mean_over<'a>(
-    sources: impl Iterator<Item = &'a u32>,
-    deg: usize,
-    h: &Matrix,
-    out: &mut [f32],
-) {
-    out.fill(0.0);
-    if deg == 0 {
-        return;
-    }
-    let inv = 1.0 / deg as f32;
-    for &u in sources {
-        for (o, &x) in out.iter_mut().zip(h.row(u as usize)) {
-            *o += x * inv;
-        }
-    }
-}
-
 /// The backward of mean aggregation over a list of destination nodes,
 /// keyed by **source**: for every node `u`, one `(row, 1/deg(v))` entry
 /// per edge `u → v` with `v` in the list (`row` its index there, the row of
@@ -158,19 +141,15 @@ pub(crate) struct MeanTranspose {
 }
 
 impl MeanTranspose {
-    /// Over the destinations `readers` (ascending node ids), each averaging
-    /// over its in-neighbours in `relations` taken as one list (in relation
-    /// order) with one degree: one relation for a relation-typed
-    /// aggregate, the union for a pooled one. Entries of every other
-    /// destination are left out: in the training pass their gradient rows
-    /// are `±0.0`, and a chain that started at `+0.0` does not change by
-    /// adding their `±0.0` terms.
-    pub(crate) fn new(relations: &[&CsrGraph], readers: &[usize]) -> Self {
-        let n_nodes = relations[0].n_nodes();
-        let sources = |v: usize| relations.iter().flat_map(move |g| g.in_neighbors(v));
+    /// Over the destinations `readers` (ascending node ids) of `graph`.
+    /// Entries of every other destination are left out: in the training
+    /// pass their gradient rows are `±0.0`, and a chain that started at
+    /// `+0.0` does not change by adding their `±0.0` terms.
+    pub(crate) fn new(graph: &CsrGraph, readers: &[usize]) -> Self {
+        let n_nodes = graph.n_nodes();
         let mut indptr = vec![0usize; n_nodes + 1];
         for &v in readers {
-            for &u in sources(v) {
+            for &u in graph.in_neighbors(v) {
                 indptr[u as usize + 1] += 1;
             }
         }
@@ -180,12 +159,12 @@ impl MeanTranspose {
         let mut next = indptr[..n_nodes].to_vec();
         let mut entries = vec![(0u32, 0.0f32); indptr[n_nodes]];
         for (row, &v) in readers.iter().enumerate() {
-            let deg: usize = relations.iter().map(|g| g.in_degree(v)).sum();
-            if deg == 0 {
+            let sources = graph.in_neighbors(v);
+            if sources.is_empty() {
                 continue;
             }
-            let inv = 1.0 / deg as f32;
-            for &u in sources(v) {
+            let inv = 1.0 / sources.len() as f32;
+            for &u in sources {
                 entries[next[u as usize]] = (row as u32, inv);
                 next[u as usize] += 1;
             }
@@ -236,7 +215,7 @@ mod tests {
         assert_eq!(g.n_nodes(), 3);
         assert_eq!(g.n_edges(), 2);
         assert_eq!(g.in_neighbors(1), &[0]);
-        assert_eq!(g.in_degree(0), 0);
+        assert!(g.in_neighbors(0).is_empty());
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   and directed inter-layer peer edges between the same pair's nodes.
 //! * [`SageLayer`] — the multiplex adjustment of GraphSAGE's update
 //!   (Eqs. 3–4, following the relation-typed aggregation of R-GCN \[50\]):
-//!   `h' = σ(W · [h_self ; mean_intra(N) ; mean_inter(N)])`.
+//!   `h' = σ(W · [h_self ; mean_intra(N) ; mean_inter(N)])`, the only
+//!   aggregation (plain GraphSAGE over the union graph is not FlexER's).
 //! * [`GnnModel`] / [`train_for_intent`] — a 2- or 3-layer GNN with a
 //!   per-intent prediction head (Eq. 5), trained transductively with Adam
 //!   (lr 0.01, weight decay 5e-4, CE loss, up to 150 epochs) and
@@ -34,5 +35,5 @@ pub use build::build_intent_graph;
 pub use csr::CsrGraph;
 pub use model::{BatchPass, GnnModel, GnnTrace, InductiveTrace, TrainPass};
 pub use multiplex::MultiplexGraph;
-pub use sage::{Aggregation, SageLayer};
+pub use sage::SageLayer;
 pub use train::{train_for_intent, GnnConfig, TrainedGnn};

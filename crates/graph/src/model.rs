@@ -53,8 +53,8 @@
 //! gradients only, over the weighed rows.
 //!
 //! Weights after any number of epochs are those of the whole-graph pass,
-//! bit for bit (`train.rs` diffs the two over layer counts, aggregation
-//! modes, targets, `k`, `P` and train sets from none to every pair).
+//! bit for bit (`train.rs` diffs the two over layer counts, targets, `k`,
+//! `P` and train sets from none to every pair).
 //!
 //! # The inductive pass
 //!
@@ -70,7 +70,7 @@
 use crate::batch::{batch_concat_states, BatchInductiveTrace, NeighborArena, RowSource};
 use crate::csr::CsrGraph;
 use crate::multiplex::MultiplexGraph;
-use crate::sage::{Aggregation, Gather, SageLayer};
+use crate::sage::{Gather, SageLayer};
 use flexer_nn::activation::{match_probabilities, relu_inplace};
 use flexer_nn::kernels::dense_forward_into;
 use flexer_nn::{Linear, Matrix, Optimizer, PackedB};
@@ -210,17 +210,12 @@ impl GnnModel {
     /// Builds the network. `hidden_dims` are the per-layer output widths
     /// (the paper's 2-layer setting uses `[h1, h1]`; 3-layer uses
     /// `[h1, h1/2, h1/2]`).
-    pub fn new(
-        rng: &mut impl Rng,
-        input_dim: usize,
-        hidden_dims: &[usize],
-        aggregation: Aggregation,
-    ) -> Self {
+    pub fn new(rng: &mut impl Rng, input_dim: usize, hidden_dims: &[usize]) -> Self {
         assert!(!hidden_dims.is_empty(), "at least one GNN layer required");
         let mut layers = Vec::with_capacity(hidden_dims.len());
         let mut in_dim = input_dim;
         for &out_dim in hidden_dims {
-            layers.push(SageLayer::new(rng, in_dim, out_dim, aggregation));
+            layers.push(SageLayer::new(rng, in_dim, out_dim));
             in_dim = out_dim;
         }
         let head = Linear::new(rng, in_dim, 2);
@@ -520,8 +515,9 @@ impl GnnModel {
         passes: &[BatchPass<'_>],
     ) -> Vec<BatchInductiveTrace> {
         let p_layers = neighbors.p_layers();
-        // The first layer's concat, and the layer shape and rows it is of:
-        // no weight enters it, so a pass that asks for the same reuses it.
+        // The first layer's concat, and the rows it is of: every first
+        // layer reads `features` and no weight enters it, so a pass that
+        // asks for the same rows reuses it.
         let (mut shared, mut shared_for) = (Matrix::zeros(0, 0), None);
         let mut concat = Matrix::zeros(0, 0);
         let run = |pass: &BatchPass<'_>| {
@@ -530,7 +526,7 @@ impl GnnModel {
             let last = layers.len() - 1;
             let rows = |t: usize| if t == last { pass.target } else { None };
             let mut concat_rows = 0;
-            let wanted = Some((layers[0].in_dim(), layers[0].aggregation(), rows(0)));
+            let wanted = Some(rows(0));
             if shared_for != wanted {
                 batch_concat_states(&layers[0], features, neighbors, first, rows(0), &mut shared);
                 shared_for = wanted;
@@ -650,8 +646,8 @@ mod tests {
     fn forward_shapes_two_and_three_layers() {
         let g = toy_graph();
         let mut rng = StdRng::seed_from_u64(0);
-        let two = GnnModel::new(&mut rng, 4, &[6, 6], Aggregation::RelationTyped);
-        let three = GnnModel::new(&mut rng, 4, &[6, 3, 3], Aggregation::RelationTyped);
+        let two = GnnModel::new(&mut rng, 4, &[6, 6]);
+        let three = GnnModel::new(&mut rng, 4, &[6, 3, 3]);
         assert_eq!(two.n_layers(), 2);
         assert_eq!(three.n_layers(), 3);
         let t2 = two.forward(&g);
@@ -665,7 +661,7 @@ mod tests {
     fn intent_logits_cover_pairs() {
         let g = toy_graph();
         let mut rng = StdRng::seed_from_u64(1);
-        let m = GnnModel::new(&mut rng, 4, &[5, 5], Aggregation::RelationTyped);
+        let m = GnnModel::new(&mut rng, 4, &[5, 5]);
         let trace = m.forward(&g);
         for layer in 0..2 {
             let logits = m.intent_logits(&g, &trace, layer);
@@ -682,7 +678,7 @@ mod tests {
         // the node's own features stay fixed.
         let g = toy_graph();
         let mut rng = StdRng::seed_from_u64(2);
-        let m = GnnModel::new(&mut rng, 4, &[5, 5], Aggregation::RelationTyped);
+        let m = GnnModel::new(&mut rng, 4, &[5, 5]);
         let base = m.intent_scores(&g, &m.forward(&g), 0);
 
         let mut g2 = g.clone();
@@ -704,12 +700,8 @@ mod tests {
     fn inductive_replay_is_bit_identical_to_transductive() {
         let g = toy_graph();
         let mut rng = StdRng::seed_from_u64(7);
-        for (dims, agg) in [
-            (vec![5usize, 5], Aggregation::RelationTyped),
-            (vec![6, 3, 3], Aggregation::RelationTyped),
-            (vec![4, 4], Aggregation::Pooled),
-        ] {
-            let m = GnnModel::new(&mut rng, 4, &dims, agg);
+        for dims in [vec![5usize, 5], vec![6, 3, 3]] {
+            let m = GnnModel::new(&mut rng, 4, &dims);
             let trace = m.forward(&g);
             for pair in 0..g.n_pairs {
                 // The pair's stacked features and per-layer corpus k-NN
@@ -731,7 +723,7 @@ mod tests {
                     assert_eq!(
                         inductive.logits.row(q),
                         batch.row(pair),
-                        "pair {pair}, layer {q}, dims {dims:?}, {agg:?}"
+                        "pair {pair}, layer {q}, dims {dims:?}"
                     );
                 }
             }
@@ -742,7 +734,7 @@ mod tests {
     fn inductive_scores_are_probabilities() {
         let g = toy_graph();
         let mut rng = StdRng::seed_from_u64(9);
-        let m = GnnModel::new(&mut rng, 4, &[5, 5], Aggregation::RelationTyped);
+        let m = GnnModel::new(&mut rng, 4, &[5, 5]);
         let trace = m.forward(&g);
         let new_features = Matrix::from_fn(2, 4, |i, j| (i + j) as f32 * 0.1 - 0.2);
         let intra_pairs = vec![vec![0, 2], vec![1]];
@@ -758,7 +750,7 @@ mod tests {
     fn from_parts_roundtrips_model() {
         let g = toy_graph();
         let mut rng = StdRng::seed_from_u64(11);
-        let m = GnnModel::new(&mut rng, 4, &[5, 5], Aggregation::RelationTyped);
+        let m = GnnModel::new(&mut rng, 4, &[5, 5]);
         let rebuilt = GnnModel::from_parts(m.sage_layers().to_vec(), m.head().clone());
         let a = m.forward(&g);
         let b = rebuilt.forward(&g);
@@ -770,7 +762,7 @@ mod tests {
     #[should_panic(expected = "head input width must match")]
     fn from_parts_checks_head_width() {
         let mut rng = StdRng::seed_from_u64(12);
-        let layer = SageLayer::new(&mut rng, 4, 5, Aggregation::RelationTyped);
+        let layer = SageLayer::new(&mut rng, 4, 5);
         let head = Linear::new(&mut rng, 7, 2);
         let _ = GnnModel::from_parts(vec![layer], head);
     }
@@ -781,7 +773,7 @@ mod tests {
         use flexer_nn::loss::softmax_cross_entropy;
         let g = toy_graph();
         let mut rng = StdRng::seed_from_u64(3);
-        let mut m = GnnModel::new(&mut rng, 4, &[5, 5], Aggregation::RelationTyped);
+        let mut m = GnnModel::new(&mut rng, 4, &[5, 5]);
         let targets = [1usize, 0, 1, 0];
         // Analytic gradients for the head (cheap proxy: verify loss drops
         // after a few SGD steps — full FD across graph features is done in

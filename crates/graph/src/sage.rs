@@ -9,14 +9,14 @@
 //!
 //! `h⁽ᵗ⁺¹⁾_v = σ(W · [h_v ; mean_intra(N(v)) ; mean_inter(N(v))])`
 //!
-//! Pooling both relations together (plain GraphSAGE on the union graph) is
-//! [`Aggregation::Pooled`]; no bench or `paper` experiment compares the
-//! two.
+//! That is the only aggregation: pooling both relations (plain GraphSAGE
+//! over the union graph) is not FlexER's, and a snapshot that asks for it
+//! is refused.
 //!
 //! A layer works on a **contiguous range of nodes**: it builds the
-//! `[self ; …]` rows of that range (`concat_rows_into`) and maps them.
-//! The whole graph is the range `0..n`; the training pass hands the last
-//! layer its target intent's range instead. Each row is the same
+//! `[self ; intra ; inter]` rows of that range (`concat_rows_into`) and
+//! maps them. The whole graph is the range `0..n`; the training pass hands
+//! the last layer its target intent's range instead. Each row is the same
 //! arithmetic either way, so a restricted evaluation returns the bits of
 //! the whole-graph one for the rows it covers. On the way back a layer
 //! takes the gradient of its **live** rows only — those whose gradient
@@ -24,31 +24,21 @@
 //! they read (`backward_rows`, one gather per node along a `Gather` built
 //! once per fit).
 
-use crate::csr::{gather_lanes, mean_over, CsrGraph, MeanTranspose};
+use crate::csr::{gather_lanes, CsrGraph, MeanTranspose};
 use crate::multiplex::MultiplexGraph;
 use flexer_nn::kernels::dense_forward_into;
 use flexer_nn::{Linear, Matrix, Optimizer, PackedB};
 use rand::Rng;
 use std::ops::Range;
 
-/// Whether relations are aggregated separately (the FlexER adjustment) or
-/// pooled (plain GraphSAGE on the union graph) — the ablation switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Aggregation {
-    /// `[self ; intra ; inter]`, W of shape `3·d_in × d_out`.
-    RelationTyped,
-    /// `[self ; all-neighbours]`, W of shape `2·d_in × d_out`.
-    Pooled,
-}
-
-/// One GNN layer. The weight matrix is kept packed ([`PackedB`]) for
-/// the blocked forward kernels; the pack is refreshed whenever
-/// [`SageLayer::apply`] updates the weights.
+/// One GNN layer: `[self ; intra ; inter]`, W of shape `3·d_in × d_out`.
+/// The weight matrix is kept packed ([`PackedB`]) for the blocked forward
+/// kernels; the pack is refreshed whenever [`SageLayer::apply`] updates
+/// the weights.
 #[derive(Debug, Clone)]
 pub struct SageLayer {
     linear: Linear,
     pack: PackedB,
-    aggregation: Aggregation,
     in_dim: usize,
 }
 
@@ -68,10 +58,10 @@ pub(crate) struct Gather {
     /// `own[i]`: the index in `rows` of node `below[i]`'s own row, or
     /// `NO_ROW` where that node is not a live row of this layer.
     own: Vec<u32>,
-    /// The intra-layer aggregate's (relation-typed) or the union's (pooled).
-    first: MeanTranspose,
-    /// The inter-layer aggregate's; `None` for a pooled layer.
-    inter: Option<MeanTranspose>,
+    /// The intra-layer aggregate's.
+    intra: MeanTranspose,
+    /// The inter-layer aggregate's.
+    inter: MeanTranspose,
 }
 
 /// [`Gather::own`] of a node that is not a live row.
@@ -86,47 +76,23 @@ impl Gather {
 
 impl SageLayer {
     /// New layer mapping `in_dim → out_dim`.
-    pub fn new(
-        rng: &mut impl Rng,
-        in_dim: usize,
-        out_dim: usize,
-        aggregation: Aggregation,
-    ) -> Self {
-        let concat_dim = match aggregation {
-            Aggregation::RelationTyped => 3 * in_dim,
-            Aggregation::Pooled => 2 * in_dim,
-        };
-        let linear = Linear::new(rng, concat_dim, out_dim);
-        let pack = PackedB::pack(&linear.w);
-        Self { linear, pack, aggregation, in_dim }
+    pub fn new(rng: &mut impl Rng, in_dim: usize, out_dim: usize) -> Self {
+        Self::from_parts(Linear::new(rng, 3 * in_dim, out_dim))
     }
 
     /// Reassembles a layer from its weights (the snapshot-import path).
-    /// The input dimension is implied by the aggregation's concat factor;
-    /// panics if the linear width is not divisible by it.
-    pub fn from_parts(linear: Linear, aggregation: Aggregation) -> Self {
-        let factor = match aggregation {
-            Aggregation::RelationTyped => 3,
-            Aggregation::Pooled => 2,
-        };
-        assert_eq!(
-            linear.in_dim() % factor,
-            0,
-            "linear input width must be a multiple of the concat factor"
-        );
-        let in_dim = linear.in_dim() / factor;
+    /// The input dimension is a third of the linear's width; panics if the
+    /// width is not a multiple of 3.
+    pub fn from_parts(linear: Linear) -> Self {
+        assert_eq!(linear.in_dim() % 3, 0, "linear input width must be a multiple of 3");
+        let in_dim = linear.in_dim() / 3;
         let pack = PackedB::pack(&linear.w);
-        Self { linear, pack, aggregation, in_dim }
+        Self { linear, pack, in_dim }
     }
 
     /// The learned linear map (snapshot export).
     pub fn linear(&self) -> &Linear {
         &self.linear
-    }
-
-    /// The relation-handling mode of this layer.
-    pub fn aggregation(&self) -> Aggregation {
-        self.aggregation
     }
 
     /// Input dimension.
@@ -156,20 +122,20 @@ impl SageLayer {
         out
     }
 
-    /// Forward of pre-built `[self ; …]` concat rows into a caller-owned
-    /// output buffer, through the packed kernels, with the inter-layer
-    /// ReLU optionally fused into the matmul epilogue. This is the entry
-    /// the batched inductive path uses: no allocation when `out` already
-    /// has capacity, and one pass over the output instead of three.
+    /// Forward of pre-built `[self ; intra ; inter]` concat rows into a
+    /// caller-owned output buffer, through the packed kernels, with the
+    /// inter-layer ReLU optionally fused into the matmul epilogue. This is
+    /// the entry the batched inductive path uses: no allocation when `out`
+    /// already has capacity, and one pass over the output instead of three.
     pub fn forward_concat_into(&self, concat: &Matrix, relu: bool, out: &mut Matrix) {
         dense_forward_into(concat, &self.linear, &self.pack, relu, out);
     }
 
-    /// Builds the `[self ; …]` concat rows of nodes `rows` (per aggregation
-    /// mode) from the node states `h` of the *whole* graph, into `out`
-    /// (reshaped, allocation reused): row `i` of `out` belongs to node
-    /// `rows.start + i`, and its aggregates accumulate in neighbour order
-    /// from zero — `CsrGraph::mean_into` — whatever the range.
+    /// Builds the `[self ; intra ; inter]` concat rows of nodes `rows` from
+    /// the node states `h` of the *whole* graph, into `out` (reshaped,
+    /// allocation reused): row `i` of `out` belongs to node `rows.start +
+    /// i`, and its aggregates accumulate in neighbour order from zero —
+    /// `CsrGraph::mean_into` — whatever the range.
     pub(crate) fn concat_rows_into(
         &self,
         intra: &CsrGraph,
@@ -187,15 +153,10 @@ impl SageLayer {
         out.reset_overwrite(rows.len(), width);
         for (v, row) in rows.zip(out.data_mut().chunks_exact_mut(width)) {
             let (own, aggregates) = row.split_at_mut(d);
+            let (from_intra, from_inter) = aggregates.split_at_mut(d);
             own.copy_from_slice(h.row(v));
-            match self.aggregation {
-                Aggregation::RelationTyped => {
-                    let (from_intra, from_inter) = aggregates.split_at_mut(d);
-                    intra.mean_into(v, h, from_intra);
-                    inter.mean_into(v, h, from_inter);
-                }
-                Aggregation::Pooled => pooled_mean_into(intra, inter, v, h, aggregates),
-            }
+            intra.mean_into(v, h, from_intra);
+            inter.mean_into(v, h, from_inter);
         }
     }
 
@@ -224,16 +185,9 @@ impl SageLayer {
         }
         let below: Vec<usize> = (0..n).filter(|&u| read[u]).collect();
         let own = below.iter().map(|&u| own_row[u]).collect();
-        let (first, inter) = match self.aggregation {
-            Aggregation::RelationTyped => (
-                MeanTranspose::new(&[&graph.intra], &readers),
-                Some(MeanTranspose::new(&[&graph.inter], &readers)),
-            ),
-            Aggregation::Pooled => {
-                (MeanTranspose::new(&[&graph.intra, &graph.inter], &readers), None)
-            }
-        };
-        Gather { rows, below, own, first, inter }
+        let intra = MeanTranspose::new(&graph.intra, &readers);
+        let inter = MeanTranspose::new(&graph.inter, &readers);
+        Gather { rows, below, own, intra, inter }
     }
 
     /// Backward pass over `gather`'s live rows: row `i` of `grad_out` is
@@ -249,10 +203,10 @@ impl SageLayer {
     ///
     /// Each node's row is one pass: its own-state part (`0.0` for a node
     /// that is not a live row), plus the gather of each relation's
-    /// aggregate gradient, added as `(own + intra) + inter` (`own + all`
-    /// for a pooled layer), then zeroed where `input <= 0.0`: the sum,
-    /// order and mask of the whole-graph reference (`SageLayer::backward`'s
-    /// per-relation scatter, then `relu_backward_inplace`). A row that is
+    /// aggregate gradient, added as `(own + intra) + inter`, then zeroed
+    /// where `input <= 0.0`: the sum, order and mask of the whole-graph
+    /// reference (`SageLayer::backward`'s per-relation scatter, then
+    /// `relu_backward_inplace`). A row that is
     /// not live contributes nothing: its row of `grad_out` would be `±0.0`,
     /// and with finite weights its row of `grad_out · Wᵀ` `+0.0`, and
     /// adding `±0.0` to an accumulator that started at `+0.0` never changes
@@ -280,8 +234,8 @@ impl SageLayer {
             let own = if own == NO_ROW { &zeros } else { &d_concat.row(own as usize)[..d] };
             let node = NodeGrad {
                 d_concat: &d_concat,
-                first: gather.first.entries(u),
-                inter: gather.inter.as_ref().map(|inter| inter.entries(u)),
+                intra: gather.intra.entries(u),
+                inter: gather.inter.entries(u),
                 own,
                 states: input.row(u),
             };
@@ -307,41 +261,21 @@ impl SageLayer {
         input: &Matrix,
         grad_out: &Matrix,
     ) -> Matrix {
-        let concat = self.concat_states(&graph.intra, &graph.inter, input);
+        let concat = Self::concat_states(&graph.intra, &graph.inter, input);
         let d_concat = self.linear.backward(&concat, grad_out);
         let d_in = input.cols();
-        match self.aggregation {
-            Aggregation::RelationTyped => {
-                let parts = d_concat.hsplit(&[d_in, d_in, d_in]);
-                let mut dh = parts[0].clone();
-                dh.add_scaled(&graph.intra.mean_aggregate_backward(&parts[1]), 1.0);
-                dh.add_scaled(&graph.inter.mean_aggregate_backward(&parts[2]), 1.0);
-                dh
-            }
-            Aggregation::Pooled => {
-                let parts = d_concat.hsplit(&[d_in, d_in]);
-                let mut dh = parts[0].clone();
-                dh.add_scaled(
-                    &pooled_aggregate_backward(&graph.intra, &graph.inter, &parts[1]),
-                    1.0,
-                );
-                dh
-            }
-        }
+        let parts = d_concat.hsplit(&[d_in, d_in, d_in]);
+        let mut dh = parts[0].clone();
+        dh.add_scaled(&graph.intra.mean_aggregate_backward(&parts[1]), 1.0);
+        dh.add_scaled(&graph.inter.mean_aggregate_backward(&parts[2]), 1.0);
+        dh
     }
 
-    /// The whole-graph `[self ; …]` concatenation [`SageLayer::backward`]
-    /// differentiates, from whole-graph aggregates.
+    /// The whole-graph `[self ; intra ; inter]` concatenation
+    /// [`SageLayer::backward`] differentiates, from whole-graph aggregates.
     #[cfg(test)]
-    fn concat_states(&self, intra: &CsrGraph, inter: &CsrGraph, h: &Matrix) -> Matrix {
-        match self.aggregation {
-            Aggregation::RelationTyped => {
-                let intra = intra.mean_aggregate(h);
-                let inter = inter.mean_aggregate(h);
-                Matrix::hconcat(&[h, &intra, &inter])
-            }
-            Aggregation::Pooled => Matrix::hconcat(&[h, &pooled_aggregate(intra, inter, h)]),
-        }
+    fn concat_states(intra: &CsrGraph, inter: &CsrGraph, h: &Matrix) -> Matrix {
+        Matrix::hconcat(&[h, &intra.mean_aggregate(h), &inter.mean_aggregate(h)])
     }
 
     /// Clears parameter gradients.
@@ -366,11 +300,11 @@ const LANES: usize = 8;
 struct NodeGrad<'a> {
     /// The gradient of the live concat rows.
     d_concat: &'a Matrix,
-    /// The node's entries in [`Gather::first`], read from the concat
+    /// The node's entries in [`Gather::intra`], read from the concat
     /// rows' second block of columns.
-    first: &'a [(u32, f32)],
+    intra: &'a [(u32, f32)],
     /// The node's entries in [`Gather::inter`], read from the third block.
-    inter: Option<&'a [(u32, f32)]>,
+    inter: &'a [(u32, f32)],
     /// The node's own-state gradient (zeros if it is not a live row).
     own: &'a [f32],
     /// The node's input states, whose ReLU is differentiated.
@@ -378,82 +312,25 @@ struct NodeGrad<'a> {
 }
 
 impl NodeGrad<'_> {
-    /// Lanes `j .. j + W` of the row: `(own + intra) + inter` (`own + all`
-    /// for a pooled layer), zeroed where the state is `<= 0.0`.
+    /// Lanes `j .. j + W` of the row: `(own + intra) + inter`, zeroed
+    /// where the state is `<= 0.0`.
     #[inline(always)]
     fn lanes<const W: usize>(&self, j: usize) -> [f32; W] {
         let d = self.own.len();
         let mut g: [f32; W] = self.own[j..j + W].try_into().expect("W lanes");
-        let from_first = gather_lanes::<W>(self.first, self.d_concat, d + j);
-        for (g, f) in g.iter_mut().zip(from_first) {
+        let from_intra = gather_lanes::<W>(self.intra, self.d_concat, d + j);
+        for (g, f) in g.iter_mut().zip(from_intra) {
             *g += f;
         }
-        if let Some(inter) = self.inter {
-            let from_inter = gather_lanes::<W>(inter, self.d_concat, 2 * d + j);
-            for (g, f) in g.iter_mut().zip(from_inter) {
-                *g += f;
-            }
+        let from_inter = gather_lanes::<W>(self.inter, self.d_concat, 2 * d + j);
+        for (g, f) in g.iter_mut().zip(from_inter) {
+            *g += f;
         }
         for (g, &y) in g.iter_mut().zip(&self.states[j..j + W]) {
             *g = if y <= 0.0 { 0.0 } else { *g };
         }
         g
     }
-}
-
-/// Mean of `h` over the union of `v`'s intra- and inter-neighbours (the
-/// union multiset: one degree, intra neighbours first), written over `out`.
-fn pooled_mean_into(intra: &CsrGraph, inter: &CsrGraph, v: usize, h: &Matrix, out: &mut [f32]) {
-    let (intra, inter) = (intra.in_neighbors(v), inter.in_neighbors(v));
-    mean_over(intra.iter().chain(inter), intra.len() + inter.len(), h, out);
-}
-
-/// Whole-graph mean over the union of intra- and inter-neighbours (the
-/// reference's forward).
-#[cfg(test)]
-fn pooled_aggregate(intra_g: &CsrGraph, inter_g: &CsrGraph, h: &Matrix) -> Matrix {
-    let n = intra_g.n_nodes();
-    let dim = h.cols();
-    let mut out = Matrix::zeros(n, dim);
-    for v in 0..n {
-        let intra = intra_g.in_neighbors(v);
-        let inter = inter_g.in_neighbors(v);
-        let deg = intra.len() + inter.len();
-        if deg == 0 {
-            continue;
-        }
-        let inv = 1.0 / deg as f32;
-        let row = out.row_mut(v);
-        for &u in intra.iter().chain(inter) {
-            for (o, &x) in row.iter_mut().zip(h.row(u as usize)) {
-                *o += x * inv;
-            }
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-fn pooled_aggregate_backward(intra_g: &CsrGraph, inter_g: &CsrGraph, d_out: &Matrix) -> Matrix {
-    let n = intra_g.n_nodes();
-    let dim = d_out.cols();
-    let mut dh = Matrix::zeros(n, dim);
-    for v in 0..n {
-        let intra = intra_g.in_neighbors(v);
-        let inter = inter_g.in_neighbors(v);
-        let deg = intra.len() + inter.len();
-        if deg == 0 {
-            continue;
-        }
-        let inv = 1.0 / deg as f32;
-        for &u in intra.iter().chain(inter) {
-            let src = dh.row_mut(u as usize);
-            for (s, &g) in src.iter_mut().zip(d_out.row(v)) {
-                *s += g * inv;
-            }
-        }
-    }
-    dh
 }
 
 #[cfg(test)]
@@ -477,26 +354,12 @@ mod tests {
     fn forward_shapes() {
         let g = toy_graph();
         let mut rng = StdRng::seed_from_u64(0);
-        let layer = SageLayer::new(&mut rng, 3, 5, Aggregation::RelationTyped);
+        let layer = SageLayer::new(&mut rng, 3, 5);
         let out = layer.forward(&g, &g.features);
         assert_eq!(out.rows(), 6);
         assert_eq!(out.cols(), 5);
         assert_eq!(layer.in_dim(), 3);
         assert_eq!(layer.out_dim(), 5);
-    }
-
-    #[test]
-    fn relation_typed_distinguishes_relations() {
-        // With distinct intra vs inter neighbourhoods, relation-typed and
-        // pooled layers generally disagree.
-        let g = toy_graph();
-        let mut rng = StdRng::seed_from_u64(1);
-        let typed = SageLayer::new(&mut rng, 3, 4, Aggregation::RelationTyped);
-        let mut rng2 = StdRng::seed_from_u64(1);
-        let pooled = SageLayer::new(&mut rng2, 3, 4, Aggregation::Pooled);
-        let a = typed.forward(&g, &g.features);
-        let b = pooled.forward(&g, &g.features);
-        assert_ne!(a, b);
     }
 
     fn bits(m: &Matrix) -> Vec<u32> {
@@ -511,37 +374,31 @@ mod tests {
     fn backward_matches_finite_difference() {
         let g = toy_graph();
         let mut rng = StdRng::seed_from_u64(2);
-        for agg in [Aggregation::RelationTyped, Aggregation::Pooled] {
-            let mut layer = SageLayer::new(&mut rng, 3, 2, agg);
-            let h = g.features.clone();
-            let ones = Matrix::from_fn(6, 2, |_, _| 1.0);
-            let mut reference = layer.clone();
-            let dh = reference.backward(&g, &h, &ones);
+        let mut layer = SageLayer::new(&mut rng, 3, 2);
+        let h = g.features.clone();
+        let ones = Matrix::from_fn(6, 2, |_, _| 1.0);
+        let mut reference = layer.clone();
+        let dh = reference.backward(&g, &h, &ones);
 
-            let mut concat = Matrix::zeros(0, 0);
-            layer.concat_rows_into(&g.intra, &g.inter, &h, 0..6, &mut concat);
-            assert_eq!(concat, layer.concat_states(&g.intra, &g.inter, &h));
-            let mut ranged = Matrix::zeros(0, 0);
-            let gather = layer.gather(&g, 0, (0..6).collect());
-            layer.backward_rows(&gather, &concat, &ones, &h, &mut ranged);
-            let mut masked = dh.clone();
-            relu_backward_inplace(&mut masked, &h);
-            assert_eq!(bits(&ranged), bits(&masked), "{agg:?}");
+        let mut concat = Matrix::zeros(0, 0);
+        layer.concat_rows_into(&g.intra, &g.inter, &h, 0..6, &mut concat);
+        assert_eq!(concat, SageLayer::concat_states(&g.intra, &g.inter, &h));
+        let mut ranged = Matrix::zeros(0, 0);
+        let gather = layer.gather(&g, 0, (0..6).collect());
+        layer.backward_rows(&gather, &concat, &ones, &h, &mut ranged);
+        let mut masked = dh.clone();
+        relu_backward_inplace(&mut masked, &h);
+        assert_eq!(bits(&ranged), bits(&masked));
 
-            let loss = |h: &Matrix| -> f32 { layer.forward(&g, h).data().iter().sum() };
-            let eps = 1e-2;
-            for &(i, j) in &[(0usize, 0usize), (2, 1), (5, 2)] {
-                let mut hp = h.clone();
-                hp.set(i, j, hp.get(i, j) + eps);
-                let mut hm = h.clone();
-                hm.set(i, j, hm.get(i, j) - eps);
-                let num = (loss(&hp) - loss(&hm)) / (2.0 * eps);
-                assert!(
-                    (num - dh.get(i, j)).abs() < 5e-2,
-                    "{agg:?} d[{i},{j}]: {num} vs {}",
-                    dh.get(i, j)
-                );
-            }
+        let loss = |h: &Matrix| -> f32 { layer.forward(&g, h).data().iter().sum() };
+        let eps = 1e-2;
+        for &(i, j) in &[(0usize, 0usize), (2, 1), (5, 2)] {
+            let mut hp = h.clone();
+            hp.set(i, j, hp.get(i, j) + eps);
+            let mut hm = h.clone();
+            hm.set(i, j, hm.get(i, j) - eps);
+            let num = (loss(&hp) - loss(&hm)) / (2.0 * eps);
+            assert!((num - dh.get(i, j)).abs() < 5e-2, "d[{i},{j}]: {num} vs {}", dh.get(i, j));
         }
     }
 
@@ -550,7 +407,7 @@ mod tests {
     /// under a gradient that is zero off those live rows: same concat
     /// rows, same parameter gradients, and — gathered per source with the
     /// ReLU mask fused — the bits of the scatter through
-    /// `mean_aggregate_backward` / `pooled_aggregate_backward` followed by
+    /// `mean_aggregate_backward` followed by
     /// `relu_backward_inplace`, for every node it writes; every node it
     /// leaves out has a gradient of exactly `+0.0` there.
     fn assert_ranged_backward_is_the_whole_graph_one(
@@ -561,45 +418,42 @@ mod tests {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = g.n_nodes();
-        for agg in [Aggregation::RelationTyped, Aggregation::Pooled] {
-            let layer = SageLayer::new(&mut rng, h.cols(), 4, agg);
-            let whole_concat = layer.concat_states(&g.intra, &g.inter, h);
-            // Reused across ranges, as across epochs: stale values must not
-            // leak from one backward into the next.
-            let mut out = Matrix::zeros(0, 0);
-            for rows in ranges {
-                let every: Vec<usize> = (0..rows.len()).collect();
-                let thinned: Vec<usize> = (0..rows.len()).filter(|i| i % 3 != 1).collect();
-                for live in [every, thinned] {
-                    let what = format!("{agg:?} {rows:?} live {live:?}");
-                    let grad =
-                        Matrix::from_fn(live.len(), 4, |i, j| (i * 4 + j) as f32 * 0.1 - 0.7);
-                    let mut masked = Matrix::zeros(n, 4);
-                    for (i, &r) in live.iter().enumerate() {
-                        masked.row_mut(rows.start + r).copy_from_slice(grad.row(i));
-                    }
-                    let mut whole = layer.clone();
-                    let mut want = whole.backward(g, h, &masked);
-                    relu_backward_inplace(&mut want, h);
-
-                    let mut ranged = layer.clone();
-                    let mut concat = Matrix::zeros(0, 0);
-                    ranged.concat_rows_into(&g.intra, &g.inter, h, rows.clone(), &mut concat);
-                    let picked: Vec<usize> = rows.clone().collect();
-                    assert_eq!(concat, whole_concat.select_rows(&picked), "{what}");
-                    let gather = ranged.gather(g, rows.start, live.clone());
-                    ranged.backward_rows(&gather, &concat, &grad, h, &mut out);
-                    let below = gather.below();
-                    assert_eq!((out.rows(), out.cols()), (below.len(), h.cols()), "{what}");
-                    let mut spread = Matrix::zeros(n, h.cols());
-                    for (i, &u) in below.iter().enumerate() {
-                        spread.row_mut(u).copy_from_slice(out.row(i));
-                    }
-                    assert_eq!(bits(&spread), bits(&want), "{what}: input gradient");
-                    let (got_w, want_w) = (&ranged.linear.grad_w, &whole.linear.grad_w);
-                    assert_eq!(bits(got_w), bits(want_w), "{what}");
-                    assert_eq!(ranged.linear.grad_b, whole.linear.grad_b, "{what}");
+        let layer = SageLayer::new(&mut rng, h.cols(), 4);
+        let whole_concat = SageLayer::concat_states(&g.intra, &g.inter, h);
+        // Reused across ranges, as across epochs: stale values must not
+        // leak from one backward into the next.
+        let mut out = Matrix::zeros(0, 0);
+        for rows in ranges {
+            let every: Vec<usize> = (0..rows.len()).collect();
+            let thinned: Vec<usize> = (0..rows.len()).filter(|i| i % 3 != 1).collect();
+            for live in [every, thinned] {
+                let what = format!("{rows:?} live {live:?}");
+                let grad = Matrix::from_fn(live.len(), 4, |i, j| (i * 4 + j) as f32 * 0.1 - 0.7);
+                let mut masked = Matrix::zeros(n, 4);
+                for (i, &r) in live.iter().enumerate() {
+                    masked.row_mut(rows.start + r).copy_from_slice(grad.row(i));
                 }
+                let mut whole = layer.clone();
+                let mut want = whole.backward(g, h, &masked);
+                relu_backward_inplace(&mut want, h);
+
+                let mut ranged = layer.clone();
+                let mut concat = Matrix::zeros(0, 0);
+                ranged.concat_rows_into(&g.intra, &g.inter, h, rows.clone(), &mut concat);
+                let picked: Vec<usize> = rows.clone().collect();
+                assert_eq!(concat, whole_concat.select_rows(&picked), "{what}");
+                let gather = ranged.gather(g, rows.start, live.clone());
+                ranged.backward_rows(&gather, &concat, &grad, h, &mut out);
+                let below = gather.below();
+                assert_eq!((out.rows(), out.cols()), (below.len(), h.cols()), "{what}");
+                let mut spread = Matrix::zeros(n, h.cols());
+                for (i, &u) in below.iter().enumerate() {
+                    spread.row_mut(u).copy_from_slice(out.row(i));
+                }
+                assert_eq!(bits(&spread), bits(&want), "{what}: input gradient");
+                let (got_w, want_w) = (&ranged.linear.grad_w, &whole.linear.grad_w);
+                assert_eq!(bits(got_w), bits(want_w), "{what}");
+                assert_eq!(ranged.linear.grad_b, whole.linear.grad_b, "{what}");
             }
         }
     }
@@ -659,31 +513,29 @@ mod tests {
     fn from_parts_roundtrips_layer() {
         let g = toy_graph();
         let mut rng = StdRng::seed_from_u64(5);
-        for agg in [Aggregation::RelationTyped, Aggregation::Pooled] {
-            let layer = SageLayer::new(&mut rng, 3, 4, agg);
-            let rebuilt = SageLayer::from_parts(layer.linear().clone(), layer.aggregation());
-            assert_eq!(rebuilt.in_dim(), 3);
-            assert_eq!(rebuilt.out_dim(), 4);
-            assert_eq!(layer.forward(&g, &g.features), rebuilt.forward(&g, &g.features));
-        }
+        let layer = SageLayer::new(&mut rng, 3, 4);
+        let rebuilt = SageLayer::from_parts(layer.linear().clone());
+        assert_eq!(rebuilt.in_dim(), 3);
+        assert_eq!(rebuilt.out_dim(), 4);
+        assert_eq!(layer.forward(&g, &g.features), rebuilt.forward(&g, &g.features));
     }
 
     #[test]
     fn forward_states_matches_forward() {
         let g = toy_graph();
         let mut rng = StdRng::seed_from_u64(6);
-        let layer = SageLayer::new(&mut rng, 3, 4, Aggregation::RelationTyped);
+        let layer = SageLayer::new(&mut rng, 3, 4);
         let via_graph = layer.forward(&g, &g.features);
         let direct = layer.forward_states(&g.intra, &g.inter, &g.features);
         assert_eq!(via_graph, direct);
     }
 
     #[test]
-    #[should_panic(expected = "multiple of the concat factor")]
+    #[should_panic(expected = "multiple of 3")]
     fn from_parts_checks_width() {
         let mut rng = StdRng::seed_from_u64(7);
         let linear = flexer_nn::Linear::new(&mut rng, 7, 2);
-        let _ = SageLayer::from_parts(linear, Aggregation::RelationTyped);
+        let _ = SageLayer::from_parts(linear);
     }
 
     #[test]
@@ -691,7 +543,7 @@ mod tests {
         let features = Matrix::from_fn(2, 2, |_, _| 1.0);
         let g = MultiplexGraph::assemble(2, 1, features, &[vec![vec![], vec![]]]);
         let mut rng = StdRng::seed_from_u64(3);
-        let layer = SageLayer::new(&mut rng, 2, 2, Aggregation::RelationTyped);
+        let layer = SageLayer::new(&mut rng, 2, 2);
         let out = layer.forward(&g, &g.features);
         // Output exists and is finite; neighbourhood contributions are zero.
         assert!(out.all_finite());

@@ -18,12 +18,11 @@
 //! bit; `model.rs` says why each skipped term is dead or exactly zero, and
 //! why the layers below the last stay whole-graph forward. The
 //! whole-graph pass survives in this crate's tests as the reference every
-//! combination of layer count, aggregation, target, `k`, `P` and train
-//! set is diffed against.
+//! combination of layer count, target, `k`, `P` and train set is diffed
+//! against.
 
 use crate::model::GnnModel;
 use crate::multiplex::MultiplexGraph;
-use crate::sage::Aggregation;
 use flexer_nn::activation::{is_match, match_probabilities};
 use flexer_nn::loss::softmax_cross_entropy;
 use flexer_nn::select::{f1, Selection};
@@ -54,8 +53,6 @@ pub struct GnnConfig {
     pub learning_rate: f32,
     /// L2 weight decay (paper: 5e-4).
     pub weight_decay: f32,
-    /// Relation handling (the ablation switch; FlexER uses relation-typed).
-    pub aggregation: Aggregation,
     /// Init/shuffle seed.
     pub seed: u64,
 }
@@ -69,7 +66,6 @@ impl Default for GnnConfig {
             patience: 25,
             learning_rate: 0.01,
             weight_decay: 5e-4,
-            aggregation: Aggregation::RelationTyped,
             seed: 0,
         }
     }
@@ -105,7 +101,7 @@ impl GnnConfig {
     /// The fit's optimizer: Adam with this learning rate and L2 weight
     /// decay (the defaults are the paper's, §5.2.1).
     pub fn adam(&self) -> AdamConfig {
-        AdamConfig { lr: self.learning_rate, weight_decay: self.weight_decay, ..Default::default() }
+        AdamConfig { lr: self.learning_rate, weight_decay: self.weight_decay }
     }
 }
 
@@ -136,7 +132,7 @@ pub fn train_for_intent(
     assert!(target_layer < graph.n_layers, "target layer out of range");
     assert_eq!(labels.len(), graph.n_pairs, "labels must cover every pair");
     let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(0x6E4E));
-    let mut model = GnnModel::new(&mut rng, graph.dim, &config.layer_dims(), config.aggregation);
+    let mut model = GnnModel::new(&mut rng, graph.dim, &config.layer_dims());
     let mut opt = Adam::new(config.adam());
 
     let targets: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
@@ -297,7 +293,7 @@ mod tests {
         let config = GnnConfig { patience: 5, ..GnnConfig::fast() };
         let trained = train_for_intent(&graph, 0, &labels, &train, &valid, &config);
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(0x6E4E));
-        let init = GnnModel::new(&mut rng, graph.dim, &config.layer_dims(), config.aggregation);
+        let init = GnnModel::new(&mut rng, graph.dim, &config.layer_dims());
         assert_same_parameters(&trained.model, &init, "selected model");
         assert_eq!(trained.best_valid_f1, 0.0);
         assert_eq!(trained.epochs_run, 1 + config.patience);
@@ -325,8 +321,7 @@ mod tests {
         config: &GnnConfig,
     ) -> TrainedGnn {
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(0x6E4E));
-        let mut model =
-            GnnModel::new(&mut rng, graph.dim, &config.layer_dims(), config.aggregation);
+        let mut model = GnnModel::new(&mut rng, graph.dim, &config.layer_dims());
         let mut opt = Adam::new(config.adam());
         let targets: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
         let train_weight = train_mask(graph.n_pairs, train_pairs);
@@ -408,23 +403,20 @@ mod tests {
     }
 
     /// Every combination the pass has to cover: 1-, 2- and 3-layer models,
-    /// both aggregations, `P ∈ {1, 2, 3}`, `k ∈ {0, 4}` plus the ragged
-    /// graph — the caller loops the target layers.
+    /// `P ∈ {1, 2, 3}`, `k ∈ {0, 4}` plus the ragged graph — the caller
+    /// loops the target layers.
     fn for_each_setting(mut f: impl FnMut(&GnnConfig, Option<usize>, usize, &str)) {
         for n_layers in 1..=3usize {
-            for aggregation in [Aggregation::RelationTyped, Aggregation::Pooled] {
-                for p_layers in 1..=3usize {
-                    for k in [Some(0), Some(4), None] {
-                        let config = GnnConfig {
-                            hidden_dim: 6,
-                            n_layers,
-                            aggregation,
-                            seed: (n_layers * 10 + p_layers) as u64,
-                            ..GnnConfig::fast()
-                        };
-                        let what = format!("{n_layers}L {aggregation:?} P={p_layers} k={k:?}");
-                        f(&config, k, p_layers, &what);
-                    }
+            for p_layers in 1..=3usize {
+                for k in [Some(0), Some(4), None] {
+                    let config = GnnConfig {
+                        hidden_dim: 6,
+                        n_layers,
+                        seed: (n_layers * 10 + p_layers) as u64,
+                        ..GnnConfig::fast()
+                    };
+                    let what = format!("{n_layers}L P={p_layers} k={k:?}");
+                    f(&config, k, p_layers, &what);
                 }
             }
         }
@@ -467,8 +459,7 @@ mod tests {
             {
                 let weight = train_mask(graph.n_pairs, &train);
                 let mut rng = StdRng::seed_from_u64(config.seed);
-                let mut want =
-                    GnnModel::new(&mut rng, graph.dim, &config.layer_dims(), config.aggregation);
+                let mut want = GnnModel::new(&mut rng, graph.dim, &config.layer_dims());
                 let mut got = want.clone();
                 let (mut want_opt, mut got_opt) =
                     (Adam::new(config.adam()), Adam::new(config.adam()));
@@ -548,7 +539,7 @@ mod tests {
         let (graph, _, train, _) = fixture(3, None, 5);
         let config = GnnConfig { hidden_dim: 6, n_layers: 3, ..GnnConfig::fast() };
         let mut rng = StdRng::seed_from_u64(1);
-        let model = GnnModel::new(&mut rng, graph.dim, &config.layer_dims(), config.aggregation);
+        let model = GnnModel::new(&mut rng, graph.dim, &config.layer_dims());
         let reach = |nodes: &BTreeSet<usize>| -> BTreeSet<usize> {
             let read = |v: usize| {
                 let sources = graph.intra.in_neighbors(v).iter().chain(graph.inter.in_neighbors(v));
@@ -601,19 +592,14 @@ mod tests {
     /// the reference.
     #[test]
     fn training_pass_gradients_match_finite_differences() {
-        for (n_layers, aggregation) in [
-            (1usize, Aggregation::RelationTyped),
-            (2, Aggregation::RelationTyped),
-            (3, Aggregation::RelationTyped),
-            (2, Aggregation::Pooled),
-        ] {
+        for n_layers in 1..=3usize {
             let (graph, labels, train, _) = fixture(3, None, 21);
             let target = 1;
             let targets: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
             let weight = train_mask(graph.n_pairs, &train);
-            let config = GnnConfig { hidden_dim: 4, n_layers, aggregation, ..GnnConfig::fast() };
+            let config = GnnConfig { hidden_dim: 4, n_layers, ..GnnConfig::fast() };
             let mut rng = StdRng::seed_from_u64(31);
-            let mut model = GnnModel::new(&mut rng, graph.dim, &config.layer_dims(), aggregation);
+            let mut model = GnnModel::new(&mut rng, graph.dim, &config.layer_dims());
             let mut pass = model.train_pass(&graph, target, &weight);
             let loss_of = |model: &GnnModel, pass: &mut TrainPass| {
                 let logits = model.train_forward(&graph, pass);
@@ -635,7 +621,7 @@ mod tests {
             let eps = 1e-2f32;
             for (slot, grads) in analytic.iter().enumerate() {
                 let scale = grads.iter().fold(0.0f32, |m, g| m.max(g.abs()));
-                assert!(scale > 1e-4, "{n_layers}L {aggregation:?}: slot {slot} has no gradient");
+                assert!(scale > 1e-4, "{n_layers}L: slot {slot} has no gradient");
                 for (index, &want) in grads.iter().enumerate() {
                     let mut up = model.clone();
                     up.apply(&mut Nudge { slot, index, delta: eps });
@@ -645,7 +631,7 @@ mod tests {
                         (loss_of(&up, &mut pass).0 - loss_of(&down, &mut pass).0) / (2.0 * eps);
                     assert!(
                         (numeric - want).abs() <= 0.03 * scale + 2e-3,
-                        "{n_layers}L {aggregation:?} slot {slot}[{index}]: {numeric} vs {want}"
+                        "{n_layers}L slot {slot}[{index}]: {numeric} vs {want}"
                     );
                 }
             }
@@ -661,8 +647,7 @@ mod tests {
         let targets: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
         let config = GnnConfig { hidden_dim: 4, ..GnnConfig::fast() };
         let mut rng = StdRng::seed_from_u64(4);
-        let mut model =
-            GnnModel::new(&mut rng, graph.dim, &config.layer_dims(), config.aggregation);
+        let mut model = GnnModel::new(&mut rng, graph.dim, &config.layer_dims());
         let mut pass = model.train_pass(&graph, 1, &train_mask(graph.n_pairs, &train));
         let logits = model.train_forward(&graph, &mut pass);
         let (_, grad) = softmax_cross_entropy(&logits, &targets, None);

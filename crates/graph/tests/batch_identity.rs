@@ -1,13 +1,12 @@
 //! The batched inductive forward must be **bit-identical** to N
 //! independent per-candidate [`GnnModel::forward_inductive`] calls — the
 //! correctness contract of the data-oriented serving hot path — for any
-//! layer stack, aggregation mode, intent count, neighbour-list shape and
-//! thread count. And the pass the serving tier runs — several GNNs over one
-//! batch, the first concat shared, each last layer restricted to its target
-//! intent layer — must return the bits of the every-row pass on every row
-//! it evaluates.
+//! layer stack, intent count, neighbour-list shape and thread count. And
+//! the pass the serving tier runs — several GNNs over one batch, the first
+//! concat shared, each last layer restricted to its target intent layer —
+//! must return the bits of the every-row pass on every row it evaluates.
 
-use flexer_graph::{Aggregation, BatchPass, GnnModel, NeighborArena, RowSource};
+use flexer_graph::{BatchPass, GnnModel, NeighborArena, RowSource};
 use flexer_nn::Matrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -155,15 +154,9 @@ fn assert_batch_matches(model: &GnnModel, fx: &Fixture) {
 #[test]
 fn batched_forward_is_bit_identical_across_architectures() {
     let mut rng = StdRng::seed_from_u64(21);
-    for (dims, agg, p) in [
-        (vec![5usize, 5], Aggregation::RelationTyped, 3usize),
-        (vec![6, 3, 3], Aggregation::RelationTyped, 2),
-        (vec![4, 4], Aggregation::Pooled, 3),
-        (vec![5, 5], Aggregation::Pooled, 1),
-        (vec![7], Aggregation::RelationTyped, 2),
-    ] {
+    for (dims, p) in [(vec![5usize, 5], 3usize), (vec![6, 3, 3], 2), (vec![7], 2)] {
         let dim = 4;
-        let model = GnnModel::new(&mut rng, dim, &dims, agg);
+        let model = GnnModel::new(&mut rng, dim, &dims);
         let fx = Fixture::generate(dim, &dims, p, 17, 6, 4, 0xC0FFEE ^ dims.len() as u64);
         assert_batch_matches(&model, &fx);
     }
@@ -172,7 +165,7 @@ fn batched_forward_is_bit_identical_across_architectures() {
 #[test]
 fn batched_forward_handles_empty_batch_and_empty_neighbours() {
     let mut rng = StdRng::seed_from_u64(5);
-    let model = GnnModel::new(&mut rng, 3, &[4, 4], Aggregation::RelationTyped);
+    let model = GnnModel::new(&mut rng, 3, &[4, 4]);
     // Every candidate isolated (all k-NN lists empty).
     let mut fx = Fixture::generate(3, &[4, 4], 2, 9, 4, 0, 77);
     assert!(fx.neighbors.iter().all(|ls| ls.iter().all(|l| l.is_empty())));
@@ -193,7 +186,7 @@ fn batched_forward_handles_empty_batch_and_empty_neighbours() {
 fn batched_forward_is_thread_count_invariant() {
     let mut rng = StdRng::seed_from_u64(33);
     let dims = vec![6usize, 6];
-    let model = GnnModel::new(&mut rng, 5, &dims, Aggregation::RelationTyped);
+    let model = GnnModel::new(&mut rng, 5, &dims);
     // Large enough batch to cross the internal fan-out thresholds.
     let fx = Fixture::generate(5, &dims, 3, 64, 48, 8, 1234);
     let (ids, offsets) = fx.flat_arena();
@@ -221,17 +214,22 @@ fn assert_passes_match(
     let (p, b) = (fx.p_layers, fx.neighbors.len());
     let (ids, offsets) = fx.flat_arena();
     let arena = NeighborArena::new(&ids, &offsets, p);
-    let sources = fx.sources(models[0].n_layers());
+    let depth = models.iter().map(|m| m.n_layers()).max().unwrap_or(1);
+    let sources = fx.sources(depth);
     let passes: Vec<BatchPass<'_>> = models
         .iter()
         .zip(targets)
-        .map(|(&model, &q)| BatchPass { model, deeper: &sources[1..], target: Some(q) })
+        .map(|(&model, &q)| BatchPass {
+            model,
+            deeper: &sources[1..model.n_layers()],
+            target: Some(q),
+        })
         .collect();
     let traces = GnnModel::forward_inductive_passes(&fx.new_features, &arena, &sources[0], &passes);
     assert_eq!(traces.len(), models.len());
     for ((trace, &model), &q) in traces.iter().zip(models).zip(targets) {
         let last = model.n_layers() - 1;
-        let whole = model.forward_inductive_batch(&fx.new_features, &arena, &sources);
+        let whole = model.forward_inductive_batch(&fx.new_features, &arena, &sources[..last + 1]);
         assert_eq!(trace.n_candidates(), b);
         assert_eq!(trace.target, Some(q));
         assert_eq!(trace.hidden[..last], whole.hidden[..last], "lower layers must stay whole");
@@ -259,8 +257,8 @@ fn assert_passes_match(
     traces
 }
 
-/// Layer count × aggregation × P × k × B (B % 4 ≠ 0 runs the GEMM's tail
-/// kernel) × every target, the P GNNs of one "model" in one call: the
+/// Layer count × P × k × B (B % 4 ≠ 0 runs the GEMM's tail kernel) ×
+/// every target, the P GNNs of one "model" in one call: the
 /// restricted pass equals the matching rows of the every-row pass and of
 /// `forward_inductive`, and the first concat is built once for all of them
 /// (a one-layer GNN's first layer is its last: target rows, built per GNN).
@@ -268,62 +266,62 @@ fn assert_passes_match(
 fn restricted_shared_pass_matches_every_row_pass() {
     let dim = 4;
     for dims in [vec![6usize], vec![5, 5], vec![6, 3, 3]] {
-        for agg in [Aggregation::RelationTyped, Aggregation::Pooled] {
-            for p in 1..=5usize {
-                let mut rng = StdRng::seed_from_u64(77 + p as u64);
-                let gnns: Vec<GnnModel> =
-                    (0..p).map(|_| GnnModel::new(&mut rng, dim, &dims, agg)).collect();
-                let models: Vec<&GnnModel> = gnns.iter().collect();
-                let targets: Vec<usize> = (0..p).collect();
-                for max_k in [0usize, 1, 6] {
-                    for b in [0usize, 1, 5, 16] {
-                        let seed = (dims.len() * 1000 + p * 100 + max_k * 10 + b) as u64;
-                        let fx = Fixture::generate(dim, &dims, p, 19, b, max_k, seed);
-                        let traces = assert_passes_match(&models, &targets, &fx);
-                        // The first concat once (a one-layer GNN builds
-                        // its `b` target rows per pass: as many), every
-                        // middle layer whole per pass, `b` rows on top.
-                        let last = dims.len() - 1;
-                        let built: usize = traces.iter().map(|t| t.concat_rows).sum();
-                        let middle = last.saturating_sub(1) * p * (b * p);
-                        let top = if last == 0 { 0 } else { p * b };
-                        assert_eq!(built, b * p + middle + top, "{dims:?} {agg:?} P={p} B={b}");
-                        // One intent per call (the router's shape), and the
-                        // passes in another order: same bits.
-                        for (q, &model) in models.iter().enumerate() {
-                            assert_passes_match(&[model], &[q], &fx);
-                        }
-                        let rev: Vec<usize> = targets.iter().rev().copied().collect();
-                        let rev_models: Vec<&GnnModel> = models.iter().rev().copied().collect();
-                        assert_passes_match(&rev_models, &rev, &fx);
+        for p in 1..=5usize {
+            let mut rng = StdRng::seed_from_u64(77 + p as u64);
+            let gnns: Vec<GnnModel> = (0..p).map(|_| GnnModel::new(&mut rng, dim, &dims)).collect();
+            let models: Vec<&GnnModel> = gnns.iter().collect();
+            let targets: Vec<usize> = (0..p).collect();
+            for max_k in [0usize, 1, 6] {
+                for b in [0usize, 1, 5, 16] {
+                    let seed = (dims.len() * 1000 + p * 100 + max_k * 10 + b) as u64;
+                    let fx = Fixture::generate(dim, &dims, p, 19, b, max_k, seed);
+                    let traces = assert_passes_match(&models, &targets, &fx);
+                    // The first concat once (a one-layer GNN builds
+                    // its `b` target rows per pass: as many), every
+                    // middle layer whole per pass, `b` rows on top.
+                    let last = dims.len() - 1;
+                    let built: usize = traces.iter().map(|t| t.concat_rows).sum();
+                    let middle = last.saturating_sub(1) * p * (b * p);
+                    let top = if last == 0 { 0 } else { p * b };
+                    assert_eq!(built, b * p + middle + top, "{dims:?} P={p} B={b}");
+                    // One intent per call (the router's shape), and the
+                    // passes in another order: same bits.
+                    for (q, &model) in models.iter().enumerate() {
+                        assert_passes_match(&[model], &[q], &fx);
                     }
+                    let rev: Vec<usize> = targets.iter().rev().copied().collect();
+                    let rev_models: Vec<&GnnModel> = models.iter().rev().copied().collect();
+                    assert_passes_match(&rev_models, &rev, &fx);
                 }
             }
         }
     }
 }
 
-/// Sharing is decided from the first layers' shapes: GNNs that differ in
-/// aggregation (a `3d`- against a `2d`-wide concat) each build their own,
-/// in whichever order they come, and each still returns its own bits.
+/// Sharing is decided from the rows a first layer covers: a one-layer
+/// GNN's first layer is its last, restricted to its target intent layer,
+/// so it neither reuses nor leaves behind a concat a deeper GNN can share,
+/// in whichever order the GNNs come, and each still returns its own bits.
 #[test]
 fn gnns_with_different_first_layers_do_not_share_a_concat() {
     let (dim, p, b) = (4, 3, 5);
     let dims = [5usize, 5];
     let mut rng = StdRng::seed_from_u64(404);
-    let typed = GnnModel::new(&mut rng, dim, &dims, Aggregation::RelationTyped);
-    let typed_too = GnnModel::new(&mut rng, dim, &dims, Aggregation::RelationTyped);
-    let pooled = GnnModel::new(&mut rng, dim, &dims, Aggregation::Pooled);
+    let deep = GnnModel::new(&mut rng, dim, &dims);
+    let deep_too = GnnModel::new(&mut rng, dim, &dims);
+    let flat = GnnModel::new(&mut rng, dim, &dims[..1]);
     let fx = Fixture::generate(dim, &dims, p, 19, b, 4, 0xD1FF);
-    let first_layer_rows = |models: &[&GnnModel]| -> Vec<usize> {
+    let built = |models: &[&GnnModel]| -> Vec<usize> {
         let targets: Vec<usize> = (0..models.len()).collect();
         let traces = assert_passes_match(models, &targets, &fx);
-        // Every pass builds its last layer's `b` rows itself.
-        traces.iter().map(|t| t.concat_rows - b).collect()
+        traces.iter().map(|t| t.concat_rows).collect()
     };
-    assert_eq!(first_layer_rows(&[&typed, &typed_too, &pooled]), [b * p, 0, b * p]);
-    assert_eq!(first_layer_rows(&[&typed, &pooled, &typed_too]), [b * p, b * p, b * p]);
-    assert_eq!(first_layer_rows(&[&pooled, &typed]), [b * p, b * p]);
+    // A two-layer GNN builds its last layer's `b` rows itself, and its
+    // first layer's `b·p` unless it shares them.
+    let (whole, shared) = (b * p + b, b);
+    assert_eq!(built(&[&deep, &deep_too, &flat]), [whole, shared, b]);
+    assert_eq!(built(&[&deep, &flat, &deep_too]), [whole, b, whole]);
+    assert_eq!(built(&[&flat, &deep]), [b, whole]);
 }
 
 /// A restricted trace holds one intent layer's logits, one row per
@@ -333,7 +331,7 @@ fn gnns_with_different_first_layers_do_not_share_a_concat() {
 #[should_panic(expected = "evaluated intent layer 1 only")]
 fn restricted_trace_refuses_another_intent() {
     let mut rng = StdRng::seed_from_u64(8);
-    let model = GnnModel::new(&mut rng, 4, &[5, 5], Aggregation::RelationTyped);
+    let model = GnnModel::new(&mut rng, 4, &[5, 5]);
     let fx = Fixture::generate(4, &[5, 5], 3, 11, 4, 3, 99);
     let trace = assert_passes_match(&[&model], &[1], &fx).pop().unwrap();
     let _ = trace.score(0, 2);
@@ -343,7 +341,7 @@ fn restricted_trace_refuses_another_intent() {
 #[should_panic(expected = "out of range")]
 fn trace_refuses_an_intent_past_the_last_layer() {
     let mut rng = StdRng::seed_from_u64(8);
-    let model = GnnModel::new(&mut rng, 4, &[5, 5], Aggregation::RelationTyped);
+    let model = GnnModel::new(&mut rng, 4, &[5, 5]);
     let fx = Fixture::generate(4, &[5, 5], 3, 11, 4, 3, 99);
     let (ids, offsets) = fx.flat_arena();
     let arena = NeighborArena::new(&ids, &offsets, 3);
@@ -365,17 +363,16 @@ proptest! {
         b in 0usize..7,
         n_stored in 1usize..24,
         max_k in 0usize..6,
-        arch in 0usize..4,
+        arch in 0usize..3,
     ) {
-        let (dims, agg): (Vec<usize>, Aggregation) = match arch {
-            0 => (vec![5, 5], Aggregation::RelationTyped),
-            1 => (vec![6, 3, 3], Aggregation::RelationTyped),
-            2 => (vec![4, 4], Aggregation::Pooled),
-            _ => (vec![6], Aggregation::RelationTyped),
+        let dims: Vec<usize> = match arch {
+            0 => vec![5, 5],
+            1 => vec![6, 3, 3],
+            _ => vec![6],
         };
         let dim = 4;
         let mut rng = StdRng::seed_from_u64(seed);
-        let model = GnnModel::new(&mut rng, dim, &dims, agg);
+        let model = GnnModel::new(&mut rng, dim, &dims);
         let fx = Fixture::generate(dim, &dims, p, n_stored, b, max_k, seed ^ 0x5EED);
         assert_batch_matches(&model, &fx);
     }

@@ -24,8 +24,6 @@ pub struct MatcherConfig {
     /// Span-deletion augmentation (the one DITTO optimization the paper
     /// keeps).
     pub augment: bool,
-    /// Weight of the multi-label head in the multi-task loss.
-    pub multilabel_weight: f32,
     /// RNG seed for init/shuffling/augmentation.
     pub seed: u64,
 }
@@ -40,7 +38,6 @@ impl Default for MatcherConfig {
             batch_size: 64,
             learning_rate: 1e-3,
             augment: true,
-            multilabel_weight: 1.0,
             seed: 0,
         }
     }

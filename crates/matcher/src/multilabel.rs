@@ -69,7 +69,7 @@ impl MultiTaskMatcher {
             for batch in minibatches(train_idx, config.batch_size, &mut rng) {
                 let mut t = Instant::now();
                 let (x, rows) = corpus.batch(&batch, config.augment, &mut rng);
-                model.step(&x, &rows, labels, config.multilabel_weight, &mut opt, &mut t);
+                model.step(&x, &rows, labels, &mut opt, &mut t);
             }
             let mut total = 0.0;
             for p in 0..n_intents {
@@ -83,7 +83,7 @@ impl MultiTaskMatcher {
     }
 
     /// One Adam step on a batch: the per-intent cross-entropies plus the
-    /// weighted multi-label BCE, all backpropagated into the shared trunk.
+    /// multi-label BCE (weight 1), all backpropagated into the shared trunk.
     /// Timed as the binary matcher's step: `matcher.fit.step` since `*t`,
     /// then `matcher.fit.apply`.
     fn step(
@@ -91,7 +91,6 @@ impl MultiTaskMatcher {
         x: &SparseMatrix,
         rows: &[usize],
         labels: &LabelMatrix,
-        multilabel_weight: f32,
         opt: &mut Adam,
         t: &mut Instant,
     ) {
@@ -121,9 +120,8 @@ impl MultiTaskMatcher {
         // Multi-label head (Eq. 2), equal intent weights.
         let ml_targets = Matrix::from_fn(n, n_intents, |bi, p| f32::from(labels.get(rows[bi], p)));
         let ml_logits = self.ml_head.forward(&h);
-        let (_, mut ml_grad) =
+        let (_, ml_grad) =
             multilabel_bce_with_logits(&ml_logits, &ml_targets, &vec![1.0; n_intents]);
-        ml_grad.scale(multilabel_weight);
         dh.add_scaled(&self.ml_head.backward(&h, &ml_grad), 1.0);
 
         // Trunk backward.

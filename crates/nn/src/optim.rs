@@ -14,17 +14,19 @@ pub trait Optimizer {
     fn update(&mut self, slot: usize, value: &mut [f32], grad: &[f32]);
 }
 
-/// Adam configuration.
+/// Adam's first-moment decay (PyTorch's default, which every fit uses).
+const BETA1: f32 = 0.9;
+/// Adam's second-moment decay.
+const BETA2: f32 = 0.999;
+/// Adam's numerical stabilizer.
+const EPS: f32 = 1e-8;
+
+/// Adam configuration: what a fit chooses. The moment decays and the
+/// stabilizer are PyTorch's defaults, fixed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdamConfig {
     /// Learning rate.
     pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical stabilizer.
-    pub eps: f32,
     /// L2 weight decay added to the gradient (PyTorch `Adam(weight_decay=…)`
     /// semantics, which the paper uses — not AdamW).
     pub weight_decay: f32,
@@ -32,7 +34,7 @@ pub struct AdamConfig {
 
 impl Default for AdamConfig {
     fn default() -> Self {
-        Self { lr: 1e-3, beta1: 0.9, beta2: 0.999, eps: 1e-8, weight_decay: 0.0 }
+        Self { lr: 1e-3, weight_decay: 0.0 }
     }
 }
 
@@ -70,18 +72,18 @@ impl Optimizer for Adam {
             .get_or_insert_with(|| (vec![0.0; value.len()], vec![0.0; value.len()]));
         assert_eq!(m.len(), value.len(), "slot {slot} reused with a different shape");
         let c = self.config;
-        let bc1 = 1.0 - c.beta1.powi(self.t.max(1));
-        let bc2 = 1.0 - c.beta2.powi(self.t.max(1));
+        let bc1 = 1.0 - BETA1.powi(self.t.max(1));
+        let bc2 = 1.0 - BETA2.powi(self.t.max(1));
         // Zipped, so the four slices are walked without bounds checks and
         // the body vectorizes; `+ − × ÷ √` round the same packed or scalar,
         // so the expression tree below is the whole contract.
         for (((w, &g), m), v) in value.iter_mut().zip(grad).zip(m.iter_mut()).zip(v.iter_mut()) {
             let g = g + c.weight_decay * *w;
-            *m = c.beta1 * *m + (1.0 - c.beta1) * g;
-            *v = c.beta2 * *v + (1.0 - c.beta2) * g * g;
+            *m = BETA1 * *m + (1.0 - BETA1) * g;
+            *v = BETA2 * *v + (1.0 - BETA2) * g * g;
             let m_hat = *m / bc1;
             let v_hat = *v / bc2;
-            *w -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
+            *w -= c.lr * m_hat / (v_hat.sqrt() + EPS);
         }
     }
 }
@@ -139,15 +141,15 @@ mod tests {
         value: &mut [f32],
         grad: &[f32],
     ) {
-        let bc1 = 1.0 - c.beta1.powi(t);
-        let bc2 = 1.0 - c.beta2.powi(t);
+        let bc1 = 1.0 - BETA1.powi(t);
+        let bc2 = 1.0 - BETA2.powi(t);
         for i in 0..value.len() {
             let g = grad[i] + c.weight_decay * value[i];
-            m[i] = c.beta1 * m[i] + (1.0 - c.beta1) * g;
-            v[i] = c.beta2 * v[i] + (1.0 - c.beta2) * g * g;
+            m[i] = BETA1 * m[i] + (1.0 - BETA1) * g;
+            v[i] = BETA2 * v[i] + (1.0 - BETA2) * g * g;
             let m_hat = m[i] / bc1;
             let v_hat = v[i] / bc2;
-            value[i] -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
+            value[i] -= c.lr * m_hat / (v_hat.sqrt() + EPS);
         }
     }
 
@@ -158,7 +160,7 @@ mod tests {
         // mixed; slot lengths on both sides of the vector widths.
         let magnitudes = [0.0f32, -0.0, 1e-22, -1e-20, 3e-5, -0.25, 1.0, 1e3, -1e3];
         for weight_decay in [0.0f32, 5e-4] {
-            let config = AdamConfig { lr: 0.01, weight_decay, ..Default::default() };
+            let config = AdamConfig { lr: 0.01, weight_decay };
             let mut opt = Adam::new(config);
             let lens = [1usize, 2, 7, 8, 33, 4104];
             let mut values: Vec<Vec<f32>> = lens

@@ -228,22 +228,21 @@ mod tests {
     /// The served forward asks each intent's GNN for what is read from it —
     /// every node below the last layer, the intent's own nodes at the last —
     /// and that shape depends on the GNN's: a one-layer GNN's first layer is
-    /// its last, a three-layer one has a whole middle layer, a pooled one a
-    /// narrower concat. For each: identical resolves for every query shape,
-    /// one intent per call (the router's shape) equal to that intent of the
-    /// all-intents call, identical ingest reports and ingested scores, and
-    /// the exported snapshot byte-identical after the ingests.
+    /// its last, a three-layer one has a whole middle layer. For each:
+    /// identical resolves for every query shape, one intent per call (the
+    /// router's shape) equal to that intent of the all-intents call,
+    /// identical ingest reports and ingested scores, and the exported
+    /// snapshot byte-identical after the ingests.
     #[test]
     fn batched_and_reference_kernels_agree_for_every_gnn_shape() {
-        use flexer_graph::{Aggregation, GnnConfig};
+        use flexer_graph::GnnConfig;
         let shapes = [
             GnnConfig { n_layers: 1, ..GnnConfig::fast() },
             GnnConfig { n_layers: 3, ..GnnConfig::fast() },
-            GnnConfig { aggregation: Aggregation::Pooled, ..GnnConfig::fast() },
         ];
         let titles = ["BrandNew UltraWidget 9000 Pro Edition", "Nike Air Max 2016 second listing"];
         for gnn in shapes {
-            let shape = format!("{} layers, {:?}", gnn.n_layers, gnn.aggregation);
+            let shape = format!("{} layers", gnn.n_layers);
             let snapshot = fit_snapshot(&FlexErConfig { gnn, ..FlexErConfig::fast() });
             let bytes = snapshot.to_bytes();
             let mut batched =

@@ -20,7 +20,7 @@
 
 use crate::format::{Reader, StoreError, Writer};
 use flexer_ann::{AnyIndex, FlatIndex};
-use flexer_graph::{Aggregation, CsrGraph, GnnModel, MultiplexGraph, SageLayer, TrainedGnn};
+use flexer_graph::{CsrGraph, GnnModel, MultiplexGraph, SageLayer, TrainedGnn};
 use flexer_matcher::summarize::DfTable;
 use flexer_matcher::{BinaryMatcher, PairFeaturizer};
 use flexer_nn::{Linear, Matrix, Mlp};
@@ -280,44 +280,32 @@ impl Codec for Mlp {
     }
 }
 
-impl Encode for Aggregation {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            Aggregation::RelationTyped => 0,
-            Aggregation::Pooled => 1,
-        });
-    }
-}
-
-impl Codec for Aggregation {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        match r.get_u8()? {
-            0 => Ok(Aggregation::RelationTyped),
-            1 => Ok(Aggregation::Pooled),
-            t => malformed(format!("unknown aggregation tag {t}")),
-        }
-    }
-}
-
+/// A SAGE layer is its aggregation tag, then its linear. Tag `0` is the
+/// relation-typed layer, the only one; tag `1` was the pooled layer.
 impl Encode for SageLayer {
     fn encode(&self, w: &mut Writer) {
-        self.aggregation().encode(w);
+        w.put_u8(0);
         self.linear().encode(w);
     }
 }
 
 impl Codec for SageLayer {
     fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
-        let aggregation = Aggregation::decode(r)?;
-        let linear = Linear::decode(r)?;
-        let factor = match aggregation {
-            Aggregation::RelationTyped => 3,
-            Aggregation::Pooled => 2,
-        };
-        if linear.in_dim() % factor != 0 {
-            return malformed("SAGE linear width is not a multiple of the concat factor");
+        match r.get_u8()? {
+            0 => {}
+            1 => {
+                return malformed(
+                    "aggregation tag 1: pooled SAGE layers were removed in this version; \
+                     refit the model",
+                )
+            }
+            t => return malformed(format!("unknown aggregation tag {t}")),
         }
-        Ok(SageLayer::from_parts(linear, aggregation))
+        let linear = Linear::decode(r)?;
+        if linear.in_dim() % 3 != 0 {
+            return malformed("SAGE linear width is not a multiple of 3");
+        }
+        Ok(SageLayer::from_parts(linear))
     }
 }
 
@@ -730,18 +718,16 @@ mod tests {
     #[test]
     fn gnn_model_roundtrip_preserves_forward() {
         let mut rng = StdRng::seed_from_u64(2);
-        for agg in [Aggregation::RelationTyped, Aggregation::Pooled] {
-            let model = GnnModel::new(&mut rng, 4, &[5, 5], agg);
-            let features = Matrix::from_fn(6, 4, |i, j| ((i * 3 + j) % 7) as f32 * 0.3 - 1.0);
-            let graph = MultiplexGraph::assemble(
-                3,
-                2,
-                features,
-                &[vec![vec![1], vec![0], vec![1]], vec![vec![2], vec![], vec![0]]],
-            );
-            let got = roundtrip(&model);
-            assert_eq!(got.forward(&graph).final_hidden(), model.forward(&graph).final_hidden());
-        }
+        let model = GnnModel::new(&mut rng, 4, &[5, 5]);
+        let features = Matrix::from_fn(6, 4, |i, j| ((i * 3 + j) % 7) as f32 * 0.3 - 1.0);
+        let graph = MultiplexGraph::assemble(
+            3,
+            2,
+            features,
+            &[vec![vec![1], vec![0], vec![1]], vec![vec![2], vec![], vec![0]]],
+        );
+        let got = roundtrip(&model);
+        assert_eq!(got.forward(&graph).final_hidden(), model.forward(&graph).final_hidden());
     }
 
     #[test]

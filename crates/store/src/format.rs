@@ -27,7 +27,8 @@ pub const MAGIC: [u8; 8] = *b"FLEXSNAP";
 /// can decode their own shard without materializing the rest); 4 = the
 /// blocker is stored as its `CandidateGenConfig` and the sharding as an
 /// optional `ShardConfig` (both tiers are rebuilt from the records on
-/// load).
+/// load). Later, within 4: a SAGE layer's aggregation tag `1` (pooled) is
+/// refused, since pooled layers were removed; the layout is unchanged.
 pub const VERSION: u32 = 4;
 
 /// Everything that can go wrong reading a snapshot.

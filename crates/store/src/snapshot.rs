@@ -126,6 +126,13 @@ impl ModelSnapshot {
             if t.scores.len() != n || t.preds.len() != n {
                 return fail(format!("trained GNN {pi} scores/preds do not cover the pairs"));
             }
+            let (reads, dim) = (t.model.sage_layers()[0].in_dim(), self.graph.dim);
+            if reads != dim {
+                return fail(format!("trained GNN {pi} reads {reads}-wide states, not {dim}"));
+            }
+            if t.model.head().out_dim() != 2 {
+                return fail(format!("trained GNN {pi} head is not 2 wide"));
+            }
         }
         if !matches!(self.blocker, BlockerState::Exhaustive)
             && self.blocker.len() != self.records.len()

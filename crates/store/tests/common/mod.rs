@@ -6,7 +6,7 @@ pub mod messages;
 
 use flexer_ann::{AnyIndex, FlatIndex};
 use flexer_block::BlockerState;
-use flexer_graph::{Aggregation, GnnModel, MultiplexGraph, TrainedGnn};
+use flexer_graph::{GnnModel, MultiplexGraph, TrainedGnn};
 use flexer_matcher::summarize::DfTable;
 use flexer_matcher::{BinaryMatcher, PairFeaturizer};
 use flexer_nn::{Linear, Matrix, Mlp, MlpConfig};
@@ -45,7 +45,7 @@ pub fn tiny_snapshot() -> ModelSnapshot {
         )],
         graph,
         trained: vec![TrainedGnn {
-            model: GnnModel::new(&mut rng, dim, &[4, 4], Aggregation::Pooled),
+            model: GnnModel::new(&mut rng, dim, &[4, 4]),
             best_valid_f1: 0.5,
             scores: vec![0.75],
             preds: vec![true],

@@ -17,6 +17,8 @@ mod common;
 
 use common::tiny_snapshot;
 use flexer_block::BlockerState;
+use flexer_graph::GnnModel;
+use flexer_nn::Linear;
 use flexer_store::{
     decode_frame, frame_message, seal, seal_frame, unseal, unseal_frame, Encode, ModelSnapshot,
     StoreError, Writer,
@@ -26,6 +28,8 @@ use flexer_types::{
     RouterResponse, ShardRequest, ShardResponse, WireCandidates, WireQuery,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Sealed snapshot bytes, built once per test binary.
 fn sealed_snapshot() -> &'static Vec<u8> {
@@ -223,6 +227,51 @@ fn removed_ivf_index_tag_is_a_malformed_snapshot_that_says_so() {
             assert!(msg.contains("re-export"), "{msg}");
         }
         other => panic!("expected Malformed, got {other:?}"),
+    }
+}
+
+/// A SAGE layer's aggregation tag `1` was the pooled layer. A snapshot
+/// whose GNN carries it (behind a valid checksum) must say what happened,
+/// not "unknown tag".
+#[test]
+fn removed_pooled_aggregation_tag_is_a_malformed_snapshot_that_says_so() {
+    // A layer is its tag, then its linear: find GNN 0's first layer.
+    let snapshot = tiny_snapshot();
+    let mut layer = Writer::new();
+    snapshot.trained[0].model.sage_layers()[0].encode(&mut layer);
+    let layer = layer.into_bytes();
+    let mut payload = snapshot_payload().clone();
+    let at = payload.windows(layer.len()).position(|w| w == layer).expect("layer encoded");
+    assert_eq!(payload[at], 0, "the relation-typed layer's tag");
+    payload[at] = 1;
+    match ModelSnapshot::from_bytes(&seal(&payload)) {
+        Err(StoreError::Malformed(msg)) => {
+            assert!(msg.contains("aggregation tag 1"), "{msg}");
+            assert!(msg.contains("pooled SAGE layers were removed"), "{msg}");
+        }
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+}
+
+/// Every codec of these snapshots accepts its GNN, but serving one would
+/// panic: a first layer that reads wider states than the graph's
+/// features, and a head with one logit where a match probability needs
+/// two. `validate` refuses both.
+#[test]
+fn a_gnn_that_does_not_fit_the_graph_is_refused() {
+    let fitted = tiny_snapshot();
+    let dim = fitted.graph.dim;
+    let mut rng = StdRng::seed_from_u64(9);
+    let too_wide = GnnModel::new(&mut rng, dim + 1, &[4, 4]);
+    let layers = fitted.trained[0].model.sage_layers().to_vec();
+    let one_logit = GnnModel::from_parts(layers, Linear::new(&mut rng, 4, 1));
+    for (model, what) in [(too_wide, "reads 4-wide states"), (one_logit, "head is not 2 wide")] {
+        let mut snapshot = tiny_snapshot();
+        snapshot.trained[0].model = model;
+        match ModelSnapshot::from_bytes(&snapshot.to_bytes()) {
+            Err(StoreError::Malformed(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("{what}: expected Malformed, got {other:?}"),
+        }
     }
 }
 

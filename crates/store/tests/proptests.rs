@@ -6,7 +6,7 @@ mod common;
 
 use flexer_ann::{AnyIndex, FlatIndex, VectorIndex};
 use flexer_block::BlockerState;
-use flexer_graph::{Aggregation, GnnModel};
+use flexer_graph::GnnModel;
 use flexer_nn::{Linear, Matrix, Mlp, MlpConfig};
 use flexer_store::{Codec, ModelSnapshot, Reader, Writer};
 use proptest::prelude::*;
@@ -74,12 +74,10 @@ proptest! {
     fn random_gnns_roundtrip_bitexact(
         dim in 2usize..6,
         hidden in 2usize..7,
-        pooled in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let agg = if pooled { Aggregation::Pooled } else { Aggregation::RelationTyped };
         let mut rng = StdRng::seed_from_u64(seed);
-        let model = GnnModel::new(&mut rng, dim, &[hidden, hidden], agg);
+        let model = GnnModel::new(&mut rng, dim, &[hidden, hidden]);
         let got = roundtrip(&model);
         // Weight equality checked through a forward pass on a small graph.
         let features = Matrix::from_vec(6, dim, pseudo_rows(6, dim, seed ^ 2));

@@ -1,10 +1,8 @@
-//! §5.2.2 / §7: FlexER consumes record-pair representations from *any*
-//! matcher. These tests exercise the two built-in sources (independent
-//! in-parallel matchers vs. the multi-task network) and externally supplied
-//! embeddings.
+//! §7: FlexER consumes record-pair representations from *any* matcher.
+//! Its own are the in-parallel matchers' (`FlexErModel::fit`); these tests
+//! hand it externally supplied embeddings instead.
 
 use flexer::prelude::*;
-use flexer_core::config::RepresentationSource;
 use flexer_core::{evaluate_on_split, FlexErModel, PipelineContext};
 use flexer_nn::Matrix;
 
@@ -13,34 +11,6 @@ fn context(seed: u64) -> (PipelineContext, FlexErConfig) {
     let config = FlexErConfig::fast().with_seed(seed);
     let ctx = PipelineContext::new(bench, &config.matcher).expect("valid benchmark");
     (ctx, config)
-}
-
-#[test]
-fn both_representation_sources_fit() {
-    let (ctx, config) = context(201);
-    for source in [RepresentationSource::InParallel, RepresentationSource::MultiTask] {
-        let cfg = FlexErConfig { representation: source, ..config.clone() };
-        let model = FlexErModel::fit(&ctx, &cfg).expect("fit with source");
-        let report = evaluate_on_split(&ctx.benchmark, &model.predictions, Split::Test);
-        assert!(report.mi_f1 > 0.5, "{source:?}: MI-F = {:.3}", report.mi_f1);
-    }
-}
-
-#[test]
-fn representation_sources_produce_different_models() {
-    let (ctx, config) = context(203);
-    let a = FlexErModel::fit(
-        &ctx,
-        &FlexErConfig { representation: RepresentationSource::InParallel, ..config.clone() },
-    )
-    .unwrap();
-    let b = FlexErModel::fit(
-        &ctx,
-        &FlexErConfig { representation: RepresentationSource::MultiTask, ..config },
-    )
-    .unwrap();
-    // Node features differ, so the graphs differ.
-    assert_ne!(a.graph.features.data(), b.graph.features.data());
 }
 
 /// "We wish to test FlexER with additional matchers that produce record
