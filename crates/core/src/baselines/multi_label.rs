@@ -4,7 +4,6 @@
 
 use crate::context::PipelineContext;
 use crate::error::CoreError;
-use flexer_matcher::matcher::MatcherOutput;
 use flexer_matcher::{MatcherConfig, MultiTaskMatcher};
 use flexer_types::LabelMatrix;
 
@@ -13,8 +12,6 @@ use flexer_types::LabelMatrix;
 pub struct MultiLabelModel {
     /// The shared-trunk multi-task matcher.
     pub matcher: MultiTaskMatcher,
-    /// Per-intent inference over every candidate pair.
-    pub outputs: Vec<MatcherOutput>,
     /// Predictions as a label matrix.
     pub predictions: LabelMatrix,
 }
@@ -23,7 +20,7 @@ impl MultiLabelModel {
     /// Trains the multi-task network on all intents jointly. Training is a
     /// single shared phase (§3.3), but the per-intent head inferences over
     /// the full candidate set are independent and fan out across the
-    /// `flexer-par` thread budget.
+    /// `flexer-par` thread budget. Only each head's decisions are kept.
     pub fn fit(ctx: &PipelineContext, config: &MatcherConfig) -> Result<Self, CoreError> {
         let matcher = MultiTaskMatcher::train(
             &ctx.corpus,
@@ -32,12 +29,11 @@ impl MultiLabelModel {
             &ctx.valid_idx(),
             config,
         );
-        let outputs: Vec<MatcherOutput> = flexer_par::parallel_map(ctx.n_intents(), |p| {
-            matcher.infer_intent(&ctx.corpus.features, p)
+        let columns: Vec<Vec<bool>> = flexer_par::parallel_map(ctx.n_intents(), |p| {
+            matcher.infer_intent(&ctx.corpus.features, p).preds
         });
-        let columns: Vec<Vec<bool>> = outputs.iter().map(|o| o.preds.clone()).collect();
         let predictions = LabelMatrix::from_columns(&columns).expect("P >= 1");
-        Ok(Self { matcher, outputs, predictions })
+        Ok(Self { matcher, predictions })
     }
 }
 

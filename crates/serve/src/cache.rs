@@ -1,9 +1,12 @@
-//! A fixed-capacity least-recently-used cache for hot pair embeddings and
-//! their neighbour lists.
+//! A fixed-capacity least-recently-used cache for hot pair embeddings,
+//! their neighbour lists and their memoized scores.
 //!
 //! Query traffic is zipfian — the same records get resolved again and
 //! again — so the embedding stage (tokenize → featurize → P matcher
-//! forwards) and the ANN localization sit behind this cache. Recency is an
+//! forwards), the ANN localization and the GNN forward sit behind this
+//! cache. The service keeps a memoized score only while the neighbour
+//! lists it was computed over stay as they were (the invariant and the
+//! clearing rule are the service's, on its `LocatedPair` value type). Recency is an
 //! index-linked list threaded through a slab of entries (`prev`/`next` are
 //! slab positions, not pointers — no unsafe code to audit), so a lookup, an
 //! insert and an eviction are each one hash probe plus O(1) relinking: a

@@ -31,6 +31,9 @@ pub(crate) struct Counters {
     pub(crate) flood_rejections: Counter,
     /// New nodes handed to the batched forward (B·P per call).
     pub(crate) forward_rows: Counter,
+    /// Resolve candidates whose every requested score came from their
+    /// cache entry's memo: no forward ran for them.
+    pub(crate) memo_hits: Counter,
     /// Candidate records considered across record-level resolves.
     pub(crate) resolve_candidates: Counter,
     /// Per-(candidate, layer) neighbour lists the batched path took from
@@ -57,6 +60,7 @@ impl Counters {
             cache_misses: counter("serve.cache.misses"),
             flood_rejections: counter("serve.cache.flood_rejections"),
             forward_rows: counter("serve.forward.rows"),
+            memo_hits: counter("serve.forward.memo_hits"),
             resolve_candidates: counter("serve.resolve.candidates"),
             localize_reused: counter("serve.localize.reused"),
             localize_resumed: counter("serve.localize.resumed"),

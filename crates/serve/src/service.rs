@@ -37,10 +37,20 @@
 //! indexes only grow, so a list is never wrong, only *behind*, and a
 //! lookup either reuses it, or resumes each layer's scan over the rows
 //! appended since ([`VectorIndex::search_batch_since`]) — bit-identical to
-//! searching from scratch, which is what a cache miss does. Ingest bypasses
-//! the cache (its keys are one-shot), and the per-candidate reference
-//! kernel this path is tested against (`service/reference.rs`, compiled
-//! into test builds only) localizes uncached, as the oracle.
+//! searching from scratch, which is what a cache miss does.
+//!
+//! The entry also memoizes the pair's P scores, one per intent, each
+//! marked "not scored yet" until a forward under that intent fills it. The
+//! states a pair's nodes read are pinned and its edges point into it, so
+//! the scores are a pure function of the embedding and the trimmed lists:
+//! a resume that moves any layer's list clears the memo, one that brings
+//! every list back identical keeps it. A resolve forwards only the
+//! candidates whose memo lacks a requested intent (`serve.forward.rows`
+//! counts their nodes, `serve.forward.memo_hits` the rest), so a hot
+//! resolve runs no GNN. Ingest bypasses the cache (its keys are one-shot),
+//! and the per-candidate reference kernel this path is tested against
+//! (`service/reference.rs`, compiled into test builds only) localizes
+//! uncached and never reads the memo, as the oracle.
 //!
 //! # The side store
 //!
@@ -94,7 +104,8 @@ use std::time::Instant;
 /// Tunables of the serving tier.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Capacity of the hot-pair LRU cache (embedding + neighbour lists).
+    /// Capacity of the hot-pair LRU cache (embedding, neighbour lists and
+    /// memoized scores); 0 caches, so memoizes, nothing.
     pub cache_capacity: usize,
 }
 
@@ -127,9 +138,13 @@ type PairEmbedding = Matrix;
 /// (an index with fewer than `k` rows).
 const NO_NEIGHBOR: u32 = u32::MAX;
 
-/// The hot-pair cache's value: a pair's embedding and where it sits in
-/// every intent layer — the cheap and the expensive half of what a
-/// repeated pair would recompute.
+/// A memo slot whose intent is not scored yet: `f32::NAN`'s bits (a NaN
+/// score is never taken from the memo, so it is forwarded again).
+const UNSCORED: u32 = 0x7FC0_0000;
+
+/// The hot-pair cache's value: a pair's embedding, where it sits in every
+/// intent layer, and what each intent's GNN scored it over those lists —
+/// everything a repeated pair would recompute.
 ///
 /// Neighbours are wired from the initial representations only (§4.1.3) and
 /// the indexes are append-only, so the lists are a pure function of the
@@ -137,15 +152,27 @@ const NO_NEIGHBOR: u32 = u32::MAX;
 /// appended past `watermark` can only displace entries, and resuming each
 /// layer's scan from `watermark` ([`VectorIndex::search_batch_since`])
 /// brings them up to date bit-identically to a search from scratch.
+///
+/// Edges point into the pair's nodes and the served states they read are
+/// pinned (index rows at depth 0, pinned arena rows below), so a score is a
+/// pure function of the embedding and the trimmed lists: the memo holds
+/// while the lists do. [`Service::localize`] clears it when a resume moves
+/// any layer's trimmed list and carries it over when every list comes back
+/// identical.
 #[derive(Debug, Clone)]
 struct LocatedPair {
     emb: Arc<PairEmbedding>,
     /// Per intent layer the ids of the k nearest served pairs in rank
     /// order: P lists of one stride (`min(k, watermark)`), back to back,
-    /// short ones padded with [`NO_NEIGHBOR`]. Empty until the pair is
-    /// first localized. Distances are not kept (they would double the
-    /// entry): a resume recomputes its k prior distances with the exact
-    /// fold every scan kernel reproduces ([`flexer_ann::l2_sq`]).
+    /// short ones padded with [`NO_NEIGHBOR`]; then the memo, P slots, one
+    /// per intent: the bits of the match likelihood that intent's GNN gives
+    /// the pair over these lists, or [`UNSCORED`]. Empty until the pair is
+    /// first localized. One block, so the forward of a pair that was just
+    /// localized writes its scores into the allocation `localize` made.
+    /// Distances are not kept (they would double the entry): a resume
+    /// recomputes its k prior distances with the exact fold every scan
+    /// kernel reproduces ([`flexer_ann::l2_sq`]). Never serialized: the
+    /// cache is serving state.
     hood: Arc<[u32]>,
     /// Pair-index length `hood` was computed at.
     watermark: usize,
@@ -154,10 +181,26 @@ struct LocatedPair {
 impl LocatedPair {
     /// Layer `q` of `p_layers`' list, padding trimmed.
     fn layer(&self, q: usize, p_layers: usize) -> &[u32] {
-        let stride = self.hood.len() / p_layers;
-        let list = &self.hood[q * stride..(q + 1) * stride];
-        &list[..list.iter().position(|&id| id == NO_NEIGHBOR).unwrap_or(stride)]
+        hood_layer(&self.hood, q, p_layers)
     }
+
+    /// The memo's `p_layers` slots (none before the first localization).
+    fn memo(&self, p_layers: usize) -> &[u32] {
+        &self.hood[self.hood.len().saturating_sub(p_layers)..]
+    }
+
+    /// Whether the memo lacks intent `p`'s score.
+    fn unscored(&self, p: IntentId, p_layers: usize) -> bool {
+        self.memo(p_layers).get(p).map_or(true, |&bits| f32::from_bits(bits).is_nan())
+    }
+}
+
+/// Layer `q`'s list of a `p_layers`-layer [`LocatedPair::hood`] block,
+/// padding trimmed.
+fn hood_layer(hood: &[u32], q: usize, p_layers: usize) -> &[u32] {
+    let stride = hood.len().saturating_sub(p_layers) / p_layers;
+    let list = &hood[q * stride..(q + 1) * stride];
+    &list[..list.iter().position(|&id| id == NO_NEIGHBOR).unwrap_or(stride)]
 }
 
 /// One candidate batch between its cache lookup and its write-back.
@@ -168,9 +211,10 @@ struct PairBatch {
     keys: Vec<PairKey>,
     /// The lookup's misses, ascending: no cache entry yet.
     missed: Vec<usize>,
-    /// The lookup's hits whose lists [`Service::localize`]
-    /// brought forward: their cache entry is behind.
-    relocated: Vec<usize>,
+    /// The lookup's hits whose cache entry the batch outgrew, each once:
+    /// lists [`Service::localize`] brought forward, then memos the forward
+    /// grew.
+    behind: Vec<usize>,
 }
 
 /// Inductive scores of one candidate batch, in the shape the kernel that
@@ -608,7 +652,9 @@ impl<B: BlockingTier> Service<B> {
                 return self.score_candidates_reference(batch, &intents);
             }
         }
-        let scored = ScoredBatch::Batched(self.score_pairs_batched(&mut batch, &intents));
+        self.localize(&mut batch);
+        let pairs: Vec<&LocatedPair> = batch.pairs.iter().collect();
+        let scored = ScoredBatch::Batched(self.score_pairs_batched(&pairs, &intents));
         (batch.pairs.into_iter().map(|pair| pair.emb).collect(), scored)
     }
 
@@ -759,7 +805,7 @@ impl<B: BlockingTier> Service<B> {
                     self.score_resolve_batch(&mut batch, intents)
                 };
                 let _span = self.recorder.span("resolve.rank");
-                Ok(intents
+                let ranked = intents
                     .iter()
                     .enumerate()
                     .map(|(pi, &p)| {
@@ -781,7 +827,11 @@ impl<B: BlockingTier> Service<B> {
                         ranked.truncate(top_k);
                         ResolveResponse { intent: p, matches: ranked }
                     })
-                    .collect())
+                    .collect();
+                // Released inside the stage: the batch's entries are a
+                // resolve's last work when every score came from the memo.
+                drop((batch, scores, candidates));
+                Ok(ranked)
             }
         }
     }
@@ -789,6 +839,14 @@ impl<B: BlockingTier> Service<B> {
     /// Match likelihoods of a resolve's candidate batch — `scores[pi][j]`:
     /// requested intent `pi`, candidate `j` — and the batch's one cache
     /// write-back.
+    ///
+    /// The batch is localized first, since a memo holds only over the lists
+    /// it was scored on. Then only the candidates whose memo lacks a
+    /// requested intent are forwarded, as one batch under every requested
+    /// intent one of them lacks; the rest answer from their memo. A
+    /// candidate's score does not depend on which others share its batch
+    /// (`flexer-graph`'s batch contract), so the answer is the bits a
+    /// forward of the whole batch gives.
     fn score_resolve_batch(&self, batch: &mut PairBatch, intents: &[IntentId]) -> Vec<Vec<f32>> {
         #[cfg(test)]
         {
@@ -798,11 +856,46 @@ impl<B: BlockingTier> Service<B> {
                 return scores;
             }
         }
-        let traces = self.score_pairs_batched(batch, intents);
-        let scores = traces
+        self.localize(batch);
+        let p_total = self.n_intents();
+        let lacks = |pair: &LocatedPair| intents.iter().any(|&p| pair.unscored(p, p_total));
+        let forward: Vec<usize> =
+            (0..batch.pairs.len()).filter(|&j| lacks(&batch.pairs[j])).collect();
+        self.counters.memo_hits.add((batch.pairs.len() - forward.len()) as u64);
+        if !forward.is_empty() {
+            let run: Vec<IntentId> = intents
+                .iter()
+                .copied()
+                .filter(|&p| forward.iter().any(|&j| batch.pairs[j].unscored(p, p_total)))
+                .collect();
+            let pairs: Vec<&LocatedPair> = forward.iter().map(|&j| &batch.pairs[j]).collect();
+            let traces = self.score_pairs_batched(&pairs, &run);
+            let mut behind = vec![false; batch.pairs.len()];
+            for &i in batch.missed.iter().chain(&batch.behind) {
+                behind[i] = true;
+            }
+            for (c, &j) in forward.iter().enumerate() {
+                let hood = &mut batch.pairs[j].hood;
+                let at = hood.len() - p_total;
+                // In place when `localize` just made the block (a miss, a
+                // resumed hit); a copy when the cache still shares it.
+                if Arc::get_mut(hood).is_none() {
+                    *hood = Arc::from(&hood[..]);
+                }
+                let block = Arc::get_mut(hood).expect("the block is unshared");
+                for (trace, &p) in traces.iter().zip(&run) {
+                    block[at + p] = trace.score(c, p).to_bits();
+                }
+                if !behind[j] {
+                    batch.behind.push(j);
+                }
+            }
+        }
+        let scores = intents
             .iter()
-            .zip(intents)
-            .map(|(trace, &p)| (0..batch.pairs.len()).map(|j| trace.score(j, p)).collect())
+            .map(|&p| {
+                batch.pairs.iter().map(|pair| f32::from_bits(pair.memo(p_total)[p])).collect()
+            })
             .collect();
         self.write_back(batch);
         scores
@@ -890,12 +983,13 @@ impl<B: BlockingTier> Service<B> {
             pairs: pairs.into_iter().map(|pair| pair.expect("every slot filled")).collect(),
             keys,
             missed: misses,
-            relocated: Vec::new(),
+            behind: Vec::new(),
         }
     }
 
     /// Stores what a batch computed — embeddings of the lookup's misses,
-    /// brought-forward neighbour lists of its hits — in one lock pass.
+    /// brought-forward neighbour lists and grown memos of its hits — in one
+    /// lock pass.
     fn write_back(&self, batch: &PairBatch) {
         if batch.keys.is_empty() {
             return;
@@ -910,11 +1004,11 @@ impl<B: BlockingTier> Service<B> {
             self.counters.flood_rejections.add(missed.len() as u64);
             missed = &[];
         }
-        if missed.is_empty() && batch.relocated.is_empty() {
+        if missed.is_empty() && batch.behind.is_empty() {
             return;
         }
         let mut cache = self.cache.lock().expect("cache lock");
-        for &i in missed.iter().chain(&batch.relocated) {
+        for &i in missed.iter().chain(&batch.behind) {
             cache.insert(batch.keys[i], batch.pairs[i].clone());
         }
     }
@@ -926,8 +1020,11 @@ impl<B: BlockingTier> Service<B> {
     /// share a watermark go through each layer's index as one query-blocked
     /// pass (groups of candidates share every cache-hot index block), and
     /// every list is bitwise what a single-query `search` returns — the
-    /// `search_batch_since` contract.
+    /// `search_batch_since` contract. A pair whose resume moved any layer's
+    /// trimmed list loses its memo; one whose lists all came back identical
+    /// keeps it.
     fn localize(&self, batch: &mut PairBatch) {
+        let t_localize = Instant::now();
         let n = self.pairs.len();
         let k = self.snapshot.k;
         let p_total = self.n_intents();
@@ -945,8 +1042,10 @@ impl<B: BlockingTier> Service<B> {
         while let Some(&(since, _)) = rest.first() {
             let (group, tail) = rest.split_at(rest.partition_point(|&(w, _)| w == since));
             rest = tail;
-            // The group's new lists: member-major, layer-minor.
-            let mut hoods = vec![NO_NEIGHBOR; group.len() * p_total * stride];
+            // The group's new blocks, member-major: P lists, then P memo
+            // slots.
+            let per_pair = p_total * stride + p_total;
+            let mut hoods = vec![NO_NEIGHBOR; group.len() * per_pair];
             for (q, index) in self.indexes.iter().enumerate() {
                 let queries: Vec<&[f32]> =
                     group.iter().map(|&(_, i)| batch.pairs[i].emb.row(q)).collect();
@@ -966,21 +1065,31 @@ impl<B: BlockingTier> Service<B> {
                 let (lists, scanned) = index.scan_batch_since(&queries, k, since, &priors);
                 self.counters.localize_rows_scanned.add(scanned);
                 for (g, list) in lists.iter().enumerate() {
-                    let at = (g * p_total + q) * stride;
+                    let at = g * per_pair + q * stride;
                     for (slot, hit) in hoods[at..at + stride].iter_mut().zip(list) {
                         *slot = hit.id as u32;
                     }
                 }
             }
-            // Sliced by index, not `chunks`: the stride is 0 when k is.
-            let per_pair = p_total * stride;
             for (g, &(_, i)) in group.iter().enumerate() {
-                batch.pairs[i].hood = Arc::from(&hoods[g * per_pair..(g + 1) * per_pair]);
-                batch.pairs[i].watermark = n;
+                let hood = &mut hoods[g * per_pair..(g + 1) * per_pair];
+                let pair = &mut batch.pairs[i];
+                // The memo outlives a resume that brings every list back
+                // identical, and no other.
+                let kept = !pair.hood.is_empty()
+                    && (0..p_total).all(|q| hood_layer(hood, q, p_total) == pair.layer(q, p_total));
+                let memo = &mut hood[p_total * stride..];
+                if kept {
+                    memo.copy_from_slice(pair.memo(p_total));
+                } else {
+                    memo.fill(UNSCORED);
+                }
+                pair.hood = Arc::from(&*hood);
+                pair.watermark = n;
                 // A hit whose entry fell behind (`missed` ascends); the
                 // write-back stores the lookup's misses anyway.
                 if batch.missed.binary_search(&i).is_err() {
-                    batch.relocated.push(i);
+                    batch.behind.push(i);
                 }
             }
             let lists = (group.len() * p_total) as u64;
@@ -991,38 +1100,36 @@ impl<B: BlockingTier> Service<B> {
                 self.counters.localize_tail_rows.add(lists * (n - since) as u64);
             }
         }
+        // An explicit flat path (not a nested span): resolves and ingest's
+        // phase-1 workers share this call, like the forward's below.
+        self.recorder.record_span_ns("forward.localize", t_localize.elapsed().as_nanos() as u64);
     }
 
-    /// Scores a batch of new pairs under every requested intent in one
-    /// batched GNN forward — the data-oriented hot path. The batch is
-    /// localized through the cache ([`Self::localize`]; the resolve that
-    /// owns the batch writes it back, so the next call — the router's next
-    /// intent of the same title — finds it), the neighbour ids are copied
-    /// flat out of the cached lists into one arena, the candidates'
-    /// embeddings are stacked into one `(B·P) × dim` feature matrix, and
-    /// stored states are *sliced* from the pinned arenas and index buffers
-    /// — no per-candidate gather matrices, no per-candidate graph builds.
-    /// Intent `p`'s GNN evaluates what is read from it: every node below its
-    /// last layer (ingest pins them), the layer-`p` nodes there (the score).
-    /// Bit-identical to the per-candidate `forward_inductive` for every
-    /// candidate (`flexer-graph`'s batch contract).
+    /// Scores a batch of localized pairs under every requested intent in
+    /// one batched GNN forward — the data-oriented hot path. The neighbour
+    /// ids are copied flat out of the pairs' lists into one arena, the
+    /// candidates' embeddings are stacked into one `(B·P) × dim` feature
+    /// matrix, and stored states are *sliced* from the pinned arenas and
+    /// index buffers — no per-candidate gather matrices, no per-candidate
+    /// graph builds. Intent `p`'s GNN evaluates what is read from it: every
+    /// node below its last layer (ingest pins them), the layer-`p` nodes
+    /// there (the score). Bit-identical to the per-candidate
+    /// `forward_inductive` for every candidate (`flexer-graph`'s batch
+    /// contract).
     fn score_pairs_batched(
         &self,
-        batch: &mut PairBatch,
+        pairs: &[&LocatedPair],
         intents: &[IntentId],
     ) -> Vec<BatchInductiveTrace> {
         let p_total = self.n_intents();
         let dim = self.snapshot.graph.dim;
-        let b = batch.pairs.len();
+        let b = pairs.len();
         self.counters.forward_rows.add((b * p_total) as u64);
         // Explicit flat paths (not nested spans): resolves and ingest's
         // phase-1 workers share this call, and a nested guard would file
         // the stage under a different parent on each (`resolve.forward` on
         // a resolve, whatever a `flexer-par` worker thread's stack holds on
         // an ingest). One name per stage totals it across both.
-        let t_localize = std::time::Instant::now();
-        self.localize(batch);
-        self.recorder.record_span_ns("forward.localize", t_localize.elapsed().as_nanos() as u64);
         SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
             let BatchScratch { ids, offsets, features } = &mut *scratch;
@@ -1034,7 +1141,7 @@ impl<B: BlockingTier> Service<B> {
             offsets.clear();
             offsets.reserve(b * p_total + 1);
             offsets.push(0);
-            for pair in &batch.pairs {
+            for pair in pairs {
                 for q in 0..p_total {
                     ids.extend_from_slice(pair.layer(q, p_total));
                     offsets.push(ids.len());
@@ -1042,12 +1149,12 @@ impl<B: BlockingTier> Service<B> {
             }
             features.clear();
             features.reserve(b * p_total * dim);
-            for pair in &batch.pairs {
+            for pair in pairs {
                 features.extend_from_slice(pair.emb.data());
             }
             let stacked = Matrix::from_vec(b * p_total, dim, std::mem::take(features));
             let arena = NeighborArena::new(ids, offsets, p_total);
-            let t_gnn = std::time::Instant::now();
+            let t_gnn = Instant::now();
             let first: Vec<RowSource<'_>> =
                 self.indexes.iter().map(|index| RowSource::new(index.data(), dim)).collect();
             let deeper: Vec<_> = intents.iter().map(|&p| self.pinned[p].sources()).collect();
@@ -1273,7 +1380,8 @@ mod tests {
 
     /// The cache key is one function of the two titles on every route: a
     /// record query leaves each (candidate, title) pair where the same pair
-    /// asked for by its titles finds it. The key is ordered.
+    /// asked for by its titles finds it — memoized score included, so that
+    /// query runs no forward. The key is ordered.
     #[test]
     fn title_pair_and_record_queries_share_cache_entries() {
         let svc = ResolutionService::new(tiny_snapshot(), ServeConfig::default()).unwrap();
@@ -1289,12 +1397,20 @@ mod tests {
         let candidates = counter(&svc, "serve.resolve.candidates");
         assert_eq!(cache(&svc), (0, candidates));
 
+        let forward = |svc: &ResolutionService| {
+            (counter(svc, "serve.forward.rows"), counter(svc, "serve.forward.memo_hits"))
+        };
+        let p = svc.n_intents() as u64;
+        assert_eq!(forward(&svc), (candidates * p, 0));
+
         let by_titles = svc.resolve(&ResolveQuery::pair(&stored, &title), 0, 1).unwrap();
         assert_eq!(cache(&svc), (1, candidates));
+        assert_eq!(forward(&svc), (candidates * p, 1), "the record query's memo answers");
         assert_eq!(by_titles.matches[0].score.to_bits(), ranked.matches[0].score.to_bits());
 
         svc.resolve(&ResolveQuery::pair(&title, &stored), 0, 1).unwrap();
         assert_eq!(cache(&svc), (1, candidates + 1));
+        assert_eq!(forward(&svc), ((candidates + 1) * p, 1));
     }
 
     /// Two services in one process keep their own counts: work on one never

@@ -5,8 +5,9 @@
 //! [`ResolutionService::reference`] scores resolves and ingests through
 //! this kernel, and every case below demands **bit-identical** responses,
 //! ingest reports and served state from the two — for every query shape
-//! and GNN shape, at any thread count, under any shard layout, and with
-//! cached, resumed and pruned localization.
+//! and GNN shape, at any thread count, under any shard layout, with
+//! cached, resumed and pruned localization, and with scores answered from
+//! the hot-pair cache's memo.
 //!
 //! [`GnnModel::forward_inductive`]: flexer_graph::GnnModel::forward_inductive
 
@@ -137,11 +138,13 @@ impl<B: BlockingTier> Service<B> {
 }
 
 mod tests {
+    use crate::service::{LocatedPair, PairKey, TitleDigest};
     use crate::{BlockingTier, ResolutionService, ServeConfig, Service, ShardedResolutionService};
     use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
     use flexer_datasets::AmazonMiConfig;
     use flexer_store::{IndexKind, ModelSnapshot};
     use flexer_types::{MatchTarget, ResolveQuery, ResolveResponse, Scale, ShardConfig};
+    use std::time::Instant;
 
     /// Trains on the tiny AmazonMI benchmark and snapshots the result.
     fn fit_snapshot(config: &FlexErConfig) -> ModelSnapshot {
@@ -475,5 +478,182 @@ mod tests {
         let bytes = exported.to_bytes();
         assert_eq!(bytes, snapshot.to_bytes(), "the partition must not reach the snapshot");
         assert_eq!(ModelSnapshot::from_bytes(&bytes).unwrap().to_bytes(), bytes);
+    }
+
+    /// One of the service's own counters, as its snapshot exports it.
+    fn counter<B: BlockingTier>(svc: &Service<B>, name: &str) -> u64 {
+        svc.obs_snapshot().counter(name).unwrap_or_else(|| panic!("counter {name} missing"))
+    }
+
+    /// The blocked candidates of a record query for `title`.
+    fn candidates_of<B: BlockingTier>(svc: &Service<B>, title: &str) -> Vec<usize> {
+        svc.candidate_records(&[title], Instant::now()).pop().expect("one set per title")
+    }
+
+    /// The cache entry of the pair (stored record `id`, `title`), if any.
+    fn entry<B: BlockingTier>(svc: &Service<B>, id: usize, title: &str) -> Option<LocatedPair> {
+        let key = PairKey::new(svc.sides.digests[id], TitleDigest::of(title));
+        svc.cache.lock().unwrap().get(&key).cloned()
+    }
+
+    /// The query mix twice: the second pass's answers, once it is checked to
+    /// have forwarded nothing and answered every candidate from the memo.
+    fn hot_pass<B: BlockingTier>(svc: &Service<B>) -> Vec<ResolveResponse> {
+        let warm = drive(svc);
+        let work = |svc: &Service<B>| {
+            let rows = counter(svc, "serve.forward.rows");
+            (
+                rows,
+                counter(svc, "serve.forward.memo_hits"),
+                counter(svc, "serve.resolve.candidates"),
+            )
+        };
+        let before = work(svc);
+        let hot = drive(svc);
+        let after = work(svc);
+        assert_eq!(hot, warm, "the hot pass answers as the warm one");
+        assert_eq!(after.0, before.0, "a hot pass forwards no node");
+        // Every record query's candidates, and each title pair's one.
+        let mix = query_mix(svc);
+        let title_pairs = mix.iter().filter(|q| matches!(q, ResolveQuery::TitlePair(..))).count();
+        assert_eq!(after.1 - before.1, after.2 - before.2 + title_pairs as u64);
+        hot
+    }
+
+    /// The memo changes no answer: after a warm pass of the query mix, a
+    /// repeated pass runs no GNN at all and answers bit-identically to the
+    /// uncached reference kernel and to a service that caches (so memoizes)
+    /// nothing — unsharded and through the sharded tier.
+    #[test]
+    fn hot_pass_answers_from_the_memo_bit_identically() {
+        let snapshot = trained_snapshot();
+        let want = drive(&ResolutionService::reference(snapshot.clone()).unwrap());
+        let uncached =
+            ResolutionService::new(snapshot.clone(), ServeConfig { cache_capacity: 0 }).unwrap();
+        assert_eq!(drive(&uncached), want, "cache_capacity 0 diverges from the reference kernel");
+        assert_eq!(drive(&uncached), want);
+        assert_eq!(counter(&uncached, "serve.forward.memo_hits"), 0, "nothing to memoize in");
+        let unsharded = ResolutionService::new(snapshot.clone(), ServeConfig::default()).unwrap();
+        assert_eq!(hot_pass(&unsharded), want, "memoized scores diverge");
+        let sharded =
+            ShardedResolutionService::new(snapshot, ServeConfig::default(), ShardConfig::of(2))
+                .unwrap();
+        assert_eq!(hot_pass(&sharded), want, "sharded memoized scores diverge");
+    }
+
+    /// Ingests of near-duplicates of a cached query's candidates move some of
+    /// their cached lists and leave others as they were. The resolve after
+    /// them forwards exactly the moved ones and the new records' pairs, keeps
+    /// every other memo through its resume, and answers with the bits of a
+    /// fresh service that replayed the same ingests.
+    #[test]
+    fn memo_survives_a_resume_that_leaves_the_lists_as_they_were() {
+        let snapshot = trained_snapshot();
+        let mut svc = ResolutionService::new(snapshot.clone(), ServeConfig::default()).unwrap();
+        let title = svc.record_title(0).to_string();
+        let query = ResolveQuery::record(title.clone());
+        let warm = svc.resolve_all_intents(&query, 10).unwrap();
+        let duplicates: Vec<String> = warm[0].matches[..3]
+            .iter()
+            .map(|m| match m.target {
+                MatchTarget::Record(r) => format!("{} (2nd listing)", svc.record_title(r)),
+                _ => panic!("a record query ranks records"),
+            })
+            .collect();
+        let duplicates: Vec<&str> = duplicates.iter().map(String::as_str).collect();
+        let cached: Vec<(usize, LocatedPair)> = candidates_of(&svc, &title)
+            .into_iter()
+            .map(|id| (id, entry(&svc, id, &title).expect("the warm resolve cached it")))
+            .collect();
+        svc.ingest_batch(&duplicates);
+        let mut fresh = ResolutionService::new(snapshot, ServeConfig::default()).unwrap();
+        fresh.ingest_batch(&duplicates);
+
+        let work = |svc: &ResolutionService| {
+            let names = ["serve.forward.rows", "serve.forward.memo_hits", "serve.localize.resumed"];
+            names.map(|name| counter(svc, name))
+        };
+        let before = work(&svc);
+        let answer = svc.resolve_all_intents(&query, 10).unwrap();
+        assert_eq!(answer, fresh.resolve_all_intents(&query, 10).unwrap(), "answers diverge");
+        let after = work(&svc);
+
+        let p = svc.n_intents();
+        let (mut moved, mut kept, mut new) = (0, 0, 0);
+        for id in candidates_of(&svc, &title) {
+            let now = entry(&svc, id, &title).expect("the resolve cached it");
+            let Some((_, old)) = cached.iter().find(|(cached, _)| *cached == id) else {
+                new += 1;
+                continue;
+            };
+            if (0..p).any(|q| now.layer(q, p) != old.layer(q, p)) {
+                moved += 1;
+            } else {
+                assert_eq!(now.memo(p), old.memo(p), "record {id}: memo not kept");
+                kept += 1;
+            }
+        }
+        assert!(moved > 0 && kept > 0 && new > 0, "moved {moved}, kept {kept}, new {new}");
+        let p = p as u64;
+        assert_eq!(after[2] - before[2], (moved + kept) * p, "every cached list was behind");
+        assert_eq!(after[0] - before[0], (moved + new) * p, "only moved and new pairs forwarded");
+        assert_eq!(after[1] - before[1], kept, "every kept memo answered");
+    }
+
+    /// A resolve under one intent memoizes that intent only. The
+    /// all-intents resolve after it forwards every candidate under the other
+    /// intents and no pass under that one, answers it from the memo, and
+    /// every answer keeps the reference kernel's bits. After that, no single
+    /// intent forwards anything.
+    #[test]
+    fn one_intent_then_all_forwards_only_the_missing_intents() {
+        let snapshot = trained_snapshot();
+        let svc = ResolutionService::new(snapshot.clone(), ServeConfig::default()).unwrap();
+        let reference = ResolutionService::reference(snapshot).unwrap();
+        let title = svc.record_title(14).to_string();
+        let query = ResolveQuery::record(title.clone());
+        let p = svc.n_intents();
+        let one = svc.resolve(&query, 1, 10).unwrap();
+        assert_eq!(one, reference.resolve(&query, 1, 10).unwrap());
+        let candidates = candidates_of(&svc, &title);
+        for &id in &candidates {
+            let pair = entry(&svc, id, &title).expect("cached");
+            let memo = pair.memo(p);
+            assert!((0..p).all(|q| pair.unscored(q, p) == (q != 1)), "record {id}: {memo:?}");
+        }
+
+        let names = [
+            "serve.forward.rows",
+            "serve.forward.concat_rows",
+            "serve.forward.gemm_rows",
+            "serve.forward.memo_hits",
+        ];
+        let work = |svc: &ResolutionService| names.map(|name| counter(svc, name));
+        let before = work(&svc);
+        let all = svc.resolve_all_intents(&query, 10).unwrap();
+        let after = work(&svc);
+        assert_eq!(all[1], one, "the memoized intent keeps its bits");
+        assert_eq!(all, reference.resolve_all_intents(&query, 10).unwrap());
+        let (b, p64) = (candidates.len() as u64, p as u64);
+        // Two-layer GNNs, one pass per missing intent: the first layer's
+        // concat shared (B·P rows) and each pass's last layer on its own
+        // intent's B nodes; per pass a first-layer GEMM over B·P rows and a
+        // last-layer one over B.
+        let passes = p64 - 1;
+        assert_eq!(after[0] - before[0], b * p64, "every candidate lacked an intent");
+        assert_eq!(after[1] - before[1], b * p64 + passes * b);
+        assert_eq!(after[2] - before[2], passes * (b * p64 + b), "no pass under intent 1");
+        assert_eq!(after[3], before[3]);
+        for &id in &candidates {
+            let pair = entry(&svc, id, &title).expect("cached");
+            let memo = pair.memo(p);
+            assert!((0..p).all(|q| !pair.unscored(q, p)), "record {id}: {memo:?}");
+        }
+
+        for (q, want) in all.iter().enumerate() {
+            assert_eq!(&svc.resolve(&query, q, 10).unwrap(), want, "intent {q}");
+        }
+        assert_eq!(counter(&svc, "serve.forward.rows"), after[0], "every intent memoized");
+        assert_eq!(counter(&svc, "serve.forward.memo_hits"), after[3] + p64 * b);
     }
 }

@@ -87,16 +87,18 @@ fn record_query_allocations_stay_under_warm_and_per_miss_ceilings() {
         "allocations/query: warm {warm_allocs}; all-miss query: {allocs_per_miss} per missed candidate"
     );
     // Warm ceiling: a warmed query is an all-hit batch — every candidate's
-    // embedding *and* neighbour lists come out of the cache as shared
-    // `Arc`s, so nothing is allocated per candidate beyond its ranked
-    // match: no ANN result lists (the old 633 were mostly those), nothing
-    // per (candidate × intent × depth). Measured 63; a per-candidate kernel
-    // takes ~30k. Revisit deliberately if the hot path changes.
+    // embedding, neighbour lists *and* memoized scores come out of the
+    // cache as shared `Arc`s, so nothing is allocated per candidate beyond
+    // its ranked match: no ANN result lists (the old 633 were mostly
+    // those), nothing per (candidate × intent × depth), and no forward.
+    // Measured 17; a per-candidate kernel takes ~30k. Revisit deliberately
+    // if the hot path changes.
     assert!(warm_allocs < 100, "steady-state query allocated {warm_allocs} times (budget 100)");
     // Cold-path ceiling. A missed candidate owns its embedding and its
-    // neighbour lists and nothing else: its left side is read out of the
-    // service's side store (no token strings, no token `Vec` — the 9 that
-    // came off the 20 measured before), the pair featurizer works in
+    // neighbour lists — its memo shares their block — and nothing else:
+    // its left side is read out of the service's side store (no token
+    // strings, no token `Vec` — the 9 that came off the 20 measured
+    // before), the pair featurizer works in
     // buffers shared by the batch, and a group of 16 searches shares its
     // pivot-bound and list-order buffers. Measured 11; the string-set
     // featurizer took 104.

@@ -86,6 +86,11 @@ fn main() {
     );
     let rows = snap.counter("serve.forward.rows").unwrap_or(0);
     assert!(rows > 0, "forward-row counter never incremented");
+    // The memo: the two repeats of the first resolve, and the candidates
+    // of the last whose lists the ingests left as they were, answered from
+    // their cache entries without a forward; `rows` counts only the rest.
+    let memo_hits = snap.counter("serve.forward.memo_hits").unwrap_or(0);
+    assert!(memo_hits > 0, "repeated candidates must answer from the memo");
     // What the forward evaluated for those B·P new nodes per call. Every
     // call above scores all P intents through two-layer GNNs: the first
     // layer's concat once for all of them (B·P rows) and each GNN's
@@ -95,7 +100,10 @@ fn main() {
     let p = svc.n_intents() as u64;
     let concat_rows = snap.counter("serve.forward.concat_rows").unwrap_or(0);
     let gemm_rows = snap.counter("serve.forward.gemm_rows").unwrap_or(0);
-    println!("forward: {rows} new nodes, {concat_rows} concat rows, {gemm_rows} GEMM rows");
+    println!(
+        "forward: {rows} new nodes, {concat_rows} concat rows, {gemm_rows} GEMM rows, \
+         {memo_hits} candidates from the memo"
+    );
     assert_eq!(concat_rows, 2 * rows, "first concat shared, last layer on target rows");
     assert_eq!(gemm_rows, (p + 1) * rows, "last-layer GEMM on target rows");
     // The localization cache's hit and resume rates: first resolve and
