@@ -6,12 +6,13 @@
 //! forwards), the ANN localization and the GNN forward sit behind this
 //! cache. The service keeps a memoized score only while the neighbour
 //! lists it was computed over stay as they were (the invariant and the
-//! clearing rule are the service's, on its `LocatedPair` value type). Recency is an
-//! index-linked list threaded through a slab of entries (`prev`/`next` are
-//! slab positions, not pointers — no unsafe code to audit), so a lookup, an
-//! insert and an eviction are each one hash probe plus O(1) relinking: a
-//! cold resolve inserts ~130 entries, and a scan of a full 16 384-entry
-//! cache per insert used to double its cost.
+//! clearing rule are the service's, on its `LocatedPair` value type); a
+//! memo that grows is filled in the shared value, not re-inserted.
+//! Recency is an index-linked list threaded through a slab of entries
+//! (`prev`/`next` are slab positions, not pointers — no unsafe code to
+//! audit), so a lookup, an insert and an eviction are each one hash probe
+//! plus O(1) relinking: a cold resolve inserts ~130 entries, and a scan of
+//! a full 16 384-entry cache per insert used to double its cost.
 //!
 //! The cache is generic over its key so the hot path can use a
 //! fixed-width hashed key ([`Copy`], no heap) instead of an owned

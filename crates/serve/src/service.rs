@@ -47,8 +47,11 @@
 //! every list back identical keeps it. A resolve forwards only the
 //! candidates whose memo lacks a requested intent (`serve.forward.rows`
 //! counts their nodes, `serve.forward.memo_hits` the rest), so a hot
-//! resolve runs no GNN. Ingest bypasses the cache (its keys are one-shot),
-//! and the per-candidate reference kernel this path is tested against
+//! resolve runs no GNN. The forward fills the slots in place, in the block
+//! the cache entry shares, so a memo that grows costs no copy and no
+//! write-back (the router's one-intent calls grow it P times per title).
+//! Ingest bypasses the cache (its keys are one-shot), and the
+//! per-candidate reference kernel this path is tested against
 //! (`service/reference.rs`, compiled into test builds only) localizes
 //! uncached and never reads the memo, as the oracle.
 //!
@@ -98,6 +101,8 @@ use flexer_types::{
 };
 use std::cell::RefCell;
 use std::path::Path;
+use std::sync::atomic::AtomicU32;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -156,9 +161,9 @@ const UNSCORED: u32 = 0x7FC0_0000;
 /// Edges point into the pair's nodes and the served states they read are
 /// pinned (index rows at depth 0, pinned arena rows below), so a score is a
 /// pure function of the embedding and the trimmed lists: the memo holds
-/// while the lists do. [`Service::localize`] clears it when a resume moves
-/// any layer's trimmed list and carries it over when every list comes back
-/// identical.
+/// while the lists do. [`Service::localize`] keeps the block, memo and all,
+/// when a resume brings every list back identical, and makes a new one with
+/// an empty memo when a resume moves any layer's list.
 #[derive(Debug, Clone)]
 struct LocatedPair {
     emb: Arc<PairEmbedding>,
@@ -167,40 +172,38 @@ struct LocatedPair {
     /// short ones padded with [`NO_NEIGHBOR`]; then the memo, P slots, one
     /// per intent: the bits of the match likelihood that intent's GNN gives
     /// the pair over these lists, or [`UNSCORED`]. Empty until the pair is
-    /// first localized. One block, so the forward of a pair that was just
-    /// localized writes its scores into the allocation `localize` made.
+    /// first localized. One block, shared with the cache entry: the lists
+    /// never change once made, and a forward fills memo slots in place, so
+    /// a memo that grows is neither copied nor re-inserted. Every writer
+    /// of a slot writes the same bits, so the slots are relaxed atomics.
     /// Distances are not kept (they would double the entry): a resume
     /// recomputes its k prior distances with the exact fold every scan
     /// kernel reproduces ([`flexer_ann::l2_sq`]). Never serialized: the
     /// cache is serving state.
-    hood: Arc<[u32]>,
+    hood: Arc<[AtomicU32]>,
     /// Pair-index length `hood` was computed at.
     watermark: usize,
 }
 
 impl LocatedPair {
     /// Layer `q` of `p_layers`' list, padding trimmed.
-    fn layer(&self, q: usize, p_layers: usize) -> &[u32] {
-        hood_layer(&self.hood, q, p_layers)
+    fn layer(&self, q: usize, p_layers: usize) -> impl Iterator<Item = u32> + '_ {
+        let stride = self.hood.len().saturating_sub(p_layers) / p_layers;
+        let list = self.hood[q * stride..(q + 1) * stride].iter().map(|id| id.load(Relaxed));
+        list.take_while(|&id| id != NO_NEIGHBOR)
     }
 
-    /// The memo's `p_layers` slots (none before the first localization).
-    fn memo(&self, p_layers: usize) -> &[u32] {
-        &self.hood[self.hood.len().saturating_sub(p_layers)..]
+    /// Intent `p`'s memoized score, if it was scored over these lists.
+    fn score(&self, p: IntentId, p_layers: usize) -> Option<f32> {
+        let at = (self.hood.len() + p).checked_sub(p_layers)?;
+        let score = f32::from_bits(self.hood[at].load(Relaxed));
+        (!score.is_nan()).then_some(score)
     }
 
-    /// Whether the memo lacks intent `p`'s score.
-    fn unscored(&self, p: IntentId, p_layers: usize) -> bool {
-        self.memo(p_layers).get(p).map_or(true, |&bits| f32::from_bits(bits).is_nan())
+    /// Memoizes intent `p`'s score of a localized pair.
+    fn memoize(&self, p: IntentId, p_layers: usize, score: f32) {
+        self.hood[self.hood.len() - p_layers + p].store(score.to_bits(), Relaxed);
     }
-}
-
-/// Layer `q`'s list of a `p_layers`-layer [`LocatedPair::hood`] block,
-/// padding trimmed.
-fn hood_layer(hood: &[u32], q: usize, p_layers: usize) -> &[u32] {
-    let stride = hood.len().saturating_sub(p_layers) / p_layers;
-    let list = &hood[q * stride..(q + 1) * stride];
-    &list[..list.iter().position(|&id| id == NO_NEIGHBOR).unwrap_or(stride)]
 }
 
 /// One candidate batch between its cache lookup and its write-back.
@@ -211,10 +214,9 @@ struct PairBatch {
     keys: Vec<PairKey>,
     /// The lookup's misses, ascending: no cache entry yet.
     missed: Vec<usize>,
-    /// The lookup's hits whose cache entry the batch outgrew, each once:
-    /// lists [`Service::localize`] brought forward, then memos the forward
-    /// grew.
-    behind: Vec<usize>,
+    /// The lookup's hits whose lists [`Service::localize`] brought
+    /// forward: their cache entries are behind.
+    relocated: Vec<usize>,
 }
 
 /// Inductive scores of one candidate batch, in the shape the kernel that
@@ -858,43 +860,29 @@ impl<B: BlockingTier> Service<B> {
         }
         self.localize(batch);
         let p_total = self.n_intents();
-        let lacks = |pair: &LocatedPair| intents.iter().any(|&p| pair.unscored(p, p_total));
-        let forward: Vec<usize> =
-            (0..batch.pairs.len()).filter(|&j| lacks(&batch.pairs[j])).collect();
+        let lacks = |pair: &LocatedPair| intents.iter().any(|&p| pair.score(p, p_total).is_none());
+        let forward: Vec<&LocatedPair> = batch.pairs.iter().filter(|pair| lacks(pair)).collect();
         self.counters.memo_hits.add((batch.pairs.len() - forward.len()) as u64);
         if !forward.is_empty() {
             let run: Vec<IntentId> = intents
                 .iter()
                 .copied()
-                .filter(|&p| forward.iter().any(|&j| batch.pairs[j].unscored(p, p_total)))
+                .filter(|&p| forward.iter().any(|pair| pair.score(p, p_total).is_none()))
                 .collect();
-            let pairs: Vec<&LocatedPair> = forward.iter().map(|&j| &batch.pairs[j]).collect();
-            let traces = self.score_pairs_batched(&pairs, &run);
-            let mut behind = vec![false; batch.pairs.len()];
-            for &i in batch.missed.iter().chain(&batch.behind) {
-                behind[i] = true;
-            }
-            for (c, &j) in forward.iter().enumerate() {
-                let hood = &mut batch.pairs[j].hood;
-                let at = hood.len() - p_total;
-                // In place when `localize` just made the block (a miss, a
-                // resumed hit); a copy when the cache still shares it.
-                if Arc::get_mut(hood).is_none() {
-                    *hood = Arc::from(&hood[..]);
-                }
-                let block = Arc::get_mut(hood).expect("the block is unshared");
-                for (trace, &p) in traces.iter().zip(&run) {
-                    block[at + p] = trace.score(c, p).to_bits();
-                }
-                if !behind[j] {
-                    batch.behind.push(j);
+            let traces = self.score_pairs_batched(&forward, &run);
+            // Into the blocks the cache entries share: a hit whose memo
+            // grows needs no write-back.
+            for (trace, &p) in traces.iter().zip(&run) {
+                for (c, pair) in forward.iter().enumerate() {
+                    pair.memoize(p, p_total, trace.score(c, p));
                 }
             }
         }
         let scores = intents
             .iter()
             .map(|&p| {
-                batch.pairs.iter().map(|pair| f32::from_bits(pair.memo(p_total)[p])).collect()
+                let score = |pair: &LocatedPair| pair.score(p, p_total).expect("memoized");
+                batch.pairs.iter().map(score).collect()
             })
             .collect();
         self.write_back(batch);
@@ -969,7 +957,7 @@ impl<B: BlockingTier> Service<B> {
             let dim = self.snapshot.graph.dim;
             // Never localized: every layer's scan state before row 0 (one
             // shared empty list, not an allocation per miss).
-            let unlocated: Arc<[u32]> = Arc::new([]);
+            let unlocated: Arc<[AtomicU32]> = Arc::new([]);
             for (j, &i) in misses.iter().enumerate() {
                 let mut emb = Matrix::zeros(per_intent.len(), dim);
                 for (q, e) in per_intent.iter().enumerate() {
@@ -983,13 +971,12 @@ impl<B: BlockingTier> Service<B> {
             pairs: pairs.into_iter().map(|pair| pair.expect("every slot filled")).collect(),
             keys,
             missed: misses,
-            behind: Vec::new(),
+            relocated: Vec::new(),
         }
     }
 
     /// Stores what a batch computed — embeddings of the lookup's misses,
-    /// brought-forward neighbour lists and grown memos of its hits — in one
-    /// lock pass.
+    /// brought-forward neighbour lists of its hits — in one lock pass.
     fn write_back(&self, batch: &PairBatch) {
         if batch.keys.is_empty() {
             return;
@@ -1004,11 +991,11 @@ impl<B: BlockingTier> Service<B> {
             self.counters.flood_rejections.add(missed.len() as u64);
             missed = &[];
         }
-        if missed.is_empty() && batch.behind.is_empty() {
+        if missed.is_empty() && batch.relocated.is_empty() {
             return;
         }
         let mut cache = self.cache.lock().expect("cache lock");
-        for &i in missed.iter().chain(&batch.behind) {
+        for &i in missed.iter().chain(&batch.relocated) {
             cache.insert(batch.keys[i], batch.pairs[i].clone());
         }
     }
@@ -1021,8 +1008,10 @@ impl<B: BlockingTier> Service<B> {
     /// pass (groups of candidates share every cache-hot index block), and
     /// every list is bitwise what a single-query `search` returns — the
     /// `search_batch_since` contract. A pair whose resume moved any layer's
-    /// trimmed list loses its memo; one whose lists all came back identical
-    /// keeps it.
+    /// trimmed list gets a new block with an empty memo; one whose lists all
+    /// came back identical keeps its block, memo and all. A pair that was
+    /// never localized gets its block even when no pair is served (P empty
+    /// lists, then its memo).
     fn localize(&self, batch: &mut PairBatch) {
         let t_localize = Instant::now();
         let n = self.pairs.len();
@@ -1032,7 +1021,7 @@ impl<B: BlockingTier> Service<B> {
             .pairs
             .iter()
             .enumerate()
-            .filter(|(_, pair)| pair.watermark < n)
+            .filter(|(_, pair)| pair.watermark < n || pair.hood.is_empty())
             .map(|(i, pair)| (pair.watermark, i))
             .collect();
         self.counters.localize_reused.add(((batch.pairs.len() - behind.len()) * p_total) as u64);
@@ -1053,12 +1042,11 @@ impl<B: BlockingTier> Service<B> {
                     .iter()
                     .zip(&queries)
                     .map(|(&(_, i), query)| {
-                        let prior = batch.pairs[i].layer(q, p_total);
-                        let hit = |&id: &u32| {
+                        let hit = |id: u32| {
                             let id = id as usize;
                             Neighbor { id, dist: flexer_ann::l2_sq(query, index.vector(id)) }
                         };
-                        prior.iter().map(hit).collect()
+                        batch.pairs[i].layer(q, p_total).map(hit).collect()
                     })
                     .collect();
                 let priors: Vec<&[Neighbor]> = priors.iter().map(Vec::as_slice).collect();
@@ -1076,20 +1064,20 @@ impl<B: BlockingTier> Service<B> {
                 let pair = &mut batch.pairs[i];
                 // The memo outlives a resume that brings every list back
                 // identical, and no other.
-                let kept = !pair.hood.is_empty()
-                    && (0..p_total).all(|q| hood_layer(hood, q, p_total) == pair.layer(q, p_total));
-                let memo = &mut hood[p_total * stride..];
-                if kept {
-                    memo.copy_from_slice(pair.memo(p_total));
-                } else {
-                    memo.fill(UNSCORED);
+                let kept = pair.hood.len() == per_pair
+                    && (0..p_total).all(|q| {
+                        let list = hood[q * stride..(q + 1) * stride].iter().copied();
+                        pair.layer(q, p_total).eq(list.take_while(|&id| id != NO_NEIGHBOR))
+                    });
+                if !kept {
+                    hood[p_total * stride..].fill(UNSCORED);
+                    pair.hood = hood.iter().map(|&bits| AtomicU32::new(bits)).collect();
                 }
-                pair.hood = Arc::from(&*hood);
                 pair.watermark = n;
                 // A hit whose entry fell behind (`missed` ascends); the
                 // write-back stores the lookup's misses anyway.
                 if batch.missed.binary_search(&i).is_err() {
-                    batch.behind.push(i);
+                    batch.relocated.push(i);
                 }
             }
             let lists = (group.len() * p_total) as u64;
@@ -1143,7 +1131,7 @@ impl<B: BlockingTier> Service<B> {
             offsets.push(0);
             for pair in pairs {
                 for q in 0..p_total {
-                    ids.extend_from_slice(pair.layer(q, p_total));
+                    ids.extend(pair.layer(q, p_total));
                     offsets.push(ids.len());
                 }
             }

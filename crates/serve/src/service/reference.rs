@@ -142,8 +142,13 @@ mod tests {
     use crate::{BlockingTier, ResolutionService, ServeConfig, Service, ShardedResolutionService};
     use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
     use flexer_datasets::AmazonMiConfig;
+    use flexer_graph::CsrGraph;
+    use flexer_nn::Matrix;
     use flexer_store::{IndexKind, ModelSnapshot};
-    use flexer_types::{MatchTarget, ResolveQuery, ResolveResponse, Scale, ShardConfig};
+    use flexer_types::{
+        LabelMatrix, MatchTarget, ResolveQuery, ResolveResponse, Scale, ShardConfig,
+    };
+    use std::sync::Arc;
     use std::time::Instant;
 
     /// Trains on the tiny AmazonMI benchmark and snapshots the result.
@@ -586,10 +591,10 @@ mod tests {
                 new += 1;
                 continue;
             };
-            if (0..p).any(|q| now.layer(q, p) != old.layer(q, p)) {
+            if (0..p).any(|q| now.layer(q, p).ne(old.layer(q, p))) {
                 moved += 1;
             } else {
-                assert_eq!(now.memo(p), old.memo(p), "record {id}: memo not kept");
+                assert!(Arc::ptr_eq(&now.hood, &old.hood), "record {id}: block, so memo, not kept");
                 kept += 1;
             }
         }
@@ -616,10 +621,13 @@ mod tests {
         let one = svc.resolve(&query, 1, 10).unwrap();
         assert_eq!(one, reference.resolve(&query, 1, 10).unwrap());
         let candidates = candidates_of(&svc, &title);
-        for &id in &candidates {
+        let memo = |id| {
             let pair = entry(&svc, id, &title).expect("cached");
-            let memo = pair.memo(p);
-            assert!((0..p).all(|q| pair.unscored(q, p) == (q != 1)), "record {id}: {memo:?}");
+            (0..p).map(|q| pair.score(q, p)).collect::<Vec<_>>()
+        };
+        for &id in &candidates {
+            let memo = memo(id);
+            assert!((0..p).all(|q| memo[q].is_none() == (q != 1)), "record {id}: {memo:?}");
         }
 
         let names = [
@@ -645,9 +653,8 @@ mod tests {
         assert_eq!(after[2] - before[2], passes * (b * p64 + b), "no pass under intent 1");
         assert_eq!(after[3], before[3]);
         for &id in &candidates {
-            let pair = entry(&svc, id, &title).expect("cached");
-            let memo = pair.memo(p);
-            assert!((0..p).all(|q| !pair.unscored(q, p)), "record {id}: {memo:?}");
+            let memo = memo(id);
+            assert!(memo.iter().all(Option::is_some), "record {id}: {memo:?}");
         }
 
         for (q, want) in all.iter().enumerate() {
@@ -655,5 +662,42 @@ mod tests {
         }
         assert_eq!(counter(&svc, "serve.forward.rows"), after[0], "every intent memoized");
         assert_eq!(counter(&svc, "serve.forward.memo_hits"), after[3] + p64 * b);
+    }
+
+    /// The trained snapshot with every pair cut: its records stay, so
+    /// record queries have candidates, but no pair is served.
+    fn pairless_snapshot() -> ModelSnapshot {
+        let mut snapshot = trained_snapshot();
+        snapshot.pairs.clear();
+        snapshot.indexes = snapshot.indexes.iter().map(|index| index.truncated(0)).collect();
+        snapshot.predictions = LabelMatrix::zeros(0, snapshot.intents.len());
+        for trained in &mut snapshot.trained {
+            trained.scores.clear();
+            trained.preds.clear();
+        }
+        let graph = &mut snapshot.graph;
+        graph.n_pairs = 0;
+        graph.features = Matrix::zeros(0, graph.dim);
+        graph.intra = CsrGraph::from_in_neighbors(&[]);
+        graph.inter = CsrGraph::from_in_neighbors(&[]);
+        snapshot.validate().expect("a snapshot may serve no pair");
+        snapshot
+    }
+
+    /// With no pair served, every ad-hoc pair is scored over empty lists,
+    /// still localized (P empty lists and a memo): the answers, a hot pass
+    /// from the memo, and an ingest into the empty graph all keep the
+    /// reference kernel's bits.
+    #[test]
+    fn a_service_with_no_pairs_scores_over_empty_lists() {
+        let snapshot = pairless_snapshot();
+        let mut reference = ResolutionService::reference(snapshot.clone()).unwrap();
+        let mut svc = ResolutionService::new(snapshot, ServeConfig::default()).unwrap();
+        let want = drive(&reference);
+        assert_eq!(hot_pass(&svc), want, "a pairless service diverges");
+        let title = "BrandNew UltraWidget 9000 Pro Edition";
+        assert_eq!(svc.ingest(title), reference.ingest(title));
+        assert!(svc.n_pairs() > 0, "the ingest serves its pairs");
+        assert_eq!(drive(&svc), drive(&reference), "after the first ingest");
     }
 }
