@@ -16,26 +16,56 @@
 //! survive a given corpus state.
 
 use crate::BlockingOutcome;
+use flexer_obs::Counter;
 use flexer_types::{BlockingReport, CandidateSet, NGramBlockerConfig, PairRef, RecordId};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Reusable buffers for the hot incremental query path. Candidate queries
 /// run once per ingest and once per record resolve; without reuse each
 /// query allocates a lowercase `String`, a char buffer, a gram set and a
 /// shared-count map — measurable churn at small corpus sizes, where the
 /// per-query constant competes with the scoring work blocking saves.
+///
+/// Shared grams are counted in a dense array indexed by record id, not a
+/// map: one add per bucket entry, no hashing. A query leaves it all zero —
+/// it resets exactly the ids it `touched` — so the array is never cleared
+/// whole, and it grows on demand to the largest index this thread queries.
+/// That costs 4 B per record per querying thread: 16 KB at 4 000
+/// records.
 #[derive(Debug, Default)]
 struct QueryScratch {
     chars: Vec<char>,
     grams: Vec<u64>,
-    shared: HashMap<u32, u32>,
+    counts: SharedCounts,
+}
+
+/// Per-record shared-gram counts of one query, and the ids it touched.
+#[derive(Debug, Default)]
+struct SharedCounts {
+    /// `count[id]`: kept grams record `id` shares with the query; zero
+    /// between queries.
+    count: Vec<u32>,
+    /// Every id with a non-zero count, in first-touch order.
+    touched: Vec<u32>,
 }
 
 thread_local! {
     static QUERY_SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::default());
 }
+
+/// The process-global counters every resident query bumps, fetched once:
+/// a by-name bump locks the global counter map on every query. The
+/// stop-gram counter registers at its first skip, as a by-name bump would,
+/// so the exported names do not change.
+fn query_counter(cell: &'static OnceLock<Counter>, name: &str) -> &'static Counter {
+    cell.get_or_init(|| flexer_obs::global().counter(name))
+}
+
+static CANDIDATES: OnceLock<Counter> = OnceLock::new();
+static STOP_GRAMS_SKIPPED: OnceLock<Counter> = OnceLock::new();
 
 /// Incremental q-gram inverted index: the serving tier's resident blocker.
 ///
@@ -99,15 +129,14 @@ impl NGramIndex {
         let t0 = std::time::Instant::now();
         let mut skipped = 0u64;
         let out = QUERY_SCRATCH.with(|cell| {
-            let QueryScratch { chars, grams, shared } = &mut *cell.borrow_mut();
+            let QueryScratch { chars, grams, counts } = &mut *cell.borrow_mut();
             gram_vec_into(title, self.config.q, chars, grams);
-            self.collect_candidates(grams, true, shared, &mut skipped)
+            self.collect_candidates(grams, true, counts, &mut skipped)
         });
-        let rec = flexer_obs::global();
-        rec.record_span_ns("block.ngram.query", t0.elapsed().as_nanos() as u64);
-        rec.add("block.ngram.candidates", out.len() as u64);
+        flexer_obs::global().record_span_ns("block.ngram.query", t0.elapsed().as_nanos() as u64);
+        query_counter(&CANDIDATES, "block.ngram.candidates").add(out.len() as u64);
         if skipped > 0 {
-            rec.add("block.ngram.stop_grams_skipped", skipped);
+            query_counter(&STOP_GRAMS_SKIPPED, "block.ngram.stop_grams_skipped").add(skipped);
         }
         out
     }
@@ -119,23 +148,26 @@ impl NGramIndex {
     /// blocker and break bit-identity).
     pub fn candidates_for_grams(&self, grams: &[u64]) -> Vec<RecordId> {
         QUERY_SCRATCH.with(|cell| {
-            let QueryScratch { shared, .. } = &mut *cell.borrow_mut();
+            let QueryScratch { counts, .. } = &mut *cell.borrow_mut();
             let mut skipped = 0u64;
-            self.collect_candidates(grams, false, shared, &mut skipped)
+            self.collect_candidates(grams, false, counts, &mut skipped)
         })
     }
 
-    /// Shared-count accumulation over `grams`, into a reused map;
-    /// candidates are emitted ascending into a pre-sized vector. Grams
-    /// suppressed by the bucket cap are tallied into `skipped`.
+    /// Shared-count accumulation over `grams`, into the reused dense
+    /// counts (left all zero again); candidates are emitted ascending.
+    /// Grams suppressed by the bucket cap are tallied into `skipped`.
     fn collect_candidates(
         &self,
         grams: &[u64],
         apply_cap: bool,
-        shared: &mut HashMap<u32, u32>,
+        counts: &mut SharedCounts,
         skipped: &mut u64,
     ) -> Vec<RecordId> {
-        shared.clear();
+        let SharedCounts { count, touched } = counts;
+        if count.len() < self.n_records {
+            count.resize(self.n_records, 0);
+        }
         for g in grams {
             if let Some(bucket) = self.buckets.get(g) {
                 if apply_cap && bucket.len() > self.config.max_bucket {
@@ -143,13 +175,22 @@ impl NGramIndex {
                     continue;
                 }
                 for &id in bucket {
-                    *shared.entry(id).or_insert(0) += 1;
+                    let c = &mut count[id as usize];
+                    if *c == 0 {
+                        touched.push(id);
+                    }
+                    *c += 1;
                 }
             }
         }
         let min = self.config.min_shared as u32;
-        let mut out: Vec<RecordId> = Vec::with_capacity(shared.len());
-        out.extend(shared.iter().filter(|&(_, &c)| c >= min).map(|(&id, _)| id as RecordId));
+        let mut out: Vec<RecordId> = Vec::with_capacity(touched.len());
+        for id in touched.drain(..) {
+            let c = std::mem::take(&mut count[id as usize]);
+            if c >= min {
+                out.push(id as RecordId);
+            }
+        }
         out.sort_unstable();
         out
     }
@@ -395,6 +436,70 @@ mod tests {
         index.insert("reebok classic");
         assert_eq!(index.truncated(2), watermark);
         assert_eq!(index.truncated(10), index);
+    }
+
+    /// The dense counts give what the shared-count map they replaced gives:
+    /// random corpora over a three-letter alphabet (grams shared
+    /// everywhere), `min_shared` 1–3, the cap on and off, both query paths.
+    /// Two indexes of different sizes are queried in turn on one thread,
+    /// so a count one query left non-zero would show in the next.
+    mod dense_counts {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Candidates counted through a map, as before the dense array.
+        fn counted_in_a_map(index: &NGramIndex, grams: &[u64], apply_cap: bool) -> Vec<RecordId> {
+            let mut shared: HashMap<u32, u32> = HashMap::new();
+            for g in grams {
+                let Some(bucket) = index.buckets.get(g) else { continue };
+                if apply_cap && bucket.len() > index.config.max_bucket {
+                    continue;
+                }
+                for &id in bucket {
+                    *shared.entry(id).or_insert(0) += 1;
+                }
+            }
+            let min = index.config.min_shared as u32;
+            let mut out: Vec<RecordId> = shared
+                .into_iter()
+                .filter(|&(_, c)| c >= min)
+                .map(|(id, _)| id as RecordId)
+                .collect();
+            out.sort_unstable();
+            out
+        }
+
+        proptest! {
+            #[test]
+            fn match_a_map_model(
+                corpus in prop::collection::vec("[abc ]{0,14}", 1..48),
+                queries in prop::collection::vec("[abc ]{0,14}", 1..10),
+                min_shared in 1usize..4,
+                capped in any::<bool>(),
+            ) {
+                let max_bucket = if capped { 6 } else { usize::MAX };
+                let config = NGramBlockerConfig { q: 3, min_shared, max_bucket };
+                let titles: Vec<&str> = corpus.iter().map(String::as_str).collect();
+                let large = indexed(config, &titles);
+                let small = large.truncated(titles.len() / 2);
+                for query in &queries {
+                    let grams = gram_vec(query, config.q);
+                    for index in [&large, &small] {
+                        prop_assert_eq!(
+                            index.candidates(query),
+                            counted_in_a_map(index, &grams, true),
+                            "query {:?}, {} records",
+                            query,
+                            index.len()
+                        );
+                        prop_assert_eq!(
+                            index.candidates_for_grams(&grams),
+                            counted_in_a_map(index, &grams, false)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,11 +16,17 @@
 //!
 //! The cache is generic over its key so the hot path can use a
 //! fixed-width hashed key ([`Copy`], no heap) instead of an owned
-//! `String`. It counts nothing: the service counts its own lookups.
+//! `String`, and over the map's hasher `S` (std's SipHash
+//! [`RandomState`] unless the caller names another, as [`HashMap`]
+//! is): a key that already *is* unpredictable hashed bits needs no second
+//! hash, so the service passes its keys through
+//! ([`LruCache::with_hasher`]). It counts nothing: the service counts its
+//! own lookups.
 
 use std::borrow::Borrow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 
 /// "No entry" in the recency list.
 const NIL: usize = usize::MAX;
@@ -35,12 +41,12 @@ struct Entry<K, V> {
     next: usize,
 }
 
-/// Fixed-capacity LRU cache.
+/// Fixed-capacity LRU cache whose map hashes keys with `S`.
 #[derive(Debug)]
-pub struct LruCache<K, V> {
+pub struct LruCache<K, V, S = RandomState> {
     capacity: usize,
     /// Key → position in `entries`.
-    map: HashMap<K, usize>,
+    map: HashMap<K, usize, S>,
     /// The slab: an entry keeps its position for life; eviction reuses the
     /// evicted entry's position, so the slab never holds a free slot.
     entries: Vec<Entry<K, V>>,
@@ -51,11 +57,20 @@ pub struct LruCache<K, V> {
 }
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
-    /// Cache holding at most `capacity` entries (0 disables caching).
+    /// Cache holding at most `capacity` entries (0 disables caching),
+    /// its keys SipHashed under a random key.
     pub fn new(capacity: usize) -> Self {
+        Self::with_hasher(capacity, RandomState::new())
+    }
+}
+
+impl<K: Eq + Hash + Clone, V, S: BuildHasher> LruCache<K, V, S> {
+    /// Cache holding at most `capacity` entries (0 disables caching),
+    /// its keys hashed by `hasher`.
+    pub fn with_hasher(capacity: usize, hasher: S) -> Self {
         Self {
             capacity,
-            map: HashMap::with_capacity(capacity.min(1 << 16)),
+            map: HashMap::with_capacity_and_hasher(capacity.min(1 << 16), hasher),
             // Grown on demand: a lightly used cache should not hold a
             // capacity-sized slab.
             entries: Vec::new(),

@@ -50,6 +50,23 @@
 //! resolve runs no GNN. The forward fills the slots in place, in the block
 //! the cache entry shares, so a memo that grows costs no copy and no
 //! write-back (the router's one-intent calls grow it P times per title).
+//!
+//! What a hot resolve still does is bookkeeping over its candidates, and
+//! each stage pays for the answer rather than for a general tool:
+//!
+//! * *Keys hashed once.* An entry's key mixes two 128-bit title digests,
+//!   and each digest is a SipHash under random keys drawn once per service
+//!   (`Sides` carries them, so a stored record, a query title and a
+//!   title-pair query digest alike). The key is thus already unpredictable
+//!   hash output, and the cache map takes its bits as they are instead of
+//!   SipHashing them again ([`LruCache::with_hasher`]). Unkeyed digests
+//!   would let whoever picks titles pick colliding map slots.
+//! * *Ranking by selection.* Only the top `k` of ≈120 candidates are
+//!   answered, so each candidate packs into one `u64` (complemented score
+//!   bits over its list position), a selection moves the `k` best to the
+//!   front and only they are sorted: the (score desc, record id asc) order
+//!   of a full sort, bit for bit (`rank`).
+//!
 //! Ingest bypasses the cache (its keys are one-shot), and the
 //! per-candidate reference kernel this path is tested against
 //! (`service/reference.rs`, compiled into test builds only) localizes
@@ -100,6 +117,8 @@ use flexer_types::{
     DenseRecordId, IntentId, MatchTarget, RankedMatch, ResolveQuery, ResolveResponse,
 };
 use std::cell::RefCell;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::path::Path;
 use std::sync::atomic::AtomicU32;
 use std::sync::atomic::Ordering::Relaxed;
@@ -288,7 +307,7 @@ pub struct Service<B> {
     /// intent `p`; the transductive warm-forward values for training
     /// pairs, inductive values for ingested ones.
     scores: Vec<Vec<f32>>,
-    cache: Mutex<LruCache<PairKey, LocatedPair>>,
+    cache: Mutex<PairCache>,
     /// Everything this service times and counts: the end-to-end `resolve`
     /// span, its stages, and the counters below. Its own, not the
     /// process-global recorder, so two services in one process count apart.
@@ -414,7 +433,7 @@ impl<B: BlockingTier> Service<B> {
             indexes,
             pinned,
             scores,
-            cache: Mutex::new(LruCache::new(config.cache_capacity)),
+            cache: Mutex::new(LruCache::with_hasher(config.cache_capacity, Default::default())),
             counters: Counters::new(&recorder),
             recorder,
             snapshot,
@@ -764,7 +783,7 @@ impl<B: BlockingTier> Service<B> {
             ResolveQuery::TitlePair(a, b) => {
                 let mut batch = {
                     let _span = self.recorder.span("resolve.embed");
-                    let mut left = Sides::new(&self.snapshot.featurizer);
+                    let mut left = Sides::new(&self.snapshot.featurizer, &self.sides.keys);
                     left.push(a, &self.snapshot.df);
                     self.embed_pairs(&left, &[0], b, true)
                 };
@@ -807,27 +826,13 @@ impl<B: BlockingTier> Service<B> {
                     self.score_resolve_batch(&mut batch, intents)
                 };
                 let _span = self.recorder.span("resolve.rank");
+                let mut keys = Vec::with_capacity(candidates.len());
                 let ranked = intents
                     .iter()
-                    .enumerate()
-                    .map(|(pi, &p)| {
-                        let mut ranked: Vec<RankedMatch> = scores[pi]
-                            .iter()
-                            .zip(&candidates)
-                            .map(|(&score, &r)| RankedMatch {
-                                target: MatchTarget::Record(r),
-                                score,
-                                matched: is_match(score),
-                            })
-                            .collect();
-                        ranked.sort_by(|x, y| {
-                            y.score
-                                .partial_cmp(&x.score)
-                                .expect("scores are finite")
-                                .then_with(|| x.target.cmp_key().cmp(&y.target.cmp_key()))
-                        });
-                        ranked.truncate(top_k);
-                        ResolveResponse { intent: p, matches: ranked }
+                    .zip(&scores)
+                    .map(|(&p, scores)| ResolveResponse {
+                        intent: p,
+                        matches: rank(scores, &candidates, top_k, &mut keys),
                     })
                     .collect();
                 // Released inside the stage: the batch's entries are a
@@ -911,9 +916,10 @@ impl<B: BlockingTier> Service<B> {
         let mut misses: Vec<usize> = Vec::new();
         let mut keys: Vec<PairKey> = Vec::new();
         if use_cache && self.config.cache_capacity > 0 {
-            // The title is hashed once and every key mixes two digests,
-            // before the lock is taken; the write-back reuses the keys.
-            let right = TitleDigest::of(title);
+            // The title is digested once, under the keys of `lefts`, and
+            // every key mixes two digests, before the lock is taken; the
+            // write-back reuses the keys.
+            let right = lefts.digest(title);
             keys = ids.iter().map(|&id| PairKey::new(lefts.digests[id], right)).collect();
             // One lock pass covers the lookups; an all-hit batch touches no
             // other lock — keys are fixed-width hashes and values are
@@ -1166,22 +1172,29 @@ impl<B: BlockingTier> Service<B> {
 
 /// What the service derives from a record's title when the record arrives
 /// and keeps beside it: the featurizer's stored left side and the digest
-/// the record's cache keys are mixed from. Both are pure functions of the
-/// title, so a load rebuilds them instead of reading them.
+/// the record's cache keys are mixed from, under the service's digest
+/// `keys`. Both are pure functions of the title and the keys, so a load
+/// rebuilds them (under new keys) instead of reading them.
 #[derive(Debug)]
 struct Sides {
     store: SideStore,
     digests: Vec<TitleDigest>,
+    /// The SipHash keys every digest of this service is taken under —
+    /// drawn once per service, shared by every `Sides` it makes, so a
+    /// stored title and the same title asked for by a query digest alike.
+    keys: RandomState,
 }
 
 impl Sides {
-    fn new(featurizer: &PairFeaturizer) -> Self {
-        Self { store: SideStore::new(featurizer.clone()), digests: Vec::new() }
+    fn new(featurizer: &PairFeaturizer, keys: &RandomState) -> Self {
+        let store = SideStore::new(featurizer.clone());
+        Self { store, digests: Vec::new(), keys: keys.clone() }
     }
 
-    /// The sides of `titles`, every array reserved before it is filled.
+    /// The sides of `titles` under fresh keys, every array reserved before
+    /// it is filled.
     fn of(featurizer: &PairFeaturizer, df: &DfTable, titles: &[String]) -> Self {
-        let mut sides = Self::new(featurizer);
+        let mut sides = Self::new(featurizer, &RandomState::new());
         sides.store.reserve(titles.iter().map(String::as_str));
         sides.digests.reserve_exact(titles.len());
         for title in titles {
@@ -1192,25 +1205,22 @@ impl Sides {
 
     fn push(&mut self, title: &str, df: &DfTable) {
         self.store.push_title(title, df);
-        self.digests.push(TitleDigest::of(title));
+        self.digests.push(self.digest(title));
+    }
+
+    /// `title`'s digest under this service's keys.
+    fn digest(&self, title: &str) -> TitleDigest {
+        let (hi, lo) = (self.keys.hash_one((0u8, title)), self.keys.hash_one((1u8, title)));
+        TitleDigest((u128::from(hi) << 64) | u128::from(lo))
     }
 }
 
-/// 128 hashed bits of one title: two independent 64-bit FNV-1a streams.
+/// 128 hashed bits of one title: two domain-separated SipHash-1-3 streams
+/// under the service's random keys ([`Sides::digest`]). Keyed, because the
+/// cache map hashes no further (`KeyBits`): someone who picks the titles
+/// must not be able to pick colliding map slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TitleDigest(u128);
-
-impl TitleDigest {
-    fn of(title: &str) -> Self {
-        let mut h1: u64 = 0xcbf29ce484222325;
-        let mut h2: u64 = 0x84222325cbf29ce4;
-        for &byte in title.as_bytes() {
-            h1 = (h1 ^ u64::from(byte)).wrapping_mul(0x100000001b3);
-            h2 = (h2 ^ u64::from(byte)).wrapping_mul(0x100000001b3);
-        }
-        Self((u128::from(h1) << 64) | u128::from(h2))
-    }
-}
 
 /// Fixed-width hashed cache key of an ordered title pair: a mix of the two
 /// titles' digests, so a candidate batch hashes one title — the query —
@@ -1219,8 +1229,9 @@ impl TitleDigest {
 /// `("x", "y·z")` mix different digests), the odd multiplier and the
 /// rotation keep `(a, b)` apart from `(b, a)`, and 128 hashed bits make an
 /// accidental collision astronomically unlikely at cache scale. Building
-/// one allocates nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// one allocates nothing. Its bits are already keyed hash output, so its
+/// [`Hash`] hands the cache map its low 64 bits as they are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PairKey(u128);
 
 impl PairKey {
@@ -1230,19 +1241,76 @@ impl PairKey {
     }
 }
 
-/// Deterministic ordering key for ranked-match tie-breaking.
-trait TargetKey {
-    fn cmp_key(&self) -> usize;
+impl Hash for PairKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0 as u64);
+    }
 }
 
-impl TargetKey for MatchTarget {
-    fn cmp_key(&self) -> usize {
-        match self {
-            MatchTarget::Record(r) => *r,
-            MatchTarget::Pair(p) => *p,
-            MatchTarget::AdHoc => usize::MAX,
-        }
+/// The cache map's hasher: a [`PairKey`]'s bits pass through unhashed.
+#[derive(Debug, Default)]
+struct KeyBits(u64);
+
+impl Hasher for KeyBits {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the cache map hashes only `PairKey`s, one u64 each");
     }
+
+    fn write_u64(&mut self, bits: u64) {
+        self.0 = bits;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The hot-pair cache: keys are keyed hash bits, so the map takes them as
+/// they are.
+type PairCache = LruCache<PairKey, LocatedPair, BuildHasherDefault<KeyBits>>;
+
+/// The `top_k` best of a record resolve's candidates under one intent —
+/// candidate `j` is record `candidates[j]` with score `scores[j]` — by
+/// score descending, then record id ascending.
+///
+/// Pays for the answer, not the candidate list: each candidate packs into
+/// one `u64` (the complemented bits of its score above its position), a
+/// selection moves the `top_k` smallest keys to the front, and only those
+/// are sorted. A score is a probability, so finite and ≥ 0 (`-0.0` ranks
+/// as `+0.0`), and its bits ascend with its value: ascending keys are
+/// descending scores. Candidates ascend by record id (every
+/// [`BlockingTier`] returns them so, and the exhaustive list is `0..n`),
+/// so position order breaks ties in record-id order. `keys` is the
+/// caller's buffer, reused across intents.
+fn rank(
+    scores: &[f32],
+    candidates: &[usize],
+    top_k: usize,
+    keys: &mut Vec<u64>,
+) -> Vec<RankedMatch> {
+    assert!(u32::try_from(scores.len()).is_ok(), "a position must fit in 32 bits");
+    keys.clear();
+    keys.extend(scores.iter().enumerate().map(|(j, &score)| {
+        assert!(score.is_finite() && score >= 0.0, "scores are finite probabilities: {score}");
+        (u64::from(!(score + 0.0).to_bits()) << 32) | j as u64
+    }));
+    let top = top_k.min(keys.len());
+    if top < keys.len() {
+        keys.select_nth_unstable(top);
+    }
+    keys[..top].sort_unstable();
+    keys[..top]
+        .iter()
+        .map(|&key| {
+            let j = key as u32 as usize;
+            let score = scores[j];
+            RankedMatch {
+                target: MatchTarget::Record(candidates[j]),
+                score,
+                matched: is_match(score),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1318,7 +1386,7 @@ mod tests {
         fn assert_fresh(svc: &ResolutionService) {
             assert_eq!(svc.sides.store.len(), svc.n_records());
             assert_eq!(svc.sides.digests.len(), svc.n_records());
-            let mut fresh = Sides::new(&svc.snapshot.featurizer);
+            let mut fresh = Sides::new(&svc.snapshot.featurizer, &svc.sides.keys);
             for id in 0..svc.n_records() {
                 fresh.push(svc.record_title(id), &svc.snapshot.df);
                 assert_eq!(svc.sides.store.side(id), fresh.store.side(id), "record {id}");
@@ -1399,6 +1467,131 @@ mod tests {
         svc.resolve(&ResolveQuery::pair(&title, &stored), 0, 1).unwrap();
         assert_eq!(cache(&svc), (1, candidates + 1));
         assert_eq!(forward(&svc), ((candidates + 1) * p, 1));
+    }
+
+    /// Digest keys are drawn per service: two services over one snapshot
+    /// digest every title differently, yet give the same answers, bit for
+    /// bit, and count the same cache hits and misses — before and after an
+    /// ingest, on record and title-pair queries, cold and repeated.
+    #[test]
+    fn services_under_different_digest_keys_answer_alike() {
+        let snapshot = tiny_snapshot();
+        let mut services = [snapshot.clone(), snapshot]
+            .map(|s| ResolutionService::new(s, ServeConfig::default()).unwrap());
+        let [one, two] = &services;
+        assert_ne!(one.sides.digest("a title"), two.sides.digest("a title"));
+        assert!((0..one.n_records()).all(|id| one.sides.digests[id] != two.sides.digests[id]));
+
+        let queries: Vec<ResolveQuery> = (0..4)
+            .flat_map(|id| {
+                let stored = one.record_title(id).to_string();
+                let fresh = format!("{stored} (2nd listing)");
+                [
+                    ResolveQuery::record(&stored),
+                    ResolveQuery::record(&fresh),
+                    ResolveQuery::pair(&stored, &fresh),
+                    ResolveQuery::pair(&fresh, one.record_title(id + 1)),
+                ]
+            })
+            .collect();
+        let drive = |svc: &ResolutionService| {
+            let answers: Vec<Vec<ResolveResponse>> =
+                queries.iter().map(|q| svc.resolve_all_intents(q, 5).unwrap()).collect();
+            let bits: Vec<(usize, MatchTarget, u32)> = answers
+                .iter()
+                .flatten()
+                .flat_map(|r| {
+                    r.matches.iter().map(move |m| (r.intent, m.target, m.score.to_bits()))
+                })
+                .collect();
+            let counts = ["serve.cache.hits", "serve.cache.misses", "serve.forward.memo_hits"]
+                .map(|name| counter(svc, name));
+            (bits, counts)
+        };
+        for round in 0..2 {
+            let [one, two] = &services;
+            let (a, b) = (drive(one), drive(two));
+            assert!(!a.0.is_empty());
+            assert_eq!(a, b, "round {round}");
+            assert!(a.1[0] > 0, "repeated queries hit");
+            for svc in &mut services {
+                svc.ingest_batch(&["nike lunar force duckboot (new)", "plain new widget 42"]);
+            }
+        }
+    }
+
+    /// Ranking by selection returns what sorting every candidate by
+    /// (score desc, record id asc) and truncating returns, bit for bit:
+    /// scores on a coarse grid (ties everywhere, 0.0 and 1.0 included),
+    /// ascending record ids with gaps, `top_k` at 0, 1, 10 and past the
+    /// candidate count.
+    mod rank_by_selection {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The full sort `rank` replaced.
+        fn sort_then_truncate(
+            scores: &[f32],
+            candidates: &[usize],
+            top_k: usize,
+        ) -> Vec<RankedMatch> {
+            let mut ranked: Vec<RankedMatch> = scores
+                .iter()
+                .zip(candidates)
+                .map(|(&score, &r)| RankedMatch {
+                    target: MatchTarget::Record(r),
+                    score,
+                    matched: is_match(score),
+                })
+                .collect();
+            let id = |m: &RankedMatch| match m.target {
+                MatchTarget::Record(r) => r,
+                _ => unreachable!(),
+            };
+            ranked.sort_by(|x, y| {
+                y.score.partial_cmp(&x.score).expect("scores are finite").then(id(x).cmp(&id(y)))
+            });
+            ranked.truncate(top_k);
+            ranked
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            #[test]
+            fn matches_sort_then_truncate(
+                cells in prop::collection::vec((0u32..9, 1usize..4), 0..40),
+                k in 0usize..4,
+            ) {
+                // Grid scores 0, 1/8, …, 1; ids ascend by gaps of 1–3.
+                let scores: Vec<f32> = cells.iter().map(|&(q, _)| q as f32 / 8.0).collect();
+                let candidates: Vec<usize> =
+                    cells.iter().scan(0, |id, &(_, gap)| { *id += gap; Some(*id) }).collect();
+                let top_k = [0, 1, 10, cells.len() + 3][k];
+                let mut keys = Vec::new();
+                let got = rank(&scores, &candidates, top_k, &mut keys);
+                let want = sort_then_truncate(&scores, &candidates, top_k);
+                prop_assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(&want) {
+                    prop_assert_eq!(g.target, w.target);
+                    prop_assert_eq!(g.score.to_bits(), w.score.to_bits());
+                    prop_assert_eq!(g.matched, w.matched);
+                }
+            }
+        }
+
+        #[test]
+        fn negative_zero_ranks_as_zero() {
+            let got = rank(&[0.0, -0.0, 0.5], &[3, 4, 9], 3, &mut Vec::new());
+            let ids: Vec<MatchTarget> = got.iter().map(|m| m.target).collect();
+            assert_eq!(ids, [9, 3, 4].map(MatchTarget::Record));
+            assert_eq!(got[2].score.to_bits(), (-0.0f32).to_bits());
+        }
+
+        #[test]
+        #[should_panic(expected = "scores are finite probabilities")]
+        fn a_non_finite_score_panics() {
+            rank(&[0.5, f32::NAN], &[0, 1], 1, &mut Vec::new());
+        }
     }
 
     /// Two services in one process keep their own counts: work on one never

@@ -138,7 +138,7 @@ impl<B: BlockingTier> Service<B> {
 }
 
 mod tests {
-    use crate::service::{LocatedPair, PairKey, TitleDigest};
+    use crate::service::{LocatedPair, PairKey};
     use crate::{BlockingTier, ResolutionService, ServeConfig, Service, ShardedResolutionService};
     use flexer_core::{FlexErConfig, FlexErModel, InParallelModel, PipelineContext};
     use flexer_datasets::AmazonMiConfig;
@@ -497,7 +497,7 @@ mod tests {
 
     /// The cache entry of the pair (stored record `id`, `title`), if any.
     fn entry<B: BlockingTier>(svc: &Service<B>, id: usize, title: &str) -> Option<LocatedPair> {
-        let key = PairKey::new(svc.sides.digests[id], TitleDigest::of(title));
+        let key = PairKey::new(svc.sides.digests[id], svc.sides.digest(title));
         svc.cache.lock().unwrap().get(&key).cloned()
     }
 
