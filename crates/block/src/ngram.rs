@@ -16,7 +16,7 @@
 //! survive a given corpus state.
 
 use crate::BlockingOutcome;
-use flexer_obs::Counter;
+use flexer_obs::{Counter, Timer};
 use flexer_types::{BlockingReport, CandidateSet, NGramBlockerConfig, PairRef, RecordId};
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -66,6 +66,10 @@ fn query_counter(cell: &'static OnceLock<Counter>, name: &str) -> &'static Count
 
 static CANDIDATES: OnceLock<Counter> = OnceLock::new();
 static STOP_GRAMS_SKIPPED: OnceLock<Counter> = OnceLock::new();
+
+/// The query span's timer, registered once for the same reason: a by-name
+/// record locks the global span map and looks its path up on every query.
+static QUERY_SPAN: OnceLock<Timer> = OnceLock::new();
 
 /// Incremental q-gram inverted index: the serving tier's resident blocker.
 ///
@@ -133,7 +137,8 @@ impl NGramIndex {
             gram_vec_into(title, self.config.q, chars, grams);
             self.collect_candidates(grams, true, counts, &mut skipped)
         });
-        flexer_obs::global().record_span_ns("block.ngram.query", t0.elapsed().as_nanos() as u64);
+        let timer = QUERY_SPAN.get_or_init(|| flexer_obs::global().timer("block.ngram.query"));
+        timer.record_ns(t0.elapsed().as_nanos() as u64);
         query_counter(&CANDIDATES, "block.ngram.candidates").add(out.len() as u64);
         if skipped > 0 {
             query_counter(&STOP_GRAMS_SKIPPED, "block.ngram.stop_grams_skipped").add(skipped);

@@ -51,7 +51,7 @@ mod recorder;
 
 pub use export::{HistStat, MetricsSnapshot};
 pub use hist::{Histogram, N_BUCKETS, REL_ERROR_BOUND, SUB};
-pub use recorder::{global, Counter, Recorder, SpanGuard};
+pub use recorder::{global, Counter, Recorder, SpanGuard, Timer};
 
 /// Open a timed span on the process-global recorder (one argument) or an
 /// explicit recorder (two arguments). Bind the result so the guard lives to

@@ -12,7 +12,10 @@
 //!
 //! Steady-state recording is allocation-free: path composition reuses a
 //! thread-local scratch string and histogram lookup borrows it as `&str`;
-//! the owned key is allocated only the first time a path is seen.
+//! the owned key is allocated only the first time a path is seen. A hot
+//! path that records under one fixed path registers a [`Timer`] for it
+//! once, and then pays neither the composition nor the lookup: a sample
+//! locks only its own histogram.
 
 use crate::export::{HistStat, MetricsSnapshot};
 use crate::hist::Histogram;
@@ -33,9 +36,13 @@ thread_local! {
         const { RefCell::new(ThreadFrames { stack: Vec::new(), scratch: String::new() }) };
 }
 
+/// One span path's histogram, shared by the recorder's map and every
+/// [`Timer`] registered for the path.
+type SpanCell = Arc<Mutex<Histogram>>;
+
 #[derive(Default)]
 struct Shared {
-    spans: Mutex<BTreeMap<Box<str>, Histogram>>,
+    spans: Mutex<BTreeMap<Box<str>, SpanCell>>,
     values: Mutex<BTreeMap<Box<str>, Histogram>>,
     counters: Mutex<BTreeMap<Box<str>, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<Box<str>, f64>>,
@@ -86,6 +93,64 @@ impl Counter {
     }
 }
 
+/// A span path registered ahead of time ([`Recorder::timer`]), for a hot
+/// path that records under one fixed path: a sample locks only the path's
+/// own histogram, with no path composed and none looked up. Cloning is
+/// cheap; every clone records into the recorder's one histogram for the
+/// path.
+#[derive(Clone)]
+pub struct Timer {
+    path: &'static str,
+    cell: SpanCell,
+}
+
+impl std::fmt::Debug for Timer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Timer").field(&self.path).finish()
+    }
+}
+
+impl Timer {
+    /// Record `ns` under the timer's path.
+    #[inline]
+    pub fn record_ns(&self, ns: u64) {
+        self.cell.lock().unwrap().record(ns);
+    }
+
+    /// Run `f` as one stage of an operation whose stages tile it: the
+    /// stage runs from `*since` — where the previous stage ended — to
+    /// `f`'s return, which becomes `*since`. One clock read per boundary,
+    /// so nothing between two stages goes untimed (a span per stage reads
+    /// the clock twice and leaves its own recording between them). Spans
+    /// `f` opens nest under the timer's path, as under a
+    /// [`Recorder::span`] guard of that path. The stage is the outermost
+    /// span of its thread: opening it inside another is a bug (the two
+    /// paths would disagree), caught in debug builds.
+    #[inline]
+    pub fn stage<R>(&self, since: &mut Instant, f: impl FnOnce() -> R) -> R {
+        FRAMES.with(|f| {
+            let mut f = f.borrow_mut();
+            debug_assert!(f.stack.is_empty(), "stage {} opened inside {:?}", self.path, f.stack);
+            f.stack.push(self.path);
+        });
+        let _frame = PopFrame;
+        let out = f();
+        let now = Instant::now();
+        self.record_ns(now.duration_since(*since).as_nanos() as u64);
+        *since = now;
+        out
+    }
+}
+
+/// Pops a [`Timer::stage`]'s frame, also when the stage unwinds.
+struct PopFrame;
+
+impl Drop for PopFrame {
+    fn drop(&mut self) {
+        FRAMES.with(|f| f.borrow_mut().stack.pop());
+    }
+}
+
 /// RAII guard returned by [`Recorder::span`]; records the elapsed
 /// nanoseconds under the composed span path on drop.
 pub struct SpanGuard<'a> {
@@ -130,7 +195,25 @@ impl Recorder {
     /// Record `ns` under an explicit dotted span path, bypassing the
     /// thread-local nesting stack (use inside `flexer-par` workers).
     pub fn record_span_ns(&self, path: &str, ns: u64) {
-        record_into(&self.shared.spans, path, ns);
+        let spans = self.shared.spans.lock().unwrap();
+        match spans.get(path) {
+            Some(cell) => cell.lock().unwrap().record(ns),
+            None => {
+                drop(spans);
+                self.timer_cell(path).lock().unwrap().record(ns);
+            }
+        }
+    }
+
+    /// Register (or look up) a [`Timer`] for the span path `path`.
+    pub fn timer(&self, path: &'static str) -> Timer {
+        Timer { path, cell: self.timer_cell(path) }
+    }
+
+    /// The histogram of span path `path`, made empty if it has none yet.
+    fn timer_cell(&self, path: &str) -> SpanCell {
+        let mut spans = self.shared.spans.lock().unwrap();
+        Arc::clone(spans.entry(path.into()).or_default())
     }
 
     /// Record the time since `*since` under the flat path `path` (as
@@ -176,7 +259,9 @@ impl Recorder {
 
     /// Clone of the span histogram at `path`, if any samples were recorded.
     pub fn span_histogram(&self, path: &str) -> Option<Histogram> {
-        self.shared.spans.lock().unwrap().get(path).cloned()
+        let spans = self.shared.spans.lock().unwrap();
+        let hist = spans.get(path)?.lock().unwrap().clone();
+        (!hist.is_empty()).then_some(hist)
     }
 
     /// Fold another recorder's aggregates into this one: histograms merge
@@ -185,15 +270,20 @@ impl Recorder {
         if Arc::ptr_eq(&self.shared, &other.shared) {
             return;
         }
-        for (map, other_map) in
-            [(&self.shared.spans, &other.shared.spans), (&self.shared.values, &other.shared.values)]
         {
-            let mut dst = map.lock().unwrap();
-            for (path, hist) in other_map.lock().unwrap().iter() {
-                if let Some(existing) = dst.get_mut(path.as_ref()) {
+            let mut dst = self.shared.spans.lock().unwrap();
+            for (path, cell) in other.shared.spans.lock().unwrap().iter() {
+                let hist = cell.lock().unwrap();
+                dst.entry(path.clone()).or_default().lock().unwrap().merge(&hist);
+            }
+        }
+        {
+            let mut dst = self.shared.values.lock().unwrap();
+            for (name, hist) in other.shared.values.lock().unwrap().iter() {
+                if let Some(existing) = dst.get_mut(name.as_ref()) {
                     existing.merge(hist);
                 } else {
-                    dst.insert(path.clone(), hist.clone());
+                    dst.insert(name.clone(), hist.clone());
                 }
             }
         }
@@ -215,9 +305,12 @@ impl Recorder {
     }
 
     /// Drop all span/value histograms and gauges and zero every counter
-    /// (existing [`Counter`] handles stay registered and valid).
+    /// (existing [`Counter`] and [`Timer`] handles stay registered and
+    /// valid; a timer's histogram is emptied in place).
     pub fn reset(&self) {
-        self.shared.spans.lock().unwrap().clear();
+        for cell in self.shared.spans.lock().unwrap().values() {
+            *cell.lock().unwrap() = Histogram::new();
+        }
         self.shared.values.lock().unwrap().clear();
         self.shared.gauges.lock().unwrap().clear();
         for cell in self.shared.counters.lock().unwrap().values() {
@@ -228,17 +321,15 @@ impl Recorder {
     /// Point-in-time snapshot of every span, value, counter, and gauge, in
     /// deterministic (sorted-by-name) order.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let stats = |map: &Mutex<BTreeMap<Box<str>, Histogram>>| {
-            map.lock()
-                .unwrap()
-                .iter()
-                .filter(|(_, h)| !h.is_empty())
-                .map(|(name, h)| HistStat::from_histogram(name, h))
-                .collect::<Vec<_>>()
-        };
+        let stat =
+            |name: &str, h: &Histogram| (!h.is_empty()).then(|| HistStat::from_histogram(name, h));
         MetricsSnapshot {
-            spans: stats(&self.shared.spans),
-            values: stats(&self.shared.values),
+            spans: (self.shared.spans.lock().unwrap().iter())
+                .filter_map(|(path, cell)| stat(path, &cell.lock().unwrap()))
+                .collect(),
+            values: (self.shared.values.lock().unwrap().iter())
+                .filter_map(|(name, h)| stat(name, h))
+                .collect(),
             counters: self
                 .shared
                 .counters
@@ -347,5 +438,69 @@ mod tests {
         let snap = rec.snapshot();
         assert!(snap.span("x").is_none());
         assert_eq!(snap.counter("n"), Some(2));
+    }
+
+    /// A timer records where a by-name record of its path does — one
+    /// histogram — spans opened inside its stage nest under its path, and
+    /// it outlives a reset and merges like any span.
+    #[test]
+    fn timers_record_under_their_path() {
+        let rec = Recorder::new();
+        let timer = rec.timer("resolve.embed");
+        timer.stage(&mut Instant::now(), || drop(rec.span("featurize")));
+        timer.record_ns(30);
+        rec.record_span_ns("resolve.embed", 10);
+        assert_eq!(rec.timer("resolve.embed").cell.lock().unwrap().count(), 3);
+        let snap = rec.snapshot();
+        assert_eq!(snap.span("resolve.embed").unwrap().count, 3);
+        assert_eq!(snap.span("resolve.embed.featurize").unwrap().count, 1);
+
+        rec.reset();
+        assert!(rec.snapshot().span("resolve.embed").is_none());
+        assert!(rec.span_histogram("resolve.embed").is_none());
+        timer.record_ns(5);
+        let other = Recorder::new();
+        other.merge_from(&rec);
+        let merged = other.snapshot();
+        assert_eq!(
+            (
+                merged.span("resolve.embed").unwrap().count,
+                merged.span("resolve.embed").unwrap().sum
+            ),
+            (1, 5)
+        );
+    }
+
+    /// Stages tile: each runs from where the last ended, spans inside one
+    /// nest under its path, and the frame is gone after it.
+    #[test]
+    fn stages_tile_from_one_start() {
+        let rec = Recorder::new();
+        let (first, second) = (rec.timer("op.first"), rec.timer("op.second"));
+        let start = Instant::now();
+        let mut since = start;
+        let got = first.stage(&mut since, || {
+            let _inner = rec.span("inner");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            7
+        });
+        second.stage(&mut since, || ());
+        assert_eq!(got, 7);
+        let snap = rec.snapshot();
+        let sum = |path| snap.span(path).unwrap().sum;
+        assert_eq!(sum("op.first") + sum("op.second"), (since - start).as_nanos() as u64);
+        assert!(sum("op.first") >= 1_000_000);
+        assert_eq!(snap.span("op.first.inner").unwrap().count, 1);
+        drop(rec.span("after"));
+        assert_eq!(rec.snapshot().span("after").unwrap().count, 1, "the stage's frame popped");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "opened inside")]
+    fn a_stage_inside_another_span_panics() {
+        let rec = Recorder::new();
+        let _outer = rec.span("ingest");
+        rec.timer("resolve.block").stage(&mut Instant::now(), || ());
     }
 }

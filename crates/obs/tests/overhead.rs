@@ -55,15 +55,19 @@ fn recording_paths_respect_allocation_bounds() {
     // and is allocation-free.
     let rec = Recorder::new();
     let counter = rec.counter("serve.forward.rows");
+    let timer = rec.timer("resolve.block");
     // Warm: first occurrence allocates the path key + histogram buckets,
     // and the thread-local stack/scratch grow to size.
     for _ in 0..3 {
+        timer.stage(&mut std::time::Instant::now(), || ());
         let _outer = rec.span("resolve");
         let _inner = rec.span("forward");
         counter.add(64);
     }
     let n = allocs_during(|| {
         for _ in 0..10_000 {
+            timer.stage(&mut std::time::Instant::now(), || ());
+            timer.record_ns(7);
             let _outer = rec.span("resolve");
             let _inner = rec.span("forward");
             counter.add(64);

@@ -131,6 +131,14 @@ impl<K: Eq + Hash + Clone, V, S: BuildHasher> LruCache<K, V, S> {
         self.link_front(at);
     }
 
+    /// Forgets every entry; the capacity stays.
+    pub fn clear(&mut self) {
+        self.map.clear();
+        self.entries.clear();
+        self.head = NIL;
+        self.tail = NIL;
+    }
+
     /// Makes the entry at `at` the most recently used.
     fn touch(&mut self, at: usize) {
         if self.head != at {

@@ -1,7 +1,7 @@
 //! What a service records about itself. Everything lands on the service's
 //! own [`flexer_obs::Recorder`]; this module only names it: the counters
-//! registered at build, the end-to-end `resolve` span, and the cache hit
-//! rate derived from two of those counters. There is no second store —
+//! and span timers registered at build, and the cache hit rate derived
+//! from two of those counters. There is no second store —
 //! `Service::obs_snapshot` reads it all back from the recorder.
 //!
 //! Resolve latencies are recorded in **nanoseconds**: the hot transductive
@@ -11,7 +11,7 @@
 //! service's lifetime, and reports quantiles within
 //! [`flexer_obs::REL_ERROR_BOUND`].
 
-use flexer_obs::{Counter, Recorder};
+use flexer_obs::{Counter, Recorder, Timer};
 use std::time::Duration;
 
 /// Span path of the end-to-end resolve time, from the instant the request
@@ -36,6 +36,9 @@ pub(crate) struct Counters {
     pub(crate) memo_hits: Counter,
     /// Candidate records considered across record-level resolves.
     pub(crate) resolve_candidates: Counter,
+    /// Record resolves whose candidate set came from the candidate memo:
+    /// the blocking tier was not asked.
+    pub(crate) block_memo_hits: Counter,
     /// Per-(candidate, layer) neighbour lists the batched path took from
     /// the cache as they were, brought up to date over the appended tail,
     /// and searched from scratch.
@@ -62,6 +65,7 @@ impl Counters {
             forward_rows: counter("serve.forward.rows"),
             memo_hits: counter("serve.forward.memo_hits"),
             resolve_candidates: counter("serve.resolve.candidates"),
+            block_memo_hits: counter("serve.block.memo_hits"),
             localize_reused: counter("serve.localize.reused"),
             localize_resumed: counter("serve.localize.resumed"),
             localize_searched: counter("serve.localize.searched"),
@@ -82,12 +86,41 @@ impl Counters {
     }
 }
 
-/// Record one resolve's end-to-end time under [`RESOLVE_SPAN`]. An
-/// explicit path, not a guard: a guard would file the `resolve.*` stage
-/// spans under `resolve.resolve.*`.
-pub(crate) fn record_resolve(recorder: &Recorder, elapsed: Duration) {
+/// The service's span timers, registered on its recorder at build so a
+/// hot resolve records each stage without composing or looking up a path:
+/// the end-to-end resolve, its four stages, and the two flat paths that
+/// resolves and ingest's phase-1 workers share.
+#[derive(Debug)]
+pub(crate) struct Timers {
+    pub(crate) resolve: Timer,
+    pub(crate) block: Timer,
+    pub(crate) embed: Timer,
+    pub(crate) forward: Timer,
+    pub(crate) rank: Timer,
+    pub(crate) localize: Timer,
+    pub(crate) gnn: Timer,
+}
+
+impl Timers {
+    pub(crate) fn new(recorder: &Recorder) -> Self {
+        Self {
+            resolve: recorder.timer(RESOLVE_SPAN),
+            block: recorder.timer("resolve.block"),
+            embed: recorder.timer("resolve.embed"),
+            forward: recorder.timer("resolve.forward"),
+            rank: recorder.timer("resolve.rank"),
+            localize: recorder.timer("forward.localize"),
+            gnn: recorder.timer("forward.gnn"),
+        }
+    }
+}
+
+/// Record one resolve's end-to-end time under [`RESOLVE_SPAN`]. Recorded,
+/// not a guard: the `resolve.*` stage spans are the outermost of their
+/// thread, beside it rather than inside.
+pub(crate) fn record_resolve(timer: &Timer, elapsed: Duration) {
     let ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-    recorder.record_span_ns(RESOLVE_SPAN, ns);
+    timer.record_ns(ns);
 }
 
 #[cfg(test)]
@@ -103,7 +136,7 @@ mod tests {
     fn percentiles_over_known_distribution() {
         let rec = Recorder::new();
         for us in 1..=100u64 {
-            record_resolve(&rec, Duration::from_micros(us));
+            record_resolve(&rec.timer(RESOLVE_SPAN), Duration::from_micros(us));
         }
         let snap = rec.snapshot();
         let s = snap.span(RESOLVE_SPAN).expect("resolve span recorded");
@@ -119,7 +152,7 @@ mod tests {
         // would truncate them all to 0 and report p50 = 0 despite traffic.
         let rec = Recorder::new();
         for ns in [120u64, 250, 300, 410, 555] {
-            record_resolve(&rec, Duration::from_nanos(ns));
+            record_resolve(&rec.timer(RESOLVE_SPAN), Duration::from_nanos(ns));
         }
         let snap = rec.snapshot();
         let s = snap.span(RESOLVE_SPAN).expect("resolve span recorded");
@@ -131,7 +164,7 @@ mod tests {
     #[test]
     fn zero_duration_samples_still_count() {
         let rec = Recorder::new();
-        record_resolve(&rec, Duration::ZERO);
+        record_resolve(&rec.timer(RESOLVE_SPAN), Duration::ZERO);
         let snap = rec.snapshot();
         let s = snap.span(RESOLVE_SPAN).expect("a zero-time resolve is still a resolve");
         assert_eq!(s.count, 1);
@@ -145,10 +178,10 @@ mod tests {
         // histogram keeps them at exactly their true rank.
         let rec = Recorder::new();
         for _ in 0..100 {
-            record_resolve(&rec, Duration::from_micros(1000));
+            record_resolve(&rec.timer(RESOLVE_SPAN), Duration::from_micros(1000));
         }
         for _ in 0..1000 {
-            record_resolve(&rec, Duration::from_micros(1));
+            record_resolve(&rec.timer(RESOLVE_SPAN), Duration::from_micros(1));
         }
         let snap = rec.snapshot();
         let s = snap.span(RESOLVE_SPAN).expect("resolve span recorded");

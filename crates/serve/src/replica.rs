@@ -49,7 +49,7 @@
 //! idempotent, so convergence needs no guessing about what the dead
 //! connection did or did not deliver.
 
-use crate::blocking::BlockingTier;
+use crate::blocking::{BlockingTier, CandidateSets};
 use crate::endpoint::Reply;
 use crate::error::ServeError;
 use crate::server::Shard;
@@ -441,6 +441,13 @@ impl ReplicaSet {
     /// replica that gives a `usable` answer before `deadline`, failing
     /// over to siblings. `None` ⇒ the shard degrades for this request
     /// (every replica failed or the budget ran out; counters record which).
+    ///
+    /// The flag beside an answer says whether the replica that gave it was
+    /// in sync: no insert batch waited in its replay lane when it was
+    /// asked, so it held every record placed on this shard. A lane grows
+    /// only while an ingest sends (the tier's `&mut`, which no read runs
+    /// beside) and a janitor's replay only drains it, so a lane read empty
+    /// before the call stays empty through it.
     pub(crate) fn call_with_failover(
         &self,
         request: &ShardRequest,
@@ -448,7 +455,7 @@ impl ReplicaSet {
         deadline: Deadline,
         stats: &FaultStats,
         usable: impl Fn(&ShardResponse) -> bool,
-    ) -> Option<ShardResponse> {
+    ) -> Option<(ShardResponse, bool)> {
         for (tried, i) in self.ranked().into_iter().enumerate() {
             let replica = &self.replicas[i];
             if replica.missed(deadline) {
@@ -458,8 +465,9 @@ impl ReplicaSet {
             if tried > 0 {
                 stats.failover.inc();
             }
+            let in_sync = replica.pending_len() == 0;
             match replica.call(request, net, deadline, true) {
-                CallOutcome::Ok(response) if usable(&response) => return Some(response),
+                CallOutcome::Ok(response) if usable(&response) => return Some((response, in_sync)),
                 // An error reply, or an answer the caller cannot use (it
                 // arrives from outside the program): a sibling may do better.
                 CallOutcome::Ok(_) | CallOutcome::Failed => continue,
@@ -558,14 +566,16 @@ impl Fleet {
     /// reply. A shard that cannot answer — every replica dead, desynced,
     /// stalled, lying or out of budget — contributes empty answers for the
     /// whole batch: its records drop out of the candidate set, the query
-    /// survives.
+    /// survives. Each slot's answers come with whether they are whole: a
+    /// degraded slot's are not, nor are those of a replica that was behind
+    /// on its inserts ([`ReplicaSet::call_with_failover`]).
     fn fan_out_batches(
         &self,
         queries: &[WireQuery],
         deadline: Deadline,
         global: &GlobalBlocking,
-    ) -> Vec<Vec<WireCandidates>> {
-        let empty = || vec![WireCandidates::Ids(Vec::new()); queries.len()];
+    ) -> Vec<(Vec<WireCandidates>, bool)> {
+        let empty = || (vec![WireCandidates::Ids(Vec::new()); queries.len()], false);
         let request = ShardRequest::QueryBatch(queries.to_vec());
         let usable = |response: &ShardResponse| {
             matches!(response, ShardResponse::CandidatesBatch(answers)
@@ -578,7 +588,7 @@ impl Fleet {
             &self.stats,
             usable,
         ) {
-            Some(ShardResponse::CandidatesBatch(answers)) => answers,
+            Some((ShardResponse::CandidatesBatch(answers), in_sync)) => (answers, in_sync),
             _ => {
                 self.stats.degraded.inc();
                 empty()
@@ -689,25 +699,24 @@ impl Sharded {
 impl BlockingTier for Sharded {
     /// Every title's query is planned against the current global state,
     /// shipped as one `QueryBatch` per shard, and merged per title. The
-    /// whole fan-out, failover included, is budgeted from `t0`.
-    fn candidates_batch(&self, titles: &[&str], t0: Instant) -> Vec<Option<Vec<usize>>> {
+    /// whole fan-out, failover included, is budgeted from `t0`, and the
+    /// sets are complete when every slot's answers are whole.
+    fn candidates_batch(&self, titles: &[&str], t0: Instant) -> CandidateSets {
         let Some(queries) = titles.iter().map(|t| self.global.plan(t)).collect::<Option<Vec<_>>>()
         else {
             // The exhaustive backend: no fan-out happens at all.
-            return vec![None; titles.len()];
+            return CandidateSets { sets: vec![None; titles.len()], complete: true };
         };
         let deadline = Deadline::since(t0, self.fleet.net.request_budget);
-        let mut per_shard: Vec<_> = self
-            .fleet
-            .fan_out_batches(&queries, deadline, &self.global)
-            .into_iter()
-            .map(Vec::into_iter)
-            .collect();
+        let answered = self.fleet.fan_out_batches(&queries, deadline, &self.global);
+        let complete = answered.iter().all(|&(_, whole)| whole);
+        let mut per_shard: Vec<_> =
+            answered.into_iter().map(|(answers, _)| answers.into_iter()).collect();
         let merge_next = |_| {
             let answers = per_shard.iter_mut().map(|a| a.next().expect("one answer per query"));
             Some(self.global.merge(answers))
         };
-        titles.iter().map(merge_next).collect()
+        CandidateSets { sets: titles.iter().map(merge_next).collect(), complete }
     }
 
     /// Grows the global blocking state here and the records themselves

@@ -54,23 +54,33 @@
 //! What a hot resolve still does is bookkeeping over its candidates, and
 //! each stage pays for the answer rather than for a general tool:
 //!
+//! * *Candidates memoized.* A record resolve's candidate set comes from
+//!   the candidate memo while its title is hot (see "Candidate
+//!   generation"), so the blocking tier is not asked at all.
 //! * *Keys hashed once.* An entry's key mixes two 128-bit title digests,
 //!   and each digest is a SipHash under random keys drawn once per service
 //!   (`Sides` carries them, so a stored record, a query title and a
-//!   title-pair query digest alike). The key is thus already unpredictable
-//!   hash output, and the cache map takes its bits as they are instead of
-//!   SipHashing them again ([`LruCache::with_hasher`]). Unkeyed digests
-//!   would let whoever picks titles pick colliding map slots.
+//!   title-pair query digest alike). A resolve digests its title once, for
+//!   the candidate memo and every cache key. The key is thus already
+//!   unpredictable hash output, and the cache map takes its bits as they
+//!   are instead of SipHashing them again ([`LruCache::with_hasher`]).
+//!   Unkeyed digests would let whoever picks titles pick colliding map
+//!   slots.
+//! * *Entries shared, not copied.* A cache value is one `Arc`'d entry, and
+//!   the lookup's one lock pass pushes each hit straight into the batch: a
+//!   hit costs one reference-count increment, and a hot resolve never
+//!   touches an embedding. Only an entry whose lists a resume moves forward
+//!   is copied (two more increments), and the write-back stores the copy.
 //! * *Ranking by selection.* Only the top `k` of ≈120 candidates are
 //!   answered, so each candidate packs into one `u64` (complemented score
 //!   bits over its list position), a selection moves the `k` best to the
 //!   front and only they are sorted: the (score desc, record id asc) order
 //!   of a full sort, bit for bit (`rank`).
 //!
-//! Ingest bypasses the cache (its keys are one-shot), and the
-//! per-candidate reference kernel this path is tested against
-//! (`service/reference.rs`, compiled into test builds only) localizes
-//! uncached and never reads the memo, as the oracle.
+//! Ingest bypasses the cache and the candidate memo (its keys are
+//! one-shot), and the per-candidate reference kernel this path is tested
+//! against (`service/reference.rs`, compiled into test builds only)
+//! localizes uncached and never reads the memo, as the oracle.
 //!
 //! # The side store
 //!
@@ -98,12 +108,27 @@
 //! same pre-ingest state, and every tier returns the same candidate set.
 //! A snapshot whose blocker is [`flexer_block::BlockerState::Exhaustive`]
 //! serves the all-pairs parity baseline.
+//!
+//! Every intent layer shares one candidate set (§4.1), and a title's set
+//! changes only when the tier absorbs an ingest, so a record resolve asks
+//! the tier once per hot title between ingests: the **candidate memo**, a
+//! bounded LRU from the title's digest to its set (`cache_capacity / 64`
+//! titles, rounded up; none when the service caches nothing). A hit shares
+//! the stored set; a miss asks the tier and keeps the set only when the
+//! tier reports it complete ([`CandidateSets::complete`]): a sharded tier
+//! that degraded a slot, or heard from a replica still owed replayed
+//! inserts, answered short, and that set is right for its own request
+//! only. The exhaustive backend's "every record" is never kept. Every
+//! ingest empties the memo; it holds `&mut self` (the router's core write
+//! lock), so no resolve runs beside it. `resolve.block` times the lookup,
+//! and `serve.block.memo_hits` counts the resolves the memo answered —
+//! on the router, calls 2…P of a title skip the shard fan-out.
 
 use crate::arena::PinnedArena;
-use crate::blocking::BlockingTier;
+use crate::blocking::{BlockingTier, CandidateSets};
 use crate::cache::LruCache;
 use crate::error::ServeError;
-use crate::metrics::{self, Counters};
+use crate::metrics::{self, Counters, Timers};
 use flexer_ann::{AnyIndex, Neighbor, VectorIndex};
 use flexer_block::BlockerState;
 use flexer_graph::{BatchInductiveTrace, BatchPass, GnnModel, NeighborArena, RowSource};
@@ -153,10 +178,11 @@ pub struct IngestReport {
     pub n_suppressed: usize,
 }
 
-/// Per-intent pair embedding of one (a, b) title pair: a `P × dim` matrix
-/// whose row `p` is the intent-`p` representation — one allocation per
-/// pair, shared by reference through the LRU cache.
-type PairEmbedding = Matrix;
+/// Per-intent pair embedding of one (a, b) title pair: `P` rows of `dim`,
+/// row-major, row `p` the intent-`p` representation — one allocation per
+/// pair (an `Arc<[f32]>` holds its count beside its floats), shared by
+/// reference through the LRU cache.
+type PairEmbedding = [f32];
 
 /// Pads a layer's neighbour list that holds fewer pair ids than its stride
 /// (an index with fewer than `k` rows).
@@ -223,11 +249,22 @@ impl LocatedPair {
     fn memoize(&self, p: IntentId, p_layers: usize, score: f32) {
         self.hood[self.hood.len() - p_layers + p].store(score.to_bits(), Relaxed);
     }
+
+    /// The placeholder of a batch's misses, made at the first and shared by
+    /// the rest: no embedding, and never localized — every layer's scan
+    /// state before row 0.
+    fn stand_in(held: &mut Option<Arc<LocatedPair>>) -> Arc<LocatedPair> {
+        let make = || Arc::new(LocatedPair { emb: Arc::new([]), hood: Arc::new([]), watermark: 0 });
+        Arc::clone(held.get_or_insert_with(make))
+    }
 }
 
 /// One candidate batch between its cache lookup and its write-back.
 struct PairBatch {
-    pairs: Vec<LocatedPair>,
+    /// One shared entry per pair: a hit is the cache's own value, a
+    /// reference-count increment; [`Service::localize`] copies an entry it
+    /// moves forward and leaves the cache's as it was until the write-back.
+    pairs: Vec<Arc<LocatedPair>>,
     /// One cache key per pair, hashed once for the lookup and the
     /// write-back; empty when the batch bypasses the cache (ingest).
     keys: Vec<PairKey>,
@@ -308,11 +345,15 @@ pub struct Service<B> {
     /// pairs, inductive values for ingested ones.
     scores: Vec<Vec<f32>>,
     cache: Mutex<PairCache>,
+    /// The candidate memo: each hot title's complete candidate set, keyed
+    /// by the title's digest; emptied by every ingest.
+    candidate_memo: Mutex<CandidateMemo>,
     /// Everything this service times and counts: the end-to-end `resolve`
     /// span, its stages, and the counters below. Its own, not the
     /// process-global recorder, so two services in one process count apart.
     recorder: Recorder,
     counters: Counters,
+    timers: Timers,
 }
 
 /// The service over one resident blocker — the unsharded deployment.
@@ -434,7 +475,12 @@ impl<B: BlockingTier> Service<B> {
             pinned,
             scores,
             cache: Mutex::new(LruCache::with_hasher(config.cache_capacity, Default::default())),
+            candidate_memo: Mutex::new(LruCache::with_hasher(
+                config.cache_capacity.div_ceil(PAIRS_PER_MEMO_TITLE),
+                Default::default(),
+            )),
             counters: Counters::new(&recorder),
+            timers: Timers::new(&recorder),
             recorder,
             snapshot,
             config,
@@ -572,7 +618,7 @@ impl<B: BlockingTier> Service<B> {
         // Errors count as resolves too, so the counts stay comparable
         // across endpoints.
         let out = self.resolve_intents(t0, query, intents, top_k);
-        metrics::record_resolve(&self.recorder, t0.elapsed());
+        metrics::record_resolve(&self.timers.resolve, t0.elapsed());
         out
     }
 
@@ -652,8 +698,10 @@ impl<B: BlockingTier> Service<B> {
             }
         }
         self.counters.ingest_records.add(titles.len() as u64);
-        // The records now have their ids; the blocking tier indexes them.
+        // The records now have their ids; the blocking tier indexes them,
+        // and every memoized candidate set may now lack one of them.
         self.tier.absorb(titles);
+        self.candidate_memo.get_mut().expect("candidate memo lock").clear();
         self.recorder
             .set_gauge("serve.arena.rows", self.pinned.first().map_or(0.0, |a| a.n_rows() as f64));
         reports
@@ -665,7 +713,7 @@ impl<B: BlockingTier> Service<B> {
     /// the LRU cache: ingest pairs are one-shot keys that would evict the
     /// hot query set without ever being asked for again.
     fn score_candidates(&self, title: &str, candidates: &[usize]) -> ScoredCandidates {
-        let mut batch = self.embed_pairs(&self.sides, candidates, title, false);
+        let mut batch = self.embed_pairs(&self.sides, candidates, title, None);
         let intents: Vec<IntentId> = (0..self.n_intents()).collect();
         #[cfg(test)]
         {
@@ -674,9 +722,9 @@ impl<B: BlockingTier> Service<B> {
             }
         }
         self.localize(&mut batch);
-        let pairs: Vec<&LocatedPair> = batch.pairs.iter().collect();
+        let pairs: Vec<&LocatedPair> = batch.pairs.iter().map(Arc::as_ref).collect();
         let scored = ScoredBatch::Batched(self.score_pairs_batched(&pairs, &intents));
-        (batch.pairs.into_iter().map(|pair| pair.emb).collect(), scored)
+        (batch.pairs.iter().map(|pair| Arc::clone(&pair.emb)).collect(), scored)
     }
 
     /// Phase-2 worker: appends one scored record's pairs to the serving
@@ -726,8 +774,9 @@ impl<B: BlockingTier> Service<B> {
     /// Makes one scored pair servable: its per-intent embedding rows join
     /// the ANN indexes and it gets the next dense pair id.
     fn append_pair(&mut self, other: usize, record: usize, emb: &PairEmbedding) {
-        for (q, index) in self.indexes.iter_mut().enumerate() {
-            index.add(emb.row(q));
+        let rows = emb.chunks_exact(self.snapshot.graph.dim);
+        for (index, row) in self.indexes.iter_mut().zip(rows) {
+            index.add(row);
         }
         self.pairs.push((DenseRecordId::new(other), DenseRecordId::new(record)));
     }
@@ -740,8 +789,42 @@ impl<B: BlockingTier> Service<B> {
     /// tier's candidates, or every stored record when the tier is
     /// exhaustive. `t0` is when the request asking started.
     fn candidate_records(&self, titles: &[&str], t0: Instant) -> Vec<Vec<usize>> {
-        let found = self.tier.candidates_batch(titles, t0);
+        let found = self.tier.candidates_batch(titles, t0).sets;
         found.into_iter().map(|c| c.unwrap_or_else(|| (0..self.records.len()).collect())).collect()
+    }
+
+    /// A record resolve's candidates for `title`, whose digest is `digest`
+    /// when the service caches: the memo's set when it holds the title,
+    /// else the tier's, kept in the memo when the tier reports it complete.
+    /// The exhaustive backend's "every record" is never kept: the next
+    /// ingest changes it and it costs nothing to spell out.
+    fn record_candidates(
+        &self,
+        title: &str,
+        digest: Option<TitleDigest>,
+        t0: Instant,
+    ) -> Arc<[usize]> {
+        if let Some(digest) = digest {
+            if let Some(hit) = self.candidate_memo.lock().expect("candidate memo lock").get(&digest)
+            {
+                self.counters.block_memo_hits.inc();
+                return Arc::clone(hit);
+            }
+        }
+        let CandidateSets { mut sets, complete } = self.tier.candidates_batch(&[title], t0);
+        match sets.pop().expect("one set per title") {
+            Some(set) => {
+                let set = Arc::from(set);
+                if let Some(digest) = digest.filter(|_| complete) {
+                    self.candidate_memo
+                        .lock()
+                        .expect("candidate memo lock")
+                        .insert(digest, Arc::clone(&set));
+                }
+                set
+            }
+            None => (0..self.records.len()).collect(),
+        }
     }
 
     fn resolve_intents(
@@ -781,16 +864,17 @@ impl<B: BlockingTier> Service<B> {
                     .collect())
             }
             ResolveQuery::TitlePair(a, b) => {
-                let mut batch = {
-                    let _span = self.recorder.span("resolve.embed");
+                let mut lap = Instant::now();
+                let mut batch = self.timers.embed.stage(&mut lap, || {
                     let mut left = Sides::new(&self.snapshot.featurizer, &self.sides.keys);
                     left.push(a, &self.snapshot.df);
-                    self.embed_pairs(&left, &[0], b, true)
-                };
-                let scores = {
-                    let _span = self.recorder.span("resolve.forward");
-                    self.score_resolve_batch(&mut batch, intents)
-                };
+                    let digest = (self.config.cache_capacity > 0).then(|| left.digest(b));
+                    self.embed_pairs(&left, &[0], b, digest)
+                });
+                let scores = self
+                    .timers
+                    .forward
+                    .stage(&mut lap, || self.score_resolve_batch(&mut batch, intents));
                 Ok(intents
                     .iter()
                     .zip(scores)
@@ -807,38 +891,45 @@ impl<B: BlockingTier> Service<B> {
             ResolveQuery::Record(title) => {
                 // Query-driven collective ER: pair the query against its
                 // blocked candidates (every served record when exhaustive)
-                // and rank. Every tier is timed under the same span path.
-                let candidates = {
-                    let _span = self.recorder.span("resolve.block");
-                    self.candidate_records(&[title.as_str()], t0).pop().expect("one set per title")
-                };
+                // and rank. Every tier is timed under the same span path,
+                // and the four stages tile the resolve from here on.
+                // The title is digested once: its digest keys the candidate
+                // memo and is mixed into every pair's cache key. A service
+                // that caches nothing memoizes nothing either.
+                let mut lap = Instant::now();
+                let (candidates, digest) = self.timers.block.stage(&mut lap, || {
+                    let digest = (self.config.cache_capacity > 0).then(|| self.sides.digest(title));
+                    (self.record_candidates(title, digest, t0), digest)
+                });
                 self.counters.resolve_candidates.add(candidates.len() as u64);
                 if candidates.is_empty() {
                     let none = |&p| ResolveResponse { intent: p, matches: Vec::new() };
                     return Ok(intents.iter().map(none).collect());
                 }
-                let mut batch = {
-                    let _span = self.recorder.span("resolve.embed");
-                    self.embed_pairs(&self.sides, &candidates, title, true)
-                };
-                let scores = {
-                    let _span = self.recorder.span("resolve.forward");
-                    self.score_resolve_batch(&mut batch, intents)
-                };
-                let _span = self.recorder.span("resolve.rank");
-                let mut keys = Vec::with_capacity(candidates.len());
-                let ranked = intents
-                    .iter()
-                    .zip(&scores)
-                    .map(|(&p, scores)| ResolveResponse {
-                        intent: p,
-                        matches: rank(scores, &candidates, top_k, &mut keys),
-                    })
-                    .collect();
-                // Released inside the stage: the batch's entries are a
-                // resolve's last work when every score came from the memo.
-                drop((batch, scores, candidates));
-                Ok(ranked)
+                let mut batch = self
+                    .timers
+                    .embed
+                    .stage(&mut lap, || self.embed_pairs(&self.sides, &candidates, title, digest));
+                let scores = self
+                    .timers
+                    .forward
+                    .stage(&mut lap, || self.score_resolve_batch(&mut batch, intents));
+                self.timers.rank.stage(&mut lap, || {
+                    let mut keys = Vec::with_capacity(candidates.len());
+                    let ranked = intents
+                        .iter()
+                        .zip(&scores)
+                        .map(|(&p, scores)| ResolveResponse {
+                            intent: p,
+                            matches: rank(scores, &candidates, top_k, &mut keys),
+                        })
+                        .collect();
+                    // Released inside the stage: the batch's entries are a
+                    // resolve's last work when every score came from the
+                    // memo.
+                    drop((batch, scores, candidates));
+                    Ok(ranked)
+                })
             }
         }
     }
@@ -866,7 +957,8 @@ impl<B: BlockingTier> Service<B> {
         self.localize(batch);
         let p_total = self.n_intents();
         let lacks = |pair: &LocatedPair| intents.iter().any(|&p| pair.score(p, p_total).is_none());
-        let forward: Vec<&LocatedPair> = batch.pairs.iter().filter(|pair| lacks(pair)).collect();
+        let forward: Vec<&LocatedPair> =
+            batch.pairs.iter().map(Arc::as_ref).filter(|pair| lacks(pair)).collect();
         self.counters.memo_hits.add((batch.pairs.len() - forward.len()) as u64);
         if !forward.is_empty() {
             let run: Vec<IntentId> = intents
@@ -886,7 +978,7 @@ impl<B: BlockingTier> Service<B> {
         let scores = intents
             .iter()
             .map(|&p| {
-                let score = |pair: &LocatedPair| pair.score(p, p_total).expect("memoized");
+                let score = |pair: &Arc<LocatedPair>| pair.score(p, p_total).expect("memoized");
                 batch.pairs.iter().map(score).collect()
             })
             .collect();
@@ -900,43 +992,55 @@ impl<B: BlockingTier> Service<B> {
     /// records — so a pair costs what depends on the pair: nothing is
     /// tokenized, hashed or cloned per candidate.
     ///
-    /// `use_cache` routes the batch through the hot-pair LRU (resolve
-    /// traffic, where repeats are the point): a hit brings its neighbour
-    /// lists along, a miss starts unlocated, and [`Self::write_back`]
-    /// stores what the batch computed once it is localized. Ingest passes
-    /// `false`: its `(stored record, new title)` keys are one-shot — the
-    /// new title is about to *become* a record, so the same pairing never
-    /// recurs as a query — and caching them both serialized parallel
-    /// phase-1 workers on the cache lock and evicted the genuinely hot
-    /// entries. That eviction churn is why blocked ingest used to *lose*
-    /// to exhaustive at small corpus sizes. A zero-capacity cache stores
-    /// nothing, so its service takes the uncached path for resolves too.
-    fn embed_pairs(&self, lefts: &Sides, ids: &[usize], title: &str, use_cache: bool) -> PairBatch {
-        let mut pairs: Vec<Option<LocatedPair>> = vec![None; ids.len()];
+    /// `right`, `title`'s digest under the keys of `lefts`, routes the batch
+    /// through the hot-pair LRU (resolve traffic, where repeats are the
+    /// point): a hit is the cache's shared entry, neighbour lists and memo
+    /// included, a miss starts unlocated, and [`Self::write_back`] stores
+    /// what the batch computed once it is localized. Ingest passes `None`:
+    /// its `(stored record, new title)` keys are one-shot — the new title is
+    /// about to *become* a record, so the same pairing never recurs as a
+    /// query — and caching them both serialized parallel phase-1 workers on
+    /// the cache lock and evicted the genuinely hot entries. That eviction
+    /// churn is why blocked ingest used to *lose* to exhaustive at small
+    /// corpus sizes. A zero-capacity cache stores nothing, so its service
+    /// passes `None` for resolves too.
+    fn embed_pairs(
+        &self,
+        lefts: &Sides,
+        ids: &[usize],
+        title: &str,
+        right: Option<TitleDigest>,
+    ) -> PairBatch {
+        let mut pairs: Vec<Arc<LocatedPair>> = Vec::with_capacity(ids.len());
         let mut misses: Vec<usize> = Vec::new();
         let mut keys: Vec<PairKey> = Vec::new();
-        if use_cache && self.config.cache_capacity > 0 {
-            // The title is digested once, under the keys of `lefts`, and
-            // every key mixes two digests, before the lock is taken; the
+        // Holds each miss's place until its embedding is made; an all-hit
+        // batch makes none.
+        let mut stand_in: Option<Arc<LocatedPair>> = None;
+        if let Some(right) = right {
+            // Every key mixes two digests, before the lock is taken; the
             // write-back reuses the keys.
-            let right = lefts.digest(title);
             keys = ids.iter().map(|&id| PairKey::new(lefts.digests[id], right)).collect();
-            // One lock pass covers the lookups; an all-hit batch touches no
-            // other lock — keys are fixed-width hashes and values are
-            // shared `Arc`s.
+            // One lock pass covers the lookups and fills the batch in
+            // place; an all-hit batch touches no other lock and costs one
+            // reference-count increment per pair.
             let mut cache = self.cache.lock().expect("cache lock");
             for (i, key) in keys.iter().enumerate() {
                 match cache.get(key) {
-                    Some(hit) => pairs[i] = Some(hit.clone()),
-                    None => misses.push(i),
+                    Some(hit) => pairs.push(Arc::clone(hit)),
+                    None => {
+                        misses.push(i);
+                        pairs.push(LocatedPair::stand_in(&mut stand_in));
+                    }
                 }
             }
             self.counters.cache_hits.add((ids.len() - misses.len()) as u64);
             self.counters.cache_misses.add(misses.len() as u64);
         } else {
             misses.extend(0..ids.len());
+            pairs.resize_with(ids.len(), || LocatedPair::stand_in(&mut stand_in));
         }
-        if !misses.is_empty() {
+        if let Some(stand_in) = stand_in {
             let featurizer = &self.snapshot.featurizer;
             let mut features = SparseMatrix::with_cols(featurizer.total_dim());
             {
@@ -960,25 +1064,18 @@ impl<B: BlockingTier> Service<B> {
                 let _span = self.recorder.span("infer");
                 self.snapshot.matchers.iter().map(|m| m.embed(&features)).collect()
             };
-            let dim = self.snapshot.graph.dim;
-            // Never localized: every layer's scan state before row 0 (one
-            // shared empty list, not an allocation per miss).
-            let unlocated: Arc<[AtomicU32]> = Arc::new([]);
+            // A miss's P rows are gathered here, then copied into its one
+            // allocation.
+            let mut rows = Vec::with_capacity(per_intent.len() * self.snapshot.graph.dim);
             for (j, &i) in misses.iter().enumerate() {
-                let mut emb = Matrix::zeros(per_intent.len(), dim);
-                for (q, e) in per_intent.iter().enumerate() {
-                    emb.row_mut(q).copy_from_slice(e.row(j));
-                }
-                pairs[i] =
-                    Some(LocatedPair { emb: Arc::new(emb), hood: unlocated.clone(), watermark: 0 });
+                rows.clear();
+                per_intent.iter().for_each(|e| rows.extend_from_slice(e.row(j)));
+                // Never localized, like the stand-in: one shared empty list.
+                let hood = Arc::clone(&stand_in.hood);
+                pairs[i] = Arc::new(LocatedPair { emb: Arc::from(&rows[..]), hood, watermark: 0 });
             }
         }
-        PairBatch {
-            pairs: pairs.into_iter().map(|pair| pair.expect("every slot filled")).collect(),
-            keys,
-            missed: misses,
-            relocated: Vec::new(),
-        }
+        PairBatch { pairs, keys, missed: misses, relocated: Vec::new() }
     }
 
     /// Stores what a batch computed — embeddings of the lookup's misses,
@@ -1002,7 +1099,7 @@ impl<B: BlockingTier> Service<B> {
         }
         let mut cache = self.cache.lock().expect("cache lock");
         for &i in missed.iter().chain(&batch.relocated) {
-            cache.insert(batch.keys[i], batch.pairs[i].clone());
+            cache.insert(batch.keys[i], Arc::clone(&batch.pairs[i]));
         }
     }
 
@@ -1023,6 +1120,7 @@ impl<B: BlockingTier> Service<B> {
         let n = self.pairs.len();
         let k = self.snapshot.k;
         let p_total = self.n_intents();
+        let dim = self.snapshot.graph.dim;
         let mut behind: Vec<(usize, usize)> = batch
             .pairs
             .iter()
@@ -1043,7 +1141,7 @@ impl<B: BlockingTier> Service<B> {
             let mut hoods = vec![NO_NEIGHBOR; group.len() * per_pair];
             for (q, index) in self.indexes.iter().enumerate() {
                 let queries: Vec<&[f32]> =
-                    group.iter().map(|&(_, i)| batch.pairs[i].emb.row(q)).collect();
+                    group.iter().map(|&(_, i)| &batch.pairs[i].emb[q * dim..][..dim]).collect();
                 let priors: Vec<Vec<Neighbor>> = group
                     .iter()
                     .zip(&queries)
@@ -1067,7 +1165,8 @@ impl<B: BlockingTier> Service<B> {
             }
             for (g, &(_, i)) in group.iter().enumerate() {
                 let hood = &mut hoods[g * per_pair..(g + 1) * per_pair];
-                let pair = &mut batch.pairs[i];
+                // A hit's entry is the cache's: moved forward in a copy.
+                let pair = Arc::make_mut(&mut batch.pairs[i]);
                 // The memo outlives a resume that brings every list back
                 // identical, and no other.
                 let kept = pair.hood.len() == per_pair
@@ -1096,7 +1195,7 @@ impl<B: BlockingTier> Service<B> {
         }
         // An explicit flat path (not a nested span): resolves and ingest's
         // phase-1 workers share this call, like the forward's below.
-        self.recorder.record_span_ns("forward.localize", t_localize.elapsed().as_nanos() as u64);
+        self.timers.localize.record_ns(t_localize.elapsed().as_nanos() as u64);
     }
 
     /// Scores a batch of localized pairs under every requested intent in
@@ -1144,7 +1243,7 @@ impl<B: BlockingTier> Service<B> {
             features.clear();
             features.reserve(b * p_total * dim);
             for pair in pairs {
-                features.extend_from_slice(pair.emb.data());
+                features.extend_from_slice(&pair.emb);
             }
             let stacked = Matrix::from_vec(b * p_total, dim, std::mem::take(features));
             let arena = NeighborArena::new(ids, offsets, p_total);
@@ -1158,7 +1257,7 @@ impl<B: BlockingTier> Service<B> {
                 passes.push(BatchPass { model, deeper, target: Some(p) });
             }
             let traces = GnnModel::forward_inductive_passes(&stacked, &arena, &first, &passes);
-            self.recorder.record_span_ns("forward.gnn", t_gnn.elapsed().as_nanos() as u64);
+            self.timers.gnn.record_ns(t_gnn.elapsed().as_nanos() as u64);
             // Aggregate rows the kernel built; rows through a SAGE GEMM.
             let concat_rows: usize = traces.iter().map(|t| t.concat_rows).sum();
             let gemm_rows: usize = traces.iter().flat_map(|t| &t.hidden).map(Matrix::rows).sum();
@@ -1222,6 +1321,12 @@ impl Sides {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TitleDigest(u128);
 
+impl Hash for TitleDigest {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0 as u64);
+    }
+}
+
 /// Fixed-width hashed cache key of an ordered title pair: a mix of the two
 /// titles' digests, so a candidate batch hashes one title — the query —
 /// and no stored one. Each title is hashed on its own, which keeps the
@@ -1247,13 +1352,14 @@ impl Hash for PairKey {
     }
 }
 
-/// The cache map's hasher: a [`PairKey`]'s bits pass through unhashed.
+/// The hasher of the cache and memo maps: a [`PairKey`]'s or a
+/// [`TitleDigest`]'s bits pass through unhashed.
 #[derive(Debug, Default)]
 struct KeyBits(u64);
 
 impl Hasher for KeyBits {
     fn write(&mut self, _: &[u8]) {
-        unreachable!("the cache map hashes only `PairKey`s, one u64 each");
+        unreachable!("the cache and memo maps hash only keyed digests, one u64 each");
     }
 
     fn write_u64(&mut self, bits: u64) {
@@ -1267,7 +1373,16 @@ impl Hasher for KeyBits {
 
 /// The hot-pair cache: keys are keyed hash bits, so the map takes them as
 /// they are.
-type PairCache = LruCache<PairKey, LocatedPair, BuildHasherDefault<KeyBits>>;
+type PairCache = LruCache<PairKey, Arc<LocatedPair>, BuildHasherDefault<KeyBits>>;
+
+/// The candidate memo: a title's digest to its complete candidate set.
+type CandidateMemo = LruCache<TitleDigest, Arc<[usize]>, BuildHasherDefault<KeyBits>>;
+
+/// Hot-pair cache entries per candidate-memo title: the memo holds
+/// `cache_capacity / 64` titles (rounded up), 256 at 16 384 entries. A
+/// title's set is ≈120 candidates, so the memo keeps every title whose
+/// pairs the cache can hold at once, and a full memo ≈256 × 130 ids.
+const PAIRS_PER_MEMO_TITLE: usize = 64;
 
 /// The `top_k` best of a record resolve's candidates under one intent —
 /// candidate `j` is record `candidates[j]` with score `scores[j]` — by
@@ -1611,5 +1726,126 @@ mod tests {
         assert!(counter(&busy, "serve.forward.rows") > 0);
         assert_eq!(resolves(&idle), None);
         assert_eq!(counter(&idle, "serve.forward.rows"), 0);
+    }
+
+    /// The candidate memo keeps a title's complete candidate set between
+    /// ingests, so a repeated record resolve asks no blocking tier, and it
+    /// changes no answer.
+    mod candidate_memo {
+        use super::*;
+        use crate::blocking::{sealed::Sealed, CandidateSets};
+        use crate::ShardedResolutionService;
+        use flexer_types::ShardConfig;
+        use std::sync::atomic::AtomicUsize;
+
+        /// The resident blocker, counting the titles it is asked for.
+        #[derive(Debug)]
+        struct Counting {
+            blocker: BlockerState,
+            asked: AtomicUsize,
+        }
+
+        impl Sealed for Counting {}
+
+        impl BlockingTier for Counting {
+            fn candidates_batch(&self, titles: &[&str], t0: Instant) -> CandidateSets {
+                self.asked.fetch_add(titles.len(), Relaxed);
+                self.blocker.candidates_batch(titles, t0)
+            }
+
+            fn absorb(&mut self, titles: &[&str]) {
+                self.blocker.absorb(titles);
+            }
+
+            fn backend(&self) -> &'static str {
+                self.blocker.backend()
+            }
+        }
+
+        fn counting(snapshot: ModelSnapshot, config: ServeConfig) -> Service<Counting> {
+            let tier = |blocker, _: &[String], _: &Recorder| {
+                Ok(Counting { blocker, asked: AtomicUsize::new(0) })
+            };
+            Service::build(snapshot, config, tier).unwrap()
+        }
+
+        /// A memo service and one that caches nothing answer the same bits
+        /// across resolve → ingest → resolve. The ingest adds a
+        /// near-duplicate of the queried title, and the answers after it
+        /// rank it: a memo that outlived the ingest would not have it.
+        #[test]
+        fn a_memo_answers_as_no_memo_across_an_ingest() {
+            let snapshot = tiny_snapshot();
+            let mut memo = counting(snapshot.clone(), ServeConfig::default());
+            let mut none = counting(snapshot, ServeConfig { cache_capacity: 0 });
+            let title = memo.record_title(1).to_string();
+            let query = ResolveQuery::record(&title);
+            let answer =
+                |svc: &Service<Counting>| svc.resolve_all_intents(&query, svc.n_records()).unwrap();
+            for _ in 0..2 {
+                assert_eq!(answer(&memo), answer(&none), "before the ingest");
+            }
+            assert_eq!(counter(&memo, "serve.block.memo_hits"), 1);
+
+            let listing = format!("{title} second listing");
+            let record = memo.ingest(&listing).record;
+            assert_eq!(none.ingest(&listing).record, record);
+            for _ in 0..2 {
+                let answers = answer(&memo);
+                assert_eq!(answers, answer(&none), "after the ingest");
+                for response in &answers {
+                    let ranked = |m: &RankedMatch| m.target == MatchTarget::Record(record);
+                    assert!(response.matches.iter().any(ranked), "intent {}", response.intent);
+                }
+            }
+            assert_eq!(counter(&memo, "serve.block.memo_hits"), 2);
+            // One miss per ingest round, and the ingest's own query.
+            assert_eq!(memo.tier.asked.load(Relaxed), 3);
+            assert_eq!(counter(&none, "serve.block.memo_hits"), 0, "capacity 0 keeps no set");
+            assert_eq!(none.tier.asked.load(Relaxed), 5);
+        }
+
+        /// The router's call shape, one intent per call: P calls of a title
+        /// ask the tier once, and the memo answers calls 2…P — through the
+        /// resident blocker and through in-process shards, whose sets are
+        /// complete at any thread count.
+        #[test]
+        fn one_intent_calls_of_a_title_ask_the_tier_once() {
+            let snapshot = tiny_snapshot();
+            let shards = ShardConfig::of(2);
+            let sharded =
+                ShardedResolutionService::new(snapshot.clone(), ServeConfig::default(), shards)
+                    .unwrap();
+            let resident = counting(snapshot, ServeConfig::default());
+            let p = resident.n_intents();
+            let query = ResolveQuery::record(format!("{} (2nd listing)", resident.record_title(2)));
+            for intent in 0..p {
+                let answer = resident.resolve(&query, intent, 10).unwrap();
+                assert_eq!(sharded.resolve(&query, intent, 10).unwrap(), answer, "intent {intent}");
+            }
+            assert_eq!(resident.tier.asked.load(Relaxed), 1, "the blocker answered once");
+            for hits in [
+                counter(&resident, "serve.block.memo_hits"),
+                counter(&sharded, "serve.block.memo_hits"),
+            ] {
+                assert_eq!(hits, p as u64 - 1);
+            }
+            let candidates = counter(&sharded, "serve.resolve.candidates");
+            assert_eq!(candidates, counter(&resident, "serve.resolve.candidates"));
+            assert!(candidates > 0 && candidates % p as u64 == 0, "every call ranks one set");
+        }
+
+        /// The exhaustive backend's "every record" is never kept.
+        #[test]
+        fn exhaustive_sets_bypass_the_memo() {
+            let snapshot = ModelSnapshot { blocker: BlockerState::Exhaustive, ..tiny_snapshot() };
+            let svc = ResolutionService::new(snapshot, ServeConfig::default()).unwrap();
+            let query = ResolveQuery::record(svc.record_title(0));
+            for _ in 0..2 {
+                svc.resolve_all_intents(&query, 5).unwrap();
+            }
+            assert_eq!(counter(&svc, "serve.block.memo_hits"), 0);
+            assert_eq!(counter(&svc, "serve.resolve.candidates"), 2 * svc.n_records() as u64);
+        }
     }
 }

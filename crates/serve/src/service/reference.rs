@@ -53,7 +53,8 @@ impl<B: BlockingTier> Service<B> {
         intents: &[IntentId],
     ) -> ScoredCandidates {
         let per_pair = self.reference_traces(&batch, intents);
-        (batch.pairs.into_iter().map(|pair| pair.emb).collect(), ScoredBatch::Reference(per_pair))
+        let embeddings = batch.pairs.iter().map(|pair| Arc::clone(&pair.emb)).collect();
+        (embeddings, ScoredBatch::Reference(per_pair))
     }
 
     /// A resolve's `scores[pi][j]` on the reference kernel.
@@ -93,10 +94,11 @@ impl<B: BlockingTier> Service<B> {
     /// Per-layer k-NN pair ids of a new pair's embedding (rank order).
     fn neighbors_of(&self, emb: &PairEmbedding) -> Vec<Vec<usize>> {
         let k = self.snapshot.k;
+        let rows = emb.chunks_exact(self.snapshot.graph.dim);
         self.indexes
             .iter()
-            .enumerate()
-            .map(|(q, index)| index.search(emb.row(q), k).into_iter().map(|h| h.id).collect())
+            .zip(rows)
+            .map(|(index, row)| index.search(row, k).into_iter().map(|h| h.id).collect())
             .collect()
     }
 
@@ -131,7 +133,8 @@ impl<B: BlockingTier> Service<B> {
                     .collect()
             })
             .collect();
-        let trace = model.forward_inductive(emb, &neighbor_inputs);
+        let emb = Matrix::from_vec(p_total, dim, emb.to_vec());
+        let trace = model.forward_inductive(&emb, &neighbor_inputs);
         let score = trace.scores()[intent];
         (score, trace)
     }
@@ -496,7 +499,11 @@ mod tests {
     }
 
     /// The cache entry of the pair (stored record `id`, `title`), if any.
-    fn entry<B: BlockingTier>(svc: &Service<B>, id: usize, title: &str) -> Option<LocatedPair> {
+    fn entry<B: BlockingTier>(
+        svc: &Service<B>,
+        id: usize,
+        title: &str,
+    ) -> Option<Arc<LocatedPair>> {
         let key = PairKey::new(svc.sides.digests[id], svc.sides.digest(title));
         svc.cache.lock().unwrap().get(&key).cloned()
     }
@@ -566,7 +573,7 @@ mod tests {
             })
             .collect();
         let duplicates: Vec<&str> = duplicates.iter().map(String::as_str).collect();
-        let cached: Vec<(usize, LocatedPair)> = candidates_of(&svc, &title)
+        let cached: Vec<(usize, Arc<LocatedPair>)> = candidates_of(&svc, &title)
             .into_iter()
             .map(|id| (id, entry(&svc, id, &title).expect("the warm resolve cached it")))
             .collect();

@@ -106,7 +106,7 @@ impl ShardedResolutionService {
             &fleet.stats,
             is_hello,
         ) {
-            Some(ShardResponse::Hello { n_records, .. }) => n_records as usize,
+            Some((ShardResponse::Hello { n_records, .. }, _)) => n_records as usize,
             _ => 0,
         };
         fleet.sets.iter().map(held).collect()

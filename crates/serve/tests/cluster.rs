@@ -206,6 +206,24 @@ fn dead_shard_degrades_its_candidates_only() {
     client.shutdown().unwrap();
 }
 
+/// A degraded fan-out answered short, so its set is right for that request
+/// only: with no ingest between, the second resolve of a title asks the
+/// shards again and degrades again instead of answering from a memoized
+/// partial set.
+#[test]
+fn a_degraded_candidate_set_is_never_memoized() {
+    let (mut client, _, shard_addrs) = boot_cluster();
+    kill_shard(&shard_addrs[1]);
+    let query = ResolveQuery::record(sharded_snapshot().records[1].clone());
+    for round in 1..=2 {
+        client.resolve(query.clone(), 0, 5).unwrap().unwrap();
+        let stats = client.stats().unwrap();
+        let degraded = stats.iter().find(|(name, _)| name == "router.shard.degraded").unwrap().1;
+        assert_eq!(degraded, round, "resolve {round} fanned out and degraded: {stats:?}");
+    }
+    client.shutdown().unwrap();
+}
+
 #[test]
 fn killing_one_replica_per_shard_keeps_answers_bit_identical() {
     let snapshot = sharded_snapshot();

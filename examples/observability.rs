@@ -91,6 +91,12 @@ fn main() {
     // their cache entries without a forward; `rows` counts only the rest.
     let memo_hits = snap.counter("serve.forward.memo_hits").unwrap_or(0);
     assert!(memo_hits > 0, "repeated candidates must answer from the memo");
+    // The candidate memo: the two repeats of the first resolve took its
+    // set without asking the blocker; the ingests emptied the memo, so the
+    // last resolve asked again.
+    let block_memo_hits = snap.counter("serve.block.memo_hits").unwrap_or(0);
+    assert!(block_memo_hits > 0, "repeated titles must take their candidates from the memo");
+    assert_eq!(block_memo_hits, 2, "an ingest must empty the candidate memo");
     // What the forward evaluated for those B·P new nodes per call. Every
     // call above scores all P intents through two-layer GNNs: the first
     // layer's concat once for all of them (B·P rows) and each GNN's
